@@ -142,7 +142,9 @@ def _node_taylor_t1(N, alpha):
     """``L_N' exp(-r/2)`` at every node, via ``(N+1) B_{N+1}(r_i)/r_i``."""
     nodes = _cached_rule(N, alpha).nodes
     _, b_next = _weighted_laguerre_pair(N + 1, alpha, nodes)
-    return (N + 1.0) * b_next / nodes
+    t1 = (N + 1.0) * b_next / nodes
+    t1.setflags(write=False)
+    return t1
 
 
 def _taylor_psi(N, alpha, rj, t1, s):

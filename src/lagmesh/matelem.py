@@ -13,7 +13,10 @@ Sign convention: ``Kinetic`` stores the matrix of ``-d^2/dr^2`` and
 ``Kinetic2D`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
 assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
-power terms, and evaluate potentials at ``h * r_i``.
+power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
+depends on h, the oracle and Gauss-kinetic matrices are cached per
+``(N, alpha, family)`` (and operator), at most ``_MATRIX_CACHE_SIZE`` of each,
+so a sweep over h builds each of them once.  Cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ __all__ = [
 ]
 
 _ORACLE_EXTRA_ORDER = 10
+# Entries per matrix cache.  All schemes at one N need three oracle matrices
+# and one Gauss-kinetic matrix; an entry is 8 MB at N = 1000.
+_MATRIX_CACHE_SIZE = 16
 _ORACLE_TAGS = ("Overlap", "InvR", "InvR2", "R", "R2", "DDr", "Kinetic", "Kinetic2D")
 
 
@@ -166,8 +172,13 @@ def _operator_components(kind, p):
     return [(d, e, c) for d, e, c in comps if c != 0.0]
 
 
-@functools.lru_cache(maxsize=None)
 def _oracle_matrix(mesh, kind):
+    """Exact (unscaled) matrix of an operator; see ``_cached_oracle``."""
+    return _cached_oracle(dataclasses.replace(mesh, h=1.0), kind)
+
+
+@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+def _cached_oracle(mesh, kind):
     """Exact matrix of an operator, by quadrature that is exact by design.
 
     After factoring out ``e^{-x}``, the integrand of every supported
@@ -192,9 +203,10 @@ def _oracle_matrix(mesh, kind):
     for d, e, c in comps:
         values += c * np.einsum("k,ik,jk->ij", lam * x ** (2.0 * p + e), pw[0], pw[d])
     values *= np.outer(pref, pref)
-    if kind == "DDr":
-        return values  # antisymmetric; no symmetrization
-    return 0.5 * (values + values.T)
+    if kind != "DDr":  # DDr is antisymmetric; no symmetrization
+        values = 0.5 * (values + values.T)
+    values.setflags(write=False)
+    return values
 
 
 def exact_element_oracle(mesh, tag, i, j):
@@ -281,8 +293,13 @@ def kinetic_matrix(mesh, mode=Mode.Gauss):
     return OperatorMatrix(_gauss_kinetic_from_nodes(mesh), mode, "Kinetic", mesh)
 
 
-@functools.lru_cache(maxsize=None)
 def _gauss_kinetic_from_nodes(mesh):
+    """Gauss-quadrature kinetic matrix (unscaled); see ``_cached_gauss_kinetic``."""
+    return _cached_gauss_kinetic(dataclasses.replace(mesh, h=1.0))
+
+
+@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+def _cached_gauss_kinetic(mesh):
     """Gauss-quadrature kinetic matrix from node derivative values,
     symmetrized (the raw quadrature of f_i f_j'' is not symmetric in i, j
     because the integrand is not; its symmetric part is the approximation
@@ -290,7 +307,9 @@ def _gauss_kinetic_from_nodes(mesh):
     _, d2 = _node_derivative_matrices(mesh)
     lam = mesh.weights
     raw = -np.sqrt(lam)[:, None] * d2
-    return 0.5 * (raw + raw.T)
+    values = 0.5 * (raw + raw.T)
+    values.setflags(write=False)
+    return values
 
 
 def ddr_matrix(mesh):

@@ -211,6 +211,11 @@ class TestDerivativeValuesAtNodes:
         assert np.allclose(d1, g1.T, atol=1e-13 * np.max(np.abs(d1)))
         assert np.allclose(d2, g2.T, atol=1e-12 * np.max(np.abs(d2)))
 
+    def test_cached_node_derivatives_are_read_only(self):
+        t1 = basis._node_taylor_t1(12, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            t1[0] = 0.0
+
 
 class TestSpanEquivalence:
     @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Tests for operator matrices and Hamiltonian assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from lagmesh import cli, matelem
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.matelem import (
     Classification,
@@ -381,3 +383,151 @@ class TestDivergenceRejections:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="Mode"):
             overlap_matrix(mesh_regsqrt(5), "Approximate")
+
+
+def _clear_matrix_caches():
+    matelem._cached_oracle.cache_clear()
+    matelem._cached_gauss_kinetic.cache_clear()
+
+
+# every family with a regular and a singular-at-the-origin alpha
+CACHE_MESHES = [
+    ("NonReg", 0.0), ("NonReg", 2.0),
+    ("RegSqrt", 0.0), ("RegSqrt", 1.0),
+    ("RegR", 0.0), ("RegR", 2.0),
+]
+
+# every operator the public matrix builders accept, in both modes
+OPERATORS = (
+    [(f"kinetic-{m.name}", lambda mesh, m=m: kinetic_matrix(mesh, m)) for m in Mode]
+    + [(f"kinetic2d-{m.name}", lambda mesh, m=m: kinetic2d_matrix(mesh, m)) for m in Mode]
+    + [(f"overlap-{m.name}", lambda mesh, m=m: overlap_matrix(mesh, m)) for m in Mode]
+    + [
+        (f"power{p}-{m.name}", lambda mesh, p=p, m=m: power_matrix(mesh, p, m))
+        for p in (-2, -1, 1, 2)
+        for m in Mode
+    ]
+)
+
+
+class TestMatrixCache:
+    """The unscaled matrices are cached per (N, alpha, family), not per h."""
+
+    @pytest.mark.parametrize("family,alpha", CACHE_MESHES)
+    @pytest.mark.parametrize("name,build", OPERATORS, ids=[n for n, _ in OPERATORS])
+    def test_matrices_do_not_depend_on_h(self, family, alpha, name, build):
+        _clear_matrix_caches()
+        try:
+            first = build(MeshSpec(9, alpha, family, 0.3)).values.copy()
+        except ValueError:
+            _clear_matrix_caches()
+            with pytest.raises(ValueError):
+                build(MeshSpec(9, alpha, family, 2.7))
+            return
+        _clear_matrix_caches()
+        assert np.array_equal(build(MeshSpec(9, alpha, family, 2.7)).values, first)
+
+    @pytest.mark.parametrize("family,alpha", CACHE_MESHES)
+    def test_cached_builders_ignore_h(self, family, alpha):
+        # the cache keys drop h; building at another h must not change a bit
+        at_h = MeshSpec(9, alpha, family, 2.7)
+        expected = matelem._cached_gauss_kinetic.__wrapped__(at_h)
+        assert np.array_equal(matelem._gauss_kinetic_from_nodes(at_h), expected)
+        for tag in ("Overlap", "InvR", "InvR2", "R", "R2", "DDr", "Kinetic", "Kinetic2D"):
+            try:
+                expected = matelem._cached_oracle.__wrapped__(at_h, tag)
+            except ValueError:
+                continue
+            assert np.array_equal(_oracle_matrix(at_h, tag), expected)
+
+    def test_warm_cache_spectrum_equals_cold(self):
+        from lagmesh.solver import solve_bound_states
+
+        V = builtin("coulomb")
+        mesh = MeshSpec(30, 2.0, Family.NonReg, 0.7)
+
+        def spectrum():
+            return solve_bound_states(*hamiltonian_3d(mesh, 1, V, "NonRegVG"))
+
+        hamiltonian_3d(MeshSpec(30, 2.0, Family.NonReg, 0.2), 1, V, "NonRegVG")
+        warm = spectrum()
+        assert matelem._cached_oracle.cache_info().hits >= 2
+        _clear_matrix_caches()
+        cold = spectrum()
+        assert np.array_equal(warm.energies, cold.energies)
+        assert np.array_equal(warm.coefficients, cold.coefficients)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda mesh: kinetic_matrix(mesh, Mode.Exact),
+            lambda mesh: kinetic_matrix(mesh, Mode.Gauss),
+            lambda mesh: power_matrix(mesh, -2, Mode.Exact),
+            lambda mesh: kinetic2d_matrix(mesh, Mode.Exact),
+        ],
+        ids=["kinetic-Exact", "kinetic-Gauss", "power-2-Exact", "kinetic2d-Exact"],
+    )
+    def test_cached_matrices_are_read_only(self, build):
+        values = build(MeshSpec(20, 2, "NonReg", 0.5)).values
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] += 1.0
+        assert np.array_equal(build(MeshSpec(20, 2, "NonReg", 0.9)).values, values)
+
+    def test_exact_r_regularized_overlap_is_read_only(self):
+        S = overlap_matrix(MeshSpec(6, 0.0, "RegR", 0.5), Mode.Exact).values
+        with pytest.raises(ValueError, match="read-only"):
+            S[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "family,alpha,variant",
+        [
+            ("RegSqrt", 1.0, "Var"),
+            ("RegSqrt", 1.0, "RegSqrtMesh"),
+            ("RegR", 0.0, "RegRMesh"),
+            ("NonReg", 2.0, "NonReg"),
+            ("NonReg", 2.0, "NonRegVG"),
+            ("RegSqrt", 0.0, Variant2D.Var2D),
+            ("RegSqrt", 0.0, Variant2D.RegSqrtMesh2D),
+        ],
+    )
+    @pytest.mark.parametrize("angular", [0, 1])
+    def test_hamiltonians_are_fresh_arrays(self, family, alpha, variant, angular):
+        mesh = MeshSpec(10, alpha, family, 0.4)
+        build = hamiltonian_2d if isinstance(variant, Variant2D) else hamiltonian_3d
+        H, S = build(mesh, angular, builtin("harmonic"), variant)
+        before = H.values.copy()
+        H.values[0, 0] += 1.0
+        S.values[0, 0] += 1.0
+        again, S_again = build(mesh, angular, builtin("harmonic"), variant)
+        assert np.array_equal(again.values, before)
+        assert S_again.values[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "variant,cache,keys",
+        [
+            ("non-reg-vg", "_cached_oracle", 2),
+            ("non-reg", "_cached_oracle", 1),
+            ("reg-r", "_cached_gauss_kinetic", 1),
+        ],
+    )
+    def test_h_sweep_builds_each_matrix_once(self, variant, cache, keys):
+        config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
+                                      angular=1, variant=variant, N=40, h=0.5)
+        values = np.linspace(0.2, 1.2, 20)
+        _clear_matrix_caches()
+        cli.sweep(config, "h", values)
+        info = getattr(matelem, cache).cache_info()
+        assert info.misses == keys
+        assert info.hits == keys * (len(values) - 1)
+        assert info.currsize == keys
+
+    def test_caches_stay_bounded(self):
+        config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
+                                      angular=1, variant="non-reg-vg", N=10, h=0.5)
+        _clear_matrix_caches()
+        for N in range(10, 30):
+            cli.run(dataclasses.replace(config, N=N))
+            info = matelem._cached_oracle.cache_info()
+            assert info.currsize <= matelem._MATRIX_CACHE_SIZE
+        assert info.currsize == matelem._MATRIX_CACHE_SIZE
+        assert info.misses == 2 * 20
