@@ -9,8 +9,6 @@ imposed.  The Eckart potential has an analytic s-wave phase shift, so
 the error is measurable.
 """
 
-import numpy as np
-
 from lagmesh import (Family, HamiltonianVariant, MeshSpec, builtin,
                      eckart_reference_delta0, pseudostates,
                      solve_bound_states, tan_delta)
@@ -42,10 +40,3 @@ print(f"\nlowest pseudostate (E = {state.energy:.6f}) vs gamma")
 for gamma in (2.0, 3.0, 4.0, 5.0, 6.0):
     res = tan_delta(state, 0, V, 0.0, gamma, mesh)
     print(f"  gamma = {gamma:.0f}: delta = {res.delta_deg:.7f} deg")
-
-# the neutral-engine variant replaces Coulomb functions by trigonometric
-# ones; for an uncharged system both give identical phases
-res_c = tan_delta(state, 0, V, 0.0, 4.0, mesh, engine="coulomb")
-res_t = tan_delta(state, 0, V, 0.0, 4.0, mesh, engine="trig")
-print(f"\nCoulomb vs trigonometric engine: "
-      f"{abs(res_c.tan_delta - res_t.tan_delta):.1e} difference in tan(delta)")

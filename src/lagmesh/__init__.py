@@ -20,14 +20,13 @@ from .matelem import (
     Classification,
     HamiltonianVariant,
     Mode,
-    OperatorMatrix,
     Variant2D,
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
 )
 from .potentials import PotentialSpec, builtin
-from .quadrature import QuadratureRule, generate_rule, integrate
+from .quadrature import QuadratureRule, generate_rule
 from .scattering import (
     IndeterminatePhaseError,
     PhaseShiftResult,
@@ -55,7 +54,6 @@ __all__ = [
     "IndeterminatePhaseError",
     "MeshSpec",
     "Mode",
-    "OperatorMatrix",
     "PhaseShiftResult",
     "PotentialSpec",
     "Pseudostate",
@@ -70,7 +68,6 @@ __all__ = [
     "generate_rule",
     "hamiltonian_2d",
     "hamiltonian_3d",
-    "integrate",
     "mesh_rule",
     "pseudostates",
     "reconstruct_wavefunction",

@@ -29,7 +29,6 @@ from .specfun import _weighted_laguerre_pair
 __all__ = [
     "Family",
     "MeshSpec",
-    "derivative_values_at_nodes",
     "evaluate_basis",
     "mesh_rule",
     "normalization",
@@ -278,25 +277,6 @@ def evaluate_basis(mesh, j, r):
     if scalar:
         return float(values[0])
     return values.reshape(rs.shape)
-
-
-def derivative_values_at_nodes(mesh):
-    """First- and second-derivative values of every basis function at the
-    mesh points (unscaled coordinates).
-
-    Only the RegSqrt family is supported here: its node values have compact
-    closed forms against which this routine is validated.  Other families'
-    exact matrix elements are obtained by quadrature instead.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        ``N x N`` matrices; entry ``[i, j]`` holds the derivative of function
-        ``j+1`` at node ``i+1``.
-    """
-    if mesh.family is not Family.RegSqrt:
-        raise ValueError("node-derivative values are defined for the RegSqrt family only")
-    return _node_derivative_matrices(mesh)
 
 
 def _node_derivative_matrices(mesh):

@@ -137,6 +137,9 @@ def _validate(config):
     if config.dimension not in (2, 3):
         errors.append("dim: must be 2 or 3")
     elif config.dimension == 2:
+        if config.mode in ("scatter", "gamma-scan"):
+            # the integral relations use the 3D Coulomb/Riccati functions
+            errors.append(f"dim: {config.mode} is defined in three dimensions only")
         if config.variant not in _VARIANTS_2D:
             errors.append("variant: two-dimensional schemes are "
                           + " or ".join(sorted(_VARIANTS_2D)))

@@ -7,7 +7,7 @@ basis-function derivatives at the nodes.  ``Exact`` returns the true
 integral: closed forms are used for the sqrt-regularized family, and an
 exactifying quadrature (a larger rule with a shifted weight exponent, chosen
 so the integrand is exactly a polynomial times the weight) covers every
-other case.
+other case.  Every builder returns a plain ``ndarray``.
 
 Sign convention: ``Kinetic`` stores the matrix of ``-d^2/dr^2`` and
 ``Kinetic2D`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
@@ -42,12 +42,10 @@ __all__ = [
     "Classification",
     "HamiltonianVariant",
     "Mode",
-    "OperatorMatrix",
     "Variant2D",
     "centrifugal_matrix",
     "classify_singularity",
     "ddr_matrix",
-    "exact_element_oracle",
     "hamiltonian_2d",
     "hamiltonian_3d",
     "kinetic2d_matrix",
@@ -61,7 +59,6 @@ _ORACLE_EXTRA_ORDER = 10
 # Entries per matrix cache.  All schemes at one N need three oracle matrices
 # and one Gauss-kinetic matrix; an entry is 8 MB at N = 1000.
 _MATRIX_CACHE_SIZE = 16
-_ORACLE_TAGS = ("Overlap", "InvR", "InvR2", "R", "R2", "DDr", "Kinetic", "Kinetic2D")
 
 
 class Mode(enum.Enum):
@@ -93,16 +90,6 @@ class Variant2D(enum.Enum):
 class Classification(enum.Enum):
     AccuracyLoss = "AccuracyLoss"
     Safe = "Safe"
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """An N x N operator matrix with its evaluation mode and provenance."""
-
-    values: np.ndarray
-    mode: Mode
-    tag: str
-    mesh: MeshSpec
 
 
 def _coerce(enum_cls, value):
@@ -209,18 +196,6 @@ def _cached_oracle(mesh, kind):
     return values
 
 
-def exact_element_oracle(mesh, tag, i, j):
-    """Exact matrix element (1-based indices) by exactifying quadrature.
-
-    Supported tags: Overlap, InvR, InvR2, R, R2, DDr, Kinetic, Kinetic2D.
-    """
-    if tag not in _ORACLE_TAGS:
-        raise ValueError(f"unknown operator tag: {tag!r}")
-    if not (1 <= i <= mesh.N and 1 <= j <= mesh.N):
-        raise ValueError(f"indices must be in 1..{mesh.N}")
-    return float(_oracle_matrix(mesh, tag)[i - 1, j - 1])
-
-
 # ---------------------------------------------------------------------------
 # individual operator matrices
 
@@ -229,10 +204,8 @@ def overlap_matrix(mesh, mode=Mode.Gauss):
     family; the exact overlap differs from the identity only for RegR."""
     mode = _coerce(Mode, mode)
     if mode is Mode.Gauss or mesh.family in (Family.NonReg, Family.RegSqrt):
-        values = np.eye(mesh.N)
-    else:
-        values = _oracle_matrix(mesh, "Overlap")
-    return OperatorMatrix(values, mode, "Overlap", mesh)
+        return np.eye(mesh.N)
+    return _oracle_matrix(mesh, "Overlap")
 
 
 def power_matrix(mesh, p, mode=Mode.Gauss):
@@ -244,25 +217,22 @@ def power_matrix(mesh, p, mode=Mode.Gauss):
     mode = _coerce(Mode, mode)
     if p not in (-2, -1, 1, 2):
         raise ValueError("p must be one of -2, -1, 1, 2")
-    tag = {-2: "InvR2", -1: "InvR", 1: "R", 2: "R2"}[p]
     r = mesh.nodes
     N = mesh.N
     if mode is Mode.Gauss:
-        return OperatorMatrix(np.diag(r ** float(p)), mode, tag, mesh)
+        return np.diag(r ** float(p))
     if mesh.family is not Family.RegSqrt:
-        return OperatorMatrix(_oracle_matrix(mesh, tag), mode, tag, mesh)
+        return _oracle_matrix(mesh, {-2: "InvR2", -1: "InvR", 1: "R", 2: "R2"}[p])
     alpha = mesh.alpha
     if p == -2:
         if alpha == 0.0:
             raise ValueError("matrix of 1/r^2 diverges on the RegSqrt family at alpha=0")
-        values = np.diag(r**-2.0) + _sign_grid(N) / (alpha * np.outer(r, r))
-    elif p == -1:
-        values = np.diag(1.0 / r)
-    elif p == 1:
-        values = np.diag(r) + _sign_grid(N)
-    else:
-        values = np.diag(r**2.0) + _sign_grid(N) * (2.0 * N + alpha + 1.0 + r[:, None] + r[None, :])
-    return OperatorMatrix(values, mode, tag, mesh)
+        return np.diag(r**-2.0) + _sign_grid(N) / (alpha * np.outer(r, r))
+    if p == -1:
+        return np.diag(1.0 / r)
+    if p == 1:
+        return np.diag(r) + _sign_grid(N)
+    return np.diag(r**2.0) + _sign_grid(N) * (2.0 * N + alpha + 1.0 + r[:, None] + r[None, :])
 
 
 def kinetic_matrix(mesh, mode=Mode.Gauss):
@@ -287,10 +257,10 @@ def kinetic_matrix(mesh, mode=Mode.Gauss):
             diag = diag + 3.0 * (1.0 - alpha**2) / (alpha * 12.0 * r**2)
         values = _sign_grid(N) * off
         np.fill_diagonal(values, diag)
-        return OperatorMatrix(values, mode, "Kinetic", mesh)
+        return values
     if mode is Mode.Exact:
-        return OperatorMatrix(_oracle_matrix(mesh, "Kinetic"), mode, "Kinetic", mesh)
-    return OperatorMatrix(_gauss_kinetic_from_nodes(mesh), mode, "Kinetic", mesh)
+        return _oracle_matrix(mesh, "Kinetic")
+    return _gauss_kinetic_from_nodes(mesh)
 
 
 def _gauss_kinetic_from_nodes(mesh):
@@ -321,7 +291,7 @@ def ddr_matrix(mesh):
     with np.errstate(divide="ignore"):
         values = _sign_grid(mesh.N) / (r[:, None] - r[None, :])
     np.fill_diagonal(values, 0.0)
-    return OperatorMatrix(values, Mode.Exact, "DDr", mesh)
+    return values
 
 
 def kinetic2d_matrix(mesh, mode=Mode.Gauss):
@@ -339,11 +309,10 @@ def kinetic2d_matrix(mesh, mode=Mode.Gauss):
         with np.errstate(divide="ignore"):
             values = _sign_grid(N) * 2.0 / (r[:, None] - r[None, :]) ** 2
         np.fill_diagonal(values, (2.0 * (2.0 * N + 1.0) - r - 2.0 / r) / (12.0 * r))
-        return OperatorMatrix(values, mode, "Kinetic2D", mesh)
+        return values
     if mode is Mode.Exact:
-        return OperatorMatrix(_oracle_matrix(mesh, "Kinetic2D"), mode, "Kinetic2D", mesh)
-    values = _gauss_kinetic_from_nodes(mesh) - np.diag(0.25 / mesh.nodes**2)
-    return OperatorMatrix(values, mode, "Kinetic2D", mesh)
+        return _oracle_matrix(mesh, "Kinetic2D")
+    return _gauss_kinetic_from_nodes(mesh) - np.diag(0.25 / mesh.nodes**2)
 
 
 def centrifugal_matrix(mesh, l, mode=Mode.Gauss):
@@ -352,12 +321,9 @@ def centrifugal_matrix(mesh, l, mode=Mode.Gauss):
     l = int(l)
     if l < 0:
         raise ValueError("l must be nonnegative")
-    coeff = l * (l + 1.0)
-    if coeff == 0.0:
-        values = np.zeros((mesh.N, mesh.N))
-    else:
-        values = coeff * power_matrix(mesh, -2, mode).values
-    return OperatorMatrix(values, mode, f"Centrifugal({l})", mesh)
+    if l == 0:
+        return np.zeros((mesh.N, mesh.N))
+    return l * (l + 1.0) * power_matrix(mesh, -2, mode)
 
 
 def potential_matrix(mesh, V, mode=Mode.Gauss):
@@ -370,16 +336,15 @@ def potential_matrix(mesh, V, mode=Mode.Gauss):
     """
     mode = _coerce(Mode, mode)
     if mode is Mode.Gauss:
-        values = np.diag(evaluate_potential(V, mesh.scaled_nodes))
-        return OperatorMatrix(values, mode, f"Potential({V.label})", mesh)
+        return np.diag(evaluate_potential(V, mesh.scaled_nodes))
     if V.coulomb_erf is not None or V.eckart is not None:
         raise ValueError(f"potential {V.label!r} has no exact matrix elements")
     values = np.zeros((mesh.N, mesh.N))
     for c, p, a, b in V.terms:
         if a != 0.0 or b != 0.0 or p not in (-2.0, -1.0, 1.0, 2.0):
             raise ValueError(f"potential {V.label!r} has no exact matrix elements")
-        values += c * mesh.h**p * power_matrix(mesh, int(p), Mode.Exact).values
-    return OperatorMatrix(values, mode, f"Potential({V.label})", mesh)
+        values += c * mesh.h**p * power_matrix(mesh, int(p), Mode.Exact)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +374,8 @@ def hamiltonian_3d(mesh, l, V, variant):
 
     Returns
     -------
-    (OperatorMatrix, OperatorMatrix)
-        Scaled Hamiltonian H and overlap S.
+    (ndarray, ndarray)
+        Scaled N x N Hamiltonian H and overlap S.
     """
     variant = _coerce(HamiltonianVariant, variant)
     l = int(l)
@@ -423,14 +388,12 @@ def hamiltonian_3d(mesh, l, V, variant):
         raise ValueError(f"variant {variant.name} requires family {want.name}")
     t_mode, c_mode, v_mode = _VARIANT_MODES[variant]
     h = mesh.h
-    values = kinetic_matrix(mesh, t_mode).values / (2.0 * h**2)
+    H = kinetic_matrix(mesh, t_mode) / (2.0 * h**2)
     if l > 0:
-        values = values + centrifugal_matrix(mesh, l, c_mode).values / (2.0 * h**2)
-    values = values + potential_matrix(mesh, V, v_mode).values
+        H = H + centrifugal_matrix(mesh, l, c_mode) / (2.0 * h**2)
+    H = H + potential_matrix(mesh, V, v_mode)
     s_mode = Mode.Exact if variant is HamiltonianVariant.Var else Mode.Gauss
-    S = overlap_matrix(mesh, s_mode)
-    H = OperatorMatrix(values, t_mode, f"H3D(l={l},{V.label},{variant.name})", mesh)
-    return H, S
+    return H, overlap_matrix(mesh, s_mode)
 
 
 def hamiltonian_2d(mesh, m, V, variant):
@@ -442,6 +405,13 @@ def hamiltonian_2d(mesh, m, V, variant):
     potential.  The variational scheme (Var2D) is built, from the same mesh
     argument, on a basis of N-1 functions with alpha=2 and exact elements
     throughout.
+
+    Returns
+    -------
+    (ndarray, ndarray)
+        Scaled Hamiltonian H and overlap S: N x N for RegSqrtMesh2D, and
+        (N-1) x (N-1) on the basis ``MeshSpec(N-1, 2.0, RegSqrt, h)`` for
+        Var2D.
     """
     variant = _coerce(Variant2D, variant)
     m = int(m)
@@ -453,22 +423,17 @@ def hamiltonian_2d(mesh, m, V, variant):
         raise ValueError("2D schemes require a RegSqrt mesh with alpha=0")
     h = mesh.h
     if variant is Variant2D.RegSqrtMesh2D:
-        basis_mesh = mesh
-        values = kinetic2d_matrix(mesh, Mode.Gauss).values / (2.0 * h**2)
+        H = kinetic2d_matrix(mesh, Mode.Gauss) / (2.0 * h**2)
         if m > 0:
-            values = values + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
-        values = values + potential_matrix(mesh, V, Mode.Gauss).values
-        s_mode = Mode.Gauss
-    else:
-        basis_mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
-        values = kinetic2d_matrix(basis_mesh, Mode.Exact).values / (2.0 * h**2)
-        if m > 0:
-            values = values + (m**2 / 2.0) * power_matrix(basis_mesh, -2, Mode.Exact).values / h**2
-        values = values + potential_matrix(basis_mesh, V, Mode.Exact).values
-        s_mode = Mode.Exact
-    S = overlap_matrix(basis_mesh, s_mode)
-    H = OperatorMatrix(values, s_mode, f"H2D(m={m},{V.label},{variant.name})", basis_mesh)
-    return H, S
+            H = H + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
+        H = H + potential_matrix(mesh, V, Mode.Gauss)
+        return H, overlap_matrix(mesh, Mode.Gauss)
+    basis_mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
+    H = kinetic2d_matrix(basis_mesh, Mode.Exact) / (2.0 * h**2)
+    if m > 0:
+        H = H + (m**2 / 2.0) * power_matrix(basis_mesh, -2, Mode.Exact) / h**2
+    H = H + potential_matrix(basis_mesh, V, Mode.Exact)
+    return H, overlap_matrix(basis_mesh, Mode.Exact)
 
 
 def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):

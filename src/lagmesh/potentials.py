@@ -97,11 +97,6 @@ def evaluate(spec, r):
     return total.reshape(rs.shape)
 
 
-def coulomb_tail(spec, r):
-    """The ``Z/r`` tail of the potential (0 for neutral systems)."""
-    return spec.tail_Z / np.asarray(r, dtype=float)
-
-
 def builtin(name, **params):
     """Construct one of the catalogued potentials.
 

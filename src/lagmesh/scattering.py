@@ -25,7 +25,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .basis import mesh_rule
 from .potentials import evaluate as evaluate_potential
@@ -95,19 +94,6 @@ class PhaseShiftResult:
     no_plateau: bool = False
 
 
-def _riccati_bessel(l, x):
-    """Free-field pair ``F_l(0, x)``, ``G_l(0, x)`` and x-derivatives.
-
-    Built from spherical Bessel functions: ``F = x j_l(x)`` and
-    ``G = -x y_l(x)`` (for ``l = 0`` simply ``sin x`` and ``cos x``).
-    """
-    j = spherical_jn(l, x)
-    y = spherical_yn(l, x)
-    jp = spherical_jn(l, x, derivative=True)
-    yp = spherical_yn(l, x, derivative=True)
-    return x * j, j + x * jp, -x * y, -(y + x * yp)
-
-
 def _check_inputs(state, l, V, Z, mesh):
     if int(l) != l or l < 0:
         raise ValueError("l must be a nonnegative integer")
@@ -121,7 +107,7 @@ def _check_inputs(state, l, V, Z, mesh):
         raise ValueError("coefficient vector length does not match the mesh")
 
 
-def _interior_table(state, l, V, Z, mesh, engine):
+def _interior_table(state, l, V, Z, mesh):
     """Gamma-independent node factors: weights, wave function, F, G, G'.
 
     Returns ``(r, wWu, wu, F, G, Gp)`` where ``r`` are the scaled nodes,
@@ -136,18 +122,9 @@ def _interior_table(state, l, V, Z, mesh, engine):
     # u(h r_i) = c_i (h lam_i)^(-1/2): the Lagrange property makes the
     # reconstruction at the mesh points a rescaling of the coefficients.
     u = np.asarray(state.coefficients, dtype=float) / np.sqrt(w)
-    x = state.k * r
-    if engine == "coulomb":
-        pair = coulomb_wave(l, Z / state.k, x)
-        F, G, Gp = pair.F, pair.G, pair.Gprime
-    elif engine == "trig":
-        if Z != 0.0:
-            raise ValueError("the sin/cos path applies to neutral systems only")
-        F, _, G, Gp = _riccati_bessel(l, x)
-    else:
-        raise ValueError(f"unknown engine: {engine!r}")
+    pair = coulomb_wave(l, Z / state.k, state.k * r)
     W = evaluate_potential(V, r) - Z / r
-    return r, w * W * u, w * u, F, G, Gp
+    return r, w * W * u, w * u, pair.F, pair.G, pair.Gprime
 
 
 def _ratio(table, l, k, gamma):
@@ -190,7 +167,7 @@ def _result(state, V, gamma, num, den, window):
     )
 
 
-def tan_delta(state, l, V, Z, gamma, mesh, engine="coulomb", window="principal"):
+def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
     """Phase shift of one pseudostate from the integral relations.
 
     Parameters
@@ -207,9 +184,6 @@ def tan_delta(state, l, V, Z, gamma, mesh, engine="coulomb", window="principal")
         Regularization rate, ``gamma > 0``.
     mesh : MeshSpec
         Mesh the state was computed on; supplies the Gauss rule.
-    engine : {'coulomb', 'trig'}
-        Source of F and G: the Coulomb-function engine (any ``Z``) or
-        direct spherical Bessel evaluation (``Z = 0`` only).
     window : {'principal', 'positive'}
         Representative of the (mod 180) phase to report: the principal
         interval (-90, 90], or [0, 180) as is customary for
@@ -229,7 +203,7 @@ def tan_delta(state, l, V, Z, gamma, mesh, engine="coulomb", window="principal")
     _check_inputs(state, l, V, Z, mesh)
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    table = _interior_table(state, l, V, Z, mesh, engine)
+    table = _interior_table(state, l, V, Z, mesh)
     num, den = _ratio(table, l, state.k, gamma)
     return _result(state, V, float(gamma), num, den, window)
 
@@ -239,10 +213,7 @@ def _fold_180(d):
     return (d + 90.0) % 180.0 - 90.0
 
 
-def gamma_scan(
-    state, l, V, Z, mesh, gammas=None, fallback_gamma=None, engine="coulomb",
-    window="principal",
-):
+def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="principal"):
     """Evaluate the phase over a gamma grid and locate the plateau.
 
     The recommended point minimizes the centered finite difference
@@ -254,7 +225,7 @@ def gamma_scan(
 
     Parameters
     ----------
-    state, l, V, Z, mesh, engine, window
+    state, l, V, Z, mesh, window
         As in :func:`tan_delta`.
     gammas : array_like, optional
         Strictly increasing grid of at least 8 positive rates.  Default:
@@ -282,7 +253,7 @@ def gamma_scan(
     if fallback_gamma is not None and not fallback_gamma > 0.0:
         raise ValueError("fallback gamma must be positive")
 
-    table = _interior_table(state, l, V, Z, mesh, engine)
+    table = _interior_table(state, l, V, Z, mesh)
     results = [
         _result(state, V, g, *_ratio(table, l, state.k, g), window) for g in grid
     ]

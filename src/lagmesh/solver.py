@@ -7,16 +7,11 @@ ties are broken by the index of the first nonzero coefficient, and each
 coefficient vector's sign is fixed by its largest component.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import math
-import re
 
 import numpy as np
 from scipy.linalg import eigh
-
-from .basis import MeshSpec
 
 __all__ = [
     "BoundSpectrum",
@@ -26,24 +21,17 @@ __all__ = [
     "solve_bound_states",
 ]
 
-_HAMILTONIAN_TAG = re.compile(r"^H[23]D\((?:l|m)=(\d+),.*,([A-Za-z0-9]+)\)$")
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BoundSpectrum:
     """Full spectrum of one Hamiltonian.
 
-    ``coefficients[:, j]`` is the coefficient vector of state ``j``,
-    normalized to c^T S c = 1.  ``variant`` and ``angular`` (l in 3D, m in
-    2D) are recovered from the Hamiltonian's tag when it was produced by
-    one of the builders, and are None otherwise.
+    ``energies`` ascend; ``coefficients[:, j]`` is the coefficient vector
+    of state ``j``, normalized to c^T S c = 1.
     """
 
     energies: np.ndarray
     coefficients: np.ndarray
-    mesh: MeshSpec
-    variant: str | None
-    angular: int | None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,8 +49,9 @@ def solve_bound_states(H, S):
 
     Parameters
     ----------
-    H, S : OperatorMatrix
-        Assembled Hamiltonian and overlap on the same mesh.
+    H, S : array_like
+        Assembled n x n Hamiltonian and overlap on the same basis, as
+        returned by ``hamiltonian_3d`` or ``hamiltonian_2d``.
 
     Returns
     -------
@@ -75,8 +64,8 @@ def solve_bound_states(H, S):
         (reciprocal condition estimate below 1e-14) or not positive
         definite.
     """
-    A = np.asarray(H.values, dtype=float)
-    B = np.asarray(S.values, dtype=float)
+    A = np.asarray(H, dtype=float)
+    B = np.asarray(S, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError("H and S must be square matrices of the same size")
@@ -100,14 +89,7 @@ def solve_bound_states(H, S):
     vectors = vectors * signs
     # ties ordered by first nonzero coefficient
     order = _tie_order(energies, vectors)
-    energies = energies[order]
-    vectors = vectors[:, order]
-    variant = angular = None
-    m = _HAMILTONIAN_TAG.match(H.tag)
-    if m:
-        angular = int(m.group(1))
-        variant = m.group(2)
-    return BoundSpectrum(energies, vectors, H.mesh, variant, angular)
+    return BoundSpectrum(energies[order], vectors[:, order])
 
 
 def _tie_order(energies, vectors):

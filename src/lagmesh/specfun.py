@@ -1,4 +1,4 @@
-"""Special functions: generalized Laguerre polynomials and Coulomb waves.
+"""Special functions: weighted Laguerre recurrence and Coulomb waves.
 
 The Coulomb wave functions ``F_l(eta, x)`` and ``G_l(eta, x)`` are computed
 by Steed's method (the two continued fractions for ``F'/F`` and for the
@@ -25,8 +25,6 @@ __all__ = [
     "coulomb_norm",
     "coulomb_wave",
     "erf",
-    "laguerre",
-    "regularized_G",
 ]
 
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
@@ -61,48 +59,6 @@ class CoulombPair:
     Fprime: object
     G: object
     Gprime: object
-
-
-def laguerre(n, alpha, x):
-    """Evaluate the generalized Laguerre polynomial ``L_n^{(alpha)}``.
-
-    Parameters
-    ----------
-    n : int
-        Degree, ``n >= 0``.
-    alpha : float
-        Parameter, ``alpha > -1``.
-    x : float or array_like
-        Points at which to evaluate.
-
-    Returns
-    -------
-    value, derivative : float or ndarray
-        ``L_n^{(alpha)}(x)`` and ``d/dx L_n^{(alpha)}(x)``.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError("degree n must be a nonnegative integer")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
-    xs = np.asarray(x, dtype=float)
-    value = _laguerre_value(int(n), float(alpha), xs)
-    if n == 0:
-        deriv = np.zeros_like(xs)
-    else:
-        # d/dx L_n^{(a)} = -L_{n-1}^{(a+1)}, valid at x = 0 as well.
-        deriv = -_laguerre_value(int(n) - 1, float(alpha) + 1.0, xs)
-    if np.ndim(x) == 0:
-        return float(value), float(deriv)
-    return value, deriv
-
-
-def _laguerre_value(n, alpha, x):
-    """Upward three-term recurrence for ``L_n^{(alpha)}(x)``."""
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(n):
-        prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
-    return cur
 
 
 def _weighted_laguerre_pair(n, alpha, x):
@@ -382,53 +338,3 @@ def coulomb_wave(l, eta, x):
     return CoulombPair(
         F.reshape(shape), Fp.reshape(shape), G.reshape(shape), Gp.reshape(shape)
     )
-
-
-def regularized_G(l, eta, k, gamma, r):
-    """Irregular Coulomb function ``G_l(eta, kr)`` damped to vanish at r = 0.
-
-    Returns ``G_l(eta, k r) * (1 - exp(-gamma r))**(l+1)``, which behaves
-    like ``r`` at the origin.  For ``r`` below ``1e-8/gamma`` the limiting
-    form ``G_l ~ (kr)**(-l) / ((2l+1) C_l)`` is combined with the regulator
-    in log space, so the product stays finite for any ``l``.
-
-    Parameters
-    ----------
-    l : int
-        Orbital angular momentum.
-    eta : float
-        Sommerfeld parameter.
-    k : float
-        Wave number scaling the argument, ``k > 0``.
-    gamma : float
-        Regularization rate, ``gamma > 0``.
-    r : float or array_like
-        Radii, ``r > 0``.
-    """
-    if k <= 0.0:
-        raise ValueError("k must be positive")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    rs = np.asarray(r, dtype=float)
-    scalar = rs.ndim == 0
-    flat = np.atleast_1d(rs).ravel().copy()
-    if np.any(flat <= 0.0):
-        raise ValueError("r must be positive")
-    out = np.empty_like(flat)
-    tiny = flat < 1e-8 / gamma
-    if np.any(~tiny):
-        rr = flat[~tiny]
-        pair = coulomb_wave(l, eta, k * rr)
-        out[~tiny] = pair.G * (-np.expm1(-gamma * rr)) ** (l + 1)
-    if np.any(tiny):
-        rr = flat[tiny]
-        logval = (
-            (l + 1.0) * np.log(gamma * rr)
-            - l * np.log(k * rr)
-            - math.log(2.0 * l + 1.0)
-            - _log_coulomb_norm(l, eta)
-        )
-        out[tiny] = np.exp(logval)
-    if scalar:
-        return float(out[0])
-    return out.reshape(rs.shape)

@@ -74,12 +74,12 @@ def test_criterion_2_closed_forms_match_oracle():
         for N in (2, 5, 12, 30):
             mesh = MeshSpec(N, alpha, Family.RegSqrt, 1.0)
             for p, tag in ((-2, "InvR2"), (-1, "InvR"), (1, "R"), (2, "R2")):
-                compare(power_matrix(mesh, p, Mode.Exact).values, mesh, tag)
-            compare(kinetic_matrix(mesh, Mode.Exact).values, mesh, "Kinetic")
-            compare(ddr_matrix(mesh).values, mesh, "DDr")
+                compare(power_matrix(mesh, p, Mode.Exact), mesh, tag)
+            compare(kinetic_matrix(mesh, Mode.Exact), mesh, "Kinetic")
+            compare(ddr_matrix(mesh), mesh, "DDr")
     for N in (2, 5, 12, 30):
         mesh = MeshSpec(N, 0.0, Family.RegSqrt, 1.0)
-        compare(kinetic2d_matrix(mesh, Mode.Exact).values, mesh, "Kinetic2D")
+        compare(kinetic2d_matrix(mesh, Mode.Exact), mesh, "Kinetic2D")
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-11 and elapsed < 5.0
     _report(2, "closed forms vs oracle", ok,
@@ -125,7 +125,7 @@ def test_criterion_8_property_suite():
     # Gauss-mode overlap is the identity on every mesh family
     for family, alpha in ((Family.RegSqrt, 1.0), (Family.RegR, 0.0),
                           (Family.NonReg, 2.0)):
-        S = overlap_matrix(MeshSpec(12, alpha, family, 0.7), Mode.Gauss).values
+        S = overlap_matrix(MeshSpec(12, alpha, family, 0.7), Mode.Gauss)
         if not np.allclose(S, np.eye(12), atol=1e-15):
             problems.append(f"Gauss overlap not identity for {family.name}")
 
@@ -139,15 +139,15 @@ def test_criterion_8_property_suite():
         # the variational scheme needs exact potential elements
         V_used = builtin("coulomb") if variant is HamiltonianVariant.Var else V
         H, _ = hamiltonian_3d(MeshSpec(14, alpha, family, 0.1), 1, V_used, variant)
-        asym = np.abs(H.values - H.values.T).max()
-        if asym > 1e-12 * np.abs(H.values).max():
+        asym = np.abs(H - H.T).max()
+        if asym > 1e-12 * np.abs(H).max():
             problems.append(f"H asymmetric for {variant.name}: {asym:.2e}")
 
     # on the sqrt(r)-regularized mesh with alpha=1 the Gauss quadrature
     # reproduces the exact kinetic matrix
     mesh = MeshSpec(16, 1.0, Family.RegSqrt, 1.0)
-    K_exact = kinetic_matrix(mesh, Mode.Exact).values
-    K_gauss = kinetic_matrix(mesh, Mode.Gauss).values
+    K_exact = kinetic_matrix(mesh, Mode.Exact)
+    K_gauss = kinetic_matrix(mesh, Mode.Gauss)
     if np.abs(K_exact - K_gauss).max() > 1e-12 * np.abs(K_exact).max():
         problems.append("RegSqrt alpha=1 kinetic Exact != Gauss")
 

@@ -9,7 +9,6 @@ from lagmesh import basis
 from lagmesh.basis import (
     Family,
     MeshSpec,
-    derivative_values_at_nodes,
     evaluate_basis,
     mesh_rule,
     normalization,
@@ -165,7 +164,7 @@ class TestDerivativeValuesAtNodes:
         r = mesh.nodes
         lam = mesh.weights
         assert r[0] == pytest.approx(3.0 - math.sqrt(3.0), rel=1e-14)
-        d1, _ = derivative_values_at_nodes(mesh)
+        d1, _ = _node_derivative_matrices(mesh)
         got = math.sqrt(lam[0]) * d1[0, 1]
         assert got == pytest.approx(-1.0 / (r[0] - r[1]), rel=1e-13)
         assert got == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), rel=1e-13)
@@ -176,7 +175,7 @@ class TestDerivativeValuesAtNodes:
         mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
         r = mesh.nodes
         lam = mesh.weights
-        d1, _ = derivative_values_at_nodes(mesh)
+        d1, _ = _node_derivative_matrices(mesh)
         got = np.sqrt(lam)[:, None] * d1
         ii, jj = np.indices((N, N))
         with np.errstate(divide="ignore"):
@@ -192,15 +191,10 @@ class TestDerivativeValuesAtNodes:
         mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
         r = mesh.nodes
         lam = mesh.weights
-        _, d2 = derivative_values_at_nodes(mesh)
+        _, d2 = _node_derivative_matrices(mesh)
         got = np.sqrt(lam) * np.diag(d2)
         expect = -(2.0 * (2.0 * N + 2.0) - r) / (12.0 * r)
         assert np.allclose(got, expect, rtol=5e-13)
-
-    def test_rejects_other_families(self):
-        for family, alpha in [("NonReg", 2.0), ("RegR", 0.0)]:
-            with pytest.raises(ValueError, match="RegSqrt"):
-                derivative_values_at_nodes(MeshSpec(5, alpha, family, 1.0))
 
     @pytest.mark.parametrize("family,alpha", PAIRINGS)
     def test_internal_matrices_match_generic_evaluation(self, family, alpha):

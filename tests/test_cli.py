@@ -55,6 +55,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="alpha"):
             run(_config(dimension=2, angular=1, variant="var", alpha=2.0))
 
+    @pytest.mark.parametrize("variant", ["reg-sqrt", "var"])
+    def test_scattering_modes_are_three_dimensional(self, variant):
+        # the integral relations are built from 3D Coulomb/Riccati functions
+        config = _config(mode="scatter", potential=builtin("eckart"), dimension=2,
+                         angular=1, variant=variant, N=12, h=0.1, gamma=2.0)
+        with pytest.raises(ConfigError, match="dim: scatter"):
+            run(config)
+        with pytest.raises(ConfigError, match="dim: gamma-scan"):
+            run(_config(mode="gamma-scan", potential=builtin("eckart"), dimension=2,
+                        angular=1, variant=variant, N=12, h=0.1))
+        with pytest.raises(ConfigError, match="dim: scatter"):
+            sweep(config, "gamma", [1.0, 2.0])
+
 
 class TestBoundMode:
     def test_oscillator_ground_state(self):
@@ -220,6 +233,23 @@ class TestMain:
         code = main(["reproduce", "--table", "1"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["reg-sqrt", "var"])
+    def test_two_dimensional_scatter_exits_1(self, capsys, variant):
+        code = main(["scatter", "--dim", "2", "--variant", variant, "--potential",
+                     "eckart", "--m", "1", "--N", "12", "--h", "0.1", "--gamma", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "three dimensions" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mesh_past_rule_range_exits_2(self, capsys):
+        code = main(["bound", "--potential", "harmonic", "--N", "400", "--h", "0.06"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("lagmesh: numerical failure: "
+                                "node polishing produced a non-monotone set\n")
 
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "report.json"

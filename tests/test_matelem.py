@@ -17,7 +17,6 @@ from lagmesh.matelem import (
     centrifugal_matrix,
     classify_singularity,
     ddr_matrix,
-    exact_element_oracle,
     hamiltonian_2d,
     hamiltonian_3d,
     kinetic2d_matrix,
@@ -44,44 +43,44 @@ class TestWorkedExamples:
         assert self.mesh.nodes == pytest.approx([3 - math.sqrt(3), 3 + math.sqrt(3)])
 
     def test_r_offdiagonal(self):
-        M = power_matrix(self.mesh, 1, Mode.Exact).values
+        M = power_matrix(self.mesh, 1, Mode.Exact)
         assert M[0, 1] == pytest.approx(-1.0, rel=1e-14)
 
     def test_r_diagonal(self):
-        M = power_matrix(self.mesh, 1, Mode.Exact).values
+        M = power_matrix(self.mesh, 1, Mode.Exact)
         assert M[0, 0] == pytest.approx(4 - math.sqrt(3), rel=1e-14)
 
     def test_inverse_square_offdiagonal(self):
         # product of the nodes is 6
-        M = power_matrix(self.mesh, -2, Mode.Exact).values
+        M = power_matrix(self.mesh, -2, Mode.Exact)
         assert M[0, 1] == pytest.approx(-1.0 / 6.0, rel=1e-14)
 
     def test_r_squared_offdiagonal(self):
-        M = power_matrix(self.mesh, 2, Mode.Exact).values
+        M = power_matrix(self.mesh, 2, Mode.Exact)
         assert M[0, 1] == pytest.approx(-12.0, rel=1e-14)
 
     def test_kinetic_offdiagonal(self):
         # (r_1 - r_2)^2 = 12
-        M = kinetic_matrix(self.mesh, Mode.Exact).values
+        M = kinetic_matrix(self.mesh, Mode.Exact)
         assert M[0, 1] == pytest.approx(-1.0 / 6.0, rel=1e-14)
 
     def test_ddr_offdiagonal(self):
-        M = ddr_matrix(self.mesh).values
+        M = ddr_matrix(self.mesh)
         assert M[0, 1] == pytest.approx(1.0 / (2 * math.sqrt(3)), rel=1e-14)
 
     def test_ddr_diagonal_zero(self):
         for N in (2, 5, 11):
-            M = ddr_matrix(mesh_regsqrt(N)).values
+            M = ddr_matrix(mesh_regsqrt(N))
             assert np.all(np.diag(M) == 0.0)
 
     def test_ddr_antisymmetric(self):
-        M = ddr_matrix(mesh_regsqrt(7)).values
+        M = ddr_matrix(mesh_regsqrt(7))
         assert np.allclose(M, -M.T, atol=0.0)
 
     def test_kinetic_reference_element(self):
         # 40-digit quadrature of the defining integral, alpha=2, N=12
         mesh = mesh_regsqrt(12, alpha=2.0)
-        M = kinetic_matrix(mesh, Mode.Exact).values
+        M = kinetic_matrix(mesh, Mode.Exact)
         assert M[6, 6] == pytest.approx(0.29393774276835610665, rel=1e-12)
 
 
@@ -91,7 +90,7 @@ class TestClosedFormsAgainstOracle:
     def test_power_forms(self, N, alpha):
         mesh = mesh_regsqrt(N, alpha)
         for p, tag in [(-2, "InvR2"), (-1, "InvR"), (1, "R"), (2, "R2")]:
-            closed = power_matrix(mesh, p, Mode.Exact).values
+            closed = power_matrix(mesh, p, Mode.Exact)
             oracle = _oracle_matrix(mesh, tag)
             scale = np.abs(oracle).max()
             assert np.abs(closed - oracle).max() <= 1e-11 * scale, (p, N, alpha)
@@ -100,17 +99,17 @@ class TestClosedFormsAgainstOracle:
     @pytest.mark.parametrize("N", [2, 5, 12, 30])
     def test_kinetic_and_ddr(self, N, alpha):
         mesh = mesh_regsqrt(N, alpha)
-        closed = kinetic_matrix(mesh, Mode.Exact).values
+        closed = kinetic_matrix(mesh, Mode.Exact)
         oracle = _oracle_matrix(mesh, "Kinetic")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
-        closed = ddr_matrix(mesh).values
+        closed = ddr_matrix(mesh)
         oracle = _oracle_matrix(mesh, "DDr")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("N", [3, 10, 25])
     def test_combined_2d_form(self, N):
         mesh = mesh_regsqrt(N, 0.0)
-        closed = kinetic2d_matrix(mesh).values
+        closed = kinetic2d_matrix(mesh)
         oracle = _oracle_matrix(mesh, "Kinetic2D")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
@@ -122,25 +121,18 @@ class TestClosedFormsAgainstOracle:
 
 class TestExactElementOracle:
     def test_single_element_matches_matrix(self):
-        mesh = mesh_regsqrt(6)
-        M = _oracle_matrix(mesh, "R")
-        assert exact_element_oracle(mesh, "R", 2, 5) == M[1, 4]
-
-    def test_index_validation(self):
-        mesh = mesh_regsqrt(4)
-        with pytest.raises(ValueError, match="1..4"):
-            exact_element_oracle(mesh, "R", 0, 1)
-        with pytest.raises(ValueError, match="1..4"):
-            exact_element_oracle(mesh, "R", 1, 5)
+        # RegSqrt closed form: <f_i|r|f_j> = (-1)^(i-j) off the diagonal
+        M = _oracle_matrix(mesh_regsqrt(6), "R")
+        assert M[1, 4] == pytest.approx(-1.0, abs=1e-11)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="operator tag"):
-            exact_element_oracle(mesh_regsqrt(4), "Cubic", 1, 1)
+            _oracle_matrix(mesh_regsqrt(4), "Cubic")
 
     def test_centrifugal_integrand_finite_for_plain_family(self):
         # leading basis power r^1 at alpha=2 gives integrand r^0 at origin
         mesh = MeshSpec(6, 2.0, Family.NonReg, 1.0)
-        val = exact_element_oracle(mesh, "InvR2", 1, 1)
+        val = _oracle_matrix(mesh, "InvR2")[0, 0]
         assert np.isfinite(val) and val > 0.0
 
 
@@ -148,20 +140,20 @@ class TestOverlap:
     @pytest.mark.parametrize("family,alpha", [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)])
     def test_gauss_overlap_is_identity(self, family, alpha):
         mesh = MeshSpec(9, alpha, family, 0.4)
-        S = overlap_matrix(mesh, Mode.Gauss).values
+        S = overlap_matrix(mesh, Mode.Gauss)
         assert np.array_equal(S, np.eye(9))
 
     @pytest.mark.parametrize("family,alpha", [("NonReg", 2.0), ("RegSqrt", 1.0)])
     def test_exact_overlap_identity_for_orthonormal_families(self, family, alpha):
         mesh = MeshSpec(10, alpha, family, 1.0)
-        S = overlap_matrix(mesh, Mode.Exact).values
+        S = overlap_matrix(mesh, Mode.Exact)
         assert np.abs(S - np.eye(10)).max() <= 1e-13
 
     def test_exact_overlap_r_regularized_family(self):
         # frozen 40-digit quadrature references; these functions are far
         # from orthonormal at small N
         mesh = MeshSpec(5, 0.0, Family.RegR, 1.0)
-        S = overlap_matrix(mesh, Mode.Exact).values
+        S = overlap_matrix(mesh, Mode.Exact)
         assert abs(S[0, 1]) > 1e-3
         assert S[0, 1] == pytest.approx(-1.638426537792149, rel=1e-12)
         assert S[0, 0] == pytest.approx(4.794197855995278, rel=1e-12)
@@ -172,8 +164,8 @@ class TestKinetic:
     def test_alpha_one_exact_equals_gauss(self):
         for N in (3, 12, 24):
             mesh = mesh_regsqrt(N, 1.0)
-            exact = kinetic_matrix(mesh, Mode.Exact).values
-            gauss = kinetic_matrix(mesh, Mode.Gauss).values
+            exact = kinetic_matrix(mesh, Mode.Exact)
+            gauss = kinetic_matrix(mesh, Mode.Gauss)
             assert np.abs(exact - gauss).max() <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
@@ -183,7 +175,7 @@ class TestKinetic:
         from lagmesh.basis import _node_derivative_matrices
 
         mesh = mesh_regsqrt(15, alpha)
-        closed = kinetic_matrix(mesh, Mode.Gauss).values
+        closed = kinetic_matrix(mesh, Mode.Gauss)
         _, d2 = _node_derivative_matrices(mesh)
         raw = -np.sqrt(mesh.weights)[:, None] * d2
         assert np.abs(closed - 0.5 * (raw + raw.T)).max() <= 1e-13 * np.abs(closed).max()
@@ -202,7 +194,7 @@ class TestKinetic:
     )
     def test_symmetric_for_other_families(self, family, alpha, variant_mode):
         mesh = MeshSpec(11, alpha, family, 1.0)
-        K = kinetic_matrix(mesh, variant_mode).values
+        K = kinetic_matrix(mesh, variant_mode)
         assert np.abs(K - K.T).max() <= 1e-13 * max(1.0, np.abs(K).max())
 
 
@@ -210,15 +202,15 @@ class TestKinetic2D:
     def test_combined_diagonal_small_case(self):
         # diagonal -(1/12 r_i)[2(2N+1) - r_i - 2/r_i] with the stored sign
         mesh = mesh_regsqrt(3, 0.0)
-        K = kinetic2d_matrix(mesh).values
+        K = kinetic2d_matrix(mesh)
         r = mesh.nodes
         want = (2.0 * 7.0 - r - 2.0 / r) / (12.0 * r)
         assert np.diag(K) == pytest.approx(want, rel=1e-14)
 
     def test_combined_equals_gauss_kinetic_minus_quarter_inverse_square(self):
         mesh = mesh_regsqrt(9, 0.0)
-        k2d = kinetic2d_matrix(mesh).values
-        k3d = kinetic_matrix(mesh, Mode.Gauss).values
+        k2d = kinetic2d_matrix(mesh)
+        k3d = kinetic_matrix(mesh, Mode.Gauss)
         assert np.allclose(k2d, k3d - np.diag(0.25 / mesh.nodes**2), atol=1e-13)
 
 
@@ -226,14 +218,14 @@ class TestPotentialMatrix:
     def test_gauss_is_diagonal_at_scaled_nodes(self):
         V = builtin("harmonic")
         mesh = MeshSpec(6, 2.0, Family.NonReg, 0.3)
-        M = potential_matrix(mesh, V, Mode.Gauss).values
+        M = potential_matrix(mesh, V, Mode.Gauss)
         assert np.allclose(M, np.diag(0.5 * (0.3 * mesh.nodes) ** 2), atol=0.0)
 
     def test_exact_power_potential_uses_closed_forms(self):
         V = builtin("harmonic")
         mesh = mesh_regsqrt(5, 1.0, h=0.2)
-        M = potential_matrix(mesh, V, Mode.Exact).values
-        want = 0.5 * 0.2**2 * power_matrix(mesh, 2, Mode.Exact).values
+        M = potential_matrix(mesh, V, Mode.Exact)
+        want = 0.5 * 0.2**2 * power_matrix(mesh, 2, Mode.Exact)
         assert np.array_equal(M, want)
 
     def test_exact_rejects_non_power_shapes(self):
@@ -247,20 +239,20 @@ class TestHamiltonian3D:
     def test_oscillator_variational_ground_state(self):
         mesh = mesh_regsqrt(20, 1.0, h=0.09)
         H, S = hamiltonian_3d(mesh, 0, builtin("harmonic"), HamiltonianVariant.Var)
-        E = eigh(H.values, eigvals_only=True)
+        E = eigh(H, eigvals_only=True)
         assert abs(E[0] - 1.5) / 1.5 <= 1e-10
-        assert np.array_equal(S.values, np.eye(20))
+        assert np.array_equal(S, np.eye(20))
 
     def test_coulomb_mesh_ground_state_machine_accurate(self):
         mesh = mesh_regsqrt(10, 1.0, h=0.5)
         H, _ = hamiltonian_3d(mesh, 0, builtin("coulomb"), "RegSqrtMesh")
-        E = eigh(H.values, eigvals_only=True)
+        E = eigh(H, eigvals_only=True)
         assert abs(E[0] + 0.5) <= 5e-15
 
     def test_coulomb_plain_family_loses_accuracy(self):
         mesh = MeshSpec(10, 2.0, Family.NonReg, 0.9)
         H, _ = hamiltonian_3d(mesh, 0, builtin("coulomb"), "NonReg")
-        E = eigh(H.values, eigvals_only=True)
+        E = eigh(H, eigvals_only=True)
         eps = (E[0] + 0.5) / 0.5
         assert eps == pytest.approx(6.9e-2, abs=5e-4)
 
@@ -272,8 +264,8 @@ class TestHamiltonian3D:
         alpha = {"RegSqrt": 1.0, "RegR": 0.0, "NonReg": 2.0}[fam]
         mesh = MeshSpec(8, alpha, fam, 0.2)
         H, S = hamiltonian_3d(mesh, 1, builtin("harmonic"), variant)
-        assert np.abs(H.values - H.values.T).max() <= 1e-13 * np.abs(H.values).max()
-        assert np.abs(S.values - S.values.T).max() == 0.0
+        assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
+        assert np.abs(S - S.T).max() == 0.0
 
     def test_family_mismatch_rejected(self):
         mesh = mesh_regsqrt(8)
@@ -294,23 +286,30 @@ class TestHamiltonian2D:
     def test_oscillator_mesh_scheme(self):
         mesh = mesh_regsqrt(20, 0.0, h=0.09)
         H, S = hamiltonian_2d(mesh, 1, builtin("harmonic"), Variant2D.RegSqrtMesh2D)
-        E = eigh(H.values, eigvals_only=True)
+        E = eigh(H, eigvals_only=True)
         assert abs(E[0] - 2.0) / 2.0 <= 1e-10
-        assert np.array_equal(S.values, np.eye(20))
+        assert np.array_equal(S, np.eye(20))
 
     def test_coulomb_mesh_scheme(self):
         mesh = mesh_regsqrt(10, 0.0, h=0.9)
         H, _ = hamiltonian_2d(mesh, 1, builtin("coulomb"), "RegSqrtMesh2D")
-        E = eigh(H.values, eigvals_only=True)
+        E = eigh(H, eigvals_only=True)
         exact = -2.0 / 9.0
         assert abs(E[0] - exact) / abs(exact) <= 1e-12
 
     def test_variational_scheme_uses_reduced_basis(self):
         mesh = mesh_regsqrt(10, 0.0, h=0.9)
-        H, S = hamiltonian_2d(mesh, 1, builtin("coulomb"), "Var2D")
-        assert H.values.shape == (9, 9)
-        assert H.mesh.alpha == 2.0
-        E = eigh(H.values, eigvals_only=True)
+        V = builtin("coulomb")
+        H, S = hamiltonian_2d(mesh, 1, V, "Var2D")
+        assert H.shape == (9, 9)
+        # N-1 functions with alpha=2, every element exact
+        basis_mesh = MeshSpec(9, 2.0, Family.RegSqrt, 0.9)
+        want = (kinetic2d_matrix(basis_mesh, Mode.Exact) / (2 * 0.9**2)
+                + 0.5 * power_matrix(basis_mesh, -2, Mode.Exact) / 0.9**2
+                + potential_matrix(basis_mesh, V, Mode.Exact))
+        assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(S, overlap_matrix(basis_mesh, Mode.Exact))
+        E = eigh(H, eigvals_only=True)
         exact = -2.0 / 9.0
         assert abs(E[0] - exact) / abs(exact) <= 1e-12
 
@@ -328,11 +327,11 @@ class TestHamiltonian2D:
 class TestCentrifugal:
     def test_zero_for_s_wave(self):
         mesh = mesh_regsqrt(5)
-        assert np.all(centrifugal_matrix(mesh, 0).values == 0.0)
+        assert np.all(centrifugal_matrix(mesh, 0) == 0.0)
 
     def test_gauss_is_diagonal(self):
         mesh = mesh_regsqrt(5)
-        M = centrifugal_matrix(mesh, 2, Mode.Gauss).values
+        M = centrifugal_matrix(mesh, 2, Mode.Gauss)
         assert np.allclose(M, np.diag(6.0 / mesh.nodes**2), atol=0.0)
 
     def test_negative_l_rejected(self):
@@ -369,7 +368,7 @@ class TestDivergenceRejections:
             power_matrix(mesh_regsqrt(5, 0.0), -2, Mode.Exact)
 
     def test_gauss_mode_still_fine_where_exact_diverges(self):
-        M = power_matrix(mesh_regsqrt(5, 0.0), -2, Mode.Gauss).values
+        M = power_matrix(mesh_regsqrt(5, 0.0), -2, Mode.Gauss)
         assert np.allclose(M, np.diag(mesh_regsqrt(5, 0.0).nodes ** -2.0))
 
     def test_invalid_power_rejected(self):
@@ -418,14 +417,14 @@ class TestMatrixCache:
     def test_matrices_do_not_depend_on_h(self, family, alpha, name, build):
         _clear_matrix_caches()
         try:
-            first = build(MeshSpec(9, alpha, family, 0.3)).values.copy()
+            first = build(MeshSpec(9, alpha, family, 0.3)).copy()
         except ValueError:
             _clear_matrix_caches()
             with pytest.raises(ValueError):
                 build(MeshSpec(9, alpha, family, 2.7))
             return
         _clear_matrix_caches()
-        assert np.array_equal(build(MeshSpec(9, alpha, family, 2.7)).values, first)
+        assert np.array_equal(build(MeshSpec(9, alpha, family, 2.7)), first)
 
     @pytest.mark.parametrize("family,alpha", CACHE_MESHES)
     def test_cached_builders_ignore_h(self, family, alpha):
@@ -468,13 +467,13 @@ class TestMatrixCache:
         ids=["kinetic-Exact", "kinetic-Gauss", "power-2-Exact", "kinetic2d-Exact"],
     )
     def test_cached_matrices_are_read_only(self, build):
-        values = build(MeshSpec(20, 2, "NonReg", 0.5)).values
+        values = build(MeshSpec(20, 2, "NonReg", 0.5))
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] += 1.0
-        assert np.array_equal(build(MeshSpec(20, 2, "NonReg", 0.9)).values, values)
+        assert np.array_equal(build(MeshSpec(20, 2, "NonReg", 0.9)), values)
 
     def test_exact_r_regularized_overlap_is_read_only(self):
-        S = overlap_matrix(MeshSpec(6, 0.0, "RegR", 0.5), Mode.Exact).values
+        S = overlap_matrix(MeshSpec(6, 0.0, "RegR", 0.5), Mode.Exact)
         with pytest.raises(ValueError, match="read-only"):
             S[0, 0] = 0.0
 
@@ -495,12 +494,12 @@ class TestMatrixCache:
         mesh = MeshSpec(10, alpha, family, 0.4)
         build = hamiltonian_2d if isinstance(variant, Variant2D) else hamiltonian_3d
         H, S = build(mesh, angular, builtin("harmonic"), variant)
-        before = H.values.copy()
-        H.values[0, 0] += 1.0
-        S.values[0, 0] += 1.0
+        before = H.copy()
+        H[0, 0] += 1.0
+        S[0, 0] += 1.0
         again, S_again = build(mesh, angular, builtin("harmonic"), variant)
-        assert np.array_equal(again.values, before)
-        assert S_again.values[0, 0] == 1.0
+        assert np.array_equal(again, before)
+        assert S_again[0, 0] == 1.0
 
     @pytest.mark.parametrize(
         "variant,cache,keys",

@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 from lagmesh.potentials import (
     PotentialSpec,
     builtin,
-    coulomb_tail,
     evaluate,
     from_json,
     to_json,
@@ -106,16 +105,17 @@ class TestEvaluate:
 
 
 class TestCoulombTail:
+    # scattering subtracts the tail as tail_Z / r
     def test_tail_values(self):
         V = builtin("coulomb", Z=-2.0)
-        assert coulomb_tail(V, 4.0) == -0.5
+        assert V.tail_Z / 4.0 == -0.5
 
     @pytest.mark.parametrize("name", ["coulomb", "eckart", "buck_alpha_alpha"])
     def test_potential_approaches_tail(self, name):
         # r^2 [V(r) - Z/r] -> 0 for every non-confining builtin
         V = builtin(name)
         r = 40.0
-        assert r**2 * abs(evaluate(V, r) - coulomb_tail(V, r)) < 1e-10
+        assert r**2 * abs(evaluate(V, r) - V.tail_Z / r) < 1e-10
 
 
 class TestValidation:

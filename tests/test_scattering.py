@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import spherical_jn, spherical_yn
 
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d
@@ -15,6 +16,8 @@ from lagmesh.potentials import builtin
 from lagmesh.scattering import (
     IndeterminatePhaseError,
     PhaseShiftResult,
+    _interior_table,
+    _ratio,
     _result,
     eckart_reference_delta0,
     gamma_scan,
@@ -272,16 +275,20 @@ class TestInvariances:
 
     @pytest.mark.parametrize("famkey", ["sqrt", "r"])
     def test_neutral_system_identical_through_both_engines(self, famkey):
+        # at Z = 0 the Coulomb pair is the Riccati-Bessel pair F = x j_0(x),
+        # G = -x y_0(x) (sin and cos); the ratio built from it must agree
         mesh, ps = eckart_states(famkey)
         for pos in (0, 4):
+            state = ps[pos]
+            r, wWu, wu, _, _, _ = _interior_table(state, 0, ECKART, 0.0, mesh)
+            x = state.k * r
+            j, y = spherical_jn(0, x), spherical_yn(0, x)
+            yp = spherical_yn(0, x, derivative=True)
+            trig = (r, wWu, wu, x * j, -x * y, -(y + x * yp))
             for gamma in (1.0, 4.0, 8.0):
-                via_coulomb = tan_delta(ps[pos], 0, ECKART, 0.0, gamma, mesh)
-                via_trig = tan_delta(
-                    ps[pos], 0, ECKART, 0.0, gamma, mesh, engine="trig"
-                )
-                assert via_trig.tan_delta == pytest.approx(
-                    via_coulomb.tan_delta, rel=1e-12
-                )
+                via_coulomb = tan_delta(state, 0, ECKART, 0.0, gamma, mesh)
+                num, den = _ratio(trig, 0, state.k, gamma)
+                assert num / den == pytest.approx(via_coulomb.tan_delta, rel=1e-12)
 
     def test_sensitivity_nonnegative_and_zero_for_single_evaluation(self):
         mesh, ps = eckart_states("sqrt")
@@ -344,16 +351,6 @@ class TestValidation:
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="tail"):
             tan_delta(ps[0], 0, ECKART, 0.5, 4.0, mesh)
-
-    def test_rejects_trig_engine_for_charged_system(self):
-        mesh, ps = buck_states("sqrt", 2)
-        with pytest.raises(ValueError, match="neutral"):
-            tan_delta(ps[0], 2, BUCK, BUCK.tail_Z, 1.0, mesh, engine="trig")
-
-    def test_rejects_unknown_engine(self):
-        mesh, ps = eckart_states("sqrt")
-        with pytest.raises(ValueError, match="engine"):
-            tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh, engine="bessel")
 
     def test_rejects_coefficient_length_mismatch(self):
         mesh, ps = eckart_states("sqrt")

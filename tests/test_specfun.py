@@ -1,17 +1,17 @@
-"""Tests for Laguerre evaluation and Coulomb wave functions."""
+"""Tests for the weighted Laguerre recurrence and Coulomb wave functions."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, spherical_jn, spherical_yn
 
+from lagmesh.scattering import _ratio
 from lagmesh.specfun import (
     ConvergenceError,
+    _weighted_laguerre_pair,
     coulomb_norm,
     coulomb_wave,
     erf,
-    laguerre,
-    regularized_G,
 )
 
 # Frozen reference values (l, eta, x) -> (F, F', G, G'), computed with an
@@ -45,32 +45,36 @@ COULOMB_REFERENCE = {
 
 
 class TestLaguerre:
+    """``_weighted_laguerre_pair`` returns B_k = L_k^{(a)}(x) exp(-x/2)."""
+
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 0.5])
     def test_matches_scipy(self, n, alpha):
         x = np.linspace(0.0, 40.0, 97)
-        value, _ = laguerre(n, alpha, x)
-        assert_allclose(value, eval_genlaguerre(n, alpha, x), rtol=1e-12, atol=1e-12)
+        _, value = _weighted_laguerre_pair(n, alpha, x)
+        want = eval_genlaguerre(n, alpha, x) * np.exp(-x / 2)
+        assert_allclose(value, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 9])
     def test_derivative_matches_scipy(self, n):
+        # the basis forms x L_n' = n L_n - (n+a) L_{n-1} from the pair;
         # d/dx L_n^{(a)} = -L_{n-1}^{(a+1)}
-        x = np.linspace(0.0, 25.0, 53)
-        _, deriv = laguerre(n, 1.0, x)
-        assert_allclose(deriv, -eval_genlaguerre(n - 1, 2.0, x), rtol=1e-12, atol=1e-12)
+        x = np.linspace(0.0, 25.0, 53)[1:]
+        b_prev, b = _weighted_laguerre_pair(n, 1.0, x)
+        deriv = (n * b - (n + 1.0) * b_prev) / x
+        want = -eval_genlaguerre(n - 1, 2.0, x) * np.exp(-x / 2)
+        assert_allclose(deriv, want, rtol=1e-12, atol=1e-12)
 
     def test_value_at_origin(self):
         # L_n^{(a)}(0) = binom(n + a, n)
-        value, _ = laguerre(4, 2.0, 0.0)
-        assert value == pytest.approx(15.0, rel=1e-14)
+        _, value = _weighted_laguerre_pair(4, 2.0, np.array([0.0]))
+        assert value[0] == pytest.approx(15.0, rel=1e-14)
 
     def test_scalar_in_scalar_out(self):
-        value, deriv = laguerre(3, 0.0, 1.5)
-        assert isinstance(value, float) and isinstance(deriv, float)
-
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            laguerre(-1, 0.0, 1.0)
+        b_prev, b = _weighted_laguerre_pair(3, 0.0, 1.5)
+        assert np.ndim(b_prev) == 0 and np.ndim(b) == 0
+        assert float(b) == pytest.approx(
+            eval_genlaguerre(3, 0.0, 1.5) * np.exp(-0.75), rel=1e-14)
 
 
 class TestCoulombWave:
@@ -151,32 +155,17 @@ class TestCoulombAgainstMultiprecision:
 
 
 class TestRegularizedG:
-    def test_vanishes_at_origin_like_r(self):
-        r = np.array([1e-12, 1e-10])
-        vals = regularized_G(0, 8.73, 0.0318, 4.0, r)
-        # linear in r at the origin: ratio of values equals ratio of radii
-        assert vals[1] / vals[0] == pytest.approx(100.0, rel=1e-6)
-
     def test_matches_plain_product_at_moderate_r(self):
+        # the tan(delta) denominator integrates G (1 - e^{-gamma r})^{l+1};
+        # a one-point table with no compensating weight isolates that factor
         r = 0.8
         k, gamma, eta, l = 0.5, 2.0, 1.3, 2
-        direct = coulomb_wave(l, eta, k * r).G * (1.0 - np.exp(-gamma * r)) ** (l + 1)
-        assert regularized_G(l, eta, k, gamma, r) == pytest.approx(direct, rel=1e-12)
-
-    def test_branches_join_smoothly(self):
-        k, gamma, eta, l = 0.04, 3.0, 6.5, 1
-        r_small = 0.9e-8 / gamma
-        r_large = 1.1e-8 / gamma
-        v1 = regularized_G(l, eta, k, gamma, r_small)
-        v2 = regularized_G(l, eta, k, gamma, r_large)
-        # leading-order branch and full product agree to the neglected order
-        assert v2 / v1 == pytest.approx(r_large / r_small, rel=1e-6)
-
-    def test_rejects_nonpositive_rates(self):
-        with pytest.raises(ValueError, match="gamma"):
-            regularized_G(0, 1.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="k must"):
-            regularized_G(0, 1.0, -1.0, 1.0, 1.0)
+        pair = coulomb_wave(l, eta, k * r)
+        direct = pair.G * (1.0 - np.exp(-gamma * r)) ** (l + 1)
+        table = (np.array([r]), np.array([1.0]), np.array([0.0]),
+                 np.array([pair.F]), np.array([pair.G]), np.array([pair.Gprime]))
+        _, den = _ratio(table, l, k, gamma)
+        assert den == pytest.approx(direct, rel=1e-12)
 
 
 def test_erf_is_vectorized():
