@@ -21,7 +21,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import poch
 
 from .quadrature import generate_rule
 from .specfun import _weighted_laguerre_pair
@@ -31,7 +31,6 @@ __all__ = [
     "MeshSpec",
     "evaluate_basis",
     "mesh_rule",
-    "normalization",
     "reconstruct_wavefunction",
 ]
 
@@ -41,6 +40,10 @@ __all__ = [
 # below ~1e-12 while the expansion (exact for polynomials) stays short.
 _NEAR_NODE_FRACTION = 1e-2
 _MAX_TAYLOR_TERMS = 60
+# Entries per cache of rules, node derivatives and operator matrices.  All
+# schemes at one N need three oracle matrices and one Gauss-kinetic matrix;
+# a matrix is 8 MB at N = 1000.
+_CACHE_SIZE = 16
 
 
 class Family(enum.Enum):
@@ -103,7 +106,7 @@ class MeshSpec:
         return self.h * mesh_rule(self).nodes
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_rule(N, alpha):
     return generate_rule(N, alpha)
 
@@ -113,9 +116,9 @@ def mesh_rule(mesh):
     return _cached_rule(mesh.N, mesh.alpha)
 
 
-def normalization(N, alpha):
+def _normalization(N, alpha):
     """Normalization coefficient ``Gamma(N+alpha+1)/N!`` of ``L_N^{(alpha)}``."""
-    return math.exp(gammaln(N + alpha + 1.0) - gammaln(N + 1.0))
+    return poch(N + 1.0, alpha)
 
 
 def _family_power(family, alpha):
@@ -133,14 +136,14 @@ def _prefactors(mesh):
     j = np.arange(1, mesh.N + 1)
     rho = {Family.NonReg: 0.5, Family.RegSqrt: 0.0, Family.RegR: -0.5}[mesh.family]
     sign = np.where(j % 2 == 1, -1.0, 1.0)
-    return sign * nodes**rho / math.sqrt(normalization(mesh.N, mesh.alpha))
+    return sign * nodes**rho / math.sqrt(_normalization(mesh.N, mesh.alpha))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _node_taylor_t1(N, alpha):
     """``L_N' exp(-r/2)`` at every node, via ``(N+1) B_{N+1}(r_i)/r_i``."""
     nodes = _cached_rule(N, alpha).nodes
-    _, b_next = _weighted_laguerre_pair(N + 1, alpha, nodes)
+    _, b_next, _ = _weighted_laguerre_pair(N + 1, alpha, nodes)
     t1 = (N + 1.0) * b_next / nodes
     t1.setflags(write=False)
     return t1
@@ -200,7 +203,7 @@ def _weighted_cardinal_all(mesh, x):
     """
     N, alpha = mesh.N, mesh.alpha
     nodes = mesh.nodes
-    b_prev, b_cur = _weighted_laguerre_pair(N, alpha, x)
+    b_prev, b_cur, _ = _weighted_laguerre_pair(N, alpha, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         lpw = (N * b_cur - (N + alpha) * b_prev) / x
         lppw = ((x - alpha - 1.0) * lpw - N * b_cur) / x

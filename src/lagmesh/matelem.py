@@ -15,7 +15,7 @@ assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
 depends on h, the oracle and Gauss-kinetic matrices are cached per
-``(N, alpha, family)`` (and operator), at most ``_MATRIX_CACHE_SIZE`` of each,
+``(N, alpha, family)`` (and operator), at most ``_CACHE_SIZE`` of each,
 so a sweep over h builds each of them once.  Cached arrays are read-only.
 """
 
@@ -30,6 +30,7 @@ import numpy as np
 from .basis import (
     Family,
     MeshSpec,
+    _CACHE_SIZE,
     _family_power,
     _node_derivative_matrices,
     _prefactors,
@@ -56,9 +57,6 @@ __all__ = [
 ]
 
 _ORACLE_EXTRA_ORDER = 10
-# Entries per matrix cache.  All schemes at one N need three oracle matrices
-# and one Gauss-kinetic matrix; an entry is 8 MB at N = 1000.
-_MATRIX_CACHE_SIZE = 16
 
 
 class Mode(enum.Enum):
@@ -164,7 +162,7 @@ def _oracle_matrix(mesh, kind):
     return _cached_oracle(dataclasses.replace(mesh, h=1.0), kind)
 
 
-@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_oracle(mesh, kind):
     """Exact matrix of an operator, by quadrature that is exact by design.
 
@@ -268,7 +266,7 @@ def _gauss_kinetic_from_nodes(mesh):
     return _cached_gauss_kinetic(dataclasses.replace(mesh, h=1.0))
 
 
-@functools.lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_gauss_kinetic(mesh):
     """Gauss-quadrature kinetic matrix from node derivative values,
     symmetrized (the raw quadrature of f_i f_j'' is not symmetric in i, j

@@ -38,6 +38,17 @@ _MAX_SERIES_TERMS = 5_000
 _ODE_RTOL = 3e-14
 _WRONSKIAN_TOL = 1e-10
 
+# exp(-x/2) is a normal double below this x (exp(-708) > 2**-1022).
+_NORMAL_X = 1416.0
+# ln 2 split so that m * _LN2_HI is exact for integers m <= _MAX_SHIFT.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_MAX_SHIFT = 2.0**20
+# A scaled recurrence value is brought back to [1/2, 1) once it passes
+# 2**_BIG_EXP.  One step multiplies it by less than 2**22 (a point starts
+# from zero once x passes about 1.5e6), so its square stays finite.
+_BIG_EXP = 256
+
 
 class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to converge or lost all accuracy."""
@@ -62,17 +73,39 @@ class CoulombPair:
 
 
 def _weighted_laguerre_pair(n, alpha, x):
-    """Return ``(B_{n-1}, B_n)`` where ``B_k(x) = L_k^{(alpha)}(x) exp(-x/2)``.
+    """Return ``(B_{n-1}, B_n, C_n)`` with ``B_k(x) = L_k^{(alpha)}(x) exp(-x/2)``.
 
-    The weighted polynomials satisfy the same three-term recurrence as the
-    Laguerre polynomials themselves, so products like quadrature weights can
-    be formed without ever holding the exponentially large ``exp(x)`` factor.
+    ``C_n = sum_{k<n} h_k B_k**2`` with ``h_k = k!/Gamma(k+alpha+1)`` is the
+    Christoffel sum of the orthonormal weighted Laguerre functions; a Gauss
+    rule's modified weight at a node is ``1 / (x**alpha C_N)``.
+
+    The weighted functions obey the Laguerre three-term recurrence, so no
+    ``exp(x)`` factor is ever held.  Below ``_NORMAL_X``, where ``exp(-x/2)``
+    is a normal double, the recurrence starts from it unscaled.  Past it, a
+    point starts from ``exp(-x/2) 2**m`` and keeps its exponent apart,
+    rescaled by exact powers of two whenever ``|B|`` grows large, so the
+    values are finite wherever the true ones can be represented.
     """
-    prev = np.zeros_like(x)
-    cur = np.exp(-0.5 * x)
+    x = np.asarray(x, dtype=float)
+    far = x >= _NORMAL_X
+    # Cody-Waite reduction: m ln2 - x/2 is formed without rounding error
+    m = np.where(far, np.floor(np.minimum(0.5 * x, _MAX_SHIFT * _LN2_HI) / _LN2_HI), 0.0)
+    cur = np.where(far, np.exp(m * _LN2_HI - 0.5 * x + m * _LN2_LO), np.exp(-0.5 * x))
+    shift = -m.astype(int)
+    prev = np.zeros_like(cur)
+    csum = np.zeros_like(cur)
+    h = 1.0 / math.gamma(alpha + 1.0)
+    rescale = bool(np.any(far))
     for k in range(n):
+        csum += h * cur * cur
+        h *= (k + 1.0) / (k + 1.0 + alpha)
         prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
-    return prev, cur
+        if rescale and np.abs(cur).max() > 2.0**_BIG_EXP:
+            e = np.frexp(cur)[1]
+            s = np.where(e > _BIG_EXP, e, 0)
+            prev, cur, csum = np.ldexp(prev, -s), np.ldexp(cur, -s), np.ldexp(csum, -2 * s)
+            shift += s
+    return np.ldexp(prev, shift), np.ldexp(cur, shift), np.ldexp(csum, 2 * shift)
 
 
 def coulomb_norm(l, eta):

@@ -11,7 +11,6 @@ from lagmesh.basis import (
     MeshSpec,
     evaluate_basis,
     mesh_rule,
-    normalization,
     reconstruct_wavefunction,
     _eval_all,
     _node_derivative_matrices,
@@ -48,8 +47,14 @@ class TestMeshSpec:
 
     def test_normalization_value(self):
         # Gamma(N+alpha+1)/N! at N=2, alpha=1 is 3!/2! = 3
-        assert normalization(2, 1.0) == pytest.approx(3.0, rel=1e-15)
-        assert normalization(4, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert basis._normalization(2, 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert basis._normalization(4, 0.0) == pytest.approx(1.0, rel=1e-14)
+        # a difference of log-gammas leaves a bias of about 3e-13 here
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for N, alpha in [(300, 1.0), (300, 2.0)]:
+                want = float(mp.gamma(N + alpha + 1) / mp.factorial(N))
+                assert basis._normalization(N, alpha) == pytest.approx(want, rel=1e-15)
 
 
 class TestCardinality:
@@ -64,6 +69,14 @@ class TestCardinality:
             expect = np.zeros(N)
             expect[j - 1] = scale[j - 1]
             assert np.all(np.abs(vals - expect) <= 1e-10 * scale[j - 1])
+
+    @pytest.mark.parametrize("family,alpha", PAIRINGS)
+    def test_last_node_value_at_n_1000(self, family, alpha):
+        # the last node lies near x = 3950, where exp(-x/2) underflows
+        mesh = MeshSpec(1000, alpha, family, 1.0)
+        rule = mesh_rule(mesh)
+        value = evaluate_basis(mesh, 1000, rule.nodes[-1])
+        assert value * math.sqrt(rule.weights[-1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_node_value_within_tight_tolerance(self):
         mesh = MeshSpec(12, 1.0, "RegSqrt", 0.5)

@@ -244,12 +244,15 @@ class TestMain:
         assert "three dimensions" in captured.err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_mesh_past_rule_range_exits_2(self, capsys):
-        code = main(["bound", "--potential", "harmonic", "--N", "400", "--h", "0.06"])
+    def test_mesh_at_n_400_solves(self, capsys):
+        # the largest nodes of this mesh lie where exp(-x/2) underflows
+        code = main(["bound", "--potential", "harmonic", "--N", "400", "--h", "0.06",
+                     "--format", "json"])
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == ("lagmesh: numerical failure: "
-                                "node polishing produced a non-monotone set\n")
+        assert code == 0
+        assert captured.err == ""
+        energy = json.loads(captured.out)["rows"][0]["energy"]
+        assert energy == pytest.approx(1.5, rel=1e-8)
 
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "report.json"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lagmesh import cli, matelem
+from lagmesh import basis, cli, matelem
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.matelem import (
     Classification,
@@ -523,10 +523,12 @@ class TestMatrixCache:
     def test_caches_stay_bounded(self):
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="non-reg-vg", N=10, h=0.5)
+        caches = (matelem._cached_oracle, basis._cached_rule, basis._node_taylor_t1)
         _clear_matrix_caches()
         for N in range(10, 30):
             cli.run(dataclasses.replace(config, N=N))
-            info = matelem._cached_oracle.cache_info()
-            assert info.currsize <= matelem._MATRIX_CACHE_SIZE
-        assert info.currsize == matelem._MATRIX_CACHE_SIZE
-        assert info.misses == 2 * 20
+            for cache in caches:
+                assert cache.cache_info().currsize <= basis._CACHE_SIZE
+        for cache in caches:
+            assert cache.cache_info().currsize == basis._CACHE_SIZE
+        assert matelem._cached_oracle.cache_info().misses == 2 * 20

@@ -74,12 +74,30 @@ class TestGenerateRule:
             generate_rule(4, -1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("N,alpha", [(385, 2.0), (390, 1.0), (400, 0.0)])
-    def test_past_range_raises_typed_error_without_warnings(self, N, alpha):
-        # exp(-x/2) underflows at the largest nodes, so polishing fails;
-        # that must surface as an ArithmeticError, not a stray warning
-        with pytest.raises(FloatingPointError, match="non-monotone"):
-            generate_rule(N, alpha)
+    @pytest.mark.parametrize("N,alpha", [(100, 1.0), (375, 1.0), (385, 2.0), (390, 1.0),
+                                         (400, 0.0), (1000, 0.0), (1000, 2.0)])
+    def test_matches_mpmath_up_to_n_1000(self, N, alpha):
+        # from N of about 370 the largest nodes pass x = 1416, where exp(-x/2)
+        # is no longer a normal double.  Reference: Newton on mpmath's L_N from
+        # each node, and the classical weight Gamma(N+a+1)/(N! x L_N'(x)^2)
+        # times exp(x) x^-a, with L_N' = -L_{N-1}^{(a+1)}
+        mp = pytest.importorskip("mpmath")
+        rule = generate_rule(N, alpha)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            for i in sorted({0, 1, N // 4, N // 2, 3 * N // 4, N - 1}):
+                x = mp.mpf(rule.nodes[i])
+                for _ in range(3):
+                    x += mp.laguerre(N, a, x) / mp.laguerre(N - 1, a + 1, x)
+                d = mp.laguerre(N - 1, a + 1, x)
+                weight = mp.gamma(N + a + 1) / (mp.factorial(N) * x * d**2) * mp.exp(x) / x**a
+                assert rule.nodes[i] == pytest.approx(float(x), rel=1e-11)
+                assert rule.weights[i] == pytest.approx(float(weight), rel=1e-11)
+
+    def test_weights_out_of_double_range_raise_typed_error(self):
+        # x**alpha overflows at the largest nodes
+        with pytest.raises(FloatingPointError):
+            generate_rule(10, 140.0)
 
 
 class TestIntegrate:
