@@ -263,7 +263,7 @@ def evaluate_basis(mesh, j, r):
     j : int
         Function index, 1-based, ``1 <= j <= N``.
     r : float or array_like
-        Radii, ``r >= 0``.
+        Finite radii, ``r >= 0``.
 
     Returns
     -------
@@ -274,8 +274,8 @@ def evaluate_basis(mesh, j, r):
     rs = np.asarray(r, dtype=float)
     scalar = rs.ndim == 0
     flat = np.atleast_1d(rs).ravel()
-    if np.any(flat < 0.0):
-        raise ValueError("r must be nonnegative")
+    if not np.all((flat >= 0.0) & np.isfinite(flat)):
+        raise ValueError("r must be nonnegative and finite")
     values = _eval_all(mesh, flat / mesh.h)[int(j) - 1] / math.sqrt(mesh.h)
     if scalar:
         return float(values[0])
@@ -326,7 +326,7 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     coeffs : array_like
         Expansion coefficients, length ``N``.
     r : float or array_like
-        Radii, ``r >= 0``.
+        Finite radii, ``r >= 0``.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (mesh.N,):
@@ -336,8 +336,8 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     rs = np.asarray(r, dtype=float)
     scalar = rs.ndim == 0
     flat = np.atleast_1d(rs).ravel()
-    if np.any(flat < 0.0):
-        raise ValueError("r must be nonnegative")
+    if not np.all((flat >= 0.0) & np.isfinite(flat)):
+        raise ValueError("r must be nonnegative and finite")
     values = c @ _eval_all(mesh, flat / mesh.h) / math.sqrt(mesh.h)
     if scalar:
         return float(values[0])

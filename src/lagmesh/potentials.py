@@ -14,8 +14,7 @@ import dataclasses
 import json
 
 import numpy as np
-
-from .specfun import erf
+from scipy.special import erf
 
 __all__ = ["PotentialSpec", "builtin", "evaluate", "from_json", "to_json"]
 

@@ -3,11 +3,11 @@
 The Coulomb wave functions ``F_l(eta, x)`` and ``G_l(eta, x)`` are computed
 by Steed's method (the two continued fractions for ``F'/F`` and for the
 logarithmic derivative of ``G + iF``) wherever the point lies in the
-classically allowed region, and below the turning point by the regular
-power series for ``F`` together with integration of the radial equation
-in the numerically stable direction for ``G`` (downward from a Steed
-anchor; the irregular solution grows toward small ``x``, so contamination
-by the regular solution decays).
+classically allowed region.  Below it one Taylor-series stepper for the
+radial equation (N. Michel, CPC 176 (2007) 232) carries each function in
+the direction in which it grows: ``F`` outward from its power series at
+one small anchor, ``G`` inward from a Steed anchor, so contamination by
+the other solution decays.
 """
 
 from __future__ import annotations
@@ -16,26 +16,23 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import erf, gammaln, loggamma
+from scipy.special import gammaln, loggamma
 
 __all__ = [
     "ConvergenceError",
     "CoulombPair",
     "coulomb_norm",
     "coulomb_wave",
-    "erf",
 ]
 
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
 _STEED_MIN_X = 5.0
-# The regular series loses ~exp(2*sqrt(2*|eta|*x)) in cancellation for eta < 0;
-# beyond this exponent the series anchor is moved inward and the radial
-# equation is integrated outward instead.
+# The regular series loses ~exp(2*sqrt(2*|eta|*x)) in cancellation for eta < 0,
+# and near a distant turning point for eta > 0; its anchor is kept where this
+# exponent stays below the limit, and F is stepped outward from there.
 _SERIES_LOSS_LIMIT = 4.0
 _MAX_CF_ITER = 500_000
 _MAX_SERIES_TERMS = 5_000
-_ODE_RTOL = 3e-14
 _WRONSKIAN_TOL = 1e-10
 
 # exp(-x/2) is a normal double below this x (exp(-708) > 2**-1022).
@@ -209,9 +206,8 @@ def _steed(l, eta, x):
 def _series_F(l, eta, x):
     """Regular solution from its power series; returns ``(F, F')``.
 
-    Reliable when the cancellation between alternating terms is mild: for
-    ``eta >= 0`` anywhere below the turning point, and for ``eta < 0`` when
-    ``2*sqrt(2*|eta|*x)`` is small.
+    Reliable when the cancellation between alternating terms is mild, which
+    holds when ``2*sqrt(2*|eta|*x)`` is small.
     """
     x = float(x)
     a_km2 = 1.0
@@ -239,36 +235,59 @@ def _series_F(l, eta, x):
     return pref * s, pref * sp / x
 
 
-def _radial_rhs(l, eta):
+def _taylor_sweep(l, eta, x0, u0, up0, targets):
+    """Carry a solution ``(u, u')`` of the radial equation from ``x0`` to
+    every point of ``targets`` (all on one side of ``x0``); returns values
+    and derivatives in the order of ``targets``.
+
+    Each step expands ``u`` in powers of the step ``t`` about the current
+    point ``x``; the terms ``b_n = a_n t**n`` of ``u(x + t) = sum b_n``
+    follow from ``x**2 u'' = (l(l+1) + 2 eta x - x**2) u`` by a five-term
+    recurrence.  A step is at most ``x/2``, so the terms fall like ``2**-n``
+    at worst, and at most ``|q(x)|**-0.5`` with ``q = u''/u``, so they do
+    not grow.
+    """
     ll1 = l * (l + 1.0)
-    def rhs(t, y):
-        return (y[1], (ll1 / (t * t) + 2.0 * eta / t - 1.0) * y[0])
-    return rhs
+    vals = np.empty(len(targets))
+    ders = np.empty(len(targets))
+    x, u, up = float(x0), u0, up0
+    for i in np.argsort(np.abs(targets - x0)):
+        xt = float(targets[i])
+        while x != xt:
+            q = ll1 / (x * x) + 2.0 * eta / x - 1.0
+            step = 0.5 * x
+            if abs(q) * step * step > 1.0:
+                step = 1.0 / math.sqrt(abs(q))
+            # within x/2 of x, xt - x is exact, so the last step lands on xt
+            t = max(-step, min(step, xt - x))
+            u, up = _taylor_step(ll1, eta, x, t, u, up)
+            x += t
+        vals[i], ders[i] = u, up
+    return vals, ders
 
 
-def _ode_sweep(l, eta, x0, y0, targets):
-    """Integrate the radial equation from ``x0`` through ``targets`` (sorted
-    in the direction of integration); returns values and derivatives."""
-    atol = 1e-16 * max(1.0, abs(y0[0]), abs(y0[1]))
-    sol = solve_ivp(
-        _radial_rhs(l, eta),
-        (x0, targets[-1]),
-        y0,
-        method="DOP853",
-        t_eval=targets,
-        rtol=_ODE_RTOL,
-        atol=atol,
-    )
-    if not sol.success:
-        raise ConvergenceError(
-            f"radial integration failed (l={l}, eta={eta}): {sol.message}"
-        )
-    return sol.y[0], sol.y[1]
+def _taylor_step(ll1, eta, x, t, u, up):
+    """``(u, u')`` at ``x + t`` from the Taylor series about ``x``."""
+    p = t / x
+    c0 = (ll1 + (2.0 * eta - x) * x) * p * p
+    c1 = 2.0 * (eta - x) * x * p ** 3
+    c2 = (x * p * p) ** 2
+    bm2, bm1, b0, b1 = 0.0, 0.0, u, t * up
+    s, sp = b0 + b1, b1
+    for n in range(_MAX_SERIES_TERMS):
+        b2 = ((c0 - n * (n - 1.0) * p * p) * b0 - 2.0 * n * (n + 1.0) * p * b1
+              + c1 * bm1 - c2 * bm2) / ((n + 1.0) * (n + 2.0))
+        s += b2
+        sp += (n + 2.0) * b2
+        if (n + 2.0) * (abs(b1) + abs(b2)) <= 1e-17 * (abs(s) + abs(sp)):
+            return s, sp / t
+        bm2, bm1, b0, b1 = bm1, b0, b1, b2
+    raise ConvergenceError(f"Taylor step did not converge (x={x}, t={t})")
 
 
 def _coulomb_many(l, eta, xs):
-    """Evaluate F, F', G, G' at an array of points (one Steed anchor, one
-    downward sweep for the irregular solution below the turning point)."""
+    """Evaluate F, F', G, G' at an array of points (Steed above the gate,
+    one Taylor sweep per function below it)."""
     gate = max(_turning_point(l, eta), _STEED_MIN_X)
     F = np.empty_like(xs)
     Fp = np.empty_like(xs)
@@ -277,42 +296,17 @@ def _coulomb_many(l, eta, xs):
 
     above = xs >= gate
     for i in np.nonzero(above)[0]:
-        F[i], Fp[i], G[i], Gp[i] = _steed(l, eta, xs[i])
+        F[i], Fp[i], G[i], Gp[i] = _steed(l, eta, float(xs[i]))
 
     below = ~above
     if np.any(below):
-        idx = np.nonzero(below)[0]
-        pts = xs[idx]
-
-        # Regular solution: series, with an outward integration from a
-        # tighter series anchor when eta < 0 makes the series cancel.
-        if eta >= 0.0:
-            loss_ok = np.ones(pts.shape, dtype=bool)
-        else:
-            loss_ok = 8.0 * abs(eta) * pts <= _SERIES_LOSS_LIMIT ** 2
-        for i, x in zip(idx[loss_ok], pts[loss_ok]):
-            F[i], Fp[i] = _series_F(l, eta, x)
-        if not np.all(loss_ok):
-            x0 = _SERIES_LOSS_LIMIT ** 2 / (8.0 * abs(eta))
-            f0, fp0 = _series_F(l, eta, x0)
-            sweep_idx = idx[~loss_ok]
-            order = np.argsort(xs[sweep_idx])
-            sweep_idx = sweep_idx[order]
-            uniq, inv = np.unique(xs[sweep_idx], return_inverse=True)
-            vals, ders = _ode_sweep(l, eta, x0, [f0, fp0], uniq)
-            F[sweep_idx] = vals[inv]
-            Fp[sweep_idx] = ders[inv]
-
-        # Irregular solution: downward sweep from a Steed anchor at the gate.
-        ga_f, ga_fp, ga_g, ga_gp = _steed(l, eta, gate)
-        order = np.argsort(pts)[::-1]
-        didx = idx[order]
-        uniq, inv = np.unique(xs[didx], return_inverse=True)
-        desc = uniq[::-1]
-        vals, ders = _ode_sweep(l, eta, gate, [ga_g, ga_gp], desc)
-        n = len(uniq)
-        G[didx] = vals[n - 1 - inv]
-        Gp[didx] = ders[n - 1 - inv]
+        pts = xs[below]
+        x0 = pts.min()
+        if eta != 0.0:
+            x0 = min(x0, _SERIES_LOSS_LIMIT ** 2 / (8.0 * abs(eta)))
+        F[below], Fp[below] = _taylor_sweep(l, eta, x0, *_series_F(l, eta, x0), pts)
+        _, _, g0, gp0 = _steed(l, eta, gate)
+        G[below], Gp[below] = _taylor_sweep(l, eta, gate, g0, gp0, pts)
 
     return F, Fp, G, Gp
 
@@ -340,8 +334,9 @@ def coulomb_wave(l, eta, x):
     ValueError
         If an argument lies outside the supported domain.
     ConvergenceError
-        If a continued fraction or the bridging integration fails, or the
-        Wronskian check ``F'G - FG' = 1`` is violated beyond 1e-10.
+        If a continued fraction, the power series or a Taylor step fails to
+        converge, or the Wronskian check ``F'G - FG' = 1`` is violated
+        beyond 1e-10.
     """
     if int(l) != l or not 0 <= l <= 20:
         raise ValueError("l must be an integer in [0, 20]")

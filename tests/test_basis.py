@@ -166,8 +166,9 @@ class TestEvaluateBasis:
             evaluate_basis(mesh, 0, 1.0)
         with pytest.raises(ValueError, match="1..5"):
             evaluate_basis(mesh, 6, 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            evaluate_basis(mesh, 2, -0.1)
+        for r in (-0.1, np.nan, np.inf, [1.0, np.nan]):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                evaluate_basis(mesh, 2, r)
 
 
 class TestDerivativeValuesAtNodes:
@@ -270,3 +271,9 @@ class TestReconstruct:
         mesh = MeshSpec(5, 1.0, "RegSqrt", 1.0)
         with pytest.raises(ValueError, match="length 5"):
             reconstruct_wavefunction(mesh, np.ones(4), 1.0)
+
+    def test_bad_radius(self):
+        mesh = MeshSpec(10, 1.0, "RegSqrt", 1.0)
+        for r in (-0.1, np.nan, np.inf, [1.0, np.inf]):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                reconstruct_wavefunction(mesh, np.ones(10), r)

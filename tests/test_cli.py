@@ -1,6 +1,10 @@
 """Tests for the command-line runner: config handling, modes, reports."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -303,3 +307,12 @@ class TestMain:
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1
         assert capsys.readouterr().err != ""
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, lagmesh.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -335,6 +335,21 @@ class TestGammaScan:
         assert rec.gamma != 0.77
 
 
+class TestAttractiveCoulomb:
+    def test_pure_coulomb_phase_vanishes_at_l_10(self):
+        # V - Z/r is zero, so every pseudostate has tan(delta) = 0; at l = 10
+        # the nodes lie far below the turning point for |eta| up to 50
+        V = builtin("coulomb", Z=-1.0)
+        mesh = MeshSpec(30, 1.0, Family.RegSqrt, 1.1)
+        H, S = hamiltonian_3d(mesh, 10, V, HamiltonianVariant.RegSqrtMesh)
+        states = [s for s in pseudostates(solve_bound_states(H, S))
+                  if abs(V.tail_Z) <= 50.0 * s.k]
+        assert len(states) > 10
+        for state in states:
+            rec, _ = gamma_scan(state, 10, V, V.tail_Z, mesh)
+            assert rec.tan_delta == 0.0
+
+
 class TestValidation:
     def test_rejects_nonpositive_energy(self):
         mesh, ps = eckart_states("sqrt")

@@ -1,17 +1,19 @@
 """Tests for the weighted Laguerre recurrence and Coulomb wave functions."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, spherical_jn, spherical_yn
 
+from lagmesh.potentials import builtin, evaluate
 from lagmesh.scattering import _ratio
 from lagmesh.specfun import (
     ConvergenceError,
     _weighted_laguerre_pair,
     coulomb_norm,
     coulomb_wave,
-    erf,
 )
 
 # Frozen reference values (l, eta, x) -> (F, F', G, G'), computed with an
@@ -148,18 +150,34 @@ class TestCoulombWave:
 class TestCoulombAgainstMultiprecision:
     mpmath = pytest.importorskip("mpmath")
 
-    def test_dense_cross_check(self):
+    @staticmethod
+    def check(l, eta, x):
         import mpmath as mp
 
-        mp.mp.dps = 30
+        pair = coulomb_wave(l, eta, x)
+        with mp.workdps(30):
+            F = float(mp.coulombf(l, eta, x))
+            G = float(mp.coulombg(l, eta, x))
+        assert_allclose(pair.F, F, rtol=1e-10, atol=1e-280)
+        assert_allclose(pair.G, G, rtol=1e-10)
+
+    # attractive points where F is tiny at the series anchor, and repulsive
+    # points near a distant turning point, where the power series cancels
+    @pytest.mark.parametrize("l, eta, x", [
+        (10, -50.0, 3.0), (15, -40.0, 2.0), (10, -30.0, 1.0), (8, -20.0, 0.5),
+        (0, 50.0, 99.0), (10, 50.0, 96.0), (20, 40.0, 84.1),
+    ])
+    def test_named_points(self, l, eta, x):
+        self.check(l, eta, x)
+
+    def test_dense_cross_check(self):
+        # the whole advertised domain: l <= 20, |eta| <= 50
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            l = int(rng.integers(0, 8))
-            eta = float(rng.uniform(-10.0, 10.0))
-            x = float(rng.uniform(0.05, 25.0))
-            pair = coulomb_wave(l, eta, x)
-            assert_allclose(pair.F, float(mp.coulombf(l, eta, x)), rtol=1e-10, atol=1e-280)
-            assert_allclose(pair.G, float(mp.coulombg(l, eta, x)), rtol=1e-10)
+        for _ in range(60):
+            l = int(rng.integers(0, 21))
+            eta = float(rng.uniform(-50.0, 50.0))
+            x = float(np.exp(rng.uniform(math.log(0.05), math.log(40.0))))
+            self.check(l, eta, x)
 
 
 class TestRegularizedG:
@@ -177,5 +195,10 @@ class TestRegularizedG:
 
 
 def test_erf_is_vectorized():
-    x = np.array([0.0, 0.5, 2.0])
-    assert_allclose(erf(x), [0.0, 0.5204998778130465, 0.9953222650189527], rtol=1e-15)
+    # alpha-alpha: a Gaussian well plus a screened Coulomb term q erf(mu r)/r
+    V = builtin("buck_alpha_alpha")
+    (c, _, a, _), = V.terms
+    q, mu = V.coulomb_erf
+    r = np.array([0.1, 0.5, 2.0, 7.0])
+    want = [c * math.exp(-a * t * t) + q * math.erf(mu * t) / t for t in r]
+    assert_allclose(evaluate(V, r), want, rtol=1e-15)
