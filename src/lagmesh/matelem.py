@@ -51,7 +51,6 @@ __all__ = [
     "hamiltonian_3d",
     "kinetic2d_matrix",
     "kinetic_matrix",
-    "overlap_matrix",
     "potential_matrix",
     "power_matrix",
 ]
@@ -122,9 +121,7 @@ def _operator_components(kind, p):
     where they vanish (p(p-1) at p in {0,1}; (p-1/2)^2 at p=1/2) drop out
     exactly instead of by numerical cancellation.
     """
-    if kind == "Overlap":
-        comps = [(0, 0, 1.0)]
-    elif kind == "InvR":
+    if kind == "InvR":
         comps = [(0, -1, 1.0)]
     elif kind == "InvR2":
         comps = [(0, -2, 1.0)]
@@ -196,15 +193,6 @@ def _cached_oracle(mesh, kind):
 
 # ---------------------------------------------------------------------------
 # individual operator matrices
-
-def overlap_matrix(mesh, mode=Mode.Gauss):
-    """Overlap matrix.  Identity at the Gauss approximation for every
-    family; the exact overlap differs from the identity only for RegR."""
-    mode = _coerce(Mode, mode)
-    if mode is Mode.Gauss or mesh.family in (Family.NonReg, Family.RegSqrt):
-        return np.eye(mesh.N)
-    return _oracle_matrix(mesh, "Overlap")
-
 
 def power_matrix(mesh, p, mode=Mode.Gauss):
     """Matrix of r**p for p in {-2, -1, 1, 2} (unscaled coordinates).
@@ -373,7 +361,10 @@ def hamiltonian_3d(mesh, l, V, variant):
     Returns
     -------
     (ndarray, ndarray)
-        Scaled N x N Hamiltonian H and overlap S.
+        Scaled N x N Hamiltonian H and overlap S.  S is always the
+        identity: the RegSqrt and NonReg functions are exactly orthonormal,
+        and the RegR scheme takes its overlap at the Gauss approximation,
+        which is the identity on every family.
     """
     variant = _coerce(HamiltonianVariant, variant)
     l = int(l)
@@ -390,8 +381,7 @@ def hamiltonian_3d(mesh, l, V, variant):
     if l > 0:
         H = H + centrifugal_matrix(mesh, l, c_mode) / (2.0 * h**2)
     H = H + potential_matrix(mesh, V, v_mode)
-    s_mode = Mode.Exact if variant is HamiltonianVariant.Var else Mode.Gauss
-    return H, overlap_matrix(mesh, s_mode)
+    return H, np.eye(mesh.N)
 
 
 def hamiltonian_2d(mesh, m, V, variant):
@@ -409,7 +399,8 @@ def hamiltonian_2d(mesh, m, V, variant):
     (ndarray, ndarray)
         Scaled Hamiltonian H and overlap S: N x N for RegSqrtMesh2D, and
         (N-1) x (N-1) on the basis ``MeshSpec(N-1, 2.0, RegSqrt, h)`` for
-        Var2D.
+        Var2D.  S is always the identity, since the RegSqrt functions are
+        exactly orthonormal.
     """
     variant = _coerce(Variant2D, variant)
     m = int(m)
@@ -425,13 +416,13 @@ def hamiltonian_2d(mesh, m, V, variant):
         if m > 0:
             H = H + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
         H = H + potential_matrix(mesh, V, Mode.Gauss)
-        return H, overlap_matrix(mesh, Mode.Gauss)
+        return H, np.eye(mesh.N)
     basis_mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
     H = kinetic2d_matrix(basis_mesh, Mode.Exact) / (2.0 * h**2)
     if m > 0:
         H = H + (m**2 / 2.0) * power_matrix(basis_mesh, -2, Mode.Exact) / h**2
     H = H + potential_matrix(basis_mesh, V, Mode.Exact)
-    return H, overlap_matrix(basis_mesh, Mode.Exact)
+    return H, np.eye(basis_mesh.N)
 
 
 def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):

@@ -1,10 +1,10 @@
-"""Symmetric (generalized) eigensolves for mesh Hamiltonians.
+"""Symmetric eigensolves for mesh Hamiltonians.
 
-The overlap matrix is the identity for every Gauss-mode scheme, so most
-solves are standard symmetric eigenproblems; an exact RegR overlap makes
-the problem generalized.  Results are deterministic: eigenvalues ascend,
-ties are broken by the index of the first nonzero coefficient, and each
-coefficient vector's sign is fixed by its largest component.
+The regularized Lagrange-Laguerre functions are orthonormal, so the
+overlap matrix of every scheme is the identity and each solve is a plain
+symmetric eigenproblem H c = E c.  Results are deterministic: eigenvalues
+ascend, ties are broken by the index of the first nonzero coefficient, and
+each coefficient vector's sign is fixed by its largest component.
 """
 
 import dataclasses
@@ -27,7 +27,7 @@ class BoundSpectrum:
     """Full spectrum of one Hamiltonian.
 
     ``energies`` ascend; ``coefficients[:, j]`` is the coefficient vector
-    of state ``j``, normalized to c^T S c = 1.
+    of state ``j``; the columns are orthonormal.
     """
 
     energies: np.ndarray
@@ -45,13 +45,14 @@ class Pseudostate:
 
 
 def solve_bound_states(H, S):
-    """Solve H c = E S c for a symmetric Hamiltonian and S.P.D. overlap.
+    """Solve H c = E c for a symmetric Hamiltonian on an orthonormal basis.
 
     Parameters
     ----------
     H, S : array_like
         Assembled n x n Hamiltonian and overlap on the same basis, as
-        returned by ``hamiltonian_3d`` or ``hamiltonian_2d``.
+        returned by ``hamiltonian_3d`` or ``hamiltonian_2d``.  S must be
+        exactly the identity.
 
     Returns
     -------
@@ -60,28 +61,21 @@ def solve_bound_states(H, S):
     Raises
     ------
     ValueError
-        If H is not symmetric or the overlap is ill-conditioned
-        (reciprocal condition estimate below 1e-14) or not positive
-        definite.
+        If H is not a finite, nonempty, symmetric square matrix, or S is
+        not the n x n identity.
     """
     A = np.asarray(H, dtype=float)
-    B = np.asarray(S, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise ValueError(f"H must be a nonempty square matrix (got shape {A.shape})")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("Hamiltonian matrix has non-finite entries")
     n = A.shape[0]
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ValueError("H and S must be square matrices of the same size")
+    if not np.array_equal(S, np.eye(n)):
+        raise ValueError("S must be the identity: the basis is orthonormal")
     scale = max(1.0, np.abs(A).max())
     if np.abs(A - A.T).max() > 1e-10 * scale:
         raise ValueError("Hamiltonian matrix is not symmetric")
-    if np.array_equal(B, np.eye(n)):
-        energies, vectors = eigh(A)
-    else:
-        beig = np.linalg.eigvalsh(B)
-        if beig[0] <= 0.0 or beig[0] < 1e-14 * beig[-1]:
-            raise ValueError(
-                "ill-conditioned basis: overlap matrix has reciprocal "
-                f"condition estimate {beig[0] / beig[-1]:.2e}"
-            )
-        energies, vectors = eigh(A, B)
+    energies, vectors = eigh(A)
     # deterministic signs: largest-magnitude component positive
     pick = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[pick, np.arange(n)])

@@ -25,7 +25,6 @@ from lagmesh.matelem import (
     hamiltonian_3d,
     kinetic2d_matrix,
     kinetic_matrix,
-    overlap_matrix,
     power_matrix,
 )
 from lagmesh.benchmarks import TABLE1_REFERENCE, TABLE2_REFERENCE
@@ -122,12 +121,15 @@ def test_criterion_7_two_dimensional_table():
 def test_criterion_8_property_suite():
     problems = []
 
-    # Gauss-mode overlap is the identity on every mesh family
-    for family, alpha in ((Family.RegSqrt, 1.0), (Family.RegR, 0.0),
-                          (Family.NonReg, 2.0)):
-        S = overlap_matrix(MeshSpec(12, alpha, family, 0.7), Mode.Gauss)
+    # the mesh schemes' overlap is the identity on every mesh family
+    for variant, family, alpha in (
+            (HamiltonianVariant.RegSqrtMesh, Family.RegSqrt, 1.0),
+            (HamiltonianVariant.RegRMesh, Family.RegR, 0.0),
+            (HamiltonianVariant.NonReg, Family.NonReg, 2.0)):
+        _, S = hamiltonian_3d(MeshSpec(12, alpha, family, 0.7), 0,
+                              builtin("harmonic"), variant)
         if not np.allclose(S, np.eye(12), atol=1e-15):
-            problems.append(f"Gauss overlap not identity for {family.name}")
+            problems.append(f"overlap not identity for {variant.name}")
 
     # Hamiltonians are symmetric in every evaluation scheme
     V = builtin("eckart")

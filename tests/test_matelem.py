@@ -21,11 +21,11 @@ from lagmesh.matelem import (
     hamiltonian_3d,
     kinetic2d_matrix,
     kinetic_matrix,
-    overlap_matrix,
     potential_matrix,
     power_matrix,
 )
 from lagmesh.potentials import builtin
+from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
 
@@ -136,28 +136,67 @@ class TestExactElementOracle:
         assert np.isfinite(val) and val > 0.0
 
 
+def _exact_overlap(mesh):
+    """Gram matrix of the basis by a rule that integrates it exactly: after
+    the weight x**e e**-x is factored out, f_i f_j is a polynomial of degree
+    2N - 2, which an (N + 60)-point rule with exponent e integrates exactly."""
+    e = mesh.alpha + {Family.RegSqrt: 1.0, Family.RegR: 2.0, Family.NonReg: 0.0}[mesh.family]
+    rule = generate_rule(mesh.N + 60, e)
+    F = np.array([basis.evaluate_basis(mesh, j, rule.nodes) for j in range(1, mesh.N + 1)])
+    return (F * rule.weights) @ F.T
+
+
 class TestOverlap:
+    """The paper's claim: the sqrt(r)-regularized and non-regularized
+    functions are exactly orthonormal, the r-regularized ones are not."""
+
     @pytest.mark.parametrize("family,alpha", [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)])
     def test_gauss_overlap_is_identity(self, family, alpha):
+        # the schemes solve with the Gauss overlap, which is the identity
         mesh = MeshSpec(9, alpha, family, 0.4)
-        S = overlap_matrix(mesh, Mode.Gauss)
+        variant = {"NonReg": "NonReg", "RegSqrt": "RegSqrtMesh", "RegR": "RegRMesh"}[family]
+        _, S = hamiltonian_3d(mesh, 0, builtin("harmonic"), variant)
         assert np.array_equal(S, np.eye(9))
 
-    @pytest.mark.parametrize("family,alpha", [("NonReg", 2.0), ("RegSqrt", 1.0)])
+    @pytest.mark.parametrize(
+        "family,alpha",
+        [("NonReg", 2.0), ("RegSqrt", 0.0), ("RegSqrt", 1.0), ("RegSqrt", 3.0)],
+    )
     def test_exact_overlap_identity_for_orthonormal_families(self, family, alpha):
-        mesh = MeshSpec(10, alpha, family, 1.0)
-        S = overlap_matrix(mesh, Mode.Exact)
+        S = _exact_overlap(MeshSpec(10, alpha, family, 1.0))
         assert np.abs(S - np.eye(10)).max() <= 1e-13
 
     def test_exact_overlap_r_regularized_family(self):
         # frozen 40-digit quadrature references; these functions are far
         # from orthonormal at small N
-        mesh = MeshSpec(5, 0.0, Family.RegR, 1.0)
-        S = overlap_matrix(mesh, Mode.Exact)
+        S = _exact_overlap(MeshSpec(5, 0.0, Family.RegR, 1.0))
         assert abs(S[0, 1]) > 1e-3
         assert S[0, 1] == pytest.approx(-1.638426537792149, rel=1e-12)
         assert S[0, 0] == pytest.approx(4.794197855995278, rel=1e-12)
-        assert np.abs(S - S.T).max() == 0.0
+
+    # (family, every alpha the scheme accepts among 0, 0.5, 1, 2, 3)
+    SCHEMES = {
+        "Var": ("RegSqrt", (0.5, 1.0, 2.0, 3.0)),
+        "RegSqrtMesh": ("RegSqrt", (0.0, 0.5, 1.0, 2.0, 3.0)),
+        "RegRMesh": ("RegR", (0.0, 0.5, 1.0, 2.0, 3.0)),
+        "NonReg": ("NonReg", (2.0, 3.0)),
+        "NonRegVG": ("NonReg", (2.0, 3.0)),
+    }
+
+    @pytest.mark.parametrize("variant", SCHEMES)
+    def test_every_3d_scheme_returns_identity(self, variant):
+        # callers unpack H, S and hand S to the solver, which requires I
+        family, alphas = self.SCHEMES[variant]
+        for N in (5, 40, 150):
+            for alpha in alphas:
+                mesh = MeshSpec(N, alpha, family, 0.6)
+                _, S = hamiltonian_3d(mesh, 1, builtin("coulomb"), variant)
+                assert np.array_equal(S, np.eye(N))
+
+    @pytest.mark.parametrize("variant,n", [("RegSqrtMesh2D", 12), ("Var2D", 11)])
+    def test_both_2d_schemes_return_identity(self, variant, n):
+        _, S = hamiltonian_2d(mesh_regsqrt(12, 0.0, h=0.6), 1, builtin("coulomb"), variant)
+        assert np.array_equal(S, np.eye(n))
 
 
 class TestKinetic:
@@ -308,7 +347,7 @@ class TestHamiltonian2D:
                 + 0.5 * power_matrix(basis_mesh, -2, Mode.Exact) / 0.9**2
                 + potential_matrix(basis_mesh, V, Mode.Exact))
         assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.array_equal(S, overlap_matrix(basis_mesh, Mode.Exact))
+        assert np.array_equal(S, np.eye(9))
         E = eigh(H, eigvals_only=True)
         exact = -2.0 / 9.0
         assert abs(E[0] - exact) / abs(exact) <= 1e-12
@@ -381,7 +420,7 @@ class TestDivergenceRejections:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="Mode"):
-            overlap_matrix(mesh_regsqrt(5), "Approximate")
+            kinetic_matrix(mesh_regsqrt(5), "Approximate")
 
 
 def _clear_matrix_caches():
@@ -400,7 +439,6 @@ CACHE_MESHES = [
 OPERATORS = (
     [(f"kinetic-{m.name}", lambda mesh, m=m: kinetic_matrix(mesh, m)) for m in Mode]
     + [(f"kinetic2d-{m.name}", lambda mesh, m=m: kinetic2d_matrix(mesh, m)) for m in Mode]
-    + [(f"overlap-{m.name}", lambda mesh, m=m: overlap_matrix(mesh, m)) for m in Mode]
     + [
         (f"power{p}-{m.name}", lambda mesh, p=p, m=m: power_matrix(mesh, p, m))
         for p in (-2, -1, 1, 2)
@@ -432,7 +470,7 @@ class TestMatrixCache:
         at_h = MeshSpec(9, alpha, family, 2.7)
         expected = matelem._cached_gauss_kinetic.__wrapped__(at_h)
         assert np.array_equal(matelem._gauss_kinetic_from_nodes(at_h), expected)
-        for tag in ("Overlap", "InvR", "InvR2", "R", "R2", "DDr", "Kinetic", "Kinetic2D"):
+        for tag in ("InvR", "InvR2", "R", "R2", "DDr", "Kinetic", "Kinetic2D"):
             try:
                 expected = matelem._cached_oracle.__wrapped__(at_h, tag)
             except ValueError:
@@ -471,11 +509,6 @@ class TestMatrixCache:
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] += 1.0
         assert np.array_equal(build(MeshSpec(20, 2, "NonReg", 0.9)), values)
-
-    def test_exact_r_regularized_overlap_is_read_only(self):
-        S = overlap_matrix(MeshSpec(6, 0.0, "RegR", 0.5), Mode.Exact)
-        with pytest.raises(ValueError, match="read-only"):
-            S[0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "family,alpha,variant",

@@ -10,7 +10,9 @@ from scipy.special import eval_genlaguerre, spherical_jn, spherical_yn
 from lagmesh.potentials import builtin, evaluate
 from lagmesh.scattering import _ratio
 from lagmesh.specfun import (
+    _STEED_MIN_X,
     ConvergenceError,
+    _turning_point,
     _weighted_laguerre_pair,
     coulomb_norm,
     coulomb_wave,
@@ -178,6 +180,22 @@ class TestCoulombAgainstMultiprecision:
             eta = float(rng.uniform(-50.0, 50.0))
             x = float(np.exp(rng.uniform(math.log(0.05), math.log(40.0))))
             self.check(l, eta, x)
+
+    def test_taylor_sweep_below_gate(self):
+        # G below the Steed gate comes only from the Taylor sweep, so it is
+        # held to far less than the 1e-10 contract; this catches a step
+        # length that lets the series terms grow
+        import mpmath as mp
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            l = int(rng.integers(0, 21))
+            eta = float(rng.uniform(-50.0, 50.0))
+            gate = max(_turning_point(l, eta), _STEED_MIN_X)
+            x = float(np.exp(rng.uniform(math.log(0.05), math.log(gate))))
+            with mp.workdps(30):
+                G = float(mp.coulombg(l, eta, x))
+            assert_allclose(coulomb_wave(l, eta, x).G, G, rtol=1e-12)
 
 
 class TestRegularizedG:
