@@ -12,7 +12,6 @@ benchmark tables (``lagmesh.benchmarks``) and a command-line runner
 from .basis import (
     Family,
     MeshSpec,
-    evaluate_basis,
     mesh_rule,
     reconstruct_wavefunction,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "classify_singularity",
     "coulomb_wave",
     "eckart_reference_delta0",
-    "evaluate_basis",
     "gamma_scan",
     "generate_rule",
     "hamiltonian_2d",

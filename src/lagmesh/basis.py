@@ -21,7 +21,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import poch
 
 from .quadrature import generate_rule
 from .specfun import _weighted_laguerre_pair
@@ -29,7 +28,6 @@ from .specfun import _weighted_laguerre_pair
 __all__ = [
     "Family",
     "MeshSpec",
-    "evaluate_basis",
     "mesh_rule",
     "reconstruct_wavefunction",
 ]
@@ -118,7 +116,12 @@ def mesh_rule(mesh):
 
 def _normalization(N, alpha):
     """Normalization coefficient ``Gamma(N+alpha+1)/N!`` of ``L_N^{(alpha)}``."""
-    return poch(N + 1.0, alpha)
+    # alpha = n + f: an exact product for the integer part n, times a gamma
+    # ratio that is exactly 1 when f = 0
+    n = math.floor(alpha)
+    f = alpha - n
+    ratio = math.exp(math.lgamma(N + 1.0 + f) - math.lgamma(N + 1.0))
+    return ratio * math.prod(N + f + k for k in range(1, n + 1))
 
 
 def _family_power(family, alpha):
@@ -252,34 +255,6 @@ def _eval_all(mesh, x, derivatives=False):
     d1 = pref * (pw1 + pw0 * g) * xp
     d2 = pref * (pw2 + 2.0 * pw1 * g + pw0 * (g * g + gp)) * xp
     return values, d1, d2
-
-
-def evaluate_basis(mesh, j, r):
-    """Scaled basis function ``h^{-1/2} F_j(r/h)``.
-
-    Parameters
-    ----------
-    mesh : MeshSpec
-    j : int
-        Function index, 1-based, ``1 <= j <= N``.
-    r : float or array_like
-        Finite radii, ``r >= 0``.
-
-    Returns
-    -------
-    float or ndarray
-    """
-    if int(j) != j or not 1 <= j <= mesh.N:
-        raise ValueError(f"j must be an integer in 1..{mesh.N}")
-    rs = np.asarray(r, dtype=float)
-    scalar = rs.ndim == 0
-    flat = np.atleast_1d(rs).ravel()
-    if not np.all((flat >= 0.0) & np.isfinite(flat)):
-        raise ValueError("r must be nonnegative and finite")
-    values = _eval_all(mesh, flat / mesh.h)[int(j) - 1] / math.sqrt(mesh.h)
-    if scalar:
-        return float(values[0])
-    return values.reshape(rs.shape)
 
 
 def _node_derivative_matrices(mesh):

@@ -66,6 +66,14 @@ _VARIANTS = {
 }
 _VARIANTS_2D = {"var": Variant2D.Var2D, "reg-sqrt": Variant2D.RegSqrtMesh2D}
 
+# JSON types of the config-file fields, matched exactly (true is no integer)
+_NUMBER = (int, float)
+_FIELD_TYPES = {
+    "mode": (str,), "variant": (str,), "format": (str,), "out": (str,), "gammas": (list,),
+    "potential": (str, dict), "l": (int,), "m": (int,), "dim": (int,), "N": (int,),
+    "table": (int,), "alpha": _NUMBER, "h": _NUMBER, "gamma": (*_NUMBER, str),
+}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; one field-prefixed message each."""
@@ -409,9 +417,12 @@ def _parse_potential(value):
     if value is None:
         return None
     if isinstance(value, dict):
-        return from_json(json.dumps(value))
+        value = json.dumps(value)
     if isinstance(value, str) and value.lstrip().startswith("{"):
-        return from_json(value)
+        try:
+            return from_json(value)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError([f"potential: invalid spec ({e!r})"]) from None
     name, _, params = str(value).partition(":")
     if name not in _BUILTIN_NAMES:
         raise ConfigError([
@@ -472,6 +483,21 @@ def build_parser():
     return parser
 
 
+def _check_types(doc):
+    """Reject a config file that is not an object or has mistyped fields."""
+    if type(doc) is not dict:
+        raise ConfigError(["config: the file must hold a JSON object"])
+    errors = [
+        f"{key}: wrong JSON type (got {json.dumps(value)})"
+        for key, value in doc.items()
+        if value is not None and key in _FIELD_TYPES and (
+            type(value) not in _FIELD_TYPES[key]
+            or key == "gammas" and any(type(g) not in _NUMBER for g in value))
+    ]
+    if errors:
+        raise ConfigError(errors)
+
+
 def _assemble(args):
     """ExperimentConfig from parsed flags plus the optional config file."""
     doc = {}
@@ -483,6 +509,7 @@ def _assemble(args):
             raise ConfigError([f"config: {e}"]) from None
         except json.JSONDecodeError as e:
             raise ConfigError([f"config: invalid JSON ({e})"]) from None
+        _check_types(doc)
 
     def pick(flag, key, default=None):
         return flag if flag is not None else doc.get(key, default)

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = ["PotentialSpec", "builtin", "evaluate", "from_json", "to_json"]
 
 # hbar^2/M in MeV fm^2 for the alpha-alpha system
 _ALPHA_ALPHA_UNIT = 20.736
+
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,7 +87,7 @@ def evaluate(spec, r):
         total += c * rr**p * np.exp(-a * rr**2 - b * rr)
     if spec.coulomb_erf is not None:
         q, mu = spec.coulomb_erf
-        total += q * erf(mu * rr) / rr
+        total += q * _erf(mu * rr) / rr
     if spec.eckart is not None:
         b, c = spec.eckart
         beta = (b - c) / (b + c)

@@ -1,8 +1,8 @@
 """Gauss-Laguerre quadrature with exponential-free modified weights.
 
 Nodes are the zeros of the generalized Laguerre polynomial, obtained as
-eigenvalues of the symmetric Jacobi matrix and sharpened by two Newton
-steps.  The stored weights are the modified ones,
+eigenvalues of the (dense) symmetric Jacobi matrix and sharpened by two
+Newton steps.  The stored weights are the modified ones,
 
     lambda_k = w_k * exp(x_k) * x_k**(-alpha),
 
@@ -22,7 +22,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfun import _weighted_laguerre_pair
 
@@ -82,7 +81,7 @@ def generate_rule(N, alpha):
 
     diag = 2.0 * np.arange(N) + alpha + 1.0
     off = np.sqrt(np.arange(1, N) * (np.arange(1, N) + alpha))
-    x = eigh_tridiagonal(diag, off, eigvals_only=True)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
     # two Newton sweeps on L_N, using the weighted recurrence
     for _ in range(2):

@@ -11,7 +11,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import eigh
 
 __all__ = [
     "BoundSpectrum",
@@ -75,7 +74,7 @@ def solve_bound_states(H, S):
     scale = max(1.0, np.abs(A).max())
     if np.abs(A - A.T).max() > 1e-10 * scale:
         raise ValueError("Hamiltonian matrix is not symmetric")
-    energies, vectors = eigh(A)
+    energies, vectors = np.linalg.eigh(A)
     # deterministic signs: largest-magnitude component positive
     pick = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[pick, np.arange(n)])

@@ -7,7 +7,7 @@ classically allowed region.  Below it one Taylor-series stepper for the
 radial equation (N. Michel, CPC 176 (2007) 232) carries each function in
 the direction in which it grows: ``F`` outward from its power series at
 one small anchor, ``G`` inward from a Steed anchor, so contamination by
-the other solution decays.
+the other solution decays.  The series is normalized by A&S 14.1.8-9.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 __all__ = [
     "ConvergenceError",
     "CoulombPair",
-    "coulomb_norm",
     "coulomb_wave",
 ]
 
@@ -105,14 +103,16 @@ def _weighted_laguerre_pair(n, alpha, x):
     return np.ldexp(prev, shift), np.ldexp(cur, shift), np.ldexp(csum, 2 * shift)
 
 
-def coulomb_norm(l, eta):
-    """Normalization ``C_l(eta)`` of the regular Coulomb function at the origin."""
-    return math.exp(_log_coulomb_norm(l, eta))
-
-
 def _log_coulomb_norm(l, eta):
-    lg = loggamma(complex(l + 1.0, eta))
-    return l * math.log(2.0) - 0.5 * math.pi * eta + lg.real - gammaln(2.0 * l + 2.0)
+    """Log of ``C_l(eta)`` (Abramowitz and Stegun 14.1.8-9): ``C_0**2 = t/expm1(t)``
+    with ``t = 2 pi eta``, times the product of ``sqrt(k**2 + eta**2)/(k (2k+1))``
+    over ``k = 1..l``, formed before its log to keep the rounding small."""
+    t = 2.0 * math.pi * eta
+    # log|expm1(t)| = max(t, 0) + log|expm1(-|t|)|, finite for large |t|
+    log_c0 = 0.0 if t == 0.0 else 0.5 * (
+        math.log(abs(t)) - max(t, 0.0) - math.log(-math.expm1(-abs(t))))
+    ratio = math.prod(math.hypot(k, eta) / (k * (2.0 * k + 1.0)) for k in range(1, l + 1))
+    return log_c0 + math.log(ratio)
 
 
 def _turning_point(l, eta):

@@ -9,7 +9,6 @@ from lagmesh import basis
 from lagmesh.basis import (
     Family,
     MeshSpec,
-    evaluate_basis,
     mesh_rule,
     reconstruct_wavefunction,
     _eval_all,
@@ -18,6 +17,11 @@ from lagmesh.basis import (
 from lagmesh.quadrature import generate_rule
 
 PAIRINGS = [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)]
+
+
+def basis_function(mesh, j, r):
+    """Scaled basis function ``j`` (1-based): the expansion with unit coefficient j."""
+    return reconstruct_wavefunction(mesh, np.eye(mesh.N)[j - 1], r)
 
 
 class TestMeshSpec:
@@ -49,12 +53,16 @@ class TestMeshSpec:
         # Gamma(N+alpha+1)/N! at N=2, alpha=1 is 3!/2! = 3
         assert basis._normalization(2, 1.0) == pytest.approx(3.0, rel=1e-15)
         assert basis._normalization(4, 0.0) == pytest.approx(1.0, rel=1e-14)
-        # a difference of log-gammas leaves a bias of about 3e-13 here
+        # integer alpha is an exact product; a difference of log-gammas over
+        # the whole of alpha would leave a bias of about 3e-13 here
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             for N, alpha in [(300, 1.0), (300, 2.0)]:
                 want = float(mp.gamma(N + alpha + 1) / mp.factorial(N))
                 assert basis._normalization(N, alpha) == pytest.approx(want, rel=1e-15)
+            for N, alpha in [(300, 0.5), (50, 3.7)]:
+                want = float(mp.rf(N + 1, mp.mpf(alpha)))
+                assert basis._normalization(N, alpha) == pytest.approx(want, rel=1e-13)
 
 
 class TestCardinality:
@@ -65,7 +73,7 @@ class TestCardinality:
         rule = mesh_rule(mesh)
         scale = 1.0 / np.sqrt(mesh.h * rule.weights)
         for j in (1, N // 2 + 1, N):
-            vals = evaluate_basis(mesh, j, mesh.h * rule.nodes)
+            vals = basis_function(mesh, j, mesh.h * rule.nodes)
             expect = np.zeros(N)
             expect[j - 1] = scale[j - 1]
             assert np.all(np.abs(vals - expect) <= 1e-10 * scale[j - 1])
@@ -75,14 +83,14 @@ class TestCardinality:
         # the last node lies near x = 3950, where exp(-x/2) underflows
         mesh = MeshSpec(1000, alpha, family, 1.0)
         rule = mesh_rule(mesh)
-        value = evaluate_basis(mesh, 1000, rule.nodes[-1])
+        value = basis_function(mesh, 1000, rule.nodes[-1])
         assert value * math.sqrt(rule.weights[-1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_node_value_within_tight_tolerance(self):
         mesh = MeshSpec(12, 1.0, "RegSqrt", 0.5)
         rule = mesh_rule(mesh)
         for i in range(1, 13):
-            got = evaluate_basis(mesh, i, mesh.h * rule.nodes[i - 1])
+            got = basis_function(mesh, i, mesh.h * rule.nodes[i - 1])
             want = 1.0 / math.sqrt(mesh.h * rule.weights[i - 1])
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -91,9 +99,9 @@ class TestEvaluateBasis:
     def test_scalar_and_array_agree(self):
         mesh = MeshSpec(8, 1.0, "RegSqrt", 0.6)
         rr = np.array([0.0, 0.1, 1.7, 4.2])
-        arr = evaluate_basis(mesh, 3, rr)
+        arr = basis_function(mesh, 3, rr)
         for k, r in enumerate(rr):
-            assert evaluate_basis(mesh, 3, float(r)) == arr[k]
+            assert basis_function(mesh, 3, float(r)) == arr[k]
 
     def test_continuity_across_near_node_switch(self):
         # values on either side of the evaluation-branch boundary must agree
@@ -101,9 +109,9 @@ class TestEvaluateBasis:
         rj = mesh.nodes[7]
         eps = basis._NEAR_NODE_FRACTION * (1.0 + rj)
         for j in (3, 8, 15):
-            lo = evaluate_basis(mesh, j, rj + 0.999 * eps)
-            hi = evaluate_basis(mesh, j, rj + 1.001 * eps)
-            mid = evaluate_basis(mesh, j, rj + eps)
+            lo = basis_function(mesh, j, rj + 0.999 * eps)
+            hi = basis_function(mesh, j, rj + 1.001 * eps)
+            mid = basis_function(mesh, j, rj + eps)
             assert abs(hi - lo) < 0.01 * max(abs(lo), 1e-10) + abs(hi - mid) * 5
             # tight check: compare against a high-order finite-difference model
             assert mid == pytest.approx((lo + hi) / 2, abs=1e-6 * max(1.0, abs(mid)))
@@ -130,9 +138,9 @@ class TestEvaluateBasis:
         rr = np.linspace(0.05, 12.0, 40)
         for j in range(1, N + 1):
             rj = plain.scaled_nodes[j - 1]
-            f = evaluate_basis(plain, j, rr)
-            ft = evaluate_basis(sqrt_reg, j, rr)
-            fh = evaluate_basis(r_reg, j, rr)
+            f = basis_function(plain, j, rr)
+            ft = basis_function(sqrt_reg, j, rr)
+            fh = basis_function(r_reg, j, rr)
             top = np.max(np.abs(f))
             assert np.max(np.abs(ft * np.sqrt(rj / rr) - f)) <= 1e-12 * top
             assert np.max(np.abs(fh * (rj / rr) - f)) <= 1e-12 * top
@@ -143,32 +151,28 @@ class TestEvaluateBasis:
         mesh = MeshSpec(10, alpha, family, 0.8)
         r1, r2 = 1e-6 * mesh.h, 1e-4 * mesh.h
         for j in (1, 5, 10):
-            v1 = evaluate_basis(mesh, j, r1)
-            v2 = evaluate_basis(mesh, j, r2)
+            v1 = basis_function(mesh, j, r1)
+            v2 = basis_function(mesh, j, r2)
             slope = (math.log(abs(v2)) - math.log(abs(v1))) / math.log(r2 / r1)
             assert slope == pytest.approx(1.0, abs=1e-3)
 
     def test_value_at_zero(self):
         for family, alpha in PAIRINGS:
             mesh = MeshSpec(7, alpha, family, 0.8)
-            assert evaluate_basis(mesh, 2, 0.0) == 0.0
+            assert basis_function(mesh, 2, 0.0) == 0.0
         # NonReg with alpha = 0 tends to a finite nonzero limit
         mesh = MeshSpec(7, 0.0, "NonReg", 0.8)
-        v0 = evaluate_basis(mesh, 2, 0.0)
-        v1 = evaluate_basis(mesh, 2, 1e-9)
+        v0 = basis_function(mesh, 2, 0.0)
+        v1 = basis_function(mesh, 2, 1e-9)
         assert v0 != 0.0
         assert math.isfinite(v0)
         assert v1 == pytest.approx(v0, rel=1e-6)
 
     def test_bad_arguments(self):
         mesh = MeshSpec(5, 1.0, "RegSqrt", 1.0)
-        with pytest.raises(ValueError, match="1..5"):
-            evaluate_basis(mesh, 0, 1.0)
-        with pytest.raises(ValueError, match="1..5"):
-            evaluate_basis(mesh, 6, 1.0)
         for r in (-0.1, np.nan, np.inf, [1.0, np.nan]):
             with pytest.raises(ValueError, match="nonnegative and finite"):
-                evaluate_basis(mesh, 2, r)
+                basis_function(mesh, 2, r)
 
 
 class TestDerivativeValuesAtNodes:
@@ -264,7 +268,7 @@ class TestReconstruct:
         rng = np.random.default_rng(7)
         c = rng.standard_normal(7)
         rr = np.linspace(0.0, 9.0, 25)
-        direct = sum(c[j] * evaluate_basis(mesh, j + 1, rr) for j in range(7))
+        direct = sum(c[j] * basis_function(mesh, j + 1, rr) for j in range(7))
         assert np.allclose(reconstruct_wavefunction(mesh, c, rr), direct, rtol=1e-13, atol=1e-13)
 
     def test_length_mismatch(self):

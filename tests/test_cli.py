@@ -279,6 +279,23 @@ class TestMain:
         assert base.splitlines()[1].split(",")[3] == "4"
         assert overridden.splitlines()[1].split(",")[3] == "8"
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"potential": "harmonic", "N": 10, "h": "0.1"}, "h"),
+        ({"potential": "harmonic", "N": "10", "h": 0.1}, "N"),
+        ({"potential": "harmonic", "N": True, "h": 0.1}, "N"),
+        ({"potential": "harmonic", "N": 10, "h": 0.1, "gammas": [1, "2"]}, "gammas"),
+        ({"potential": {"label": "well", "terms": [1]}, "N": 10, "h": 0.1}, "potential"),
+        ([1, 2], "config"),
+    ])
+    def test_malformed_config_file_exits_1(self, tmp_path, capsys, doc, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["bound", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"lagmesh: {field}:")
+
     def test_inline_potential_spec(self, capsys):
         spec = json.dumps({"label": "well",
                            "terms": [{"c": -5.0, "p": 0.0, "a": 1.0, "b": 0.0}],
@@ -309,10 +326,32 @@ class TestMain:
         assert capsys.readouterr().err != ""
 
 
-def test_cli_import_leaves_scipy_integrate_out():
+def _run_python(code):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, lagmesh.cli; print('scipy.integrate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, lagmesh.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _run_python(code).strip() == "[]"
+
+
+def test_reproduce_checks_pass_without_scipy():
+    # scipy is a test dependency only: every table reproduces with it blocked
+    code = """
+import os, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from lagmesh.cli import main
+print([main(["reproduce", "--table", str(k), "--check", "--out", os.devnull])
+       for k in range(1, 6)])
+"""
+    assert _run_python(code).strip() == "[0, 0, 0, 0, 0]"

@@ -142,7 +142,7 @@ def _exact_overlap(mesh):
     2N - 2, which an (N + 60)-point rule with exponent e integrates exactly."""
     e = mesh.alpha + {Family.RegSqrt: 1.0, Family.RegR: 2.0, Family.NonReg: 0.0}[mesh.family]
     rule = generate_rule(mesh.N + 60, e)
-    F = np.array([basis.evaluate_basis(mesh, j, rule.nodes) for j in range(1, mesh.N + 1)])
+    F = np.array([basis.reconstruct_wavefunction(mesh, c, rule.nodes) for c in np.eye(mesh.N)])
     return (F * rule.weights) @ F.T
 
 

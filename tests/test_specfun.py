@@ -12,9 +12,9 @@ from lagmesh.scattering import _ratio
 from lagmesh.specfun import (
     _STEED_MIN_X,
     ConvergenceError,
+    _log_coulomb_norm,
     _turning_point,
     _weighted_laguerre_pair,
-    coulomb_norm,
     coulomb_wave,
 )
 
@@ -135,9 +135,9 @@ class TestCoulombWave:
 
     def test_norm_at_zero_eta(self):
         # C_l(0) = 2^l l! / (2l+1)!
-        assert coulomb_norm(0, 0.0) == pytest.approx(1.0, rel=1e-15)
-        assert coulomb_norm(1, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert coulomb_norm(2, 0.0) == pytest.approx(1.0 / 15.0, rel=1e-14)
+        assert math.exp(_log_coulomb_norm(0, 0.0)) == pytest.approx(1.0, rel=1e-15)
+        assert math.exp(_log_coulomb_norm(1, 0.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert math.exp(_log_coulomb_norm(2, 0.0)) == pytest.approx(1.0 / 15.0, rel=1e-14)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -180,6 +180,19 @@ class TestCoulombAgainstMultiprecision:
             eta = float(rng.uniform(-50.0, 50.0))
             x = float(np.exp(rng.uniform(math.log(0.05), math.log(40.0))))
             self.check(l, eta, x)
+
+    def test_normalization(self):
+        # C_l(eta) = 2^l e^{-pi eta/2} |Gamma(l+1+i eta)| / (2l+1)!
+        import mpmath as mp
+
+        etas = [*np.linspace(-50.0, 50.0, 61), 0.0, 1e-8, -1e-8]
+        for l in range(21):
+            for eta in etas:
+                with mp.workdps(30):
+                    c = 2**l * mp.exp(-mp.pi * eta / 2) * abs(mp.gamma(l + 1 + 1j * eta))
+                    want = float(c / mp.factorial(2 * l + 1))
+                got = math.exp(_log_coulomb_norm(l, float(eta)))
+                assert got == pytest.approx(want, rel=1e-13), (l, eta)
 
     def test_taylor_sweep_below_gate(self):
         # G below the Steed gate comes only from the Taylor sweep, so it is
