@@ -10,7 +10,9 @@ by a power of ``x`` and the half-weight ``exp(-x/2)``:
 All evaluation goes through the exponentially weighted recurrence, so no
 intermediate ever carries ``exp(+x)``.  Near a mesh point the removable
 singularity of the cardinal ratio is evaluated from the Taylor expansion of
-``L_N`` about the node; elsewhere the ratio is formed directly.
+``L_N`` about the node, batched over every near (node, point) pair of a
+call; elsewhere the ratio is formed directly.  Derivative arrays are formed
+only when the caller asks for them.
 """
 
 from __future__ import annotations
@@ -153,76 +155,83 @@ def _node_taylor_t1(N, alpha):
 
 
 def _taylor_psi(N, alpha, rj, t1, s):
-    """Weighted cardinal ratio and derivatives near a node.
+    """Weighted cardinal ratio and derivatives near a node, for many pairs.
 
     Expands ``L_N(x)/(x-r_j) * exp(-x/2)`` in powers of ``s = x - r_j`` using
     the derivatives of ``L_N`` at the node (three-term recurrence from the
-    differentiated Laguerre equation).  Returns the weighted value, first and
-    second derivative of the ratio.
+    differentiated Laguerre equation).  ``rj``, ``t1`` and ``s`` are equal
+    length arrays, one entry per (node, point) pair; the recurrence runs on
+    all pairs at once, and a pair leaves the live set as soon as its three
+    series have converged.  Returns the weighted value, first and second
+    derivative of the ratio for every pair.
     """
     t2 = (rj - alpha - 1.0) * t1 / rj
-    if s == 0.0:
-        t3 = ((rj - alpha - 2.0) * t2 - (N - 1.0) * t1) / rj
-        return t1, 0.5 * t2, t3 / 3.0
-    t_prev2, t_prev = 0.0, t1
-    p0 = t1  # m = 1 contribution: T_1 s^0 / 1!
-    p1 = 0.0
-    p2 = 0.0
-    s_pow = 1.0  # s^{m-2} for the p1 term of the current m
+    t3 = ((rj - alpha - 2.0) * t2 - (N - 1.0) * t1) / rj
+    out = np.stack([t1, 0.5 * t2, t3 / 3.0])  # the s = 0 limits
+    live = np.nonzero(s != 0.0)[0]
+    rj, s, t_prev = rj[live], s[live], t1[live]
+    t_prev2 = np.zeros_like(s)
+    p = np.stack([t_prev, t_prev2, t_prev2])  # m = 1 contribution: T_1 s^0 / 1!
+    # running largest terms; the d2 scale is floored at 1e-300, since its
+    # first terms vanish
+    top = np.stack([np.abs(t_prev), t_prev2, np.full_like(s, 1e-300)])
+    s_pow = np.ones_like(s)  # s^{m-2} for the p1 term of the current m
     inv_fact = 1.0
-    top0 = abs(t1)
-    top1 = top2 = 0.0
     for m in range(2, _MAX_TAYLOR_TERMS):
+        if live.size == 0:
+            break
         t_m = ((rj - alpha - 1.0 - (m - 2)) * t_prev - (N - (m - 2)) * t_prev2) / rj
         inv_fact /= m
         c = t_m * inv_fact
-        d0 = c * s_pow * s
-        d1 = c * (m - 1.0) * s_pow
-        d2 = c * (m - 1.0) * (m - 2.0) * (s_pow / s)
-        p0 += d0
-        p1 += d1
-        p2 += d2
-        top0 = max(top0, abs(d0))
-        top1 = max(top1, abs(d1))
-        top2 = max(top2, abs(d2))
-        if m > 6 and (
-            abs(d0) <= 1e-17 * top0
-            and abs(d1) <= 1e-17 * top1
-            and abs(d2) <= 1e-17 * max(top2, 1e-300)
-        ):
-            break
+        d = np.stack([
+            c * s_pow * s,
+            c * (m - 1.0) * s_pow,
+            c * (m - 1.0) * (m - 2.0) * (s_pow / s),
+        ])
+        p += d
+        ad = np.abs(d)
+        top = np.maximum(top, ad)
+        if m > 6:
+            keep = ~np.all(ad <= 1e-17 * top, axis=0)
+            if not keep.all():
+                out[:, live[~keep]] = np.exp(-0.5 * s[~keep]) * p[:, ~keep]
+                live, rj, s, t_m, t_prev, s_pow = (
+                    a[keep] for a in (live, rj, s, t_m, t_prev, s_pow))
+                p, top = p[:, keep], top[:, keep]
         s_pow *= s
         t_prev2, t_prev = t_prev, t_m
-    damp = math.exp(-0.5 * s)
-    return damp * p0, damp * p1, damp * p2
+    out[:, live] = np.exp(-0.5 * s) * p
+    return out
 
 
-def _weighted_cardinal_all(mesh, x):
-    """Weighted cardinal ratios and derivatives of every basis function.
+def _weighted_cardinal_all(mesh, x, derivatives=False):
+    """Weighted cardinal ratios (and derivatives) of every basis function.
 
     Returns three ``(N, len(x))`` arrays: ``L_N(x)/(x-r_j) exp(-x/2)`` and its
-    first two derivatives with respect to ``x``.  Derivative rows contain
-    garbage at ``x = 0`` (callers needing derivatives keep ``x > 0``).
+    first two derivatives with respect to ``x``.  The derivatives are formed
+    only when ``derivatives`` is true and are ``None`` otherwise; their rows
+    contain garbage at ``x = 0`` (callers needing derivatives keep
+    ``x > 0``).  Inside the near-node window every (node, point) pair goes
+    through one batched call of ``_taylor_psi``.
     """
     N, alpha = mesh.N, mesh.alpha
     nodes = mesh.nodes
     b_prev, b_cur, _ = _weighted_laguerre_pair(N, alpha, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lpw = (N * b_cur - (N + alpha) * b_prev) / x
-        lppw = ((x - alpha - 1.0) * lpw - N * b_cur) / x
     s = x[None, :] - nodes[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        pw0 = b_cur[None, :] / s
-        pw1 = (lpw[None, :] - pw0) / s
-        pw2 = (lppw[None, :] - 2.0 * pw1) / s
-    near = np.abs(s) < _NEAR_NODE_FRACTION * (1.0 + nodes[:, None])
-    if np.any(near):
+        pw = [b_cur[None, :] / s, None, None]
+        if derivatives:
+            lpw = (N * b_cur - (N + alpha) * b_prev) / x
+            lppw = ((x - alpha - 1.0) * lpw - N * b_cur) / x
+            pw[1] = (lpw[None, :] - pw[0]) / s
+            pw[2] = (lppw[None, :] - 2.0 * pw[1]) / s
+    near = np.nonzero(np.abs(s) < _NEAR_NODE_FRACTION * (1.0 + nodes[:, None]))
+    if near[0].size:
         t1 = _node_taylor_t1(N, alpha)
-        for jj, kk in zip(*np.nonzero(near)):
-            pw0[jj, kk], pw1[jj, kk], pw2[jj, kk] = _taylor_psi(
-                N, alpha, nodes[jj], t1[jj], s[jj, kk]
-            )
-    return pw0, pw1, pw2
+        taylor = _taylor_psi(N, alpha, nodes[near[0]], t1[near[0]], s[near])
+        for k in range(3 if derivatives else 1):
+            pw[k][near] = taylor[k]
+    return tuple(pw)
 
 
 def _eval_all(mesh, x, derivatives=False):
@@ -244,7 +253,7 @@ def _eval_all(mesh, x, derivatives=False):
     """
     p = _family_power(mesh.family, mesh.alpha)
     pref = _prefactors(mesh)[:, None]
-    pw0, pw1, pw2 = _weighted_cardinal_all(mesh, x)
+    pw0, pw1, pw2 = _weighted_cardinal_all(mesh, x, derivatives)
     xp = x[None, :] ** p
     values = pref * pw0 * xp
     if not derivatives:

@@ -421,8 +421,8 @@ def _parse_potential(value):
     if isinstance(value, str) and value.lstrip().startswith("{"):
         try:
             return from_json(value)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError([f"potential: invalid spec ({e!r})"]) from None
+        except ValueError as e:
+            raise ConfigError([f"potential: invalid spec ({e})"]) from None
     name, _, params = str(value).partition(":")
     if name not in _BUILTIN_NAMES:
         raise ConfigError([
@@ -484,13 +484,15 @@ def build_parser():
 
 
 def _check_types(doc):
-    """Reject a config file that is not an object or has mistyped fields."""
+    """Reject a config file that is not an object or has unknown or
+    mistyped fields."""
     if type(doc) is not dict:
         raise ConfigError(["config: the file must hold a JSON object"])
     errors = [
-        f"{key}: wrong JSON type (got {json.dumps(value)})"
+        f"{key}: unknown field" if key not in _FIELD_TYPES
+        else f"{key}: wrong JSON type (got {json.dumps(value)})"
         for key, value in doc.items()
-        if value is not None and key in _FIELD_TYPES and (
+        if key not in _FIELD_TYPES or value is not None and (
             type(value) not in _FIELD_TYPES[key]
             or key == "gammas" and any(type(g) not in _NUMBER for g in value))
     ]

@@ -101,8 +101,9 @@ def _coerce(enum_cls, value):
 
 
 def _sign_grid(N):
-    ij = np.arange(N)
-    return (-1.0) ** np.abs(ij[:, None] - ij[None, :])
+    """``(-1)**(i - j)`` as the outer product of alternating signs."""
+    sign = np.where(np.arange(N) % 2 == 1, -1.0, 1.0)
+    return np.outer(sign, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +180,11 @@ def _cached_oracle(mesh, kind):
     rule = generate_rule(mesh.N + _ORACLE_EXTRA_ORDER, mu)
     x = rule.nodes
     lam = rule.weights
-    pw = _weighted_cardinal_all(mesh, x)
+    pw = _weighted_cardinal_all(mesh, x, derivatives=any(d for d, _, _ in comps))
     pref = _prefactors(mesh)
     values = np.zeros((mesh.N, mesh.N))
     for d, e, c in comps:
-        values += c * np.einsum("k,ik,jk->ij", lam * x ** (2.0 * p + e), pw[0], pw[d])
+        values += c * ((pw[0] * (lam * x ** (2.0 * p + e))) @ pw[d].T)
     values *= np.outer(pref, pref)
     if kind != "DDr":  # DDr is antisymmetric; no symmetrization
         values = 0.5 * (values + values.T)

@@ -150,20 +150,46 @@ def to_json(spec):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _numbers(obj, where, names, defaults=None):
+    """The fields ``names`` of the JSON object ``obj`` (``where`` in the
+    spec, empty at the top level) as floats; a missing field, or one that is
+    not a JSON number, raises ValueError naming it."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: must be a JSON object")
+    defaults = defaults or {}
+    values = []
+    for name in names:
+        field = f"{where}.{name}" if where else name
+        if name not in obj and name not in defaults:
+            raise ValueError(f"{field}: missing")
+        value = obj.get(name, defaults.get(name))
+        if type(value) not in (int, float):  # JSON true is no number
+            raise ValueError(f"{field}: must be a number")
+        values.append(float(value))
+    return tuple(values)
+
+
 def from_json(text):
-    """Parse the JSON form produced by ``to_json``."""
+    """Parse the JSON form produced by ``to_json``.
+
+    A malformed spec raises ValueError naming the offending field.
+    """
     doc = json.loads(text)
-    terms = tuple((t["c"], t["p"], t.get("a", 0.0), t.get("b", 0.0)) for t in doc.get("terms", ()))
-    erf_term = None
-    if "coulombErf" in doc:
-        erf_term = (doc["coulombErf"]["q"], doc["coulombErf"]["mu"])
-    eck = None
-    if "eckart" in doc:
-        eck = (doc["eckart"]["b"], doc["eckart"]["c"])
+    if type(doc) is not dict:
+        raise ValueError("spec: must be a JSON object")
+    terms = doc.get("terms", [])
+    if type(terms) is not list:
+        raise ValueError("terms: must be a list")
+    label = doc.get("label", "user")
+    if type(label) is not str:
+        raise ValueError("label: must be a string")
+    (tail_Z,) = _numbers(doc, "", ["tailZ"], {"tailZ": 0.0})
     return PotentialSpec(
-        label=doc.get("label", "user"),
-        terms=terms,
-        coulomb_erf=erf_term,
-        tail_Z=doc.get("tailZ", 0.0),
-        eckart=eck,
+        label=label,
+        terms=tuple(_numbers(t, f"terms[{i}]", "cpab", {"a": 0.0, "b": 0.0})
+                    for i, t in enumerate(terms)),
+        coulomb_erf=_numbers(doc["coulombErf"], "coulombErf", ["q", "mu"])
+        if "coulombErf" in doc else None,
+        tail_Z=tail_Z,
+        eckart=_numbers(doc["eckart"], "eckart", "bc") if "eckart" in doc else None,
     )

@@ -93,7 +93,7 @@ def generate_rule(N, alpha):
 
     # Christoffel weights: a sum of positive squares, free of cancellation;
     # a weight out of double range (large alpha) raises FloatingPointError
-    _, _, csum = _weighted_laguerre_pair(N, alpha, x)
+    _, _, csum = _weighted_laguerre_pair(N, alpha, x, christoffel=True)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         weights = 1.0 / (x**alpha * csum)
 

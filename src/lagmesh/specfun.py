@@ -67,12 +67,14 @@ class CoulombPair:
     Gprime: object
 
 
-def _weighted_laguerre_pair(n, alpha, x):
+def _weighted_laguerre_pair(n, alpha, x, *, christoffel=False):
     """Return ``(B_{n-1}, B_n, C_n)`` with ``B_k(x) = L_k^{(alpha)}(x) exp(-x/2)``.
 
     ``C_n = sum_{k<n} h_k B_k**2`` with ``h_k = k!/Gamma(k+alpha+1)`` is the
     Christoffel sum of the orthonormal weighted Laguerre functions; a Gauss
-    rule's modified weight at a node is ``1 / (x**alpha C_N)``.
+    rule's modified weight at a node is ``1 / (x**alpha C_N)``.  It is formed
+    only when ``christoffel`` is true (only rule weights read it) and is
+    ``None`` otherwise.
 
     The weighted functions obey the Laguerre three-term recurrence, so no
     ``exp(x)`` factor is ever held.  Below ``_NORMAL_X``, where ``exp(-x/2)``
@@ -88,19 +90,24 @@ def _weighted_laguerre_pair(n, alpha, x):
     cur = np.where(far, np.exp(m * _LN2_HI - 0.5 * x + m * _LN2_LO), np.exp(-0.5 * x))
     shift = -m.astype(int)
     prev = np.zeros_like(cur)
-    csum = np.zeros_like(cur)
+    csum = np.zeros_like(cur) if christoffel else None
     h = 1.0 / math.gamma(alpha + 1.0)
     rescale = bool(np.any(far))
     for k in range(n):
-        csum += h * cur * cur
-        h *= (k + 1.0) / (k + 1.0 + alpha)
+        if christoffel:
+            csum += h * cur * cur
+            h *= (k + 1.0) / (k + 1.0 + alpha)
         prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
         if rescale and np.abs(cur).max() > 2.0**_BIG_EXP:
             e = np.frexp(cur)[1]
             s = np.where(e > _BIG_EXP, e, 0)
-            prev, cur, csum = np.ldexp(prev, -s), np.ldexp(cur, -s), np.ldexp(csum, -2 * s)
+            prev, cur = np.ldexp(prev, -s), np.ldexp(cur, -s)
+            if christoffel:
+                csum = np.ldexp(csum, -2 * s)
             shift += s
-    return np.ldexp(prev, shift), np.ldexp(cur, shift), np.ldexp(csum, 2 * shift)
+    if christoffel:
+        csum = np.ldexp(csum, 2 * shift)
+    return np.ldexp(prev, shift), np.ldexp(cur, shift), csum
 
 
 def _log_coulomb_norm(l, eta):

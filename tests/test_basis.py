@@ -13,6 +13,7 @@ from lagmesh.basis import (
     reconstruct_wavefunction,
     _eval_all,
     _node_derivative_matrices,
+    _weighted_cardinal_all,
 )
 from lagmesh.quadrature import generate_rule
 
@@ -173,6 +174,36 @@ class TestEvaluateBasis:
         for r in (-0.1, np.nan, np.inf, [1.0, np.nan]):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 basis_function(mesh, 2, r)
+
+
+class TestBatchedKernels:
+    @staticmethod
+    def _near_node_batch(mesh):
+        # around several nodes (the last lies past x = 1416 at N = 400): the
+        # node itself (s = 0), |s| = 1e-9, and points just inside and just
+        # outside the near-node window, so pairs leave the batched Taylor
+        # expansion at very different orders
+        r = mesh.nodes[np.unique(np.linspace(0, mesh.N - 1, 6).astype(int))]
+        w = basis._NEAR_NODE_FRACTION * (1.0 + r)
+        offsets = [0.0, 1e-9, -1e-9, 0.999, -0.999, 1.001, -1.001, 0.3]
+        return np.concatenate([r + f * (w if abs(f) > 1e-6 else 1.0) for f in offsets])
+
+    @pytest.mark.parametrize("N", [20, 150, 400])
+    def test_near_node_batch_matches_single_points(self, N):
+        mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
+        x = self._near_node_batch(mesh)
+        batch = _weighted_cardinal_all(mesh, x, derivatives=True)
+        for k in range(x.size):
+            single = _weighted_cardinal_all(mesh, x[k:k + 1], derivatives=True)
+            for b, o in zip(batch, single):
+                assert np.array_equal(b[:, k], o[:, 0])
+
+    @pytest.mark.parametrize("family, alpha", PAIRINGS)
+    def test_values_only_path_is_bit_identical(self, family, alpha):
+        mesh = MeshSpec(150, alpha, family, 1.0)
+        x = np.concatenate([self._near_node_batch(mesh), np.linspace(0.01, 600.0, 97)])
+        assert np.array_equal(_eval_all(mesh, x), _eval_all(mesh, x, derivatives=True)[0])
+        assert _weighted_cardinal_all(mesh, x)[1:] == (None, None)
 
 
 class TestDerivativeValuesAtNodes:

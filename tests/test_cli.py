@@ -296,6 +296,23 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"lagmesh: {field}:")
 
+    def test_unknown_config_keys_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": "harmonic", "N": 10, "h": 0.1,
+                                   "aplha": 3, "verbose": None}))
+        assert main(["bound", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "lagmesh: aplha: unknown field", "lagmesh: verbose: unknown field"]
+
+    def test_malformed_inline_spec_names_the_field(self, capsys):
+        code = main(["bound", "--potential", '{"coulombErf": {"q": 1}}',
+                     "--N", "5", "--h", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "lagmesh: potential: invalid spec (coulombErf.mu: missing)\n")
+
     def test_inline_potential_spec(self, capsys):
         spec = json.dumps({"label": "well",
                            "terms": [{"c": -5.0, "p": 0.0, "a": 1.0, "b": 0.0}],

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestSerialization:
         text = to_json(V)
         assert "energy_unit" not in text
         assert from_json(text).energy_unit == 1.0
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"terms": [1]}', "terms[0]"),
+        ('{"terms": [{"c": 1.0}]}', "terms[0].p"),
+        ('{"terms": [{"c": "deep", "p": 0}]}', "terms[0].c"),
+        ('{"terms": [{"c": -1.0, "p": true}]}', "terms[0].p"),
+        ('{"terms": {"c": 1.0, "p": 0}}', "terms"),
+        ('{"coulombErf": {"q": 1}}', "coulombErf.mu"),
+        ('{"eckart": [2, -1]}', "eckart"),
+        ('{"tailZ": "one"}', "tailZ"),
+        ('{"label": 7}', "label"),
+        ('[1]', "spec"),
+    ])
+    def test_malformed_spec_names_the_field(self, text, field):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
+            from_json(text)
 
     def test_json_is_plain_object(self):
         doc = json.loads(to_json(builtin("eckart")))

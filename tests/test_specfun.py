@@ -82,6 +82,33 @@ class TestLaguerre:
         _, value, _ = _weighted_laguerre_pair(4, 2.0, np.array([0.0]))
         assert value[0] == pytest.approx(15.0, rel=1e-14)
 
+    @pytest.mark.parametrize("n, alpha", [(5, 0.0), (50, 1.0), (400, 2.0), (1000, 0.0)])
+    def test_christoffel_sum_matches_mpmath(self, n, alpha):
+        # C_n = sum_{k<n} h_k B_k**2 run through the same recurrence at 40
+        # digits; points past x = 1416 take the rescaled path, and a true
+        # value below the double range must come back as zero
+        mp = pytest.importorskip("mpmath")
+        x = np.array([0.003, 0.5, 7.3, 120.0, 1000.0, 1500.0, 2600.0, 3900.0])
+        want = []
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            for t in map(mp.mpf, x):
+                prev, cur, h, csum = 0, mp.exp(-t / 2), 1 / mp.gamma(a + 1), 0
+                for k in range(n):
+                    csum += h * cur * cur
+                    h *= (k + 1) / (k + 1 + a)
+                    prev, cur = cur, ((2 * k + a + 1 - t) * cur - (k + a) * prev) / (k + 1)
+                want.append(float(csum))
+        _, _, got = _weighted_laguerre_pair(n, alpha, x, christoffel=True)
+        assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+    def test_christoffel_sum_only_on_request(self):
+        x = np.linspace(0.0, 50.0, 11)
+        b_prev, b, csum = _weighted_laguerre_pair(30, 1.0, x)
+        assert csum is None
+        w_prev, w, _ = _weighted_laguerre_pair(30, 1.0, x, christoffel=True)
+        assert np.array_equal(b_prev, w_prev) and np.array_equal(b, w)
+
     def test_scalar_in_scalar_out(self):
         b_prev, b, _ = _weighted_laguerre_pair(3, 0.0, 1.5)
         assert np.ndim(b_prev) == 0 and np.ndim(b) == 0
