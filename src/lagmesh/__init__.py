@@ -36,6 +36,7 @@ from .scattering import (
 from .solver import (
     BoundSpectrum,
     Pseudostate,
+    bound_energies,
     pseudostates,
     relative_error,
     solve_bound_states,
@@ -58,6 +59,7 @@ __all__ = [
     "Pseudostate",
     "QuadratureRule",
     "Variant2D",
+    "bound_energies",
     "builtin",
     "classify_singularity",
     "coulomb_wave",

@@ -30,7 +30,7 @@ from .basis import Family, MeshSpec
 from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
 from .potentials import builtin
 from .scattering import eckart_reference_delta0, gamma_scan, tan_delta
-from .solver import pseudostates, relative_error, solve_bound_states
+from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
 __all__ = [
     "CheckResult",
@@ -172,7 +172,7 @@ def _bound_rows(name, N, h, exact):
         for label, variant, family, alpha in VARIANTS_3D:
             mesh = MeshSpec(N, alpha, family, h)
             H, S = hamiltonian_3d(mesh, l, V, variant)
-            E = solve_bound_states(H, S).energies[0]
+            E = bound_energies(H, S)[0]
             row[label] = relative_error(E, exact(l))
         rows.append(row)
     return rows
@@ -254,7 +254,7 @@ def _run_table5():
         for label, variant in (("var", Variant2D.Var2D),
                                ("reg sqrt(rho)", Variant2D.RegSqrtMesh2D)):
             H, S = hamiltonian_2d(mesh, 1, V, variant)
-            E = solve_bound_states(H, S).energies[0]
+            E = bound_energies(H, S)[0]
             row[label] = relative_error(E, exact)
         rows.append(row)
     return rows

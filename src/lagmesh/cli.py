@@ -33,7 +33,7 @@ from .basis import Family, MeshSpec
 from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
 from .potentials import builtin, from_json, to_json
 from .scattering import gamma_scan, tan_delta
-from .solver import pseudostates, relative_error, solve_bound_states
+from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
 __all__ = [
     "ConfigError",
@@ -165,7 +165,7 @@ def _validate(config):
 
 
 def _resolve_problem(config):
-    """Mesh, Hamiltonian pair, and spectrum for a validated config."""
+    """Mesh and Hamiltonian pair (H, S) for a validated config."""
     V = config.potential
     if config.dimension == 2:
         mesh = MeshSpec(config.N, 0.0, Family.RegSqrt, config.h)
@@ -176,7 +176,7 @@ def _resolve_problem(config):
             alpha = config.alpha
         mesh = MeshSpec(config.N, alpha, family, config.h)
         H, S = hamiltonian_3d(mesh, config.angular, V, scheme)
-    return mesh, solve_bound_states(H, S)
+    return mesh, H, S
 
 
 def _exact_level(config, n, energy):
@@ -198,10 +198,11 @@ def _exact_level(config, n, energy):
 
 
 def _run_bound(config):
-    mesh, spectrum = _resolve_problem(config)
+    # bound rows read energies only, so no eigenvectors are computed
+    _, H, S = _resolve_problem(config)
     unit = config.potential.energy_unit
     rows = []
-    for n, E in enumerate(spectrum.energies):
+    for n, E in enumerate(bound_energies(H, S)):
         row = {"state": n + 1, "energy": float(E) * unit}
         exact = _exact_level(config, n, float(E))
         if exact is not None:
@@ -217,10 +218,10 @@ def _window(V):
 
 
 def _run_scatter(config):
-    mesh, spectrum = _resolve_problem(config)
+    mesh, H, S = _resolve_problem(config)
     V = config.potential
     rows = []
-    for n, state in enumerate(pseudostates(spectrum)):
+    for n, state in enumerate(pseudostates(solve_bound_states(H, S))):
         res = tan_delta(state, config.angular, V, V.tail_Z, config.gamma,
                         mesh, window=_window(V))
         rows.append({
@@ -232,11 +233,11 @@ def _run_scatter(config):
 
 
 def _run_gamma_scan(config):
-    mesh, spectrum = _resolve_problem(config)
+    mesh, H, S = _resolve_problem(config)
     V = config.potential
     grid = None if config.gammas is None else np.asarray(config.gammas, dtype=float)
     rows = []
-    for n, state in enumerate(pseudostates(spectrum)):
+    for n, state in enumerate(pseudostates(solve_bound_states(H, S))):
         rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, mesh,
                             gammas=grid, window=_window(V))
         rows.append({

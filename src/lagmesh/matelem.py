@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 
 import numpy as np
 
@@ -345,6 +346,30 @@ _VARIANT_FAMILY = {
     HamiltonianVariant.NonRegVG: Family.NonReg,
 }
 
+
+def _h_squared(h):
+    """h**2, after checking that the kinetic scale 1/(2 h^2) is a finite,
+    nonzero double; a zero or infinite scale would silently drop or blow up
+    the kinetic term."""
+    h2 = float(h) * float(h)
+    if not (0.0 < 2.0 * h2 < math.inf and 0.5 / h2 < math.inf):
+        raise OverflowError(f"h={h!r}: the kinetic scale 1/(2 h^2) is out of double range")
+    return h2
+
+
+# Scaling the h-free operator matrices by powers of h, and evaluating the
+# potential at h r_i, can leave double range near the ends of the h axis;
+# the assembled H is then checked by _in_range instead of warning midway.
+_H_ERRSTATE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+
+
+def _in_range(H, h):
+    """H itself, or OverflowError naming h when an entry is not finite."""
+    if not np.all(np.isfinite(H)):
+        raise OverflowError(f"h={h!r}: Hamiltonian entries are out of double range")
+    return H
+
+
 # per-variant evaluation modes: (kinetic, centrifugal, potential)
 _VARIANT_MODES = {
     HamiltonianVariant.Var: (Mode.Exact, Mode.Exact, Mode.Exact),
@@ -366,6 +391,12 @@ def hamiltonian_3d(mesh, l, V, variant):
         identity: the RegSqrt and NonReg functions are exactly orthonormal,
         and the RegR scheme takes its overlap at the Gauss approximation,
         which is the identity on every family.
+
+    Raises
+    ------
+    OverflowError
+        Naming h, when 1/(2 h^2) or an assembled entry is out of double
+        range; at N = 150 that is h below about 1e-152 or above 1e151.
     """
     variant = _coerce(HamiltonianVariant, variant)
     l = int(l)
@@ -377,12 +408,15 @@ def hamiltonian_3d(mesh, l, V, variant):
     if mesh.family is not want:
         raise ValueError(f"variant {variant.name} requires family {want.name}")
     t_mode, c_mode, v_mode = _VARIANT_MODES[variant]
-    h = mesh.h
-    H = kinetic_matrix(mesh, t_mode) / (2.0 * h**2)
-    if l > 0:
-        H = H + centrifugal_matrix(mesh, l, c_mode) / (2.0 * h**2)
-    H = H + potential_matrix(mesh, V, v_mode)
-    return H, np.eye(mesh.N)
+    two_h2 = 2.0 * _h_squared(mesh.h)
+    T = kinetic_matrix(mesh, t_mode)
+    C = centrifugal_matrix(mesh, l, c_mode) if l > 0 else None
+    with np.errstate(**_H_ERRSTATE):
+        H = T / two_h2
+        if C is not None:
+            H = H + C / two_h2
+        H = H + potential_matrix(mesh, V, v_mode)
+    return _in_range(H, mesh.h), np.eye(mesh.N)
 
 
 def hamiltonian_2d(mesh, m, V, variant):
@@ -402,6 +436,11 @@ def hamiltonian_2d(mesh, m, V, variant):
         (N-1) x (N-1) on the basis ``MeshSpec(N-1, 2.0, RegSqrt, h)`` for
         Var2D.  S is always the identity, since the RegSqrt functions are
         exactly orthonormal.
+
+    Raises
+    ------
+    OverflowError
+        Naming h, as for ``hamiltonian_3d``.
     """
     variant = _coerce(Variant2D, variant)
     m = int(m)
@@ -412,18 +451,24 @@ def hamiltonian_2d(mesh, m, V, variant):
     if mesh.family is not Family.RegSqrt or mesh.alpha != 0.0:
         raise ValueError("2D schemes require a RegSqrt mesh with alpha=0")
     h = mesh.h
+    h2 = _h_squared(h)
     if variant is Variant2D.RegSqrtMesh2D:
-        H = kinetic2d_matrix(mesh, Mode.Gauss) / (2.0 * h**2)
-        if m > 0:
-            H = H + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
-        H = H + potential_matrix(mesh, V, Mode.Gauss)
-        return H, np.eye(mesh.N)
+        T = kinetic2d_matrix(mesh, Mode.Gauss)
+        with np.errstate(**_H_ERRSTATE):
+            H = T / (2.0 * h2)
+            if m > 0:
+                H = H + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
+            H = H + potential_matrix(mesh, V, Mode.Gauss)
+        return _in_range(H, h), np.eye(mesh.N)
     basis_mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
-    H = kinetic2d_matrix(basis_mesh, Mode.Exact) / (2.0 * h**2)
-    if m > 0:
-        H = H + (m**2 / 2.0) * power_matrix(basis_mesh, -2, Mode.Exact) / h**2
-    H = H + potential_matrix(basis_mesh, V, Mode.Exact)
-    return H, np.eye(basis_mesh.N)
+    T = kinetic2d_matrix(basis_mesh, Mode.Exact)
+    P = power_matrix(basis_mesh, -2, Mode.Exact) if m > 0 else None
+    with np.errstate(**_H_ERRSTATE):
+        H = T / (2.0 * h2)
+        if P is not None:
+            H = H + (m**2 / 2.0) * P / h2
+        H = H + potential_matrix(basis_mesh, V, Mode.Exact)
+    return _in_range(H, h), np.eye(basis_mesh.N)
 
 
 def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):

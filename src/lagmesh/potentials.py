@@ -84,7 +84,11 @@ def evaluate(spec, r):
         raise ValueError("r must be positive and finite")
     total = np.zeros_like(rr)
     for c, p, a, b in spec.terms:
-        total += c * rr**p * np.exp(-a * rr**2 - b * rr)
+        term = c * rr**p
+        if a != 0.0 or b != 0.0:
+            # skipped for a pure power, where rr**2 could overflow to 0 * inf
+            term = term * np.exp(-a * rr**2 - b * rr)
+        total += term
     if spec.coulomb_erf is not None:
         q, mu = spec.coulomb_erf
         total += q * _erf(mu * rr) / rr

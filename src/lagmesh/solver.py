@@ -2,9 +2,23 @@
 
 The regularized Lagrange-Laguerre functions are orthonormal, so the
 overlap matrix of every scheme is the identity and each solve is a plain
-symmetric eigenproblem H c = E c.  Results are deterministic: eigenvalues
-ascend, ties are broken by the index of the first nonzero coefficient, and
-each coefficient vector's sign is fixed by its largest component.
+symmetric eigenproblem H c = E c.  There are two entry points, picked by
+what the caller reads:
+
+- ``bound_energies`` returns the ascending eigenvalues alone (LAPACK's
+  eigenvalues-only driver).  Bound-state energies and relative errors read
+  nothing else: the CLI ``bound`` mode and bound ``sweep``, and benchmark
+  tables 1, 2 and 5.
+- ``solve_bound_states`` also returns the coefficient vectors, for
+  pseudostates, phase shifts and wave functions: the CLI ``scatter`` and
+  ``gamma-scan`` modes and tables 3 and 4.  Its results are deterministic:
+  eigenvalues ascend, ties are broken by the index of the first nonzero
+  coefficient, and each coefficient vector's sign is fixed by its largest
+  component.
+
+Both validate their input the same way.  The two LAPACK drivers round
+differently, so their eigenvalues agree to a few ulps of the largest |E|,
+not bit for bit.
 """
 
 import dataclasses
@@ -15,6 +29,7 @@ import numpy as np
 __all__ = [
     "BoundSpectrum",
     "Pseudostate",
+    "bound_energies",
     "pseudostates",
     "relative_error",
     "solve_bound_states",
@@ -43,6 +58,35 @@ class Pseudostate:
     coefficients: np.ndarray
 
 
+def _checked_hamiltonian(H, S):
+    """H as a float array, after the checks shared by both solves."""
+    A = np.asarray(H, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise ValueError(f"H must be a nonempty square matrix (got shape {A.shape})")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("Hamiltonian matrix has non-finite entries")
+    if not np.array_equal(S, np.eye(A.shape[0])):
+        raise ValueError("S must be the identity: the basis is orthonormal")
+    scale = max(1.0, np.abs(A).max())
+    if np.abs(A - A.T).max() > 1e-10 * scale:
+        raise ValueError("Hamiltonian matrix is not symmetric")
+    return A
+
+
+def bound_energies(H, S):
+    """Ascending eigenvalues of a symmetric Hamiltonian on an orthonormal basis.
+
+    Takes and checks the same arguments as ``solve_bound_states`` and
+    raises the same ``ValueError``s, but computes no eigenvectors.
+
+    Returns
+    -------
+    ndarray
+        The n eigenvalues in ascending order.
+    """
+    return np.linalg.eigvalsh(_checked_hamiltonian(H, S))
+
+
 def solve_bound_states(H, S):
     """Solve H c = E c for a symmetric Hamiltonian on an orthonormal basis.
 
@@ -63,17 +107,8 @@ def solve_bound_states(H, S):
         If H is not a finite, nonempty, symmetric square matrix, or S is
         not the n x n identity.
     """
-    A = np.asarray(H, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValueError(f"H must be a nonempty square matrix (got shape {A.shape})")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("Hamiltonian matrix has non-finite entries")
+    A = _checked_hamiltonian(H, S)
     n = A.shape[0]
-    if not np.array_equal(S, np.eye(n)):
-        raise ValueError("S must be the identity: the basis is orthonormal")
-    scale = max(1.0, np.abs(A).max())
-    if np.abs(A - A.T).max() > 1e-10 * scale:
-        raise ValueError("Hamiltonian matrix is not symmetric")
     energies, vectors = np.linalg.eigh(A)
     # deterministic signs: largest-magnitude component positive
     pick = np.argmax(np.abs(vectors), axis=0)

@@ -162,6 +162,38 @@ class TestSweep:
             sweep(config, "gamma", (1.0,))
 
 
+class TestEigenvalueOnlySolve:
+    """Runs that read energies alone never compute eigenvectors."""
+
+    @pytest.fixture(autouse=True)
+    def no_eigenvectors(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigenvectors computed")
+
+        monkeypatch.setattr(cli.np.linalg, "eigh", eigh)
+
+    @pytest.mark.parametrize("dim,variant", [(3, "var"), (3, "non-reg"), (2, "var"),
+                                             (2, "reg-sqrt")])
+    def test_bound(self, dim, variant):
+        report = run(_config(potential=builtin("coulomb"), dimension=dim, angular=1,
+                             variant=variant, N=12, h=0.9))
+        assert report.rows[0]["energy"] < 0.0
+
+    def test_bound_sweep(self):
+        report = sweep(_config(), "h", (0.09, 0.2))
+        assert abs(report.rows[0]["eps_rel"]) <= 1e-10
+
+    @pytest.mark.parametrize("table", [1, 2, 5])
+    def test_bound_state_tables(self, table):
+        rows = cli.benchmarks.run_table(table)
+        assert all(c.passed for c in cli.benchmarks.check_table(table, rows))
+
+    def test_scatter_still_reads_eigenvectors(self):
+        with pytest.raises(AssertionError, match="eigenvectors computed"):
+            run(_config(mode="scatter", potential=builtin("eckart"),
+                        variant="reg-sqrt", N=15, h=0.1, gamma=4.0))
+
+
 class TestReports:
     def test_json_schema_and_provenance(self):
         report = run(_config())
@@ -246,6 +278,17 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert "three dimensions" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", ["1e-170", "1e-160", "1e200"])
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_extreme_h_exits_2_naming_h(self, capsys, h, dim):
+        code = main(["bound", "--potential", "coulomb", "--dim", dim, "--l", "1",
+                     "--variant", "reg-sqrt", "--N", "20", "--h", h])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"lagmesh: numerical failure: h={float(h)!r}:")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mesh_at_n_400_solves(self, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,40 @@ class TestHamiltonian2D:
     def test_m_at_least_n_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             hamiltonian_2d(mesh_regsqrt(4, 0.0), 4, builtin("harmonic"), "Var2D")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExtremeH:
+    """1/(2 h^2) out of double range raises OverflowError naming h, no warning."""
+
+    @pytest.mark.parametrize("h", [1e-170, 1e-160, 1e200])
+    @pytest.mark.parametrize("variant", ["Var", "RegSqrtMesh"])
+    def test_three_dimensional(self, h, variant):
+        with pytest.raises(OverflowError, match=re.escape(f"h={h!r}:")):
+            hamiltonian_3d(mesh_regsqrt(10, 1.0, h), 1, builtin("coulomb"), variant)
+
+    @pytest.mark.parametrize("h", [1e-170, 1e-160, 1e200])
+    @pytest.mark.parametrize("variant", ["Var2D", "RegSqrtMesh2D"])
+    def test_two_dimensional(self, h, variant):
+        with pytest.raises(OverflowError, match=re.escape(f"h={h!r}:")):
+            hamiltonian_2d(mesh_regsqrt(10, 0.0, h), 1, builtin("coulomb"), variant)
+
+    @pytest.mark.parametrize("h,name", [(1e-154, "harmonic"), (1e-154, "coulomb"),
+                                        (1e152, "harmonic")])
+    def test_entries_out_of_range_near_the_limit(self, h, name):
+        # the scale is finite here, but kinetic entries (small h) or the
+        # potential at h r_i (large h) are not
+        with pytest.raises(OverflowError, match=re.escape(f"h={h!r}:")):
+            hamiltonian_3d(mesh_regsqrt(150, 1.0, h), 1, builtin(name), "RegSqrtMesh")
+        with pytest.raises(OverflowError, match=re.escape(f"h={h!r}:")):
+            hamiltonian_2d(mesh_regsqrt(150, 0.0, h), 1, builtin(name), "RegSqrtMesh2D")
+
+    @pytest.mark.parametrize("h", [1e-150, 1e152])
+    def test_coulomb_finite_at_wide_h(self, h):
+        H, _ = hamiltonian_3d(mesh_regsqrt(150, 1.0, h), 1, builtin("coulomb"), "RegSqrtMesh")
+        assert np.all(np.isfinite(H))
+        H, _ = hamiltonian_2d(mesh_regsqrt(150, 0.0, h), 1, builtin("coulomb"), "RegSqrtMesh2D")
+        assert np.all(np.isfinite(H))
 
 
 class TestCentrifugal:

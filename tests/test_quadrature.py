@@ -80,7 +80,10 @@ class TestGenerateRule:
         # from N of about 370 the largest nodes pass x = 1416, where exp(-x/2)
         # is no longer a normal double.  Reference: Newton on mpmath's L_N from
         # each node, and the classical weight Gamma(N+a+1)/(N! x L_N'(x)^2)
-        # times exp(x) x^-a, with L_N' = -L_{N-1}^{(a+1)}
+        # times exp(x) x^-a, with L_N' = -L_{N-1}^{(a+1)}.  The forward
+        # recurrence costs the smallest nodes most: at N = 1000 nodes 0 and 1
+        # are off by up to 4.3e-12 (weights 6.6e-12), while from N/4 up every
+        # node is within 1.6e-16 and every weight within 1.1e-14
         mp = pytest.importorskip("mpmath")
         rule = generate_rule(N, alpha)
         with mp.workdps(40):
@@ -91,8 +94,9 @@ class TestGenerateRule:
                     x += mp.laguerre(N, a, x) / mp.laguerre(N - 1, a + 1, x)
                 d = mp.laguerre(N - 1, a + 1, x)
                 weight = mp.gamma(N + a + 1) / (mp.factorial(N) * x * d**2) * mp.exp(x) / x**a
-                assert rule.nodes[i] == pytest.approx(float(x), rel=1e-11)
-                assert rule.weights[i] == pytest.approx(float(weight), rel=1e-11)
+                rel = 1e-11 if i < N // 4 else 1e-13
+                assert rule.nodes[i] == pytest.approx(float(x), rel=rel)
+                assert rule.weights[i] == pytest.approx(float(weight), rel=rel)
 
     def test_weights_out_of_double_range_raise_typed_error(self):
         # x**alpha overflows at the largest nodes

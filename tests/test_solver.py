@@ -1,14 +1,24 @@
 """Tests for the eigensolver layer: spectra, pseudostates, relative errors."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from lagmesh import cli
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d
 from lagmesh.potentials import builtin
-from lagmesh.solver import pseudostates, relative_error, solve_bound_states
+from lagmesh.solver import bound_energies, pseudostates, relative_error, solve_bound_states
+
+# both solves validate their input the same way
+SOLVES = (solve_bound_states, bound_energies)
+
+_MALFORMED_H = [np.array(1.0), np.zeros((0, 0)), np.zeros(3), np.zeros((2, 3)),
+                np.array([[1.0, np.inf], [np.inf, 1.0]]),
+                np.array([[np.nan, 0.0], [0.0, 1.0]])]
+_MALFORMED_IDS = ["0-d", "0x0", "1-d", "2x3", "inf", "nan"]
 
 
 def _trivial_pair(values):
@@ -44,27 +54,28 @@ class TestSolveBoundStates:
     def test_asymmetric_hamiltonian_rejected(self):
         values = np.array([[1.0, 2.0], [0.0, 1.0]])
         H, S = _trivial_pair(values)
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_bound_states(H, S)
+        for solve in SOLVES:
+            with pytest.raises(ValueError, match="symmetric"):
+                solve(H, S)
 
     def test_non_identity_overlap_rejected(self):
         # the basis is orthonormal; any other S would silently rescale E
         H = np.diag([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="S must be the identity"):
-            solve_bound_states(H, 2.0 * np.eye(3))
-        with pytest.raises(ValueError, match="S must be the identity"):
-            solve_bound_states(H, np.eye(4))
+        for solve in SOLVES:
+            with pytest.raises(ValueError, match="S must be the identity"):
+                solve(H, 2.0 * np.eye(3))
+            with pytest.raises(ValueError, match="S must be the identity"):
+                solve(H, np.eye(4))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "H",
-        [np.array(1.0), np.zeros((0, 0)), np.zeros(3), np.zeros((2, 3)),
-         np.array([[1.0, np.inf], [np.inf, 1.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])],
-        ids=["0-d", "0x0", "1-d", "2x3", "inf", "nan"],
+        "solve,H",  # the full solve keeps the ids these cases had before
+        [pytest.param(solve, H, id=("" if solve is solve_bound_states else "energies-") + i)
+         for solve, (H, i) in itertools.product(SOLVES, zip(_MALFORMED_H, _MALFORMED_IDS))],
     )
-    def test_malformed_hamiltonian_rejected(self, H):
+    def test_malformed_hamiltonian_rejected(self, solve, H):
         with pytest.raises(ValueError, match="H must be a nonempty square|non-finite"):
-            solve_bound_states(H, np.eye(max(H.shape, default=1)))
+            solve(H, np.eye(max(H.shape, default=1)))
 
     def test_deterministic_repeat(self):
         mesh = MeshSpec(12, 1.0, Family.RegSqrt, 0.2)
@@ -107,6 +118,32 @@ class TestSolveBoundStates:
             if prev is not None:
                 assert np.all(lowest <= prev + 1e-13)
             prev = lowest
+
+
+class TestBoundEnergies:
+    """The eigenvalue-only solve against the full one on the CLI's schemes."""
+
+    @pytest.mark.parametrize(
+        "dim,variant",
+        [(3, v) for v in cli._VARIANTS] + [(2, v) for v in cli._VARIANTS_2D])
+    @pytest.mark.parametrize("name,N,h", [("coulomb", 150, 0.3), ("coulomb", 150, 1.2),
+                                          ("harmonic", 20, 0.09)])
+    def test_matches_full_solve(self, dim, variant, name, N, h):
+        config = cli.ExperimentConfig(mode="bound", potential=builtin(name), angular=1,
+                                      dimension=dim, variant=variant, N=N, h=h)
+        _, H, S = cli._resolve_problem(config)
+        energies = bound_energies(H, S)
+        want = solve_bound_states(H, S).energies
+        # the two LAPACK drivers agree to a few ulps of the spectral radius,
+        # which is 1e-12 relative for every level the reports read
+        assert abs(energies[0] - want[0]) <= 1e-12 * abs(want[0])
+        np.testing.assert_allclose(energies, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        assert np.all(np.diff(energies) >= 0.0)
+
+    def test_diagonal_matrix(self):
+        H, S = _trivial_pair(np.diag([3.0, 1.0, 2.0]))
+        assert np.array_equal(bound_energies(H, S), [1.0, 2.0, 3.0])
 
 
 class TestPseudostates:
