@@ -12,7 +12,6 @@ benchmark tables (``lagmesh.benchmarks``) and a command-line runner
 from .basis import (
     Family,
     MeshSpec,
-    mesh_rule,
     reconstruct_wavefunction,
 )
 from .matelem import (
@@ -25,7 +24,7 @@ from .matelem import (
     hamiltonian_3d,
 )
 from .potentials import PotentialSpec, builtin
-from .quadrature import QuadratureRule, generate_rule
+from .quadrature import generate_rule
 from .scattering import (
     IndeterminatePhaseError,
     PhaseShiftResult,
@@ -57,7 +56,6 @@ __all__ = [
     "PhaseShiftResult",
     "PotentialSpec",
     "Pseudostate",
-    "QuadratureRule",
     "Variant2D",
     "bound_energies",
     "builtin",
@@ -68,7 +66,6 @@ __all__ = [
     "generate_rule",
     "hamiltonian_2d",
     "hamiltonian_3d",
-    "mesh_rule",
     "pseudostates",
     "reconstruct_wavefunction",
     "relative_error",

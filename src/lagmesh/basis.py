@@ -13,6 +13,10 @@ singularity of the cardinal ratio is evaluated from the Taylor expansion of
 ``L_N`` about the node, batched over every near (node, point) pair of a
 call; elsewhere the ratio is formed directly.  Derivative arrays are formed
 only when the caller asks for them.
+
+``MeshSpec.nodes`` and ``MeshSpec.weights`` are the arrays of the
+``(nodes, weights)`` Gauss rule for ``(N, alpha)``.  The rule is cached and
+shared between meshes, so both arrays are read-only.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .specfun import _weighted_laguerre_pair
 __all__ = [
     "Family",
     "MeshSpec",
-    "mesh_rule",
     "reconstruct_wavefunction",
 ]
 
@@ -92,28 +95,18 @@ class MeshSpec:
 
     @property
     def nodes(self):
-        """Unscaled mesh points (zeros of ``L_N^{(alpha)}``)."""
-        return mesh_rule(self).nodes
+        """Unscaled mesh points (zeros of ``L_N^{(alpha)}``), read-only."""
+        return _cached_rule(self.N, self.alpha)[0]
 
     @property
     def weights(self):
-        """Modified quadrature weights of the associated rule."""
-        return mesh_rule(self).weights
-
-    @property
-    def scaled_nodes(self):
-        """Physical radii ``h * r_i``."""
-        return self.h * mesh_rule(self).nodes
+        """Modified quadrature weights of the associated rule, read-only."""
+        return _cached_rule(self.N, self.alpha)[1]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_rule(N, alpha):
     return generate_rule(N, alpha)
-
-
-def mesh_rule(mesh):
-    """Quadrature rule underlying a mesh (cached per (N, alpha))."""
-    return _cached_rule(mesh.N, mesh.alpha)
 
 
 def _normalization(N, alpha):
@@ -147,7 +140,7 @@ def _prefactors(mesh):
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _node_taylor_t1(N, alpha):
     """``L_N' exp(-r/2)`` at every node, via ``(N+1) B_{N+1}(r_i)/r_i``."""
-    nodes = _cached_rule(N, alpha).nodes
+    nodes = _cached_rule(N, alpha)[0]
     _, b_next, _ = _weighted_laguerre_pair(N + 1, alpha, nodes)
     t1 = (N + 1.0) * b_next / nodes
     t1.setflags(write=False)

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .basis import Family, MeshSpec
-from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
+from .matelem import SCHEMES_3D, HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
 from .potentials import builtin
 from .scattering import eckart_reference_delta0, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
@@ -47,17 +47,17 @@ __all__ = [
 
 TABLE_IDS = (1, 2, 3, 4, 5)
 
-# column label, evaluation scheme, mesh family, Laguerre parameter
+# column label and evaluation scheme; meshes come from SCHEMES_3D
 VARIANTS_3D = (
-    ("var", HamiltonianVariant.Var, Family.RegSqrt, 1.0),
-    ("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh, Family.RegSqrt, 1.0),
-    ("reg r", HamiltonianVariant.RegRMesh, Family.RegR, 0.0),
-    ("non reg", HamiltonianVariant.NonReg, Family.NonReg, 2.0),
-    ("non reg V_G", HamiltonianVariant.NonRegVG, Family.NonReg, 2.0),
+    ("var", HamiltonianVariant.Var),
+    ("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh),
+    ("reg r", HamiltonianVariant.RegRMesh),
+    ("non reg", HamiltonianVariant.NonReg),
+    ("non reg V_G", HamiltonianVariant.NonRegVG),
 )
 
-_MESHES_SCAT = (("reg sqrt(r)", Family.RegSqrt, 1.0, HamiltonianVariant.RegSqrtMesh),
-                ("reg r", Family.RegR, 0.0, HamiltonianVariant.RegRMesh))
+_MESHES_SCAT = (("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh),
+                ("reg r", HamiltonianVariant.RegRMesh))
 
 TABLE3_GAMMA = 4.0
 TABLE4_GAMMA_GRID = np.geomspace(0.3, 1.3, 16)
@@ -164,13 +164,19 @@ def eps_notation(x):
     return f"{a:.1f}[{b}]"
 
 
+def _scheme_mesh(variant, N, h):
+    """Mesh of the family and default alpha that ``variant`` runs on."""
+    family, alpha, _ = SCHEMES_3D[variant]
+    return MeshSpec(N, alpha, family, h)
+
+
 def _bound_rows(name, N, h, exact):
     V = builtin(name)
     rows = []
     for l in (0, 1, 2):
         row = {"l": l}
-        for label, variant, family, alpha in VARIANTS_3D:
-            mesh = MeshSpec(N, alpha, family, h)
+        for label, variant in VARIANTS_3D:
+            mesh = _scheme_mesh(variant, N, h)
             H, S = hamiltonian_3d(mesh, l, V, variant)
             E = bound_energies(H, S)[0]
             row[label] = relative_error(E, exact(l))
@@ -181,8 +187,8 @@ def _bound_rows(name, N, h, exact):
 def _scattering_states(name, N, h, l):
     V = builtin(name)
     out = {}
-    for label, family, alpha, variant in _MESHES_SCAT:
-        mesh = MeshSpec(N, alpha, family, h)
+    for label, variant in _MESHES_SCAT:
+        mesh = _scheme_mesh(variant, N, h)
         H, S = hamiltonian_3d(mesh, l, V, variant)
         out[label] = (mesh, pseudostates(solve_bound_states(H, S)))
     return V, out
@@ -209,8 +215,8 @@ def _run_table4():
     V = builtin("buck_alpha_alpha")
     rows = []
     for l in (0, 2):
-        for label, family, alpha, variant in _MESHES_SCAT:
-            mesh = MeshSpec(15, alpha, family, 0.23)
+        for label, variant in _MESHES_SCAT:
+            mesh = _scheme_mesh(variant, 15, 0.23)
             H, S = hamiltonian_3d(mesh, l, V, variant)
             ps = pseudostates(solve_bound_states(H, S))
             if l == 0:

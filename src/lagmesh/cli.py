@@ -30,7 +30,7 @@ import numpy as np
 
 from . import benchmarks
 from .basis import Family, MeshSpec
-from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
+from .matelem import SCHEMES_3D, HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
 from .potentials import builtin, from_json, to_json
 from .scattering import gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
@@ -56,13 +56,13 @@ except Exception:  # pragma: no cover - package metadata not installed
 _MODES = ("bound", "scatter", "gamma-scan", "reproduce")
 _BUILTIN_NAMES = ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")
 
-# variant alias -> (3D scheme, mesh family, default Laguerre parameter)
+# variant alias -> 3D scheme; its mesh family and default alpha are in SCHEMES_3D
 _VARIANTS = {
-    "var": (HamiltonianVariant.Var, Family.RegSqrt, 1.0),
-    "reg-sqrt": (HamiltonianVariant.RegSqrtMesh, Family.RegSqrt, 1.0),
-    "reg-r": (HamiltonianVariant.RegRMesh, Family.RegR, 0.0),
-    "non-reg": (HamiltonianVariant.NonReg, Family.NonReg, 2.0),
-    "non-reg-vg": (HamiltonianVariant.NonRegVG, Family.NonReg, 2.0),
+    "var": HamiltonianVariant.Var,
+    "reg-sqrt": HamiltonianVariant.RegSqrtMesh,
+    "reg-r": HamiltonianVariant.RegRMesh,
+    "non-reg": HamiltonianVariant.NonReg,
+    "non-reg-vg": HamiltonianVariant.NonRegVG,
 }
 _VARIANTS_2D = {"var": Variant2D.Var2D, "reg-sqrt": Variant2D.RegSqrtMesh2D}
 
@@ -171,7 +171,8 @@ def _resolve_problem(config):
         mesh = MeshSpec(config.N, 0.0, Family.RegSqrt, config.h)
         H, S = hamiltonian_2d(mesh, config.angular, V, _VARIANTS_2D[config.variant])
     else:
-        scheme, family, alpha = _VARIANTS[config.variant]
+        scheme = _VARIANTS[config.variant]
+        family, alpha, _ = SCHEMES_3D[scheme]
         if config.alpha is not None:
             alpha = config.alpha
         mesh = MeshSpec(config.N, alpha, family, config.h)
@@ -312,6 +313,8 @@ def sweep(config, parameter, values):
         raise ConfigError(["mode: sweeps apply to bound or scatter runs"])
     if parameter == "gamma" and config.mode != "scatter":
         raise ConfigError(["parameter: gamma sweeps require scatter mode"])
+    if parameter == "N" and not all(float(v).is_integer() for v in values):
+        raise ConfigError(["values: N values must be whole numbers"])
     rows = []
     for v in values:
         if parameter == "N":

@@ -44,10 +44,9 @@ __all__ = [
     "Classification",
     "HamiltonianVariant",
     "Mode",
+    "SCHEMES_3D",
     "Variant2D",
-    "centrifugal_matrix",
     "classify_singularity",
-    "ddr_matrix",
     "hamiltonian_2d",
     "hamiltonian_3d",
     "kinetic2d_matrix",
@@ -131,8 +130,6 @@ def _operator_components(kind, p):
         comps = [(0, 1, 1.0)]
     elif kind == "R2":
         comps = [(0, 2, 1.0)]
-    elif kind == "DDr":
-        comps = [(1, 0, 1.0), (0, -1, p), (0, 0, -0.5)]
     elif kind == "Kinetic":
         comps = [
             (2, 0, -1.0),
@@ -178,17 +175,14 @@ def _cached_oracle(mesh, kind):
         raise ValueError(
             f"divergent integral: {kind} on family {mesh.family.name} with alpha={mesh.alpha}"
         )
-    rule = generate_rule(mesh.N + _ORACLE_EXTRA_ORDER, mu)
-    x = rule.nodes
-    lam = rule.weights
+    x, lam = generate_rule(mesh.N + _ORACLE_EXTRA_ORDER, mu)
     pw = _weighted_cardinal_all(mesh, x, derivatives=any(d for d, _, _ in comps))
     pref = _prefactors(mesh)
     values = np.zeros((mesh.N, mesh.N))
     for d, e, c in comps:
         values += c * ((pw[0] * (lam * x ** (2.0 * p + e))) @ pw[d].T)
     values *= np.outer(pref, pref)
-    if kind != "DDr":  # DDr is antisymmetric; no symmetrization
-        values = 0.5 * (values + values.T)
+    values = 0.5 * (values + values.T)
     values.setflags(write=False)
     return values
 
@@ -270,18 +264,6 @@ def _cached_gauss_kinetic(mesh):
     return values
 
 
-def ddr_matrix(mesh):
-    """Matrix of d/dr on the RegSqrt family: exact at the Gauss quadrature,
-    zero diagonal, antisymmetric off-diagonal part."""
-    if mesh.family is not Family.RegSqrt:
-        raise ValueError("d/dr closed form is defined for the RegSqrt family only")
-    r = mesh.nodes
-    with np.errstate(divide="ignore"):
-        values = _sign_grid(mesh.N) / (r[:, None] - r[None, :])
-    np.fill_diagonal(values, 0.0)
-    return values
-
-
 def kinetic2d_matrix(mesh, mode=Mode.Gauss):
     """Matrix of the combined operator -(d^2/drho^2 + 1/(4 rho^2)).
 
@@ -303,17 +285,6 @@ def kinetic2d_matrix(mesh, mode=Mode.Gauss):
     return _gauss_kinetic_from_nodes(mesh) - np.diag(0.25 / mesh.nodes**2)
 
 
-def centrifugal_matrix(mesh, l, mode=Mode.Gauss):
-    """Matrix of l(l+1)/r^2 (unscaled; the builder scales by 1/(2 h^2))."""
-    mode = _coerce(Mode, mode)
-    l = int(l)
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if l == 0:
-        return np.zeros((mesh.N, mesh.N))
-    return l * (l + 1.0) * power_matrix(mesh, -2, mode)
-
-
 def potential_matrix(mesh, V, mode=Mode.Gauss):
     """Matrix of a potential on the scaled mesh (this one includes the h
     scaling, since potentials are functions of the physical radius).
@@ -324,7 +295,7 @@ def potential_matrix(mesh, V, mode=Mode.Gauss):
     """
     mode = _coerce(Mode, mode)
     if mode is Mode.Gauss:
-        return np.diag(evaluate_potential(V, mesh.scaled_nodes))
+        return np.diag(evaluate_potential(V, mesh.h * mesh.nodes))
     if V.coulomb_erf is not None or V.eckart is not None:
         raise ValueError(f"potential {V.label!r} has no exact matrix elements")
     values = np.zeros((mesh.N, mesh.N))
@@ -338,12 +309,14 @@ def potential_matrix(mesh, V, mode=Mode.Gauss):
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly
 
-_VARIANT_FAMILY = {
-    HamiltonianVariant.Var: Family.RegSqrt,
-    HamiltonianVariant.RegSqrtMesh: Family.RegSqrt,
-    HamiltonianVariant.RegRMesh: Family.RegR,
-    HamiltonianVariant.NonReg: Family.NonReg,
-    HamiltonianVariant.NonRegVG: Family.NonReg,
+# per-scheme mesh family, default Laguerre parameter, and evaluation modes
+# of the (kinetic, centrifugal, potential) terms
+SCHEMES_3D = {
+    HamiltonianVariant.Var: (Family.RegSqrt, 1.0, (Mode.Exact, Mode.Exact, Mode.Exact)),
+    HamiltonianVariant.RegSqrtMesh: (Family.RegSqrt, 1.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
+    HamiltonianVariant.RegRMesh: (Family.RegR, 0.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
+    HamiltonianVariant.NonReg: (Family.NonReg, 2.0, (Mode.Exact, Mode.Gauss, Mode.Gauss)),
+    HamiltonianVariant.NonRegVG: (Family.NonReg, 2.0, (Mode.Exact, Mode.Exact, Mode.Gauss)),
 }
 
 
@@ -370,16 +343,6 @@ def _in_range(H, h):
     return H
 
 
-# per-variant evaluation modes: (kinetic, centrifugal, potential)
-_VARIANT_MODES = {
-    HamiltonianVariant.Var: (Mode.Exact, Mode.Exact, Mode.Exact),
-    HamiltonianVariant.RegSqrtMesh: (Mode.Gauss, Mode.Gauss, Mode.Gauss),
-    HamiltonianVariant.RegRMesh: (Mode.Gauss, Mode.Gauss, Mode.Gauss),
-    HamiltonianVariant.NonReg: (Mode.Exact, Mode.Gauss, Mode.Gauss),
-    HamiltonianVariant.NonRegVG: (Mode.Exact, Mode.Exact, Mode.Gauss),
-}
-
-
 def hamiltonian_3d(mesh, l, V, variant):
     """Hamiltonian and overlap matrices for the 3D radial equation
     (-1/2 d^2/dr^2 + l(l+1)/(2 r^2) + V) in the chosen evaluation scheme.
@@ -404,13 +367,12 @@ def hamiltonian_3d(mesh, l, V, variant):
         raise ValueError("l must be nonnegative")
     if mesh.N <= l:
         raise ValueError(f"N must exceed l (got N={mesh.N}, l={l})")
-    want = _VARIANT_FAMILY[variant]
+    want, _, (t_mode, c_mode, v_mode) = SCHEMES_3D[variant]
     if mesh.family is not want:
         raise ValueError(f"variant {variant.name} requires family {want.name}")
-    t_mode, c_mode, v_mode = _VARIANT_MODES[variant]
     two_h2 = 2.0 * _h_squared(mesh.h)
     T = kinetic_matrix(mesh, t_mode)
-    C = centrifugal_matrix(mesh, l, c_mode) if l > 0 else None
+    C = l * (l + 1.0) * power_matrix(mesh, -2, c_mode) if l > 0 else None
     with np.errstate(**_H_ERRSTATE):
         H = T / two_h2
         if C is not None:

@@ -24,6 +24,14 @@ _ALPHA_ALPHA_UNIT = 20.736
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
+def _finite(field, value):
+    """``value`` as a float, or ValueError naming ``field`` if not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{field} must be finite (got {value!r})")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class PotentialSpec:
     """Immutable description of a central potential.
@@ -42,6 +50,9 @@ class PotentialSpec:
         ``beta = (b - c)/(b + c)``, kept in closed form.
     energy_unit : float
         Energy conversion factor for reporting; not serialized.
+
+    Every number must be finite; a NaN or infinite one raises ValueError
+    naming its field.
     """
 
     label: str
@@ -54,7 +65,7 @@ class PotentialSpec:
     def __post_init__(self):
         cleaned = []
         for term in self.terms:
-            c, p, a, b = (float(v) for v in term)
+            c, p, a, b = (_finite(f"term {n}", v) for n, v in zip("cpab", term))
             if p <= -2.0:
                 raise ValueError("term power must exceed -2 (less singular than 1/r^2)")
             if a < 0.0 or (a == 0.0 and b < 0.0):
@@ -62,17 +73,17 @@ class PotentialSpec:
             cleaned.append((c, p, a, b))
         object.__setattr__(self, "terms", tuple(cleaned))
         if self.coulomb_erf is not None:
-            q, mu = (float(v) for v in self.coulomb_erf)
+            q, mu = (_finite(f"coulomb_erf {n}", v) for n, v in zip(("q", "mu"), self.coulomb_erf))
             if mu <= 0.0:
                 raise ValueError("erf range parameter must be positive")
             object.__setattr__(self, "coulomb_erf", (q, mu))
-        object.__setattr__(self, "tail_Z", float(self.tail_Z))
+        object.__setattr__(self, "tail_Z", _finite("tail_Z", self.tail_Z))
         if self.eckart is not None:
-            b, c = (float(v) for v in self.eckart)
+            b, c = (_finite(f"eckart {n}", v) for n, v in zip("bc", self.eckart))
             if b <= abs(c):
                 raise ValueError("Eckart well requires b > |c|")
             object.__setattr__(self, "eckart", (b, c))
-        object.__setattr__(self, "energy_unit", float(self.energy_unit))
+        object.__setattr__(self, "energy_unit", _finite("energy_unit", self.energy_unit))
 
 
 def evaluate(spec, r):

@@ -1,8 +1,9 @@
 """Gauss-Laguerre quadrature with exponential-free modified weights.
 
-Nodes are the zeros of the generalized Laguerre polynomial, obtained as
+A rule is the plain pair of read-only arrays ``(nodes, weights)``.  Nodes
+are the zeros of the generalized Laguerre polynomial, obtained as
 eigenvalues of the (dense) symmetric Jacobi matrix and sharpened by two
-Newton steps.  The stored weights are the modified ones,
+Newton steps.  The weights are the modified ones,
 
     lambda_k = w_k * exp(x_k) * x_k**(-alpha),
 
@@ -18,36 +19,13 @@ where ``exp(-x/2)`` underflows, so rules are accurate up to N = 1000.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .specfun import _weighted_laguerre_pair
 
-__all__ = ["QuadratureRule", "generate_rule"]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """A Gauss rule on (0, inf) with modified weights.
-
-    Attributes
-    ----------
-    order : int
-        Number of nodes.
-    alpha : float
-        Laguerre parameter of the generating polynomial.
-    nodes : ndarray
-        Zeros of ``L_N^{(alpha)}``, ascending and positive.
-    weights : ndarray
-        Modified weights ``lambda_k``.
-    """
-
-    order: int
-    alpha: float
-    nodes: np.ndarray
-    weights: np.ndarray
+__all__ = ["generate_rule"]
 
 
 def generate_rule(N, alpha):
@@ -62,7 +40,9 @@ def generate_rule(N, alpha):
 
     Returns
     -------
-    QuadratureRule
+    (ndarray, ndarray)
+        Read-only ``(nodes, weights)``: the zeros of ``L_N^{(alpha)}``,
+        ascending and positive, and the modified weights ``lambda_k``.
 
     Raises
     ------
@@ -99,4 +79,4 @@ def generate_rule(N, alpha):
 
     x.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(N, alpha, x, weights)
+    return x, weights

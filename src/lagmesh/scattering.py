@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from .basis import mesh_rule
 from .potentials import evaluate as evaluate_potential
 from .specfun import coulomb_wave
 
@@ -116,9 +115,8 @@ def _interior_table(state, l, V, Z, mesh):
     compensating integral).  ``Gp`` is the derivative with respect to
     ``k r``.
     """
-    rule = mesh_rule(mesh)
-    r = mesh.h * rule.nodes
-    w = mesh.h * rule.weights
+    r = mesh.h * mesh.nodes
+    w = mesh.h * mesh.weights
     # u(h r_i) = c_i (h lam_i)^(-1/2): the Lagrange property makes the
     # reconstruction at the mesh points a rescaling of the coefficients.
     u = np.asarray(state.coefficients, dtype=float) / np.sqrt(w)

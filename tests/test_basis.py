@@ -9,7 +9,6 @@ from lagmesh import basis
 from lagmesh.basis import (
     Family,
     MeshSpec,
-    mesh_rule,
     reconstruct_wavefunction,
     _eval_all,
     _node_derivative_matrices,
@@ -35,10 +34,16 @@ class TestMeshSpec:
 
     def test_nodes_are_rule_nodes(self):
         mesh = MeshSpec(6, 2.0, Family.NonReg, 0.3)
-        rule = generate_rule(6, 2.0)
-        assert np.array_equal(mesh.nodes, rule.nodes)
-        assert np.array_equal(mesh.weights, rule.weights)
-        assert np.allclose(mesh.scaled_nodes, 0.3 * rule.nodes, rtol=1e-15)
+        nodes, weights = generate_rule(6, 2.0)
+        assert np.array_equal(mesh.nodes, nodes)
+        assert np.array_equal(mesh.weights, weights)
+
+    def test_nodes_and_weights_are_read_only(self):
+        # they are the cached rule's arrays, shared by every (N, alpha) mesh
+        mesh = MeshSpec(6, 2.0, Family.NonReg, 0.3)
+        for array in (mesh.nodes, mesh.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -71,10 +76,9 @@ class TestCardinality:
     @pytest.mark.parametrize("N", [4, 15, 40])
     def test_scaled_values_at_nodes(self, family, alpha, N):
         mesh = MeshSpec(N, alpha, family, 0.37)
-        rule = mesh_rule(mesh)
-        scale = 1.0 / np.sqrt(mesh.h * rule.weights)
+        scale = 1.0 / np.sqrt(mesh.h * mesh.weights)
         for j in (1, N // 2 + 1, N):
-            vals = basis_function(mesh, j, mesh.h * rule.nodes)
+            vals = basis_function(mesh, j, mesh.h * mesh.nodes)
             expect = np.zeros(N)
             expect[j - 1] = scale[j - 1]
             assert np.all(np.abs(vals - expect) <= 1e-10 * scale[j - 1])
@@ -83,16 +87,14 @@ class TestCardinality:
     def test_last_node_value_at_n_1000(self, family, alpha):
         # the last node lies near x = 3950, where exp(-x/2) underflows
         mesh = MeshSpec(1000, alpha, family, 1.0)
-        rule = mesh_rule(mesh)
-        value = basis_function(mesh, 1000, rule.nodes[-1])
-        assert value * math.sqrt(rule.weights[-1]) == pytest.approx(1.0, abs=1e-10)
+        value = basis_function(mesh, 1000, mesh.nodes[-1])
+        assert value * math.sqrt(mesh.weights[-1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_node_value_within_tight_tolerance(self):
         mesh = MeshSpec(12, 1.0, "RegSqrt", 0.5)
-        rule = mesh_rule(mesh)
         for i in range(1, 13):
-            got = basis_function(mesh, i, mesh.h * rule.nodes[i - 1])
-            want = 1.0 / math.sqrt(mesh.h * rule.weights[i - 1])
+            got = basis_function(mesh, i, mesh.h * mesh.nodes[i - 1])
+            want = 1.0 / math.sqrt(mesh.h * mesh.weights[i - 1])
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -138,7 +140,7 @@ class TestEvaluateBasis:
         r_reg = MeshSpec(N, alpha, "RegR", h)
         rr = np.linspace(0.05, 12.0, 40)
         for j in range(1, N + 1):
-            rj = plain.scaled_nodes[j - 1]
+            rj = h * plain.nodes[j - 1]
             f = basis_function(plain, j, rr)
             ft = basis_function(sqrt_reg, j, rr)
             fh = basis_function(r_reg, j, rr)
@@ -277,10 +279,10 @@ class TestSpanEquivalence:
         (fam_a, al_a), (fam_b, al_b) = pair
         mesh_a = MeshSpec(N, al_a, fam_a, 1.0)
         mesh_b = MeshSpec(N, al_b, fam_b, 1.0)
-        oracle = generate_rule(N + 10, 2.0)
-        va = _eval_all(mesh_a, oracle.nodes)
-        vb = _eval_all(mesh_b, oracle.nodes)
-        gram = np.einsum("k,ik,jk->ij", oracle.weights, va, vb)
+        x, w = generate_rule(N + 10, 2.0)
+        va = _eval_all(mesh_a, x)
+        vb = _eval_all(mesh_b, x)
+        gram = np.einsum("k,ik,jk->ij", w, va, vb)
         sing = np.linalg.svd(gram, compute_uv=False)
         assert sing[-1] > 1e-8 * sing[0]
         assert np.linalg.matrix_rank(gram, tol=1e-8 * sing[0]) == N
@@ -291,7 +293,7 @@ class TestReconstruct:
         mesh = MeshSpec(6, 1.0, "RegSqrt", 0.4)
         c = np.zeros(6)
         c[2] = 1.0
-        got = reconstruct_wavefunction(mesh, c, mesh.scaled_nodes[2])
+        got = reconstruct_wavefunction(mesh, c, mesh.h * mesh.nodes[2])
         assert got == pytest.approx(1.0 / math.sqrt(mesh.h * mesh.weights[2]), rel=1e-12)
 
     def test_matches_sum_of_basis_functions(self):

@@ -152,6 +152,15 @@ class TestSweep:
         deltas = [row["delta_deg"] for row in report.rows]
         assert max(deltas) - min(deltas) <= 1e-3
 
+    @pytest.mark.parametrize("values", ["10.7,12", "inf", "nan"])
+    def test_mesh_sizes_must_be_whole(self, capsys, values):
+        code = main(["sweep", "--parameter", "N", "--values", values,
+                     "--potential", "coulomb", "--h", "0.9"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "lagmesh: values: N values must be whole numbers\n"
+
     def test_rejects_bad_requests(self):
         config = _config()
         with pytest.raises(ConfigError, match="values"):
@@ -246,6 +255,24 @@ class TestMain:
         code = main(["bound", "--potential", "nosuch", "--N", "5", "--h", "1"])
         assert code == 1
         assert "potential" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("potential, field", [
+        ("coulomb:Z=nan", "term c"),
+        ("eckart:b=inf", "eckart b"),
+        ("eckart:c=-inf", "eckart c"),
+        ('{"terms": [{"c": NaN, "p": -1}]}', "term c"),
+        ('{"terms": [{"c": -1, "p": -1}], "tailZ": Infinity}', "tail_Z"),
+        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulomb_erf mu"),
+        ('{"eckart": {"b": NaN, "c": -1}}', "eckart b"),
+    ])
+    def test_non_finite_potential_exits_1(self, capsys, potential, field):
+        code = main(["bound", "--potential", potential, "--variant", "reg-sqrt",
+                     "--N", "10", "--h", "0.9"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("lagmesh: potential: ")
+        assert f"{field} must be finite" in captured.err
 
     def test_reproduce_check_passes(self, capsys):
         code = main(["reproduce", "--table", "5", "--check"])

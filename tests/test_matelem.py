@@ -15,9 +15,7 @@ from lagmesh.matelem import (
     Mode,
     Variant2D,
     _oracle_matrix,
-    centrifugal_matrix,
     classify_singularity,
-    ddr_matrix,
     hamiltonian_2d,
     hamiltonian_3d,
     kinetic2d_matrix,
@@ -65,19 +63,6 @@ class TestWorkedExamples:
         M = kinetic_matrix(self.mesh, Mode.Exact)
         assert M[0, 1] == pytest.approx(-1.0 / 6.0, rel=1e-14)
 
-    def test_ddr_offdiagonal(self):
-        M = ddr_matrix(self.mesh)
-        assert M[0, 1] == pytest.approx(1.0 / (2 * math.sqrt(3)), rel=1e-14)
-
-    def test_ddr_diagonal_zero(self):
-        for N in (2, 5, 11):
-            M = ddr_matrix(mesh_regsqrt(N))
-            assert np.all(np.diag(M) == 0.0)
-
-    def test_ddr_antisymmetric(self):
-        M = ddr_matrix(mesh_regsqrt(7))
-        assert np.allclose(M, -M.T, atol=0.0)
-
     def test_kinetic_reference_element(self):
         # 40-digit quadrature of the defining integral, alpha=2, N=12
         mesh = mesh_regsqrt(12, alpha=2.0)
@@ -102,9 +87,6 @@ class TestClosedFormsAgainstOracle:
         mesh = mesh_regsqrt(N, alpha)
         closed = kinetic_matrix(mesh, Mode.Exact)
         oracle = _oracle_matrix(mesh, "Kinetic")
-        assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
-        closed = ddr_matrix(mesh)
-        oracle = _oracle_matrix(mesh, "DDr")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("N", [3, 10, 25])
@@ -142,9 +124,9 @@ def _exact_overlap(mesh):
     the weight x**e e**-x is factored out, f_i f_j is a polynomial of degree
     2N - 2, which an (N + 60)-point rule with exponent e integrates exactly."""
     e = mesh.alpha + {Family.RegSqrt: 1.0, Family.RegR: 2.0, Family.NonReg: 0.0}[mesh.family]
-    rule = generate_rule(mesh.N + 60, e)
-    F = np.array([basis.reconstruct_wavefunction(mesh, c, rule.nodes) for c in np.eye(mesh.N)])
-    return (F * rule.weights) @ F.T
+    x, w = generate_rule(mesh.N + 60, e)
+    F = np.array([basis.reconstruct_wavefunction(mesh, c, x) for c in np.eye(mesh.N)])
+    return (F * w) @ F.T
 
 
 class TestOverlap:
@@ -399,18 +381,35 @@ class TestExtremeH:
 
 
 class TestCentrifugal:
+    """The l(l+1)/(2 r^2) and m^2/(2 rho^2) terms of the assembled H."""
+
     def test_zero_for_s_wave(self):
-        mesh = mesh_regsqrt(5)
-        assert np.all(centrifugal_matrix(mesh, 0) == 0.0)
+        V = builtin("coulomb")
+        mesh = mesh_regsqrt(5, h=0.7)
+        H, _ = hamiltonian_3d(mesh, 0, V, "RegSqrtMesh")
+        T = kinetic_matrix(mesh, Mode.Gauss)
+        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + potential_matrix(mesh, V))
+        mesh = mesh_regsqrt(5, 0.0, h=0.7)
+        H, _ = hamiltonian_2d(mesh, 0, V, "RegSqrtMesh2D")
+        T = kinetic2d_matrix(mesh)
+        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + potential_matrix(mesh, V))
 
     def test_gauss_is_diagonal(self):
+        V = builtin("harmonic")
         mesh = mesh_regsqrt(5)
-        M = centrifugal_matrix(mesh, 2, Mode.Gauss)
-        assert np.allclose(M, np.diag(6.0 / mesh.nodes**2), atol=0.0)
+        added = (hamiltonian_3d(mesh, 2, V, "RegSqrtMesh")[0]
+                 - hamiltonian_3d(mesh, 0, V, "RegSqrtMesh")[0])
+        assert np.allclose(added, np.diag(3.0 / mesh.nodes**2), atol=0.0)
+        mesh = mesh_regsqrt(5, 0.0)
+        added = (hamiltonian_2d(mesh, 2, V, "RegSqrtMesh2D")[0]
+                 - hamiltonian_2d(mesh, 0, V, "RegSqrtMesh2D")[0])
+        assert np.allclose(added, np.diag(2.0 / mesh.nodes**2), atol=0.0)
 
     def test_negative_l_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            centrifugal_matrix(mesh_regsqrt(5), -1)
+        with pytest.raises(ValueError, match="l must be nonnegative"):
+            hamiltonian_3d(mesh_regsqrt(5), -1, builtin("harmonic"), "RegSqrtMesh")
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            hamiltonian_2d(mesh_regsqrt(5, 0.0), -1, builtin("harmonic"), "RegSqrtMesh2D")
 
 
 class TestClassifier:
@@ -448,10 +447,6 @@ class TestDivergenceRejections:
     def test_invalid_power_rejected(self):
         with pytest.raises(ValueError, match="one of"):
             power_matrix(mesh_regsqrt(5), 3, Mode.Exact)
-
-    def test_ddr_restricted_to_sqrt_family(self):
-        with pytest.raises(ValueError, match="RegSqrt"):
-            ddr_matrix(MeshSpec(5, 2.0, Family.NonReg, 1.0))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="Mode"):
@@ -505,7 +500,7 @@ class TestMatrixCache:
         at_h = MeshSpec(9, alpha, family, 2.7)
         expected = matelem._cached_gauss_kinetic.__wrapped__(at_h)
         assert np.array_equal(matelem._gauss_kinetic_from_nodes(at_h), expected)
-        for tag in ("InvR", "InvR2", "R", "R2", "DDr", "Kinetic", "Kinetic2D"):
+        for tag in ("InvR", "InvR2", "R", "R2", "Kinetic", "Kinetic2D"):
             try:
                 expected = matelem._cached_oracle.__wrapped__(at_h, tag)
             except ValueError:

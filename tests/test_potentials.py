@@ -147,6 +147,53 @@ class TestValidation:
             builtin("eckart", b=1.0, c=-1.5)
 
 
+class TestNonFiniteParameters:
+    """NaN or infinite numbers raise ValueError naming the field, on every
+    construction path."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, make", [
+        ("term c", lambda x: PotentialSpec("v", terms=((x, -1.0, 0.0, 0.0),))),
+        ("term p", lambda x: PotentialSpec("v", terms=((1.0, x, 0.0, 0.0),))),
+        ("term a", lambda x: PotentialSpec("v", terms=((1.0, 0.0, x, 0.0),))),
+        ("term b", lambda x: PotentialSpec("v", terms=((1.0, 0.0, 1.0, x),))),
+        ("coulomb_erf q", lambda x: PotentialSpec("v", coulomb_erf=(x, 0.75))),
+        ("coulomb_erf mu", lambda x: PotentialSpec("v", coulomb_erf=(1.0, x))),
+        ("tail_Z", lambda x: PotentialSpec("v", tail_Z=x)),
+        ("eckart b", lambda x: PotentialSpec("v", eckart=(x, -1.0))),
+        ("eckart c", lambda x: PotentialSpec("v", eckart=(2.0, x))),
+        ("energy_unit", lambda x: PotentialSpec("v", energy_unit=x)),
+    ])
+    def test_spec_names_the_field(self, field, make, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make(bad)
+
+    @pytest.mark.parametrize("name, params, field", [
+        ("coulomb", {"Z": math.nan}, "term c"),
+        ("coulomb", {"Z": math.inf}, "term c"),
+        ("eckart", {"b": math.inf}, "eckart b"),
+        ("eckart", {"c": math.nan}, "eckart c"),
+    ])
+    def test_builtin_names_the_field(self, name, params, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            builtin(name, **params)
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"terms": [{"c": NaN, "p": -1}]}', "term c"),
+        ('{"terms": [{"c": 1, "p": Infinity}]}', "term p"),
+        ('{"terms": [{"c": 1, "p": 0, "a": NaN}]}', "term a"),
+        ('{"terms": [{"c": 1, "p": 0, "a": 1, "b": -Infinity}]}', "term b"),
+        ('{"coulombErf": {"q": NaN, "mu": 1}}', "coulomb_erf q"),
+        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulomb_erf mu"),
+        ('{"tailZ": Infinity}', "tail_Z"),
+        ('{"eckart": {"b": Infinity, "c": -1}}', "eckart b"),
+        ('{"eckart": {"b": 2, "c": NaN}}', "eckart c"),
+    ])
+    def test_json_names_the_field(self, text, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            from_json(text)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", ["harmonic", "coulomb", "eckart", "buck_alpha_alpha"])
     def test_round_trip_preserves_values(self, name):

@@ -14,23 +14,23 @@ from lagmesh.quadrature import generate_rule
 
 class TestGenerateRule:
     def test_one_point_rule(self):
-        rule = generate_rule(1, 0.0)
-        assert_allclose(rule.nodes, [1.0], rtol=1e-14)
-        assert_allclose(rule.weights, [math.e], rtol=1e-14)
+        nodes, weights = generate_rule(1, 0.0)
+        assert_allclose(nodes, [1.0], rtol=1e-14)
+        assert_allclose(weights, [math.e], rtol=1e-14)
 
     def test_two_point_nodes(self):
-        rule = generate_rule(2, 0.0)
-        assert_allclose(rule.nodes, [2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)], rtol=1e-14)
+        nodes, weights = generate_rule(2, 0.0)
+        assert_allclose(nodes, [2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)], rtol=1e-14)
 
     @pytest.mark.parametrize("N", [5, 20, 60, 120])
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.5])
     def test_against_scipy(self, N, alpha):
         # agreement is limited by the reference's own accuracy at large N
-        rule = generate_rule(N, alpha)
+        nodes, weights = generate_rule(N, alpha)
         x_ref, w_ref = roots_genlaguerre(N, alpha)
-        assert_allclose(rule.nodes, x_ref, rtol=1e-13)
+        assert_allclose(nodes, x_ref, rtol=1e-13)
         keep = w_ref > 1e-250
-        classical = rule.weights * rule.nodes**alpha * np.exp(-rule.nodes)
+        classical = weights * nodes**alpha * np.exp(-nodes)
         assert_allclose(classical[keep], w_ref[keep], rtol=5e-11)
 
     @pytest.mark.parametrize("N", [5, 20, 50])
@@ -38,34 +38,40 @@ class TestGenerateRule:
     def test_moment_exactness(self, N, alpha):
         # sum_k lambda_k r^(m+alpha) e^(-r) = Gamma(m+alpha+1) for m <= 2N-1;
         # every term is scaled by Gamma on the fly so each sum should be one
-        rule = generate_rule(N, alpha)
-        terms = rule.weights * rule.nodes**alpha * np.exp(-rule.nodes) / math.gamma(alpha + 1.0)
+        nodes, weights = generate_rule(N, alpha)
+        terms = weights * nodes**alpha * np.exp(-nodes) / math.gamma(alpha + 1.0)
         assert abs(terms.sum() - 1.0) <= 1e-13
         for m in range(1, 2 * N):
-            terms = terms * (rule.nodes / (m + alpha))
+            terms = terms * (nodes / (m + alpha))
             assert abs(terms.sum() - 1.0) <= 1e-13
 
     def test_moment_beyond_degree_fails(self):
         # degree 2N is the first one a Gauss rule misses; the error is large
         # enough to prove the exactness checks above have teeth
         N = 5
-        rule = generate_rule(N, 0.0)
+        nodes, weights = generate_rule(N, 0.0)
         m = 2 * N
-        terms = rule.weights * np.exp(m * np.log(rule.nodes) - rule.nodes - gammaln(m + 1.0))
+        terms = weights * np.exp(m * np.log(nodes) - nodes - gammaln(m + 1.0))
         assert abs(terms.sum() - 1.0) > 1e-6
 
     def test_nodes_positive_ascending(self):
-        rule = generate_rule(80, 2.0)
-        assert np.all(rule.nodes > 0.0)
-        assert np.all(np.diff(rule.nodes) > 0.0)
-        assert np.all(rule.weights > 0.0)
+        nodes, weights = generate_rule(80, 2.0)
+        assert np.all(nodes > 0.0)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.all(weights > 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(N=st.integers(min_value=1, max_value=40), alpha=st.sampled_from([0.0, 1.0, 2.0]))
     def test_nodes_interlace(self, N, alpha):
-        inner = generate_rule(N, alpha).nodes
-        outer = generate_rule(N + 1, alpha).nodes
+        inner = generate_rule(N, alpha)[0]
+        outer = generate_rule(N + 1, alpha)[0]
         assert np.all(outer[:-1] < inner) and np.all(inner < outer[1:])
+
+    def test_arrays_are_read_only(self):
+        # rules are cached and shared between meshes, so no caller may write
+        for array in generate_rule(6, 1.0):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="positive integer"):
@@ -85,18 +91,18 @@ class TestGenerateRule:
         # are off by up to 4.3e-12 (weights 6.6e-12), while from N/4 up every
         # node is within 1.6e-16 and every weight within 1.1e-14
         mp = pytest.importorskip("mpmath")
-        rule = generate_rule(N, alpha)
+        nodes, weights = generate_rule(N, alpha)
         with mp.workdps(40):
             a = mp.mpf(alpha)
             for i in sorted({0, 1, N // 4, N // 2, 3 * N // 4, N - 1}):
-                x = mp.mpf(rule.nodes[i])
+                x = mp.mpf(nodes[i])
                 for _ in range(3):
                     x += mp.laguerre(N, a, x) / mp.laguerre(N - 1, a + 1, x)
                 d = mp.laguerre(N - 1, a + 1, x)
                 weight = mp.gamma(N + a + 1) / (mp.factorial(N) * x * d**2) * mp.exp(x) / x**a
                 rel = 1e-11 if i < N // 4 else 1e-13
-                assert rule.nodes[i] == pytest.approx(float(x), rel=rel)
-                assert rule.weights[i] == pytest.approx(float(weight), rel=rel)
+                assert nodes[i] == pytest.approx(float(x), rel=rel)
+                assert weights[i] == pytest.approx(float(weight), rel=rel)
 
     def test_weights_out_of_double_range_raise_typed_error(self):
         # x**alpha overflows at the largest nodes
@@ -108,10 +114,9 @@ class TestIntegrate:
     """The modified weights integrate g over (0, inf) as ``weights @ g(nodes)``."""
 
     def test_plain_exponential(self):
-        rule = generate_rule(10, 0.0)
-        assert rule.weights @ np.exp(-rule.nodes) == pytest.approx(1.0, rel=1e-14)
+        nodes, weights = generate_rule(10, 0.0)
+        assert weights @ np.exp(-nodes) == pytest.approx(1.0, rel=1e-14)
 
     def test_polynomial_times_exponential(self):
-        rule = generate_rule(10, 0.0)
-        r = rule.nodes
-        assert rule.weights @ (r**2 * np.exp(-r)) == pytest.approx(2.0, rel=1e-13)
+        r, weights = generate_rule(10, 0.0)
+        assert weights @ (r**2 * np.exp(-r)) == pytest.approx(2.0, rel=1e-13)
