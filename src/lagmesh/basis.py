@@ -83,8 +83,8 @@ class MeshSpec:
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not (self.alpha >= 0.0):
-            raise ValueError("alpha must be nonnegative")
+        if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite and nonnegative")
         if isinstance(self.family, str):
             object.__setattr__(self, "family", Family[self.family])
         if not isinstance(self.family, Family):

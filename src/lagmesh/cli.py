@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -155,10 +156,13 @@ def _validate(config):
             errors.append("alpha: two-dimensional schemes fix alpha = 0")
     elif config.variant not in _VARIANTS:
         errors.append(f"variant: must be one of {', '.join(_VARIANTS)}")
-    if config.alpha is not None and config.alpha < 0.0:
-        errors.append("alpha: must be nonnegative")
-    if config.mode == "scatter" and (config.gamma is None or not config.gamma > 0.0):
-        errors.append("gamma: scatter requires a positive --gamma")
+    if config.alpha is not None and not (
+            config.alpha >= 0.0 and math.isfinite(config.alpha)):
+        errors.append("alpha: must be finite and nonnegative")
+    if config.mode == "scatter" and (
+            config.gamma is None
+            or not (config.gamma > 0.0 and math.isfinite(config.gamma))):
+        errors.append("gamma: scatter requires a positive, finite --gamma")
     if config.mode == "bound" and config.gamma is not None:
         errors.append("gamma: only applies to scattering modes")
     return errors
@@ -403,14 +407,18 @@ def _parse_gamma(text, mode):
         return None, None
     if mode == "gamma-scan":
         try:
-            if ":" in text:
-                a, b, n = text.split(":")
-                return None, tuple(np.geomspace(float(a), float(b), int(n)))
-            return None, tuple(float(x) for x in text.split(","))
+            if ":" not in text:
+                return None, tuple(float(x) for x in text.split(","))
+            a, b, n = text.split(":")
+            a, b, n = float(a), float(b), int(n)
         except ValueError:
             raise ConfigError(
                 ["gamma: use start:stop:count or a comma-separated list"]
             ) from None
+        # checked here, before geomspace warns about them
+        if not all(v > 0.0 and math.isfinite(v) for v in (a, b)):
+            raise ConfigError(["gamma: grid endpoints must be positive and finite"])
+        return None, tuple(np.geomspace(a, b, max(n, 0)))
     try:
         return float(text), None
     except ValueError:

@@ -12,7 +12,10 @@ All integrals are evaluated with the Gauss rule of the mesh the
 pseudostate was computed on; no auxiliary grid is involved.  At the mesh
 points each basis function takes the value ``(h lam_i)**-0.5 delta_ij``,
 so every integral collapses to a weighted dot product with the
-coefficient vector.
+coefficient vector.  The node factors that do not depend on gamma (the
+Coulomb functions among them) are formed once per state, and
+``_ratios`` evaluates the ratio on a whole gamma grid in one pass: one
+call serves a single rate, a scan and its fallback alike.
 
 Everything internal is in the scaled units of the Hamiltonian
 (``hbar = M = 1``); the reported energy is converted back to problem
@@ -39,8 +42,9 @@ __all__ = [
 
 _INDETERMINATE_RTOL = 1e-14
 _PLATEAU_MEDIAN_FACTOR = 3.0
-_DEFAULT_GAMMA_SPAN = (0.1, 10.0)
-_DEFAULT_GAMMA_POINTS = 16
+# the default scan grid: 16 log-spaced rates on [0.1, 10], read-only
+_DEFAULT_GAMMAS = np.geomspace(0.1, 10.0, 16)
+_DEFAULT_GAMMAS.flags.writeable = False
 
 
 class IndeterminatePhaseError(ArithmeticError):
@@ -125,19 +129,30 @@ def _interior_table(state, l, V, Z, mesh):
     return r, w * W * u, w * u, pair.F, pair.G, pair.Gprime
 
 
-def _ratio(table, l, k, gamma):
-    """Numerator and denominator of the tan(delta) ratio at one gamma."""
+def _ratios(table, l, k, grid):
+    """Numerator and the denominators of the tan(delta) ratio on a gamma grid.
+
+    The numerator does not depend on gamma.  The regularizing factors are
+    formed once as (gamma, node) arrays, and each denominator is the same
+    pair of 1-D dot products at every grid size, so a value does not depend
+    on the grid it was computed in.
+    """
     r, wWu, wu, F, G, Gp = table
-    reg = -np.expm1(-gamma * r)
-    damp = np.exp(-gamma * r)
+    g = np.asarray(grid, dtype=float)[:, None]
+    reg = -np.expm1(-g * r)
+    damp = np.exp(-g * r)
     num = -float(wWu @ F)
-    den = float(wWu @ (G * reg ** (l + 1)))
     # Compensating term for regularizing G in the denominator:
     # 1/2 Int u (1-e^-gr)^(l-1) (l+1) g e^-gr
     #         {g [1-(l+1)e^-gr] - 2 (1-e^-gr) d/dr} G(eta, kr) dr
-    bracket = gamma * (1.0 - (l + 1) * damp) * G - 2.0 * reg * k * Gp
-    den += 0.5 * (l + 1) * gamma * float(wu @ (damp * reg ** (l - 1) * bracket))
-    return num, den
+    bracket = g * (1.0 - (l + 1) * damp) * G - 2.0 * reg * k * Gp
+    plain = G * reg ** (l + 1)
+    comp = damp * reg ** (l - 1) * bracket
+    dens = [
+        float(wWu @ plain[i]) + 0.5 * (l + 1) * g[i, 0] * float(wu @ comp[i])
+        for i in range(g.shape[0])
+    ]
+    return num, dens
 
 
 def _result(state, V, gamma, num, den, window):
@@ -194,15 +209,16 @@ def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
     Raises
     ------
     ValueError
-        For a non-positive energy or gamma, or a tail mismatch.
+        For a non-positive energy, a gamma that is not positive and finite,
+        or a tail mismatch.
     IndeterminatePhaseError
         If the denominator of the ratio vanishes.
     """
     _check_inputs(state, l, V, Z, mesh)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     table = _interior_table(state, l, V, Z, mesh)
-    num, den = _ratio(table, l, state.k, gamma)
+    num, (den,) = _ratios(table, l, state.k, [gamma])
     return _result(state, V, float(gamma), num, den, window)
 
 
@@ -229,7 +245,7 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
         Strictly increasing grid of at least 8 positive rates.  Default:
         16 log-spaced points on [0.1, 10].
     fallback_gamma : float, optional
-        Rate to fall back to when no plateau is found.
+        Positive, finite rate to fall back to when no plateau is found.
 
     Returns
     -------
@@ -239,22 +255,21 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
         grid order.
     """
     _check_inputs(state, l, V, Z, mesh)
-    if gammas is None:
-        gammas = np.geomspace(*_DEFAULT_GAMMA_SPAN, _DEFAULT_GAMMA_POINTS)
-    grid = np.asarray(gammas, dtype=float)
+    grid = _DEFAULT_GAMMAS if gammas is None else np.asarray(gammas, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
         raise ValueError("gamma grid too small: at least 8 points are required")
     if not np.all(np.isfinite(grid)) or grid[0] <= 0.0:
         raise ValueError("gamma grid must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("gamma grid must be strictly increasing")
-    if fallback_gamma is not None and not fallback_gamma > 0.0:
-        raise ValueError("fallback gamma must be positive")
+    if fallback_gamma is not None and not (
+            fallback_gamma > 0.0 and math.isfinite(fallback_gamma)):
+        raise ValueError(
+            f"fallback gamma must be positive and finite, got {fallback_gamma!r}")
 
     table = _interior_table(state, l, V, Z, mesh)
-    results = [
-        _result(state, V, g, *_ratio(table, l, state.k, g), window) for g in grid
-    ]
+    num, dens = _ratios(table, l, state.k, grid)
+    results = [_result(state, V, g, num, den, window) for g, den in zip(grid, dens)]
     # Slopes on a branch-unwrapped copy so a 180-degree hop between
     # neighboring grid points is not mistaken for a huge derivative.
     deg = np.unwrap(np.array([res.delta_deg for res in results]), period=180.0)
@@ -265,10 +280,9 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
 
     if no_plateau and fallback_gamma is not None:
         step = (grid[-1] / grid[0]) ** (1.0 / (grid.size - 1))
-        lo, rec, hi = (
-            _result(state, V, g, *_ratio(table, l, state.k, g), window)
-            for g in (fallback_gamma / step, float(fallback_gamma), fallback_gamma * step)
-        )
+        near = (fallback_gamma / step, float(fallback_gamma), fallback_gamma * step)
+        num, dens = _ratios(table, l, state.k, near)
+        lo, rec, hi = (_result(state, V, g, num, den, window) for g, den in zip(near, dens))
         sens = max(
             abs(_fold_180(lo.delta_deg - rec.delta_deg)),
             abs(_fold_180(hi.delta_deg - rec.delta_deg)),

@@ -1,17 +1,25 @@
 """Special functions: weighted Laguerre recurrence and Coulomb waves.
 
-The Coulomb wave functions ``F_l(eta, x)`` and ``G_l(eta, x)`` are computed
-by Steed's method (the two continued fractions for ``F'/F`` and for the
-logarithmic derivative of ``G + iF``) wherever the point lies in the
-classically allowed region.  Below it one Taylor-series stepper for the
-radial equation (N. Michel, CPC 176 (2007) 232) carries each function in
-the direction in which it grows: ``F`` outward from its power series at
-one small anchor, ``G`` inward from a Steed anchor, so contamination by
-the other solution decays.  The series is normalized by A&S 14.1.8-9.
+The Coulomb wave functions ``F_l(eta, x)`` and ``G_l(eta, x)`` come from
+one of three regimes, split at the gate ``max(turning point, 5)``:
+
+* below the gate, one Taylor-series stepper for the radial equation
+  (N. Michel, CPC 176 (2007) 232) carries each function in the direction
+  in which it grows: ``F`` outward from its power series at one small
+  anchor, ``G`` inward from a Steed anchor at the gate, so contamination
+  by the other solution decays.  The series is normalized by A&S 14.1.8-9;
+* above the gate, Steed's method: the two continued fractions for
+  ``F'/F`` and for the logarithmic derivative of ``G + iF``;
+* above the gate and at ``x >= 80``, the asymptotic (Hankel) expansion of
+  ``H+ = G + iF`` (DLMF 33.11.1, as in COULCC), where Steed's first
+  fraction needs hundreds of terms.  The series checks itself: a point
+  where a term grows past 10 or the sum has not settled within 60 terms
+  falls back to Steed.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -25,6 +33,22 @@ __all__ = [
 
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
 _STEED_MIN_X = 5.0
+# Above the gate and in [_HANKEL_MIN_X, _HANKEL_MAX_X) the asymptotic series
+# of H+ is tried first; a point falls back to Steed when a term passes
+# _HANKEL_MAX_TERM or the sum has not settled within _HANKEL_MAX_TERMS terms.
+_HANKEL_MIN_X = 80.0
+_HANKEL_MAX_X = 2.0**22
+_HANKEL_MAX_TERM = 10.0
+_HANKEL_MAX_TERMS = 60
+# 2 pi split so that n * _TWO_PI_HI is exact for integers n < 2**22, which
+# covers x < _HANKEL_MAX_X (Cody-Waite, as _LN2_HI/_LO below).
+_TWO_PI_HI = 6.2831853069365025
+_TWO_PI_LO = 2.430840202602477e-10
+# Stirling series for log Gamma(z): B_2k / (2k (2k-1)), k = 1..7, used once
+# |z| >= _STIRLING_MIN_ABS.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+_STIRLING_MIN_ABS = 20.0
 # The regular series loses ~exp(2*sqrt(2*|eta|*x)) in cancellation for eta < 0,
 # and near a distant turning point for eta > 0; its anchor is kept where this
 # exponent stays below the limit, and F is stepped outward from there.
@@ -210,6 +234,68 @@ def _steed(l, eta, x):
     return F, f * F, G, p * G - q * F
 
 
+def _coulomb_phase(l, eta):
+    """``sigma_l = arg Gamma(l+1+i eta)`` (not reduced mod 2 pi).
+
+    ``z = l+1+i eta`` is shifted up by ``m`` until ``|z| >= 20``; there the
+    Stirling series of ``Im log Gamma`` is exact to rounding, and the
+    shift is undone by the arguments ``atan2(eta, l+1+j)``, ``j < m``.
+    """
+    z = complex(l + 1.0, eta)
+    shift = 0.0
+    while abs(z) < _STIRLING_MIN_ABS:
+        shift += math.atan2(eta, z.real)
+        z += 1.0
+    w = 1.0 / z
+    w2 = w * w
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = c + w2 * series
+    return ((z - 0.5) * cmath.log(z) - z + w * series).imag - shift
+
+
+def _reduce_2pi(v):
+    """``v`` less its nearest multiple of 2 pi, for ``|v| < _HANKEL_MAX_X``."""
+    n = round(v / (2.0 * math.pi))
+    return (v - n * _TWO_PI_HI) - n * _TWO_PI_LO
+
+
+def _hankel(l, eta, x, sigma):
+    """``(F, F', G, G')`` from ``H+ = G + iF`` at large ``x``, or None.
+
+    ``H+ = e^{i theta} S`` with ``theta = x - eta ln 2x - l pi/2 + sigma_l``
+    and ``S`` the 2F0 series in ``1/(2ix)`` with ``a = l+1+i eta``,
+    ``b = -l+i eta`` (DLMF 33.11.1; COULCC, Thompson and Barnett, CPC 36
+    (1985) 363).  ``H+' = e^{i theta} (i (1 - eta/x) S + S')``.  The series
+    is asymptotic: None is returned when a term passes ``_HANKEL_MAX_TERM``
+    or the sum has not settled to 1e-17 within ``_HANKEL_MAX_TERMS`` terms.
+    """
+    a = complex(l + 1.0, eta)
+    b = complex(-l, eta)
+    z = complex(0.0, -0.5 / x)
+    t = s = complex(1.0, 0.0)
+    sk = complex(0.0, 0.0)
+    for k in range(_HANKEL_MAX_TERMS):
+        t *= (a + k) * (b + k) * z / (k + 1.0)
+        s += t
+        sk += (k + 1.0) * t
+        at = abs(t)
+        if at > _HANKEL_MAX_TERM:
+            return None
+        if at <= 1e-17 * abs(s):
+            break
+    else:
+        return None
+    # x and the slowly varying part are reduced apart, so theta keeps the
+    # absolute accuracy of its small terms
+    theta = (_reduce_2pi(x) - _reduce_2pi(eta * math.log(2.0 * x) - sigma)
+             - (l % 4) * (0.5 * math.pi))
+    e = complex(math.cos(theta), math.sin(theta))
+    h = e * s
+    hp = e * (complex(0.0, 1.0 - eta / x) * s - sk / x)
+    return h.imag, hp.imag, h.real, hp.real
+
+
 def _series_F(l, eta, x):
     """Regular solution from its power series; returns ``(F, F')``.
 
@@ -293,8 +379,8 @@ def _taylor_step(ll1, eta, x, t, u, up):
 
 
 def _coulomb_many(l, eta, xs):
-    """Evaluate F, F', G, G' at an array of points (Steed above the gate,
-    one Taylor sweep per function below it)."""
+    """Evaluate F, F', G, G' at an array of points (the Hankel series or
+    Steed above the gate, one Taylor sweep per function below it)."""
     gate = max(_turning_point(l, eta), _STEED_MIN_X)
     F = np.empty_like(xs)
     Fp = np.empty_like(xs)
@@ -302,8 +388,12 @@ def _coulomb_many(l, eta, xs):
     Gp = np.empty_like(xs)
 
     above = xs >= gate
+    far = (xs >= _HANKEL_MIN_X) & (xs < _HANKEL_MAX_X)
+    sigma = _coulomb_phase(l, eta) if np.any(above & far) else None
     for i in np.nonzero(above)[0]:
-        F[i], Fp[i], G[i], Gp[i] = _steed(l, eta, float(xs[i]))
+        x = float(xs[i])
+        pair = _hankel(l, eta, x, sigma) if far[i] else None
+        F[i], Fp[i], G[i], Gp[i] = pair or _steed(l, eta, x)
 
     below = ~above
     if np.any(below):
@@ -320,6 +410,12 @@ def _coulomb_many(l, eta, xs):
 
 def coulomb_wave(l, eta, x):
     """Regular and irregular Coulomb wave functions with derivatives.
+
+    Points below the gate ``max(turning point, 5)`` are reached by Taylor
+    sweeps; points above it take the Hankel expansion where ``x >= 80``
+    and it converges, and Steed's continued fractions otherwise.  The phase
+    ``sigma_l`` of the expansion is formed once per call.  Every result is
+    held to the Wronskian ``F'G - FG' = 1``.
 
     Parameters
     ----------

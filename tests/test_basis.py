@@ -55,6 +55,11 @@ class TestMeshSpec:
         with pytest.raises(KeyError):
             MeshSpec(5, 1.0, "Reg", 1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_named(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            MeshSpec(5, alpha, "RegSqrt", 1.0)
+
     def test_normalization_value(self):
         # Gamma(N+alpha+1)/N! at N=2, alpha=1 is 3!/2! = 3
         assert basis._normalization(2, 1.0) == pytest.approx(3.0, rel=1e-15)

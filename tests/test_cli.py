@@ -408,6 +408,28 @@ class TestMain:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, message", [
+        (["scatter", "--gamma", "inf"], "gamma: scatter requires a positive, finite --gamma"),
+        (["scatter", "--gamma", "nan"], "gamma: scatter requires a positive, finite --gamma"),
+        (["sweep", "--parameter", "gamma", "--values", "inf"],
+         "gamma: scatter requires a positive, finite --gamma"),
+        (["gamma-scan", "--gamma", "1:inf:16"],
+         "gamma: grid endpoints must be positive and finite"),
+        (["gamma-scan", "--gamma", "nan:10:16"],
+         "gamma: grid endpoints must be positive and finite"),
+        (["bound", "--alpha", "nan"], "alpha: must be finite and nonnegative"),
+        (["bound", "--alpha", "inf"], "alpha: must be finite and nonnegative"),
+    ], ids=["scatter-inf", "scatter-nan", "sweep-inf", "grid-inf", "grid-nan",
+            "alpha-nan", "alpha-inf"])
+    def test_non_finite_input_exits_1(self, capsys, args, message):
+        code = main([*args, "--potential", "eckart", "--variant", "reg-sqrt",
+                     "--N", "15", "--h", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"lagmesh: {message}\n"
+
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1
         assert capsys.readouterr().err != ""

@@ -14,10 +14,11 @@ from lagmesh.basis import Family, MeshSpec
 from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d
 from lagmesh.potentials import builtin
 from lagmesh.scattering import (
+    _DEFAULT_GAMMAS,
     IndeterminatePhaseError,
     PhaseShiftResult,
     _interior_table,
-    _ratio,
+    _ratios,
     _result,
     eckart_reference_delta0,
     gamma_scan,
@@ -287,7 +288,7 @@ class TestInvariances:
             trig = (r, wWu, wu, x * j, -x * y, -(y + x * yp))
             for gamma in (1.0, 4.0, 8.0):
                 via_coulomb = tan_delta(state, 0, ECKART, 0.0, gamma, mesh)
-                num, den = _ratio(trig, 0, state.k, gamma)
+                num, (den,) = _ratios(trig, 0, state.k, [gamma])
                 assert num / den == pytest.approx(via_coulomb.tan_delta, rel=1e-12)
 
     def test_sensitivity_nonnegative_and_zero_for_single_evaluation(self):
@@ -335,6 +336,42 @@ class TestGammaScan:
         assert rec.gamma != 0.77
 
 
+class TestBatchedRatio:
+    # the three systems of the phase-scan benchmark: (potential, l, family
+    # key, h, window); every gamma of a scan must reproduce a single
+    # evaluation bit for bit
+    SYSTEMS = [
+        (BUCK, 2, "sqrt", 0.23, "positive"),
+        (ECKART, 0, "sqrt", 0.1, "principal"),
+        (builtin("coulomb", Z=-1.0), 4, "sqrt", 1.1, "principal"),
+    ]
+
+    @pytest.mark.parametrize("V, l, famkey, h, window", SYSTEMS,
+                             ids=["alpha-alpha", "eckart", "coulomb"])
+    def test_scan_entries_equal_single_evaluations(self, V, l, famkey, h, window):
+        family, alpha, variant = _FAMILIES[famkey]
+        mesh = MeshSpec(30, alpha, family, h)
+        H, S = hamiltonian_3d(mesh, l, V, variant)
+        states = [s for s in pseudostates(solve_bound_states(H, S))
+                  if abs(V.tail_Z) <= 50.0 * s.k]
+        for state in states[::5]:
+            _, table = gamma_scan(state, l, V, V.tail_Z, mesh, window=window)
+            assert [res.gamma for res in table] == list(_DEFAULT_GAMMAS)
+            for res in table:
+                single = tan_delta(state, l, V, V.tail_Z, res.gamma, mesh, window)
+                assert res.tan_delta == single.tan_delta
+                assert res.delta_deg == single.delta_deg
+            # the Coulomb numerator is exactly 0, so compare denominators too
+            factors = _interior_table(state, l, V, V.tail_Z, mesh)
+            _, dens = _ratios(factors, l, state.k, _DEFAULT_GAMMAS)
+            assert dens == [_ratios(factors, l, state.k, [g])[1][0] for g in _DEFAULT_GAMMAS]
+
+    def test_default_grid_is_read_only(self):
+        assert np.array_equal(_DEFAULT_GAMMAS, np.geomspace(0.1, 10.0, 16))
+        with pytest.raises(ValueError, match="read-only"):
+            _DEFAULT_GAMMAS[0] = 1.0
+
+
 class TestAttractiveCoulomb:
     def test_pure_coulomb_phase_vanishes_at_l_10(self):
         # V - Z/r is zero, so every pseudostate has tan(delta) = 0; at l = 10
@@ -361,6 +398,15 @@ class TestValidation:
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="gamma"):
             tan_delta(ps[0], 0, ECKART, 0.0, 0.0, mesh)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_non_finite_gamma(self, gamma):
+        mesh, ps = eckart_states("sqrt")
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            tan_delta(ps[0], 0, ECKART, 0.0, gamma, mesh)
+        with pytest.raises(ValueError, match="fallback gamma must be positive and finite"):
+            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, fallback_gamma=gamma)
 
     def test_rejects_tail_mismatch(self):
         mesh, ps = eckart_states("sqrt")

@@ -4,15 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, spherical_jn, spherical_yn
 
+from lagmesh import specfun
 from lagmesh.potentials import builtin, evaluate
-from lagmesh.scattering import _ratio
+from lagmesh.scattering import _ratios
 from lagmesh.specfun import (
+    _HANKEL_MIN_X,
     _STEED_MIN_X,
     ConvergenceError,
+    _coulomb_phase,
+    _hankel,
     _log_coulomb_norm,
+    _steed,
     _turning_point,
     _weighted_laguerre_pair,
     coulomb_wave,
@@ -46,6 +53,58 @@ COULOMB_REFERENCE = {
     (20, 5.0, 8.0): (4.71174084342084682e-10, 1.26108329667140353e-9,
                      406502520.961070969, -1034366016.63205131),
 }
+
+
+# Frozen mpmath values (40 digits) (l, eta, x) -> (F, G) on both sides of
+# _HANKEL_MIN_X: 40 seeded points with x log-uniform on [40, 80) or
+# [80, 3000], l <= 20 and |eta| <= 50, plus the corners (20, +-50, 80) and
+# (20, 50, 300), where the Hankel series diverges.
+LARGE_X_REFERENCE = {
+    (0, 7.72, 361.7): (-0.615461745351829243, 0.802034276669303942),
+    (1, 4.61, 2222.8): (0.500072021527904695, 0.867184300974249227),
+    (3, -12.95, 289.6): (0.106134003883294111, -0.973074454563846831),
+    (3, 41.99, 801.6): (-0.877065235579367813, 0.536341230628883397),
+    (4, 10.67, 279.4): (0.406624327301380835, 0.935588844313122717),
+    (5, -40.71, 40.4): (0.605709809322963626, 0.459096212439017952),
+    (6, -31.17, 76.9): (-0.0650547247315707897, 0.860461045008852664),
+    (7, -8.34, 1323.5): (0.139411304237067589, -0.987085431207352292),
+    (7, -6.47, 237.3): (0.96186127468260931, 0.221549593556863355),
+    (8, -18.62, 206.4): (0.857129117955665877, -0.431738649380758667),
+    (9, -44.13, 293.1): (-0.593571014540389279, 0.724365555022180933),
+    (9, -12.79, 366.8): (-0.597190056813576487, -0.781358639006460368),
+    (9, 6.34, 383.9): (-0.0744051779717075062, -1.00584317105715856),
+    (10, -40.66, 2123.8): (-0.975535793304237198, -0.172421960172804665),
+    (10, 23.12, 584.0): (-0.927450790712873159, -0.426760094203147556),
+    (11, -48.72, 54.6): (-0.165305009590680303, 0.759451039044121123),
+    (11, 8.0, 45.6): (0.958526691058300531, -0.622571041764616163),
+    (11, 45.85, 2001.9): (-0.933177101301228981, -0.391049273061037766),
+    (12, 6.4, 2017.0): (0.908187075408736006, 0.422378745435049136),
+    (13, -47.64, 235.3): (-0.807086215411114448, 0.439626361175405428),
+    (13, -26.67, 60.6): (0.810553165897970072, 0.28653750707216347),
+    (13, -5.16, 50.6): (-0.969174143985063763, 0.0151549393707797763),
+    (13, -0.52, 55.4): (0.0203602100805743052, 1.01018391399525326),
+    (14, -49.82, 1422.1): (-0.908962530346969023, -0.374887958095790633),
+    (14, 20.08, 182.7): (1.06579691380432993, 0.0284153725825541175),
+    (16, 15.28, 49.2): (-1.35481884625963284, 0.307766268843043437),
+    (17, -22.21, 181.7): (0.257546838972435403, 0.912929370415453514),
+    (17, -6.91, 885.0): (-0.91035176679788318, -0.404639271366448806),
+    (17, -0.85, 707.4): (-0.218958480312283961, 0.975275627342051983),
+    (17, 13.99, 55.3): (-3.10077364672001974e-3, -1.26169399976821121),
+    (17, 40.51, 152.1): (-0.0123788252509744484, -1.21808895442417848),
+    (18, -17.35, 56.6): (-0.118301207716687748, 0.894870735594997181),
+    (19, 28.77, 810.8): (1.01403243279355827, -0.0977358156562086796),
+    (19, 40.04, 49.9): (1.00639664744705342e-8, 5.70959223213435302e+7),
+    (20, -50.0, 80.0): (-0.817624622633470691, 0.0900038509891502281),
+    (20, -33.97, 77.1): (0.137114607885977366, 0.85110970802284806),
+    (20, -30.46, 690.9): (0.772787476239804804, -0.601511895195666843),
+    (20, 17.18, 468.0): (0.438953278817861091, -0.92046700740711641),
+    (20, 23.01, 49.7): (0.366998177522717048, 4.55787948987306547),
+    (20, 25.27, 517.6): (-0.0642493924866144854, -1.02445229122220468),
+    (20, 37.46, 69.5): (0.0467723862217834742, 26.6114037950317604),
+    (20, 50.0, 80.0): (1.34421545495253383e-4, 6.62707884381569033e+3),
+    (20, 50.0, 300.0): (0.940551124617821734, -0.586868067109308266),
+}
+HANKEL_CORNERS = [(20, 50.0, 80.0), (20, -50.0, 80.0), (20, 50.0, 300.0)]
 
 
 class TestLaguerre:
@@ -238,6 +297,79 @@ class TestCoulombAgainstMultiprecision:
             assert_allclose(coulomb_wave(l, eta, x).G, G, rtol=1e-12)
 
 
+def _hankel_region(l, eta, x):
+    return x >= max(_turning_point(l, eta), _STEED_MIN_X, _HANKEL_MIN_X)
+
+
+class TestLargeX:
+    """Above the gate and at x >= _HANKEL_MIN_X the asymptotic series of
+    H+ = G + iF is tried first, with Steed as its fallback."""
+
+    @pytest.mark.parametrize("key", sorted(LARGE_X_REFERENCE))
+    def test_reference_values(self, key):
+        l, eta, x = key
+        F, G = LARGE_X_REFERENCE[key]
+        pair = coulomb_wave(l, eta, x)
+        scale = math.hypot(F, G)
+        assert abs(pair.F - F) <= 1e-12 * scale
+        assert abs(pair.G - G) <= 1e-12 * scale
+
+    def test_hankel_matches_steed(self):
+        used = 0
+        for l, eta, x in LARGE_X_REFERENCE:
+            fast = _hankel(l, eta, x, _coulomb_phase(l, eta))
+            if not _hankel_region(l, eta, x) or fast is None:
+                continue
+            used += 1
+            F, Fp, G, Gp = _steed(l, eta, x)
+            scale, dscale = math.hypot(F, G), math.hypot(Fp, Gp)
+            assert abs(fast[0] - F) <= 1e-12 * scale
+            assert abs(fast[1] - Fp) <= 1e-12 * dscale
+            assert abs(fast[2] - G) <= 1e-12 * scale
+            assert abs(fast[3] - Gp) <= 1e-12 * dscale
+        assert used >= 20
+
+    @pytest.mark.parametrize("l, eta, x", HANKEL_CORNERS)
+    def test_corners_fall_back(self, l, eta, x):
+        # the series peaks far above its term limit here; these points are
+        # also in LARGE_X_REFERENCE, so the fallback is held to mpmath too
+        assert _hankel(l, eta, x, _coulomb_phase(l, eta)) is None
+
+    def test_coulomb_phase_matches_loggamma(self):
+        mp = pytest.importorskip("mpmath")
+        etas = [*np.linspace(-50.0, 50.0, 41), 0.3, -0.3, 1e-8, -1e-8]
+        for l in range(21):
+            for eta in etas:
+                got = _coulomb_phase(l, float(eta))
+                with mp.workdps(30):
+                    want = mp.im(mp.loggamma(mp.mpc(l + 1, float(eta))))
+                    diff = float((got - want + mp.pi) % (2 * mp.pi) - mp.pi)
+                assert abs(diff) <= 1e-13, (l, eta)
+
+    def test_large_x_skips_steed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Steed's fraction for F'/F was evaluated")
+
+        monkeypatch.setattr(specfun, "_cf1", refuse)
+        coulomb_wave(0, -1.0, [80.0, 500.0])
+        coulomb_wave(10, 10.0, 80.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(
+    l=st.integers(0, 20),
+    eta=st.floats(-50.0, 50.0),
+    log_x=st.lists(st.floats(math.log(1e-3), math.log(1e4)), min_size=1, max_size=4),
+)
+def test_whole_domain_is_finite_with_unit_wronskian(l, eta, log_x):
+    pair = coulomb_wave(l, eta, np.exp(log_x))
+    values = np.array([pair.F, pair.Fprime, pair.G, pair.Gprime])
+    assert np.all(np.isfinite(values))
+    wron = pair.Fprime * pair.G - pair.F * pair.Gprime
+    assert np.max(np.abs(wron - 1.0)) <= 1e-12
+
+
 class TestRegularizedG:
     def test_matches_plain_product_at_moderate_r(self):
         # the tan(delta) denominator integrates G (1 - e^{-gamma r})^{l+1};
@@ -248,7 +380,7 @@ class TestRegularizedG:
         direct = pair.G * (1.0 - np.exp(-gamma * r)) ** (l + 1)
         table = (np.array([r]), np.array([1.0]), np.array([0.0]),
                  np.array([pair.F]), np.array([pair.G]), np.array([pair.Gprime]))
-        _, den = _ratio(table, l, k, gamma)
+        _, (den,) = _ratios(table, l, k, [gamma])
         assert den == pytest.approx(direct, rel=1e-12)
 
 
