@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .quadrature import generate_rule
-from .specfun import _weighted_laguerre_pair
+from .specfun import _integer, _weighted_laguerre_pair
 
 __all__ = [
     "Family",
@@ -79,9 +79,9 @@ class MeshSpec:
     h: float
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
+        object.__setattr__(self, "N", _integer("N", self.N))
+        if self.N < 1:
             raise ValueError("N must be a positive integer")
-        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "alpha", float(self.alpha))
         if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite and nonnegative")

@@ -350,16 +350,31 @@ def _json_cell(v):
         return int(v)
     if isinstance(v, (float, np.floating)):
         return float(f"{float(v):.15g}")
-    return v
+    if v is None or isinstance(v, str):
+        return v
+    raise TypeError(f"report cells are scalars, not {type(v).__name__}")
+
+
+# Without indent json encodes in C; this item separator already puts each key
+# of a flat row on its own line, at the depth that indent=2 gives it.
+_encode_rows = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def render_json(report):
+    """The report as JSON, byte-identical to ``json.dumps(doc, indent=2)``
+    plus a newline, where ``doc`` holds ``schema``, ``mode``, ``config``,
+    ``provenance``, ``rows`` and, when there are any, ``checks``.
+
+    Floats are rounded to 15 significant digits.  Rows must be flat dicts of
+    scalars (a list or dict cell raises TypeError); they are encoded in one
+    call of the C encoder and spliced into the indented header.
+    """
     doc = {
         "schema": 1,
         "mode": report.mode,
         "config": report.config,
         "provenance": report.provenance,
-        "rows": [{k: _json_cell(v) for k, v in row.items()} for row in report.rows],
+        "rows": [],
     }
     if report.checks:
         doc["checks"] = [
@@ -367,7 +382,20 @@ def render_json(report):
              "value": _json_cell(c.value)}
             for c in report.checks
         ]
-    return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
+    if not report.rows:
+        return text
+    rows = _encode_rows([
+        {k: float(f"{v:.15g}") if type(v) is float else _json_cell(v)
+         for k, v in row.items()}
+        for row in report.rows
+    ])
+    # ensure_ascii escapes every newline inside a string, so each newline is
+    # structural and, the rows being flat, "},\n      {" only joins two rows
+    rows = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    rows = "[\n    {\n      " + rows + "\n    }\n  ]"
+    rows = rows.replace("{\n      \n    }", "{}")  # an empty row, as indent=2 writes it
+    return text.replace('\n  "rows": []', '\n  "rows": ' + rows, 1)
 
 
 def _csv_cell(v, as_eps):

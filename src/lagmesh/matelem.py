@@ -39,6 +39,7 @@ from .basis import (
 )
 from .potentials import evaluate as evaluate_potential
 from .quadrature import generate_rule
+from .specfun import _integer
 
 __all__ = [
     "Classification",
@@ -362,7 +363,7 @@ def hamiltonian_3d(mesh, l, V, variant):
         range; at N = 150 that is h below about 1e-152 or above 1e151.
     """
     variant = _coerce(HamiltonianVariant, variant)
-    l = int(l)
+    l = _integer("l", l)
     if l < 0:
         raise ValueError("l must be nonnegative")
     if mesh.N <= l:
@@ -405,7 +406,7 @@ def hamiltonian_2d(mesh, m, V, variant):
         Naming h, as for ``hamiltonian_3d``.
     """
     variant = _coerce(Variant2D, variant)
-    m = int(m)
+    m = _integer("m", m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if mesh.N <= m:

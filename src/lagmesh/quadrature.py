@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .specfun import _weighted_laguerre_pair
+from .specfun import _integer, _weighted_laguerre_pair
 
 __all__ = ["generate_rule"]
 
@@ -52,9 +52,9 @@ def generate_rule(N, alpha):
         alpha of about 100).  No rule up to N = 1000 with alpha in
         {0, 1, 2} raises.
     """
-    if int(N) != N or N < 1:
+    N = _integer("N", N)
+    if N < 1:
         raise ValueError("N must be a positive integer")
-    N = int(N)
     alpha = float(alpha)
     if not (alpha > -1.0) or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and exceed -1")

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .potentials import evaluate as evaluate_potential
-from .specfun import coulomb_wave
+from .specfun import _integer, coulomb_wave
 
 __all__ = [
     "IndeterminatePhaseError",
@@ -98,7 +98,7 @@ class PhaseShiftResult:
 
 
 def _check_inputs(state, l, V, Z, mesh):
-    if int(l) != l or l < 0:
+    if _integer("l", l) < 0:
         raise ValueError("l must be a nonnegative integer")
     if not state.energy > 0.0:
         raise ValueError("pseudostate energy must be positive")

@@ -91,6 +91,15 @@ class CoulombPair:
     Gprime: object
 
 
+def _integer(name, value):
+    """``value`` as an int, or a ValueError naming it when it is not a whole
+    number (1.5, NaN and +-inf are not), before any ``int()`` can truncate
+    it or raise a message that does not name it."""
+    if not (math.isfinite(value) and int(value) == value):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    return int(value)
+
+
 def _weighted_laguerre_pair(n, alpha, x, *, christoffel=False):
     """Return ``(B_{n-1}, B_n, C_n)`` with ``B_k(x) = L_k^{(alpha)}(x) exp(-x/2)``.
 
@@ -441,9 +450,9 @@ def coulomb_wave(l, eta, x):
         converge, or the Wronskian check ``F'G - FG' = 1`` is violated
         beyond 1e-10.
     """
-    if int(l) != l or not 0 <= l <= 20:
+    l = _integer("l", l)
+    if not 0 <= l <= 20:
         raise ValueError("l must be an integer in [0, 20]")
-    l = int(l)
     eta = float(eta)
     if not (abs(eta) <= 50.0):
         raise ValueError("eta must satisfy |eta| <= 50")

@@ -55,6 +55,14 @@ class TestMeshSpec:
         with pytest.raises(KeyError):
             MeshSpec(5, 1.0, "Reg", 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("N", [10.5, math.nan, math.inf])
+    def test_non_integer_N_named(self, N):
+        with pytest.raises(ValueError, match=r"^N must be an integer \(got "):
+            MeshSpec(N, 1.0, "RegSqrt", 1.0)
+        with pytest.raises(ValueError, match=r"^N must be an integer \(got "):
+            generate_rule(N, 1.0)
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_named(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):

@@ -1,16 +1,22 @@
 """Tests for the command-line runner: config handling, modes, reports."""
 
+import dataclasses
+import functools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagmesh import cli
 from lagmesh.benchmarks import CheckResult
-from lagmesh.cli import ConfigError, ExperimentConfig, main, run, sweep
+from lagmesh.cli import ConfigError, ExperimentConfig, Report, main, run, sweep
 from lagmesh.potentials import builtin
 from lagmesh.scattering import IndeterminatePhaseError
 
@@ -235,6 +241,129 @@ class TestReports:
         report = run(ExperimentConfig(mode="reproduce", table=5))
         doc = json.loads(cli.render_json(report))
         assert all(c["passed"] for c in doc["checks"])
+
+
+def _reference_json(report):
+    """What render_json must write: the indented pure-Python json encoding."""
+    doc = {
+        "schema": 1,
+        "mode": report.mode,
+        "config": report.config,
+        "provenance": report.provenance,
+        "rows": [{k: cli._json_cell(v) for k, v in row.items()} for row in report.rows],
+    }
+    if report.checks:
+        doc["checks"] = [
+            {"description": c.description, "passed": c.passed,
+             "value": cli._json_cell(c.value)}
+            for c in report.checks
+        ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _table_report(table):
+    return run(ExperimentConfig(mode="reproduce", table=table, format="json"))
+
+
+_ECKART_SCATTER = dict(mode="scatter", potential=builtin("eckart"), variant="reg-sqrt",
+                       N=15, h=0.1, gamma=4.0)
+_REPORTS = {
+    "bound-3d": lambda: run(_config(N=150, h=0.06)),
+    "bound-3d-unbound-rows": lambda: run(_config(potential=builtin("coulomb"),
+                                                 variant="non-reg", angular=1, N=12,
+                                                 h=0.9)),
+    "bound-var2d": lambda: run(_config(dimension=2, angular=1)),
+    "bound-reg-sqrt-2d": lambda: run(_config(dimension=2, variant="reg-sqrt",
+                                             potential=builtin("coulomb"), N=12, h=0.4)),
+    "scatter": lambda: run(_config(**_ECKART_SCATTER)),
+    "scatter-charged": lambda: run(_config(mode="scatter",
+                                           potential=builtin("buck_alpha_alpha"),
+                                           variant="reg-sqrt", angular=2, N=15, h=0.23,
+                                           gamma=1.1)),
+    "gamma-scan": lambda: run(_config(mode="gamma-scan", potential=builtin("eckart"),
+                                      variant="reg-sqrt", N=15, h=0.1)),
+    "sweep-N": lambda: sweep(_config(potential=builtin("coulomb"), h=0.9), "N", (10, 15)),
+    "sweep-h": lambda: sweep(_config(), "h", (0.05, 0.09, 0.2)),
+    "sweep-gamma": lambda: sweep(_config(**_ECKART_SCATTER), "gamma", (3.0, 4.0, 5.0)),
+    "no-rows": lambda: dataclasses.replace(run(_config()), rows=()),
+    **{f"table-{t}": functools.partial(_table_report, t) for t in range(1, 6)},
+    **{f"table-{t}-no-checks": (lambda t=t: dataclasses.replace(_table_report(t),
+                                                               checks=()))
+       for t in range(1, 6)},
+}
+
+# Cells of every type a row may hold; the strings reach all of Unicode (lone
+# surrogates included) and carry the fragments the rows splice is built on.
+_TEXT = st.lists(
+    st.one_of(st.text(st.characters(exclude_categories=())),
+              st.sampled_from(["},\n      {", '"', "\\", "{", "}", "\n", '\n  "rows": []'])),
+    max_size=4,
+).map("".join)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e15, 1e16]),
+)
+_CELLS = st.one_of(
+    st.integers(), st.booleans(), st.none(), _FLOATS, _TEXT,
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+class TestJsonWriter:
+    """render_json is byte-identical to json.dumps(doc, indent=2) + newline."""
+
+    @pytest.mark.parametrize("name", list(_REPORTS))
+    def test_every_mode_matches_reference(self, name):
+        report = _REPORTS[name]()
+        assert cli.render_json(report) == _reference_json(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.dictionaries(_TEXT, _CELLS, max_size=5), max_size=4))
+    def test_edge_cells_match_reference(self, rows):
+        report = Report("bound", tuple(rows), {"mode": "bound"}, {"build": "x"})
+        assert cli.render_json(report) == _reference_json(report)
+
+    @pytest.mark.parametrize("cell", [[1.0], {"a": 1.0}, (1,), np.zeros(2)])
+    def test_container_cell_is_a_type_error(self, cell):
+        report = Report("bound", ({"state": 1, "energy": cell},), {}, {})
+        with pytest.raises(TypeError, match="report cells are scalars"):
+            cli.render_json(report)
+
+    def test_rows_skip_the_pure_python_encoder(self, monkeypatch):
+        # json falls back to _make_iterencode (one generator frame per value)
+        # whenever indent is set; a 150-row report must not send rows there
+        seen = []
+        make = json.encoder._make_iterencode
+
+        def recording(*args, **kwargs):
+            iterencode = make(*args, **kwargs)
+
+            def wrapped(o, level):
+                seen.append(o)
+                return iterencode(o, level)
+
+            return wrapped
+
+        def dicts(o):
+            if isinstance(o, dict):
+                yield o
+                o = list(o.values())
+            if isinstance(o, list):
+                for v in o:
+                    yield from dicts(v)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", recording)
+        json.dumps({"rows": [{"energy": 1.0}]}, indent=2)
+        assert any("energy" in d for d in dicts(seen.pop()))  # the guard sees rows
+        report = run(_config(N=150, h=0.06))
+        assert len(report.rows) == 150
+        cli.render_json(report)
+        assert not any("energy" in d for o in seen for d in dicts(o))
 
 
 class TestMain:

@@ -411,6 +411,24 @@ class TestCentrifugal:
         with pytest.raises(ValueError, match="m must be nonnegative"):
             hamiltonian_2d(mesh_regsqrt(5, 0.0), -1, builtin("harmonic"), "RegSqrtMesh2D")
 
+    # int() would truncate 1.5 to the l = 1 Hamiltonian and blame NaN or inf
+    # on a float conversion; every scheme names l or m instead
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("variant", list(HamiltonianVariant))
+    def test_non_integer_l_named(self, variant, value):
+        family, alpha, _ = matelem.SCHEMES_3D[variant]
+        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
+            hamiltonian_3d(MeshSpec(5, alpha, family, 1.0), value, builtin("harmonic"),
+                           variant)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("variant", list(Variant2D))
+    def test_non_integer_m_named(self, variant, value):
+        with pytest.raises(ValueError, match=r"^m must be an integer \(got "):
+            hamiltonian_2d(mesh_regsqrt(5, 0.0), value, builtin("harmonic"), variant)
+
 
 class TestClassifier:
     @pytest.mark.parametrize(

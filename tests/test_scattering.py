@@ -408,6 +408,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="fallback gamma must be positive and finite"):
             gamma_scan(ps[0], 0, ECKART, 0.0, mesh, fallback_gamma=gamma)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
+    def test_rejects_non_integer_l(self, l):
+        mesh, ps = eckart_states("sqrt")
+        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
+            tan_delta(ps[0], l, ECKART, 0.0, 4.0, mesh)
+        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
+            gamma_scan(ps[0], l, ECKART, 0.0, mesh)
+
     def test_rejects_tail_mismatch(self):
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="tail"):

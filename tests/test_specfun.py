@@ -233,6 +233,12 @@ class TestCoulombWave:
         with pytest.raises(ValueError, match="integer"):
             coulomb_wave(0.5, 1.0, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
+    def test_non_integer_l_named(self, l):
+        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
+            coulomb_wave(l, 1.0, 1.0)
+
 
 @pytest.mark.slow
 class TestCoulombAgainstMultiprecision:
