@@ -9,17 +9,15 @@ imposed.  The Eckart potential has an analytic s-wave phase shift, so
 the error is measurable.
 """
 
-from lagmesh import (Family, HamiltonianVariant, MeshSpec, builtin,
-                     eckart_reference_delta0, pseudostates,
-                     solve_bound_states, tan_delta)
+from lagmesh import (HamiltonianVariant, builtin, eckart_reference_delta0,
+                     pseudostates, scheme_mesh, solve_bound_states, tan_delta)
 from lagmesh.matelem import hamiltonian_3d
 
 V = builtin("eckart")  # V(r) = -6 exp(-2r) / (1 + exp(-2r))^2, one bound state
 
-for family, alpha, variant, label in (
-        (Family.RegSqrt, 1.0, HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
-        (Family.RegR, 0.0, HamiltonianVariant.RegRMesh, "r-regularized")):
-    mesh = MeshSpec(15, alpha, family, 0.1)
+for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
+                       (HamiltonianVariant.RegRMesh, "r-regularized")):
+    mesh = scheme_mesh(variant, 15, 0.1)
     H, S = hamiltonian_3d(mesh, 0, V, variant)
     states = pseudostates(solve_bound_states(H, S))
 
@@ -33,7 +31,7 @@ for family, alpha, variant, label in (
 
 # the nonlinear parameter gamma controls the regularization of the
 # integral relation; any reasonable value gives the same answer
-mesh = MeshSpec(15, 1.0, Family.RegSqrt, 0.1)
+mesh = scheme_mesh(HamiltonianVariant.RegSqrtMesh, 15, 0.1)
 H, S = hamiltonian_3d(mesh, 0, V, HamiltonianVariant.RegSqrtMesh)
 state = pseudostates(solve_bound_states(H, S))[0]
 print(f"\nlowest pseudostate (E = {state.energy:.6f}) vs gamma")

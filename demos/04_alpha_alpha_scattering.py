@@ -12,18 +12,17 @@ selected at the next energy.
 
 import numpy as np
 
-from lagmesh import (Family, HamiltonianVariant, MeshSpec, builtin,
-                     gamma_scan, pseudostates, solve_bound_states)
+from lagmesh import (HamiltonianVariant, builtin, gamma_scan, pseudostates,
+                     scheme_mesh, solve_bound_states)
 from lagmesh.matelem import hamiltonian_3d
 
 V = builtin("buck_alpha_alpha")
 Z = V.tail_Z
 GRID = np.geomspace(0.3, 1.3, 16)
 
-for family, alpha, variant, label in (
-        (Family.RegSqrt, 1.0, HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
-        (Family.RegR, 0.0, HamiltonianVariant.RegRMesh, "r-regularized")):
-    mesh = MeshSpec(15, alpha, family, 0.23)
+for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
+                       (HamiltonianVariant.RegRMesh, "r-regularized")):
+    mesh = scheme_mesh(variant, 15, 0.23)
     print(f"\n{label} mesh, N = 15, h = 0.23")
 
     # d wave: both pseudostates sit on a clean plateau

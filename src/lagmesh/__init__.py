@@ -22,6 +22,7 @@ from .matelem import (
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
+    scheme_mesh,
 )
 from .potentials import PotentialSpec, builtin
 from .quadrature import generate_rule
@@ -69,6 +70,7 @@ __all__ = [
     "pseudostates",
     "reconstruct_wavefunction",
     "relative_error",
+    "scheme_mesh",
     "solve_bound_states",
     "tan_delta",
 ]

@@ -57,6 +57,14 @@ class Family(enum.Enum):
     RegR = "RegR"
 
 
+def _alpha(value):
+    """``value`` as a float, if a finite, nonnegative Laguerre parameter."""
+    alpha = float(value)
+    if not (alpha >= 0.0) or not math.isfinite(alpha):
+        raise ValueError("alpha must be finite and nonnegative")
+    return alpha
+
+
 @dataclasses.dataclass(frozen=True)
 class MeshSpec:
     """A scaled Lagrange-Laguerre mesh.
@@ -82,9 +90,7 @@ class MeshSpec:
         object.__setattr__(self, "N", _integer("N", self.N))
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite and nonnegative")
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         if isinstance(self.family, str):
             object.__setattr__(self, "family", Family[self.family])
         if not isinstance(self.family, Family):
@@ -138,28 +144,30 @@ def _prefactors(mesh):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _node_taylor_t1(N, alpha):
-    """``L_N' exp(-r/2)`` at every node, via ``(N+1) B_{N+1}(r_i)/r_i``."""
-    nodes = _cached_rule(N, alpha)[0]
-    _, b_next, _ = _weighted_laguerre_pair(N + 1, alpha, nodes)
-    t1 = (N + 1.0) * b_next / nodes
-    t1.setflags(write=False)
-    return t1
+def _node_taylor(N, alpha):
+    """Read-only ``T_k = L_N^{(k)} exp(-r/2)``, k = 1, 2, 3, at every node:
+    ``T_1 = (N+1) B_{N+1}/r``, then the differentiated Laguerre equation."""
+    r = _cached_rule(N, alpha)[0]
+    t1 = (N + 1.0) * _weighted_laguerre_pair(N + 1, alpha, r)[1] / r
+    t2 = (r - alpha - 1.0) * t1 / r
+    t3 = ((r - alpha - 2.0) * t2 - (N - 1.0) * t1) / r
+    for t in (t1, t2, t3):
+        t.setflags(write=False)
+    return t1, t2, t3
 
 
-def _taylor_psi(N, alpha, rj, t1, s):
+def _taylor_psi(N, alpha, rj, t, s):
     """Weighted cardinal ratio and derivatives near a node, for many pairs.
 
     Expands ``L_N(x)/(x-r_j) * exp(-x/2)`` in powers of ``s = x - r_j`` using
     the derivatives of ``L_N`` at the node (three-term recurrence from the
-    differentiated Laguerre equation).  ``rj``, ``t1`` and ``s`` are equal
-    length arrays, one entry per (node, point) pair; the recurrence runs on
-    all pairs at once, and a pair leaves the live set as soon as its three
-    series have converged.  Returns the weighted value, first and second
-    derivative of the ratio for every pair.
+    differentiated Laguerre equation).  ``rj``, ``s`` and the three arrays
+    ``t = (T_1, T_2, T_3)`` of ``_node_taylor`` have one entry per (node,
+    point) pair; the recurrence runs on all pairs at once, and a pair leaves
+    the live set as soon as its three series have converged.  Returns the
+    weighted value, first and second derivative of the ratio for every pair.
     """
-    t2 = (rj - alpha - 1.0) * t1 / rj
-    t3 = ((rj - alpha - 2.0) * t2 - (N - 1.0) * t1) / rj
+    t1, t2, t3 = t
     out = np.stack([t1, 0.5 * t2, t3 / 3.0])  # the s = 0 limits
     live = np.nonzero(s != 0.0)[0]
     rj, s, t_prev = rj[live], s[live], t1[live]
@@ -220,11 +228,24 @@ def _weighted_cardinal_all(mesh, x, derivatives=False):
             pw[2] = (lppw[None, :] - 2.0 * pw[1]) / s
     near = np.nonzero(np.abs(s) < _NEAR_NODE_FRACTION * (1.0 + nodes[:, None]))
     if near[0].size:
-        t1 = _node_taylor_t1(N, alpha)
-        taylor = _taylor_psi(N, alpha, nodes[near[0]], t1[near[0]], s[near])
+        t = [tk[near[0]] for tk in _node_taylor(N, alpha)]
+        taylor = _taylor_psi(N, alpha, nodes[near[0]], t, s[near])
         for k in range(3 if derivatives else 1):
             pw[k][near] = taylor[k]
     return tuple(pw)
+
+
+def _chain(pref, p, x, pw0, pw1, pw2):
+    """First and second derivatives of ``pref * x**p * psi`` from the
+    weighted cardinal ratio ``psi = pw0`` and its derivatives ``pw1``,
+    ``pw2``; ``pref`` and ``x`` broadcast against them."""
+    xp = x**p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = p / x - 0.5
+        gp = -p / x**2
+    d1 = pref * (pw1 + pw0 * g) * xp
+    d2 = pref * (pw2 + 2.0 * pw1 * g + pw0 * (g * g + gp)) * xp
+    return d1, d2
 
 
 def _eval_all(mesh, x, derivatives=False):
@@ -246,17 +267,9 @@ def _eval_all(mesh, x, derivatives=False):
     """
     p = _family_power(mesh.family, mesh.alpha)
     pref = _prefactors(mesh)[:, None]
-    pw0, pw1, pw2 = _weighted_cardinal_all(mesh, x, derivatives)
-    xp = x[None, :] ** p
-    values = pref * pw0 * xp
-    if not derivatives:
-        return values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = p / x[None, :] - 0.5
-        gp = -p / x[None, :] ** 2
-    d1 = pref * (pw1 + pw0 * g) * xp
-    d2 = pref * (pw2 + 2.0 * pw1 * g + pw0 * (g * g + gp)) * xp
-    return values, d1, d2
+    pw = _weighted_cardinal_all(mesh, x, derivatives)
+    values = pref * pw[0] * x[None, :] ** p
+    return (values, *_chain(pref, p, x[None, :], *pw)) if derivatives else values
 
 
 def _node_derivative_matrices(mesh):
@@ -265,11 +278,8 @@ def _node_derivative_matrices(mesh):
     Uses the exact structural limits of the cardinal ratio at the mesh points
     (``L_N(r_i) = 0`` is treated as an identity, not a rounded value).
     """
-    N, alpha = mesh.N, mesh.alpha
-    r = mesh.nodes
-    t1 = _node_taylor_t1(N, alpha)
-    t2 = (r - alpha - 1.0) * t1 / r
-    t3 = ((r - alpha - 2.0) * t2 - (N - 1.0) * t1) / r
+    N, r = mesh.N, mesh.nodes
+    t1, t2, t3 = _node_taylor(N, mesh.alpha)
 
     s = r[:, None] - r[None, :]
     np.fill_diagonal(s, 1.0)  # placeholder; diagonals set explicitly below
@@ -283,13 +293,7 @@ def _node_derivative_matrices(mesh):
     np.fill_diagonal(pw2, t3 / 3.0)
 
     p = _family_power(mesh.family, mesh.alpha)
-    pref = _prefactors(mesh)[None, :]
-    xp = r[:, None] ** p
-    g = (p / r - 0.5)[:, None]
-    gp = (-p / r**2)[:, None]
-    d1 = pref * (pw1 + pw0 * g) * xp
-    d2 = pref * (pw2 + 2.0 * pw1 * g + pw0 * (g * g + gp)) * xp
-    return d1, d2
+    return _chain(_prefactors(mesh)[None, :], p, r[:, None], pw0, pw1, pw2)
 
 
 def reconstruct_wavefunction(mesh, coeffs, r):

@@ -26,8 +26,7 @@ import math
 
 import numpy as np
 
-from .basis import Family, MeshSpec
-from .matelem import SCHEMES_3D, HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
+from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import builtin
 from .scattering import eckart_reference_delta0, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
@@ -47,7 +46,7 @@ __all__ = [
 
 TABLE_IDS = (1, 2, 3, 4, 5)
 
-# column label and evaluation scheme; meshes come from SCHEMES_3D
+# column label and evaluation scheme; meshes come from matelem.SCHEMES
 VARIANTS_3D = (
     ("var", HamiltonianVariant.Var),
     ("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh),
@@ -56,6 +55,7 @@ VARIANTS_3D = (
     ("non reg V_G", HamiltonianVariant.NonRegVG),
 )
 
+_VARIANTS_2D = (("var", Variant2D.Var2D), ("reg sqrt(rho)", Variant2D.RegSqrtMesh2D))
 _MESHES_SCAT = (("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh),
                 ("reg r", HamiltonianVariant.RegRMesh))
 
@@ -164,31 +164,26 @@ def eps_notation(x):
     return f"{a:.1f}[{b}]"
 
 
-def _scheme_mesh(variant, N, h):
-    """Mesh of the family and default alpha that ``variant`` runs on."""
-    family, alpha, _ = SCHEMES_3D[variant]
-    return MeshSpec(N, alpha, family, h)
+def _lowest_errors(schemes, V, N, h, n, exact):
+    """Relative error of the lowest level in each labeled scheme, 3D or 2D."""
+    row = {}
+    for label, variant in schemes:
+        build = hamiltonian_2d if isinstance(variant, Variant2D) else hamiltonian_3d
+        H, S = build(scheme_mesh(variant, N, h), n, V, variant)
+        row[label] = relative_error(bound_energies(H, S)[0], exact)
+    return row
 
 
 def _bound_rows(name, N, h, exact):
     V = builtin(name)
-    rows = []
-    for l in (0, 1, 2):
-        row = {"l": l}
-        for label, variant in VARIANTS_3D:
-            mesh = _scheme_mesh(variant, N, h)
-            H, S = hamiltonian_3d(mesh, l, V, variant)
-            E = bound_energies(H, S)[0]
-            row[label] = relative_error(E, exact(l))
-        rows.append(row)
-    return rows
+    return [{"l": l, **_lowest_errors(VARIANTS_3D, V, N, h, l, exact(l))} for l in (0, 1, 2)]
 
 
 def _scattering_states(name, N, h, l):
     V = builtin(name)
     out = {}
     for label, variant in _MESHES_SCAT:
-        mesh = _scheme_mesh(variant, N, h)
+        mesh = scheme_mesh(variant, N, h)
         H, S = hamiltonian_3d(mesh, l, V, variant)
         out[label] = (mesh, pseudostates(solve_bound_states(H, S)))
     return V, out
@@ -212,13 +207,10 @@ def _run_table3():
 
 
 def _run_table4():
-    V = builtin("buck_alpha_alpha")
     rows = []
     for l in (0, 2):
-        for label, variant in _MESHES_SCAT:
-            mesh = _scheme_mesh(variant, 15, 0.23)
-            H, S = hamiltonian_3d(mesh, l, V, variant)
-            ps = pseudostates(solve_bound_states(H, S))
+        V, meshes = _scattering_states("buck_alpha_alpha", 15, 0.23, l)
+        for label, (mesh, ps) in meshes.items():
             if l == 0:
                 # no clear plateau is expected for the lowest s-wave
                 # pseudostate; reuse the second pseudostate's plateau gamma
@@ -251,19 +243,9 @@ def _run_table4():
 
 
 def _run_table5():
-    rows = []
-    for name, N, h, exact in (("harmonic", 20, 0.09, ho_level_2d(1)),
-                              ("coulomb", 10, 0.9, coulomb_level_2d(1))):
-        V = builtin(name)
-        mesh = MeshSpec(N, 0.0, Family.RegSqrt, h)
-        row = {"potential": name}
-        for label, variant in (("var", Variant2D.Var2D),
-                               ("reg sqrt(rho)", Variant2D.RegSqrtMesh2D)):
-            H, S = hamiltonian_2d(mesh, 1, V, variant)
-            E = bound_energies(H, S)[0]
-            row[label] = relative_error(E, exact)
-        rows.append(row)
-    return rows
+    return [{"potential": name, **_lowest_errors(_VARIANTS_2D, builtin(name), N, h, 1, exact)}
+            for name, N, h, exact in (("harmonic", 20, 0.09, ho_level_2d(1)),
+                                      ("coulomb", 10, 0.9, coulomb_level_2d(1)))]
 
 
 def run_table(table):

@@ -30,8 +30,7 @@ import sys
 import numpy as np
 
 from . import benchmarks
-from .basis import Family, MeshSpec
-from .matelem import SCHEMES_3D, HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d
+from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import builtin, from_json, to_json
 from .scattering import gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
@@ -57,7 +56,7 @@ except Exception:  # pragma: no cover - package metadata not installed
 _MODES = ("bound", "scatter", "gamma-scan", "reproduce")
 _BUILTIN_NAMES = ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")
 
-# variant alias -> 3D scheme; its mesh family and default alpha are in SCHEMES_3D
+# variant alias -> scheme, in 3D and in 2D; each scheme's mesh is in matelem.SCHEMES
 _VARIANTS = {
     "var": HamiltonianVariant.Var,
     "reg-sqrt": HamiltonianVariant.RegSqrtMesh,
@@ -170,36 +169,26 @@ def _validate(config):
 
 def _resolve_problem(config):
     """Mesh and Hamiltonian pair (H, S) for a validated config."""
-    V = config.potential
-    if config.dimension == 2:
-        mesh = MeshSpec(config.N, 0.0, Family.RegSqrt, config.h)
-        H, S = hamiltonian_2d(mesh, config.angular, V, _VARIANTS_2D[config.variant])
-    else:
-        scheme = _VARIANTS[config.variant]
-        family, alpha, _ = SCHEMES_3D[scheme]
-        if config.alpha is not None:
-            alpha = config.alpha
-        mesh = MeshSpec(config.N, alpha, family, config.h)
-        H, S = hamiltonian_3d(mesh, config.angular, V, scheme)
+    variants, build = ((_VARIANTS_2D, hamiltonian_2d) if config.dimension == 2
+                       else (_VARIANTS, hamiltonian_3d))
+    scheme = variants[config.variant]
+    mesh = scheme_mesh(scheme, config.N, config.h, config.alpha)
+    H, S = build(mesh, config.angular, config.potential, scheme)
     return mesh, H, S
+
+
+# (builtin label, dimension) -> analytic level (angular, n); Coulomb's are bound
+_LEVELS = {("harmonic", 3): benchmarks.ho_level, ("coulomb", 3): benchmarks.coulomb_level,
+           ("harmonic", 2): benchmarks.ho_level_2d, ("coulomb", 2): benchmarks.coulomb_level_2d}
 
 
 def _exact_level(config, n, energy):
     """Analytic level for the builtin solvable potentials, else None."""
-    label = config.potential.label
-    if config.potential.energy_unit != 1.0:
+    V = config.potential
+    level = _LEVELS.get((V.label, config.dimension))
+    if level is None or V.energy_unit != 1.0 or V.label == "coulomb" and not energy < 0.0:
         return None
-    if config.dimension == 3:
-        if label == "harmonic":
-            return benchmarks.ho_level(config.angular, n)
-        if label == "coulomb" and energy < 0.0:
-            return benchmarks.coulomb_level(config.angular, n)
-    else:
-        if label == "harmonic":
-            return benchmarks.ho_level_2d(config.angular, n)
-        if label == "coulomb" and energy < 0.0:
-            return benchmarks.coulomb_level_2d(config.angular, n)
-    return None
+    return level(config.angular, n)
 
 
 def _run_bound(config):

@@ -32,6 +32,7 @@ from .basis import (
     Family,
     MeshSpec,
     _CACHE_SIZE,
+    _alpha,
     _family_power,
     _node_derivative_matrices,
     _prefactors,
@@ -45,7 +46,7 @@ __all__ = [
     "Classification",
     "HamiltonianVariant",
     "Mode",
-    "SCHEMES_3D",
+    "SCHEMES",
     "Variant2D",
     "classify_singularity",
     "hamiltonian_2d",
@@ -54,6 +55,7 @@ __all__ = [
     "kinetic_matrix",
     "potential_matrix",
     "power_matrix",
+    "scheme_mesh",
 ]
 
 _ORACLE_EXTRA_ORDER = 10
@@ -310,15 +312,42 @@ def potential_matrix(mesh, V, mode=Mode.Gauss):
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly
 
-# per-scheme mesh family, default Laguerre parameter, and evaluation modes
-# of the (kinetic, centrifugal, potential) terms
-SCHEMES_3D = {
+# Per-scheme mesh family, default Laguerre parameter, and evaluation modes
+# of the (kinetic, centrifugal, potential) terms.  Both 2D schemes take the
+# RegSqrt mesh with alpha = 0.
+SCHEMES = {
     HamiltonianVariant.Var: (Family.RegSqrt, 1.0, (Mode.Exact, Mode.Exact, Mode.Exact)),
     HamiltonianVariant.RegSqrtMesh: (Family.RegSqrt, 1.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
     HamiltonianVariant.RegRMesh: (Family.RegR, 0.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
     HamiltonianVariant.NonReg: (Family.NonReg, 2.0, (Mode.Exact, Mode.Gauss, Mode.Gauss)),
     HamiltonianVariant.NonRegVG: (Family.NonReg, 2.0, (Mode.Exact, Mode.Exact, Mode.Gauss)),
+    Variant2D.Var2D: (Family.RegSqrt, 0.0, (Mode.Exact, Mode.Exact, Mode.Exact)),
+    Variant2D.RegSqrtMesh2D: (Family.RegSqrt, 0.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
 }
+
+
+def scheme_mesh(variant, N, h, alpha=None):
+    """The mesh ``variant`` runs on: its ``SCHEMES`` family and Laguerre
+    parameter, or ``alpha`` in place of the latter when given."""
+    if variant not in SCHEMES:
+        raise ValueError(f"unknown scheme: {variant!r}")
+    family, default, _ = SCHEMES[variant]
+    return MeshSpec(N, default if alpha is None else alpha, family, h)
+
+
+def _scheme_row(variant, name, n, mesh):
+    """The angular number ``n`` (called ``name``) as an int and the term
+    modes of ``variant``, after checking both and the mesh against its row."""
+    n = _integer(name, n, nonnegative=True)
+    if mesh.N <= n:
+        raise ValueError(f"N must exceed {name} (got N={mesh.N}, {name}={n})")
+    family, alpha, modes = SCHEMES[variant]
+    if isinstance(variant, Variant2D):
+        if mesh.family is not family or mesh.alpha != alpha:
+            raise ValueError("2D schemes require a RegSqrt mesh with alpha=0")
+    elif mesh.family is not family:
+        raise ValueError(f"variant {variant.name} requires family {family.name}")
+    return n, modes
 
 
 def _h_squared(h):
@@ -363,14 +392,7 @@ def hamiltonian_3d(mesh, l, V, variant):
         range; at N = 150 that is h below about 1e-152 or above 1e151.
     """
     variant = _coerce(HamiltonianVariant, variant)
-    l = _integer("l", l)
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if mesh.N <= l:
-        raise ValueError(f"N must exceed l (got N={mesh.N}, l={l})")
-    want, _, (t_mode, c_mode, v_mode) = SCHEMES_3D[variant]
-    if mesh.family is not want:
-        raise ValueError(f"variant {variant.name} requires family {want.name}")
+    l, (t_mode, c_mode, v_mode) = _scheme_row(variant, "l", l, mesh)
     two_h2 = 2.0 * _h_squared(mesh.h)
     T = kinetic_matrix(mesh, t_mode)
     C = l * (l + 1.0) * power_matrix(mesh, -2, c_mode) if l > 0 else None
@@ -386,11 +408,10 @@ def hamiltonian_2d(mesh, m, V, variant):
     """Hamiltonian and overlap matrices for the 2D radial equation
     (-1/2 [d^2/drho^2 + 1/(4 rho^2)] + m^2/(2 rho^2) + V).
 
-    The mesh scheme (RegSqrtMesh2D) works on the given RegSqrt alpha=0 mesh
-    with the combined closed form plus Gauss-approximated m-term and
-    potential.  The variational scheme (Var2D) is built, from the same mesh
-    argument, on a basis of N-1 functions with alpha=2 and exact elements
-    throughout.
+    Both schemes take the RegSqrt alpha=0 mesh.  The mesh scheme
+    (RegSqrtMesh2D) works on it with the combined closed form plus
+    Gauss-approximated m-term and potential.  The variational scheme (Var2D)
+    is built on a basis of N-1 functions with alpha=2, exact throughout.
 
     Returns
     -------
@@ -406,32 +427,22 @@ def hamiltonian_2d(mesh, m, V, variant):
         Naming h, as for ``hamiltonian_3d``.
     """
     variant = _coerce(Variant2D, variant)
-    m = _integer("m", m)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if mesh.N <= m:
-        raise ValueError(f"N must exceed m (got N={mesh.N}, m={m})")
-    if mesh.family is not Family.RegSqrt or mesh.alpha != 0.0:
-        raise ValueError("2D schemes require a RegSqrt mesh with alpha=0")
+    m, (t_mode, c_mode, v_mode) = _scheme_row(variant, "m", m, mesh)
     h = mesh.h
-    h2 = _h_squared(h)
-    if variant is Variant2D.RegSqrtMesh2D:
-        T = kinetic2d_matrix(mesh, Mode.Gauss)
-        with np.errstate(**_H_ERRSTATE):
-            H = T / (2.0 * h2)
-            if m > 0:
-                H = H + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
-            H = H + potential_matrix(mesh, V, Mode.Gauss)
-        return _in_range(H, h), np.eye(mesh.N)
-    basis_mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
-    T = kinetic2d_matrix(basis_mesh, Mode.Exact)
-    P = power_matrix(basis_mesh, -2, Mode.Exact) if m > 0 else None
+    two_h2 = 2.0 * _h_squared(h)
+    if c_mode is Mode.Exact:
+        # the exact 1/rho^2 element diverges at alpha = 0
+        mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
+    T = kinetic2d_matrix(mesh, t_mode)
+    P = power_matrix(mesh, -2, c_mode) if m > 0 and c_mode is Mode.Exact else None
     with np.errstate(**_H_ERRSTATE):
-        H = T / (2.0 * h2)
+        H = T / two_h2
         if P is not None:
-            H = H + (m**2 / 2.0) * P / h2
-        H = H + potential_matrix(basis_mesh, V, Mode.Exact)
-    return _in_range(H, h), np.eye(basis_mesh.N)
+            H = H + m * m * P / two_h2
+        elif m > 0:  # Gauss: m^2/(2 rho^2) at rho = h r_i, rounded as 2D reports pin
+            H = H + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
+        H = H + potential_matrix(mesh, V, v_mode)
+    return _in_range(H, h), np.eye(mesh.N)
 
 
 def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):
@@ -448,7 +459,9 @@ def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):
         raise ValueError("s must be 0, 1, or 2")
     if dimension not in ("3D", "2D"):
         raise ValueError("dimension must be '3D' or '2D'")
-    b = _family_power(family, float(alpha))
-    origin = l_or_m + 1.0 if dimension == "3D" else l_or_m + 0.5
-    e = b + origin - s - float(alpha)
+    alpha = _alpha(alpha)
+    name = "l" if dimension == "3D" else "m"
+    n = _integer(name, l_or_m, nonnegative=True)
+    origin = n + 1.0 if dimension == "3D" else n + 0.5
+    e = _family_power(family, alpha) + origin - s - alpha
     return Classification.AccuracyLoss if e < 0.0 else Classification.Safe

@@ -49,7 +49,7 @@ class PotentialSpec:
         Eckart well ``-4 b^2 beta e^{-2br} / (1 + beta e^{-2br})^2`` with
         ``beta = (b - c)/(b + c)``, kept in closed form.
     energy_unit : float
-        Energy conversion factor for reporting; not serialized.
+        Positive energy conversion factor for reporting; not serialized.
 
     Every number must be finite; a NaN or infinite one raises ValueError
     naming its field.
@@ -67,7 +67,7 @@ class PotentialSpec:
         for term in self.terms:
             c, p, a, b = (_finite(f"term {n}", v) for n, v in zip("cpab", term))
             if p <= -2.0:
-                raise ValueError("term power must exceed -2 (less singular than 1/r^2)")
+                raise ValueError("term p must exceed -2 (less singular than 1/r^2)")
             if a < 0.0 or (a == 0.0 and b < 0.0):
                 raise ValueError("term must not grow exponentially")
             cleaned.append((c, p, a, b))
@@ -75,7 +75,7 @@ class PotentialSpec:
         if self.coulomb_erf is not None:
             q, mu = (_finite(f"coulomb_erf {n}", v) for n, v in zip(("q", "mu"), self.coulomb_erf))
             if mu <= 0.0:
-                raise ValueError("erf range parameter must be positive")
+                raise ValueError("coulomb_erf mu must be positive")
             object.__setattr__(self, "coulomb_erf", (q, mu))
         object.__setattr__(self, "tail_Z", _finite("tail_Z", self.tail_Z))
         if self.eckart is not None:
@@ -84,6 +84,8 @@ class PotentialSpec:
                 raise ValueError("Eckart well requires b > |c|")
             object.__setattr__(self, "eckart", (b, c))
         object.__setattr__(self, "energy_unit", _finite("energy_unit", self.energy_unit))
+        if self.energy_unit <= 0.0:
+            raise ValueError(f"energy_unit must be positive (got {self.energy_unit!r})")
 
 
 def evaluate(spec, r):

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .potentials import evaluate as evaluate_potential
+from .potentials import _finite, evaluate as evaluate_potential
 from .specfun import _integer, coulomb_wave
 
 __all__ = [
@@ -98,10 +98,13 @@ class PhaseShiftResult:
 
 
 def _check_inputs(state, l, V, Z, mesh):
-    if _integer("l", l) < 0:
-        raise ValueError("l must be a nonnegative integer")
-    if not state.energy > 0.0:
-        raise ValueError("pseudostate energy must be positive")
+    _integer("l", l, nonnegative=True)
+    if not (0.0 < state.energy < math.inf and 0.0 < state.k < math.inf):
+        raise ValueError("pseudostate energy and k must be positive and finite")
+    if not np.all(np.isfinite(state.coefficients)):
+        raise ValueError("pseudostate coefficients must be finite")
+    if not math.isfinite(Z):  # NaN would pass the tail test below
+        raise ValueError(f"Z must be finite (got {Z!r})")
     if abs(Z - V.tail_Z) > 1e-12 * max(1.0, abs(Z)):
         raise ValueError(
             f"potential {V.label!r} has Coulomb tail {V.tail_Z!r}, not Z={Z!r}"
@@ -209,8 +212,8 @@ def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
     Raises
     ------
     ValueError
-        For a non-positive energy, a gamma that is not positive and finite,
-        or a tail mismatch.
+        Naming the out-of-domain parameter: l, Z (also one that does not
+        match the tail), gamma, or the state's energy, k or coefficients.
     IndeterminatePhaseError
         If the denominator of the ratio vanishes.
     """
@@ -301,10 +304,11 @@ def eckart_reference_delta0(E, b, c):
 
     ``delta_0 = atan[sqrt(2E) (b - c) / (2E + b c)]`` on the branch that
     tends to 0 as ``E -> 0+``; when ``2E + bc = 0`` the phase passes
-    through +-90 degrees.
+    through +-90 degrees.  E must be positive and finite, b and c finite.
     """
-    if not E > 0.0:
-        raise ValueError("E must be positive")
+    if not (E > 0.0 and math.isfinite(E)):
+        raise ValueError(f"E must be positive and finite (got {E!r})")
+    b, c = _finite("b", b), _finite("c", c)
     num = math.sqrt(2.0 * E) * (b - c)
     den = 2.0 * E + b * c
     if den == 0.0:

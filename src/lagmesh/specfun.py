@@ -91,12 +91,14 @@ class CoulombPair:
     Gprime: object
 
 
-def _integer(name, value):
+def _integer(name, value, nonnegative=False):
     """``value`` as an int, or a ValueError naming it when it is not a whole
-    number (1.5, NaN and +-inf are not), before any ``int()`` can truncate
-    it or raise a message that does not name it."""
+    number (1.5, NaN and +-inf are not; checked before any ``int()`` can
+    truncate it) or, with ``nonnegative``, when it is negative."""
     if not (math.isfinite(value) and int(value) == value):
         raise ValueError(f"{name} must be an integer (got {value!r})")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be nonnegative")
     return int(value)
 
 

@@ -25,6 +25,7 @@ from lagmesh.matelem import (
     kinetic2d_matrix,
     kinetic_matrix,
     power_matrix,
+    scheme_mesh,
 )
 from lagmesh.benchmarks import TABLE1_REFERENCE, TABLE2_REFERENCE
 from lagmesh.potentials import builtin
@@ -120,25 +121,19 @@ def test_criterion_8_property_suite():
     problems = []
 
     # the mesh schemes' overlap is the identity on every mesh family
-    for variant, family, alpha in (
-            (HamiltonianVariant.RegSqrtMesh, Family.RegSqrt, 1.0),
-            (HamiltonianVariant.RegRMesh, Family.RegR, 0.0),
-            (HamiltonianVariant.NonReg, Family.NonReg, 2.0)):
-        _, S = hamiltonian_3d(MeshSpec(12, alpha, family, 0.7), 0,
-                              builtin("harmonic"), variant)
+    for variant in (HamiltonianVariant.RegSqrtMesh, HamiltonianVariant.RegRMesh,
+                    HamiltonianVariant.NonReg):
+        _, S = hamiltonian_3d(scheme_mesh(variant, 12, 0.7), 0, builtin("harmonic"), variant)
         if not np.allclose(S, np.eye(12), atol=1e-15):
             problems.append(f"overlap not identity for {variant.name}")
 
     # Hamiltonians are symmetric in every evaluation scheme
     V = builtin("eckart")
-    for variant, family, alpha in (
-            (HamiltonianVariant.Var, Family.RegSqrt, 1.0),
-            (HamiltonianVariant.RegSqrtMesh, Family.RegSqrt, 1.0),
-            (HamiltonianVariant.RegRMesh, Family.RegR, 0.0),
-            (HamiltonianVariant.NonReg, Family.NonReg, 2.0)):
+    for variant in (HamiltonianVariant.Var, HamiltonianVariant.RegSqrtMesh,
+                    HamiltonianVariant.RegRMesh, HamiltonianVariant.NonReg):
         # the variational scheme needs exact potential elements
         V_used = builtin("coulomb") if variant is HamiltonianVariant.Var else V
-        H, _ = hamiltonian_3d(MeshSpec(14, alpha, family, 0.1), 1, V_used, variant)
+        H, _ = hamiltonian_3d(scheme_mesh(variant, 14, 0.1), 1, V_used, variant)
         asym = np.abs(H - H.T).max()
         if asym > 1e-12 * np.abs(H).max():
             problems.append(f"H asymmetric for {variant.name}: {asym:.2e}")

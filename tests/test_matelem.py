@@ -22,6 +22,7 @@ from lagmesh.matelem import (
     kinetic_matrix,
     potential_matrix,
     power_matrix,
+    scheme_mesh,
 )
 from lagmesh.potentials import builtin
 from lagmesh.quadrature import generate_rule
@@ -157,22 +158,21 @@ class TestOverlap:
         assert S[0, 1] == pytest.approx(-1.638426537792149, rel=1e-12)
         assert S[0, 0] == pytest.approx(4.794197855995278, rel=1e-12)
 
-    # (family, every alpha the scheme accepts among 0, 0.5, 1, 2, 3)
-    SCHEMES = {
-        "Var": ("RegSqrt", (0.5, 1.0, 2.0, 3.0)),
-        "RegSqrtMesh": ("RegSqrt", (0.0, 0.5, 1.0, 2.0, 3.0)),
-        "RegRMesh": ("RegR", (0.0, 0.5, 1.0, 2.0, 3.0)),
-        "NonReg": ("NonReg", (2.0, 3.0)),
-        "NonRegVG": ("NonReg", (2.0, 3.0)),
+    # every alpha the scheme accepts among 0, 0.5, 1, 2, 3
+    ALPHAS = {
+        "Var": (0.5, 1.0, 2.0, 3.0),
+        "RegSqrtMesh": (0.0, 0.5, 1.0, 2.0, 3.0),
+        "RegRMesh": (0.0, 0.5, 1.0, 2.0, 3.0),
+        "NonReg": (2.0, 3.0),
+        "NonRegVG": (2.0, 3.0),
     }
 
-    @pytest.mark.parametrize("variant", SCHEMES)
+    @pytest.mark.parametrize("variant", ALPHAS)
     def test_every_3d_scheme_returns_identity(self, variant):
         # callers unpack H, S and hand S to the solver, which requires I
-        family, alphas = self.SCHEMES[variant]
         for N in (5, 40, 150):
-            for alpha in alphas:
-                mesh = MeshSpec(N, alpha, family, 0.6)
+            for alpha in self.ALPHAS[variant]:
+                mesh = scheme_mesh(HamiltonianVariant[variant], N, 0.6, alpha)
                 _, S = hamiltonian_3d(mesh, 1, builtin("coulomb"), variant)
                 assert np.array_equal(S, np.eye(N))
 
@@ -282,9 +282,7 @@ class TestHamiltonian3D:
         "variant", ["Var", "RegSqrtMesh", "RegRMesh", "NonReg", "NonRegVG"]
     )
     def test_symmetric_for_all_variants(self, variant):
-        fam = {"Var": "RegSqrt", "RegSqrtMesh": "RegSqrt", "RegRMesh": "RegR"}.get(variant, "NonReg")
-        alpha = {"RegSqrt": 1.0, "RegR": 0.0, "NonReg": 2.0}[fam]
-        mesh = MeshSpec(8, alpha, fam, 0.2)
+        mesh = scheme_mesh(HamiltonianVariant[variant], 8, 0.2)
         H, S = hamiltonian_3d(mesh, 1, builtin("harmonic"), variant)
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
         assert np.abs(S - S.T).max() == 0.0
@@ -417,10 +415,8 @@ class TestCentrifugal:
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
     @pytest.mark.parametrize("variant", list(HamiltonianVariant))
     def test_non_integer_l_named(self, variant, value):
-        family, alpha, _ = matelem.SCHEMES_3D[variant]
         with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
-            hamiltonian_3d(MeshSpec(5, alpha, family, 1.0), value, builtin("harmonic"),
-                           variant)
+            hamiltonian_3d(scheme_mesh(variant, 5, 1.0), value, builtin("harmonic"), variant)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
@@ -451,6 +447,23 @@ class TestClassifier:
     def test_invalid_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             classify_singularity("RegSqrt", 1.0, 0, 1, "4D")
+
+    # these gave Safe or AccuracyLoss verdicts before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -5.0])
+    def test_invalid_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite and nonnegative$"):
+            classify_singularity("NonReg", alpha, 1, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim, name", [("3D", "l"), ("2D", "m")])
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "must be an integer"), (math.inf, "must be an integer"),
+        (1.5, "must be an integer"), (-3, "must be nonnegative"),
+    ])
+    def test_invalid_angular_number_rejected(self, dim, name, value, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
+            classify_singularity("RegSqrt", 0.0, value, 2, dim)
 
 
 class TestDivergenceRejections:
@@ -604,7 +617,7 @@ class TestMatrixCache:
     def test_caches_stay_bounded(self):
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="non-reg-vg", N=10, h=0.5)
-        caches = (matelem._cached_oracle, basis._cached_rule, basis._node_taylor_t1)
+        caches = (matelem._cached_oracle, basis._cached_rule, basis._node_taylor)
         _clear_matrix_caches()
         for N in range(10, 30):
             cli.run(dataclasses.replace(config, N=N))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
 from lagmesh.basis import Family, MeshSpec
-from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d
+from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d, scheme_mesh
 from lagmesh.potentials import builtin
 from lagmesh.scattering import (
     _DEFAULT_GAMMAS,
@@ -29,24 +29,21 @@ from lagmesh.solver import Pseudostate, pseudostates, solve_bound_states
 ECKART = builtin("eckart")
 BUCK = builtin("buck_alpha_alpha")
 
-_FAMILIES = {
-    "sqrt": (Family.RegSqrt, 1.0, HamiltonianVariant.RegSqrtMesh),
-    "r": (Family.RegR, 0.0, HamiltonianVariant.RegRMesh),
-}
+_FAMILIES = {"sqrt": HamiltonianVariant.RegSqrtMesh, "r": HamiltonianVariant.RegRMesh}
 
 
 @functools.lru_cache(maxsize=None)
 def eckart_states(famkey):
-    family, alpha, variant = _FAMILIES[famkey]
-    mesh = MeshSpec(15, alpha, family, 0.1)
+    variant = _FAMILIES[famkey]
+    mesh = scheme_mesh(variant, 15, 0.1)
     H, S = hamiltonian_3d(mesh, 0, ECKART, variant)
     return mesh, pseudostates(solve_bound_states(H, S))
 
 
 @functools.lru_cache(maxsize=None)
 def buck_states(famkey, l):
-    family, alpha, variant = _FAMILIES[famkey]
-    mesh = MeshSpec(15, alpha, family, 0.23)
+    variant = _FAMILIES[famkey]
+    mesh = scheme_mesh(variant, 15, 0.23)
     H, S = hamiltonian_3d(mesh, l, BUCK, variant)
     return mesh, pseudostates(solve_bound_states(H, S))
 
@@ -73,6 +70,17 @@ class TestEckartReference:
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(ValueError, match="positive"):
             eckart_reference_delta0(0.0, 2.0, -1.0)
+
+    # inf / inf gave a silent NaN phase before
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, args", [
+        ("E", (math.inf, 2.0, -1.0)), ("E", (math.nan, 2.0, -1.0)),
+        ("b", (1.0, math.nan, -1.0)), ("b", (1.0, math.inf, -1.0)),
+        ("c", (1.0, 2.0, math.nan)), ("c", (1.0, 2.0, -math.inf)),
+    ])
+    def test_rejects_non_finite_parameter(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            eckart_reference_delta0(*args)
 
     @given(
         E=st.floats(1e-3, 50.0),
@@ -349,8 +357,8 @@ class TestBatchedRatio:
     @pytest.mark.parametrize("V, l, famkey, h, window", SYSTEMS,
                              ids=["alpha-alpha", "eckart", "coulomb"])
     def test_scan_entries_equal_single_evaluations(self, V, l, famkey, h, window):
-        family, alpha, variant = _FAMILIES[famkey]
-        mesh = MeshSpec(30, alpha, family, h)
+        variant = _FAMILIES[famkey]
+        mesh = scheme_mesh(variant, 30, h)
         H, S = hamiltonian_3d(mesh, l, V, variant)
         states = [s for s in pseudostates(solve_bound_states(H, S))
                   if abs(V.tail_Z) <= 50.0 * s.k]
@@ -416,6 +424,31 @@ class TestValidation:
             tan_delta(ps[0], l, ECKART, 0.0, 4.0, mesh)
         with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
             gamma_scan(ps[0], l, ECKART, 0.0, mesh)
+
+    # NaN or inf passed the tail test and was blamed on eta by coulomb_wave
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("Z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["eckart", "buck_alpha_alpha"])
+    def test_rejects_non_finite_Z(self, name, Z):
+        mesh, ps = eckart_states("sqrt") if name == "eckart" else buck_states("sqrt", 0)
+        V = builtin(name)
+        with pytest.raises(ValueError, match=r"^Z must be finite \(got "):
+            tan_delta(ps[0], 0, V, Z, 1.0, mesh)
+        with pytest.raises(ValueError, match=r"^Z must be finite \(got "):
+            gamma_scan(ps[0], 0, V, Z, mesh)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_non_finite_state(self):
+        mesh, ps = eckart_states("sqrt")
+        for field in ("energy", "k"):
+            with pytest.raises(ValueError, match="energy and k must be positive and finite"):
+                tan_delta(dataclasses.replace(ps[0], **{field: math.inf}), 0, ECKART, 0.0, 4.0,
+                          mesh)
+        coefficients = ps[0].coefficients.copy()
+        coefficients[3] = math.nan
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            tan_delta(dataclasses.replace(ps[0], coefficients=coefficients),
+                      0, ECKART, 0.0, 4.0, mesh)
 
     def test_rejects_tail_mismatch(self):
         mesh, ps = eckart_states("sqrt")
