@@ -11,8 +11,11 @@ All evaluation goes through the exponentially weighted recurrence, so no
 intermediate ever carries ``exp(+x)``.  Near a mesh point the removable
 singularity of the cardinal ratio is evaluated from the Taylor expansion of
 ``L_N`` about the node, batched over every near (node, point) pair of a
-call; elsewhere the ratio is formed directly.  Derivative arrays are formed
-only when the caller asks for them.
+call; the pairs are found by binary search on the sorted nodes, and
+elsewhere the ratio is formed directly.  Derivative arrays are formed only
+when the caller asks for them.  A wave function needs no basis matrix: all
+its basis functions share the factor ``x**p B_N(x)``, so it is that factor
+times one matrix-vector product with the poles ``1/(x - r_j)``.
 
 ``MeshSpec.nodes`` and ``MeshSpec.weights`` are the arrays of the
 ``(nodes, weights)`` Gauss rule for ``(N, alpha)``.  The rule is cached and
@@ -44,8 +47,8 @@ __all__ = [
 _NEAR_NODE_FRACTION = 1e-2
 _MAX_TAYLOR_TERMS = 60
 # Entries per cache of rules, node derivatives and operator matrices.  All
-# schemes at one N need three oracle matrices and one Gauss-kinetic matrix;
-# a matrix is 8 MB at N = 1000.
+# seven schemes at one N need about a dozen dense operator matrices; a
+# matrix is 8 MB at N = 1000.
 _CACHE_SIZE = 16
 
 
@@ -205,6 +208,30 @@ def _taylor_psi(N, alpha, rj, t, s):
     return out
 
 
+def _near_pairs(nodes, x):
+    """Every (node, point) pair inside the near-node window, as index arrays
+    ``(j, i)`` and the offsets ``s = x_i - r_j``.
+
+    A pair is near when ``|x_i - r_j| < f (1 + r_j)``, f being
+    ``_NEAR_NODE_FRACTION``.  Such an ``r_j`` lies within ``f (1 + x_i) /
+    (1 - f)`` of ``x_i``, so a binary search of the sorted nodes over twice
+    that width finds every candidate, and the test itself decides.
+    """
+    width = 2.0 * _NEAR_NODE_FRACTION * (1.0 + x)
+    lo = np.searchsorted(nodes, x - width)
+    count = np.searchsorted(nodes, x + width, side="right") - lo
+    i = np.repeat(np.arange(x.size), count)
+    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    s = x[i] - nodes[j]
+    near = np.abs(s) < _NEAR_NODE_FRACTION * (1.0 + nodes[j])
+    return j[near], i[near], s[near]
+
+
+def _near_taylor(N, alpha, nodes, j, s):
+    """``_taylor_psi`` on the near pairs ``(j, s)`` of ``_near_pairs``."""
+    return _taylor_psi(N, alpha, nodes[j], [t[j] for t in _node_taylor(N, alpha)], s)
+
+
 def _weighted_cardinal_all(mesh, x, derivatives=False):
     """Weighted cardinal ratios (and derivatives) of every basis function.
 
@@ -226,12 +253,11 @@ def _weighted_cardinal_all(mesh, x, derivatives=False):
             lppw = ((x - alpha - 1.0) * lpw - N * b_cur) / x
             pw[1] = (lpw[None, :] - pw[0]) / s
             pw[2] = (lppw[None, :] - 2.0 * pw[1]) / s
-    near = np.nonzero(np.abs(s) < _NEAR_NODE_FRACTION * (1.0 + nodes[:, None]))
-    if near[0].size:
-        t = [tk[near[0]] for tk in _node_taylor(N, alpha)]
-        taylor = _taylor_psi(N, alpha, nodes[near[0]], t, s[near])
+    j, i, s_near = _near_pairs(nodes, x)
+    if j.size:
+        taylor = _near_taylor(N, alpha, nodes, j, s_near)
         for k in range(3 if derivatives else 1):
-            pw[k][near] = taylor[k]
+            pw[k][j, i] = taylor[k]
     return tuple(pw)
 
 
@@ -246,30 +272,6 @@ def _chain(pref, p, x, pw0, pw1, pw2):
     d1 = pref * (pw1 + pw0 * g) * xp
     d2 = pref * (pw2 + 2.0 * pw1 * g + pw0 * (g * g + gp)) * xp
     return d1, d2
-
-
-def _eval_all(mesh, x, derivatives=False):
-    """Unscaled values (and optionally derivatives) of all basis functions.
-
-    Parameters
-    ----------
-    mesh : MeshSpec
-    x : ndarray
-        Unscaled coordinates, ``x >= 0`` (strictly positive if derivatives
-        are requested).
-    derivatives : bool
-        When true, also return first and second derivative arrays.
-
-    Returns
-    -------
-    ndarray or tuple of ndarray
-        ``(N, len(x))`` arrays.
-    """
-    p = _family_power(mesh.family, mesh.alpha)
-    pref = _prefactors(mesh)[:, None]
-    pw = _weighted_cardinal_all(mesh, x, derivatives)
-    values = pref * pw[0] * x[None, :] ** p
-    return (values, *_chain(pref, p, x[None, :], *pw)) if derivatives else values
 
 
 def _node_derivative_matrices(mesh):
@@ -300,6 +302,10 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     """Radial function ``u(r) = sum_j c_j`` times the scaled basis functions.
 
     At a scaled mesh point ``h r_i`` this returns ``c_i (h lambda_i)^{-1/2}``.
+    With ``x = r/h``, ``u`` is ``x**p B_N(x) sum_j c_j pref_j / (x - r_j)``
+    over ``sqrt(h)``: one matrix-vector product with the poles, and no
+    N x len(r) basis matrix.  A near-node pair takes its term from the Taylor
+    expansion of the cardinal ratio instead of its pole.
 
     Parameters
     ----------
@@ -319,7 +325,19 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     flat = np.atleast_1d(rs).ravel()
     if not np.all((flat >= 0.0) & np.isfinite(flat)):
         raise ValueError("r must be nonnegative and finite")
-    values = c @ _eval_all(mesh, flat / mesh.h) / math.sqrt(mesh.h)
+    x = flat / mesh.h
+    N, alpha, nodes = mesh.N, mesh.alpha, mesh.nodes
+    w = c * _prefactors(mesh)
+    j, i, s = _near_pairs(nodes, x)
+    poles = x[None, :] - nodes[:, None]
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, poles, out=poles)
+    poles[j, i] = 0.0
+    near = np.bincount(i, weights=w[j] * _near_taylor(N, alpha, nodes, j, s)[0],
+                       minlength=x.size)
+    b_n = _weighted_laguerre_pair(N, alpha, x)[1]
+    p = _family_power(mesh.family, alpha)
+    values = x**p * (b_n * (w @ poles) + near) / math.sqrt(mesh.h)
     if scalar:
         return float(values[0])
     return values.reshape(rs.shape)

@@ -14,9 +14,13 @@ Sign convention: ``Kinetic`` stores the matrix of ``-d^2/dr^2`` and
 assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
-depends on h, the oracle and Gauss-kinetic matrices are cached per
-``(N, alpha, family)`` (and operator), at most ``_CACHE_SIZE`` of each,
-so a sweep over h builds each of them once.  Cached arrays are read-only.
+depends on h, one cache, ``_cached_matrix``, holds every dense one per
+``(N, alpha, family)`` and operator: the oracle matrices, the Gauss kinetic
+matrix from node derivatives, and the RegSqrt closed forms of both kinetic
+operators and of the Exact powers.  It keeps at most ``_CACHE_SIZE`` of
+them, so a sweep over h builds each matrix once.  Diagonal Gauss matrices
+cost less to build than to look up and are not cached.  Cached arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -157,13 +161,8 @@ def _operator_components(kind, p):
 
 
 def _oracle_matrix(mesh, kind):
-    """Exact (unscaled) matrix of an operator; see ``_cached_oracle``."""
-    return _cached_oracle(dataclasses.replace(mesh, h=1.0), kind)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_oracle(mesh, kind):
-    """Exact matrix of an operator, by quadrature that is exact by design.
+    """Exact (unscaled) matrix of an operator, by quadrature that is exact
+    by design.
 
     After factoring out ``e^{-x}``, the integrand of every supported
     operator/family pair is ``x^mu`` times a polynomial of degree at most
@@ -180,12 +179,26 @@ def _cached_oracle(mesh, kind):
         )
     x, lam = generate_rule(mesh.N + _ORACLE_EXTRA_ORDER, mu)
     pw = _weighted_cardinal_all(mesh, x, derivatives=any(d for d, _, _ in comps))
-    pref = _prefactors(mesh)
-    values = np.zeros((mesh.N, mesh.N))
+    # sum the weighted right factors first, so one matmul does the contraction
+    right = np.zeros_like(pw[0])
     for d, e, c in comps:
-        values += c * ((pw[0] * (lam * x ** (2.0 * p + e))) @ pw[d].T)
+        right += pw[d] * (c * lam * x ** (2.0 * p + e))
+    values = pw[0] @ right.T
+    pref = _prefactors(mesh)
     values *= np.outer(pref, pref)
-    values = 0.5 * (values + values.T)
+    return 0.5 * (values + values.T)
+
+
+def _h_free(build, mesh, *args):
+    """``build(mesh, *args)``, an unscaled matrix, from ``_cached_matrix``."""
+    return _cached_matrix(build, dataclasses.replace(mesh, h=1.0), *args)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_matrix(build, mesh, *args):
+    """The one cache of h-free matrices: every dense matrix a builder returns,
+    keyed on the builder and the mesh at h = 1, read-only."""
+    values = build(mesh, *args)
     values.setflags(write=False)
     return values
 
@@ -202,13 +215,15 @@ def power_matrix(mesh, p, mode=Mode.Gauss):
     mode = _coerce(Mode, mode)
     if p not in (-2, -1, 1, 2):
         raise ValueError("p must be one of -2, -1, 1, 2")
-    r = mesh.nodes
-    N = mesh.N
     if mode is Mode.Gauss:
-        return np.diag(r ** float(p))
+        return np.diag(mesh.nodes ** float(p))
+    return _h_free(_exact_power, mesh, p)
+
+
+def _exact_power(mesh, p):
     if mesh.family is not Family.RegSqrt:
         return _oracle_matrix(mesh, {-2: "InvR2", -1: "InvR", 1: "R", 2: "R2"}[p])
-    alpha = mesh.alpha
+    r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
     if p == -2:
         if alpha == 0.0:
             raise ValueError("matrix of 1/r^2 diverges on the RegSqrt family at alpha=0")
@@ -228,7 +243,10 @@ def kinetic_matrix(mesh, mode=Mode.Gauss):
     other families use the oracle in Exact mode and node derivative values
     in Gauss mode.
     """
-    mode = _coerce(Mode, mode)
+    return _h_free(_kinetic, mesh, _coerce(Mode, mode))
+
+
+def _kinetic(mesh, mode):
     if mesh.family is Family.RegSqrt:
         r = mesh.nodes
         N, alpha = mesh.N, mesh.alpha
@@ -245,26 +263,12 @@ def kinetic_matrix(mesh, mode=Mode.Gauss):
         return values
     if mode is Mode.Exact:
         return _oracle_matrix(mesh, "Kinetic")
-    return _gauss_kinetic_from_nodes(mesh)
-
-
-def _gauss_kinetic_from_nodes(mesh):
-    """Gauss-quadrature kinetic matrix (unscaled); see ``_cached_gauss_kinetic``."""
-    return _cached_gauss_kinetic(dataclasses.replace(mesh, h=1.0))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_gauss_kinetic(mesh):
-    """Gauss-quadrature kinetic matrix from node derivative values,
-    symmetrized (the raw quadrature of f_i f_j'' is not symmetric in i, j
-    because the integrand is not; its symmetric part is the approximation
-    of the symmetric operator)."""
+    # node derivative values, symmetrized: the raw quadrature of f_i f_j''
+    # is not symmetric in i, j because the integrand is not; its symmetric
+    # part is the approximation of the symmetric operator
     _, d2 = _node_derivative_matrices(mesh)
-    lam = mesh.weights
-    raw = -np.sqrt(lam)[:, None] * d2
-    values = 0.5 * (raw + raw.T)
-    values.setflags(write=False)
-    return values
+    raw = -np.sqrt(mesh.weights)[:, None] * d2
+    return 0.5 * (raw + raw.T)
 
 
 def kinetic2d_matrix(mesh, mode=Mode.Gauss):
@@ -272,10 +276,14 @@ def kinetic2d_matrix(mesh, mode=Mode.Gauss):
 
     On the RegSqrt family with alpha = 0 (the 2D mesh) the Gauss value is
     exact and has a closed form, even though the two pieces diverge
-    separately.  Other meshes fall back to the oracle (Exact) or node
-    values (Gauss).
+    separately.  With alpha > 0 the Exact value is the difference of the
+    RegSqrt closed forms of -d^2/dr^2 and 1/(4 r^2) (the Var2D basis).
+    Other meshes fall back to the oracle (Exact) or node values (Gauss).
     """
-    mode = _coerce(Mode, mode)
+    return _h_free(_kinetic2d, mesh, _coerce(Mode, mode))
+
+
+def _kinetic2d(mesh, mode):
     if mesh.family is Family.RegSqrt and mesh.alpha == 0.0:
         r = mesh.nodes
         N = mesh.N
@@ -283,9 +291,11 @@ def kinetic2d_matrix(mesh, mode=Mode.Gauss):
             values = _sign_grid(N) * 2.0 / (r[:, None] - r[None, :]) ** 2
         np.fill_diagonal(values, (2.0 * (2.0 * N + 1.0) - r - 2.0 / r) / (12.0 * r))
         return values
-    if mode is Mode.Exact:
-        return _oracle_matrix(mesh, "Kinetic2D")
-    return _gauss_kinetic_from_nodes(mesh) - np.diag(0.25 / mesh.nodes**2)
+    if mode is Mode.Gauss:
+        return _kinetic(mesh, mode) - np.diag(0.25 / mesh.nodes**2)
+    if mesh.family is Family.RegSqrt:
+        return _kinetic(mesh, mode) - 0.25 * _exact_power(mesh, -2)
+    return _oracle_matrix(mesh, "Kinetic2D")
 
 
 def potential_matrix(mesh, V, mode=Mode.Gauss):

@@ -152,7 +152,14 @@ def pseudostates(spectrum):
 
 
 def relative_error(e_app, e_exact):
-    """Signed relative error (E_app - E_exact)/|E_exact|."""
+    """Signed relative error (E_app - E_exact)/|E_exact|.
+
+    Raises ``ValueError`` naming ``e_app`` or ``e_exact`` when it is not
+    finite, or when ``e_exact`` is zero.
+    """
+    for name, value in (("e_app", e_app), ("e_exact", e_exact)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite (got {value!r})")
     if e_exact == 0.0:
         raise ValueError("relative error is undefined for a zero reference energy")
     return (e_app - e_exact) / abs(e_exact)

@@ -63,10 +63,14 @@ _NORMAL_X = 1416.0
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _MAX_SHIFT = 2.0**20
-# A scaled recurrence value is brought back to [1/2, 1) once it passes
-# 2**_BIG_EXP.  One step multiplies it by less than 2**22 (a point starts
-# from zero once x passes about 1.5e6), so its square stays finite.
+# Every _RESCALE_STEPS steps, a point whose scaled recurrence values pass
+# 2**_BIG_EXP is brought back to [1/2, 1).  One step multiplies
+# max(|B_{k-1}|, |B_k|) by less than 2**22 (a point starts from zero once x
+# passes about 1.5e6), so between checks it stays below 2**(256 + 8*22) =
+# 2**432 and its square below 2**864: finite.  Scaling by powers of two is
+# exact, so when the check runs does not change a bit of the result.
 _BIG_EXP = 256
+_RESCALE_STEPS = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -116,7 +120,8 @@ def _weighted_laguerre_pair(n, alpha, x, *, christoffel=False):
     is a normal double, the recurrence starts from it unscaled.  Past it, a
     point starts from ``exp(-x/2) 2**m`` and keeps its exponent apart,
     rescaled by exact powers of two whenever ``|B|`` grows large, so the
-    values are finite wherever the true ones can be represented.
+    values are finite wherever the true ones can be represented.  The loop
+    works in place on three buffers and allocates nothing per step.
     """
     x = np.asarray(x, dtype=float)
     far = x >= _NORMAL_X
@@ -125,21 +130,33 @@ def _weighted_laguerre_pair(n, alpha, x, *, christoffel=False):
     cur = np.where(far, np.exp(m * _LN2_HI - 0.5 * x + m * _LN2_LO), np.exp(-0.5 * x))
     shift = -m.astype(int)
     prev = np.zeros_like(cur)
+    nxt = np.empty_like(cur)
     csum = np.zeros_like(cur) if christoffel else None
     h = 1.0 / math.gamma(alpha + 1.0)
     rescale = bool(np.any(far))
+    # in place, in the operation order of
+    # ((2k + alpha + 1 - x) cur - (k + alpha) prev) / (k + 1)
     for k in range(n):
         if christoffel:
-            csum += h * cur * cur
+            np.multiply(cur, h, out=nxt)
+            nxt *= cur
+            csum += nxt
             h *= (k + 1.0) / (k + 1.0 + alpha)
-        prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
-        if rescale and np.abs(cur).max() > 2.0**_BIG_EXP:
-            e = np.frexp(cur)[1]
-            s = np.where(e > _BIG_EXP, e, 0)
-            prev, cur = np.ldexp(prev, -s), np.ldexp(cur, -s)
-            if christoffel:
-                csum = np.ldexp(csum, -2 * s)
-            shift += s
+        np.subtract(2.0 * k + alpha + 1.0, x, out=nxt)
+        nxt *= cur
+        prev *= k + alpha
+        nxt -= prev
+        nxt /= k + 1.0
+        prev, cur, nxt = cur, nxt, prev
+        if rescale and k % _RESCALE_STEPS == _RESCALE_STEPS - 1:
+            e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+            if e.max() > _BIG_EXP:
+                s = np.where(e > _BIG_EXP, e, 0)
+                np.ldexp(prev, -s, out=prev)
+                np.ldexp(cur, -s, out=cur)
+                if christoffel:
+                    np.ldexp(csum, -2 * s, out=csum)
+                shift += s
     if christoffel:
         csum = np.ldexp(csum, 2 * shift)
     return np.ldexp(prev, shift), np.ldexp(cur, shift), csum

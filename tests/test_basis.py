@@ -10,13 +10,26 @@ from lagmesh.basis import (
     Family,
     MeshSpec,
     reconstruct_wavefunction,
-    _eval_all,
+    _chain,
+    _family_power,
     _node_derivative_matrices,
+    _prefactors,
     _weighted_cardinal_all,
 )
 from lagmesh.quadrature import generate_rule
 
 PAIRINGS = [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)]
+
+
+def _eval_all(mesh, x, derivatives=False):
+    """Reference: unscaled values (and, with ``derivatives``, first and second
+    derivatives) of all basis functions at ``x``, as ``(N, len(x))`` arrays
+    formed row by row from the weighted cardinal ratios."""
+    p = _family_power(mesh.family, mesh.alpha)
+    pref = _prefactors(mesh)[:, None]
+    pw = _weighted_cardinal_all(mesh, x, derivatives)
+    values = pref * pw[0] * x[None, :] ** p
+    return (values, *_chain(pref, p, x[None, :], *pw)) if derivatives else values
 
 
 def basis_function(mesh, j, r):
@@ -213,6 +226,22 @@ class TestBatchedKernels:
             for b, o in zip(batch, single):
                 assert np.array_equal(b[:, k], o[:, 0])
 
+    @pytest.mark.parametrize("N", [1, 2, 20, 150, 400])
+    def test_near_pairs_match_the_full_window_test(self, N):
+        # the binary search finds exactly the pairs of the test on every
+        # (node, point) offset
+        mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
+        nodes = mesh.nodes
+        x = np.concatenate([[0.0], self._near_node_batch(mesh),
+                            np.linspace(0.0, 1.1 * nodes[-1], 1001)])
+        x = np.random.default_rng(N).permutation(x[x >= 0.0])
+        s = x[None, :] - nodes[:, None]
+        want = np.nonzero(np.abs(s) < basis._NEAR_NODE_FRACTION * (1.0 + nodes[:, None]))
+        j, i, s_near = basis._near_pairs(nodes, x)
+        order = np.lexsort((i, j))
+        assert np.array_equal(j[order], want[0]) and np.array_equal(i[order], want[1])
+        assert np.array_equal(s_near[order], s[want])
+
     @pytest.mark.parametrize("family, alpha", PAIRINGS)
     def test_values_only_path_is_bit_identical(self, family, alpha):
         mesh = MeshSpec(150, alpha, family, 1.0)
@@ -316,6 +345,32 @@ class TestReconstruct:
         rr = np.linspace(0.0, 9.0, 25)
         direct = sum(c[j] * basis_function(mesh, j + 1, rr) for j in range(7))
         assert np.allclose(reconstruct_wavefunction(mesh, c, rr), direct, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("family,alpha", PAIRINGS)
+    @pytest.mark.parametrize("N", [1, 2, 7, 150, 400])
+    def test_pole_sum_matches_basis_matrix_sum(self, family, alpha, N):
+        # the reference contracts the N x len(r) basis matrix; h = 0.5 scales
+        # every node exactly, so r / h hits each node (s = 0), and radii just
+        # inside and just outside the near-node window, the origin, repeats
+        # and an unsorted order are all in one call
+        h = 0.5
+        mesh = MeshSpec(N, alpha, family, h)
+        rng = np.random.default_rng(N)
+        c = rng.standard_normal(N)
+        nodes = mesh.nodes
+        window = basis._NEAR_NODE_FRACTION * (1.0 + nodes)
+        x = np.concatenate([[0.0], nodes, nodes + 0.999 * window, nodes - 0.999 * window,
+                            nodes + 1.001 * window, nodes - 1.001 * window,
+                            np.linspace(0.0, 1.2 * nodes[-1], 211)])
+        x = rng.permutation(np.concatenate([x, x[:N + 1]]))
+        x = x[x >= 0.0]
+        want = c @ _eval_all(mesh, x) / math.sqrt(h)
+        got = reconstruct_wavefunction(mesh, c, h * x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for k in (0, 1, x.size - 1):
+            scalar = reconstruct_wavefunction(mesh, c, float(h * x[k]))
+            assert isinstance(scalar, float)
+            assert abs(scalar - want[k]) <= 1e-13 * np.max(np.abs(want))
 
     def test_length_mismatch(self):
         mesh = MeshSpec(5, 1.0, "RegSqrt", 1.0)

@@ -32,6 +32,7 @@ from lagmesh import (
     hamiltonian_3d,
     pseudostates,
     reconstruct_wavefunction,
+    relative_error,
     scheme_mesh,
     solve_bound_states,
     tan_delta,
@@ -140,6 +141,8 @@ CASES = {
         MESH, _with_entry(np.ones(MESH.N), v), 1.0), NONFINITE, r"\bcoeffs\b"),
     "reconstruct_wavefunction.r": (lambda v: reconstruct_wavefunction(
         MESH, np.ones(MESH.N), [0.5, v]), NONFINITE | NEGATIVE, r"\br\b"),
+    "relative_error.e_app": (lambda v: relative_error(v, 1.0), NONFINITE, r"\be_app\b"),
+    "relative_error.e_exact": (lambda v: relative_error(1.0, v), NONFINITE, r"\be_exact\b"),
     "PotentialSpec.term_c": (lambda v: PotentialSpec("v", terms=((v, -1.0, 0.0, 0.0),)),
                              NONFINITE, r"\bterm c\b"),
     "PotentialSpec.term_p": (lambda v: PotentialSpec("v", terms=((1.0, v, 0.0, 0.0),)),

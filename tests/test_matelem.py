@@ -97,6 +97,15 @@ class TestClosedFormsAgainstOracle:
         oracle = _oracle_matrix(mesh, "Kinetic2D")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
+    @pytest.mark.parametrize("N", [3, 10, 25])
+    def test_combined_2d_form_on_the_var2d_basis(self, N):
+        # alpha = 2: the Exact value is the closed -d^2/dr^2 minus a quarter
+        # of the closed 1/r^2
+        mesh = mesh_regsqrt(N, 2.0)
+        closed = kinetic2d_matrix(mesh, Mode.Exact)
+        oracle = _oracle_matrix(mesh, "Kinetic2D")
+        assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
     def test_oracle_invr_is_diagonal_of_inverse_nodes(self):
         mesh = mesh_regsqrt(8, 2.0)
         oracle = _oracle_matrix(mesh, "InvR")
@@ -333,6 +342,14 @@ class TestHamiltonian2D:
         exact = -2.0 / 9.0
         assert abs(E[0] - exact) / abs(exact) <= 1e-12
 
+    def test_variational_oscillator_at_large_n(self):
+        # the closed-form kinetic matrix keeps Var2D accurate to 1e-12 at
+        # N = 400, where the exactifying quadrature loses a digit
+        mesh = mesh_regsqrt(400, 0.0, h=0.06)
+        H, _ = hamiltonian_2d(mesh, 1, builtin("harmonic"), "Var2D")
+        E = np.linalg.eigvalsh(H)
+        assert abs(E[0] - 2.0) / 2.0 <= 2e-12
+
     def test_requires_sqrt_regularized_alpha_zero_mesh(self):
         with pytest.raises(ValueError, match="alpha=0"):
             hamiltonian_2d(mesh_regsqrt(8, 1.0), 1, builtin("harmonic"), "Var2D")
@@ -485,8 +502,7 @@ class TestDivergenceRejections:
 
 
 def _clear_matrix_caches():
-    matelem._cached_oracle.cache_clear()
-    matelem._cached_gauss_kinetic.cache_clear()
+    matelem._cached_matrix.cache_clear()
 
 
 # every family with a regular and a singular-at-the-origin alpha
@@ -529,14 +545,19 @@ class TestMatrixCache:
     def test_cached_builders_ignore_h(self, family, alpha):
         # the cache keys drop h; building at another h must not change a bit
         at_h = MeshSpec(9, alpha, family, 2.7)
-        expected = matelem._cached_gauss_kinetic.__wrapped__(at_h)
-        assert np.array_equal(matelem._gauss_kinetic_from_nodes(at_h), expected)
-        for tag in ("InvR", "InvR2", "R", "R2", "Kinetic", "Kinetic2D"):
+        calls = (
+            [(matelem._kinetic, m) for m in Mode]
+            + [(matelem._kinetic2d, m) for m in Mode]
+            + [(matelem._exact_power, p) for p in (-2, -1, 1, 2)]
+            + [(_oracle_matrix, tag)
+               for tag in ("InvR", "InvR2", "R", "R2", "Kinetic", "Kinetic2D")]
+        )
+        for build, arg in calls:
             try:
-                expected = matelem._cached_oracle.__wrapped__(at_h, tag)
+                expected = matelem._cached_matrix.__wrapped__(build, at_h, arg)
             except ValueError:
                 continue
-            assert np.array_equal(_oracle_matrix(at_h, tag), expected)
+            assert np.array_equal(matelem._h_free(build, at_h, arg), expected)
 
     def test_warm_cache_spectrum_equals_cold(self):
         from lagmesh.solver import solve_bound_states
@@ -549,7 +570,7 @@ class TestMatrixCache:
 
         hamiltonian_3d(MeshSpec(30, 2.0, Family.NonReg, 0.2), 1, V, "NonRegVG")
         warm = spectrum()
-        assert matelem._cached_oracle.cache_info().hits >= 2
+        assert matelem._cached_matrix.cache_info().hits >= 2
         _clear_matrix_caches()
         cold = spectrum()
         assert np.array_equal(warm.energies, cold.energies)
@@ -596,20 +617,22 @@ class TestMatrixCache:
         assert S_again[0, 0] == 1.0
 
     @pytest.mark.parametrize(
-        "variant,cache,keys",
+        "variant,keys",
         [
-            ("non-reg-vg", "_cached_oracle", 2),
-            ("non-reg", "_cached_oracle", 1),
-            ("reg-r", "_cached_gauss_kinetic", 1),
+            ("non-reg-vg", 2),
+            ("non-reg", 1),
+            ("reg-r", 1),
+            ("reg-sqrt", 1),
+            ("var", 3),
         ],
     )
-    def test_h_sweep_builds_each_matrix_once(self, variant, cache, keys):
+    def test_h_sweep_builds_each_matrix_once(self, variant, keys):
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant=variant, N=40, h=0.5)
         values = np.linspace(0.2, 1.2, 20)
         _clear_matrix_caches()
         cli.sweep(config, "h", values)
-        info = getattr(matelem, cache).cache_info()
+        info = matelem._cached_matrix.cache_info()
         assert info.misses == keys
         assert info.hits == keys * (len(values) - 1)
         assert info.currsize == keys
@@ -617,7 +640,7 @@ class TestMatrixCache:
     def test_caches_stay_bounded(self):
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="non-reg-vg", N=10, h=0.5)
-        caches = (matelem._cached_oracle, basis._cached_rule, basis._node_taylor)
+        caches = (matelem._cached_matrix, basis._cached_rule, basis._node_taylor)
         _clear_matrix_caches()
         for N in range(10, 30):
             cli.run(dataclasses.replace(config, N=N))
@@ -625,4 +648,4 @@ class TestMatrixCache:
                 assert cache.cache_info().currsize <= basis._CACHE_SIZE
         for cache in caches:
             assert cache.cache_info().currsize == basis._CACHE_SIZE
-        assert matelem._cached_oracle.cache_info().misses == 2 * 20
+        assert matelem._cached_matrix.cache_info().misses == 2 * 20

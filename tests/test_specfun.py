@@ -107,6 +107,35 @@ LARGE_X_REFERENCE = {
 HANKEL_CORNERS = [(20, 50.0, 80.0), (20, -50.0, 80.0), (20, 50.0, 300.0)]
 
 
+def _allocating_laguerre_pair(n, alpha, x, christoffel):
+    """Reference: the recurrence of ``_weighted_laguerre_pair`` with a fresh
+    array at every step and a rescale check after every step."""
+    far = x >= specfun._NORMAL_X
+    m = np.where(far, np.floor(np.minimum(0.5 * x, specfun._MAX_SHIFT * specfun._LN2_HI)
+                               / specfun._LN2_HI), 0.0)
+    cur = np.where(far, np.exp(m * specfun._LN2_HI - 0.5 * x + m * specfun._LN2_LO),
+                   np.exp(-0.5 * x))
+    shift = -m.astype(int)
+    prev = np.zeros_like(cur)
+    csum = np.zeros_like(cur) if christoffel else None
+    h = 1.0 / math.gamma(alpha + 1.0)
+    for k in range(n):
+        if christoffel:
+            csum += h * cur * cur
+            h *= (k + 1.0) / (k + 1.0 + alpha)
+        prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
+        if np.any(far) and np.abs(cur).max() > 2.0**specfun._BIG_EXP:
+            e = np.frexp(cur)[1]
+            s = np.where(e > specfun._BIG_EXP, e, 0)
+            prev, cur = np.ldexp(prev, -s), np.ldexp(cur, -s)
+            if christoffel:
+                csum = np.ldexp(csum, -2 * s)
+            shift += s
+    if christoffel:
+        csum = np.ldexp(csum, 2 * shift)
+    return np.ldexp(prev, shift), np.ldexp(cur, shift), csum
+
+
 class TestLaguerre:
     """``_weighted_laguerre_pair`` returns B_k = L_k^{(a)}(x) exp(-x/2)."""
 
@@ -167,6 +196,20 @@ class TestLaguerre:
         assert csum is None
         w_prev, w, _ = _weighted_laguerre_pair(30, 1.0, x, christoffel=True)
         assert np.array_equal(b_prev, w_prev) and np.array_equal(b, w)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 150, 1000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("christoffel", [False, True])
+    def test_in_place_loop_is_bit_identical(self, n, alpha, christoffel):
+        # against the allocating loop that rescales at every step; points
+        # past x = 1416 take the rescaled path, and past about 1.5e6 start
+        # from zero
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 3e6, 400),
+                            np.linspace(1400.0, 4100.0, 61)])
+        got = _weighted_laguerre_pair(n, alpha, x, christoffel=christoffel)
+        want = _allocating_laguerre_pair(n, alpha, x, christoffel)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or np.array_equal(g, w)
 
     def test_scalar_in_scalar_out(self):
         b_prev, b, _ = _weighted_laguerre_pair(3, 0.0, 1.5)
