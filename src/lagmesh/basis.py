@@ -261,43 +261,6 @@ def _weighted_cardinal_all(mesh, x, derivatives=False):
     return tuple(pw)
 
 
-def _chain(pref, p, x, pw0, pw1, pw2):
-    """First and second derivatives of ``pref * x**p * psi`` from the
-    weighted cardinal ratio ``psi = pw0`` and its derivatives ``pw1``,
-    ``pw2``; ``pref`` and ``x`` broadcast against them."""
-    xp = x**p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = p / x - 0.5
-        gp = -p / x**2
-    d1 = pref * (pw1 + pw0 * g) * xp
-    d2 = pref * (pw2 + 2.0 * pw1 * g + pw0 * (g * g + gp)) * xp
-    return d1, d2
-
-
-def _node_derivative_matrices(mesh):
-    """Derivatives of all basis functions at the nodes, any family.
-
-    Uses the exact structural limits of the cardinal ratio at the mesh points
-    (``L_N(r_i) = 0`` is treated as an identity, not a rounded value).
-    """
-    N, r = mesh.N, mesh.nodes
-    t1, t2, t3 = _node_taylor(N, mesh.alpha)
-
-    s = r[:, None] - r[None, :]
-    np.fill_diagonal(s, 1.0)  # placeholder; diagonals set explicitly below
-    inv_s = 1.0 / s
-
-    pw0 = np.zeros((N, N))
-    pw1 = t1[:, None] * inv_s
-    pw2 = (t2[:, None] - 2.0 * t1[:, None] * inv_s) * inv_s
-    np.fill_diagonal(pw0, t1)
-    np.fill_diagonal(pw1, 0.5 * t2)
-    np.fill_diagonal(pw2, t3 / 3.0)
-
-    p = _family_power(mesh.family, mesh.alpha)
-    return _chain(_prefactors(mesh)[None, :], p, r[:, None], pw0, pw1, pw2)
-
-
 def reconstruct_wavefunction(mesh, coeffs, r):
     """Radial function ``u(r) = sum_j c_j`` times the scaled basis functions.
 
@@ -313,7 +276,7 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     coeffs : array_like
         Expansion coefficients, length ``N``.
     r : float or array_like
-        Finite radii, ``r >= 0``.
+        Finite radii, ``r >= 0``; the result is finite at every one.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (mesh.N,):
@@ -325,7 +288,8 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     flat = np.atleast_1d(rs).ravel()
     if not np.all((flat >= 0.0) & np.isfinite(flat)):
         raise ValueError("r must be nonnegative and finite")
-    x = flat / mesh.h
+    with np.errstate(over="ignore"):  # every basis function is 0 past x = 2**1000
+        x = np.minimum(flat / mesh.h, 2.0**1000)
     N, alpha, nodes = mesh.N, mesh.alpha, mesh.nodes
     w = c * _prefactors(mesh)
     j, i, s = _near_pairs(nodes, x)
@@ -335,9 +299,10 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     poles[j, i] = 0.0
     near = np.bincount(i, weights=w[j] * _near_taylor(N, alpha, nodes, j, s)[0],
                        minlength=x.size)
-    b_n = _weighted_laguerre_pair(N, alpha, x)[1]
-    p = _family_power(mesh.family, alpha)
-    values = x**p * (b_n * (w @ poles) + near) / math.sqrt(mesh.h)
+    total = _weighted_laguerre_pair(N, alpha, x)[1] * (w @ poles) + near
+    # u is 0 where the sum is, as at large x, where B_N underflows and x**p overflows
+    xp = np.power(x, _family_power(mesh.family, alpha), out=np.zeros_like(x), where=total != 0)
+    values = xp * total / math.sqrt(mesh.h)
     if scalar:
         return float(values[0])
     return values.reshape(rs.shape)

@@ -486,8 +486,7 @@ def build_parser():
     common.add_argument("--l", type=int, default=None, help="orbital momentum (3D)")
     common.add_argument("--m", type=int, default=None, help="angular number (2D)")
     common.add_argument("--dim", type=int, default=None, help="2 or 3 (default 3)")
-    common.add_argument("--variant", default=None,
-                        help="var, reg-sqrt, reg-r, non-reg, non-reg-vg")
+    common.add_argument("--variant", default=None, help=", ".join(_VARIANTS))
     common.add_argument("--N", type=int, default=None, help="mesh size")
     common.add_argument("--alpha", type=float, default=None,
                         help="Laguerre parameter (default per variant)")

@@ -2,12 +2,12 @@
 
 Matrices come in two modes.  ``Gauss`` evaluates the defining integral with
 the quadrature rule attached to the mesh, which collapses multiplicative
-operators to diagonal matrices and derivative operators to combinations of
-basis-function derivatives at the nodes.  ``Exact`` returns the true
-integral: closed forms are used for the sqrt-regularized family, and an
-exactifying quadrature (a larger rule with a shifted weight exponent, chosen
-so the integrand is exactly a polynomial times the weight) covers every
-other case.  Every builder returns a plain ``ndarray``.
+operators to diagonal matrices and has a closed form for the kinetic
+operators on every family.  ``Exact`` returns the true integral: closed
+forms are used for the sqrt-regularized family, and an exactifying
+quadrature (a larger rule with a shifted weight exponent, chosen so the
+integrand is exactly a polynomial times the weight) covers every other
+case.  Every builder returns a plain ``ndarray``.
 
 Sign convention: ``Kinetic`` stores the matrix of ``-d^2/dr^2`` and
 ``Kinetic2D`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
@@ -16,11 +16,10 @@ are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
 depends on h, one cache, ``_cached_matrix``, holds every dense one per
 ``(N, alpha, family)`` and operator: the oracle matrices, the Gauss kinetic
-matrix from node derivatives, and the RegSqrt closed forms of both kinetic
-operators and of the Exact powers.  It keeps at most ``_CACHE_SIZE`` of
-them, so a sweep over h builds each matrix once.  Diagonal Gauss matrices
-cost less to build than to look up and are not cached.  Cached arrays are
-read-only.
+matrices, and the RegSqrt closed forms of the Exact kinetic operators and
+powers.  It keeps at most ``_CACHE_SIZE`` of them, so a sweep over h builds
+each matrix once.  Diagonal Gauss matrices cost less to build than to look
+up and are not cached.  Cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .basis import (
     _CACHE_SIZE,
     _alpha,
     _family_power,
-    _node_derivative_matrices,
     _prefactors,
     _weighted_cardinal_all,
 )
@@ -235,64 +233,71 @@ def _exact_power(mesh, p):
     return np.diag(r**2.0) + _sign_grid(N) * (2.0 * N + alpha + 1.0 + r[:, None] + r[None, :])
 
 
+def _gauss_kinetic(mesh, c_shift=0.0):
+    """Gauss matrix of -d^2/dr^2 in closed form, any family: the symmetrized
+    sum ``-lambda_i^(1/2) f_j''(r_i)``, from ``L_N(r_i) = 0`` and the Laguerre
+    equation (D. Baye, Phys. Rep. 565 (2015) 1).  The diagonal is
+    ``(2(2N+alpha+1) - r_i - c/r_i)/(12 r_i)`` and the off-diagonal
+    ``(-1)^(i-j) n_ij/(r_i - r_j)^2``; ``c_shift = 3`` subtracts
+    ``1/(4 r_i^2)`` from the diagonal, as the 2D operator needs.
+    """
+    r, N = mesh.nodes, mesh.N
+    ri, rj = r[:, None], r[None, :]
+    if mesh.family is Family.RegSqrt:
+        n, c = 2.0, -1.0
+    elif mesh.family is Family.RegR:
+        n, c = (ri + rj) / np.sqrt(ri * rj), -4.0
+    else:
+        n, c = -(ri + rj) * (ri * ri - 4.0 * ri * rj + rj * rj) / (2.0 * (ri * rj) ** 1.5), 8.0
+    with np.errstate(divide="ignore"):
+        values = _sign_grid(N) * (n / (ri - rj) ** 2)
+    c = mesh.alpha**2 + c + c_shift
+    np.fill_diagonal(values, (2.0 * (2.0 * N + mesh.alpha + 1.0) - r - c / r) / (12.0 * r))
+    return values
+
+
 def kinetic_matrix(mesh, mode=Mode.Gauss):
     """Matrix of -d^2/dr^2 (unscaled coordinates).
 
-    RegSqrt has closed forms; the Gauss value drops the correcting term
-    proportional to (1 - alpha^2)/alpha, which vanishes at alpha = 1.  The
-    other families use the oracle in Exact mode and node derivative values
-    in Gauss mode.
+    Gauss mode is the closed form of ``_gauss_kinetic`` on every family
+    (Baye 2015).  The exact RegSqrt matrix adds a correcting term
+    proportional to (1 - alpha^2)/alpha, which vanishes at alpha = 1; the
+    other families use the oracle in Exact mode.
     """
     return _h_free(_kinetic, mesh, _coerce(Mode, mode))
 
 
 def _kinetic(mesh, mode):
-    if mesh.family is Family.RegSqrt:
-        r = mesh.nodes
-        N, alpha = mesh.N, mesh.alpha
-        if mode is Mode.Exact and alpha == 0.0:
-            raise ValueError("exact -d^2/dr^2 diverges on the RegSqrt family at alpha=0")
-        with np.errstate(divide="ignore"):
-            off = 2.0 / (r[:, None] - r[None, :]) ** 2
-        diag = (2.0 * (2.0 * N + alpha + 1.0) - r + (1.0 - alpha**2) / r) / (12.0 * r)
-        if mode is Mode.Exact:
-            off = off + (1.0 - alpha**2) / (4.0 * alpha * np.outer(r, r))
-            diag = diag + 3.0 * (1.0 - alpha**2) / (alpha * 12.0 * r**2)
-        values = _sign_grid(N) * off
-        np.fill_diagonal(values, diag)
-        return values
-    if mode is Mode.Exact:
+    if mode is Mode.Gauss:
+        return _gauss_kinetic(mesh)
+    if mesh.family is not Family.RegSqrt:
         return _oracle_matrix(mesh, "Kinetic")
-    # node derivative values, symmetrized: the raw quadrature of f_i f_j''
-    # is not symmetric in i, j because the integrand is not; its symmetric
-    # part is the approximation of the symmetric operator
-    _, d2 = _node_derivative_matrices(mesh)
-    raw = -np.sqrt(mesh.weights)[:, None] * d2
-    return 0.5 * (raw + raw.T)
+    r, alpha = mesh.nodes, mesh.alpha
+    if alpha == 0.0:
+        raise ValueError("exact -d^2/dr^2 diverges on the RegSqrt family at alpha=0")
+    values = _gauss_kinetic(mesh)
+    diag = values.diagonal() + 3.0 * (1.0 - alpha**2) / (alpha * 12.0 * r**2)
+    values += _sign_grid(mesh.N) * ((1.0 - alpha**2) / (4.0 * alpha * np.outer(r, r)))
+    np.fill_diagonal(values, diag)
+    return values
 
 
 def kinetic2d_matrix(mesh, mode=Mode.Gauss):
     """Matrix of the combined operator -(d^2/drho^2 + 1/(4 rho^2)).
 
-    On the RegSqrt family with alpha = 0 (the 2D mesh) the Gauss value is
-    exact and has a closed form, even though the two pieces diverge
-    separately.  With alpha > 0 the Exact value is the difference of the
-    RegSqrt closed forms of -d^2/dr^2 and 1/(4 r^2) (the Var2D basis).
-    Other meshes fall back to the oracle (Exact) or node values (Gauss).
+    Gauss mode is the closed form of ``_gauss_kinetic`` with the
+    1/(4 rho^2) term folded into its diagonal (Baye 2015).  On the RegSqrt
+    family with alpha = 0 (the 2D mesh) that value is exact, even though
+    the two pieces diverge separately.  With alpha > 0 the Exact value is
+    the difference of the RegSqrt closed forms of -d^2/dr^2 and 1/(4 r^2)
+    (the Var2D basis); other families use the oracle in Exact mode.
     """
     return _h_free(_kinetic2d, mesh, _coerce(Mode, mode))
 
 
 def _kinetic2d(mesh, mode):
-    if mesh.family is Family.RegSqrt and mesh.alpha == 0.0:
-        r = mesh.nodes
-        N = mesh.N
-        with np.errstate(divide="ignore"):
-            values = _sign_grid(N) * 2.0 / (r[:, None] - r[None, :]) ** 2
-        np.fill_diagonal(values, (2.0 * (2.0 * N + 1.0) - r - 2.0 / r) / (12.0 * r))
-        return values
-    if mode is Mode.Gauss:
-        return _kinetic(mesh, mode) - np.diag(0.25 / mesh.nodes**2)
+    if mode is Mode.Gauss or (mesh.family is Family.RegSqrt and mesh.alpha == 0.0):
+        return _gauss_kinetic(mesh, 3.0)
     if mesh.family is Family.RegSqrt:
         return _kinetic(mesh, mode) - 0.25 * _exact_power(mesh, -2)
     return _oracle_matrix(mesh, "Kinetic2D")

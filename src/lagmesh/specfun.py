@@ -366,7 +366,8 @@ def _taylor_sweep(l, eta, x0, u0, up0, targets):
     follow from ``x**2 u'' = (l(l+1) + 2 eta x - x**2) u`` by a five-term
     recurrence.  A step is at most ``x/2``, so the terms fall like ``2**-n``
     at worst, and at most ``|q(x)|**-0.5`` with ``q = u''/u``, so they do
-    not grow.
+    not grow; it is formed from ``q x**2``, which neither under- nor
+    overflows at tiny ``x``.
     """
     ll1 = l * (l + 1.0)
     vals = np.empty(len(targets))
@@ -375,12 +376,12 @@ def _taylor_sweep(l, eta, x0, u0, up0, targets):
     for i in np.argsort(np.abs(targets - x0)):
         xt = float(targets[i])
         while x != xt:
-            q = ll1 / (x * x) + 2.0 * eta / x - 1.0
-            step = 0.5 * x
-            if abs(q) * step * step > 1.0:
-                step = 1.0 / math.sqrt(abs(q))
+            qx2 = abs(ll1 + (2.0 * eta - x) * x)
+            step = x * qx2 ** -0.5 if qx2 > 4.0 else 0.5 * x
             # within x/2 of x, xt - x is exact, so the last step lands on xt
             t = max(-step, min(step, xt - x))
+            if t == 0.0:
+                raise ConvergenceError(f"Taylor step underflows (x={x})")
             u, up = _taylor_step(ll1, eta, x, t, u, up)
             x += t
         vals[i], ders[i] = u, up

@@ -10,9 +10,7 @@ from lagmesh.basis import (
     Family,
     MeshSpec,
     reconstruct_wavefunction,
-    _chain,
     _family_power,
-    _node_derivative_matrices,
     _prefactors,
     _weighted_cardinal_all,
 )
@@ -24,12 +22,27 @@ PAIRINGS = [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)]
 def _eval_all(mesh, x, derivatives=False):
     """Reference: unscaled values (and, with ``derivatives``, first and second
     derivatives) of all basis functions at ``x``, as ``(N, len(x))`` arrays
-    formed row by row from the weighted cardinal ratios."""
+    formed row by row from the weighted cardinal ratios ``psi`` by the chain
+    rule for ``pref * x**p * psi``."""
     p = _family_power(mesh.family, mesh.alpha)
     pref = _prefactors(mesh)[:, None]
-    pw = _weighted_cardinal_all(mesh, x, derivatives)
-    values = pref * pw[0] * x[None, :] ** p
-    return (values, *_chain(pref, p, x[None, :], *pw)) if derivatives else values
+    pw0, pw1, pw2 = _weighted_cardinal_all(mesh, x, derivatives)
+    xp = x[None, :] ** p
+    values = pref * pw0 * xp
+    if not derivatives:
+        return values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = p / x[None, :] - 0.5
+        gp = -p / x[None, :] ** 2
+    return (values, pref * (pw1 + pw0 * g) * xp,
+            pref * (pw2 + 2.0 * pw1 * g + pw0 * (g * g + gp)) * xp)
+
+
+def _node_derivatives(mesh):
+    """First and second derivatives of all basis functions at the nodes,
+    ``[i, j] = f_j^{(k)}(r_i)``, from the reference ``_eval_all``."""
+    _, d1, d2 = _eval_all(mesh, mesh.nodes, derivatives=True)
+    return d1.T, d2.T
 
 
 def basis_function(mesh, j, r):
@@ -257,7 +270,7 @@ class TestDerivativeValuesAtNodes:
         r = mesh.nodes
         lam = mesh.weights
         assert r[0] == pytest.approx(3.0 - math.sqrt(3.0), rel=1e-14)
-        d1, _ = _node_derivative_matrices(mesh)
+        d1, _ = _node_derivatives(mesh)
         got = math.sqrt(lam[0]) * d1[0, 1]
         assert got == pytest.approx(-1.0 / (r[0] - r[1]), rel=1e-13)
         assert got == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), rel=1e-13)
@@ -268,7 +281,7 @@ class TestDerivativeValuesAtNodes:
         mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
         r = mesh.nodes
         lam = mesh.weights
-        d1, _ = _node_derivative_matrices(mesh)
+        d1, _ = _node_derivatives(mesh)
         got = np.sqrt(lam)[:, None] * d1
         ii, jj = np.indices((N, N))
         with np.errstate(divide="ignore"):
@@ -284,19 +297,35 @@ class TestDerivativeValuesAtNodes:
         mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
         r = mesh.nodes
         lam = mesh.weights
-        _, d2 = _node_derivative_matrices(mesh)
+        _, d2 = _node_derivatives(mesh)
         got = np.sqrt(lam) * np.diag(d2)
         expect = -(2.0 * (2.0 * N + 2.0) - r) / (12.0 * r)
         assert np.allclose(got, expect, rtol=5e-13)
 
     @pytest.mark.parametrize("family,alpha", PAIRINGS)
     def test_internal_matrices_match_generic_evaluation(self, family, alpha):
-        # structural node formulas against the general evaluation path
-        mesh = MeshSpec(8, alpha, family, 1.0)
-        d1, d2 = _node_derivative_matrices(mesh)
-        _, g1, g2 = _eval_all(mesh, mesh.nodes.copy(), derivatives=True)
-        assert np.allclose(d1, g1.T, atol=1e-13 * np.max(np.abs(d1)))
-        assert np.allclose(d2, g2.T, atol=1e-12 * np.max(np.abs(d2)))
+        # structural node formulas against the general evaluation path.  With
+        # f_j = (r/r_j)^e g_j, g_j the RegSqrt function and e the family's
+        # extra power, lambda_i^(1/2) f_j'(r_i) is (-1)^(i-j) (r_i/r_j)^e /
+        # (r_i - r_j) off the diagonal and e/r_i on it; -lambda_i^(1/2)
+        # f_i''(r_i) is the diagonal of the Gauss kinetic matrix,
+        # (2(2N+alpha+1) - r_i - c/r_i)/(12 r_i) (Baye, Phys. Rep. 565 (2015) 1)
+        N = 8
+        mesh = MeshSpec(N, alpha, family, 1.0)
+        r, sqrt_lam = mesh.nodes, np.sqrt(mesh.weights)
+        e = _family_power(mesh.family, alpha) - 0.5 * (alpha + 1.0)
+        c = alpha**2 + {"RegSqrt": -1.0, "RegR": -4.0, "NonReg": 8.0}[family]
+        d1, d2 = _node_derivatives(mesh)
+        ii, jj = np.indices((N, N))
+        with np.errstate(divide="ignore"):
+            want1 = ((-1.0) ** (ii - jj) * (r[:, None] / r[None, :]) ** e
+                     / (r[:, None] - r[None, :]))
+        np.fill_diagonal(want1, e / r)
+        got1 = sqrt_lam[:, None] * d1
+        assert np.allclose(got1, want1, rtol=0.0, atol=1e-13 * np.max(np.abs(want1)))
+        want2 = -(2.0 * (2.0 * N + alpha + 1.0) - r - c / r) / (12.0 * r)
+        got2 = sqrt_lam * np.diag(d2)
+        assert np.allclose(got2, want2, rtol=0.0, atol=1e-13 * np.max(np.abs(want2)))
 
     def test_cached_node_derivatives_are_read_only(self):
         for t in basis._node_taylor(12, 2.0):
@@ -371,6 +400,18 @@ class TestReconstruct:
             scalar = reconstruct_wavefunction(mesh, c, float(h * x[k]))
             assert isinstance(scalar, float)
             assert abs(scalar - want[k]) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("family", ["NonReg", "RegSqrt", "RegR"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    def test_huge_radii_give_zero(self, family, alpha, h):
+        # x**p overflows out there while B_N underflows, which gave nan; at
+        # h < 1 the largest double over h overflows as well.  A RuntimeWarning
+        # fails the test (pyproject filterwarnings)
+        mesh = MeshSpec(10, alpha, family, h)
+        r = [1e200, 1e300, 1.7e308, np.finfo(float).max]
+        got = reconstruct_wavefunction(mesh, np.ones(10), r)
+        assert np.array_equal(got, np.zeros(4))
 
     def test_length_mismatch(self):
         mesh = MeshSpec(5, 1.0, "RegSqrt", 1.0)

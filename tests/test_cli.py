@@ -374,6 +374,13 @@ class TestMain:
         assert code == 0
         assert out.splitlines()[1].startswith("1,1.5,")
 
+    def test_variant_help_lists_every_alias(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bound", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--variant VARIANT " + ", ".join(cli._VARIANTS) in help_text
+        assert set(cli._VARIANTS_2D) <= set(cli._VARIANTS)
+
     def test_validation_failure_exits_1(self, capsys):
         code = main(["scatter", "--potential", "eckart", "--N", "15",
                      "--h", "0.1"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lagmesh import basis, cli, matelem
-from lagmesh.basis import Family, MeshSpec
+from lagmesh.basis import Family, MeshSpec, _family_power
 from lagmesh.matelem import (
     Classification,
     HamiltonianVariant,
@@ -28,6 +28,8 @@ from lagmesh.potentials import builtin
 from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
+
+from test_basis import _eval_all
 
 
 def mesh_regsqrt(N, alpha=1.0, h=1.0):
@@ -202,14 +204,62 @@ class TestKinetic:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_gauss_closed_form_matches_node_derivative_quadrature(self, alpha):
         # the closed Gauss form and the quadrature sum lambda_i^(1/2) f_j''(r_i)
-        # are the same object computed two ways
-        from lagmesh.basis import _node_derivative_matrices
+        # are the same object computed two ways, on every family
+        for family in Family:
+            mesh = MeshSpec(15, alpha, family, 1.0)
+            closed = kinetic_matrix(mesh, Mode.Gauss)
+            d2 = _eval_all(mesh, mesh.nodes, derivatives=True)[2].T
+            raw = -np.sqrt(mesh.weights)[:, None] * d2
+            assert np.abs(closed - 0.5 * (raw + raw.T)).max() <= 1e-13 * np.abs(closed).max()
 
-        mesh = mesh_regsqrt(15, alpha)
-        closed = kinetic_matrix(mesh, Mode.Gauss)
-        _, d2 = _node_derivative_matrices(mesh)
-        raw = -np.sqrt(mesh.weights)[:, None] * d2
-        assert np.abs(closed - 0.5 * (raw + raw.T)).max() <= 1e-13 * np.abs(closed).max()
+    @staticmethod
+    def _gauss_kinetic_mpmath(mesh):
+        """The Gauss matrix -(lambda_i^(1/2) f_j''(r_i) + (i <-> j))/2 at 40
+        digits: nodes by Newton on L_N, f_j = (-1)^j r_j^-e x^p e^(-x/2)
+        L_N(x)/(x - r_j) with the quotient polynomial formed by synthetic
+        division (e = p - (alpha+1)/2), and lambda_i^(1/2) = 1/f_i(r_i)."""
+        mp = pytest.importorskip("mpmath")
+        N = mesh.N
+        with mp.workdps(40):
+            a = mp.mpf(mesh.alpha)
+            p = mp.mpf(_family_power(mesh.family, mesh.alpha))
+            e = p - (a + 1) / 2
+            r = []
+            for x in mesh.nodes:
+                x = mp.mpf(x)
+                for _ in range(4):
+                    x += mp.laguerre(N, a, x) / mp.laguerre(N - 1, a + 1, x)
+                r.append(x)
+            # L_N^(alpha), highest power first
+            lag = [(-1) ** k * mp.binomial(N + a, N - k) / mp.factorial(k)
+                   for k in range(N, -1, -1)]
+            quotients = []
+            for rj in r:
+                q = [lag[0]]
+                for c in lag[1:-1]:
+                    q.append(c + rj * q[-1])
+                quotients.append(q)
+
+            def f(j, x):
+                return ((-1) ** j * r[j] ** -e * x**p * mp.exp(-x / 2)
+                        * mp.polyval(quotients[j], x))
+
+            raw = [[mp.diff(lambda x, j=j: f(j, x), r[i], 2) / f(i, r[i]) for j in range(N)]
+                   for i in range(N)]
+            return np.array([[float(-(raw[i][j] + raw[j][i]) / 2) for j in range(N)]
+                             for i in range(N)])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("family", ["RegR", "NonReg"])
+    @pytest.mark.parametrize("N", [6, 12])
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_gauss_matches_mpmath(self, family, N, alpha):
+        # the closed form stays within a few ulps of the largest entry, where
+        # the chain rule on node derivatives lost up to 1.5e-14
+        mesh = MeshSpec(N, alpha, family, 1.0)
+        want = self._gauss_kinetic_mpmath(mesh)
+        got = kinetic_matrix(mesh, Mode.Gauss)
+        assert np.abs(got - want).max() <= 5e-15 * np.abs(want).max()
 
     def test_exact_alpha_zero_diverges(self):
         with pytest.raises(ValueError, match="diverge"):

@@ -283,6 +283,35 @@ class TestCoulombWave:
             coulomb_wave(l, 1.0, 1.0)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta", [-50.0, -1.0, 0.0, 1.0, 50.0])
+    @pytest.mark.parametrize("l", [0, 1, 5, 20])
+    def test_tiny_x_returns_or_raises_convergence_error(self, l, eta):
+        # the Taylor step came from l(l+1)/x^2, which overflows (and x*x
+        # underflows) at tiny x; a zero step then divided by zero.  Each point
+        # now passes the Wronskian check or raises ConvergenceError
+        mp = pytest.importorskip("mpmath")
+        for x in (1e-300, 1e-200, 1e-160, 1e-100, 1e-20):
+            try:
+                pair = coulomb_wave(l, eta, x)
+            except ConvergenceError:
+                assert not (l == 0 and abs(eta) <= 1.0)
+                continue
+            assert abs(pair.Fprime * pair.G - pair.F * pair.Gprime - 1.0) <= 1e-10
+            if l == 0 and abs(eta) <= 1.0:
+                with mp.workdps(30):
+                    F = float(mp.coulombf(l, eta, x))
+                    G = float(mp.coulombg(l, eta, x))
+                assert pair.F == pytest.approx(F, rel=1e-12)
+                assert pair.G == pytest.approx(G, rel=1e-12)
+
+    def test_subnormal_step_raises_convergence_error(self):
+        # x/2 rounds to zero at the smallest subnormal, so the sweep from it
+        # cannot move
+        with pytest.raises(ConvergenceError, match="underflows"):
+            coulomb_wave(0, 0.0, [5e-324, 1e-300])
+
+
 @pytest.mark.slow
 class TestCoulombAgainstMultiprecision:
     mpmath = pytest.importorskip("mpmath")
