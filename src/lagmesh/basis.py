@@ -12,10 +12,9 @@ intermediate ever carries ``exp(+x)``.  Near a mesh point the removable
 singularity of the cardinal ratio is evaluated from the Taylor expansion of
 ``L_N`` about the node, batched over every near (node, point) pair of a
 call; the pairs are found by binary search on the sorted nodes, and
-elsewhere the ratio is formed directly.  Derivative arrays are formed only
-when the caller asks for them.  A wave function needs no basis matrix: all
-its basis functions share the factor ``x**p B_N(x)``, so it is that factor
-times one matrix-vector product with the poles ``1/(x - r_j)``.
+elsewhere the ratio is formed directly.  A wave function needs no basis
+matrix: all its basis functions share the factor ``x**p B_N(x)``, so it is
+that factor times one matrix-vector product with the poles ``1/(x - r_j)``.
 
 ``MeshSpec.nodes`` and ``MeshSpec.weights`` are the arrays of the
 ``(nodes, weights)`` Gauss rule for ``(N, alpha)``.  The rule is cached and
@@ -41,9 +40,9 @@ __all__ = [
 ]
 
 # Switch to the Taylor expansion of the cardinal ratio inside this window.
-# The direct form divides by (x - r_j) up to three times, so its rounding
-# error grows like eps/window^2 for second derivatives; 1e-2 keeps that
-# below ~1e-12 while the expansion (exact for polynomials) stays short.
+# The direct form divides B_N, near its zero and so carrying a relatively
+# large rounding error, by (x - r_j), so its error grows like eps/window;
+# the expansion (exact for polynomials) stays short inside 1e-2.
 _NEAR_NODE_FRACTION = 1e-2
 _MAX_TAYLOR_TERMS = 60
 # Entries per cache of rules, node derivatives and operator matrices.  All
@@ -148,63 +147,49 @@ def _prefactors(mesh):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _node_taylor(N, alpha):
-    """Read-only ``T_k = L_N^{(k)} exp(-r/2)``, k = 1, 2, 3, at every node:
-    ``T_1 = (N+1) B_{N+1}/r``, then the differentiated Laguerre equation."""
+    """Read-only ``T_1 = L_N' exp(-r/2) = (N+1) B_{N+1}/r`` at every node."""
     r = _cached_rule(N, alpha)[0]
     t1 = (N + 1.0) * _weighted_laguerre_pair(N + 1, alpha, r)[1] / r
-    t2 = (r - alpha - 1.0) * t1 / r
-    t3 = ((r - alpha - 2.0) * t2 - (N - 1.0) * t1) / r
-    for t in (t1, t2, t3):
-        t.setflags(write=False)
-    return t1, t2, t3
+    t1.setflags(write=False)
+    return t1
 
 
-def _taylor_psi(N, alpha, rj, t, s):
-    """Weighted cardinal ratio and derivatives near a node, for many pairs.
+def _taylor_psi(N, alpha, rj, t1, s):
+    """Weighted cardinal ratio near a node, for many pairs.
 
-    Expands ``L_N(x)/(x-r_j) * exp(-x/2)`` in powers of ``s = x - r_j`` using
-    the derivatives of ``L_N`` at the node (three-term recurrence from the
-    differentiated Laguerre equation).  ``rj``, ``s`` and the three arrays
-    ``t = (T_1, T_2, T_3)`` of ``_node_taylor`` have one entry per (node,
+    Sums ``L_N(x)/(x-r_j) * exp(-x/2) = exp(-s/2) sum_m T_m s^(m-1)/m!`` in
+    powers of ``s = x - r_j``, where ``T_m = L_N^(m)(r_j) exp(-r_j/2)``
+    follows from ``T_1`` by the three-term recurrence of the differentiated
+    Laguerre equation.  ``rj``, ``t1`` and ``s`` have one entry per (node,
     point) pair; the recurrence runs on all pairs at once, and a pair leaves
-    the live set as soon as its three series have converged.  Returns the
-    weighted value, first and second derivative of the ratio for every pair.
+    the live set once its terms fall below 1e-17 of its largest.
     """
-    t1, t2, t3 = t
-    out = np.stack([t1, 0.5 * t2, t3 / 3.0])  # the s = 0 limits
+    out = t1.copy()  # the s = 0 limits
     live = np.nonzero(s != 0.0)[0]
     rj, s, t_prev = rj[live], s[live], t1[live]
     t_prev2 = np.zeros_like(s)
-    p = np.stack([t_prev, t_prev2, t_prev2])  # m = 1 contribution: T_1 s^0 / 1!
-    # running largest terms; the d2 scale is floored at 1e-300, since its
-    # first terms vanish
-    top = np.stack([np.abs(t_prev), t_prev2, np.full_like(s, 1e-300)])
-    s_pow = np.ones_like(s)  # s^{m-2} for the p1 term of the current m
+    p = t_prev.copy()  # m = 1 term: T_1 s^0 / 1!
+    top = np.abs(t_prev)
+    s_pow = np.ones_like(s)  # s^(m-2) for the current m
     inv_fact = 1.0
     for m in range(2, _MAX_TAYLOR_TERMS):
         if live.size == 0:
             break
         t_m = ((rj - alpha - 1.0 - (m - 2)) * t_prev - (N - (m - 2)) * t_prev2) / rj
         inv_fact /= m
-        c = t_m * inv_fact
-        d = np.stack([
-            c * s_pow * s,
-            c * (m - 1.0) * s_pow,
-            c * (m - 1.0) * (m - 2.0) * (s_pow / s),
-        ])
+        d = t_m * inv_fact * s_pow * s
         p += d
         ad = np.abs(d)
         top = np.maximum(top, ad)
         if m > 6:
-            keep = ~np.all(ad <= 1e-17 * top, axis=0)
+            keep = ad > 1e-17 * top
             if not keep.all():
-                out[:, live[~keep]] = np.exp(-0.5 * s[~keep]) * p[:, ~keep]
-                live, rj, s, t_m, t_prev, s_pow = (
-                    a[keep] for a in (live, rj, s, t_m, t_prev, s_pow))
-                p, top = p[:, keep], top[:, keep]
+                out[live[~keep]] = np.exp(-0.5 * s[~keep]) * p[~keep]
+                live, rj, s, t_m, t_prev, s_pow, p, top = (
+                    a[keep] for a in (live, rj, s, t_m, t_prev, s_pow, p, top))
         s_pow *= s
         t_prev2, t_prev = t_prev, t_m
-    out[:, live] = np.exp(-0.5 * s) * p
+    out[live] = np.exp(-0.5 * s) * p
     return out
 
 
@@ -229,36 +214,7 @@ def _near_pairs(nodes, x):
 
 def _near_taylor(N, alpha, nodes, j, s):
     """``_taylor_psi`` on the near pairs ``(j, s)`` of ``_near_pairs``."""
-    return _taylor_psi(N, alpha, nodes[j], [t[j] for t in _node_taylor(N, alpha)], s)
-
-
-def _weighted_cardinal_all(mesh, x, derivatives=False):
-    """Weighted cardinal ratios (and derivatives) of every basis function.
-
-    Returns three ``(N, len(x))`` arrays: ``L_N(x)/(x-r_j) exp(-x/2)`` and its
-    first two derivatives with respect to ``x``.  The derivatives are formed
-    only when ``derivatives`` is true and are ``None`` otherwise; their rows
-    contain garbage at ``x = 0`` (callers needing derivatives keep
-    ``x > 0``).  Inside the near-node window every (node, point) pair goes
-    through one batched call of ``_taylor_psi``.
-    """
-    N, alpha = mesh.N, mesh.alpha
-    nodes = mesh.nodes
-    b_prev, b_cur, _ = _weighted_laguerre_pair(N, alpha, x)
-    s = x[None, :] - nodes[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pw = [b_cur[None, :] / s, None, None]
-        if derivatives:
-            lpw = (N * b_cur - (N + alpha) * b_prev) / x
-            lppw = ((x - alpha - 1.0) * lpw - N * b_cur) / x
-            pw[1] = (lpw[None, :] - pw[0]) / s
-            pw[2] = (lppw[None, :] - 2.0 * pw[1]) / s
-    j, i, s_near = _near_pairs(nodes, x)
-    if j.size:
-        taylor = _near_taylor(N, alpha, nodes, j, s_near)
-        for k in range(3 if derivatives else 1):
-            pw[k][j, i] = taylor[k]
-    return tuple(pw)
+    return _taylor_psi(N, alpha, nodes[j], _node_taylor(N, alpha)[j], s)
 
 
 def reconstruct_wavefunction(mesh, coeffs, r):
@@ -297,7 +253,7 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     with np.errstate(divide="ignore"):
         np.divide(1.0, poles, out=poles)
     poles[j, i] = 0.0
-    near = np.bincount(i, weights=w[j] * _near_taylor(N, alpha, nodes, j, s)[0],
+    near = np.bincount(i, weights=w[j] * _near_taylor(N, alpha, nodes, j, s),
                        minlength=x.size)
     total = _weighted_laguerre_pair(N, alpha, x)[1] * (w @ poles) + near
     # u is 0 where the sum is, as at large x, where B_N underflows and x**p overflows

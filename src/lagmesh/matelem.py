@@ -3,11 +3,12 @@
 Matrices come in two modes.  ``Gauss`` evaluates the defining integral with
 the quadrature rule attached to the mesh, which collapses multiplicative
 operators to diagonal matrices and has a closed form for the kinetic
-operators on every family.  ``Exact`` returns the true integral: closed
-forms are used for the sqrt-regularized family, and an exactifying
-quadrature (a larger rule with a shifted weight exponent, chosen so the
-integrand is exactly a polynomial times the weight) covers every other
-case.  Every builder returns a plain ``ndarray``.
+operators on every family (D. Baye, Phys. Rep. 565 (2015) 1).  ``Exact``
+returns the true integral, also in closed form: compact ones on the
+sqrt-regularized family, and on the other two the Gauss matrix plus a
+correction of rank at most 3, the rule's error on the few monomials of the
+integrand it does not integrate exactly (``_gauss_error``).  Every builder
+returns a plain ``ndarray``.
 
 Sign convention: ``Kinetic`` stores the matrix of ``-d^2/dr^2`` and
 ``Kinetic2D`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
@@ -15,11 +16,11 @@ assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
 depends on h, one cache, ``_cached_matrix``, holds every dense one per
-``(N, alpha, family)`` and operator: the oracle matrices, the Gauss kinetic
-matrices, and the RegSqrt closed forms of the Exact kinetic operators and
-powers.  It keeps at most ``_CACHE_SIZE`` of them, so a sweep over h builds
-each matrix once.  Diagonal Gauss matrices cost less to build than to look
-up and are not cached.  Cached arrays are read-only.
+``(N, alpha, family)`` and operator: the Gauss kinetic matrices and the
+Exact kinetic operators and powers.  It keeps at most ``_CACHE_SIZE`` of
+them, so a sweep over h builds each matrix once.  Diagonal Gauss matrices
+cost less to build than to look up and are not cached.  Cached arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -31,17 +32,11 @@ import math
 
 import numpy as np
 
-from .basis import (
-    Family,
-    MeshSpec,
-    _CACHE_SIZE,
-    _alpha,
-    _family_power,
-    _prefactors,
-    _weighted_cardinal_all,
-)
+from .basis import Family, MeshSpec, _CACHE_SIZE, _alpha, _family_power
 from .potentials import evaluate as evaluate_potential
-from .quadrature import generate_rule
+# Nothing here builds a rule; the name stays bound because the benchmark's
+# span list (bench/spans.py) wraps generate_rule in this module.
+from .quadrature import generate_rule  # noqa: F401
 from .specfun import _integer
 
 __all__ = [
@@ -59,9 +54,6 @@ __all__ = [
     "power_matrix",
     "scheme_mesh",
 ]
-
-_ORACLE_EXTRA_ORDER = 10
-
 
 class Mode(enum.Enum):
     Exact = "Exact"
@@ -111,82 +103,6 @@ def _sign_grid(N):
     return np.outer(sign, sign)
 
 
-# ---------------------------------------------------------------------------
-# exactifying-quadrature oracle
-
-def _operator_components(kind, p):
-    """Decomposition of f_i * (O f_j) over weighted-cardinal products.
-
-    With psi_j the cardinal-ratio polynomial and W_j^{(d)} its d-th
-    derivative times e^{-x/2} (the arrays the basis module evaluates), each
-    supported operator satisfies
-    f_i (O f_j) = B_i B_j sum_t c_t W_i^{(0)} W_j^{(d_t)} x^{2p + e_t}.
-    Entries are (d, e, c); zero coefficients are dropped.  The minimal
-    power 2p + e decides integrability and the oracle's weight exponent.
-    Singular 1/x^2 coefficients are formed analytically here, so the cases
-    where they vanish (p(p-1) at p in {0,1}; (p-1/2)^2 at p=1/2) drop out
-    exactly instead of by numerical cancellation.
-    """
-    if kind == "InvR":
-        comps = [(0, -1, 1.0)]
-    elif kind == "InvR2":
-        comps = [(0, -2, 1.0)]
-    elif kind == "R":
-        comps = [(0, 1, 1.0)]
-    elif kind == "R2":
-        comps = [(0, 2, 1.0)]
-    elif kind == "Kinetic":
-        comps = [
-            (2, 0, -1.0),
-            (1, -1, -2.0 * p),
-            (1, 0, 1.0),
-            (0, -2, -(p * p - p)),
-            (0, -1, p),
-            (0, 0, -0.25),
-        ]
-    elif kind == "Kinetic2D":
-        comps = [
-            (2, 0, -1.0),
-            (1, -1, -2.0 * p),
-            (1, 0, 1.0),
-            (0, -2, -((p - 0.5) ** 2)),
-            (0, -1, p),
-            (0, 0, -0.25),
-        ]
-    else:
-        raise ValueError(f"unknown operator tag: {kind!r}")
-    return [(d, e, c) for d, e, c in comps if c != 0.0]
-
-
-def _oracle_matrix(mesh, kind):
-    """Exact (unscaled) matrix of an operator, by quadrature that is exact
-    by design.
-
-    After factoring out ``e^{-x}``, the integrand of every supported
-    operator/family pair is ``x^mu`` times a polynomial of degree at most
-    2N; a rule of order N + 10 with weight exponent mu integrates that
-    without error.  Combinations whose integrand diverges at the origin
-    (mu <= -1) are rejected.
-    """
-    p = _family_power(mesh.family, mesh.alpha)
-    comps = _operator_components(kind, p)
-    mu = min(2.0 * p + e for _, e, _ in comps)
-    if mu <= -1.0 + 1e-12:
-        raise ValueError(
-            f"divergent integral: {kind} on family {mesh.family.name} with alpha={mesh.alpha}"
-        )
-    x, lam = generate_rule(mesh.N + _ORACLE_EXTRA_ORDER, mu)
-    pw = _weighted_cardinal_all(mesh, x, derivatives=any(d for d, _, _ in comps))
-    # sum the weighted right factors first, so one matmul does the contraction
-    right = np.zeros_like(pw[0])
-    for d, e, c in comps:
-        right += pw[d] * (c * lam * x ** (2.0 * p + e))
-    values = pw[0] @ right.T
-    pref = _prefactors(mesh)
-    values *= np.outer(pref, pref)
-    return 0.5 * (values + values.T)
-
-
 def _h_free(build, mesh, *args):
     """``build(mesh, *args)``, an unscaled matrix, from ``_cached_matrix``."""
     return _cached_matrix(build, dataclasses.replace(mesh, h=1.0), *args)
@@ -208,7 +124,8 @@ def power_matrix(mesh, p, mode=Mode.Gauss):
     """Matrix of r**p for p in {-2, -1, 1, 2} (unscaled coordinates).
 
     Gauss mode is diagonal for every family.  Exact mode uses the compact
-    closed forms on the RegSqrt family and the oracle elsewhere.
+    closed forms on the RegSqrt family, and the Gauss matrix plus the
+    correction of ``_gauss_error`` on the other two.
     """
     mode = _coerce(Mode, mode)
     if p not in (-2, -1, 1, 2):
@@ -219,9 +136,10 @@ def power_matrix(mesh, p, mode=Mode.Gauss):
 
 
 def _exact_power(mesh, p):
-    if mesh.family is not Family.RegSqrt:
-        return _oracle_matrix(mesh, {-2: "InvR2", -1: "InvR", 1: "R", 2: "R2"}[p])
     r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
+    if mesh.family is not Family.RegSqrt:
+        op = {-2: "1/r^2", -1: "1/r", 1: "r", 2: "r^2"}[p]
+        return np.diag(r ** float(p)) + _gauss_error(mesh, op)
     if p == -2:
         if alpha == 0.0:
             raise ValueError("matrix of 1/r^2 diverges on the RegSqrt family at alpha=0")
@@ -231,6 +149,61 @@ def _exact_power(mesh, p):
     if p == 1:
         return np.diag(r) + _sign_grid(N)
     return np.diag(r**2.0) + _sign_grid(N) * (2.0 * N + alpha + 1.0 + r[:, None] + r[None, :])
+
+
+def _gauss_error(mesh, op):
+    """Exact minus Gauss matrix of ``op`` on the NonReg or RegR family.
+
+    With ``f_j = c_j x^p e^(-x/2) pi_j`` and ``pi_j = L_N/(x - r_j)``, every
+    element divided by the rule's weight ``x^alpha e^(-x)`` is ``x^k q(x)``
+    with q a polynomial of degree 2N - 2 (k is 2p - alpha plus the
+    operator's power), and the Gauss matrix is the N-point rule applied to
+    it.  The rule is exact on ``x^0 ... x^(2N-1)``, so the two differ by the
+    ``x^-2`` and ``x^-1`` terms of NonReg, formed from ``pi_j(0)`` and
+    ``pi_j'(0)``, or the ``x^2N ... x^(2N+2)`` terms of RegR, from the
+    leading coefficients of ``pi_j``, each times the rule's error on that
+    monomial.  The errors are Hermite remainders: with ``n2 =
+    Gamma(N+alpha+1)/N!`` the norm of ``L_N``, the error on ``1/x`` is
+    ``n2/(alpha L_N(0)^2) = Gamma(alpha)/L_N(0)``, on ``1/x^2`` it is
+    ``n2 [(2N+alpha+1)/((alpha-1)(alpha+1)) + 2N/(alpha+1)]/(alpha L_N(0)^2)``,
+    and on ``x^(2N+m)`` it is the integral of ``x^m L_N^2`` (three-term
+    recurrence) over the squared leading coefficient of ``L_N``.  The
+    products collapse to ``(-1)^(i-j) c_ij / sqrt(r_i r_j)``, with the
+    ``c_ij`` below, of rank at most 3.  An element whose integrand diverges
+    at the origin raises ``ValueError``.
+    """
+    r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
+    ri, rj = r[:, None], r[None, :]
+    b = 2.0 * N + alpha + 1.0
+    if mesh.family is Family.RegR:
+        if op == "r":
+            c = b + ri + rj
+        elif op == "r^2":
+            c = ((N + 1.0) * (N + 1.0 + alpha) + b * b + N * (N + alpha)
+                 + b * (ri + rj) + ri * ri + ri * rj + rj * rj)
+        else:
+            c = -0.25 if op.startswith("kinetic") else 0.0
+    else:
+        # f_i (op f_j) goes like x^(alpha-2) at the origin, x^(alpha-1) for
+        # 1/r and for the 2D operator at alpha = 1; at alpha = 0 every
+        # singular coefficient of the kinetic operator vanishes
+        if (op == "1/r^2" and alpha <= 1.0 or op == "1/r" and alpha == 0.0
+                or op == "kinetic" and 0.0 < alpha <= 1.0 or op == "kinetic2d" and alpha < 1.0):
+            raise ValueError(f"divergent integral: {op} on family {mesh.family.name} "
+                             f"with alpha={alpha}")
+        if op == "1/r^2":
+            c = (b / ((alpha - 1.0) * (alpha + 1.0)) + (1.0 / ri + 1.0 / rj)) / alpha
+        elif op == "1/r":
+            c = 1.0 / alpha
+        elif op == "r^2":
+            c = ri * rj
+        elif op == "kinetic" and alpha > 0.0:
+            c = 0.25 * alpha * (b / (alpha * alpha - 1.0) - (1.0 / ri + 1.0 / rj))
+        elif op == "kinetic2d":
+            c = (b - (alpha * alpha + 1.0) * (1.0 / ri + 1.0 / rj)) / (4.0 * alpha)
+        else:  # r, and the kinetic operator at alpha = 0
+            c = 0.0
+    return _sign_grid(N) * c / np.sqrt(ri * rj)
 
 
 def _gauss_kinetic(mesh, c_shift=0.0):
@@ -262,7 +235,7 @@ def kinetic_matrix(mesh, mode=Mode.Gauss):
     Gauss mode is the closed form of ``_gauss_kinetic`` on every family
     (Baye 2015).  The exact RegSqrt matrix adds a correcting term
     proportional to (1 - alpha^2)/alpha, which vanishes at alpha = 1; the
-    other families use the oracle in Exact mode.
+    other families add the correction of ``_gauss_error`` in Exact mode.
     """
     return _h_free(_kinetic, mesh, _coerce(Mode, mode))
 
@@ -271,7 +244,7 @@ def _kinetic(mesh, mode):
     if mode is Mode.Gauss:
         return _gauss_kinetic(mesh)
     if mesh.family is not Family.RegSqrt:
-        return _oracle_matrix(mesh, "Kinetic")
+        return _gauss_kinetic(mesh) + _gauss_error(mesh, "kinetic")
     r, alpha = mesh.nodes, mesh.alpha
     if alpha == 0.0:
         raise ValueError("exact -d^2/dr^2 diverges on the RegSqrt family at alpha=0")
@@ -290,7 +263,8 @@ def kinetic2d_matrix(mesh, mode=Mode.Gauss):
     family with alpha = 0 (the 2D mesh) that value is exact, even though
     the two pieces diverge separately.  With alpha > 0 the Exact value is
     the difference of the RegSqrt closed forms of -d^2/dr^2 and 1/(4 r^2)
-    (the Var2D basis); other families use the oracle in Exact mode.
+    (the Var2D basis); the other families add the correction of
+    ``_gauss_error`` in Exact mode.
     """
     return _h_free(_kinetic2d, mesh, _coerce(Mode, mode))
 
@@ -300,7 +274,7 @@ def _kinetic2d(mesh, mode):
         return _gauss_kinetic(mesh, 3.0)
     if mesh.family is Family.RegSqrt:
         return _kinetic(mesh, mode) - 0.25 * _exact_power(mesh, -2)
-    return _oracle_matrix(mesh, "Kinetic2D")
+    return _gauss_kinetic(mesh, 3.0) + _gauss_error(mesh, "kinetic2d")
 
 
 def potential_matrix(mesh, V, mode=Mode.Gauss):
@@ -426,15 +400,19 @@ def hamiltonian_2d(mesh, m, V, variant):
     Both schemes take the RegSqrt alpha=0 mesh.  The mesh scheme
     (RegSqrtMesh2D) works on it with the combined closed form plus
     Gauss-approximated m-term and potential.  The variational scheme (Var2D)
-    is built on a basis of N-1 functions with alpha=2, exact throughout.
+    is exact throughout.  At m > 0 it needs the exact 1/rho^2 element, which
+    diverges at alpha = 0, so it takes a basis of N-1 functions with
+    alpha = 2.  At m = 0 there is no such element and it keeps the given
+    mesh, where every element is exact and the functions go like rho^(1/2)
+    at the origin, as the m = 0 solution does.
 
     Returns
     -------
     (ndarray, ndarray)
-        Scaled Hamiltonian H and overlap S: N x N for RegSqrtMesh2D, and
-        (N-1) x (N-1) on the basis ``MeshSpec(N-1, 2.0, RegSqrt, h)`` for
-        Var2D.  S is always the identity, since the RegSqrt functions are
-        exactly orthonormal.
+        Scaled Hamiltonian H and overlap S: N x N for RegSqrtMesh2D and for
+        Var2D at m = 0, and (N-1) x (N-1) on the basis
+        ``MeshSpec(N-1, 2.0, RegSqrt, h)`` for Var2D at m > 0.  S is always
+        the identity, since the RegSqrt functions are exactly orthonormal.
 
     Raises
     ------
@@ -445,7 +423,7 @@ def hamiltonian_2d(mesh, m, V, variant):
     m, (t_mode, c_mode, v_mode) = _scheme_row(variant, "m", m, mesh)
     h = mesh.h
     two_h2 = 2.0 * _h_squared(h)
-    if c_mode is Mode.Exact:
+    if c_mode is Mode.Exact and m > 0:
         # the exact 1/rho^2 element diverges at alpha = 0
         mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
     T = kinetic2d_matrix(mesh, t_mode)

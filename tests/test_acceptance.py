@@ -19,7 +19,6 @@ from lagmesh.matelem import (
     Classification,
     HamiltonianVariant,
     Mode,
-    _oracle_matrix,
     classify_singularity,
     hamiltonian_3d,
     kinetic2d_matrix,
@@ -33,6 +32,8 @@ from lagmesh.quadrature import generate_rule
 from lagmesh.scattering import tan_delta
 from lagmesh.solver import pseudostates, relative_error, solve_bound_states
 from lagmesh.specfun import coulomb_wave
+
+from reference import oracle_matrix
 
 
 def _report(number, title, ok, detail):
@@ -65,23 +66,33 @@ def test_criterion_2_closed_forms_match_oracle():
 
     def compare(closed, mesh, tag):
         nonlocal worst
-        oracle = _oracle_matrix(mesh, tag)
+        oracle = oracle_matrix(mesh, tag)
         err = np.abs(closed - oracle).max() / np.abs(oracle).max()
         worst = max(worst, err)
 
+    powers = ((-2, "InvR2"), (-1, "InvR"), (1, "R"), (2, "R2"))
     for alpha in (1.0, 2.0):
         for N in (2, 5, 12, 30):
             mesh = MeshSpec(N, alpha, Family.RegSqrt, 1.0)
-            for p, tag in ((-2, "InvR2"), (-1, "InvR"), (1, "R"), (2, "R2")):
+            for p, tag in powers:
                 compare(power_matrix(mesh, p, Mode.Exact), mesh, tag)
             compare(kinetic_matrix(mesh, Mode.Exact), mesh, "Kinetic")
     for N in (2, 5, 12, 30):
         mesh = MeshSpec(N, 0.0, Family.RegSqrt, 1.0)
         compare(kinetic2d_matrix(mesh, Mode.Exact), mesh, "Kinetic2D")
+    # the Gauss matrix plus its low-rank correction on the other two
+    # families, at the alpha of the schemes that run on them
+    for family, alpha in ((Family.NonReg, 2.0), (Family.RegR, 0.0)):
+        for N in (2, 5, 12, 30, 40):
+            mesh = MeshSpec(N, alpha, family, 1.0)
+            for p, tag in powers:
+                compare(power_matrix(mesh, p, Mode.Exact), mesh, tag)
+            compare(kinetic_matrix(mesh, Mode.Exact), mesh, "Kinetic")
+            compare(kinetic2d_matrix(mesh, Mode.Exact), mesh, "Kinetic2D")
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-11 and elapsed < 5.0
     _report(2, "closed forms vs oracle", ok,
-            f"max relative deviation {worst:.2e} for N<=30, {elapsed:.2f} s")
+            f"max relative deviation {worst:.2e} for N<=40, {elapsed:.2f} s")
 
 
 def _run_checks(number, title, table, budget=None):

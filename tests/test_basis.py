@@ -12,9 +12,10 @@ from lagmesh.basis import (
     reconstruct_wavefunction,
     _family_power,
     _prefactors,
-    _weighted_cardinal_all,
 )
 from lagmesh.quadrature import generate_rule
+
+from reference import node_derivatives, taylor_series, weighted_cardinal_all
 
 PAIRINGS = [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)]
 
@@ -26,7 +27,7 @@ def _eval_all(mesh, x, derivatives=False):
     rule for ``pref * x**p * psi``."""
     p = _family_power(mesh.family, mesh.alpha)
     pref = _prefactors(mesh)[:, None]
-    pw0, pw1, pw2 = _weighted_cardinal_all(mesh, x, derivatives)
+    pw0, pw1, pw2 = weighted_cardinal_all(mesh, x, derivatives)
     xp = x[None, :] ** p
     values = pref * pw0 * xp
     if not derivatives:
@@ -231,13 +232,15 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("N", [20, 150, 400])
     def test_near_node_batch_matches_single_points(self, N):
+        # pairs leave the batched expansion at their own term, so a batch
+        # gives each pair the bits it gets alone
         mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
         x = self._near_node_batch(mesh)
-        batch = _weighted_cardinal_all(mesh, x, derivatives=True)
-        for k in range(x.size):
-            single = _weighted_cardinal_all(mesh, x[k:k + 1], derivatives=True)
-            for b, o in zip(batch, single):
-                assert np.array_equal(b[:, k], o[:, 0])
+        j, _, s = basis._near_pairs(mesh.nodes, x)
+        batch = basis._near_taylor(N, 1.0, mesh.nodes, j, s)
+        for k in range(j.size):
+            single = basis._near_taylor(N, 1.0, mesh.nodes, j[k:k + 1], s[k:k + 1])
+            assert np.array_equal(batch[k:k + 1], single)
 
     @pytest.mark.parametrize("N", [1, 2, 20, 150, 400])
     def test_near_pairs_match_the_full_window_test(self, N):
@@ -257,10 +260,18 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("family, alpha", PAIRINGS)
     def test_values_only_path_is_bit_identical(self, family, alpha):
+        # the reference takes its values from the package's values-only
+        # expansion with or without derivatives, and that expansion agrees
+        # with the value series summed alongside the derivative ones
         mesh = MeshSpec(150, alpha, family, 1.0)
         x = np.concatenate([self._near_node_batch(mesh), np.linspace(0.01, 600.0, 97)])
         assert np.array_equal(_eval_all(mesh, x), _eval_all(mesh, x, derivatives=True)[0])
-        assert _weighted_cardinal_all(mesh, x)[1:] == (None, None)
+        assert weighted_cardinal_all(mesh, x)[1:] == (None, None)
+        j, _, s = basis._near_pairs(mesh.nodes, x)
+        got = basis._near_taylor(150, alpha, mesh.nodes, j, s)
+        t = [t[j] for t in node_derivatives(150, alpha)]
+        want = taylor_series(150, alpha, mesh.nodes[j], t, s)[0]
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 class TestDerivativeValuesAtNodes:
@@ -328,9 +339,8 @@ class TestDerivativeValuesAtNodes:
         assert np.allclose(got2, want2, rtol=0.0, atol=1e-13 * np.max(np.abs(want2)))
 
     def test_cached_node_derivatives_are_read_only(self):
-        for t in basis._node_taylor(12, 2.0):
-            with pytest.raises(ValueError, match="read-only"):
-                t[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            basis._node_taylor(12, 2.0)[0] = 0.0
 
 
 class TestSpanEquivalence:

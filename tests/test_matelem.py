@@ -14,7 +14,6 @@ from lagmesh.matelem import (
     HamiltonianVariant,
     Mode,
     Variant2D,
-    _oracle_matrix,
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
@@ -29,6 +28,8 @@ from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
 
+from reference import OPERATORS as OPERATOR_TAGS
+from reference import exact_mpmath, oracle_matrix
 from test_basis import _eval_all
 
 
@@ -80,7 +81,7 @@ class TestClosedFormsAgainstOracle:
         mesh = mesh_regsqrt(N, alpha)
         for p, tag in [(-2, "InvR2"), (-1, "InvR"), (1, "R"), (2, "R2")]:
             closed = power_matrix(mesh, p, Mode.Exact)
-            oracle = _oracle_matrix(mesh, tag)
+            oracle = oracle_matrix(mesh, tag)
             scale = np.abs(oracle).max()
             assert np.abs(closed - oracle).max() <= 1e-11 * scale, (p, N, alpha)
 
@@ -89,14 +90,14 @@ class TestClosedFormsAgainstOracle:
     def test_kinetic_and_ddr(self, N, alpha):
         mesh = mesh_regsqrt(N, alpha)
         closed = kinetic_matrix(mesh, Mode.Exact)
-        oracle = _oracle_matrix(mesh, "Kinetic")
+        oracle = oracle_matrix(mesh, "Kinetic")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("N", [3, 10, 25])
     def test_combined_2d_form(self, N):
         mesh = mesh_regsqrt(N, 0.0)
         closed = kinetic2d_matrix(mesh)
-        oracle = _oracle_matrix(mesh, "Kinetic2D")
+        oracle = oracle_matrix(mesh, "Kinetic2D")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("N", [3, 10, 25])
@@ -105,30 +106,83 @@ class TestClosedFormsAgainstOracle:
         # of the closed 1/r^2
         mesh = mesh_regsqrt(N, 2.0)
         closed = kinetic2d_matrix(mesh, Mode.Exact)
-        oracle = _oracle_matrix(mesh, "Kinetic2D")
+        oracle = oracle_matrix(mesh, "Kinetic2D")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
     def test_oracle_invr_is_diagonal_of_inverse_nodes(self):
         mesh = mesh_regsqrt(8, 2.0)
-        oracle = _oracle_matrix(mesh, "InvR")
+        oracle = oracle_matrix(mesh, "InvR")
         assert np.allclose(oracle, np.diag(1.0 / mesh.nodes), atol=1e-14)
+
+    @pytest.mark.parametrize("family,alpha", [("NonReg", 0.0), ("NonReg", 1.0), ("NonReg", 2.0),
+                                              ("RegR", 0.0), ("RegR", 2.0)])
+    @pytest.mark.parametrize("N", [2, 5, 12, 30, 40])
+    def test_gauss_plus_correction_forms(self, N, family, alpha):
+        # the Gauss matrix plus its low-rank correction, every operator the
+        # oracle can integrate; both raise on the same divergent elements
+        mesh = MeshSpec(N, alpha, family, 1.0)
+        for tag in OPERATOR_TAGS:
+            try:
+                oracle = oracle_matrix(mesh, tag)
+            except ValueError:
+                with pytest.raises(ValueError, match="divergent"):
+                    _exact_matrix(mesh, tag)
+                continue
+            closed = _exact_matrix(mesh, tag)
+            assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max(), tag
+
+
+def _exact_matrix(mesh, tag):
+    """The package's Exact matrix of the operator a reference tag names."""
+    if tag == "Kinetic":
+        return kinetic_matrix(mesh, Mode.Exact)
+    if tag == "Kinetic2D":
+        return kinetic2d_matrix(mesh, Mode.Exact)
+    return power_matrix(mesh, {"InvR2": -2, "InvR": -1, "R": 1, "R2": 2}[tag], Mode.Exact)
+
+
+class TestExactAgainstMpmath:
+    """Every Exact matrix on every family within a few ulps of the largest
+    entry of a 40-digit reference."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("family,alpha", [
+        ("NonReg", 1.0), ("NonReg", 2.0), ("NonReg", 3.0),
+        ("RegSqrt", 0.0), ("RegSqrt", 1.0), ("RegSqrt", 2.0),
+        ("RegR", 0.0), ("RegR", 2.0),
+    ])
+    @pytest.mark.parametrize("N", [6, 12])
+    def test_every_operator(self, family, alpha, N):
+        pytest.importorskip("mpmath")
+        mesh = MeshSpec(N, alpha, family, 1.0)
+        for tag in OPERATOR_TAGS:
+            try:
+                got = _exact_matrix(mesh, tag)
+            except ValueError:
+                # divergent: the oracle's power count agrees
+                with pytest.raises(ValueError):
+                    oracle_matrix(mesh, tag)
+                continue
+            want = exact_mpmath(mesh, tag)
+            assert np.abs(got - want).max() <= 5e-15 * np.abs(want).max(), tag
 
 
 class TestExactElementOracle:
     def test_single_element_matches_matrix(self):
         # RegSqrt closed form: <f_i|r|f_j> = (-1)^(i-j) off the diagonal
-        M = _oracle_matrix(mesh_regsqrt(6), "R")
+        M = oracle_matrix(mesh_regsqrt(6), "R")
         assert M[1, 4] == pytest.approx(-1.0, abs=1e-11)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="operator tag"):
-            _oracle_matrix(mesh_regsqrt(4), "Cubic")
+            oracle_matrix(mesh_regsqrt(4), "Cubic")
 
     def test_centrifugal_integrand_finite_for_plain_family(self):
         # leading basis power r^1 at alpha=2 gives integrand r^0 at origin
         mesh = MeshSpec(6, 2.0, Family.NonReg, 1.0)
-        val = _oracle_matrix(mesh, "InvR2")[0, 0]
+        val = power_matrix(mesh, -2, Mode.Exact)[0, 0]
         assert np.isfinite(val) and val > 0.0
+        assert val == pytest.approx(oracle_matrix(mesh, "InvR2")[0, 0], rel=1e-12)
 
 
 def _exact_overlap(mesh):
@@ -392,6 +446,23 @@ class TestHamiltonian2D:
         exact = -2.0 / 9.0
         assert abs(E[0] - exact) / abs(exact) <= 1e-12
 
+    @pytest.mark.parametrize("name,N,h,exact", [("harmonic", 20, 0.1, 1.0),
+                                                 ("harmonic", 400, 0.1, 1.0),
+                                                 ("coulomb", 100, 0.3, -2.0)])
+    def test_variational_scheme_at_m_zero_keeps_the_mesh(self, name, N, h, exact):
+        # no 1/rho^2 element at m = 0: the N functions of the alpha = 0 mesh
+        # go like rho^(1/2), as the solution does, and every element is exact
+        # (the N-1 functions with alpha = 2 were 16 % high at N = 20)
+        mesh = mesh_regsqrt(N, 0.0, h=h)
+        V = builtin(name)
+        H, S = hamiltonian_2d(mesh, 0, V, "Var2D")
+        assert H.shape == S.shape == (N, N)
+        want = (kinetic2d_matrix(mesh, Mode.Exact) / (2 * h * h)
+                + potential_matrix(mesh, V, Mode.Exact))
+        assert np.array_equal(H, want)
+        E = np.linalg.eigvalsh(H)
+        assert abs(E[0] - exact) / abs(exact) <= 1e-10
+
     def test_variational_oscillator_at_large_n(self):
         # the closed-form kinetic matrix keeps Var2D accurate to 1e-12 at
         # N = 400, where the exactifying quadrature loses a digit
@@ -599,8 +670,9 @@ class TestMatrixCache:
             [(matelem._kinetic, m) for m in Mode]
             + [(matelem._kinetic2d, m) for m in Mode]
             + [(matelem._exact_power, p) for p in (-2, -1, 1, 2)]
-            + [(_oracle_matrix, tag)
-               for tag in ("InvR", "InvR2", "R", "R2", "Kinetic", "Kinetic2D")]
+            + [(matelem._gauss_error, op)  # the correction of the other two families
+               for op in ("1/r^2", "1/r", "r", "r^2", "kinetic", "kinetic2d")
+               if family != "RegSqrt"]
         )
         for build, arg in calls:
             try:
@@ -690,7 +762,7 @@ class TestMatrixCache:
     def test_caches_stay_bounded(self):
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="non-reg-vg", N=10, h=0.5)
-        caches = (matelem._cached_matrix, basis._cached_rule, basis._node_taylor)
+        caches = (matelem._cached_matrix, basis._cached_rule)
         _clear_matrix_caches()
         for N in range(10, 30):
             cli.run(dataclasses.replace(config, N=N))
