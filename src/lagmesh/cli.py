@@ -528,6 +528,13 @@ def _check_types(doc):
         raise ConfigError(errors)
 
 
+def _one_angular(l, m):
+    """The angular number given as l or as m, or None if neither is."""
+    if l is not None and m is not None:
+        raise ConfigError(["l/m: give one angular number, not both"])
+    return m if m is not None else l
+
+
 def _assemble(args):
     """ExperimentConfig from parsed flags plus the optional config file."""
     doc = {}
@@ -551,12 +558,13 @@ def _assemble(args):
             "scatter" if getattr(args, "parameter", None) == "gamma" else "bound"
         )
         mode = pick(None, "mode", default_mode)
-    if args.l is not None and args.m is not None:
-        raise ConfigError(["l/m: give one angular number, not both"])
     dimension = pick(args.dim, "dim", 3)
-    angular = args.m if args.m is not None else args.l
+    # l and m name the one angular number in either dimension, in the flags
+    # and in the file alike; a flag overrides the file
+    angular = _one_angular(args.l, args.m)
+    in_file = _one_angular(doc.get("l"), doc.get("m"))
     if angular is None:
-        angular = doc.get("m" if dimension == 2 else "l", 0)
+        angular = 0 if in_file is None else in_file
     default_variant = "var" if mode == "bound" else "reg-sqrt"
     gamma_text = args.gamma if args.gamma is not None else doc.get("gamma")
     gamma, gammas = _parse_gamma(

@@ -4,23 +4,22 @@ Matrices come in two modes.  ``Gauss`` evaluates the defining integral with
 the quadrature rule attached to the mesh, which collapses multiplicative
 operators to diagonal matrices and has a closed form for the kinetic
 operators on every family (D. Baye, Phys. Rep. 565 (2015) 1).  ``Exact``
-returns the true integral, also in closed form: compact ones on the
-sqrt-regularized family, and on the other two the Gauss matrix plus a
-correction of rank at most 3, the rule's error on the few monomials of the
-integrand it does not integrate exactly (``_gauss_error``).  Every builder
-returns a plain ``ndarray``.
+returns the true integral by one recipe on all three families: the Gauss
+matrix plus a closed-form correction of rank at most 3, the rule's error on
+the few monomials of the integrand it does not integrate exactly
+(``_gauss_error``).  One builder, ``operator_matrix``, returns every
+operator matrix as a plain ``ndarray``.
 
-Sign convention: ``Kinetic`` stores the matrix of ``-d^2/dr^2`` and
-``Kinetic2D`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
+Sign convention: ``"kinetic"`` is the matrix of ``-d^2/dr^2`` and
+``"kinetic2d"`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
 assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
 depends on h, one cache, ``_cached_matrix``, holds every dense one per
-``(N, alpha, family)`` and operator: the Gauss kinetic matrices and the
-Exact kinetic operators and powers.  It keeps at most ``_CACHE_SIZE`` of
-them, so a sweep over h builds each matrix once.  Diagonal Gauss matrices
-cost less to build than to look up and are not cached.  Cached arrays are
-read-only.
+``(N, alpha, family)``, operator and mode: the Gauss kinetic matrices and
+every Exact matrix.  It keeps at most ``_CACHE_SIZE`` of them, so a sweep
+over h builds each matrix once.  Diagonal Gauss matrices cost less to build
+than to look up and are not cached.  Cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -48,10 +47,8 @@ __all__ = [
     "classify_singularity",
     "hamiltonian_2d",
     "hamiltonian_3d",
-    "kinetic2d_matrix",
-    "kinetic_matrix",
+    "operator_matrix",
     "potential_matrix",
-    "power_matrix",
     "scheme_mesh",
 ]
 
@@ -120,89 +117,118 @@ def _cached_matrix(build, mesh, *args):
 # ---------------------------------------------------------------------------
 # individual operator matrices
 
-def power_matrix(mesh, p, mode=Mode.Gauss):
-    """Matrix of r**p for p in {-2, -1, 1, 2} (unscaled coordinates).
+# The operators ``operator_matrix`` builds; the powers of r map to exponents.
+_POWERS = {"1/r^2": -2.0, "1/r": -1.0, "1": 0.0, "r": 1.0, "r^2": 2.0}
+_OPERATORS = (*_POWERS, "kinetic", "kinetic2d")
+_POWER_OPS = {p: op for op, p in _POWERS.items()}
 
-    Gauss mode is diagonal for every family.  Exact mode uses the compact
-    closed forms on the RegSqrt family, and the Gauss matrix plus the
-    correction of ``_gauss_error`` on the other two.
+
+def operator_matrix(mesh, op, mode=Mode.Gauss):
+    """Matrix of ``op`` in unscaled coordinates: ``"1/r^2"``, ``"1/r"``,
+    ``"1"``, ``"r"`` or ``"r^2"``, ``"kinetic"`` for -d^2/dr^2, or
+    ``"kinetic2d"`` for -(d^2/drho^2 + 1/(4 rho^2)).  Gauss mode is
+    ``diag(r_i**p)`` for a power and the closed form of ``_gauss_kinetic``
+    for the kinetic operators (Baye 2015); Exact mode adds the rule's error,
+    ``_gauss_error``, on every family.  Raises ``ValueError`` for an unknown
+    operator or mode, or where the Exact integral diverges.
     """
     mode = _coerce(Mode, mode)
-    if p not in (-2, -1, 1, 2):
-        raise ValueError("p must be one of -2, -1, 1, 2")
-    if mode is Mode.Gauss:
-        return np.diag(mesh.nodes ** float(p))
-    return _h_free(_exact_power, mesh, p)
+    if op not in _OPERATORS:
+        raise ValueError(f"unknown operator: {op!r} (expected one of {', '.join(_OPERATORS)})")
+    if mode is Mode.Gauss and op in _POWERS:
+        return np.diag(mesh.nodes ** _POWERS[op])
+    return _h_free(_dense_operator, mesh, op, mode)
 
 
-def _exact_power(mesh, p):
-    r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
-    if mesh.family is not Family.RegSqrt:
-        op = {-2: "1/r^2", -1: "1/r", 1: "r", 2: "r^2"}[p]
-        return np.diag(r ** float(p)) + _gauss_error(mesh, op)
-    if p == -2:
-        if alpha == 0.0:
-            raise ValueError("matrix of 1/r^2 diverges on the RegSqrt family at alpha=0")
-        return np.diag(r**-2.0) + _sign_grid(N) / (alpha * np.outer(r, r))
-    if p == -1:
-        return np.diag(1.0 / r)
-    if p == 1:
-        return np.diag(r) + _sign_grid(N)
-    return np.diag(r**2.0) + _sign_grid(N) * (2.0 * N + alpha + 1.0 + r[:, None] + r[None, :])
+def _dense_operator(mesh, op, mode):
+    if op in _POWERS:
+        values = np.diag(mesh.nodes ** _POWERS[op])
+    else:
+        values = _gauss_kinetic(mesh, 3.0 if op == "kinetic2d" else 0.0)
+    if mode is Mode.Exact:
+        values += _gauss_error(mesh, op)
+    return values
 
 
 def _gauss_error(mesh, op):
-    """Exact minus Gauss matrix of ``op`` on the NonReg or RegR family.
+    """Exact minus Gauss matrix of ``op``, on any family.
 
     With ``f_j = c_j x^p e^(-x/2) pi_j`` and ``pi_j = L_N/(x - r_j)``, every
     element divided by the rule's weight ``x^alpha e^(-x)`` is ``x^k q(x)``
     with q a polynomial of degree 2N - 2 (k is 2p - alpha plus the
-    operator's power), and the Gauss matrix is the N-point rule applied to
-    it.  The rule is exact on ``x^0 ... x^(2N-1)``, so the two differ by the
-    ``x^-2`` and ``x^-1`` terms of NonReg, formed from ``pi_j(0)`` and
-    ``pi_j'(0)``, or the ``x^2N ... x^(2N+2)`` terms of RegR, from the
-    leading coefficients of ``pi_j``, each times the rule's error on that
-    monomial.  The errors are Hermite remainders: with ``n2 =
-    Gamma(N+alpha+1)/N!`` the norm of ``L_N``, the error on ``1/x`` is
-    ``n2/(alpha L_N(0)^2) = Gamma(alpha)/L_N(0)``, on ``1/x^2`` it is
+    operator's power: 0, 1 and 2 for the overlap of NonReg, RegSqrt and
+    RegR), and the Gauss matrix is the N-point rule applied to it.  The
+    rule is exact on ``x^0 ... x^(2N-1)``, so the two differ by the ``x^-2``
+    and ``x^-1`` terms, formed from ``pi_j(0)`` and ``pi_j'(0)``, or the
+    ``x^2N ... x^(2N+2)`` terms, from the leading coefficients of ``pi_j``,
+    each times the rule's error on that monomial.  The errors are Hermite
+    remainders: with ``n2 = Gamma(N+alpha+1)/N!`` the norm of ``L_N``, the
+    error on ``1/x`` is ``n2/(alpha L_N(0)^2) = Gamma(alpha)/L_N(0)``, on
+    ``1/x^2`` it is
     ``n2 [(2N+alpha+1)/((alpha-1)(alpha+1)) + 2N/(alpha+1)]/(alpha L_N(0)^2)``,
     and on ``x^(2N+m)`` it is the integral of ``x^m L_N^2`` (three-term
     recurrence) over the squared leading coefficient of ``L_N``.  The
-    products collapse to ``(-1)^(i-j) c_ij / sqrt(r_i r_j)``, with the
-    ``c_ij`` below, of rank at most 3.  An element whose integrand diverges
-    at the origin raises ``ValueError``.
+    products collapse to ``(-1)^(i-j) c_ij``, with the ``c_ij`` below,
+    divided by ``sqrt(r_i r_j)`` on NonReg and RegR; the correction has
+    rank at most 3.  On RegSqrt, with ``b = 2N + alpha + 1``, ``c_ij`` is
+    ``1/(alpha r_i r_j)`` for 1/r^2, 0 for 1/r and 1, 1 for r,
+    ``b + r_i + r_j`` for r^2, ``(1 - alpha^2)/(4 alpha r_i r_j)`` for
+    -d^2/dr^2 and ``-alpha/(4 r_i r_j)`` for the 2D operator: the first
+    vanishes at alpha = 1, the second at alpha = 0, where the Gauss 2D
+    matrix is exact although its two pieces diverge apart.  An element
+    whose integrand diverges at the origin raises ``ValueError``.
     """
     r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
     ri, rj = r[:, None], r[None, :]
     b = 2.0 * N + alpha + 1.0
+    # f_i (op f_j) goes like x^(alpha-1) at the origin on RegSqrt for 1/r^2
+    # and -d^2/dr^2; on NonReg like x^(alpha-2), x^(alpha-1) for 1/r and for
+    # the 2D operator at alpha = 1, and at alpha = 0 every singular
+    # coefficient of the kinetic operator vanishes
+    if (mesh.family is Family.RegSqrt and alpha == 0.0 and op in ("1/r^2", "kinetic")
+            or mesh.family is Family.NonReg and (
+                op == "1/r^2" and alpha <= 1.0 or op == "1/r" and alpha == 0.0
+                or op == "kinetic" and 0.0 < alpha <= 1.0 or op == "kinetic2d" and alpha < 1.0)):
+        raise ValueError(f"divergent integral: {op} on family {mesh.family.name} "
+                         f"with alpha={alpha}")
+    if mesh.family is Family.RegSqrt:
+        if op == "1/r^2":
+            c = 1.0 / (alpha * (ri * rj))
+        elif op == "r":
+            c = 1.0
+        elif op == "r^2":
+            c = b + ri + rj
+        elif op == "kinetic":
+            c = (1.0 - alpha**2) / (4.0 * alpha * (ri * rj))
+        elif op == "kinetic2d":
+            c = -alpha / (4.0 * (ri * rj))
+        else:  # 1/r and 1
+            c = 0.0
+        return _sign_grid(N) * c
     if mesh.family is Family.RegR:
-        if op == "r":
+        if op == "1":
+            c = 1.0
+        elif op == "r":
             c = b + ri + rj
         elif op == "r^2":
             c = ((N + 1.0) * (N + 1.0 + alpha) + b * b + N * (N + alpha)
                  + b * (ri + rj) + ri * ri + ri * rj + rj * rj)
-        else:
-            c = -0.25 if op.startswith("kinetic") else 0.0
-    else:
-        # f_i (op f_j) goes like x^(alpha-2) at the origin, x^(alpha-1) for
-        # 1/r and for the 2D operator at alpha = 1; at alpha = 0 every
-        # singular coefficient of the kinetic operator vanishes
-        if (op == "1/r^2" and alpha <= 1.0 or op == "1/r" and alpha == 0.0
-                or op == "kinetic" and 0.0 < alpha <= 1.0 or op == "kinetic2d" and alpha < 1.0):
-            raise ValueError(f"divergent integral: {op} on family {mesh.family.name} "
-                             f"with alpha={alpha}")
-        if op == "1/r^2":
-            c = (b / ((alpha - 1.0) * (alpha + 1.0)) + (1.0 / ri + 1.0 / rj)) / alpha
-        elif op == "1/r":
-            c = 1.0 / alpha
-        elif op == "r^2":
-            c = ri * rj
-        elif op == "kinetic" and alpha > 0.0:
-            c = 0.25 * alpha * (b / (alpha * alpha - 1.0) - (1.0 / ri + 1.0 / rj))
-        elif op == "kinetic2d":
-            c = (b - (alpha * alpha + 1.0) * (1.0 / ri + 1.0 / rj)) / (4.0 * alpha)
-        else:  # r, and the kinetic operator at alpha = 0
+        elif op in ("kinetic", "kinetic2d"):
+            c = -0.25
+        else:  # 1/r^2 and 1/r
             c = 0.0
+    elif op == "1/r^2":
+        c = (b / ((alpha - 1.0) * (alpha + 1.0)) + (1.0 / ri + 1.0 / rj)) / alpha
+    elif op == "1/r":
+        c = 1.0 / alpha
+    elif op == "r^2":
+        c = ri * rj
+    elif op == "kinetic" and alpha > 0.0:
+        c = 0.25 * alpha * (b / (alpha * alpha - 1.0) - (1.0 / ri + 1.0 / rj))
+    elif op == "kinetic2d":
+        c = (b - (alpha * alpha + 1.0) * (1.0 / ri + 1.0 / rj)) / (4.0 * alpha)
+    else:  # 1, r, and the kinetic operator at alpha = 0
+        c = 0.0
     return _sign_grid(N) * c / np.sqrt(ri * rj)
 
 
@@ -229,61 +255,13 @@ def _gauss_kinetic(mesh, c_shift=0.0):
     return values
 
 
-def kinetic_matrix(mesh, mode=Mode.Gauss):
-    """Matrix of -d^2/dr^2 (unscaled coordinates).
-
-    Gauss mode is the closed form of ``_gauss_kinetic`` on every family
-    (Baye 2015).  The exact RegSqrt matrix adds a correcting term
-    proportional to (1 - alpha^2)/alpha, which vanishes at alpha = 1; the
-    other families add the correction of ``_gauss_error`` in Exact mode.
-    """
-    return _h_free(_kinetic, mesh, _coerce(Mode, mode))
-
-
-def _kinetic(mesh, mode):
-    if mode is Mode.Gauss:
-        return _gauss_kinetic(mesh)
-    if mesh.family is not Family.RegSqrt:
-        return _gauss_kinetic(mesh) + _gauss_error(mesh, "kinetic")
-    r, alpha = mesh.nodes, mesh.alpha
-    if alpha == 0.0:
-        raise ValueError("exact -d^2/dr^2 diverges on the RegSqrt family at alpha=0")
-    values = _gauss_kinetic(mesh)
-    diag = values.diagonal() + 3.0 * (1.0 - alpha**2) / (alpha * 12.0 * r**2)
-    values += _sign_grid(mesh.N) * ((1.0 - alpha**2) / (4.0 * alpha * np.outer(r, r)))
-    np.fill_diagonal(values, diag)
-    return values
-
-
-def kinetic2d_matrix(mesh, mode=Mode.Gauss):
-    """Matrix of the combined operator -(d^2/drho^2 + 1/(4 rho^2)).
-
-    Gauss mode is the closed form of ``_gauss_kinetic`` with the
-    1/(4 rho^2) term folded into its diagonal (Baye 2015).  On the RegSqrt
-    family with alpha = 0 (the 2D mesh) that value is exact, even though
-    the two pieces diverge separately.  With alpha > 0 the Exact value is
-    the difference of the RegSqrt closed forms of -d^2/dr^2 and 1/(4 r^2)
-    (the Var2D basis); the other families add the correction of
-    ``_gauss_error`` in Exact mode.
-    """
-    return _h_free(_kinetic2d, mesh, _coerce(Mode, mode))
-
-
-def _kinetic2d(mesh, mode):
-    if mode is Mode.Gauss or (mesh.family is Family.RegSqrt and mesh.alpha == 0.0):
-        return _gauss_kinetic(mesh, 3.0)
-    if mesh.family is Family.RegSqrt:
-        return _kinetic(mesh, mode) - 0.25 * _exact_power(mesh, -2)
-    return _gauss_kinetic(mesh, 3.0) + _gauss_error(mesh, "kinetic2d")
-
-
 def potential_matrix(mesh, V, mode=Mode.Gauss):
     """Matrix of a potential on the scaled mesh (this one includes the h
     scaling, since potentials are functions of the physical radius).
 
     Gauss mode is diagonal with entries V(h r_i).  Exact mode is available
     when every term of the potential is a pure power r**p with p in
-    {-2, -1, 1, 2}; other shapes have no exact quadrature and raise.
+    {-2, -1, 0, 1, 2}; other shapes have no exact quadrature and raise.
     """
     mode = _coerce(Mode, mode)
     if mode is Mode.Gauss:
@@ -292,9 +270,10 @@ def potential_matrix(mesh, V, mode=Mode.Gauss):
         raise ValueError(f"potential {V.label!r} has no exact matrix elements")
     values = np.zeros((mesh.N, mesh.N))
     for c, p, a, b in V.terms:
-        if a != 0.0 or b != 0.0 or p not in (-2.0, -1.0, 1.0, 2.0):
+        op = _POWER_OPS.get(p)
+        if a != 0.0 or b != 0.0 or op is None:
             raise ValueError(f"potential {V.label!r} has no exact matrix elements")
-        values += c * mesh.h**p * power_matrix(mesh, int(p), Mode.Exact)
+        values += c * mesh.h**p * operator_matrix(mesh, op, Mode.Exact)
     return values
 
 
@@ -383,8 +362,8 @@ def hamiltonian_3d(mesh, l, V, variant):
     variant = _coerce(HamiltonianVariant, variant)
     l, (t_mode, c_mode, v_mode) = _scheme_row(variant, "l", l, mesh)
     two_h2 = 2.0 * _h_squared(mesh.h)
-    T = kinetic_matrix(mesh, t_mode)
-    C = l * (l + 1.0) * power_matrix(mesh, -2, c_mode) if l > 0 else None
+    T = operator_matrix(mesh, "kinetic", t_mode)
+    C = l * (l + 1.0) * operator_matrix(mesh, "1/r^2", c_mode) if l > 0 else None
     with np.errstate(**_H_ERRSTATE):
         H = T / two_h2
         if C is not None:
@@ -426,8 +405,8 @@ def hamiltonian_2d(mesh, m, V, variant):
     if c_mode is Mode.Exact and m > 0:
         # the exact 1/rho^2 element diverges at alpha = 0
         mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
-    T = kinetic2d_matrix(mesh, t_mode)
-    P = power_matrix(mesh, -2, c_mode) if m > 0 and c_mode is Mode.Exact else None
+    T = operator_matrix(mesh, "kinetic2d", t_mode)
+    P = operator_matrix(mesh, "1/r^2", c_mode) if m > 0 and c_mode is Mode.Exact else None
     with np.errstate(**_H_ERRSTATE):
         H = T / two_h2
         if P is not None:

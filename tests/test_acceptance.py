@@ -21,9 +21,7 @@ from lagmesh.matelem import (
     Mode,
     classify_singularity,
     hamiltonian_3d,
-    kinetic2d_matrix,
-    kinetic_matrix,
-    power_matrix,
+    operator_matrix,
     scheme_mesh,
 )
 from lagmesh.benchmarks import TABLE1_REFERENCE, TABLE2_REFERENCE
@@ -70,25 +68,25 @@ def test_criterion_2_closed_forms_match_oracle():
         err = np.abs(closed - oracle).max() / np.abs(oracle).max()
         worst = max(worst, err)
 
-    powers = ((-2, "InvR2"), (-1, "InvR"), (1, "R"), (2, "R2"))
+    powers = (("1/r^2", "InvR2"), ("1/r", "InvR"), ("r", "R"), ("r^2", "R2"))
     for alpha in (1.0, 2.0):
         for N in (2, 5, 12, 30):
             mesh = MeshSpec(N, alpha, Family.RegSqrt, 1.0)
-            for p, tag in powers:
-                compare(power_matrix(mesh, p, Mode.Exact), mesh, tag)
-            compare(kinetic_matrix(mesh, Mode.Exact), mesh, "Kinetic")
+            for op, tag in powers:
+                compare(operator_matrix(mesh, op, Mode.Exact), mesh, tag)
+            compare(operator_matrix(mesh, "kinetic", Mode.Exact), mesh, "Kinetic")
     for N in (2, 5, 12, 30):
         mesh = MeshSpec(N, 0.0, Family.RegSqrt, 1.0)
-        compare(kinetic2d_matrix(mesh, Mode.Exact), mesh, "Kinetic2D")
+        compare(operator_matrix(mesh, "kinetic2d", Mode.Exact), mesh, "Kinetic2D")
     # the Gauss matrix plus its low-rank correction on the other two
     # families, at the alpha of the schemes that run on them
     for family, alpha in ((Family.NonReg, 2.0), (Family.RegR, 0.0)):
         for N in (2, 5, 12, 30, 40):
             mesh = MeshSpec(N, alpha, family, 1.0)
-            for p, tag in powers:
-                compare(power_matrix(mesh, p, Mode.Exact), mesh, tag)
-            compare(kinetic_matrix(mesh, Mode.Exact), mesh, "Kinetic")
-            compare(kinetic2d_matrix(mesh, Mode.Exact), mesh, "Kinetic2D")
+            for op, tag in powers:
+                compare(operator_matrix(mesh, op, Mode.Exact), mesh, tag)
+            compare(operator_matrix(mesh, "kinetic", Mode.Exact), mesh, "Kinetic")
+            compare(operator_matrix(mesh, "kinetic2d", Mode.Exact), mesh, "Kinetic2D")
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-11 and elapsed < 5.0
     _report(2, "closed forms vs oracle", ok,
@@ -152,8 +150,8 @@ def test_criterion_8_property_suite():
     # on the sqrt(r)-regularized mesh with alpha=1 the Gauss quadrature
     # reproduces the exact kinetic matrix
     mesh = MeshSpec(16, 1.0, Family.RegSqrt, 1.0)
-    K_exact = kinetic_matrix(mesh, Mode.Exact)
-    K_gauss = kinetic_matrix(mesh, Mode.Gauss)
+    K_exact = operator_matrix(mesh, "kinetic", Mode.Exact)
+    K_gauss = operator_matrix(mesh, "kinetic", Mode.Gauss)
     if np.abs(K_exact - K_gauss).max() > 1e-12 * np.abs(K_exact).max():
         problems.append("RegSqrt alpha=1 kinetic Exact != Gauss")
 

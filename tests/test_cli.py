@@ -485,6 +485,35 @@ class TestMain:
         assert base.splitlines()[1].split(",")[3] == "4"
         assert overridden.splitlines()[1].split(",")[3] == "8"
 
+    @pytest.mark.parametrize("name", ["l", "m"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_config_file_angular_number_under_either_name(self, tmp_path, capsys, dim, name):
+        # a config file names the angular number as the flags do: l or m,
+        # whatever the dimension
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": dim, name: 3, "potential": "harmonic",
+                                   "variant": "reg-sqrt", "N": 40, "h": 0.1}))
+        assert main(["bound", "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["bound", "--config", str(cfg), "--l", "1"]) == 0
+        overridden = capsys.readouterr().out
+        level = {2: 4.0, 3: 4.5}[dim]  # lowest oscillator level at angular number 3
+        assert float(from_file.splitlines()[1].split(",")[1]) == pytest.approx(level, rel=1e-9)
+        assert float(overridden.splitlines()[1].split(",")[1]) == pytest.approx(level - 2.0,
+                                                                                rel=1e-9)
+        assert main(["bound", "--dim", str(dim), "--potential", "harmonic",
+                     "--variant", "reg-sqrt", "--N", "40", "--h", "0.1", f"--{name}", "3"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize("flags", [[], ["--l", "1"], ["--m", "1"]])
+    def test_config_file_with_both_l_and_m_exits_1(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 2, "l": 3, "m": 1, "potential": "harmonic"}))
+        assert main(["bound", "--config", str(cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lagmesh: l/m: give one angular number, not both\n"
+
     @pytest.mark.parametrize("doc, field", [
         ({"potential": "harmonic", "N": 10, "h": "0.1"}, "h"),
         ({"potential": "harmonic", "N": "10", "h": 0.1}, "N"),

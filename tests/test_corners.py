@@ -26,9 +26,7 @@ from lagmesh.matelem import (
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
-    kinetic2d_matrix,
-    kinetic_matrix,
-    power_matrix,
+    operator_matrix,
     scheme_mesh,
 )
 from lagmesh.potentials import builtin
@@ -96,15 +94,15 @@ def test_loss_cells_are_the_plain_coulomb_s_waves():
     assert loss == {("NonReg", 0, "coulomb"), ("NonRegVG", 0, "coulomb")}
 
 
-@pytest.mark.parametrize("family,alpha,N,build", [
-    (Family.RegSqrt, 1.0, 1000, kinetic_matrix),
-    (Family.NonReg, 2.0, 1000, kinetic_matrix),
-    (Family.RegR, 0.0, 1000, kinetic_matrix),
-    (Family.RegSqrt, 2.0, 999, kinetic2d_matrix),  # Var2D at m > 0
-    (Family.RegSqrt, 0.0, 1000, kinetic2d_matrix),  # Var2D at m = 0
-])
-def test_exact_kinetic_matrices_are_positive(family, alpha, N, build):
-    K = build(MeshSpec(N, alpha, family, 1.0), Mode.Exact)
+@pytest.mark.parametrize("family,alpha,N,op", [
+    (Family.RegSqrt, 1.0, 1000, "kinetic"),
+    (Family.NonReg, 2.0, 1000, "kinetic"),
+    (Family.RegR, 0.0, 1000, "kinetic"),
+    (Family.RegSqrt, 2.0, 999, "kinetic2d"),  # Var2D at m > 0
+    (Family.RegSqrt, 0.0, 1000, "kinetic2d"),  # Var2D at m = 0
+], ids=lambda v: f"{v}_matrix" if isinstance(v, str) else None)
+def test_exact_kinetic_matrices_are_positive(family, alpha, N, op):
+    K = operator_matrix(MeshSpec(N, alpha, family, 1.0), op, Mode.Exact)
     assert np.linalg.eigvalsh(K)[0] >= 0.0
 
 
@@ -112,7 +110,7 @@ def test_exact_kinetic_matrices_are_positive(family, alpha, N, build):
 def test_plain_family_trace_of_x(N):
     # the Exact matrix of x on the plain family is diag(r_i), whose trace is
     # the sum of the zeros of L_N^(alpha)
-    X = power_matrix(MeshSpec(N, 2.0, Family.NonReg, 1.0), 1, Mode.Exact)
+    X = operator_matrix(MeshSpec(N, 2.0, Family.NonReg, 1.0), "r", Mode.Exact)
     assert np.trace(X) == pytest.approx(N * (N + 2.0), rel=1e-14)
 
 
@@ -125,7 +123,7 @@ def test_r_regularized_exact_oscillator_levels():
     x, w = generate_rule(N, 2.0)
     F = _eval_all(mesh, x)
     S = (F * w) @ F.T
-    H = (kinetic_matrix(mesh, Mode.Exact) / (2.0 * h * h)
-         + 0.5 * h * h * power_matrix(mesh, 2, Mode.Exact))
+    H = (operator_matrix(mesh, "kinetic", Mode.Exact) / (2.0 * h * h)
+         + 0.5 * h * h * operator_matrix(mesh, "r^2", Mode.Exact))
     E = eigh(H, S, eigvals_only=True)[:3]
     assert np.abs(E / ho_level(0, np.arange(3)) - 1.0).max() <= 1e-10

@@ -17,13 +17,11 @@ from lagmesh.matelem import (
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
-    kinetic2d_matrix,
-    kinetic_matrix,
+    operator_matrix,
     potential_matrix,
-    power_matrix,
     scheme_mesh,
 )
-from lagmesh.potentials import builtin
+from lagmesh.potentials import PotentialSpec, builtin
 from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
@@ -46,31 +44,31 @@ class TestWorkedExamples:
         assert self.mesh.nodes == pytest.approx([3 - math.sqrt(3), 3 + math.sqrt(3)])
 
     def test_r_offdiagonal(self):
-        M = power_matrix(self.mesh, 1, Mode.Exact)
+        M = operator_matrix(self.mesh, "r", Mode.Exact)
         assert M[0, 1] == pytest.approx(-1.0, rel=1e-14)
 
     def test_r_diagonal(self):
-        M = power_matrix(self.mesh, 1, Mode.Exact)
+        M = operator_matrix(self.mesh, "r", Mode.Exact)
         assert M[0, 0] == pytest.approx(4 - math.sqrt(3), rel=1e-14)
 
     def test_inverse_square_offdiagonal(self):
         # product of the nodes is 6
-        M = power_matrix(self.mesh, -2, Mode.Exact)
+        M = operator_matrix(self.mesh, "1/r^2", Mode.Exact)
         assert M[0, 1] == pytest.approx(-1.0 / 6.0, rel=1e-14)
 
     def test_r_squared_offdiagonal(self):
-        M = power_matrix(self.mesh, 2, Mode.Exact)
+        M = operator_matrix(self.mesh, "r^2", Mode.Exact)
         assert M[0, 1] == pytest.approx(-12.0, rel=1e-14)
 
     def test_kinetic_offdiagonal(self):
         # (r_1 - r_2)^2 = 12
-        M = kinetic_matrix(self.mesh, Mode.Exact)
+        M = operator_matrix(self.mesh, "kinetic", Mode.Exact)
         assert M[0, 1] == pytest.approx(-1.0 / 6.0, rel=1e-14)
 
     def test_kinetic_reference_element(self):
         # 40-digit quadrature of the defining integral, alpha=2, N=12
         mesh = mesh_regsqrt(12, alpha=2.0)
-        M = kinetic_matrix(mesh, Mode.Exact)
+        M = operator_matrix(mesh, "kinetic", Mode.Exact)
         assert M[6, 6] == pytest.approx(0.29393774276835610665, rel=1e-12)
 
 
@@ -79,24 +77,24 @@ class TestClosedFormsAgainstOracle:
     @pytest.mark.parametrize("N", [2, 5, 12, 30])
     def test_power_forms(self, N, alpha):
         mesh = mesh_regsqrt(N, alpha)
-        for p, tag in [(-2, "InvR2"), (-1, "InvR"), (1, "R"), (2, "R2")]:
-            closed = power_matrix(mesh, p, Mode.Exact)
+        for op, tag in [("1/r^2", "InvR2"), ("1/r", "InvR"), ("r", "R"), ("r^2", "R2")]:
+            closed = operator_matrix(mesh, op, Mode.Exact)
             oracle = oracle_matrix(mesh, tag)
             scale = np.abs(oracle).max()
-            assert np.abs(closed - oracle).max() <= 1e-11 * scale, (p, N, alpha)
+            assert np.abs(closed - oracle).max() <= 1e-11 * scale, (op, N, alpha)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     @pytest.mark.parametrize("N", [2, 5, 12, 30])
     def test_kinetic_and_ddr(self, N, alpha):
         mesh = mesh_regsqrt(N, alpha)
-        closed = kinetic_matrix(mesh, Mode.Exact)
+        closed = operator_matrix(mesh, "kinetic", Mode.Exact)
         oracle = oracle_matrix(mesh, "Kinetic")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("N", [3, 10, 25])
     def test_combined_2d_form(self, N):
         mesh = mesh_regsqrt(N, 0.0)
-        closed = kinetic2d_matrix(mesh)
+        closed = operator_matrix(mesh, "kinetic2d")
         oracle = oracle_matrix(mesh, "Kinetic2D")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
@@ -105,7 +103,7 @@ class TestClosedFormsAgainstOracle:
         # alpha = 2: the Exact value is the closed -d^2/dr^2 minus a quarter
         # of the closed 1/r^2
         mesh = mesh_regsqrt(N, 2.0)
-        closed = kinetic2d_matrix(mesh, Mode.Exact)
+        closed = operator_matrix(mesh, "kinetic2d", Mode.Exact)
         oracle = oracle_matrix(mesh, "Kinetic2D")
         assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
@@ -115,11 +113,13 @@ class TestClosedFormsAgainstOracle:
         assert np.allclose(oracle, np.diag(1.0 / mesh.nodes), atol=1e-14)
 
     @pytest.mark.parametrize("family,alpha", [("NonReg", 0.0), ("NonReg", 1.0), ("NonReg", 2.0),
-                                              ("RegR", 0.0), ("RegR", 2.0)])
+                                              ("RegR", 0.0), ("RegR", 2.0),
+                                              ("RegSqrt", 0.0), ("RegSqrt", 1.0), ("RegSqrt", 2.0)])
     @pytest.mark.parametrize("N", [2, 5, 12, 30, 40])
     def test_gauss_plus_correction_forms(self, N, family, alpha):
-        # the Gauss matrix plus its low-rank correction, every operator the
-        # oracle can integrate; both raise on the same divergent elements
+        # the Gauss matrix plus its low-rank correction on every family, every
+        # operator the oracle can integrate; both raise on the same divergent
+        # elements
         mesh = MeshSpec(N, alpha, family, 1.0)
         for tag in OPERATOR_TAGS:
             try:
@@ -135,10 +135,32 @@ class TestClosedFormsAgainstOracle:
 def _exact_matrix(mesh, tag):
     """The package's Exact matrix of the operator a reference tag names."""
     if tag == "Kinetic":
-        return kinetic_matrix(mesh, Mode.Exact)
+        return operator_matrix(mesh, "kinetic", Mode.Exact)
     if tag == "Kinetic2D":
-        return kinetic2d_matrix(mesh, Mode.Exact)
-    return power_matrix(mesh, {"InvR2": -2, "InvR": -1, "R": 1, "R2": 2}[tag], Mode.Exact)
+        return operator_matrix(mesh, "kinetic2d", Mode.Exact)
+    return operator_matrix(mesh, {"InvR2": "1/r^2", "InvR": "1/r", "R": "r", "R2": "r^2"}[tag],
+                           Mode.Exact)
+
+
+class TestGaussError:
+    """Every Exact matrix is its Gauss matrix plus a correction of rank at
+    most 3, on every family."""
+
+    @pytest.mark.parametrize("family,alpha", [
+        ("NonReg", 0.0), ("NonReg", 2.0), ("NonReg", 3.0),
+        ("RegSqrt", 0.0), ("RegSqrt", 1.0), ("RegSqrt", 2.0),
+        ("RegR", 0.0), ("RegR", 2.0),
+    ])
+    def test_exact_minus_gauss_has_rank_at_most_3(self, family, alpha):
+        mesh = MeshSpec(20, alpha, family, 1.0)
+        for op in matelem._OPERATORS:
+            try:
+                exact = operator_matrix(mesh, op, Mode.Exact)
+            except ValueError as e:
+                assert str(e).startswith(f"divergent integral: {op} on family {family}")
+                continue
+            s = np.linalg.svd(exact - operator_matrix(mesh, op, Mode.Gauss), compute_uv=False)
+            assert np.all(s[3:] <= 1e-12 * s[0]), (op, s[3] / s[0])
 
 
 class TestExactAgainstMpmath:
@@ -180,7 +202,7 @@ class TestExactElementOracle:
     def test_centrifugal_integrand_finite_for_plain_family(self):
         # leading basis power r^1 at alpha=2 gives integrand r^0 at origin
         mesh = MeshSpec(6, 2.0, Family.NonReg, 1.0)
-        val = power_matrix(mesh, -2, Mode.Exact)[0, 0]
+        val = operator_matrix(mesh, "1/r^2", Mode.Exact)[0, 0]
         assert np.isfinite(val) and val > 0.0
         assert val == pytest.approx(oracle_matrix(mesh, "InvR2")[0, 0], rel=1e-12)
 
@@ -251,8 +273,8 @@ class TestKinetic:
     def test_alpha_one_exact_equals_gauss(self):
         for N in (3, 12, 24):
             mesh = mesh_regsqrt(N, 1.0)
-            exact = kinetic_matrix(mesh, Mode.Exact)
-            gauss = kinetic_matrix(mesh, Mode.Gauss)
+            exact = operator_matrix(mesh, "kinetic", Mode.Exact)
+            gauss = operator_matrix(mesh, "kinetic", Mode.Gauss)
             assert np.abs(exact - gauss).max() <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
@@ -261,7 +283,7 @@ class TestKinetic:
         # are the same object computed two ways, on every family
         for family in Family:
             mesh = MeshSpec(15, alpha, family, 1.0)
-            closed = kinetic_matrix(mesh, Mode.Gauss)
+            closed = operator_matrix(mesh, "kinetic", Mode.Gauss)
             d2 = _eval_all(mesh, mesh.nodes, derivatives=True)[2].T
             raw = -np.sqrt(mesh.weights)[:, None] * d2
             assert np.abs(closed - 0.5 * (raw + raw.T)).max() <= 1e-13 * np.abs(closed).max()
@@ -312,16 +334,16 @@ class TestKinetic:
         # the chain rule on node derivatives lost up to 1.5e-14
         mesh = MeshSpec(N, alpha, family, 1.0)
         want = self._gauss_kinetic_mpmath(mesh)
-        got = kinetic_matrix(mesh, Mode.Gauss)
+        got = operator_matrix(mesh, "kinetic", Mode.Gauss)
         assert np.abs(got - want).max() <= 5e-15 * np.abs(want).max()
 
     def test_exact_alpha_zero_diverges(self):
         with pytest.raises(ValueError, match="diverge"):
-            kinetic_matrix(mesh_regsqrt(5, 0.0), Mode.Exact)
+            operator_matrix(mesh_regsqrt(5, 0.0), "kinetic", Mode.Exact)
 
     def test_exact_plain_family_alpha_one_diverges(self):
         with pytest.raises(ValueError, match="divergent"):
-            kinetic_matrix(MeshSpec(5, 1.0, Family.NonReg, 1.0), Mode.Exact)
+            operator_matrix(MeshSpec(5, 1.0, Family.NonReg, 1.0), "kinetic", Mode.Exact)
 
     @pytest.mark.parametrize(
         "family,alpha,variant_mode",
@@ -329,7 +351,7 @@ class TestKinetic:
     )
     def test_symmetric_for_other_families(self, family, alpha, variant_mode):
         mesh = MeshSpec(11, alpha, family, 1.0)
-        K = kinetic_matrix(mesh, variant_mode)
+        K = operator_matrix(mesh, "kinetic", variant_mode)
         assert np.abs(K - K.T).max() <= 1e-13 * max(1.0, np.abs(K).max())
 
 
@@ -337,15 +359,15 @@ class TestKinetic2D:
     def test_combined_diagonal_small_case(self):
         # diagonal -(1/12 r_i)[2(2N+1) - r_i - 2/r_i] with the stored sign
         mesh = mesh_regsqrt(3, 0.0)
-        K = kinetic2d_matrix(mesh)
+        K = operator_matrix(mesh, "kinetic2d")
         r = mesh.nodes
         want = (2.0 * 7.0 - r - 2.0 / r) / (12.0 * r)
         assert np.diag(K) == pytest.approx(want, rel=1e-14)
 
     def test_combined_equals_gauss_kinetic_minus_quarter_inverse_square(self):
         mesh = mesh_regsqrt(9, 0.0)
-        k2d = kinetic2d_matrix(mesh)
-        k3d = kinetic_matrix(mesh, Mode.Gauss)
+        k2d = operator_matrix(mesh, "kinetic2d")
+        k3d = operator_matrix(mesh, "kinetic", Mode.Gauss)
         assert np.allclose(k2d, k3d - np.diag(0.25 / mesh.nodes**2), atol=1e-13)
 
 
@@ -360,8 +382,30 @@ class TestPotentialMatrix:
         V = builtin("harmonic")
         mesh = mesh_regsqrt(5, 1.0, h=0.2)
         M = potential_matrix(mesh, V, Mode.Exact)
-        want = 0.5 * 0.2**2 * power_matrix(mesh, 2, Mode.Exact)
+        want = 0.5 * 0.2**2 * operator_matrix(mesh, "r^2", Mode.Exact)
         assert np.array_equal(M, want)
+
+    def test_exact_constant_term(self):
+        # a constant is the operator "1": the identity on the orthonormal
+        # families and the exact Gram matrix on the r-regularized one
+        one = PotentialSpec(label="one", terms=((1.0, 0.0, 0.0, 0.0),))
+        for family, alpha in (("RegSqrt", 0.0), ("RegSqrt", 1.0), ("NonReg", 2.0)):
+            mesh = MeshSpec(8, alpha, family, 0.3)
+            assert np.array_equal(potential_matrix(mesh, one, Mode.Exact), np.eye(8))
+        for alpha in (0.0, 2.0):
+            mesh = MeshSpec(8, alpha, Family.RegR, 0.3)
+            got = potential_matrix(mesh, one, Mode.Exact)
+            assert np.abs(got - _exact_overlap(mesh)).max() <= 1e-13
+
+    @pytest.mark.parametrize("variant", [HamiltonianVariant.Var, Variant2D.Var2D])
+    @pytest.mark.parametrize("angular", [0, 1, 2])
+    def test_constant_shifts_variational_levels(self, variant, angular):
+        build = hamiltonian_2d if isinstance(variant, Variant2D) else hamiltonian_3d
+        mesh = scheme_mesh(variant, 30, 0.1)
+        shifted = PotentialSpec(label="shifted", terms=((0.5, 2.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
+        E = np.linalg.eigvalsh(build(mesh, angular, builtin("harmonic"), variant)[0])[:5]
+        E_shifted = np.linalg.eigvalsh(build(mesh, angular, shifted, variant)[0])[:5]
+        assert np.abs(E_shifted - (E + 1.0)).max() <= 1e-12
 
     def test_exact_rejects_non_power_shapes(self):
         mesh = mesh_regsqrt(5)
@@ -437,8 +481,8 @@ class TestHamiltonian2D:
         assert H.shape == (9, 9)
         # N-1 functions with alpha=2, every element exact
         basis_mesh = MeshSpec(9, 2.0, Family.RegSqrt, 0.9)
-        want = (kinetic2d_matrix(basis_mesh, Mode.Exact) / (2 * 0.9**2)
-                + 0.5 * power_matrix(basis_mesh, -2, Mode.Exact) / 0.9**2
+        want = (operator_matrix(basis_mesh, "kinetic2d", Mode.Exact) / (2 * 0.9**2)
+                + 0.5 * operator_matrix(basis_mesh, "1/r^2", Mode.Exact) / 0.9**2
                 + potential_matrix(basis_mesh, V, Mode.Exact))
         assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
         assert np.array_equal(S, np.eye(9))
@@ -457,7 +501,7 @@ class TestHamiltonian2D:
         V = builtin(name)
         H, S = hamiltonian_2d(mesh, 0, V, "Var2D")
         assert H.shape == S.shape == (N, N)
-        want = (kinetic2d_matrix(mesh, Mode.Exact) / (2 * h * h)
+        want = (operator_matrix(mesh, "kinetic2d", Mode.Exact) / (2 * h * h)
                 + potential_matrix(mesh, V, Mode.Exact))
         assert np.array_equal(H, want)
         E = np.linalg.eigvalsh(H)
@@ -523,11 +567,11 @@ class TestCentrifugal:
         V = builtin("coulomb")
         mesh = mesh_regsqrt(5, h=0.7)
         H, _ = hamiltonian_3d(mesh, 0, V, "RegSqrtMesh")
-        T = kinetic_matrix(mesh, Mode.Gauss)
+        T = operator_matrix(mesh, "kinetic", Mode.Gauss)
         assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + potential_matrix(mesh, V))
         mesh = mesh_regsqrt(5, 0.0, h=0.7)
         H, _ = hamiltonian_2d(mesh, 0, V, "RegSqrtMesh2D")
-        T = kinetic2d_matrix(mesh)
+        T = operator_matrix(mesh, "kinetic2d")
         assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + potential_matrix(mesh, V))
 
     def test_gauss_is_diagonal(self):
@@ -607,19 +651,25 @@ class TestClassifier:
 class TestDivergenceRejections:
     def test_inverse_square_sqrt_family_alpha_zero(self):
         with pytest.raises(ValueError, match="diverge"):
-            power_matrix(mesh_regsqrt(5, 0.0), -2, Mode.Exact)
+            operator_matrix(mesh_regsqrt(5, 0.0), "1/r^2", Mode.Exact)
 
     def test_gauss_mode_still_fine_where_exact_diverges(self):
-        M = power_matrix(mesh_regsqrt(5, 0.0), -2, Mode.Gauss)
+        M = operator_matrix(mesh_regsqrt(5, 0.0), "1/r^2", Mode.Gauss)
         assert np.allclose(M, np.diag(mesh_regsqrt(5, 0.0).nodes ** -2.0))
 
     def test_invalid_power_rejected(self):
-        with pytest.raises(ValueError, match="one of"):
-            power_matrix(mesh_regsqrt(5), 3, Mode.Exact)
+        # _gauss_error alone would give an unknown operator a silent zero
+        # correction
+        for family, alpha in (("RegSqrt", 1.0), ("NonReg", 2.0), ("RegR", 0.0)):
+            for op in ("r^3", "kinetic3d", "R"):
+                for mode in Mode:
+                    with pytest.raises(ValueError, match=f"unknown operator: {re.escape(repr(op))} "
+                                                         r"\(expected one of"):
+                        operator_matrix(MeshSpec(5, alpha, family, 1.0), op, mode)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="Mode"):
-            kinetic_matrix(mesh_regsqrt(5), "Approximate")
+            operator_matrix(mesh_regsqrt(5), "kinetic", "Approximate")
 
 
 def _clear_matrix_caches():
@@ -633,16 +683,13 @@ CACHE_MESHES = [
     ("RegR", 0.0), ("RegR", 2.0),
 ]
 
-# every operator the public matrix builders accept, in both modes
-OPERATORS = (
-    [(f"kinetic-{m.name}", lambda mesh, m=m: kinetic_matrix(mesh, m)) for m in Mode]
-    + [(f"kinetic2d-{m.name}", lambda mesh, m=m: kinetic2d_matrix(mesh, m)) for m in Mode]
-    + [
-        (f"power{p}-{m.name}", lambda mesh, p=p, m=m: power_matrix(mesh, p, m))
-        for p in (-2, -1, 1, 2)
-        for m in Mode
-    ]
-)
+# every operator operator_matrix accepts, in both modes
+OPERATORS = [
+    (f"{name}-{m.name}", lambda mesh, op=op, m=m: operator_matrix(mesh, op, m))
+    for name, op in (("kinetic", "kinetic"), ("kinetic2d", "kinetic2d"), ("power-2", "1/r^2"),
+                     ("power-1", "1/r"), ("power0", "1"), ("power1", "r"), ("power2", "r^2"))
+    for m in Mode
+]
 
 
 class TestMatrixCache:
@@ -665,21 +712,19 @@ class TestMatrixCache:
     @pytest.mark.parametrize("family,alpha", CACHE_MESHES)
     def test_cached_builders_ignore_h(self, family, alpha):
         # the cache keys drop h; building at another h must not change a bit
+        # of the Gauss matrix or of the Gauss matrix plus its correction
         at_h = MeshSpec(9, alpha, family, 2.7)
-        calls = (
-            [(matelem._kinetic, m) for m in Mode]
-            + [(matelem._kinetic2d, m) for m in Mode]
-            + [(matelem._exact_power, p) for p in (-2, -1, 1, 2)]
-            + [(matelem._gauss_error, op)  # the correction of the other two families
-               for op in ("1/r^2", "1/r", "r", "r^2", "kinetic", "kinetic2d")
-               if family != "RegSqrt"]
-        )
-        for build, arg in calls:
+        for op in matelem._OPERATORS:
+            if op in matelem._POWERS:
+                gauss = np.diag(at_h.nodes ** matelem._POWERS[op])
+            else:
+                gauss = matelem._gauss_kinetic(at_h, 3.0 if op == "kinetic2d" else 0.0)
+            assert np.array_equal(operator_matrix(at_h, op, Mode.Gauss), gauss)
             try:
-                expected = matelem._cached_matrix.__wrapped__(build, at_h, arg)
+                correction = matelem._gauss_error(at_h, op)
             except ValueError:
                 continue
-            assert np.array_equal(matelem._h_free(build, at_h, arg), expected)
+            assert np.array_equal(operator_matrix(at_h, op, Mode.Exact), gauss + correction)
 
     def test_warm_cache_spectrum_equals_cold(self):
         from lagmesh.solver import solve_bound_states
@@ -701,10 +746,10 @@ class TestMatrixCache:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda mesh: kinetic_matrix(mesh, Mode.Exact),
-            lambda mesh: kinetic_matrix(mesh, Mode.Gauss),
-            lambda mesh: power_matrix(mesh, -2, Mode.Exact),
-            lambda mesh: kinetic2d_matrix(mesh, Mode.Exact),
+            lambda mesh: operator_matrix(mesh, "kinetic", Mode.Exact),
+            lambda mesh: operator_matrix(mesh, "kinetic", Mode.Gauss),
+            lambda mesh: operator_matrix(mesh, "1/r^2", Mode.Exact),
+            lambda mesh: operator_matrix(mesh, "kinetic2d", Mode.Exact),
         ],
         ids=["kinetic-Exact", "kinetic-Gauss", "power-2-Exact", "kinetic2d-Exact"],
     )
