@@ -12,12 +12,12 @@ elements, and the m = 1 case loses no accuracy at all.
 from lagmesh import (Classification, Family, Variant2D, builtin, classify_singularity,
                      relative_error, scheme_mesh, solve_bound_states)
 from lagmesh.matelem import hamiltonian_2d
+from lagmesh.potentials import exact_level
 
-# exact m = 1 ground states: E = 2 (oscillator), -2/9 (Coulomb)
-CASES = (("harmonic", 20, 0.09, 2.0), ("coulomb", 10, 0.9, -2.0 / 9.0))
-
-for name, N, h, exact in CASES:
+for name, N, h in (("harmonic", 20, 0.09), ("coulomb", 10, 0.9)):
     V = builtin(name)
+    # the 2D m = 1 ground state is the 3D one at l = 1/2: 2 and -2/9
+    exact = exact_level(V, 1, dimension=2)
     print(f"\n{name}, m = 1, N = {N}, h = {h} (exact E = {exact:+.6f})")
     for variant, label in ((Variant2D.Var2D, "variational"),
                            (Variant2D.RegSqrtMesh2D, "sqrt(rho)-regularized mesh")):

@@ -24,7 +24,7 @@ from .matelem import (
     hamiltonian_3d,
     scheme_mesh,
 )
-from .potentials import PotentialSpec, builtin
+from .potentials import PotentialSpec, builtin, exact_level
 from .quadrature import generate_rule
 from .scattering import (
     IndeterminatePhaseError,
@@ -63,6 +63,7 @@ __all__ = [
     "classify_singularity",
     "coulomb_wave",
     "eckart_reference_delta0",
+    "exact_level",
     "gamma_scan",
     "generate_rule",
     "hamiltonian_2d",

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
-from .potentials import builtin
+from .potentials import builtin, exact_level
 from .scattering import eckart_reference_delta0, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
@@ -36,15 +36,9 @@ __all__ = [
     "TABLE_IDS",
     "VARIANTS_3D",
     "check_table",
-    "coulomb_level",
-    "coulomb_level_2d",
     "eps_notation",
-    "ho_level",
-    "ho_level_2d",
     "run_table",
 ]
-
-TABLE_IDS = (1, 2, 3, 4, 5)
 
 # column label and evaluation scheme; meshes come from matelem.SCHEMES
 VARIANTS_3D = (
@@ -56,8 +50,7 @@ VARIANTS_3D = (
 )
 
 _VARIANTS_2D = (("var", Variant2D.Var2D), ("reg sqrt(rho)", Variant2D.RegSqrtMesh2D))
-_MESHES_SCAT = (("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh),
-                ("reg r", HamiltonianVariant.RegRMesh))
+_MESHES_SCAT = VARIANTS_3D[1:3]  # the two regularized meshes
 
 TABLE3_GAMMA = 4.0
 TABLE4_GAMMA_GRID = np.geomspace(0.3, 1.3, 16)
@@ -132,26 +125,6 @@ class CheckResult:
         object.__setattr__(self, "value", float(self.value))
 
 
-def ho_level(l, n=0):
-    """Exact oscillator level: 2n + l + 3/2."""
-    return 2.0 * n + l + 1.5
-
-
-def coulomb_level(l, n=0):
-    """Exact hydrogenic level: -1/(2 (n + l + 1)^2)."""
-    return -0.5 / (n + l + 1.0) ** 2
-
-
-def ho_level_2d(m, n=0):
-    """Exact two-dimensional oscillator level: 2n + m + 1."""
-    return 2.0 * n + m + 1.0
-
-
-def coulomb_level_2d(m, n=0):
-    """Exact two-dimensional hydrogenic level: -1/(2 (n + m + 1/2)^2)."""
-    return -0.5 / (n + m + 0.5) ** 2
-
-
 def eps_notation(x):
     """Format a relative error in the compact a[-b] notation, e.g. 6.9[-2]."""
     if x == 0.0:
@@ -164,19 +137,20 @@ def eps_notation(x):
     return f"{a:.1f}[{b}]"
 
 
-def _lowest_errors(schemes, V, N, h, n, exact):
+def _lowest_errors(schemes, V, N, h, n):
     """Relative error of the lowest level in each labeled scheme, 3D or 2D."""
     row = {}
     for label, variant in schemes:
-        build = hamiltonian_2d if isinstance(variant, Variant2D) else hamiltonian_3d
+        dim = 2 if isinstance(variant, Variant2D) else 3
+        build = hamiltonian_2d if dim == 2 else hamiltonian_3d
         H, S = build(scheme_mesh(variant, N, h), n, V, variant)
-        row[label] = relative_error(bound_energies(H, S)[0], exact)
+        row[label] = relative_error(bound_energies(H, S)[0], exact_level(V, n, dimension=dim))
     return row
 
 
-def _bound_rows(name, N, h, exact):
+def _bound_rows(name, N, h):
     V = builtin(name)
-    return [{"l": l, **_lowest_errors(VARIANTS_3D, V, N, h, l, exact(l))} for l in (0, 1, 2)]
+    return [{"l": l, **_lowest_errors(VARIANTS_3D, V, N, h, l)} for l in (0, 1, 2)]
 
 
 def _scattering_states(name, N, h, l):
@@ -243,29 +217,8 @@ def _run_table4():
 
 
 def _run_table5():
-    return [{"potential": name, **_lowest_errors(_VARIANTS_2D, builtin(name), N, h, 1, exact)}
-            for name, N, h, exact in (("harmonic", 20, 0.09, ho_level_2d(1)),
-                                      ("coulomb", 10, 0.9, coulomb_level_2d(1)))]
-
-
-def run_table(table):
-    """Recompute benchmark table ``table`` and return its rows as dicts.
-
-    Rows of tables 1, 2, and 5 hold relative errors per evaluation scheme;
-    rows of tables 3 and 4 hold one pseudostate each with its energy and
-    phase shift.
-    """
-    if table == 1:
-        return _bound_rows("harmonic", 20, 0.09, ho_level)
-    if table == 2:
-        return _bound_rows("coulomb", 10, 0.9, coulomb_level)
-    if table == 3:
-        return _run_table3()
-    if table == 4:
-        return _run_table4()
-    if table == 5:
-        return _run_table5()
-    raise ValueError(f"table must be one of {TABLE_IDS}, got {table!r}")
+    return [{"potential": name, **_lowest_errors(_VARIANTS_2D, builtin(name), N, h, 1)}
+            for name, N, h in (("harmonic", 20, 0.09), ("coulomb", 10, 0.9))]
 
 
 def _check_table1(rows):
@@ -383,15 +336,37 @@ def _check_table5(rows):
     return checks
 
 
+# table id -> (run, check)
+_TABLES = {
+    1: (lambda: _bound_rows("harmonic", 20, 0.09), _check_table1),
+    2: (lambda: _bound_rows("coulomb", 10, 0.9), _check_table2),
+    3: (_run_table3, _check_table3),
+    4: (_run_table4, _check_table4),
+    5: (_run_table5, _check_table5),
+}
+TABLE_IDS = tuple(_TABLES)
+
+
+def _table(table):
+    if table not in _TABLES:
+        raise ValueError(f"table must be one of {TABLE_IDS}, got {table!r}")
+    return _TABLES[table]
+
+
+def run_table(table):
+    """Recompute benchmark table ``table`` and return its rows as dicts.
+
+    Rows of tables 1, 2, and 5 hold relative errors per evaluation scheme;
+    rows of tables 3 and 4 hold one pseudostate each with its energy and
+    phase shift.
+    """
+    return _table(table)[0]()
+
+
 def check_table(table, rows=None):
     """Compare table ``table`` against its bundled reference values.
 
     Returns a list of CheckResult; recomputes the rows when not supplied.
     """
-    if rows is None:
-        rows = run_table(table)
-    checker = {1: _check_table1, 2: _check_table2, 3: _check_table3,
-               4: _check_table4, 5: _check_table5}
-    if table not in checker:
-        raise ValueError(f"table must be one of {TABLE_IDS}, got {table!r}")
-    return checker[table](rows)
+    run, check = _table(table)
+    return check(run() if rows is None else rows)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import benchmarks
 from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
-from .potentials import builtin, from_json, to_json
+from .potentials import builtin, exact_level, from_json, to_json
 from .scattering import gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
@@ -177,31 +177,19 @@ def _resolve_problem(config):
     return mesh, H, S
 
 
-# (builtin label, dimension) -> analytic level (angular, n); Coulomb's are bound
-_LEVELS = {("harmonic", 3): benchmarks.ho_level, ("coulomb", 3): benchmarks.coulomb_level,
-           ("harmonic", 2): benchmarks.ho_level_2d, ("coulomb", 2): benchmarks.coulomb_level_2d}
-
-
-def _exact_level(config, n, energy):
-    """Analytic level for the builtin solvable potentials, else None."""
-    V = config.potential
-    level = _LEVELS.get((V.label, config.dimension))
-    if level is None or V.energy_unit != 1.0 or V.label == "coulomb" and not energy < 0.0:
-        return None
-    return level(config.angular, n)
-
-
 def _run_bound(config):
     # bound rows read energies only, so no eigenvectors are computed
     _, H, S = _resolve_problem(config)
-    unit = config.potential.energy_unit
+    V, angular, dim = config.potential, config.angular, config.dimension
+    # analytic levels are in internal units, and a Coulomb one (the levels
+    # are negative) is only given for a bound state
+    ground = exact_level(V, angular, 0, dim) if V.energy_unit == 1.0 else None
     rows = []
     for n, E in enumerate(bound_energies(H, S)):
-        row = {"state": n + 1, "energy": float(E) * unit}
-        exact = _exact_level(config, n, float(E))
-        if exact is not None:
-            row["exact"] = exact
-            row["eps_rel"] = relative_error(float(E), exact)
+        row = {"state": n + 1, "energy": float(E) * V.energy_unit}
+        if ground is not None and (ground > 0.0 or E < 0.0):
+            row["exact"] = exact_level(V, angular, n, dim)
+            row["eps_rel"] = relative_error(float(E), row["exact"])
         rows.append(row)
     return rows
 
@@ -309,14 +297,9 @@ def sweep(config, parameter, values):
     if parameter == "N" and not all(float(v).is_integer() for v in values):
         raise ConfigError(["values: N values must be whole numbers"])
     rows = []
+    cast = int if parameter == "N" else float
     for v in values:
-        if parameter == "N":
-            sub = dataclasses.replace(config, N=int(v))
-        elif parameter == "h":
-            sub = dataclasses.replace(config, h=float(v))
-        else:
-            sub = dataclasses.replace(config, gamma=float(v))
-        report = run(sub)
+        report = run(dataclasses.replace(config, **{parameter: cast(v)}))
         first = report.rows[0]
         row = {"parameter": parameter, "value": v, "energy": first["energy"]}
         if config.mode == "bound":

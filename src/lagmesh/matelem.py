@@ -341,6 +341,21 @@ def _in_range(H, h):
     return H
 
 
+def _assemble(mesh, kinetic_op, strength, modes, V):
+    """H = (K + strength/x^2) / (2 h^2) + V(h x) and the identity S on
+    ``mesh``, K the ``kinetic_op`` matrix, each term in its mode of ``modes``
+    (kinetic, centrifugal, potential)."""
+    t_mode, c_mode, v_mode = modes
+    two_h2 = 2.0 * _h_squared(mesh.h)
+    T = operator_matrix(mesh, kinetic_op, t_mode)
+    with np.errstate(**_H_ERRSTATE):
+        H = T / two_h2
+        if strength > 0:
+            H = H + strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
+        H = H + potential_matrix(mesh, V, v_mode)
+    return _in_range(H, mesh.h), np.eye(mesh.N)
+
+
 def hamiltonian_3d(mesh, l, V, variant):
     """Hamiltonian and overlap matrices for the 3D radial equation
     (-1/2 d^2/dr^2 + l(l+1)/(2 r^2) + V) in the chosen evaluation scheme.
@@ -360,16 +375,8 @@ def hamiltonian_3d(mesh, l, V, variant):
         range; at N = 150 that is h below about 1e-152 or above 1e151.
     """
     variant = _coerce(HamiltonianVariant, variant)
-    l, (t_mode, c_mode, v_mode) = _scheme_row(variant, "l", l, mesh)
-    two_h2 = 2.0 * _h_squared(mesh.h)
-    T = operator_matrix(mesh, "kinetic", t_mode)
-    C = l * (l + 1.0) * operator_matrix(mesh, "1/r^2", c_mode) if l > 0 else None
-    with np.errstate(**_H_ERRSTATE):
-        H = T / two_h2
-        if C is not None:
-            H = H + C / two_h2
-        H = H + potential_matrix(mesh, V, v_mode)
-    return _in_range(H, mesh.h), np.eye(mesh.N)
+    l, modes = _scheme_row(variant, "l", l, mesh)
+    return _assemble(mesh, "kinetic", l * (l + 1.0), modes, V)
 
 
 def hamiltonian_2d(mesh, m, V, variant):
@@ -399,22 +406,11 @@ def hamiltonian_2d(mesh, m, V, variant):
         Naming h, as for ``hamiltonian_3d``.
     """
     variant = _coerce(Variant2D, variant)
-    m, (t_mode, c_mode, v_mode) = _scheme_row(variant, "m", m, mesh)
-    h = mesh.h
-    two_h2 = 2.0 * _h_squared(h)
-    if c_mode is Mode.Exact and m > 0:
+    m, modes = _scheme_row(variant, "m", m, mesh)
+    if modes[1] is Mode.Exact and m > 0:
         # the exact 1/rho^2 element diverges at alpha = 0
-        mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
-    T = operator_matrix(mesh, "kinetic2d", t_mode)
-    P = operator_matrix(mesh, "1/r^2", c_mode) if m > 0 and c_mode is Mode.Exact else None
-    with np.errstate(**_H_ERRSTATE):
-        H = T / two_h2
-        if P is not None:
-            H = H + m * m * P / two_h2
-        elif m > 0:  # Gauss: m^2/(2 rho^2) at rho = h r_i, rounded as 2D reports pin
-            H = H + np.diag(m**2 / (2.0 * (h * mesh.nodes) ** 2))
-        H = H + potential_matrix(mesh, V, v_mode)
-    return _in_range(H, h), np.eye(mesh.N)
+        mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, mesh.h)
+    return _assemble(mesh, "kinetic2d", m * m, modes, V)
 
 
 def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):

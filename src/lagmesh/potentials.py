@@ -2,8 +2,9 @@
 
 A potential is a sum of terms ``c * r**p * exp(-a*r**2 - b*r)``, an optional
 screened-Coulomb term ``(q/r) * erf(mu*r)``, and an optional Eckart well kept
-in closed form.  ``tail_Z`` records the Coulomb strength of the ``Z/r`` tail
-for scattering.  All quantities are in the internal units ``hbar = M = 1``;
+in closed form.  The ``Z/r`` tail (``tail_Z``) and the analytic levels
+(``exact_level``) are read from the terms; JSON ``tailZ`` is optional and
+must match them.  All quantities are in the internal units ``hbar = M = 1``;
 ``energy_unit`` is the conversion factor back to the user's energy unit (MeV
 for the alpha-alpha potential) and is metadata only.
 """
@@ -16,7 +17,9 @@ import math
 
 import numpy as np
 
-__all__ = ["PotentialSpec", "builtin", "evaluate", "from_json", "to_json"]
+from .specfun import _integer
+
+__all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json", "to_json"]
 
 # hbar^2/M in MeV fm^2 for the alpha-alpha system
 _ALPHA_ALPHA_UNIT = 20.736
@@ -43,8 +46,6 @@ class PotentialSpec:
         Each term contributes ``c * r**p * exp(-a*r**2 - b*r)``.
     coulomb_erf : (q, mu) or None
         Screened Coulomb term ``(q/r) * erf(mu*r)``.
-    tail_Z : float
-        Strength of the ``Z/r`` tail (0 for a neutral potential).
     eckart : (b, c) or None
         Eckart well ``-4 b^2 beta e^{-2br} / (1 + beta e^{-2br})^2`` with
         ``beta = (b - c)/(b + c)``, kept in closed form.
@@ -58,7 +59,6 @@ class PotentialSpec:
     label: str
     terms: tuple = ()
     coulomb_erf: tuple | None = None
-    tail_Z: float = 0.0
     eckart: tuple | None = None
     energy_unit: float = 1.0
 
@@ -77,7 +77,6 @@ class PotentialSpec:
             if mu <= 0.0:
                 raise ValueError("coulomb_erf mu must be positive")
             object.__setattr__(self, "coulomb_erf", (q, mu))
-        object.__setattr__(self, "tail_Z", _finite("tail_Z", self.tail_Z))
         if self.eckart is not None:
             b, c = (_finite(f"eckart {n}", v) for n, v in zip("bc", self.eckart))
             if b <= abs(c):
@@ -86,6 +85,13 @@ class PotentialSpec:
         object.__setattr__(self, "energy_unit", _finite("energy_unit", self.energy_unit))
         if self.energy_unit <= 0.0:
             raise ValueError(f"energy_unit must be positive (got {self.energy_unit!r})")
+
+    @property
+    def tail_Z(self):
+        """Strength Z of the ``Z/r`` tail (0 for a neutral potential): the
+        ``c`` of every pure ``c/r`` term plus the ``coulomb_erf`` charge."""
+        q = self.coulomb_erf[0] if self.coulomb_erf is not None else 0.0
+        return sum(c for c, p, a, b in self.terms if p == -1.0 and a == b == 0.0) + q
 
 
 def evaluate(spec, r):
@@ -115,6 +121,30 @@ def evaluate(spec, r):
     return total.reshape(rs.shape)
 
 
+def exact_level(V, angular, n=0, dimension=3):
+    """Level ``n`` at angular number ``angular`` (l in 3D, m in 2D), or None:
+    ``sqrt(2c) (2n + lam + 3/2)`` for a single pure ``c r^2`` term with
+    c > 0 and ``-Z^2 / (2 (n + lam + 1)^2)`` for a single pure attractive
+    ``Z/r`` term, whatever the label.  ``lam`` is l in 3D and m - 1/2 in 2D,
+    where the radial equation is the 3D one at l = m - 1/2.
+    """
+    angular = _integer("angular", angular, nonnegative=True)
+    n = _integer("n", n, nonnegative=True)
+    if dimension not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3 (got {dimension!r})")
+    if len(V.terms) != 1 or V.coulomb_erf or V.eckart:
+        return None
+    c, p, a, b = V.terms[0]
+    if a or b:
+        return None
+    lam = angular if dimension == 3 else angular - 0.5
+    if p == 2.0 and c > 0.0:
+        return math.sqrt(2.0 * c) * (2.0 * n + lam + 1.5)
+    if p == -1.0 and c < 0.0:
+        return -0.5 * c * c / (n + lam + 1.0) ** 2
+    return None
+
+
 def builtin(name, **params):
     """Construct one of the catalogued potentials.
 
@@ -134,7 +164,7 @@ def builtin(name, **params):
         Z = float(params.pop("Z", -1.0))
         if params:
             raise ValueError(f"unknown parameters: {sorted(params)}")
-        return PotentialSpec(label="coulomb", terms=((Z, -1.0, 0.0, 0.0),), tail_Z=Z)
+        return PotentialSpec(label="coulomb", terms=((Z, -1.0, 0.0, 0.0),))
     if name == "eckart":
         b = float(params.pop("b", 2.0))
         c = float(params.pop("c", -1.0))
@@ -149,7 +179,6 @@ def builtin(name, **params):
             label="buck_alpha_alpha",
             terms=((-122.6225 / u, 0.0, 0.22, 0.0),),
             coulomb_erf=(4.0 * 1.44 / u, 0.75),
-            tail_Z=4.0 * 1.44 / u,
             energy_unit=u,
         )
     raise ValueError(f"unknown potential: {name!r}")
@@ -200,13 +229,16 @@ def from_json(text):
     label = doc.get("label", "user")
     if type(label) is not str:
         raise ValueError("label: must be a string")
-    (tail_Z,) = _numbers(doc, "", ["tailZ"], {"tailZ": 0.0})
-    return PotentialSpec(
+    spec = PotentialSpec(
         label=label,
         terms=tuple(_numbers(t, f"terms[{i}]", "cpab", {"a": 0.0, "b": 0.0})
                     for i, t in enumerate(terms)),
         coulomb_erf=_numbers(doc["coulombErf"], "coulombErf", ["q", "mu"])
         if "coulombErf" in doc else None,
-        tail_Z=tail_Z,
         eckart=_numbers(doc["eckart"], "eckart", "bc") if "eckart" in doc else None,
     )
+    if "tailZ" in doc:  # echoed by every report: checked, never used
+        Z = _finite("tailZ", _numbers(doc, "", ["tailZ"])[0])
+        if abs(Z - spec.tail_Z) > 1e-12 * max(1.0, abs(spec.tail_Z)):
+            raise ValueError(f"tailZ: {Z!r} differs from the tail {spec.tail_Z!r} of the terms")
+    return spec

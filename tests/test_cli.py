@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from lagmesh import cli
 from lagmesh.benchmarks import CheckResult
 from lagmesh.cli import ConfigError, ExperimentConfig, Report, main, run, sweep
-from lagmesh.potentials import builtin
+from lagmesh.potentials import builtin, from_json
 from lagmesh.scattering import IndeterminatePhaseError
 
 
@@ -93,6 +93,33 @@ class TestBoundMode:
         assert all("eps_rel" not in row
                    for row in report.rows if row["energy"] > 0.0)
 
+    @pytest.mark.parametrize("dimension, angular, lam", [(3, 0, 0.0), (3, 1, 1.0), (2, 1, 0.5)])
+    def test_exact_levels_follow_the_coulomb_charge(self, dimension, angular, lam):
+        # the 2D radial equation is the 3D one at l = m - 1/2
+        report = run(_config(potential=builtin("coulomb", Z=-2.0), dimension=dimension,
+                             angular=angular, N=20, h=0.3))
+        rows = [row for row in report.rows if "exact" in row]
+        assert [row["exact"] for row in rows] == [
+            -2.0 / (n + lam + 1.0) ** 2 for n in range(len(rows))]
+        assert abs(rows[0]["eps_rel"]) <= 1e-10
+
+    def test_exact_levels_follow_the_oscillator_strength(self):
+        V = from_json('{"label": "harmonic", "terms": [{"c": 2, "p": 2}]}')
+        report = run(_config(potential=V, angular=1))
+        assert [row["exact"] for row in report.rows] == [
+            2.0 * (2 * n + 1 + 1.5) for n in range(len(report.rows))]
+        assert abs(report.rows[0]["eps_rel"]) <= 1e-10
+
+    def test_repulsive_coulomb_has_no_exact_levels(self):
+        report = run(_config(potential=builtin("coulomb", Z=1.0), N=20, h=0.3))
+        assert all("exact" not in row for row in report.rows)
+
+    def test_exact_levels_whatever_the_label(self):
+        V = from_json('{"label": "user", "terms": [{"c": 0.5, "p": 2}]}')
+        report = run(_config(potential=V))
+        assert report.rows[0]["exact"] == 1.5
+        assert abs(report.rows[0]["eps_rel"]) <= 1e-10
+
     def test_two_dimensional_oscillator(self):
         report = run(_config(dimension=2, angular=1))
         assert abs(report.rows[0]["energy"] - 2.0) <= 1e-10
@@ -110,6 +137,14 @@ class TestScatterMode:
                              variant="reg-sqrt", N=15, h=0.1, gamma=4.0))
         assert abs(report.rows[0]["delta_deg"] - (-49.67024)) < 5e-5
         assert report.rows[0]["branch"] == 0
+
+    def test_coulomb_tail_is_read_from_the_terms(self):
+        # a pure Coulomb potential has no phase shift against the Coulomb
+        # functions of its own tail, whether or not the spec states it
+        kw = dict(mode="scatter", variant="reg-sqrt", N=30, h=1.1, gamma=2.0)
+        spec = run(_config(potential=from_json('{"terms": [{"c": -1, "p": -1}]}'), **kw))
+        assert spec.rows == run(_config(potential=builtin("coulomb"), **kw)).rows
+        assert all(abs(row["tan_delta"]) <= 1e-12 for row in spec.rows)
 
     def test_charged_system_reported_in_positive_window(self):
         report = run(_config(mode="scatter",
@@ -397,7 +432,7 @@ class TestMain:
         ("eckart:b=inf", "eckart b"),
         ("eckart:c=-inf", "eckart c"),
         ('{"terms": [{"c": NaN, "p": -1}]}', "term c"),
-        ('{"terms": [{"c": -1, "p": -1}], "tailZ": Infinity}', "tail_Z"),
+        ('{"terms": [{"c": -1, "p": -1}], "tailZ": Infinity}', "tailZ"),
         ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulomb_erf mu"),
         ('{"eckart": {"b": NaN, "c": -1}}', "eckart b"),
     ])
@@ -540,6 +575,13 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "lagmesh: aplha: unknown field", "lagmesh: verbose: unknown field"]
+
+    def test_tail_at_odds_with_the_terms_exits_1(self, capsys):
+        code = main(["bound", "--potential", '{"terms": [{"c": -1, "p": -1}], "tailZ": 0}',
+                     "--N", "5", "--h", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("lagmesh: potential: invalid spec (tailZ: ")
 
     def test_malformed_inline_spec_names_the_field(self, capsys):
         code = main(["bound", "--potential", '{"coulombErf": {"q": 1}}',

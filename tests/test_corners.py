@@ -16,7 +16,6 @@ import pytest
 from scipy.linalg import eigh
 
 from lagmesh.basis import Family, MeshSpec
-from lagmesh.benchmarks import coulomb_level, coulomb_level_2d, ho_level, ho_level_2d
 from lagmesh.matelem import (
     SCHEMES,
     Classification,
@@ -29,15 +28,13 @@ from lagmesh.matelem import (
     operator_matrix,
     scheme_mesh,
 )
-from lagmesh.potentials import builtin
+from lagmesh.potentials import builtin, exact_level
 from lagmesh.quadrature import generate_rule
 from lagmesh.solver import bound_energies, relative_error
 
 from test_basis import _eval_all
 
 GRID_H = {"harmonic": 0.04, "coulomb": 1.0}
-LEVELS = {("harmonic", "3D"): ho_level, ("coulomb", "3D"): coulomb_level,
-          ("harmonic", "2D"): ho_level_2d, ("coulomb", "2D"): coulomb_level_2d}
 # The AccuracyLoss cells of the grid are non-reg and non-reg V_G for
 # Coulomb at l = 0, whose 1/r element is taken at the Gauss approximation.
 # Their errors are 1.7e-4 at N = 300 and 1.6e-5 at N = 990 and 1000
@@ -77,10 +74,11 @@ def test_plain_schemes_below_n1000(potential, n, variant):
 
 
 def _check_lowest_level(N, potential, n, variant):
-    dim = "2D" if isinstance(variant, Variant2D) else "3D"
-    build = hamiltonian_2d if dim == "2D" else hamiltonian_3d
-    H, S = build(scheme_mesh(variant, N, GRID_H[potential]), n, builtin(potential), variant)
-    eps = abs(relative_error(bound_energies(H, S)[0], LEVELS[potential, dim](n)))
+    dim = 2 if isinstance(variant, Variant2D) else 3
+    build = hamiltonian_2d if dim == 2 else hamiltonian_3d
+    V = builtin(potential)
+    H, S = build(scheme_mesh(variant, N, GRID_H[potential]), n, V, variant)
+    eps = abs(relative_error(bound_energies(H, S)[0], exact_level(V, n, dimension=dim)))
     if _predicts_loss(variant, n, potential):
         # the loss the classifier predicts is real, and stays within its bound
         assert SAFE_TOL < eps <= LOSS_BOUND[N]
@@ -126,4 +124,5 @@ def test_r_regularized_exact_oscillator_levels():
     H = (operator_matrix(mesh, "kinetic", Mode.Exact) / (2.0 * h * h)
          + 0.5 * h * h * operator_matrix(mesh, "r^2", Mode.Exact))
     E = eigh(H, S, eigvals_only=True)[:3]
-    assert np.abs(E / ho_level(0, np.arange(3)) - 1.0).max() <= 1e-10
+    exact = [exact_level(builtin("harmonic"), 0, n) for n in range(3)]
+    assert np.abs(E / exact - 1.0).max() <= 1e-10

@@ -26,6 +26,7 @@ from lagmesh import (
     cli,
     coulomb_wave,
     eckart_reference_delta0,
+    exact_level,
     gamma_scan,
     generate_rule,
     hamiltonian_2d,
@@ -58,6 +59,7 @@ def angular(limit):
 
 MESH = scheme_mesh(HamiltonianVariant.RegSqrtMesh, 15, 0.1)
 ECKART = builtin("eckart")
+HARMONIC = builtin("harmonic")
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,7 +157,6 @@ CASES = {
                                     NONFINITE, r"\bcoulomb_erf q\b"),
     "PotentialSpec.coulomb_erf_mu": (lambda v: PotentialSpec("v", coulomb_erf=(1.0, v)),
                                      NONFINITE | at_most(0.0), r"\bcoulomb_erf mu\b"),
-    "PotentialSpec.tail_Z": (lambda v: PotentialSpec("v", tail_Z=v), NONFINITE, r"\btail_Z\b"),
     "PotentialSpec.eckart_b": (lambda v: PotentialSpec("v", eckart=(v, -1.0)),
                                NONFINITE | at_most(1.0), r"(?i)\beckart\b"),
     "PotentialSpec.eckart_c": (lambda v: PotentialSpec("v", eckart=(2.0, v)),
@@ -163,6 +164,13 @@ CASES = {
                                r"(?i)\beckart\b"),
     "PotentialSpec.energy_unit": (lambda v: PotentialSpec("v", energy_unit=v),
                                   NONFINITE | at_most(0.0), r"\benergy_unit\b"),
+    "exact_level.angular": (lambda v: exact_level(HARMONIC, v),
+                            NONFINITE | FRACTIONAL | st.integers(max_value=-1), r"\bangular\b"),
+    "exact_level.n": (lambda v: exact_level(HARMONIC, 0, v),
+                      NONFINITE | FRACTIONAL | st.integers(max_value=-1), r"\bn\b"),
+    "exact_level.dimension": (lambda v: exact_level(HARMONIC, 0, 0, v),
+                              NONFINITE | FRACTIONAL | st.integers(max_value=1)
+                              | st.integers(min_value=4), r"\bdimension\b"),
     "classify_singularity.alpha": (lambda v: classify_singularity(Family.NonReg, v, 1, 2),
                                    NONFINITE | NEGATIVE, r"\balpha\b"),
     "classify_singularity.l": (lambda v: classify_singularity(Family.NonReg, 2.0, v, 2),

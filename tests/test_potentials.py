@@ -13,6 +13,7 @@ from lagmesh.potentials import (
     PotentialSpec,
     builtin,
     evaluate,
+    exact_level,
     from_json,
     to_json,
 )
@@ -117,12 +118,57 @@ class TestCoulombTail:
         V = builtin("coulomb", Z=-2.0)
         assert V.tail_Z / 4.0 == -0.5
 
+    def test_tail_is_read_from_the_terms(self):
+        # pure c/r terms and the erf charge count; damped 1/r and other powers do not
+        V = PotentialSpec("v", terms=((-1.0, -1.0, 0.0, 0.0), (3.0, -1.0, 0.0, 0.0),
+                                      (5.0, -1.0, 1.0, 0.0), (7.0, 0.0, 0.0, 0.0)),
+                          coulomb_erf=(0.5, 1.0))
+        assert V.tail_Z == 2.5
+        assert PotentialSpec("v", eckart=(2.0, -1.0)).tail_Z == 0.0
+
+    def test_tail_is_not_settable(self):
+        with pytest.raises(TypeError):
+            PotentialSpec("v", tail_Z=-1.0)
+        with pytest.raises(AttributeError):
+            builtin("coulomb").tail_Z = 0.0
+
+    def test_json_tail_is_optional_and_checked(self):
+        assert from_json('{"terms": [{"c": -1, "p": -1}]}').tail_Z == -1.0
+        assert from_json('{"terms": [{"c": -1, "p": -1}], "tailZ": -1}').tail_Z == -1.0
+        with pytest.raises(ValueError, match=r"^tailZ: 0\.0 differs"):
+            from_json('{"terms": [{"c": -1, "p": -1}], "tailZ": 0}')
+
     @pytest.mark.parametrize("name", ["coulomb", "eckart", "buck_alpha_alpha"])
     def test_potential_approaches_tail(self, name):
         # r^2 [V(r) - Z/r] -> 0 for every non-confining builtin
         V = builtin(name)
         r = 40.0
         assert r**2 * abs(evaluate(V, r) - V.tail_Z / r) < 1e-10
+
+
+class TestExactLevel:
+    @pytest.mark.parametrize("n, l", [(0, 0), (2, 1), (1, 5)])
+    def test_oscillator_and_coulomb_levels(self, n, l):
+        oscillator = PotentialSpec("any", terms=((2.0, 2.0, 0.0, 0.0),))
+        assert exact_level(oscillator, l, n) == 2.0 * (2 * n + l + 1.5)
+        assert exact_level(builtin("coulomb", Z=-3.0), l, n) == -4.5 / (n + l + 1) ** 2
+
+    def test_two_dimensions_is_three_at_half_integer_l(self):
+        # E = 2n + m + 1 and -1/(2 (n + m + 1/2)^2)
+        assert exact_level(builtin("harmonic"), 1, 2, dimension=2) == 6.0
+        assert exact_level(builtin("coulomb"), 1, 0, dimension=2) == -2.0 / 9.0
+
+    @pytest.mark.parametrize("V", [
+        builtin("coulomb", Z=1.0),
+        builtin("eckart"),
+        builtin("buck_alpha_alpha"),
+        PotentialSpec("v", terms=((-0.5, 2.0, 0.0, 0.0),)),
+        PotentialSpec("v", terms=((0.5, 2.0, 0.1, 0.0),)),
+        PotentialSpec("v", terms=((0.5, 2.0, 0.0, 0.0), (-1.0, -1.0, 0.0, 0.0))),
+        PotentialSpec("v", terms=((-1.0, 1.0, 0.0, 0.0),)),
+    ], ids=["repulsive", "eckart", "buck", "inverted", "damped", "two-terms", "linear"])
+    def test_other_potentials_have_none(self, V):
+        assert exact_level(V, 0) is None
 
 
 class TestValidation:
@@ -159,7 +205,6 @@ class TestNonFiniteParameters:
         ("term b", lambda x: PotentialSpec("v", terms=((1.0, 0.0, 1.0, x),))),
         ("coulomb_erf q", lambda x: PotentialSpec("v", coulomb_erf=(x, 0.75))),
         ("coulomb_erf mu", lambda x: PotentialSpec("v", coulomb_erf=(1.0, x))),
-        ("tail_Z", lambda x: PotentialSpec("v", tail_Z=x)),
         ("eckart b", lambda x: PotentialSpec("v", eckart=(x, -1.0))),
         ("eckart c", lambda x: PotentialSpec("v", eckart=(2.0, x))),
         ("energy_unit", lambda x: PotentialSpec("v", energy_unit=x)),
@@ -185,7 +230,7 @@ class TestNonFiniteParameters:
         ('{"terms": [{"c": 1, "p": 0, "a": 1, "b": -Infinity}]}', "term b"),
         ('{"coulombErf": {"q": NaN, "mu": 1}}', "coulomb_erf q"),
         ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulomb_erf mu"),
-        ('{"tailZ": Infinity}', "tail_Z"),
+        ('{"tailZ": Infinity}', "tailZ"),
         ('{"eckart": {"b": Infinity, "c": -1}}', "eckart b"),
         ('{"eckart": {"b": 2, "c": NaN}}', "eckart c"),
     ])
