@@ -8,13 +8,13 @@ by a power of ``x`` and the half-weight ``exp(-x/2)``:
 * ``RegR``    : power ``alpha/2 + 1`` (regularized by ``r/r_j``)
 
 All evaluation goes through the exponentially weighted recurrence, so no
-intermediate ever carries ``exp(+x)``.  Near a mesh point the removable
-singularity of the cardinal ratio is evaluated from the Taylor expansion of
-``L_N`` about the node, batched over every near (node, point) pair of a
-call; the pairs are found by binary search on the sorted nodes, and
-elsewhere the ratio is formed directly.  A wave function needs no basis
+intermediate ever carries ``exp(+x)``.  A wave function needs no basis
 matrix: all its basis functions share the factor ``x**p B_N(x)``, so it is
 that factor times one matrix-vector product with the poles ``1/(x - r_j)``.
+Near its nearest node (found by one binary search) a point takes that
+node's term from the Lagrange property instead, ``f_j(r_j) =
+lambda_j^{-1/2}``, times a short Taylor series of the cardinal ratio about
+the node, so the Gauss rule alone fixes the value there.
 
 ``MeshSpec.nodes`` and ``MeshSpec.weights`` are the arrays of the
 ``(nodes, weights)`` Gauss rule for ``(N, alpha)``.  The rule is cached and
@@ -39,15 +39,17 @@ __all__ = [
     "reconstruct_wavefunction",
 ]
 
-# Switch to the Taylor expansion of the cardinal ratio inside this window.
-# The direct form divides B_N, near its zero and so carrying a relatively
-# large rounding error, by (x - r_j), so its error grows like eps/window;
-# the expansion (exact for polynomials) stays short inside 1e-2.
-_NEAR_NODE_FRACTION = 1e-2
-_MAX_TAYLOR_TERMS = 60
-# Entries per cache of rules, node derivatives and operator matrices.  All
-# seven schemes at one N need about a dozen dense operator matrices; a
-# matrix is 8 MB at N = 1000.
+# A point is near its nearest node r_j when |x - r_j| is below this
+# fraction of the node's gap (the distance to its nearer neighbour or, for
+# the first node, to the origin).  Outside, the direct form divides B_N, whose
+# rounding error is about eps times its size between zeros, by x - r_j, which
+# costs at most 1/fraction in relative error; inside, 16 terms of the Taylor
+# series give the bits of 40 at every node up to N = 1000.
+_NEAR_GAP_FRACTION = 0.1
+_TAYLOR_TERMS = 16
+# Entries per cache of rules and of operator matrices.  All seven schemes at
+# one N need about a dozen dense operator matrices; a matrix is 8 MB at
+# N = 1000.
 _CACHE_SIZE = 16
 
 
@@ -145,76 +147,43 @@ def _prefactors(mesh):
     return sign * nodes**rho / math.sqrt(_normalization(mesh.N, mesh.alpha))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _node_taylor(N, alpha):
-    """Read-only ``T_1 = L_N' exp(-r/2) = (N+1) B_{N+1}/r`` at every node."""
-    r = _cached_rule(N, alpha)[0]
-    t1 = (N + 1.0) * _weighted_laguerre_pair(N + 1, alpha, r)[1] / r
-    t1.setflags(write=False)
-    return t1
+def _cardinal_series(N, alpha, rj, s):
+    """Weighted cardinal ratio near a node over its value at the node.
 
-
-def _taylor_psi(N, alpha, rj, t1, s):
-    """Weighted cardinal ratio near a node, for many pairs.
-
-    Sums ``L_N(x)/(x-r_j) * exp(-x/2) = exp(-s/2) sum_m T_m s^(m-1)/m!`` in
-    powers of ``s = x - r_j``, where ``T_m = L_N^(m)(r_j) exp(-r_j/2)``
-    follows from ``T_1`` by the three-term recurrence of the differentiated
-    Laguerre equation.  ``rj``, ``t1`` and ``s`` have one entry per (node,
-    point) pair; the recurrence runs on all pairs at once, and a pair leaves
-    the live set once its terms fall below 1e-17 of its largest.
+    ``B_N(x)/(x - r_j)``, ``B_N = L_N exp(-x/2)``, is ``sum_m W_m s^(m-1)/m!``
+    in powers of ``s = x - r_j``, ``W_m`` being the m-th derivative of
+    ``B_N`` at ``r_j``.  Over ``W_1`` these follow from ``W_0 = 0`` and
+    ``W_1 = 1`` by differentiating ``x B'' + (alpha+1) B' + (N + (alpha+1)/2
+    - x/4) B = 0`` k times at the node.  The terms fall on the scale of the
+    oscillation of ``B_N``, so a fixed ``_TAYLOR_TERMS`` terms reach double
+    precision inside the near-node window.  One entry per point.
     """
-    out = t1.copy()  # the s = 0 limits
-    live = np.nonzero(s != 0.0)[0]
-    rj, s, t_prev = rj[live], s[live], t1[live]
-    t_prev2 = np.zeros_like(s)
-    p = t_prev.copy()  # m = 1 term: T_1 s^0 / 1!
-    top = np.abs(t_prev)
-    s_pow = np.ones_like(s)  # s^(m-2) for the current m
-    inv_fact = 1.0
-    for m in range(2, _MAX_TAYLOR_TERMS):
-        if live.size == 0:
-            break
-        t_m = ((rj - alpha - 1.0 - (m - 2)) * t_prev - (N - (m - 2)) * t_prev2) / rj
-        inv_fact /= m
-        d = t_m * inv_fact * s_pow * s
-        p += d
-        ad = np.abs(d)
-        top = np.maximum(top, ad)
-        if m > 6:
-            keep = ad > 1e-17 * top
-            if not keep.all():
-                out[live[~keep]] = np.exp(-0.5 * s[~keep]) * p[~keep]
-                live, rj, s, t_m, t_prev, s_pow, p, top = (
-                    a[keep] for a in (live, rj, s, t_m, t_prev, s_pow, p, top))
-        s_pow *= s
-        t_prev2, t_prev = t_prev, t_m
-    out[live] = np.exp(-0.5 * s) * p
-    return out
+    q = N + 0.5 * (alpha + 1.0) - 0.25 * rj
+    w_prev2, w_prev, w_cur = np.zeros_like(s), np.zeros_like(s), np.ones_like(s)
+    total, power = np.ones_like(s), np.ones_like(s)
+    for k in range(_TAYLOR_TERMS - 1):
+        w_next = -((alpha + 1.0 + k) * w_cur + q * w_prev - 0.25 * k * w_prev2) / rj
+        power *= s / (k + 2)
+        total += w_next * power
+        w_prev2, w_prev, w_cur = w_prev, w_cur, w_next
+    return total
 
 
-def _near_pairs(nodes, x):
-    """Every (node, point) pair inside the near-node window, as index arrays
-    ``(j, i)`` and the offsets ``s = x_i - r_j``.
+def _near_node(nodes, x):
+    """The points inside the near-node window of their nearest node, as
+    index arrays ``(i, j)`` of point and node, and their offsets ``s = x_i -
+    r_j``.
 
-    A pair is near when ``|x_i - r_j| < f (1 + r_j)``, f being
-    ``_NEAR_NODE_FRACTION``.  Such an ``r_j`` lies within ``f (1 + x_i) /
-    (1 - f)`` of ``x_i``, so a binary search of the sorted nodes over twice
-    that width finds every candidate, and the test itself decides.
+    Node j's window is ``|s| < _NEAR_GAP_FRACTION`` times its gap.  It is
+    narrower than half of either gap beside the node, so only points nearest
+    to ``r_j`` can lie in it, and one binary search over the midpoints
+    between nodes finds each point's candidate.
     """
-    width = 2.0 * _NEAR_NODE_FRACTION * (1.0 + x)
-    lo = np.searchsorted(nodes, x - width)
-    count = np.searchsorted(nodes, x + width, side="right") - lo
-    i = np.repeat(np.arange(x.size), count)
-    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
-    s = x[i] - nodes[j]
-    near = np.abs(s) < _NEAR_NODE_FRACTION * (1.0 + nodes[j])
-    return j[near], i[near], s[near]
-
-
-def _near_taylor(N, alpha, nodes, j, s):
-    """``_taylor_psi`` on the near pairs ``(j, s)`` of ``_near_pairs``."""
-    return _taylor_psi(N, alpha, nodes[j], _node_taylor(N, alpha)[j], s)
+    j = np.searchsorted(0.5 * (nodes[1:] + nodes[:-1]), x)
+    s = x - nodes[j]
+    gap = np.minimum(np.diff(nodes, prepend=0.0), np.diff(nodes, append=np.inf))
+    i = np.nonzero(np.abs(s) < _NEAR_GAP_FRACTION * gap[j])[0]
+    return i, j[i], s[i]
 
 
 def reconstruct_wavefunction(mesh, coeffs, r):
@@ -223,8 +192,11 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     At a scaled mesh point ``h r_i`` this returns ``c_i (h lambda_i)^{-1/2}``.
     With ``x = r/h``, ``u`` is ``x**p B_N(x) sum_j c_j pref_j / (x - r_j)``
     over ``sqrt(h)``: one matrix-vector product with the poles, and no
-    N x len(r) basis matrix.  A near-node pair takes its term from the Taylor
-    expansion of the cardinal ratio instead of its pole.
+    N x len(r) basis matrix.  A point inside its nearest node's window
+    (``_NEAR_GAP_FRACTION`` of the node's gap) takes that node's term as
+    ``c_j (x/r_j)**p lambda_j^{-1/2}`` times the Taylor series of the
+    cardinal ratio normalized to 1 at the node (``_cardinal_series``)
+    instead of its pole.
 
     Parameters
     ----------
@@ -247,17 +219,18 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     with np.errstate(over="ignore"):  # every basis function is 0 past x = 2**1000
         x = np.minimum(flat / mesh.h, 2.0**1000)
     N, alpha, nodes = mesh.N, mesh.alpha, mesh.nodes
-    w = c * _prefactors(mesh)
-    j, i, s = _near_pairs(nodes, x)
+    p = _family_power(mesh.family, alpha)
+    i, j, s = _near_node(nodes, x)
     poles = x[None, :] - nodes[:, None]
     with np.errstate(divide="ignore"):
         np.divide(1.0, poles, out=poles)
     poles[j, i] = 0.0
-    near = np.bincount(i, weights=w[j] * _near_taylor(N, alpha, nodes, j, s),
-                       minlength=x.size)
-    total = _weighted_laguerre_pair(N, alpha, x)[1] * (w @ poles) + near
+    total = _weighted_laguerre_pair(N, alpha, x)[1] * ((c * _prefactors(mesh)) @ poles)
+    # the Lagrange property fixes the near term's value at its node
+    total[i] += (c[j] * nodes[j] ** -p / np.sqrt(mesh.weights[j])
+                 * _cardinal_series(N, alpha, nodes[j], s))
     # u is 0 where the sum is, as at large x, where B_N underflows and x**p overflows
-    xp = np.power(x, _family_power(mesh.family, alpha), out=np.zeros_like(x), where=total != 0)
+    xp = np.power(x, p, out=np.zeros_like(x), where=total != 0)
     values = xp * total / math.sqrt(mesh.h)
     if scalar:
         return float(values[0])

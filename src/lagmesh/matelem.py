@@ -100,20 +100,6 @@ def _sign_grid(N):
     return np.outer(sign, sign)
 
 
-def _h_free(build, mesh, *args):
-    """``build(mesh, *args)``, an unscaled matrix, from ``_cached_matrix``."""
-    return _cached_matrix(build, dataclasses.replace(mesh, h=1.0), *args)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_matrix(build, mesh, *args):
-    """The one cache of h-free matrices: every dense matrix a builder returns,
-    keyed on the builder and the mesh at h = 1, read-only."""
-    values = build(mesh, *args)
-    values.setflags(write=False)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # individual operator matrices
 
@@ -137,16 +123,20 @@ def operator_matrix(mesh, op, mode=Mode.Gauss):
         raise ValueError(f"unknown operator: {op!r} (expected one of {', '.join(_OPERATORS)})")
     if mode is Mode.Gauss and op in _POWERS:
         return np.diag(mesh.nodes ** _POWERS[op])
-    return _h_free(_dense_operator, mesh, op, mode)
+    return _cached_matrix(dataclasses.replace(mesh, h=1.0), op, mode)
 
 
-def _dense_operator(mesh, op, mode):
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_matrix(mesh, op, mode):
+    """The one cache of h-free matrices: the dense matrix of ``op`` in
+    ``mode`` on the mesh at h = 1, read-only."""
     if op in _POWERS:
         values = np.diag(mesh.nodes ** _POWERS[op])
     else:
         values = _gauss_kinetic(mesh, 3.0 if op == "kinetic2d" else 0.0)
     if mode is Mode.Exact:
         values += _gauss_error(mesh, op)
+    values.setflags(write=False)
     return values
 
 

@@ -2,6 +2,9 @@
 
 * ``weighted_cardinal_all`` evaluates the weighted cardinal ratios of every
   basis function, with their first two derivatives, on a set of points.
+* ``wavefunction`` sums the basis matrix, near a node normalized as the
+  package normalizes it; ``wavefunction_mpmath`` sums the exact basis
+  functions at 40 digits.
 * ``oracle_matrix`` integrates an operator's matrix by a rule that is exact
   by design: a second, larger Gauss rule with a shifted weight exponent.
   It loses digits as N grows, so tests use it at N <= 40.
@@ -13,19 +16,24 @@
 import numpy as np
 
 from lagmesh import basis
-from lagmesh.basis import _family_power, _near_pairs, _near_taylor, _node_taylor, _prefactors
+from lagmesh.basis import _family_power, _prefactors
 from lagmesh.quadrature import generate_rule
 from lagmesh.specfun import _weighted_laguerre_pair
 
 ORACLE_EXTRA_ORDER = 10
 OPERATORS = ("InvR2", "InvR", "R", "R2", "Kinetic", "Kinetic2D")
+# ``weighted_cardinal_all`` sums the Taylor series where |x - r_j| < this
+# times (1 + r_j).  Outside, its derivatives are divided differences that
+# lose about eps/|x - r_j|^2; in the package's narrower window they lose
+# enough to fail the N = 40, alpha = 0 closed-form checks.
+NEAR_NODE_FRACTION = 1e-2
 
 
 def node_derivatives(N, alpha):
-    """``T_k = L_N^{(k)} exp(-r/2)``, k = 1, 2, 3, at every node: ``T_1`` from
-    the package, then the differentiated Laguerre equation."""
+    """``T_k = L_N^{(k)} exp(-r/2)``, k = 1, 2, 3, at every node: ``T_1 =
+    (N+1) B_{N+1}/r``, then the differentiated Laguerre equation."""
     r = basis._cached_rule(N, alpha)[0]
-    t1 = _node_taylor(N, alpha)
+    t1 = (N + 1.0) * _weighted_laguerre_pair(N + 1, alpha, r)[1] / r
     t2 = (r - alpha - 1.0) * t1 / r
     t3 = ((r - alpha - 2.0) * t2 - (N - 1.0) * t1) / r
     return t1, t2, t3
@@ -60,8 +68,8 @@ def weighted_cardinal_all(mesh, x, derivatives=False):
     Returns three ``(N, len(x))`` arrays: ``exp(-x/2)`` times the ratio
     ``L_N(x)/(x-r_j)`` and times its first two derivatives with respect to
     ``x``; the derivatives are ``None`` unless ``derivatives`` is true, and
-    need ``x > 0``.  Values near a node come from the package's own
-    expansion, derivatives from ``taylor_series``.
+    need ``x > 0``.  Within ``NEAR_NODE_FRACTION (1 + r_j)`` of a node all
+    three come from ``taylor_series``.
     """
     N, alpha, nodes = mesh.N, mesh.alpha, mesh.nodes
     b_prev, b_cur, _ = _weighted_laguerre_pair(N, alpha, x)
@@ -73,13 +81,79 @@ def weighted_cardinal_all(mesh, x, derivatives=False):
             lppw = ((x - alpha - 1.0) * lpw - N * b_cur) / x
             pw[1] = (lpw[None, :] - pw[0]) / s
             pw[2] = (lppw[None, :] - 2.0 * pw[1]) / s
-    j, i, s_near = _near_pairs(nodes, x)
+    j, i = np.nonzero(np.abs(s) < NEAR_NODE_FRACTION * (1.0 + nodes[:, None]))
     if j.size:
-        pw[0][j, i] = _near_taylor(N, alpha, nodes, j, s_near)
-        if derivatives:
-            t = [t[j] for t in node_derivatives(N, alpha)]
-            pw[1][j, i], pw[2][j, i] = taylor_series(N, alpha, nodes[j], t, s_near)[1:]
+        t = [t[j] for t in node_derivatives(N, alpha)]
+        near = taylor_series(N, alpha, nodes[j], t, s[j, i])
+        for d in range(3 if derivatives else 1):
+            pw[d][j, i] = near[d]
     return tuple(pw)
+
+
+def near_window(nodes):
+    """Half-width of the package's near-node window at each node: a fraction
+    of the distance to the nearer neighbour or, for the first node, to the
+    origin."""
+    gap = np.minimum(np.diff(nodes, prepend=0.0), np.diff(nodes, append=np.inf))
+    return basis._NEAR_GAP_FRACTION * gap
+
+
+def wavefunction(mesh, c, x):
+    """``u(h x)`` as ``c`` times the ``N x len(x)`` basis matrix over
+    ``sqrt(h)``, for finite ``x >= 0``.
+
+    An entry is ``pref_j x^p B_N(x)/(x - r_j)``, except inside the node's
+    ``near_window`` (found by a test on every pair), where the Lagrange
+    property gives its value at the node, ``f_j(r_j) = lambda_j^{-1/2}``,
+    and ``taylor_series`` over ``T_1`` its shape.
+    """
+    N, alpha, nodes = mesh.N, mesh.alpha, mesh.nodes
+    p = _family_power(mesh.family, alpha)
+    s = x[None, :] - nodes[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = _prefactors(mesh)[:, None] * _weighted_laguerre_pair(N, alpha, x)[1] / s
+    j, i = np.nonzero(np.abs(s) < near_window(nodes)[:, None])
+    t = [t[j] for t in node_derivatives(N, alpha)]
+    shape = taylor_series(N, alpha, nodes[j], t, s[j, i])[0] / t[0]
+    F[j, i] = shape / (nodes[j] ** p * np.sqrt(mesh.weights[j]))
+    return c @ (F * x**p) / np.sqrt(mesh.h)
+
+
+def wavefunction_mpmath(mesh, c, x, polish, dps=40):
+    """``u(h x)`` at ``dps`` digits from the exact basis functions
+    ``pref_j x^p exp(-x/2) L_N(x)/(x - r_j)``, with ``L_N`` from its
+    three-term recurrence.  The nodes listed in ``polish`` take Newton steps
+    at ``dps`` digits to the zeros of ``L_N``; the other nodes stay the
+    package's, which moves a value at a distance of a few gaps or more by
+    no more than their rounding.
+    """
+    import mpmath as mp
+
+    N = mesh.N
+    with mp.workdps(dps):
+        a = mp.mpf(mesh.alpha)
+
+        def laguerre_pair(x):  # L_{N-1}, L_N
+            prev, cur = mp.mpf(0), mp.mpf(1)
+            for k in range(N):
+                prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+            return prev, cur
+
+        r = [mp.mpf(v) for v in mesh.nodes]
+        for k in polish:
+            for _ in range(2):  # from 1e-12, each step squares the error
+                prev, cur = laguerre_pair(r[k])
+                r[k] -= cur * r[k] / (N * cur - (N + a) * prev)
+        p = {"NonReg": a / 2, "RegSqrt": (a + 1) / 2, "RegR": a / 2 + 1}[mesh.family.name]
+        rho = {"NonReg": mp.mpf(1) / 2, "RegSqrt": 0, "RegR": -mp.mpf(1) / 2}[mesh.family.name]
+        norm = mp.sqrt(mp.gamma(N + a + 1) / mp.factorial(N))
+        w = [(-1) ** (k + 1) * mp.mpf(c[k]) * r[k] ** rho / norm for k in range(N)]
+        values = []
+        for v in x:
+            v = mp.mpf(v)
+            poles = mp.fsum(wk / (v - rk) for wk, rk in zip(w, r))
+            values.append(float(v**p * mp.exp(-v / 2) * laguerre_pair(v)[1] * poles))
+        return np.array(values) / np.sqrt(mesh.h)
 
 
 def _operator_components(kind, p):

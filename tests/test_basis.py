@@ -15,9 +15,19 @@ from lagmesh.basis import (
 )
 from lagmesh.quadrature import generate_rule
 
-from reference import node_derivatives, taylor_series, weighted_cardinal_all
+from reference import (
+    near_window,
+    node_derivatives,
+    taylor_series,
+    wavefunction,
+    wavefunction_mpmath,
+    weighted_cardinal_all,
+)
 
 PAIRINGS = [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)]
+# the meshes of all seven schemes, and RegSqrt at alpha = 2, the Var2D basis at m > 0
+SCHEME_MESHES = [("RegSqrt", 0.0), ("RegSqrt", 1.0), ("RegSqrt", 2.0), ("RegR", 0.0),
+                 ("NonReg", 2.0)]
 
 
 def _eval_all(mesh, x, derivatives=False):
@@ -44,6 +54,31 @@ def _node_derivatives(mesh):
     ``[i, j] = f_j^{(k)}(r_i)``, from the reference ``_eval_all``."""
     _, d1, d2 = _eval_all(mesh, mesh.nodes, derivatives=True)
     return d1.T, d2.T
+
+
+def check_lagrange_property(N, family, alpha):
+    """``u(h r_i) (h lambda_i)^{1/2} = c_i`` at every node, to 1e-10 of the
+    largest ``|c|``; h = 0.5 scales every node exactly."""
+    mesh = MeshSpec(N, alpha, family, 0.5)
+    c = np.random.default_rng(N).standard_normal(N)
+    u = reconstruct_wavefunction(mesh, c, mesh.h * mesh.nodes)
+    assert np.max(np.abs(u * np.sqrt(mesh.h * mesh.weights) - c)) <= 1e-10 * np.max(np.abs(c))
+
+
+def check_near_nodes_against_mpmath(N, family, alpha):
+    """``u`` about the first three, the middle and the last three nodes, at
+    offsets out to half a gap (five windows), against 40 digits: 1e-10 of
+    the largest ``|u|`` there."""
+    mesh = MeshSpec(N, alpha, family, 0.5)
+    nodes = mesh.nodes
+    picked = sorted({0, 1, 2, N // 2, N - 3, N - 2, N - 1})
+    offsets = np.array([0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 5.0, -5.0])
+    x = (nodes[picked, None] + offsets * near_window(nodes)[picked, None]).ravel()
+    polish = sorted({k for j in picked for k in range(j - 2, j + 3) if 0 <= k < N})
+    c = np.random.default_rng(N).standard_normal(N)
+    want = wavefunction_mpmath(mesh, c, x, polish)
+    got = reconstruct_wavefunction(mesh, c, mesh.h * x)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def basis_function(mesh, j, r):
@@ -150,7 +185,7 @@ class TestEvaluateBasis:
         # values on either side of the evaluation-branch boundary must agree
         mesh = MeshSpec(20, 1.0, "RegSqrt", 1.0)
         rj = mesh.nodes[7]
-        eps = basis._NEAR_NODE_FRACTION * (1.0 + rj)
+        eps = near_window(mesh.nodes)[7]
         for j in (3, 8, 15):
             lo = basis_function(mesh, j, rj + 0.999 * eps)
             hi = basis_function(mesh, j, rj + 1.001 * eps)
@@ -223,54 +258,59 @@ class TestBatchedKernels:
     def _near_node_batch(mesh):
         # around several nodes (the last lies past x = 1416 at N = 400): the
         # node itself (s = 0), |s| = 1e-9, and points just inside and just
-        # outside the near-node window, so pairs leave the batched Taylor
-        # expansion at very different orders
-        r = mesh.nodes[np.unique(np.linspace(0, mesh.N - 1, 6).astype(int))]
-        w = basis._NEAR_NODE_FRACTION * (1.0 + r)
+        # outside the near-node window
+        idx = np.unique(np.linspace(0, mesh.N - 1, 6).astype(int))
+        r, w = mesh.nodes[idx], near_window(mesh.nodes)[idx]
         offsets = [0.0, 1e-9, -1e-9, 0.999, -0.999, 1.001, -1.001, 0.3]
         return np.concatenate([r + f * (w if abs(f) > 1e-6 else 1.0) for f in offsets])
 
     @pytest.mark.parametrize("N", [20, 150, 400])
     def test_near_node_batch_matches_single_points(self, N):
-        # pairs leave the batched expansion at their own term, so a batch
-        # gives each pair the bits it gets alone
+        # a point's node, offset and series do not depend on the other
+        # points of the call
         mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
         x = self._near_node_batch(mesh)
-        j, _, s = basis._near_pairs(mesh.nodes, x)
-        batch = basis._near_taylor(N, 1.0, mesh.nodes, j, s)
-        for k in range(j.size):
-            single = basis._near_taylor(N, 1.0, mesh.nodes, j[k:k + 1], s[k:k + 1])
-            assert np.array_equal(batch[k:k + 1], single)
+
+        def near(x):
+            i, j, s = basis._near_node(mesh.nodes, x)
+            return i, j, basis._cardinal_series(N, 1.0, mesh.nodes[j], s)
+
+        i, j, batch = near(x)
+        assert i.size == 6 * 6  # six nodes: s = 0, +-1e-9, +-0.999 and 0.3 windows
+        for k in range(x.size):
+            _, j_single, single = near(x[k:k + 1])
+            assert np.array_equal(j_single, j[i == k]) and np.array_equal(single, batch[i == k])
 
     @pytest.mark.parametrize("N", [1, 2, 20, 150, 400])
     def test_near_pairs_match_the_full_window_test(self, N):
-        # the binary search finds exactly the pairs of the test on every
-        # (node, point) offset
+        # the binary search finds exactly the pairs of the window test on
+        # every (node, point) offset, and no point is near two nodes
         mesh = MeshSpec(N, 1.0, "RegSqrt", 1.0)
         nodes = mesh.nodes
         x = np.concatenate([[0.0], self._near_node_batch(mesh),
                             np.linspace(0.0, 1.1 * nodes[-1], 1001)])
         x = np.random.default_rng(N).permutation(x[x >= 0.0])
         s = x[None, :] - nodes[:, None]
-        want = np.nonzero(np.abs(s) < basis._NEAR_NODE_FRACTION * (1.0 + nodes[:, None]))
-        j, i, s_near = basis._near_pairs(nodes, x)
-        order = np.lexsort((i, j))
-        assert np.array_equal(j[order], want[0]) and np.array_equal(i[order], want[1])
-        assert np.array_equal(s_near[order], s[want])
+        want_j, want_i = np.nonzero(np.abs(s) < near_window(nodes)[:, None])
+        assert np.unique(want_i).size == want_i.size
+        i, j, s_near = basis._near_node(nodes, x)
+        order = np.argsort(want_i)
+        assert np.array_equal(i, want_i[order]) and np.array_equal(j, want_j[order])
+        assert np.array_equal(s_near, s[want_j[order], want_i[order]])
 
     @pytest.mark.parametrize("family, alpha", PAIRINGS)
     def test_values_only_path_is_bit_identical(self, family, alpha):
-        # the reference takes its values from the package's values-only
-        # expansion with or without derivatives, and that expansion agrees
-        # with the value series summed alongside the derivative ones
+        # the reference's values agree with or without derivatives, and the
+        # package's short series agrees with the reference's 60-term value
+        # series inside the window
         mesh = MeshSpec(150, alpha, family, 1.0)
         x = np.concatenate([self._near_node_batch(mesh), np.linspace(0.01, 600.0, 97)])
         assert np.array_equal(_eval_all(mesh, x), _eval_all(mesh, x, derivatives=True)[0])
         assert weighted_cardinal_all(mesh, x)[1:] == (None, None)
-        j, _, s = basis._near_pairs(mesh.nodes, x)
-        got = basis._near_taylor(150, alpha, mesh.nodes, j, s)
+        _, j, s = basis._near_node(mesh.nodes, x)
+        got = basis._cardinal_series(150, alpha, mesh.nodes[j], s)
         t = [t[j] for t in node_derivatives(150, alpha)]
-        want = taylor_series(150, alpha, mesh.nodes[j], t, s)[0]
+        want = taylor_series(150, alpha, mesh.nodes[j], t, s)[0] / t[0]
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
@@ -338,10 +378,6 @@ class TestDerivativeValuesAtNodes:
         got2 = sqrt_lam * np.diag(d2)
         assert np.allclose(got2, want2, rtol=0.0, atol=1e-13 * np.max(np.abs(want2)))
 
-    def test_cached_node_derivatives_are_read_only(self):
-        with pytest.raises(ValueError, match="read-only"):
-            basis._node_taylor(12, 2.0)[0] = 0.0
-
 
 class TestSpanEquivalence:
     @pytest.mark.parametrize(
@@ -397,19 +433,28 @@ class TestReconstruct:
         rng = np.random.default_rng(N)
         c = rng.standard_normal(N)
         nodes = mesh.nodes
-        window = basis._NEAR_NODE_FRACTION * (1.0 + nodes)
+        window = near_window(nodes)
         x = np.concatenate([[0.0], nodes, nodes + 0.999 * window, nodes - 0.999 * window,
                             nodes + 1.001 * window, nodes - 1.001 * window,
                             np.linspace(0.0, 1.2 * nodes[-1], 211)])
         x = rng.permutation(np.concatenate([x, x[:N + 1]]))
         x = x[x >= 0.0]
-        want = c @ _eval_all(mesh, x) / math.sqrt(h)
+        want = wavefunction(mesh, c, x)
         got = reconstruct_wavefunction(mesh, c, h * x)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         for k in (0, 1, x.size - 1):
             scalar = reconstruct_wavefunction(mesh, c, float(h * x[k]))
             assert isinstance(scalar, float)
             assert abs(scalar - want[k]) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("family,alpha", SCHEME_MESHES)
+    def test_lagrange_property_at_every_node(self, family, alpha):
+        check_lagrange_property(400, family, alpha)
+
+    @pytest.mark.parametrize("family,alpha", PAIRINGS)
+    def test_near_nodes_against_mpmath(self, family, alpha):
+        pytest.importorskip("mpmath")
+        check_near_nodes_against_mpmath(150, family, alpha)
 
     @pytest.mark.parametrize("family", ["NonReg", "RegSqrt", "RegR"])
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
