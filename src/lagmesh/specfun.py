@@ -1,26 +1,29 @@
 """Special functions: weighted Laguerre recurrence and Coulomb waves.
 
 The Coulomb wave functions ``F_l(eta, x)`` and ``G_l(eta, x)`` come from
-one of three regimes, split at the gate ``max(turning point, 5)``:
+the cheapest of three evaluators that is accurate at each point:
 
-* below the gate, one Taylor-series stepper for the radial equation
-  (N. Michel, CPC 176 (2007) 232) carries each function in the direction
-  in which it grows: ``F`` outward from its power series at one small
-  anchor, ``G`` inward from a Steed anchor at the gate, so contamination
-  by the other solution decays.  The series is normalized by A&S 14.1.8-9;
-* above the gate, Steed's method: the two continued fractions for
-  ``F'/F`` and for the logarithmic derivative of ``G + iF``;
-* above the gate and at ``x >= 80``, the asymptotic (Hankel) expansion of
-  ``H+ = G + iF`` (DLMF 33.11.1, as in COULCC), where Steed's first
-  fraction needs hundreds of terms.  The series checks itself: a point
-  where a term grows past 10 or the sum has not settled within 60 terms
-  falls back to Steed.
+* the asymptotic (Hankel) expansion of ``H+ = G + iF`` (DLMF 33.11.1, as
+  in COULCC) is tried first at every ``x >= 25``, and at every ``x`` when
+  ``eta = 0``, where the series ends after ``l`` terms.  The series checks
+  itself: a point where a term grows past 10 or the sum has not settled
+  within 60 terms goes to one of the two methods below;
+* at the points left above the gate ``max(turning point, 5)``, Steed's
+  method: the two continued fractions for ``F'/F`` and for the logarithmic
+  derivative of ``G + iF``;
+* at the points left below the gate, one Taylor-series stepper for the
+  radial equation (N. Michel, CPC 176 (2007) 232) carries each function in
+  the direction in which it grows: ``F`` outward from its power series at
+  one small anchor, ``G`` inward from the lowest Hankel point between them
+  and the gate, or else from a Steed anchor at the gate, so contamination
+  by the other solution decays.  The series is normalized by A&S 14.1.8-9.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -33,10 +36,11 @@ __all__ = [
 
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
 _STEED_MIN_X = 5.0
-# Above the gate and in [_HANKEL_MIN_X, _HANKEL_MAX_X) the asymptotic series
-# of H+ is tried first; a point falls back to Steed when a term passes
-# _HANKEL_MAX_TERM or the sum has not settled within _HANKEL_MAX_TERMS terms.
-_HANKEL_MIN_X = 80.0
+# In [_HANKEL_MIN_X, _HANKEL_MAX_X), or below _HANKEL_MAX_X when eta = 0, the
+# asymptotic series of H+ is tried first; a point goes to Steed or the Taylor
+# sweeps when a term passes _HANKEL_MAX_TERM or the sum has not settled within
+# _HANKEL_MAX_TERMS terms.
+_HANKEL_MIN_X = 25.0
 _HANKEL_MAX_X = 2.0**22
 _HANKEL_MAX_TERM = 10.0
 _HANKEL_MAX_TERMS = 60
@@ -56,6 +60,19 @@ _SERIES_LOSS_LIMIT = 4.0
 _MAX_CF_ITER = 500_000
 _MAX_SERIES_TERMS = 5_000
 _WRONSKIAN_TOL = 1e-10
+
+
+def _taylor_coefficients(n):
+    """``n(n-1)``, ``2n(n+1)``, ``(n+1)(n+2)`` and ``n+2``: the integer
+    factors of term ``n`` of ``_taylor_step``'s recurrence."""
+    return n * (n - 1.0), 2.0 * n * (n + 1.0), (n + 1.0) * (n + 2.0), n + 2.0
+
+
+# The factors of the first _TAYLOR_TABLE_TERMS terms, read from a table; a
+# step seldom needs more than 180 terms, and later ones are formed as needed
+# up to _MAX_SERIES_TERMS.  A longer table would cost memory, not time.
+_TAYLOR_TABLE_TERMS = 256
+_TAYLOR_TABLE = tuple(map(_taylor_coefficients, range(_TAYLOR_TABLE_TERMS)))
 
 # exp(-x/2) is a normal double below this x (exp(-708) > 2**-1022).
 _NORMAL_X = 1416.0
@@ -297,14 +314,16 @@ def _hankel(l, eta, x, sigma):
     (1985) 363).  ``H+' = e^{i theta} (i (1 - eta/x) S + S')``.  The series
     is asymptotic: None is returned when a term passes ``_HANKEL_MAX_TERM``
     or the sum has not settled to 1e-17 within ``_HANKEL_MAX_TERMS`` terms.
+    At ``eta = 0`` it is finite: ``b + l = 0``, so term ``l + 1`` is an exact
+    zero, at every ``x`` (``1/(2x)`` is never formed, as it overflows at the
+    smallest subnormal ``x``).
     """
     a = complex(l + 1.0, eta)
     b = complex(-l, eta)
-    z = complex(0.0, -0.5 / x)
     t = s = complex(1.0, 0.0)
     sk = complex(0.0, 0.0)
     for k in range(_HANKEL_MAX_TERMS):
-        t *= (a + k) * (b + k) * z / (k + 1.0)
+        t *= (a + k) * (b + k) * -0.5j / ((k + 1.0) * x)
         s += t
         sk += (k + 1.0) * t
         at = abs(t)
@@ -396,43 +415,60 @@ def _taylor_step(ll1, eta, x, t, u, up):
     c2 = (x * p * p) ** 2
     bm2, bm1, b0, b1 = 0.0, 0.0, u, t * up
     s, sp = b0 + b1, b1
-    for n in range(_MAX_SERIES_TERMS):
-        b2 = ((c0 - n * (n - 1.0) * p * p) * b0 - 2.0 * n * (n + 1.0) * p * b1
-              + c1 * bm1 - c2 * bm2) / ((n + 1.0) * (n + 2.0))
+    terms = itertools.chain(_TAYLOR_TABLE, map(
+        _taylor_coefficients, range(_TAYLOR_TABLE_TERMS, _MAX_SERIES_TERMS)))
+    for nn1, nn2, den, n2 in terms:
+        b2 = ((c0 - nn1 * p * p) * b0 - nn2 * p * b1 + c1 * bm1 - c2 * bm2) / den
         s += b2
-        sp += (n + 2.0) * b2
-        if (n + 2.0) * (abs(b1) + abs(b2)) <= 1e-17 * (abs(s) + abs(sp)):
+        sp += n2 * b2
+        if n2 * (abs(b1) + abs(b2)) <= 1e-17 * (abs(s) + abs(sp)):
             return s, sp / t
         bm2, bm1, b0, b1 = bm1, b0, b1, b2
     raise ConvergenceError(f"Taylor step did not converge (x={x}, t={t})")
 
 
 def _coulomb_many(l, eta, xs):
-    """Evaluate F, F', G, G' at an array of points (the Hankel series or
-    Steed above the gate, one Taylor sweep per function below it)."""
+    """Evaluate F, F', G, G' at an array of points: the Hankel series where it
+    settles, Steed at the other points above the gate, and one Taylor sweep
+    per function at the other points below it."""
     gate = max(_turning_point(l, eta), _STEED_MIN_X)
     F = np.empty_like(xs)
     Fp = np.empty_like(xs)
     G = np.empty_like(xs)
     Gp = np.empty_like(xs)
 
-    above = xs >= gate
-    far = (xs >= _HANKEL_MIN_X) & (xs < _HANKEL_MAX_X)
-    sigma = _coulomb_phase(l, eta) if np.any(above & far) else None
-    for i in np.nonzero(above)[0]:
-        x = float(xs[i])
-        pair = _hankel(l, eta, x, sigma) if far[i] else None
-        F[i], Fp[i], G[i], Gp[i] = pair or _steed(l, eta, x)
+    left = np.ones(xs.shape, dtype=bool)
+    tried = (xs < _HANKEL_MAX_X) & ((xs >= _HANKEL_MIN_X) | (eta == 0.0))
+    if np.any(tried):
+        sigma = _coulomb_phase(l, eta)
+        for i in np.nonzero(tried)[0]:
+            pair = _hankel(l, eta, float(xs[i]), sigma)
+            if pair is not None:
+                F[i], Fp[i], G[i], Gp[i] = pair
+                left[i] = False
 
-    below = ~above
+    above = left & (xs >= gate)
+    for i in np.nonzero(above)[0]:
+        F[i], Fp[i], G[i], Gp[i] = _steed(l, eta, float(xs[i]))
+
+    below = left & ~above
     if np.any(below):
         pts = xs[below]
         x0 = pts.min()
         if eta != 0.0:
             x0 = min(x0, _SERIES_LOSS_LIMIT ** 2 / (8.0 * abs(eta)))
         F[below], Fp[below] = _taylor_sweep(l, eta, x0, *_series_F(l, eta, x0), pts)
-        _, _, g0, gp0 = _steed(l, eta, gate)
-        G[below], Gp[below] = _taylor_sweep(l, eta, gate, g0, gp0, pts)
+        # G grows inward: it is swept from the lowest Hankel point between the
+        # points and the gate, or else from Steed at the gate (an anchor past
+        # the gate would cost more steps than Steed saves)
+        anchors = np.nonzero(~left & (xs > pts.max()) & (xs <= gate))[0]
+        if anchors.size:
+            j = anchors[np.argmin(xs[anchors])]
+            xg, g0, gp0 = xs[j], G[j], Gp[j]
+        else:
+            xg = gate
+            _, _, g0, gp0 = _steed(l, eta, gate)
+        G[below], Gp[below] = _taylor_sweep(l, eta, xg, g0, gp0, pts)
 
     return F, Fp, G, Gp
 
@@ -440,11 +476,12 @@ def _coulomb_many(l, eta, xs):
 def coulomb_wave(l, eta, x):
     """Regular and irregular Coulomb wave functions with derivatives.
 
-    Points below the gate ``max(turning point, 5)`` are reached by Taylor
-    sweeps; points above it take the Hankel expansion where ``x >= 80``
-    and it converges, and Steed's continued fractions otherwise.  The phase
-    ``sigma_l`` of the expansion is formed once per call.  Every result is
-    held to the Wronskian ``F'G - FG' = 1``.
+    Each point takes the Hankel expansion where it settles, tried at
+    ``x >= 25`` and, when ``eta = 0``, at every ``x``.  The points left
+    above the gate ``max(turning point, 5)`` take Steed's continued
+    fractions, and those left below it are reached by Taylor sweeps.  The
+    phase ``sigma_l`` of the expansion is formed once per call.  Every
+    result is held to the Wronskian ``F'G - FG' = 1``.
 
     Parameters
     ----------

@@ -31,9 +31,13 @@ NEAR_NODE_FRACTION = 1e-2
 
 def node_derivatives(N, alpha):
     """``T_k = L_N^{(k)} exp(-r/2)``, k = 1, 2, 3, at every node: ``T_1 =
-    (N+1) B_{N+1}/r``, then the differentiated Laguerre equation."""
+    (N B_N - (N+alpha) B_{N-1})/r``, the derivative at the stored node, then
+    the differentiated Laguerre equation.  (``(N+1) B_{N+1}/r`` equals ``T_1``
+    only at an exact zero; a node's rounding enters it with a factor that
+    grows like ``N/r``.)"""
     r = basis._cached_rule(N, alpha)[0]
-    t1 = (N + 1.0) * _weighted_laguerre_pair(N + 1, alpha, r)[1] / r
+    b_prev, b, _ = _weighted_laguerre_pair(N, alpha, r)
+    t1 = (N * b - (N + alpha) * b_prev) / r
     t2 = (r - alpha - 1.0) * t1 / r
     t3 = ((r - alpha - 2.0) * t2 - (N - 1.0) * t1) / r
     return t1, t2, t3

@@ -10,8 +10,12 @@ matrices behind the variational terms are checked at the same sizes:
 known, and the r-regularized family's Exact matrices give the oscillator
 levels.  The wave functions of every scheme's mesh at N = 1000 keep the
 Lagrange property at every node and agree with 40 digits about the first,
-middle and last nodes.
+middle and last nodes.  Every pseudostate of the pure Coulomb potential,
+attractive and repulsive, at l in {0, 10, 20} and N in {30, 100}, gives a
+finite phase with tan(delta) = 0 or raises a typed error.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +36,9 @@ from lagmesh.matelem import (
 )
 from lagmesh.potentials import builtin, exact_level
 from lagmesh.quadrature import generate_rule
-from lagmesh.solver import bound_energies, relative_error
+from lagmesh.scattering import IndeterminatePhaseError, gamma_scan
+from lagmesh.solver import bound_energies, pseudostates, relative_error, solve_bound_states
+from lagmesh.specfun import ConvergenceError
 
 from test_basis import (
     SCHEME_MESHES,
@@ -144,3 +150,28 @@ def test_wavefunction_lagrange_property(family, alpha):
 def test_wavefunction_near_nodes_against_mpmath(family, alpha):
     pytest.importorskip("mpmath")
     check_near_nodes_against_mpmath(1000, family, alpha)
+
+
+@pytest.mark.parametrize("N", [30, 100])
+@pytest.mark.parametrize("l", [0, 10, 20])
+@pytest.mark.parametrize("Z", [-1.0, 1.0])
+def test_coulomb_scattering_grid(Z, l, N):
+    # pure Coulomb has no short-range part, so the integral relation gives
+    # tan(delta) = 0 exactly; this runs the Coulomb functions over l <= 20
+    # and both signs of eta at every x the pseudostates reach
+    V = builtin("coulomb", Z=Z)
+    variant = HamiltonianVariant.RegSqrtMesh
+    mesh = scheme_mesh(variant, N, 1.1)
+    H, S = hamiltonian_3d(mesh, l, V, variant)
+    states = pseudostates(solve_bound_states(H, S))
+    assert states
+    for state in states:
+        if abs(V.tail_Z / state.k) > 50.0:  # outside the advertised domain
+            with pytest.raises(ValueError, match="eta"):
+                gamma_scan(state, l, V, V.tail_Z, mesh)
+            continue
+        try:
+            rec, _ = gamma_scan(state, l, V, V.tail_Z, mesh)
+        except (ConvergenceError, IndeterminatePhaseError):
+            continue
+        assert rec.tan_delta == 0.0 and math.isfinite(rec.delta_deg), (state.energy, rec)

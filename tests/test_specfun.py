@@ -55,11 +55,39 @@ COULOMB_REFERENCE = {
 }
 
 
-# Frozen mpmath values (40 digits) (l, eta, x) -> (F, G) on both sides of
-# _HANKEL_MIN_X: 40 seeded points with x log-uniform on [40, 80) or
-# [80, 3000], l <= 20 and |eta| <= 50, plus the corners (20, +-50, 80) and
-# (20, 50, 300), where the Hankel series diverges.
+# Frozen mpmath values (40 digits) (l, eta, x) -> (F, G) at and above
+# _HANKEL_MIN_X = 25, where the Hankel series is tried: 40 seeded points with
+# x log-uniform on [40, 80) or [80, 3000], l <= 20 and |eta| <= 50; 24 seeded
+# points with x log-uniform on [25, 80), l <= 20, and eta uniform on
+# [-50, 50] (every other point) or [-5, 5], half of which the series takes
+# and half of which fall back to Steed or, below the gate, the Taylor sweeps;
+# plus the corners (20, +-50, 80) and (20, 50, 300), where the series
+# diverges.
 LARGE_X_REFERENCE = {
+    (0, -25.6, 46.9): (-0.502523783854466269, -0.662509581460936684),
+    (0, 0.84, 39.1): (-0.556852438170814976, -0.843865365688325392),
+    (1, -2.77, 56.5): (-0.100132479829641576, -0.971884237406395164),
+    (1, 41.68, 37.7): (3.29958375762203716e-13, 1376187651033.31146),
+    (2, -4.23, 73.5): (-0.965359132241628714, 0.124665595028810902),
+    (3, -1.32, 25.1): (-0.822165707055591268, 0.532530309302979239),
+    (3, 2.67, 25.5): (1.05876189530173812, -0.129713184954433677),
+    (4, -3.79, 32.5): (-0.901096097650678779, 0.309079367590893596),
+    (5, 43.76, 43.4): (3.45733839613311281e-12, 142332899226.287574),
+    (6, -36.21, 54.9): (0.510309099078019024, -0.631055287100705711),
+    (6, 10.53, 27.2): (1.4239565974141499, -0.579210895593705353),
+    (7, 0.57, 45.0): (0.986218219870744025, -0.234421002089622353),
+    (10, -49.97, 32.2): (0.689305909296382582, 0.158165698069999419),
+    (11, -2.21, 40.4): (-0.713326931122868289, -0.690780677147528601),
+    (12, 13.21, 60.7): (-1.06023778876074719, -0.509065762751135405),
+    (12, 49.09, 62.4): (1.30080831841112283e-8, 49084506.1946675476),
+    (13, -2.0, 40.0): (0.284105951400915698, 0.96238766913840749),
+    (14, 9.69, 62.7): (-1.00219607719354911, -0.49793091444008323),
+    (15, -41.54, 40.3): (-0.0683916949507845106, 0.762341356916223097),
+    (16, 2.86, 29.7): (-0.276960281904376156, 1.1558106185189325),
+    (17, -20.47, 31.0): (-0.828516349267249747, -0.142422598495126504),
+    (18, -1.7, 71.0): (-1.00065826591140046, -0.0938334936549032042),
+    (18, 0.51, 28.9): (-0.0329106521022243116, 1.15688052240946285),
+    (18, 22.08, 54.8): (1.81604681786173955, 0.18540295535417012),
     (0, 7.72, 361.7): (-0.615461745351829243, 0.802034276669303942),
     (1, 4.61, 2222.8): (0.500072021527904695, 0.867184300974249227),
     (3, -12.95, 289.6): (0.106134003883294111, -0.973074454563846831),
@@ -106,6 +134,50 @@ LARGE_X_REFERENCE = {
 }
 HANKEL_CORNERS = [(20, 50.0, 80.0), (20, -50.0, 80.0), (20, 50.0, 300.0)]
 
+# Frozen mpmath values (40 digits) (l, 0, x) -> (F, G) at eta = 0, where the
+# Hankel series is finite and tried at every x: l in {0, 1, 2, 5, 10, 20},
+# x log-spaced on [0.03, 40].  The series takes every l = 0 point and the
+# larger x of the other l; the rest fall back to Steed or the Taylor sweeps.
+NEUTRAL_REFERENCE = {
+    (0, 0.0, 0.03): (0.0299955002024956597, 0.999550033748987516),
+    (0, 0.0, 0.1265): (0.1261628890689118, 0.9920095389772144),
+    (0, 0.0, 0.5335): (0.508550063397622874, 0.861032422745086735),
+    (0, 0.0, 2.249): (0.778700981369382289, -0.627395235568744926),
+    (0, 0.0, 9.486): (-0.0611838016211434401, -0.998126516238890713),
+    (0, 0.0, 40.0): (0.745113160479348787, -0.666938061652261844),
+    (1, 0.0, 0.03): (0.000299973000867842657, 33.3483299585020808),
+    (1, 0.0, 0.1265): (0.00532555247663381125, 7.96813552920499393),
+    (1, 0.0, 0.5335): (0.092201060661891519, 2.12248150246995048),
+    (1, 0.0, 2.249): (0.97363844649332574, 0.499734669422408125),
+    (1, 0.0, 9.486): (0.991676610944652526, -0.1664048132423632),
+    (1, 0.0, 40.0): (0.685565890664245564, 0.728439708938042241),
+    (2, 0.0, 0.03): (1.79988428860710321e-6, 3333.83344581645921),
+    (2, 0.0, 0.1265): (0.00013479812398490822, 187.975631469836869),
+    (2, 0.0, 0.5335): (0.00991888128030509299, 11.0741962696820018),
+    (2, 0.0, 2.249): (0.520060841431852516, 1.29400439887120126),
+    (2, 0.0, 9.486): (0.374807018238680587, 0.945500073088238218),
+    (2, 0.0, 40.0): (-0.69369571867953037, 0.721571039822615012),
+    (5, 0.0, 0.03): (7.0127442593855807e-14, 38890833395.8352156),
+    (5, 0.0, 0.1265): (3.9395929600893239e-10, 29198821.546150517),
+    (5, 0.0, 0.5335): (2.19393798500448108e-6, 22214.8073150364057),
+    (5, 0.0, 2.249): (0.0102210307248076798, 22.0526882563207374),
+    (5, 0.0, 9.486): (-0.117466425490444369, -1.09640842433850847),
+    (5, 0.0, 40.0): (0.897950951641800711, 0.450759013922318507),
+    (10, 0.0, 0.03): (1.28838121115485686e-27, 1.10881569873577635e+24),
+    (10, 0.0, 0.1265): (9.65081023760142767e-21, 624222276691762472.0),
+    (10, 0.0, 0.5335): (7.20294174981375892e-14, 353160169225.180106),
+    (10, 0.0, 2.249): (4.84883293279096108e-7, 226171.413041087383),
+    (10, 0.0, 9.486): (0.47426487250057832, 2.06717206308298694),
+    (10, 0.0, 40.0): (0.524992127309933035, 0.872122745475522879),
+    (20, 0.0, 0.03): (7.97695991071417371e-58, 9.17276895758543214e+53),
+    (20, 0.0, 0.1265): (1.06197875900101952e-44, 2.90535447294957474e+41),
+    (20, 0.0, 0.5335): (1.41475446880922092e-31, 9.20061718337603601e+28),
+    (20, 0.0, 2.249): (1.77214026542371038e-18, 31141775142018962.8),
+    (20, 0.0, 9.486): (8.61742574908266296e-6, 30303.1485450455671),
+    (20, 0.0, 40.0): (1.06141567350161124, 0.193659243947042996),
+}
+HANKEL_REFERENCE = LARGE_X_REFERENCE | NEUTRAL_REFERENCE
+
 
 def _allocating_laguerre_pair(n, alpha, x, christoffel):
     """Reference: the recurrence of ``_weighted_laguerre_pair`` with a fresh
@@ -134,6 +206,26 @@ def _allocating_laguerre_pair(n, alpha, x, christoffel):
     if christoffel:
         csum = np.ldexp(csum, 2 * shift)
     return np.ldexp(prev, shift), np.ldexp(cur, shift), csum
+
+
+def _loop_taylor_step(ll1, eta, x, t, u, up):
+    """Reference: ``_taylor_step`` with every factor of term n formed in the
+    loop instead of read from a table."""
+    p = t / x
+    c0 = (ll1 + (2.0 * eta - x) * x) * p * p
+    c1 = 2.0 * (eta - x) * x * p ** 3
+    c2 = (x * p * p) ** 2
+    bm2, bm1, b0, b1 = 0.0, 0.0, u, t * up
+    s, sp = b0 + b1, b1
+    for n in range(specfun._MAX_SERIES_TERMS):
+        b2 = ((c0 - n * (n - 1.0) * p * p) * b0 - 2.0 * n * (n + 1.0) * p * b1
+              + c1 * bm1 - c2 * bm2) / ((n + 1.0) * (n + 2.0))
+        s += b2
+        sp += (n + 2.0) * b2
+        if (n + 2.0) * (abs(b1) + abs(b2)) <= 1e-17 * (abs(s) + abs(sp)):
+            return s, sp / t
+        bm2, bm1, b0, b1 = bm1, b0, b1, b2
+    raise ConvergenceError("Taylor step did not converge")
 
 
 class TestLaguerre:
@@ -307,9 +399,33 @@ class TestCoulombWave:
 
     def test_subnormal_step_raises_convergence_error(self):
         # x/2 rounds to zero at the smallest subnormal, so the sweep from it
-        # cannot move
-        with pytest.raises(ConvergenceError, match="underflows"):
-            coulomb_wave(0, 0.0, [5e-324, 1e-300])
+        # cannot move (the s wave at eta = 0 needs no sweep; see below)
+        for l, eta in [(1, 0.0), (0, 0.5)]:
+            with pytest.raises(ConvergenceError, match="underflows"):
+                coulomb_wave(l, eta, [5e-324, 1e-300])
+
+    def test_table_driven_taylor_step_is_bit_identical(self):
+        # against the loop that forms each term's factors; steps of up to
+        # 0.97 x (the sweeps take at most x/2) need up to several hundred
+        # terms, past the end of the table
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            l = int(rng.integers(0, 21))
+            eta = float(rng.uniform(-50.0, 50.0))
+            x = float(np.exp(rng.uniform(math.log(1e-3), math.log(30.0))))
+            t = x * float(rng.uniform(-0.97, 0.97))
+            args = (l * (l + 1.0), eta, x, t, *rng.normal(size=2))
+            assert specfun._taylor_step(*args) == _loop_taylor_step(*args)
+        # 0.999**5000 is far above 1e-17: the term bound still holds
+        with pytest.raises(ConvergenceError, match="Taylor step did not converge"):
+            specfun._taylor_step(6.0, 0.0, 1.0, 0.999, 1.0, 1.0)
+
+    def test_subnormal_s_wave_at_zero_eta(self):
+        # the Hankel series is one term at l = 0, eta = 0: (F, G) = (sin, cos)
+        x = np.array([5e-324, 1e-300])
+        pair = coulomb_wave(0, 0.0, x)
+        assert np.array_equal(pair.F, x) and np.array_equal(pair.Fprime, [1.0, 1.0])
+        assert np.array_equal(pair.G, [1.0, 1.0]) and np.array_equal(pair.Gprime, -x)
 
 
 @pytest.mark.slow
@@ -376,17 +492,20 @@ class TestCoulombAgainstMultiprecision:
 
 
 def _hankel_region(l, eta, x):
-    return x >= max(_turning_point(l, eta), _STEED_MIN_X, _HANKEL_MIN_X)
+    """Where the Hankel series is tried and Steed's fractions hold too."""
+    return (x >= max(_turning_point(l, eta), _STEED_MIN_X)
+            and (x >= _HANKEL_MIN_X or eta == 0.0))
 
 
 class TestLargeX:
-    """Above the gate and at x >= _HANKEL_MIN_X the asymptotic series of
-    H+ = G + iF is tried first, with Steed as its fallback."""
+    """At x >= _HANKEL_MIN_X, and at every x when eta = 0, the asymptotic
+    series of H+ = G + iF is tried first, with Steed and the Taylor sweeps
+    as its fallback."""
 
-    @pytest.mark.parametrize("key", sorted(LARGE_X_REFERENCE))
+    @pytest.mark.parametrize("key", sorted(HANKEL_REFERENCE))
     def test_reference_values(self, key):
         l, eta, x = key
-        F, G = LARGE_X_REFERENCE[key]
+        F, G = HANKEL_REFERENCE[key]
         pair = coulomb_wave(l, eta, x)
         scale = math.hypot(F, G)
         assert abs(pair.F - F) <= 1e-12 * scale
@@ -394,7 +513,7 @@ class TestLargeX:
 
     def test_hankel_matches_steed(self):
         used = 0
-        for l, eta, x in LARGE_X_REFERENCE:
+        for l, eta, x in HANKEL_REFERENCE:
             fast = _hankel(l, eta, x, _coulomb_phase(l, eta))
             if not _hankel_region(l, eta, x) or fast is None:
                 continue
@@ -425,12 +544,17 @@ class TestLargeX:
                 assert abs(diff) <= 1e-13, (l, eta)
 
     def test_large_x_skips_steed(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Steed's fraction for F'/F was evaluated")
+        def refuse(name):
+            def evaluate(*args):
+                raise AssertionError(f"{name} was evaluated")
+            return evaluate
 
-        monkeypatch.setattr(specfun, "_cf1", refuse)
-        coulomb_wave(0, -1.0, [80.0, 500.0])
+        monkeypatch.setattr(specfun, "_cf1", refuse("Steed's fraction for F'/F"))
+        coulomb_wave(0, -1.0, [30.0, 80.0, 500.0])
         coulomb_wave(10, 10.0, 80.0)
+        # below the gate at eta = 0, where the series is finite
+        monkeypatch.setattr(specfun, "_taylor_step", refuse("a Taylor step"))
+        coulomb_wave(0, 0.0, [0.01, 0.7, 3.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
