@@ -1,11 +1,12 @@
 """Special functions: weighted Laguerre recurrence and Coulomb waves.
 
 The Coulomb wave functions ``F_l(eta, x)`` and ``G_l(eta, x)`` come from
-the cheapest of three evaluators that is accurate at each point:
+the cheapest evaluator that is accurate at each point.  At ``eta = 0``
+they are Riccati-Bessel functions, formed at every point by recurrence in
+``l`` (DLMF 33.4, 10.49).  Otherwise:
 
 * the asymptotic (Hankel) expansion of ``H+ = G + iF`` (DLMF 33.11.1, as
-  in COULCC) is tried first at every ``x >= 25``, and at every ``x`` when
-  ``eta = 0``, where the series ends after ``l`` terms.  The series checks
+  in COULCC) is tried first at every ``x >= 25``.  The series checks
   itself: a point where a term grows past 10 or the sum has not settled
   within 60 terms goes to one of the two methods below;
 * at the points left above the gate ``max(turning point, 5)``, Steed's
@@ -36,10 +37,10 @@ __all__ = [
 
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
 _STEED_MIN_X = 5.0
-# In [_HANKEL_MIN_X, _HANKEL_MAX_X), or below _HANKEL_MAX_X when eta = 0, the
-# asymptotic series of H+ is tried first; a point goes to Steed or the Taylor
-# sweeps when a term passes _HANKEL_MAX_TERM or the sum has not settled within
-# _HANKEL_MAX_TERMS terms.
+# At eta != 0 and x in [_HANKEL_MIN_X, _HANKEL_MAX_X), the asymptotic series
+# of H+ is tried first; a point goes to Steed or the Taylor sweeps when a term
+# passes _HANKEL_MAX_TERM or the sum has not settled within _HANKEL_MAX_TERMS
+# terms.  At eta = 0 every x takes the recurrence in l instead.
 _HANKEL_MIN_X = 25.0
 _HANKEL_MAX_X = 2.0**22
 _HANKEL_MAX_TERM = 10.0
@@ -314,9 +315,6 @@ def _hankel(l, eta, x, sigma):
     (1985) 363).  ``H+' = e^{i theta} (i (1 - eta/x) S + S')``.  The series
     is asymptotic: None is returned when a term passes ``_HANKEL_MAX_TERM``
     or the sum has not settled to 1e-17 within ``_HANKEL_MAX_TERMS`` terms.
-    At ``eta = 0`` it is finite: ``b + l = 0``, so term ``l + 1`` is an exact
-    zero, at every ``x`` (``1/(2x)`` is never formed, as it overflows at the
-    smallest subnormal ``x``).
     """
     a = complex(l + 1.0, eta)
     b = complex(-l, eta)
@@ -362,7 +360,7 @@ def _series_F(l, eta, x):
         t = a_k * xk
         s += t
         sp += (k + l + 1.0) * t
-        # two consecutive small terms, since alternate terms vanish at eta = 0
+        # two consecutive small terms: at small |eta| every other term is small
         if abs(t) + t_prev <= 1e-17 * abs(s) and k > 8:
             break
         t_prev = abs(t)
@@ -422,15 +420,56 @@ def _taylor_step(ll1, eta, x, t, u, up):
         s += b2
         sp += n2 * b2
         if n2 * (abs(b1) + abs(b2)) <= 1e-17 * (abs(s) + abs(sp)):
+            # overflowed terms pass the test as inf <= inf
+            if not math.isfinite(s + sp):
+                raise ConvergenceError(f"Taylor step diverged (x={x}, t={t})")
             return s, sp / t
         bm2, bm1, b0, b1 = bm1, b0, b1, b2
     raise ConvergenceError(f"Taylor step did not converge (x={x}, t={t})")
 
 
+def _riccati_bessel(l, xs):
+    """F, F', G, G' at ``eta = 0``, all points at once.
+
+    A solution of the radial equation at ``eta = 0`` recurs upward in ``l``
+    as ``u_k = (k/x) u_{k-1} - u'_{k-1}``, ``u_k' = u_{k-1} - (k/x) u_k``
+    (DLMF 33.4 with ``eta = 0``).  ``G`` grows with ``l``, so its recurrence
+    from ``(cos x, -sin x)`` is stable at every ``x``; so is ``F``'s from
+    ``(sin x, cos x)`` where ``x >= l + 1``.  Below that, the recurrence's
+    ``F`` is replaced: ``F'/F`` comes from ``_cf1`` and ``F`` from the
+    Wronskian ``F (F'/F G - G') = 1``.
+    """
+    sin, cos = np.sin(xs), np.cos(xs)
+    # rows: G and F
+    u, up = np.array([cos, sin]), np.array([-sin, cos])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            for k in range(1, l + 1):
+                kx = k / xs
+                prev = u
+                u = kx * u - up
+                up = prev - kx * u
+            (G, F), (Gp, Fp) = u, up
+            if l:
+                below = np.nonzero(xs < l + 1.0)[0]
+                f = np.array([_cf1(l, 0.0, float(xs[i]))[0] for i in below])
+                g, gp = G[below], Gp[below]
+                # f G - G' passes the double range where F is subnormal
+                F[below] = 1.0 / g / (f - gp / g)
+                Fp[below] = f * F[below]
+        except FloatingPointError:
+            raise ConvergenceError(
+                f"x underflows the l recurrence (l={l}, x={xs.min()})") from None
+    return F, Fp, G, Gp
+
+
 def _coulomb_many(l, eta, xs):
-    """Evaluate F, F', G, G' at an array of points: the Hankel series where it
-    settles, Steed at the other points above the gate, and one Taylor sweep
-    per function at the other points below it."""
+    """Evaluate F, F', G, G' at an array of points: at ``eta = 0`` by
+    recurrence in ``l``; otherwise the Hankel series where it settles, Steed
+    at the other points above the gate, and one Taylor sweep per function at
+    the other points below it."""
+    if eta == 0.0:
+        return _riccati_bessel(l, xs)
     gate = max(_turning_point(l, eta), _STEED_MIN_X)
     F = np.empty_like(xs)
     Fp = np.empty_like(xs)
@@ -438,7 +477,7 @@ def _coulomb_many(l, eta, xs):
     Gp = np.empty_like(xs)
 
     left = np.ones(xs.shape, dtype=bool)
-    tried = (xs < _HANKEL_MAX_X) & ((xs >= _HANKEL_MIN_X) | (eta == 0.0))
+    tried = (xs >= _HANKEL_MIN_X) & (xs < _HANKEL_MAX_X)
     if np.any(tried):
         sigma = _coulomb_phase(l, eta)
         for i in np.nonzero(tried)[0]:
@@ -454,9 +493,7 @@ def _coulomb_many(l, eta, xs):
     below = left & ~above
     if np.any(below):
         pts = xs[below]
-        x0 = pts.min()
-        if eta != 0.0:
-            x0 = min(x0, _SERIES_LOSS_LIMIT ** 2 / (8.0 * abs(eta)))
+        x0 = min(pts.min(), _SERIES_LOSS_LIMIT ** 2 / (8.0 * abs(eta)))
         F[below], Fp[below] = _taylor_sweep(l, eta, x0, *_series_F(l, eta, x0), pts)
         # G grows inward: it is swept from the lowest Hankel point between the
         # points and the gate, or else from Steed at the gate (an anchor past
@@ -476,12 +513,15 @@ def _coulomb_many(l, eta, xs):
 def coulomb_wave(l, eta, x):
     """Regular and irregular Coulomb wave functions with derivatives.
 
-    Each point takes the Hankel expansion where it settles, tried at
-    ``x >= 25`` and, when ``eta = 0``, at every ``x``.  The points left
-    above the gate ``max(turning point, 5)`` take Steed's continued
-    fractions, and those left below it are reached by Taylor sweeps.  The
-    phase ``sigma_l`` of the expansion is formed once per call.  Every
-    result is held to the Wronskian ``F'G - FG' = 1``.
+    At ``eta = 0`` every point takes the upward recurrence in ``l`` from
+    ``(sin x, cos x)`` and ``(cos x, -sin x)``, as one array operation per
+    step; below ``x = l + 1``, ``F`` comes from ``F'/F`` and the Wronskian
+    instead.  Otherwise each point takes the Hankel expansion where it
+    settles, tried at ``x >= 25``.  The points left above the gate
+    ``max(turning point, 5)`` take Steed's continued fractions, and those
+    left below it are reached by Taylor sweeps.  The phase ``sigma_l`` of
+    the expansion is formed once per call.  Every result is held to the
+    Wronskian ``F'G - FG' = 1``.
 
     Parameters
     ----------
@@ -504,8 +544,9 @@ def coulomb_wave(l, eta, x):
         If an argument lies outside the supported domain.
     ConvergenceError
         If a continued fraction, the power series or a Taylor step fails to
-        converge, or the Wronskian check ``F'G - FG' = 1`` is violated
-        beyond 1e-10.
+        converge, the recurrence in ``l`` leaves the double range (at tiny
+        ``x``), or the Wronskian check ``F'G - FG' = 1`` is violated beyond
+        1e-10.
     """
     l = _integer("l", l)
     if not 0 <= l <= 20:

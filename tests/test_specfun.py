@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, spherical_jn, spherical_yn
@@ -134,10 +134,10 @@ LARGE_X_REFERENCE = {
 }
 HANKEL_CORNERS = [(20, 50.0, 80.0), (20, -50.0, 80.0), (20, 50.0, 300.0)]
 
-# Frozen mpmath values (40 digits) (l, 0, x) -> (F, G) at eta = 0, where the
-# Hankel series is finite and tried at every x: l in {0, 1, 2, 5, 10, 20},
-# x log-spaced on [0.03, 40].  The series takes every l = 0 point and the
-# larger x of the other l; the rest fall back to Steed or the Taylor sweeps.
+# Frozen mpmath values (40 digits) (l, 0, x) -> (F, G) at eta = 0, where every
+# point takes the recurrence in l: l in {0, 1, 2, 5, 10, 20}, x log-spaced on
+# [0.03, 40].  F comes from the recurrence at x >= l + 1 and from F'/F and the
+# Wronskian below it.
 NEUTRAL_REFERENCE = {
     (0, 0.0, 0.03): (0.0299955002024956597, 0.999550033748987516),
     (0, 0.0, 0.1265): (0.1261628890689118, 0.9920095389772144),
@@ -399,7 +399,8 @@ class TestCoulombWave:
 
     def test_subnormal_step_raises_convergence_error(self):
         # x/2 rounds to zero at the smallest subnormal, so the sweep from it
-        # cannot move (the s wave at eta = 0 needs no sweep; see below)
+        # cannot move; at eta = 0, 1/x overflows the recurrence in l (the s
+        # wave at eta = 0 needs no recurrence step; see below)
         for l, eta in [(1, 0.0), (0, 0.5)]:
             with pytest.raises(ConvergenceError, match="underflows"):
                 coulomb_wave(l, eta, [5e-324, 1e-300])
@@ -420,12 +421,50 @@ class TestCoulombWave:
         with pytest.raises(ConvergenceError, match="Taylor step did not converge"):
             specfun._taylor_step(6.0, 0.0, 1.0, 0.999, 1.0, 1.0)
 
+    def test_diverging_taylor_step_raises(self):
+        # a step longer than x: the terms overflow, and an infinite sum would
+        # pass the stop test as inf <= inf
+        with pytest.raises(ConvergenceError, match="Taylor step diverged"):
+            specfun._taylor_step(2.0, 1.0, 1.0, 1.5, 1.0, 0.0)
+
     def test_subnormal_s_wave_at_zero_eta(self):
-        # the Hankel series is one term at l = 0, eta = 0: (F, G) = (sin, cos)
+        # at l = 0, eta = 0 the pair is (sin, cos), with no recurrence step
         x = np.array([5e-324, 1e-300])
         pair = coulomb_wave(0, 0.0, x)
         assert np.array_equal(pair.F, x) and np.array_equal(pair.Fprime, [1.0, 1.0])
         assert np.array_equal(pair.G, [1.0, 1.0]) and np.array_equal(pair.Gprime, -x)
+
+    def test_zero_eta_takes_the_l_recurrence(self, monkeypatch):
+        # no Hankel series, Steed, power series or Taylor step, and F'/F
+        # only where the recurrence for F would be unstable
+        def refuse(*args):
+            raise AssertionError("an eta != 0 route was taken")
+
+        for name in ("_hankel", "_cf2", "_series_F", "_taylor_step"):
+            monkeypatch.setattr(specfun, name, refuse)
+        calls = []
+        cf1 = specfun._cf1
+
+        def spy(l, eta, x):
+            calls.append((l, x))
+            return cf1(l, eta, x)
+
+        monkeypatch.setattr(specfun, "_cf1", spy)
+        x = np.array([1e-3, 0.5, 1.0, 2.0, 2.5, 3.0, 7.9, 21.0, 25.0, 300.0,
+                      2.0**22, 1e8])
+        for l in (0, 1, 2, 5, 20):
+            calls.clear()
+            coulomb_wave(l, 0.0, x)
+            assert calls == [(l, xi) for xi in x if l >= 1 and xi < l + 1]
+
+    def test_neutral_near_turning_point(self):
+        # F's power series cancelled here when it was the eta = 0 route
+        mp = pytest.importorskip("mpmath")
+        x = 19.819789287689495
+        pair = coulomb_wave(20, 0.0, x)
+        with mp.workdps(30):
+            F, G = float(mp.coulombf(20, 0, x)), float(mp.coulombg(20, 0, x))
+        assert abs(pair.F - F) <= 2e-15 * math.hypot(F, G)
 
 
 @pytest.mark.slow
@@ -490,17 +529,55 @@ class TestCoulombAgainstMultiprecision:
                 G = float(mp.coulombg(l, eta, x))
             assert_allclose(coulomb_wave(l, eta, x).G, G, rtol=1e-12)
 
+    def test_neutral_grid(self):
+        # H+ = G + iF = (-i)^l e^{ix} sum_k (l+k)!/(k! (l-k)!) (i/(2x))^k
+        # (DLMF 10.49.1), a finite sum, summed with digits to spare for the
+        # cancellation in F; it matches mpmath's coulombf and coulombg
+        import mpmath as mp
+
+        def exact(l, x):
+            with mp.workdps(40 + int(2 * l * max(0.0, math.log10((2 * l + 2) / x)))):
+                t = mp.mpf(x)
+                h = hp = 0
+                for k in range(l + 1):
+                    c = mp.factorial(l + k) / (mp.factorial(k) * mp.factorial(l - k))
+                    c *= (1j / (2 * t)) ** k
+                    h += c
+                    hp += c * (1j - k / t)
+                e = mp.expj(t) * (-1j) ** l
+                return [float(v) for v in (
+                    (e * h).imag, (e * hp).imag, (e * h).real, (e * hp).real)]
+
+        with mp.workdps(30):
+            for l, x in [(0, 0.3), (5, 2.0), (20, 19.8), (20, 300.0)]:
+                want = [float(mp.coulombf(l, 0, x)), float(mp.coulombg(l, 0, x))]
+                assert_allclose(exact(l, x)[::2], want, rtol=1e-15)
+        # 2**22 and 1e8 lie past _HANKEL_MAX_X, where no Hankel series is tried
+        x = np.concatenate([np.geomspace(1e-3, 300.0, 80), [2.0**22, 1e8]])
+        for l in (0, 1, 2, 5, 10, 20):
+            pair = coulomb_wave(l, 0.0, x)
+            wron = pair.Fprime * pair.G - pair.F * pair.Gprime
+            assert np.max(np.abs(wron - 1.0)) <= 2e-15, l
+            for i, xi in enumerate(x):
+                F, Fp, G, Gp = exact(l, float(xi))
+                scale, dscale = math.hypot(F, G), math.hypot(Fp, Gp)
+                assert abs(pair.F[i] - F) <= 4e-15 * scale, (l, xi)
+                assert abs(pair.G[i] - G) <= 4e-15 * scale, (l, xi)
+                assert abs(pair.Fprime[i] - Fp) <= 4e-15 * dscale, (l, xi)
+                assert abs(pair.Gprime[i] - Gp) <= 4e-15 * dscale, (l, xi)
+
 
 def _hankel_region(l, eta, x):
-    """Where the Hankel series is tried and Steed's fractions hold too."""
-    return (x >= max(_turning_point(l, eta), _STEED_MIN_X)
-            and (x >= _HANKEL_MIN_X or eta == 0.0))
+    """Where the Hankel series is tried at eta != 0 and Steed's fractions
+    hold too."""
+    return x >= max(_turning_point(l, eta), _STEED_MIN_X, _HANKEL_MIN_X)
 
 
 class TestLargeX:
-    """At x >= _HANKEL_MIN_X, and at every x when eta = 0, the asymptotic
-    series of H+ = G + iF is tried first, with Steed and the Taylor sweeps
-    as its fallback."""
+    """At eta != 0 and x >= _HANKEL_MIN_X the asymptotic series of
+    H+ = G + iF is tried first, with Steed and the Taylor sweeps as its
+    fallback.  At eta = 0 every x takes the recurrence in l, held to the
+    same bound on NEUTRAL_REFERENCE."""
 
     @pytest.mark.parametrize("key", sorted(HANKEL_REFERENCE))
     def test_reference_values(self, key):
@@ -552,13 +629,15 @@ class TestLargeX:
         monkeypatch.setattr(specfun, "_cf1", refuse("Steed's fraction for F'/F"))
         coulomb_wave(0, -1.0, [30.0, 80.0, 500.0])
         coulomb_wave(10, 10.0, 80.0)
-        # below the gate at eta = 0, where the series is finite
+        # below the gate at eta = 0, which takes the recurrence in l
         monkeypatch.setattr(specfun, "_taylor_step", refuse("a Taylor step"))
         coulomb_wave(0, 0.0, [0.01, 0.7, 3.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
+# F's power series cancelled near the turning point on the old eta = 0 route
+@example(l=20, eta=0.0, log_x=[math.log(19.819789287689495)])
 @given(
     l=st.integers(0, 20),
     eta=st.floats(-50.0, 50.0),
