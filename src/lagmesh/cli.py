@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import benchmarks
+from . import __version__, benchmarks
 from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import builtin, exact_level, from_json, to_json
 from .scattering import gamma_scan, tan_delta
@@ -46,12 +46,7 @@ __all__ = [
     "sweep",
 ]
 
-try:
-    from importlib.metadata import version as _dist_version
-
-    _BUILD = "lagmesh " + _dist_version("lagmesh")
-except Exception:  # pragma: no cover - package metadata not installed
-    _BUILD = "lagmesh unknown"
+_BUILD = f"lagmesh {__version__}"
 
 _MODES = ("bound", "scatter", "gamma-scan", "reproduce")
 _BUILTIN_NAMES = ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")

@@ -54,7 +54,6 @@ class Pseudostate:
 
     energy: float
     k: float
-    index: int
     coefficients: np.ndarray
 
 
@@ -139,16 +138,12 @@ def _tie_order(energies, vectors):
 def pseudostates(spectrum):
     """Positive-energy states of a spectrum, ascending, with k = sqrt(2E).
 
-    Returns a tuple of Pseudostate (possibly empty).  ``index`` is the
-    state's position in the full spectrum.
+    Returns a tuple of Pseudostate (possibly empty).
     """
-    out = []
-    for j, E in enumerate(spectrum.energies):
-        if E > 0.0:
-            out.append(
-                Pseudostate(float(E), math.sqrt(2.0 * E), j, spectrum.coefficients[:, j])
-            )
-    return tuple(out)
+    return tuple(
+        Pseudostate(float(E), math.sqrt(2.0 * E), spectrum.coefficients[:, j])
+        for j, E in enumerate(spectrum.energies) if E > 0.0
+    )
 
 
 def relative_error(e_app, e_exact):

@@ -14,10 +14,10 @@ they are Riccati-Bessel functions, formed at every point by recurrence in
   derivative of ``G + iF``;
 * at the points left below the gate, one Taylor-series stepper for the
   radial equation (N. Michel, CPC 176 (2007) 232) carries each function in
-  the direction in which it grows: ``F`` outward from its power series at
-  one small anchor, ``G`` inward from the lowest Hankel point between them
-  and the gate, or else from a Steed anchor at the gate, so contamination
-  by the other solution decays.  The series is normalized by A&S 14.1.8-9.
+  the direction in which it grows, so contamination by the other solution
+  decays: ``G`` inward from Steed at the gate, and ``F`` outward from the
+  lowest point.  There ``F`` comes from ``F'/F`` and the Wronskian, as it
+  does in Steed's method and below ``x = l + 1`` at ``eta = 0``.
 """
 
 from __future__ import annotations
@@ -37,29 +37,20 @@ __all__ = [
 
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
 _STEED_MIN_X = 5.0
-# At eta != 0 and x in [_HANKEL_MIN_X, _HANKEL_MAX_X), the asymptotic series
-# of H+ is tried first; a point goes to Steed or the Taylor sweeps when a term
-# passes _HANKEL_MAX_TERM or the sum has not settled within _HANKEL_MAX_TERMS
-# terms.  At eta = 0 every x takes the recurrence in l instead.
+# At eta != 0 and x >= _HANKEL_MIN_X, the asymptotic series of H+ is tried
+# first; a point goes to Steed or the Taylor sweeps when a term passes
+# _HANKEL_MAX_TERM or the sum has not settled within _HANKEL_MAX_TERMS terms.
+# At eta = 0 every x takes the recurrence in l instead.
 _HANKEL_MIN_X = 25.0
-_HANKEL_MAX_X = 2.0**22
 _HANKEL_MAX_TERM = 10.0
 _HANKEL_MAX_TERMS = 60
-# 2 pi split so that n * _TWO_PI_HI is exact for integers n < 2**22, which
-# covers x < _HANKEL_MAX_X (Cody-Waite, as _LN2_HI/_LO below).
-_TWO_PI_HI = 6.2831853069365025
-_TWO_PI_LO = 2.430840202602477e-10
 # Stirling series for log Gamma(z): B_2k / (2k (2k-1)), k = 1..7, used once
 # |z| >= _STIRLING_MIN_ABS.
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
              -691.0 / 360360.0, 1.0 / 156.0)
 _STIRLING_MIN_ABS = 20.0
-# The regular series loses ~exp(2*sqrt(2*|eta|*x)) in cancellation for eta < 0,
-# and near a distant turning point for eta > 0; its anchor is kept where this
-# exponent stays below the limit, and F is stepped outward from there.
-_SERIES_LOSS_LIMIT = 4.0
 _MAX_CF_ITER = 500_000
-_MAX_SERIES_TERMS = 5_000
+_MAX_TAYLOR_TERMS = 5_000
 _WRONSKIAN_TOL = 1e-10
 
 
@@ -71,7 +62,7 @@ def _taylor_coefficients(n):
 
 # The factors of the first _TAYLOR_TABLE_TERMS terms, read from a table; a
 # step seldom needs more than 180 terms, and later ones are formed as needed
-# up to _MAX_SERIES_TERMS.  A longer table would cost memory, not time.
+# up to _MAX_TAYLOR_TERMS.  A longer table would cost memory, not time.
 _TAYLOR_TABLE_TERMS = 256
 _TAYLOR_TABLE = tuple(map(_taylor_coefficients, range(_TAYLOR_TABLE_TERMS)))
 
@@ -180,18 +171,6 @@ def _weighted_laguerre_pair(n, alpha, x, *, christoffel=False):
     return np.ldexp(prev, shift), np.ldexp(cur, shift), csum
 
 
-def _log_coulomb_norm(l, eta):
-    """Log of ``C_l(eta)`` (Abramowitz and Stegun 14.1.8-9): ``C_0**2 = t/expm1(t)``
-    with ``t = 2 pi eta``, times the product of ``sqrt(k**2 + eta**2)/(k (2k+1))``
-    over ``k = 1..l``, formed before its log to keep the rounding small."""
-    t = 2.0 * math.pi * eta
-    # log|expm1(t)| = max(t, 0) + log|expm1(-|t|)|, finite for large |t|
-    log_c0 = 0.0 if t == 0.0 else 0.5 * (
-        math.log(abs(t)) - max(t, 0.0) - math.log(-math.expm1(-abs(t))))
-    ratio = math.prod(math.hypot(k, eta) / (k * (2.0 * k + 1.0)) for k in range(1, l + 1))
-    return log_c0 + math.log(ratio)
-
-
 def _turning_point(l, eta):
     return eta + math.sqrt(eta * eta + l * (l + 1.0))
 
@@ -205,6 +184,10 @@ def _cf1(l, eta, x):
     small = 1e-300
     pk = l + 1.0
     f = eta / pk + pk / x
+    if math.isinf(f):
+        # at a subnormal x; every later term would be inf * 0 = nan
+        raise ConvergenceError(
+            f"x underflows the continued fraction for F'/F (l={l}, eta={eta}, x={x})")
     if f == 0.0:
         f = small
     c, d = f, 0.0
@@ -300,12 +283,6 @@ def _coulomb_phase(l, eta):
     return ((z - 0.5) * cmath.log(z) - z + w * series).imag - shift
 
 
-def _reduce_2pi(v):
-    """``v`` less its nearest multiple of 2 pi, for ``|v| < _HANKEL_MAX_X``."""
-    n = round(v / (2.0 * math.pi))
-    return (v - n * _TWO_PI_HI) - n * _TWO_PI_LO
-
-
 def _hankel(l, eta, x, sigma):
     """``(F, F', G, G')`` from ``H+ = G + iF`` at large ``x``, or None.
 
@@ -331,46 +308,13 @@ def _hankel(l, eta, x, sigma):
             break
     else:
         return None
-    # x and the slowly varying part are reduced apart, so theta keeps the
-    # absolute accuracy of its small terms
-    theta = (_reduce_2pi(x) - _reduce_2pi(eta * math.log(2.0 * x) - sigma)
-             - (l % 4) * (0.5 * math.pi))
-    e = complex(math.cos(theta), math.sin(theta))
+    # e^{i theta} = e^{ix} e^{-i phi}: libm reduces x exactly at any size,
+    # and phi keeps the absolute accuracy of its small terms
+    phi = eta * math.log(2.0 * x) - sigma + (l % 4) * (0.5 * math.pi)
+    e = complex(math.cos(x), math.sin(x)) * complex(math.cos(phi), -math.sin(phi))
     h = e * s
     hp = e * (complex(0.0, 1.0 - eta / x) * s - sk / x)
     return h.imag, hp.imag, h.real, hp.real
-
-
-def _series_F(l, eta, x):
-    """Regular solution from its power series; returns ``(F, F')``.
-
-    Reliable when the cancellation between alternating terms is mild, which
-    holds when ``2*sqrt(2*|eta|*x)`` is small.
-    """
-    x = float(x)
-    a_km2 = 1.0
-    a_km1 = eta / (l + 1.0)
-    s = a_km2 + a_km1 * x
-    sp = (l + 1.0) * a_km2 + (l + 2.0) * a_km1 * x
-    xk = x
-    t_prev = abs(a_km1 * x)
-    for k in range(2, _MAX_SERIES_TERMS):
-        xk *= x
-        a_k = (2.0 * eta * a_km1 - a_km2) / (k * (k + 2.0 * l + 1.0))
-        t = a_k * xk
-        s += t
-        sp += (k + l + 1.0) * t
-        # two consecutive small terms: at small |eta| every other term is small
-        if abs(t) + t_prev <= 1e-17 * abs(s) and k > 8:
-            break
-        t_prev = abs(t)
-        a_km2, a_km1 = a_km1, a_k
-    else:
-        raise ConvergenceError(
-            f"power series for F did not converge (l={l}, eta={eta}, x={x})"
-        )
-    pref = math.exp(_log_coulomb_norm(l, eta) + (l + 1.0) * math.log(x))
-    return pref * s, pref * sp / x
 
 
 def _taylor_sweep(l, eta, x0, u0, up0, targets):
@@ -414,7 +358,7 @@ def _taylor_step(ll1, eta, x, t, u, up):
     bm2, bm1, b0, b1 = 0.0, 0.0, u, t * up
     s, sp = b0 + b1, b1
     terms = itertools.chain(_TAYLOR_TABLE, map(
-        _taylor_coefficients, range(_TAYLOR_TABLE_TERMS, _MAX_SERIES_TERMS)))
+        _taylor_coefficients, range(_TAYLOR_TABLE_TERMS, _MAX_TAYLOR_TERMS)))
     for nn1, nn2, den, n2 in terms:
         b2 = ((c0 - nn1 * p * p) * b0 - nn2 * p * b1 + c1 * bm1 - c2 * bm2) / den
         s += b2
@@ -428,6 +372,20 @@ def _taylor_step(ll1, eta, x, t, u, up):
     raise ConvergenceError(f"Taylor step did not converge (x={x}, t={t})")
 
 
+def _wronskian_F(l, eta, xs, G, Gp):
+    """``(F, F')`` at the points ``xs`` from ``G``, ``G'`` there: ``f = F'/F``
+    comes from ``_cf1`` and ``F`` from the Wronskian ``F (f G - G') = 1``.
+    ``_cf1`` counts the sign of ``F`` too; a point where the two signs differ
+    raises ConvergenceError."""
+    f, sign = np.array([_cf1(l, eta, float(x)) for x in xs]).reshape(-1, 2).T
+    # f G - G' passes the double range where F is subnormal
+    F = 1.0 / G / (f - Gp / G)
+    if np.any(F * sign < 0.0):
+        raise ConvergenceError(
+            f"F'/F and the Wronskian disagree on the sign of F (l={l}, eta={eta})")
+    return F, f * F
+
+
 def _riccati_bessel(l, xs):
     """F, F', G, G' at ``eta = 0``, all points at once.
 
@@ -436,8 +394,7 @@ def _riccati_bessel(l, xs):
     (DLMF 33.4 with ``eta = 0``).  ``G`` grows with ``l``, so its recurrence
     from ``(cos x, -sin x)`` is stable at every ``x``; so is ``F``'s from
     ``(sin x, cos x)`` where ``x >= l + 1``.  Below that, the recurrence's
-    ``F`` is replaced: ``F'/F`` comes from ``_cf1`` and ``F`` from the
-    Wronskian ``F (F'/F G - G') = 1``.
+    ``F`` is replaced by ``_wronskian_F``'s.
     """
     sin, cos = np.sin(xs), np.cos(xs)
     # rows: G and F
@@ -451,12 +408,8 @@ def _riccati_bessel(l, xs):
                 up = prev - kx * u
             (G, F), (Gp, Fp) = u, up
             if l:
-                below = np.nonzero(xs < l + 1.0)[0]
-                f = np.array([_cf1(l, 0.0, float(xs[i]))[0] for i in below])
-                g, gp = G[below], Gp[below]
-                # f G - G' passes the double range where F is subnormal
-                F[below] = 1.0 / g / (f - gp / g)
-                Fp[below] = f * F[below]
+                below = xs < l + 1.0
+                F[below], Fp[below] = _wronskian_F(l, 0.0, xs[below], G[below], Gp[below])
         except FloatingPointError:
             raise ConvergenceError(
                 f"x underflows the l recurrence (l={l}, x={xs.min()})") from None
@@ -467,7 +420,8 @@ def _coulomb_many(l, eta, xs):
     """Evaluate F, F', G, G' at an array of points: at ``eta = 0`` by
     recurrence in ``l``; otherwise the Hankel series where it settles, Steed
     at the other points above the gate, and one Taylor sweep per function at
-    the other points below it."""
+    the other points below it: ``G`` inward from Steed at the gate, and ``F``
+    outward from ``_wronskian_F`` at the lowest point."""
     if eta == 0.0:
         return _riccati_bessel(l, xs)
     gate = max(_turning_point(l, eta), _STEED_MIN_X)
@@ -477,7 +431,7 @@ def _coulomb_many(l, eta, xs):
     Gp = np.empty_like(xs)
 
     left = np.ones(xs.shape, dtype=bool)
-    tried = (xs >= _HANKEL_MIN_X) & (xs < _HANKEL_MAX_X)
+    tried = xs >= _HANKEL_MIN_X
     if np.any(tried):
         sigma = _coulomb_phase(l, eta)
         for i in np.nonzero(tried)[0]:
@@ -493,19 +447,14 @@ def _coulomb_many(l, eta, xs):
     below = left & ~above
     if np.any(below):
         pts = xs[below]
-        x0 = min(pts.min(), _SERIES_LOSS_LIMIT ** 2 / (8.0 * abs(eta)))
-        F[below], Fp[below] = _taylor_sweep(l, eta, x0, *_series_F(l, eta, x0), pts)
-        # G grows inward: it is swept from the lowest Hankel point between the
-        # points and the gate, or else from Steed at the gate (an anchor past
-        # the gate would cost more steps than Steed saves)
-        anchors = np.nonzero(~left & (xs > pts.max()) & (xs <= gate))[0]
-        if anchors.size:
-            j = anchors[np.argmin(xs[anchors])]
-            xg, g0, gp0 = xs[j], G[j], Gp[j]
-        else:
-            xg = gate
-            _, _, g0, gp0 = _steed(l, eta, gate)
-        G[below], Gp[below] = _taylor_sweep(l, eta, xg, g0, gp0, pts)
+        _, _, g0, gp0 = _steed(l, eta, gate)
+        g, gp = _taylor_sweep(l, eta, gate, g0, gp0, pts)
+        i = np.argmin(pts)
+        lowest = slice(i, i + 1)
+        (f0,), (fp0,) = _wronskian_F(l, eta, pts[lowest], g[lowest], gp[lowest])
+        # Python floats: the Taylor steps run slower on NumPy scalars
+        F[below], Fp[below] = _taylor_sweep(l, eta, pts[i], float(f0), float(fp0), pts)
+        G[below], Gp[below] = g, gp
 
     return F, Fp, G, Gp
 
@@ -519,7 +468,9 @@ def coulomb_wave(l, eta, x):
     instead.  Otherwise each point takes the Hankel expansion where it
     settles, tried at ``x >= 25``.  The points left above the gate
     ``max(turning point, 5)`` take Steed's continued fractions, and those
-    left below it are reached by Taylor sweeps.  The phase ``sigma_l`` of
+    left below it are reached by Taylor sweeps: ``G`` inward from the gate,
+    ``F`` outward from ``F'/F`` and the Wronskian at the lowest point.  The
+    phase ``sigma_l`` of
     the expansion is formed once per call.  Every result is held to the
     Wronskian ``F'G - FG' = 1``.
 
@@ -543,9 +494,9 @@ def coulomb_wave(l, eta, x):
     ValueError
         If an argument lies outside the supported domain.
     ConvergenceError
-        If a continued fraction, the power series or a Taylor step fails to
-        converge, the recurrence in ``l`` leaves the double range (at tiny
-        ``x``), or the Wronskian check ``F'G - FG' = 1`` is violated beyond
+        If a continued fraction or a Taylor step fails to converge, ``F'/F``
+        and the Wronskian disagree on the sign of ``F``, the recurrence in
+        ``l`` leaves the double range (at tiny ``x``), or the Wronskian check ``F'G - FG' = 1`` is violated beyond
         1e-10.
     """
     l = _integer("l", l)

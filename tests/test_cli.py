@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagmesh
 from lagmesh import cli
 from lagmesh.benchmarks import CheckResult
 from lagmesh.cli import ConfigError, ExperimentConfig, Report, main, run, sweep
@@ -252,7 +253,7 @@ class TestReports:
         assert doc["mode"] == "bound"
         assert doc["config"]["potential"]["label"] == "harmonic"
         assert len(doc["provenance"]["config_hash"]) == 16
-        assert doc["provenance"]["build"].startswith("lagmesh")
+        assert doc["provenance"]["build"] == f"lagmesh {lagmesh.__version__}"
         assert doc["rows"][0]["energy"] == pytest.approx(1.5)
 
     def test_reports_are_deterministic(self):
@@ -650,8 +651,10 @@ def _run_python(code):
 
 
 def test_cli_import_leaves_scipy_out():
+    # nor importlib.metadata: the build id is the package's own __version__
     code = ("import sys, lagmesh.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'importlib.metadata'])")
     assert _run_python(code).strip() == "[]"
 
 

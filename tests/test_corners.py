@@ -146,6 +146,7 @@ def test_wavefunction_lagrange_property(family, alpha):
     check_lagrange_property(1000, family, alpha)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("family,alpha", SCHEME_MESHES)
 def test_wavefunction_near_nodes_against_mpmath(family, alpha):
     pytest.importorskip("mpmath")

@@ -39,3 +39,12 @@ def test_numpy_is_the_one_declared_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_declared_version_is_the_package_version():
+    # a report's build id is read from lagmesh.__version__, installed or not
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    import lagmesh
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == lagmesh.__version__

@@ -398,7 +398,7 @@ class TestAttractiveCoulomb:
 class TestValidation:
     def test_rejects_nonpositive_energy(self):
         mesh, ps = eckart_states("sqrt")
-        bad = Pseudostate(-0.5, 1.0, 0, ps[0].coefficients)
+        bad = Pseudostate(-0.5, 1.0, ps[0].coefficients)
         with pytest.raises(ValueError, match="positive"):
             tan_delta(bad, 0, ECKART, 0.0, 4.0, mesh)
 
@@ -457,12 +457,12 @@ class TestValidation:
 
     def test_rejects_coefficient_length_mismatch(self):
         mesh, ps = eckart_states("sqrt")
-        bad = Pseudostate(1.0, math.sqrt(2.0), 1, np.ones(7))
+        bad = Pseudostate(1.0, math.sqrt(2.0), np.ones(7))
         with pytest.raises(ValueError, match="mesh"):
             tan_delta(bad, 0, ECKART, 0.0, 4.0, mesh)
 
     def test_indeterminate_phase_reported_not_guessed(self):
-        state = Pseudostate(1.0, math.sqrt(2.0), 1, np.ones(3))
+        state = Pseudostate(1.0, math.sqrt(2.0), np.ones(3))
         with pytest.raises(IndeterminatePhaseError):
             _result(state, ECKART, 4.0, 1.0, 0.0, "principal")
         with pytest.raises(IndeterminatePhaseError):

@@ -18,7 +18,6 @@ from lagmesh.specfun import (
     ConvergenceError,
     _coulomb_phase,
     _hankel,
-    _log_coulomb_norm,
     _steed,
     _turning_point,
     _weighted_laguerre_pair,
@@ -178,6 +177,19 @@ NEUTRAL_REFERENCE = {
 }
 HANKEL_REFERENCE = LARGE_X_REFERENCE | NEUTRAL_REFERENCE
 
+# Frozen mpmath values (40 digits) (l, eta, x) -> (F, G) far out, where the
+# Hankel phase must hold at any x and Steed's F'/F fraction would need about x
+# iterations: x = 1.01 * 2**22, 1e8 and 1e12, with the corners l = 20,
+# eta = +-50 among them.
+FAR_REFERENCE = {
+    (0, 1.0, 1e8): (0.981238345673346265, 0.192798648802928011),
+    (20, -50.0, 4236247.04): (-0.283257511938489248, 0.959037736093382904),
+    (13, 27.4, 4236247.04): (-0.9794763404402846, 0.201575213195241981),
+    (5, -7.3, 1e8): (0.290711243708580957, 0.956810796229546911),
+    (20, 50.0, 1e12): (0.793055537375967691, 0.60914933693415042),
+    (2, -0.4, 1e12): (0.768515963025274699, 0.639830613971334301),
+}
+
 
 def _allocating_laguerre_pair(n, alpha, x, christoffel):
     """Reference: the recurrence of ``_weighted_laguerre_pair`` with a fresh
@@ -217,7 +229,7 @@ def _loop_taylor_step(ll1, eta, x, t, u, up):
     c2 = (x * p * p) ** 2
     bm2, bm1, b0, b1 = 0.0, 0.0, u, t * up
     s, sp = b0 + b1, b1
-    for n in range(specfun._MAX_SERIES_TERMS):
+    for n in range(specfun._MAX_TAYLOR_TERMS):
         b2 = ((c0 - n * (n - 1.0) * p * p) * b0 - 2.0 * n * (n + 1.0) * p * b1
               + c1 * bm1 - c2 * bm2) / ((n + 1.0) * (n + 2.0))
         s += b2
@@ -355,10 +367,19 @@ class TestCoulombWave:
             )
 
     def test_norm_at_zero_eta(self):
-        # C_l(0) = 2^l l! / (2l+1)!
-        assert math.exp(_log_coulomb_norm(0, 0.0)) == pytest.approx(1.0, rel=1e-15)
-        assert math.exp(_log_coulomb_norm(1, 0.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert math.exp(_log_coulomb_norm(2, 0.0)) == pytest.approx(1.0 / 15.0, rel=1e-14)
+        # F_l(0, x) = C_l(0) x^{l+1} sum_k (-x^2/2)^k / (k! (2l+3)...(2l+2k+1))
+        # with C_l(0) = 2^l l! / (2l+1)!; at x = 0.1 the terms fall fast and
+        # do not cancel
+        x = 0.1
+        for l in range(21):
+            c = 2**l * math.factorial(l) / math.factorial(2 * l + 1)
+            term = total = 1.0
+            for k in range(1, 10):
+                term *= -0.5 * x * x / (k * (2.0 * (l + k) + 1.0))
+                total += term
+            want = c * x ** (l + 1) * total
+            got = coulomb_wave(l, 0.0, x).F
+            assert got == pytest.approx(want, rel=1e-13), l
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -404,6 +425,11 @@ class TestCoulombWave:
         for l, eta in [(1, 0.0), (0, 0.5)]:
             with pytest.raises(ConvergenceError, match="underflows"):
                 coulomb_wave(l, eta, [5e-324, 1e-300])
+        # alone, the point is reached and F'/F is taken there, where 1/x
+        # overflows
+        for x in (5e-324, 1e-323):
+            with pytest.raises(ConvergenceError, match="x underflows the continued fraction"):
+                coulomb_wave(0, 0.5, x)
 
     def test_table_driven_taylor_step_is_bit_identical(self):
         # against the loop that forms each term's factors; steps of up to
@@ -435,12 +461,12 @@ class TestCoulombWave:
         assert np.array_equal(pair.G, [1.0, 1.0]) and np.array_equal(pair.Gprime, -x)
 
     def test_zero_eta_takes_the_l_recurrence(self, monkeypatch):
-        # no Hankel series, Steed, power series or Taylor step, and F'/F
-        # only where the recurrence for F would be unstable
+        # no Hankel series, Steed or Taylor step, and F'/F only where the
+        # recurrence for F would be unstable
         def refuse(*args):
             raise AssertionError("an eta != 0 route was taken")
 
-        for name in ("_hankel", "_cf2", "_series_F", "_taylor_step"):
+        for name in ("_hankel", "_cf2", "_taylor_step"):
             monkeypatch.setattr(specfun, name, refuse)
         calls = []
         cf1 = specfun._cf1
@@ -456,6 +482,38 @@ class TestCoulombWave:
             calls.clear()
             coulomb_wave(l, 0.0, x)
             assert calls == [(l, xi) for xi in x if l >= 1 and xi < l + 1]
+
+    def test_below_gate_takes_f_once_at_the_lowest_point(self, monkeypatch):
+        # G is swept inward from Steed at the gate; F outward from F'/F and
+        # the Wronskian at the lowest point, so _cf1 runs there and at the
+        # gate only
+        calls = []
+        cf1 = specfun._cf1
+
+        def spy(l, eta, x):
+            calls.append(x)
+            return cf1(l, eta, x)
+
+        monkeypatch.setattr(specfun, "_cf1", spy)
+        x = np.array([3.0, 0.02, 1.7, 0.4])
+        for l, eta in [(0, 1.3), (4, -7.0), (20, 50.0)]:
+            calls.clear()
+            coulomb_wave(l, eta, x)
+            assert calls == [max(_turning_point(l, eta), _STEED_MIN_X), 0.02]
+
+    @pytest.mark.parametrize("l, eta", [(0, 1.3), (4, -7.0), (20, 50.0), (5, 0.0)])
+    def test_flipped_cf1_sign_raises(self, monkeypatch, l, eta):
+        # a sign of F from _cf1 that the Wronskian contradicts is an error,
+        # below the gate and below x = l + 1 at eta = 0 alike
+        cf1 = specfun._cf1
+
+        def flip(l, eta, x):
+            f, sign = cf1(l, eta, x)
+            return f, (-sign if x == 0.02 else sign)
+
+        monkeypatch.setattr(specfun, "_cf1", flip)
+        with pytest.raises(ConvergenceError, match="sign of F"):
+            coulomb_wave(l, eta, [3.0, 0.02, 1.7])
 
     def test_neutral_near_turning_point(self):
         # F's power series cancelled here when it was the eta = 0 route
@@ -501,16 +559,18 @@ class TestCoulombAgainstMultiprecision:
             self.check(l, eta, x)
 
     def test_normalization(self):
-        # C_l(eta) = 2^l e^{-pi eta/2} |Gamma(l+1+i eta)| / (2l+1)!
+        # F near the origin, where it is C_l(eta) x^{l+1} (1 + O(eta x, x^2))
+        # with C_l(eta) = 2^l e^{-pi eta/2} |Gamma(l+1+i eta)| / (2l+1)!: F
+        # from F'/F and the Wronskian carries this normalization
         import mpmath as mp
 
         etas = [*np.linspace(-50.0, 50.0, 61), 0.0, 1e-8, -1e-8]
         for l in range(21):
             for eta in etas:
+                x = min(0.1, 1.0 / (1.0 + abs(eta)))
                 with mp.workdps(30):
-                    c = 2**l * mp.exp(-mp.pi * eta / 2) * abs(mp.gamma(l + 1 + 1j * eta))
-                    want = float(c / mp.factorial(2 * l + 1))
-                got = math.exp(_log_coulomb_norm(l, float(eta)))
+                    want = float(mp.coulombf(l, float(eta), x))
+                got = coulomb_wave(l, float(eta), x).F
                 assert got == pytest.approx(want, rel=1e-13), (l, eta)
 
     def test_taylor_sweep_below_gate(self):
@@ -552,7 +612,7 @@ class TestCoulombAgainstMultiprecision:
             for l, x in [(0, 0.3), (5, 2.0), (20, 19.8), (20, 300.0)]:
                 want = [float(mp.coulombf(l, 0, x)), float(mp.coulombg(l, 0, x))]
                 assert_allclose(exact(l, x)[::2], want, rtol=1e-15)
-        # 2**22 and 1e8 lie past _HANKEL_MAX_X, where no Hankel series is tried
+        # 2**22 and 1e8: the recurrence's sin and cos are exact at any x
         x = np.concatenate([np.geomspace(1e-3, 300.0, 80), [2.0**22, 1e8]])
         for l in (0, 1, 2, 5, 10, 20):
             pair = coulomb_wave(l, 0.0, x)
@@ -579,10 +639,10 @@ class TestLargeX:
     fallback.  At eta = 0 every x takes the recurrence in l, held to the
     same bound on NEUTRAL_REFERENCE."""
 
-    @pytest.mark.parametrize("key", sorted(HANKEL_REFERENCE))
+    @pytest.mark.parametrize("key", sorted(HANKEL_REFERENCE) + sorted(FAR_REFERENCE))
     def test_reference_values(self, key):
         l, eta, x = key
-        F, G = HANKEL_REFERENCE[key]
+        F, G = (HANKEL_REFERENCE | FAR_REFERENCE)[key]
         pair = coulomb_wave(l, eta, x)
         scale = math.hypot(F, G)
         assert abs(pair.F - F) <= 1e-12 * scale
@@ -602,6 +662,23 @@ class TestLargeX:
             assert abs(fast[2] - G) <= 1e-12 * scale
             assert abs(fast[3] - Gp) <= 1e-12 * dscale
         assert used >= 20
+
+    def test_no_hankel_between_25_and_the_gate(self):
+        # at eta < 0 the gate is below 25, and at eta > 0 the series has not
+        # settled by the gate: so G below the gate needs no Hankel anchor
+        checked = 0
+        for l in range(21):
+            for eta in np.linspace(0.5, 50.0, 45):
+                eta = float(eta)
+                gate = max(_turning_point(l, eta), _STEED_MIN_X)
+                sigma = _coulomb_phase(l, eta)
+                for x in np.linspace(_HANKEL_MIN_X, gate, 60) if gate > _HANKEL_MIN_X else ():
+                    assert _hankel(l, eta, float(x), sigma) is None, (l, eta, x)
+                    checked += 1
+        assert checked >= 30_000
+        # the turning point falls as eta falls, so at eta < 0 it lies below
+        # its eta = 0 value sqrt(l (l+1)) <= sqrt(420)
+        assert max(_turning_point(20, 0.0), _STEED_MIN_X) < _HANKEL_MIN_X
 
     @pytest.mark.parametrize("l, eta, x", HANKEL_CORNERS)
     def test_corners_fall_back(self, l, eta, x):
@@ -641,7 +718,7 @@ class TestLargeX:
 @given(
     l=st.integers(0, 20),
     eta=st.floats(-50.0, 50.0),
-    log_x=st.lists(st.floats(math.log(1e-3), math.log(1e4)), min_size=1, max_size=4),
+    log_x=st.lists(st.floats(math.log(1e-3), math.log(1e12)), min_size=1, max_size=4),
 )
 def test_whole_domain_is_finite_with_unit_wronskian(l, eta, log_x):
     pair = coulomb_wave(l, eta, np.exp(log_x))
