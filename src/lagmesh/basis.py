@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .quadrature import generate_rule
-from .specfun import _integer, _weighted_laguerre_pair
+from .specfun import _coerce, _integer, _weighted_laguerre_pair
 
 __all__ = [
     "Family",
@@ -95,10 +95,7 @@ class MeshSpec:
         if self.N < 1:
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "alpha", _alpha(self.alpha))
-        if isinstance(self.family, str):
-            object.__setattr__(self, "family", Family[self.family])
-        if not isinstance(self.family, Family):
-            raise ValueError(f"unknown family: {self.family!r}")
+        object.__setattr__(self, "family", _coerce(Family, self.family))
         object.__setattr__(self, "h", float(self.h))
         if not (self.h > 0.0) or not math.isfinite(self.h):
             raise ValueError("h must be positive and finite")

@@ -15,10 +15,15 @@ Five tables are available by id:
 
 ``run_table`` recomputes a table from scratch and returns its rows;
 ``check_table`` compares the rows against the bundled reference values and
-returns one ``CheckResult`` per comparison.  The reference tables were
-produced in quadruple precision, so entries below the double-precision
-floor are checked against substituted caps (1e-10/1e-12/1e-13) rather than
-their quoted digits.
+returns one ``CheckResult`` per comparison.
+
+Tables 1, 2 and 5 are held to their quoted errors by one rule, cell by
+cell.  The reference runs were made in quadruple precision, so each row
+has a double-precision floor: 1e-10 in table 1, 1e-13 in table 2, and
+1e-10 (harmonic) or 1e-12 (Coulomb) in table 5.  A quoted error at or
+below its floor is checked as ``|eps_rel| <= floor``.  Any other quoted
+error must be reproduced to both of its figures, sign included:
+``|eps_rel - quoted|`` is at most half a unit of the second figure.
 """
 
 import dataclasses
@@ -109,6 +114,13 @@ TABLE4_REFERENCE = {
 TABLE5_REFERENCE = {
     "harmonic": (3.0e-13, 2.1e-13),
     "coulomb": (1.2e-16, 1.0e-16),
+}
+# the rule's tables (module docstring): row field, quoted errors,
+# double-precision floor per row, columns
+_ERROR_TABLES = {
+    1: ("l", TABLE1_REFERENCE, dict.fromkeys(TABLE1_REFERENCE, 1e-10), VARIANTS_3D),
+    2: ("l", TABLE2_REFERENCE, dict.fromkeys(TABLE2_REFERENCE, 1e-13), VARIANTS_3D),
+    5: ("potential", TABLE5_REFERENCE, {"harmonic": 1e-10, "coulomb": 1e-12}, _VARIANTS_2D),
 }
 
 
@@ -221,54 +233,24 @@ def _run_table5():
             for name, N, h in (("harmonic", 20, 0.09), ("coulomb", 10, 0.9))]
 
 
-def _check_table1(rows):
+def _check_errors(table, rows):
+    """The rule of the module docstring over the rows of table 1, 2 or 5."""
+    field, reference, floors, schemes = _ERROR_TABLES[table]
     checks = []
     for row in rows:
-        l = row["l"]
-        for label in ("var", "reg sqrt(r)", "reg r", "non reg V_G"):
-            checks.append(CheckResult(
-                f"table 1 l={l} {label}: |eps_rel| <= 1e-10",
-                abs(row[label]) <= 1e-10, row[label]))
-        eps = row["non reg"]
-        if l == 1:
-            checks.append(CheckResult(
-                "table 1 l=1 non reg: |eps_rel| within 3x of 2.8e-7",
-                2.8e-7 / 3.0 <= abs(eps) <= 2.8e-7 * 3.0, eps))
-        else:
-            checks.append(CheckResult(
-                f"table 1 l={l} non reg: |eps_rel| <= 1e-10",
-                abs(eps) <= 1e-10, eps))
-    return checks
-
-
-def _check_table2(rows):
-    by_l = {row["l"]: row for row in rows}
-    checks = [
-        CheckResult("table 2 l=0 non reg: eps_rel = 6.9e-2 to two figures",
-                    abs(by_l[0]["non reg"] - 6.9e-2) <= 5e-4,
-                    by_l[0]["non reg"]),
-        CheckResult("table 2 l=0 non reg V_G: eps_rel = 6.9e-2 to two figures",
-                    abs(by_l[0]["non reg V_G"] - 6.9e-2) <= 5e-4,
-                    by_l[0]["non reg V_G"]),
-        CheckResult("table 2 l=1 non reg: eps_rel = -1.0e-3 to two figures",
-                    abs(by_l[1]["non reg"] - (-1.0e-3)) <= 5e-5,
-                    by_l[1]["non reg"]),
-    ]
-    for label, ref in zip([v[0] for v in VARIANTS_3D], TABLE2_REFERENCE[2]):
-        eps = by_l[2][label]
-        checks.append(CheckResult(
-            f"table 2 l=2 {label}: |eps_rel| within 2x of {ref:.1e}",
-            ref / 2.0 <= abs(eps) <= ref * 2.0, eps))
-    for label, ref in (("var", 2.4e-9), ("reg sqrt(r)", 2.4e-9), ("reg r", 7.6e-9)):
-        eps = by_l[0][label]
-        checks.append(CheckResult(
-            f"table 2 l=0 {label}: |eps_rel| within 2x of {ref:.1e}",
-            ref / 2.0 <= abs(eps) <= ref * 2.0, eps))
-    for label in ("var", "reg sqrt(r)", "reg r", "non reg V_G"):
-        eps = by_l[1][label]
-        checks.append(CheckResult(
-            f"table 2 l=1 {label}: |eps_rel| <= 1e-13 (double floor)",
-            abs(eps) <= 1e-13, eps))
+        key = row[field]
+        tag = f"table {table} l={key}" if field == "l" else f"table {table} {key}"
+        floor = floors[key]
+        for (label, _), ref in zip(schemes, reference[key]):
+            eps = row[label]
+            if abs(ref) <= floor:
+                checks.append(CheckResult(
+                    f"{tag} {label}: |eps_rel| <= {floor:g}", abs(eps) <= floor, eps))
+            else:
+                half_unit = 0.5 * 10.0 ** (math.floor(math.log10(abs(ref))) - 1)
+                checks.append(CheckResult(
+                    f"{tag} {label}: eps_rel = {eps_notation(ref)} to two figures",
+                    abs(eps - ref) <= half_unit, eps))
     return checks
 
 
@@ -324,25 +306,13 @@ def _check_table4(rows):
     return checks
 
 
-def _check_table5(rows):
-    checks = []
-    caps = {"harmonic": 1e-10, "coulomb": 1e-12}
-    for row in rows:
-        cap = caps[row["potential"]]
-        for label in ("var", "reg sqrt(rho)"):
-            checks.append(CheckResult(
-                f"table 5 {row['potential']} {label}: |eps_rel| <= {cap:g}",
-                abs(row[label]) <= cap, row[label]))
-    return checks
-
-
 # table id -> (run, check)
 _TABLES = {
-    1: (lambda: _bound_rows("harmonic", 20, 0.09), _check_table1),
-    2: (lambda: _bound_rows("coulomb", 10, 0.9), _check_table2),
+    1: (lambda: _bound_rows("harmonic", 20, 0.09), lambda rows: _check_errors(1, rows)),
+    2: (lambda: _bound_rows("coulomb", 10, 0.9), lambda rows: _check_errors(2, rows)),
     3: (_run_table3, _check_table3),
     4: (_run_table4, _check_table4),
-    5: (_run_table5, _check_table5),
+    5: (_run_table5, lambda rows: _check_errors(5, rows)),
 }
 TABLE_IDS = tuple(_TABLES)
 

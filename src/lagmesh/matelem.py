@@ -36,7 +36,7 @@ from .potentials import evaluate as evaluate_potential
 # Nothing here builds a rule; the name stays bound because the benchmark's
 # span list (bench/spans.py) wraps generate_rule in this module.
 from .quadrature import generate_rule  # noqa: F401
-from .specfun import _integer
+from .specfun import _coerce, _integer
 
 __all__ = [
     "Classification",
@@ -81,17 +81,6 @@ class Variant2D(enum.Enum):
 class Classification(enum.Enum):
     AccuracyLoss = "AccuracyLoss"
     Safe = "Safe"
-
-
-def _coerce(enum_cls, value):
-    if isinstance(value, str):
-        try:
-            return enum_cls[value]
-        except KeyError:
-            raise ValueError(f"unknown {enum_cls.__name__}: {value!r}") from None
-    if not isinstance(value, enum_cls):
-        raise ValueError(f"unknown {enum_cls.__name__}: {value!r}")
-    return value
 
 
 def _sign_grid(N):

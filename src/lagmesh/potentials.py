@@ -94,6 +94,10 @@ class PotentialSpec:
         return sum(c for c, p, a, b in self.terms if p == -1.0 and a == b == 0.0) + q
 
 
+# At extreme r a power overflows to +-inf, which is its value, and a damping
+# underflows to 0; a damped term whose product is not finite is formed again
+# in logarithms, where it is 0 when the damping wins.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(spec, r):
     """Potential value at radius ``r > 0`` (scalar or array)."""
     rs = np.asarray(r, dtype=float)
@@ -105,8 +109,11 @@ def evaluate(spec, r):
     for c, p, a, b in spec.terms:
         term = c * rr**p
         if a != 0.0 or b != 0.0:
-            # skipped for a pure power, where rr**2 could overflow to 0 * inf
             term = term * np.exp(-a * rr**2 - b * rr)
+            bad = ~np.isfinite(term)
+            if bad.any():  # r**p overflowed: the damped term in logarithms
+                x = rr[bad]
+                term[bad] = c * np.exp(p * np.log(x) - x * (a * x + b))
         total += term
     if spec.coulomb_erf is not None:
         q, mu = spec.coulomb_erf

@@ -48,10 +48,12 @@ _DEFAULT_GAMMAS.flags.writeable = False
 
 
 class IndeterminatePhaseError(ArithmeticError):
-    """The denominator of the integral relation vanished.
+    """The integral relation determines no phase.
 
     Raised instead of guessing a phase when the denominator magnitude
-    falls below 1e-14 of the numerator scale.
+    falls below 1e-14 of the numerator scale, or when the numerator or the
+    denominator is not finite (at a rate so extreme that the regularizing
+    factors over- or underflow).
     """
 
 
@@ -132,6 +134,10 @@ def _interior_table(state, l, V, Z, mesh):
     return r, w * W * u, w * u, pair.F, pair.G, pair.Gprime
 
 
+# At an extreme rate g r over- or underflows and the terms below may come out
+# infinite or NaN; _result raises on a numerator or denominator that is not
+# finite.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _ratios(table, l, k, grid):
     """Numerator and the denominators of the tan(delta) ratio on a gamma grid.
 
@@ -159,6 +165,11 @@ def _ratios(table, l, k, grid):
 
 
 def _result(state, V, gamma, num, den, window):
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise IndeterminatePhaseError(
+            f"indeterminate phase at gamma={gamma:g}: numerator {num:.3e} "
+            f"or denominator {den:.3e} is not finite"
+        )
     if den == 0.0 or abs(den) < _INDETERMINATE_RTOL * abs(num):
         raise IndeterminatePhaseError(
             f"indeterminate phase at gamma={gamma:g}: denominator {den:.3e} "
@@ -311,6 +322,12 @@ def eckart_reference_delta0(E, b, c):
     b, c = _finite("b", b), _finite("c", c)
     num = math.sqrt(2.0 * E) * (b - c)
     den = 2.0 * E + b * c
+    if not (math.isfinite(num) and math.isfinite(den)):
+        # the ratio is homogeneous of degree 0 in (sqrt(2E), b, c): scale
+        # all three by the power of two that brings the largest near 1
+        e = math.frexp(max(math.sqrt(E), abs(b), abs(c)))[1]
+        k, b, c = math.sqrt(2.0 * math.ldexp(E, -2 * e)), math.ldexp(b, -e), math.ldexp(c, -e)
+        num, den = k * (b - c), k * k + b * c
     if den == 0.0:
         return math.copysign(90.0, num)
     return math.degrees(math.atan(num / den))

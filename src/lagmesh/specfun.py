@@ -115,6 +115,19 @@ def _integer(name, value, nonnegative=False):
     return int(value)
 
 
+def _coerce(enum_cls, value):
+    """``value`` as a member of ``enum_cls``, looked up by name when it is a
+    string, or a ValueError naming the enum when it is no member."""
+    if isinstance(value, str):
+        try:
+            return enum_cls[value]
+        except KeyError:
+            raise ValueError(f"unknown {enum_cls.__name__}: {value!r}") from None
+    if not isinstance(value, enum_cls):
+        raise ValueError(f"unknown {enum_cls.__name__}: {value!r}")
+    return value
+
+
 def _weighted_laguerre_pair(n, alpha, x, *, christoffel=False):
     """Return ``(B_{n-1}, B_n, C_n)`` with ``B_k(x) = L_k^{(alpha)}(x) exp(-x/2)``.
 

@@ -114,7 +114,7 @@ class TestMeshSpec:
             MeshSpec(5, -0.5, "RegSqrt", 1.0)
         with pytest.raises(ValueError):
             MeshSpec(5, 1.0, "RegSqrt", 0.0)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown Family: 'Reg'"):
             MeshSpec(5, 1.0, "Reg", 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

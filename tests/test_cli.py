@@ -245,6 +245,39 @@ class TestEigenvalueOnlySolve:
                         variant="reg-sqrt", N=15, h=0.1, gamma=4.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _table2_rows():
+    return tuple(cli.benchmarks.run_table(2))
+
+
+class TestReferenceRule:
+    """Tables 1, 2 and 5 are checked from their quoted values alone."""
+
+    def _failed(self, rows=None):
+        checks = cli.benchmarks.check_table(2, list(rows or _table2_rows()))
+        assert len(checks) == 15
+        return [c.description for c in checks if not c.passed]
+
+    def test_one_quoted_value_moves_one_check(self, monkeypatch):
+        monkeypatch.setitem(cli.benchmarks.TABLE2_REFERENCE, 0,
+                            (2.4e-9, 2.4e-9, -7.7e-9, 6.9e-2, 6.9e-2))
+        assert self._failed() == ["table 2 l=0 reg r: eps_rel = -7.7[-9] to two figures"]
+
+    def test_value_above_its_floor_takes_two_figures(self, monkeypatch):
+        monkeypatch.setitem(cli.benchmarks.TABLE2_REFERENCE, 1,
+                            (1.7e-12, 1.6e-20, 2.5e-19, -1.0e-3, 1.8e-20))
+        assert self._failed() == ["table 2 l=1 var: eps_rel = 1.7[-12] to two figures"]
+
+    @pytest.mark.parametrize("eps,passed", [(6.9e-2 + 4.9e-4, True), (6.9e-2 - 4.9e-4, True),
+                                            (6.9e-2 + 5.1e-4, False), (-6.9e-2, False)])
+    def test_two_figures_is_half_a_unit_of_the_second(self, eps, passed):
+        rows = [dict(row) for row in _table2_rows()]
+        rows[0]["non reg"] = eps
+        failed = self._failed(rows)
+        assert failed == ([] if passed else
+                          ["table 2 l=0 non reg: eps_rel = 6.9[-2] to two figures"])
+
+
 class TestReports:
     def test_json_schema_and_provenance(self):
         report = run(_config())
@@ -447,10 +480,11 @@ class TestMain:
         assert f"{field} must be finite" in captured.err
 
     def test_reproduce_check_passes(self, capsys):
-        code = main(["reproduce", "--table", "5", "--check"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "4/4 reference comparisons passed" in captured.err
+        for table, count in ((1, 15), (2, 15), (3, 11), (4, 20), (5, 4)):
+            code = main(["reproduce", "--table", str(table), "--check"])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert f"{count}/{count} reference comparisons passed" in captured.err
 
     def test_reproduce_check_mismatch_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(

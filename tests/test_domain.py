@@ -1,6 +1,7 @@
 """Every numeric parameter of every public entry point rejects NaN, +-inf
 and out-of-domain values with a ValueError that names it (exit 1 from the
-CLI, naming the flag), and no RuntimeWarning fires on the way."""
+CLI, naming the flag), and no RuntimeWarning fires on the way.  Valid but
+extreme values give a number that is not NaN or the typed error."""
 
 import contextlib
 import dataclasses
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from lagmesh import (
     Family,
     HamiltonianVariant,
+    IndeterminatePhaseError,
     MeshSpec,
     PotentialSpec,
     Variant2D,
@@ -38,6 +40,7 @@ from lagmesh import (
     solve_bound_states,
     tan_delta,
 )
+from lagmesh.potentials import evaluate as evaluate_potential
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FRACTIONAL = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
@@ -63,8 +66,8 @@ HARMONIC = builtin("harmonic")
 
 
 @functools.lru_cache(maxsize=None)
-def _state():
-    H, S = hamiltonian_3d(MESH, 0, ECKART, HamiltonianVariant.RegSqrtMesh)
+def _state(l=0):
+    H, S = hamiltonian_3d(MESH, l, ECKART, HamiltonianVariant.RegSqrtMesh)
     return pseudostates(solve_bound_states(H, S))[0]
 
 
@@ -92,6 +95,8 @@ CASES = {
                        NONFINITE | NEGATIVE, r"\balpha\b"),
     "MeshSpec.h": (lambda v: MeshSpec(5, 1.0, Family.RegSqrt, v),
                    NONFINITE | at_most(0.0), r"\bh\b"),
+    "MeshSpec.family": (lambda v: MeshSpec(5, 1.0, v, 0.5),
+                        st.sampled_from(["Bad", "regsqrt", "", 3, None]), r"\bFamily\b"),
     "generate_rule.N": (lambda v: generate_rule(v, 0.0),
                         NONFINITE | FRACTIONAL | st.integers(max_value=0), r"\bN\b"),
     "generate_rule.alpha": (lambda v: generate_rule(5, v),
@@ -198,6 +203,53 @@ def test_entry_point_names_the_bad_parameter(case, data):
     value = data.draw(values, label="value")
     with pytest.raises(ValueError, match=name):
         call(value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [5e-324, 1e-320, 1e300, 1.7e308])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_phase_at_extreme_rates_is_finite_or_indeterminate(l, gamma):
+    try:
+        res = tan_delta(_state(l), l, ECKART, 0.0, gamma, MESH)
+    except IndeterminatePhaseError:
+        return
+    assert math.isfinite(res.tan_delta) and math.isfinite(res.delta_deg)
+
+
+_Q_ALPHA = 4.0 * 1.44 / 20.736  # the screened-Coulomb charge of buck_alpha_alpha
+
+# (potential, r, its value): an undamped power that overflows is +-inf, a
+# term whose damping underflows is 0
+EXTREME_RADII = [
+    (HARMONIC, 5e-324, 0.0), (HARMONIC, 1e300, math.inf), (HARMONIC, 1e308, math.inf),
+    (builtin("coulomb"), 5e-324, -math.inf), (builtin("coulomb"), 1e300, -1e-300),
+    (builtin("coulomb"), 1e308, -1e-308),
+    (ECKART, 5e-324, -3.0), (ECKART, 1e300, 0.0), (ECKART, 1e308, 0.0),
+    (builtin("buck_alpha_alpha"), 1e300, _Q_ALPHA / 1e300),
+    (builtin("buck_alpha_alpha"), 1e308, _Q_ALPHA / 1e308),
+    (PotentialSpec("x", ((1.0, 2.0, 1.0, 0.0),)), 5e-324, 0.0),
+    (PotentialSpec("x", ((1.0, 2.0, 1.0, 0.0),)), 1e300, 0.0),
+    (PotentialSpec("x", ((1.0, 2.0, 1.0, 0.0),)), 1e308, 0.0),
+    # r**2 overflows but the damped term does not: 1e400 exp(-1000)
+    (PotentialSpec("x", ((1.0, 2.0, 0.0, 1e-197),)), 1e200, math.exp(2 * math.log(1e200) - 1000)),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("V,r,value", EXTREME_RADII, ids=lambda v: getattr(v, "label", repr(v)))
+def test_potential_at_extreme_radii(V, r, value):
+    assert evaluate_potential(V, r) == pytest.approx(value, rel=1e-14)
+
+
+# tan(delta) = k (b - c)/(k^2 + b c) with k = sqrt(2E): (b - c)/k when E
+# dominates and k (b - c)/(b c) when b and c do
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("E,b,c,delta", [
+    (1e308, 2.0, -1.0, math.degrees(3.0 / (math.sqrt(2.0) * 1e154))),
+    (1.0, 1e308, -1e308, math.degrees(-2.0 * math.sqrt(2.0) / 1e308)),
+])
+def test_eckart_phase_at_extreme_inputs(E, b, c, delta):
+    assert eckart_reference_delta0(E, b, c) == pytest.approx(delta, rel=1e-14, abs=1e-300)
 
 
 BOUND = "bound --potential harmonic --N 20 --h 0.09"
