@@ -17,13 +17,16 @@ Five tables are available by id:
 ``check_table`` compares the rows against the bundled reference values and
 returns one ``CheckResult`` per comparison.
 
-Tables 1, 2 and 5 are held to their quoted errors by one rule, cell by
-cell.  The reference runs were made in quadruple precision, so each row
-has a double-precision floor: 1e-10 in table 1, 1e-13 in table 2, and
-1e-10 (harmonic) or 1e-12 (Coulomb) in table 5.  A quoted error at or
-below its floor is checked as ``|eps_rel| <= floor``.  Any other quoted
-error must be reproduced to both of its figures, sign included:
-``|eps_rel - quoted|`` is at most half a unit of the second figure.
+Every table is held to its quoted numbers by one rule, cell by cell.  A
+quoted number is kept as the string the paper prints, so its last printed
+digit sets the unit of the check.  The error tables were computed in
+quadruple precision, so each of their rows has a double-precision floor:
+1e-10 in table 1, 1e-13 in table 2, and 1e-10 (harmonic) or 1e-12
+(Coulomb) in table 5.  A quoted error at or below its floor is checked as
+``|eps_rel| <= floor``.  Any other quoted number q is checked as
+``|value - q| <= f * unit(q)``, with unit(q) one unit in the last printed
+place of q, f = 1/2 in tables 1, 2, 3 and 5 and f = 1 in table 4.  Table 4
+also checks that each d-wave plateau gamma lies inside its grid.
 """
 
 import dataclasses
@@ -58,65 +61,67 @@ _VARIANTS_2D = (("var", Variant2D.Var2D), ("reg sqrt(rho)", Variant2D.RegSqrtMes
 _MESHES_SCAT = VARIANTS_3D[1:3]  # the two regularized meshes
 
 TABLE3_GAMMA = 4.0
+_TABLE3_STATES = (1, 5, 10)  # the pseudostates of table 3, counted from 1
 TABLE4_GAMMA_GRID = np.geomspace(0.3, 1.3, 16)
 
-# Reference values (quadruple-precision runs; relative errors).
+# Reference values (quadruple-precision runs), each the string the paper
+# prints: its last digit sets the check's unit.  Tables 1, 2 and 5 hold
+# relative errors.
 TABLE1_REFERENCE = {
-    0: (1.9e-14, 6.8e-15, 9.4e-14, 1.4e-14, 1.4e-14),
-    1: (4.4e-13, 4.6e-13, -9.7e-14, -2.8e-7, 4.4e-13),
-    2: (2.7e-12, -1.9e-13, -9.1e-12, 2.5e-12, 2.5e-12),
+    0: ("1.9e-14", "6.8e-15", "9.4e-14", "1.4e-14", "1.4e-14"),
+    1: ("4.4e-13", "4.6e-13", "-9.7e-14", "-2.8e-7", "4.4e-13"),
+    2: ("2.7e-12", "-1.9e-13", "-9.1e-12", "2.5e-12", "2.5e-12"),
 }
 TABLE2_REFERENCE = {
-    0: (2.4e-9, 2.4e-9, -7.6e-9, 6.9e-2, 6.9e-2),
-    1: (1.7e-20, 1.6e-20, 2.5e-19, -1.0e-3, 1.8e-20),
-    2: (8.6e-7, 7.8e-7, 2.3e-6, 8.3e-7, 8.6e-7),
+    0: ("2.4e-9", "2.4e-9", "-7.6e-9", "6.9e-2", "6.9e-2"),
+    1: ("1.7e-20", "1.6e-20", "2.5e-19", "-1.0e-3", "1.8e-20"),
+    2: ("8.6e-7", "7.8e-7", "2.3e-6", "8.3e-7", "8.6e-7"),
 }
-# energies, phase shifts (degrees), analytic phase shifts; the energy
-# tolerances are one unit of the quoted last place
+# energies, phase shifts (degrees) and analytic phase shifts at the
+# pseudostates of _TABLE3_STATES
 TABLE3_REFERENCE = {
     "reg sqrt(r)": {
-        "E": (0.1982139, 4.95146, 41.7),
-        "E_tol": (1e-7, 1e-5, 0.1),
-        "delta": (-49.67024, 50.0666, 18.7),
-        "analytic": (-49.67021, 50.0668, 18.6),
+        "energy": ("0.1982139", "4.95146", "41.7"),
+        "delta": ("-49.67024", "50.0666", "18.7"),
+        "analytic": ("-49.67021", "50.0668", "18.6"),
     },
     "reg r": {
-        "E": (0.2145073, 5.38561, 49.6),
-        "E_tol": (1e-7, 1e-5, 0.1),
-        "delta": (-51.35794, 48.3033, 17.4),
-        "analytic": (-51.35790, 48.3036, 17.1),
+        "energy": ("0.2145073", "5.38561", "49.6"),
+        "delta": ("-51.35794", "48.3033", "17.4"),
+        "analytic": ("-51.35790", "48.3036", "17.1"),
     },
 }
-# The s-wave first-pseudostate energies are quoted as 0.0105/0.0107 MeV,
-# a dropped zero: the computed values 0.10502/0.10729 MeV carry the same
-# digits, every sibling entry matches all of its quoted digits, and a
-# 12-fm mesh cannot hold a 0.01-MeV state (its wavelength is ~200 fm) while
-# trapping just above the 92-keV resonance forces ~0.105 MeV.  The
-# corrected values are used here.
+# energies (MeV), phase shifts and exact phase shifts (degrees) at the two
+# lowest pseudostates.  The s-wave first-pseudostate energies are quoted as
+# 0.0105/0.0107 MeV, a dropped zero: the computed values 0.10502/0.10729 MeV
+# carry the same digits, every sibling entry matches all of its quoted
+# digits, and a 12-fm mesh cannot hold a 0.01-MeV state (its wavelength is
+# ~200 fm) while trapping just above the 92-keV resonance forces ~0.105 MeV.
+# The corrected values are used here.
 TABLE4_REFERENCE = {
     (0, "reg sqrt(r)"): {
-        "E": (0.105, 1.8474), "E_tol": (1e-3, 1e-4),
-        "delta": (179.97, 116.67), "exact": (179.96, 116.63),
+        "energy_MeV": ("0.105", "1.8474"),
+        "delta": ("179.97", "116.67"), "exact": ("179.96", "116.63"),
     },
     (0, "reg r"): {
-        "E": (0.107, 1.9797), "E_tol": (1e-3, 1e-4),
-        "delta": (179.96, 112.64), "exact": (179.96, 112.65),
+        "energy_MeV": ("0.107", "1.9797"),
+        "delta": ("179.96", "112.64"), "exact": ("179.96", "112.65"),
     },
     (2, "reg sqrt(r)"): {
-        "E": (2.10795, 3.4183), "E_tol": (1e-5, 1e-4),
-        "delta": (12.471, 94.460), "exact": (12.470, 94.464),
+        "energy_MeV": ("2.10795", "3.4183"),
+        "delta": ("12.471", "94.460"), "exact": ("12.470", "94.464"),
     },
     (2, "reg r"): {
-        "E": (2.19462, 3.5442), "E_tol": (1e-5, 1e-4),
-        "delta": (15.123, 99.596), "exact": (15.120, 99.600),
+        "energy_MeV": ("2.19462", "3.5442"),
+        "delta": ("15.123", "99.596"), "exact": ("15.120", "99.600"),
     },
 }
 TABLE5_REFERENCE = {
-    "harmonic": (3.0e-13, 2.1e-13),
-    "coulomb": (1.2e-16, 1.0e-16),
+    "harmonic": ("3.0e-13", "2.1e-13"),
+    "coulomb": ("1.2e-16", "1.0e-16"),
 }
-# the rule's tables (module docstring): row field, quoted errors,
-# double-precision floor per row, columns
+# the error tables: row field, quoted errors, double-precision floor per
+# row, columns
 _ERROR_TABLES = {
     1: ("l", TABLE1_REFERENCE, dict.fromkeys(TABLE1_REFERENCE, 1e-10), VARIANTS_3D),
     2: ("l", TABLE2_REFERENCE, dict.fromkeys(TABLE2_REFERENCE, 1e-13), VARIANTS_3D),
@@ -179,12 +184,12 @@ def _run_table3():
     V, meshes = _scattering_states("eckart", 15, 0.1, 0)
     rows = []
     for label, (mesh, ps) in meshes.items():
-        for pos in (0, 4, 9):
-            state = ps[pos]
+        for n in _TABLE3_STATES:
+            state = ps[n - 1]
             res = tan_delta(state, 0, V, 0.0, TABLE3_GAMMA, mesh)
             rows.append({
                 "mesh": label,
-                "state": pos + 1,
+                "state": n,
                 "energy": state.energy,
                 "delta": res.delta_deg,
                 "analytic": eckart_reference_delta0(state.energy, 2.0, -1.0),
@@ -223,7 +228,7 @@ def _run_table4():
                     "delta": rec.delta_deg,
                     "sensitivity": rec.sensitivity,
                     "no_plateau": rec.no_plateau,
-                    "reference": exact[k],
+                    "reference": float(exact[k]),
                 })
     return rows
 
@@ -233,86 +238,59 @@ def _run_table5():
             for name, N, h in (("harmonic", 20, 0.09), ("coulomb", 10, 0.9))]
 
 
-def _check_errors(table, rows):
-    """The rule of the module docstring over the rows of table 1, 2 or 5."""
-    field, reference, floors, schemes = _ERROR_TABLES[table]
-    checks = []
-    for row in rows:
+def _quoted_cells(table, row):
+    """Tag, floor (None in tables 3 and 4) and quoted cells
+    ``(description prefix, name, value, string)`` of one row."""
+    if table == 3:
+        tag = f"table 3 {row['mesh']} E{row['state']}"
+        ref, k = TABLE3_REFERENCE[row["mesh"]], _TABLE3_STATES.index(row["state"])
+    elif table == 4:
+        tag = f"table 4 l={row['l']} {row['mesh']} E{row['state']}"
+        ref, k = TABLE4_REFERENCE[row["l"], row["mesh"]], row["state"] - 1
+    else:
+        field, reference, floors, schemes = _ERROR_TABLES[table]
         key = row[field]
         tag = f"table {table} l={key}" if field == "l" else f"table {table} {key}"
-        floor = floors[key]
-        for (label, _), ref in zip(schemes, reference[key]):
-            eps = row[label]
-            if abs(ref) <= floor:
-                checks.append(CheckResult(
-                    f"{tag} {label}: |eps_rel| <= {floor:g}", abs(eps) <= floor, eps))
-            else:
-                half_unit = 0.5 * 10.0 ** (math.floor(math.log10(abs(ref))) - 1)
-                checks.append(CheckResult(
-                    f"{tag} {label}: eps_rel = {eps_notation(ref)} to two figures",
-                    abs(eps - ref) <= half_unit, eps))
-    return checks
+        return tag, floors[key], [(f"{tag} {label}", "eps_rel", row[label], quoted)
+                                  for (label, _), quoted in zip(schemes, reference[key])]
+    # the exact phases of table 4 are the paper's, not computed here
+    return tag, None, [(tag, col, row[col], ref[col][k]) for col in ref if col != "exact"]
 
 
-def _check_table3(rows):
+def _check_quoted(table, rows):
+    """The rule of the module docstring over the rows of any table; table 4
+    also checks that each d-wave plateau lies inside its gamma grid."""
+    f, within = (1.0, "one unit") if table == 4 else (0.5, "half a unit")
     checks = []
     for row in rows:
-        ref = TABLE3_REFERENCE[row["mesh"]]
-        pos = {1: 0, 5: 1, 10: 2}[row["state"]]
-        tag = f"table 3 {row['mesh']} E{row['state']}"
-        if pos < 2:
-            checks.append(CheckResult(
-                f"{tag}: energy matches quoted digits",
-                abs(row["energy"] - ref["E"][pos]) <= ref["E_tol"][pos],
-                row["energy"]))
-            checks.append(CheckResult(
-                f"{tag}: |delta - analytic| <= 1e-3 deg",
-                abs(row["delta"] - row["analytic"]) <= 1e-3, row["delta"]))
-        else:
-            # At the tenth pseudostate the r-regularized mesh sits ~0.28 deg
-            # from the analytic curve for every gamma (the quoted 17.4 vs
-            # 17.1 shows the same 0.3), so the analytic bound is applied to
-            # the sqrt(r) mesh and both meshes are held to their quoted
-            # values instead.
-            if row["mesh"] == "reg sqrt(r)":
+        tag, floor, cells = _quoted_cells(table, row)
+        for prefix, name, value, quoted in cells:
+            q = float(quoted)
+            if floor is not None and abs(q) <= floor:
                 checks.append(CheckResult(
-                    f"{tag}: |delta - analytic| <= 0.2 deg",
-                    abs(row["delta"] - row["analytic"]) <= 0.2, row["delta"]))
+                    f"{prefix}: |{name}| <= {floor:g}", abs(value) <= floor, value))
+                continue
+            # one unit in the last printed place: "94.460" -> 1e-3, "1.0e-3" -> 1e-4
+            mantissa, _, exponent = quoted.partition("e")
+            unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+            shown = eps_notation(q) if name == "eps_rel" else quoted
             checks.append(CheckResult(
-                f"{tag}: |delta - quoted| <= 0.2 deg",
-                abs(row["delta"] - ref["delta"][pos]) <= 0.2, row["delta"]))
-    return checks
-
-
-def _check_table4(rows):
-    checks = []
-    for row in rows:
-        l, mesh, k = row["l"], row["mesh"], row["state"] - 1
-        ref = TABLE4_REFERENCE[l, mesh]
-        tag = f"table 4 l={l} {mesh} E{k + 1}"
-        checks.append(CheckResult(
-            f"{tag}: energy within 1 ulp of quoted {ref['E'][k]} MeV",
-            abs(row["energy_MeV"] - ref["E"][k]) <= ref["E_tol"][k],
-            row["energy_MeV"]))
-        tol = 0.02 if l == 2 else 0.05
-        checks.append(CheckResult(
-            f"{tag}: |delta - quoted| <= {tol} deg",
-            abs(row["delta"] - ref["delta"][k]) <= tol, row["delta"]))
-        if l == 2:
+                f"{prefix}: {name} = {shown} to {within} in the last place",
+                abs(value - q) <= f * unit, value))
+        if table == 4 and row["l"] == 2:
             checks.append(CheckResult(
                 f"{tag}: plateau gamma inside [0.3, 1.3]",
-                0.3 < row["gamma"] < 1.3 and not row["no_plateau"],
-                row["gamma"]))
+                0.3 < row["gamma"] < 1.3 and not row["no_plateau"], row["gamma"]))
     return checks
 
 
-# table id -> (run, check)
+# table id -> run
 _TABLES = {
-    1: (lambda: _bound_rows("harmonic", 20, 0.09), lambda rows: _check_errors(1, rows)),
-    2: (lambda: _bound_rows("coulomb", 10, 0.9), lambda rows: _check_errors(2, rows)),
-    3: (_run_table3, _check_table3),
-    4: (_run_table4, _check_table4),
-    5: (_run_table5, lambda rows: _check_errors(5, rows)),
+    1: lambda: _bound_rows("harmonic", 20, 0.09),
+    2: lambda: _bound_rows("coulomb", 10, 0.9),
+    3: _run_table3,
+    4: _run_table4,
+    5: _run_table5,
 }
 TABLE_IDS = tuple(_TABLES)
 
@@ -330,7 +308,7 @@ def run_table(table):
     rows of tables 3 and 4 hold one pseudostate each with its energy and
     phase shift.
     """
-    return _table(table)[0]()
+    return _table(table)()
 
 
 def check_table(table, rows=None):
@@ -338,5 +316,5 @@ def check_table(table, rows=None):
 
     Returns a list of CheckResult; recomputes the rows when not supplied.
     """
-    run, check = _table(table)
-    return check(run() if rows is None else rows)
+    run = _table(table)
+    return _check_quoted(table, run() if rows is None else rows)

@@ -160,14 +160,12 @@ def _gauss_error(mesh, op):
     r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
     ri, rj = r[:, None], r[None, :]
     b = 2.0 * N + alpha + 1.0
-    # f_i (op f_j) goes like x^(alpha-1) at the origin on RegSqrt for 1/r^2
-    # and -d^2/dr^2; on NonReg like x^(alpha-2), x^(alpha-1) for 1/r and for
-    # the 2D operator at alpha = 1, and at alpha = 0 every singular
-    # coefficient of the kinetic operator vanishes
-    if (mesh.family is Family.RegSqrt and alpha == 0.0 and op in ("1/r^2", "kinetic")
-            or mesh.family is Family.NonReg and (
-                op == "1/r^2" and alpha <= 1.0 or op == "1/r" and alpha == 0.0
-                or op == "kinetic" and 0.0 < alpha <= 1.0 or op == "kinetic2d" and alpha < 1.0)):
+    # f_i (op f_j) goes like x^(2p - s) at the origin, times the operator's
+    # singular coefficient; the integral diverges where that power is <= -1
+    p = _family_power(mesh.family, alpha)
+    coefficient, s = {"1/r": (1.0, 1.0), "1/r^2": (1.0, 2.0), "kinetic": (p * (p - 1.0), 2.0),
+                      "kinetic2d": ((p - 0.5) ** 2, 2.0)}.get(op, (0.0, 0.0))
+    if coefficient != 0.0 and 2.0 * p - s <= -1.0:
         raise ValueError(f"divergent integral: {op} on family {mesh.family.name} "
                          f"with alpha={alpha}")
     if mesh.family is Family.RegSqrt:

@@ -25,6 +25,8 @@ __all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json", "
 _ALPHA_ALPHA_UNIT = 20.736
 
 _erf = np.vectorize(math.erf, otypes=[float])
+_TINY = np.finfo(float).tiny
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def _finite(field, value):
@@ -117,7 +119,12 @@ def evaluate(spec, r):
         total += term
     if spec.coulomb_erf is not None:
         q, mu = spec.coulomb_erf
-        total += q * _erf(mu * rr) / rr
+        x = mu * rr
+        num = q * _erf(x)
+        # where q erf(x) leaves the normal range x is tiny and erf(x)/x is
+        # its limit 2/sqrt(pi)
+        low = (np.abs(num) < _TINY) & (x < 1e-8)
+        total += np.where(low, q * mu * _TWO_OVER_SQRT_PI, num / rr)
     if spec.eckart is not None:
         b, c = spec.eckart
         beta = (b - c) / (b + c)

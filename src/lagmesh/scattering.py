@@ -156,11 +156,12 @@ def _ratios(table, l, k, grid):
     #         {g [1-(l+1)e^-gr] - 2 (1-e^-gr) d/dr} G(eta, kr) dr
     bracket = g * (1.0 - (l + 1) * damp) * G - 2.0 * reg * k * Gp
     plain = G * reg ** (l + 1)
-    comp = damp * reg ** (l - 1) * bracket
-    dens = [
-        float(wWu @ plain[i]) + 0.5 * (l + 1) * g[i, 0] * float(wu @ comp[i])
-        for i in range(g.shape[0])
-    ]
+    # the term is 0 where e^-gr underflows, whatever g times G does there
+    comp = np.where(damp == 0.0, 0.0, damp * reg ** (l - 1) * bracket)
+    dens = []
+    for i in range(g.shape[0]):
+        c = float(wu @ comp[i])
+        dens.append(float(wWu @ plain[i]) + (0.5 * (l + 1) * g[i, 0] * c if c else 0.0))
     return num, dens
 
 

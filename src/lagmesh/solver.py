@@ -11,10 +11,8 @@ what the caller reads:
   tables 1, 2 and 5.
 - ``solve_bound_states`` also returns the coefficient vectors, for
   pseudostates, phase shifts and wave functions: the CLI ``scatter`` and
-  ``gamma-scan`` modes and tables 3 and 4.  Its results are deterministic:
-  eigenvalues ascend, ties are broken by the index of the first nonzero
-  coefficient, and each coefficient vector's sign is fixed by its largest
-  component.
+  ``gamma-scan`` modes and tables 3 and 4.  Its eigenvalues ascend, and
+  each coefficient vector's sign is fixed by its largest component.
 
 Both validate their input the same way.  The two LAPACK drivers round
 differently, so their eigenvalues agree to a few ulps of the largest |E|,
@@ -113,26 +111,7 @@ def solve_bound_states(H, S):
     pick = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[pick, np.arange(n)])
     signs[signs == 0.0] = 1.0
-    vectors = vectors * signs
-    # ties ordered by first nonzero coefficient
-    order = _tie_order(energies, vectors)
-    return BoundSpectrum(energies[order], vectors[:, order])
-
-
-def _tie_order(energies, vectors):
-    n = len(energies)
-    order = list(range(n))
-    tol = 1e-14 * max(1.0, np.abs(energies).max())
-    first_nonzero = np.argmax(np.abs(vectors) > 1e-12 * np.abs(vectors).max(axis=0), axis=0)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(energies[order[j]] - energies[order[i]]) <= tol:
-            j += 1
-        if j - i > 1:
-            order[i:j] = sorted(order[i:j], key=lambda k: first_nonzero[k])
-        i = j
-    return np.array(order)
+    return BoundSpectrum(energies, vectors * signs)
 
 
 def pseudostates(spectrum):

@@ -214,7 +214,7 @@ def test_criterion_9_singularity_classifier():
     # V_G column isolates the potential operator, the plain column with
     # a clean V_G entry the centrifugal one
     def lossy(row, col):
-        return abs(row[col]) > 100.0 * max(abs(row[0]), 1e-14)
+        return abs(float(row[col])) > 100.0 * max(abs(float(row[0])), 1e-14)
 
     for table, s_pot in ((TABLE1_REFERENCE, 0), (TABLE2_REFERENCE, 1)):
         for l in (0, 1, 2):

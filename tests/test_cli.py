@@ -246,36 +246,56 @@ class TestEigenvalueOnlySolve:
 
 
 @functools.lru_cache(maxsize=None)
-def _table2_rows():
-    return tuple(cli.benchmarks.run_table(2))
+def _table_rows(table):
+    return tuple(cli.benchmarks.run_table(table))
 
 
 class TestReferenceRule:
-    """Tables 1, 2 and 5 are checked from their quoted values alone."""
+    """Every table is checked from its quoted strings alone."""
 
-    def _failed(self, rows=None):
-        checks = cli.benchmarks.check_table(2, list(rows or _table2_rows()))
-        assert len(checks) == 15
+    def _failed(self, table=2, rows=None):
+        checks = cli.benchmarks.check_table(table, list(rows or _table_rows(table)))
+        assert len(checks) == {2: 15, 4: 20}[table]
         return [c.description for c in checks if not c.passed]
 
     def test_one_quoted_value_moves_one_check(self, monkeypatch):
         monkeypatch.setitem(cli.benchmarks.TABLE2_REFERENCE, 0,
-                            (2.4e-9, 2.4e-9, -7.7e-9, 6.9e-2, 6.9e-2))
-        assert self._failed() == ["table 2 l=0 reg r: eps_rel = -7.7[-9] to two figures"]
+                            ("2.4e-9", "2.4e-9", "-7.7e-9", "6.9e-2", "6.9e-2"))
+        assert self._failed() == [
+            "table 2 l=0 reg r: eps_rel = -7.7[-9] to half a unit in the last place"]
 
     def test_value_above_its_floor_takes_two_figures(self, monkeypatch):
         monkeypatch.setitem(cli.benchmarks.TABLE2_REFERENCE, 1,
-                            (1.7e-12, 1.6e-20, 2.5e-19, -1.0e-3, 1.8e-20))
-        assert self._failed() == ["table 2 l=1 var: eps_rel = 1.7[-12] to two figures"]
+                            ("1.7e-12", "1.6e-20", "2.5e-19", "-1.0e-3", "1.8e-20"))
+        assert self._failed() == [
+            "table 2 l=1 var: eps_rel = 1.7[-12] to half a unit in the last place"]
 
     @pytest.mark.parametrize("eps,passed", [(6.9e-2 + 4.9e-4, True), (6.9e-2 - 4.9e-4, True),
                                             (6.9e-2 + 5.1e-4, False), (-6.9e-2, False)])
     def test_two_figures_is_half_a_unit_of_the_second(self, eps, passed):
-        rows = [dict(row) for row in _table2_rows()]
+        rows = [dict(row) for row in _table_rows(2)]
         rows[0]["non reg"] = eps
-        failed = self._failed(rows)
-        assert failed == ([] if passed else
-                          ["table 2 l=0 non reg: eps_rel = 6.9[-2] to two figures"])
+        assert self._failed(rows=rows) == ([] if passed else [
+            "table 2 l=0 non reg: eps_rel = 6.9[-2] to half a unit in the last place"])
+
+    def test_phase_past_its_bound_fails_its_own_check(self, monkeypatch):
+        # the computed delta is 15.12216: "15.125" is 2.8 units off
+        ref = cli.benchmarks.TABLE4_REFERENCE[2, "reg r"]
+        monkeypatch.setitem(cli.benchmarks.TABLE4_REFERENCE, (2, "reg r"),
+                            {**ref, "delta": ("15.125", ref["delta"][1])})
+        assert self._failed(4) == [
+            "table 4 l=2 reg r E1: delta = 15.125 to one unit in the last place"]
+
+    @pytest.mark.parametrize("delta,passed", [(94.4591, True), (94.4609, True),
+                                              (94.4585, False), (94.4615, False)])
+    def test_trailing_zero_holds_the_thousandths(self, delta, passed):
+        # "94.460" reads as 94.46 to a float: one unit of its hundredths
+        # would pass all four values
+        rows = [dict(row) for row in _table_rows(4)]
+        assert (rows[5]["l"], rows[5]["mesh"], rows[5]["state"]) == (2, "reg sqrt(r)", 2)
+        rows[5]["delta"] = delta
+        assert self._failed(4, rows) == ([] if passed else [
+            "table 4 l=2 reg sqrt(r) E2: delta = 94.460 to one unit in the last place"])
 
 
 class TestReports:
@@ -480,7 +500,7 @@ class TestMain:
         assert f"{field} must be finite" in captured.err
 
     def test_reproduce_check_passes(self, capsys):
-        for table, count in ((1, 15), (2, 15), (3, 11), (4, 20), (5, 4)):
+        for table, count in ((1, 15), (2, 15), (3, 18), (4, 20), (5, 4)):
             code = main(["reproduce", "--table", str(table), "--check"])
             captured = capsys.readouterr()
             assert code == 0

@@ -212,11 +212,17 @@ def test_phase_at_extreme_rates_is_finite_or_indeterminate(l, gamma):
     try:
         res = tan_delta(_state(l), l, ECKART, 0.0, gamma, MESH)
     except IndeterminatePhaseError:
+        assert gamma < 1.0  # e^(-gamma r) underflows at the large rates: a limit
         return
     assert math.isfinite(res.tan_delta) and math.isfinite(res.delta_deg)
+    if gamma > 1.0:
+        limit = tan_delta(_state(l), l, ECKART, 0.0, 1e300, MESH)
+        assert (res.tan_delta, res.delta_deg) == (limit.tan_delta, limit.delta_deg)
 
 
 _Q_ALPHA = 4.0 * 1.44 / 20.736  # the screened-Coulomb charge of buck_alpha_alpha
+# its r -> 0 limit: the Gaussian term's strength plus q mu 2/sqrt(pi)
+_BUCK_AT_ZERO = -122.6225 / 20.736 + _Q_ALPHA * 0.75 * 2.0 / math.sqrt(math.pi)
 
 # (potential, r, its value): an undamped power that overflows is +-inf, a
 # term whose damping underflows is 0
@@ -225,6 +231,8 @@ EXTREME_RADII = [
     (builtin("coulomb"), 5e-324, -math.inf), (builtin("coulomb"), 1e300, -1e-300),
     (builtin("coulomb"), 1e308, -1e-308),
     (ECKART, 5e-324, -3.0), (ECKART, 1e300, 0.0), (ECKART, 1e308, 0.0),
+    (builtin("buck_alpha_alpha"), 5e-324, _BUCK_AT_ZERO),
+    (builtin("buck_alpha_alpha"), 1e-310, _BUCK_AT_ZERO),
     (builtin("buck_alpha_alpha"), 1e300, _Q_ALPHA / 1e300),
     (builtin("buck_alpha_alpha"), 1e308, _Q_ALPHA / 1e308),
     (PotentialSpec("x", ((1.0, 2.0, 1.0, 0.0),)), 5e-324, 0.0),
@@ -238,7 +246,7 @@ EXTREME_RADII = [
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("V,r,value", EXTREME_RADII, ids=lambda v: getattr(v, "label", repr(v)))
 def test_potential_at_extreme_radii(V, r, value):
-    assert evaluate_potential(V, r) == pytest.approx(value, rel=1e-14)
+    assert evaluate_potential(V, r) == pytest.approx(value, rel=1e-15)
 
 
 # tan(delta) = k (b - c)/(k^2 + b c) with k = sqrt(2E): (b - c)/k when E

@@ -114,7 +114,10 @@ class TestClosedFormsAgainstOracle:
 
     @pytest.mark.parametrize("family,alpha", [("NonReg", 0.0), ("NonReg", 1.0), ("NonReg", 2.0),
                                               ("RegR", 0.0), ("RegR", 2.0),
-                                              ("RegSqrt", 0.0), ("RegSqrt", 1.0), ("RegSqrt", 2.0)])
+                                              ("RegSqrt", 0.0), ("RegSqrt", 1.0), ("RegSqrt", 2.0),
+                                              ("NonReg", 0.5), ("NonReg", 1.5),
+                                              ("RegR", 0.5), ("RegR", 1.5),
+                                              ("RegSqrt", 0.5), ("RegSqrt", 1.5)])
     @pytest.mark.parametrize("N", [2, 5, 12, 30, 40])
     def test_gauss_plus_correction_forms(self, N, family, alpha):
         # the Gauss matrix plus its low-rank correction on every family, every

@@ -45,12 +45,6 @@ class TestSolveBoundStates:
         eps = relative_error(spec.energies[0], -1.0 / 18.0)
         assert 2.3e-6 / 2 <= abs(eps) <= 2.3e-6 * 2
 
-    def test_degenerate_ties_ordered_by_first_coefficient(self):
-        H, S = _trivial_pair(np.eye(4))
-        spec = solve_bound_states(H, S)
-        assert np.allclose(spec.energies, 1.0)
-        assert np.allclose(spec.coefficients, np.eye(4), atol=1e-15)
-
     def test_asymmetric_hamiltonian_rejected(self):
         values = np.array([[1.0, 2.0], [0.0, 1.0]])
         H, S = _trivial_pair(values)
