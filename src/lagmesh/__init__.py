@@ -41,14 +41,13 @@ from .solver import (
     relative_error,
     solve_bound_states,
 )
-from .specfun import CoulombPair, coulomb_wave
+from .specfun import coulomb_wave
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundSpectrum",
     "Classification",
-    "CoulombPair",
     "Family",
     "HamiltonianVariant",
     "IndeterminatePhaseError",

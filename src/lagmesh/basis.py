@@ -200,21 +200,22 @@ def reconstruct_wavefunction(mesh, coeffs, r):
     mesh : MeshSpec
     coeffs : array_like
         Expansion coefficients, length ``N``.
-    r : float or array_like
-        Finite radii, ``r >= 0``; the result is finite at every one.
+    r : float or 1-D array_like
+        Finite radii, ``r >= 0``.  The result is a 1-D array, of length 1
+        for a scalar ``r``, and finite at every radius.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (mesh.N,):
         raise ValueError(f"coeffs must have length {mesh.N}")
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs must be finite")
-    rs = np.asarray(r, dtype=float)
-    scalar = rs.ndim == 0
-    flat = np.atleast_1d(rs).ravel()
-    if not np.all((flat >= 0.0) & np.isfinite(flat)):
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    if rs.ndim != 1:
+        raise ValueError(f"r must be a scalar or a 1-D array (got shape {rs.shape})")
+    if not np.all((rs >= 0.0) & np.isfinite(rs)):
         raise ValueError("r must be nonnegative and finite")
     with np.errstate(over="ignore"):  # every basis function is 0 past x = 2**1000
-        x = np.minimum(flat / mesh.h, 2.0**1000)
+        x = np.minimum(rs / mesh.h, 2.0**1000)
     N, alpha, nodes = mesh.N, mesh.alpha, mesh.nodes
     p = _family_power(mesh.family, alpha)
     i, j, s = _near_node(nodes, x)
@@ -228,7 +229,4 @@ def reconstruct_wavefunction(mesh, coeffs, r):
                  * _cardinal_series(N, alpha, nodes[j], s))
     # u is 0 where the sum is, as at large x, where B_N underflows and x**p overflows
     xp = np.power(x, p, out=np.zeros_like(x), where=total != 0)
-    values = xp * total / math.sqrt(mesh.h)
-    if scalar:
-        return float(values[0])
-    return values.reshape(rs.shape)
+    return xp * total / math.sqrt(mesh.h)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, benchmarks
 from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
-from .potentials import builtin, exact_level, from_json, to_json
+from .potentials import BUILTIN_NAMES, builtin, exact_level, from_json, to_json
 from .scattering import gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
@@ -49,7 +49,6 @@ __all__ = [
 _BUILD = f"lagmesh {__version__}"
 
 _MODES = ("bound", "scatter", "gamma-scan", "reproduce")
-_BUILTIN_NAMES = ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")
 
 # variant alias -> scheme, in 3D and in 2D; each scheme's mesh is in matelem.SCHEMES
 _VARIANTS = {
@@ -74,8 +73,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; one field-prefixed message each."""
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [errors]
         self.errors = tuple(errors)
         super().__init__("; ".join(self.errors))
 
@@ -379,7 +376,8 @@ def render_csv(report):
     if not report.rows:
         return ""
     # the bound-state benchmark tables are tables of relative errors
-    as_eps = report.mode == "reproduce" and report.config.get("table") in (1, 2, 5)
+    as_eps = (report.mode == "reproduce"
+              and report.config.get("table") in benchmarks._ERROR_TABLES)
     cols = list(report.rows[0].keys())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -431,10 +429,10 @@ def _parse_potential(value):
         except ValueError as e:
             raise ConfigError([f"potential: invalid spec ({e})"]) from None
     name, _, params = str(value).partition(":")
-    if name not in _BUILTIN_NAMES:
+    if name not in BUILTIN_NAMES:
         raise ConfigError([
             f"potential: unknown name {name!r}; builtins are "
-            + ", ".join(_BUILTIN_NAMES)
+            + ", ".join(BUILTIN_NAMES)
         ])
     kwargs = {}
     if params:

@@ -23,6 +23,8 @@ __all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json", "
 
 # hbar^2/M in MeV fm^2 for the alpha-alpha system
 _ALPHA_ALPHA_UNIT = 20.736
+# the names ``builtin`` takes
+BUILTIN_NAMES = ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")
 
 _erf = np.vectorize(math.erf, otypes=[float])
 _TINY = np.finfo(float).tiny
@@ -101,10 +103,9 @@ class PotentialSpec:
 # in logarithms, where it is 0 when the damping wins.
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate(spec, r):
-    """Potential value at radius ``r > 0`` (scalar or array)."""
-    rs = np.asarray(r, dtype=float)
-    scalar = rs.ndim == 0
-    rr = np.atleast_1d(rs)
+    """Potential values at radii ``r > 0``, elementwise: an array of the
+    shape of ``r``, of length 1 for a scalar."""
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0) or not np.all(np.isfinite(rr)):
         raise ValueError("r must be positive and finite")
     total = np.zeros_like(rr)
@@ -130,9 +131,7 @@ def evaluate(spec, r):
         beta = (b - c) / (b + c)
         damp = np.exp(-2.0 * b * rr)
         total += -4.0 * b**2 * beta * damp / (1.0 + beta * damp) ** 2
-    if scalar:
-        return float(total[0])
-    return total.reshape(rs.shape)
+    return total
 
 
 def exact_level(V, angular, n=0, dimension=3):

@@ -129,9 +129,9 @@ def _interior_table(state, l, V, Z, mesh):
     # u(h r_i) = c_i (h lam_i)^(-1/2): the Lagrange property makes the
     # reconstruction at the mesh points a rescaling of the coefficients.
     u = np.asarray(state.coefficients, dtype=float) / np.sqrt(w)
-    pair = coulomb_wave(l, Z / state.k, state.k * r)
+    F, _, G, Gp = coulomb_wave(l, Z / state.k, state.k * r)
     W = evaluate_potential(V, r) - Z / r
-    return r, w * W * u, w * u, pair.F, pair.G, pair.Gprime
+    return r, w * W * u, w * u, F, G, Gp
 
 
 # At an extreme rate g r over- or underflows and the terms below may come out

@@ -48,11 +48,15 @@ class BoundSpectrum:
 
 @dataclasses.dataclass(frozen=True)
 class Pseudostate:
-    """A positive-energy eigenstate with its wave number k = sqrt(2E)."""
+    """A positive-energy eigenstate: its energy E in scaled units and its
+    coefficient vector; the wave number ``k = sqrt(2E)`` is derived."""
 
     energy: float
-    k: float
     coefficients: np.ndarray
+
+    @property
+    def k(self):
+        return math.sqrt(2.0 * self.energy)
 
 
 def _checked_hamiltonian(H, S):
@@ -120,7 +124,7 @@ def pseudostates(spectrum):
     Returns a tuple of Pseudostate (possibly empty).
     """
     return tuple(
-        Pseudostate(float(E), math.sqrt(2.0 * E), spectrum.coefficients[:, j])
+        Pseudostate(float(E), spectrum.coefficients[:, j])
         for j, E in enumerate(spectrum.energies) if E > 0.0
     )
 

@@ -23,7 +23,6 @@ they are Riccati-Bessel functions, formed at every point by recurrence in
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import itertools
 import math
 
@@ -31,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "CoulombPair",
     "coulomb_wave",
 ]
 
@@ -84,24 +82,6 @@ _RESCALE_STEPS = 8
 
 class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to converge or lost all accuracy."""
-
-
-@dataclasses.dataclass(frozen=True)
-class CoulombPair:
-    """Regular and irregular Coulomb functions with first derivatives.
-
-    Attributes
-    ----------
-    F, Fprime : float or ndarray
-        Regular solution and its derivative with respect to ``x``.
-    G, Gprime : float or ndarray
-        Irregular solution and its derivative with respect to ``x``.
-    """
-
-    F: object
-    Fprime: object
-    G: object
-    Gprime: object
 
 
 def _integer(name, value, nonnegative=False):
@@ -483,9 +463,8 @@ def coulomb_wave(l, eta, x):
     ``max(turning point, 5)`` take Steed's continued fractions, and those
     left below it are reached by Taylor sweeps: ``G`` inward from the gate,
     ``F`` outward from ``F'/F`` and the Wronskian at the lowest point.  The
-    phase ``sigma_l`` of
-    the expansion is formed once per call.  Every result is held to the
-    Wronskian ``F'G - FG' = 1``.
+    phase ``sigma_l`` of the expansion is formed once per call.  Every
+    result is held to the Wronskian ``F'G - FG' = 1``.
 
     Parameters
     ----------
@@ -493,14 +472,14 @@ def coulomb_wave(l, eta, x):
         Orbital angular momentum, ``0 <= l <= 20``.
     eta : float
         Sommerfeld parameter, ``|eta| <= 50``.
-    x : float or array_like
+    x : float or 1-D array_like
         Radial argument(s), ``x > 0``.
 
     Returns
     -------
-    CoulombPair
-        ``F``, ``F'``, ``G`` and ``G'`` at ``x`` (scalars for scalar input,
-        arrays otherwise).
+    (F, Fprime, G, Gprime) : tuple of 1-D ndarray
+        The regular and irregular solutions and their derivatives with
+        respect to ``x``, one entry per point (one for a scalar ``x``).
 
     Raises
     ------
@@ -509,8 +488,8 @@ def coulomb_wave(l, eta, x):
     ConvergenceError
         If a continued fraction or a Taylor step fails to converge, ``F'/F``
         and the Wronskian disagree on the sign of ``F``, the recurrence in
-        ``l`` leaves the double range (at tiny ``x``), or the Wronskian check ``F'G - FG' = 1`` is violated beyond
-        1e-10.
+        ``l`` leaves the double range (at tiny ``x``), or the Wronskian
+        check ``F'G - FG' = 1`` is violated beyond 1e-10.
     """
     l = _integer("l", l)
     if not 0 <= l <= 20:
@@ -518,25 +497,19 @@ def coulomb_wave(l, eta, x):
     eta = float(eta)
     if not (abs(eta) <= 50.0):
         raise ValueError("eta must satisfy |eta| <= 50")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    flat = np.atleast_1d(xs).ravel()
-    if flat.size == 0:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise ValueError(f"x must be a scalar or a 1-D array (got shape {xs.shape})")
+    if xs.size == 0:
         raise ValueError("x must contain at least one point")
-    if not np.all(np.isfinite(flat)) or np.any(flat <= 0.0):
+    if not np.all(np.isfinite(xs)) or np.any(xs <= 0.0):
         raise ValueError("x must be positive and finite")
 
-    F, Fp, G, Gp = _coulomb_many(l, eta, flat)
+    F, Fp, G, Gp = _coulomb_many(l, eta, xs)
 
-    wron = Fp * G - F * Gp
-    err = np.max(np.abs(wron - 1.0))
+    err = np.max(np.abs(Fp * G - F * Gp - 1.0))
     if not err <= _WRONSKIAN_TOL:
         raise ConvergenceError(
             f"Wronskian check failed (l={l}, eta={eta}): |F'G - FG' - 1| = {err:.3e}"
         )
-    if scalar:
-        return CoulombPair(float(F[0]), float(Fp[0]), float(G[0]), float(Gp[0]))
-    shape = xs.shape
-    return CoulombPair(
-        F.reshape(shape), Fp.reshape(shape), G.reshape(shape), Gp.reshape(shape)
-    )
+    return F, Fp, G, Gp

@@ -171,8 +171,8 @@ def test_criterion_8_property_suite():
     x = np.linspace(0.2, 20.0, 40)
     for eta in (0.0, 2.0, 8.0):
         for l in (0, 2):
-            pair = coulomb_wave(l, eta, x)
-            wron = pair.Fprime * pair.G - pair.F * pair.Gprime
+            F, Fp, G, Gp = coulomb_wave(l, eta, x)
+            wron = Fp * G - F * Gp
             err = np.abs(wron - 1.0).max()
             if err > 1e-10:
                 problems.append(f"Wronskian off by {err:.2e} (l={l}, eta={eta})")

@@ -229,8 +229,8 @@ class TestEvaluateBasis:
         mesh = MeshSpec(10, alpha, family, 0.8)
         r1, r2 = 1e-6 * mesh.h, 1e-4 * mesh.h
         for j in (1, 5, 10):
-            v1 = basis_function(mesh, j, r1)
-            v2 = basis_function(mesh, j, r2)
+            v1 = basis_function(mesh, j, r1)[0]
+            v2 = basis_function(mesh, j, r2)[0]
             slope = (math.log(abs(v2)) - math.log(abs(v1))) / math.log(r2 / r1)
             assert slope == pytest.approx(1.0, abs=1e-3)
 
@@ -240,8 +240,8 @@ class TestEvaluateBasis:
             assert basis_function(mesh, 2, 0.0) == 0.0
         # NonReg with alpha = 0 tends to a finite nonzero limit
         mesh = MeshSpec(7, 0.0, "NonReg", 0.8)
-        v0 = basis_function(mesh, 2, 0.0)
-        v1 = basis_function(mesh, 2, 1e-9)
+        v0 = basis_function(mesh, 2, 0.0)[0]
+        v1 = basis_function(mesh, 2, 1e-9)[0]
         assert v0 != 0.0
         assert math.isfinite(v0)
         assert v1 == pytest.approx(v0, rel=1e-6)
@@ -443,8 +443,7 @@ class TestReconstruct:
         got = reconstruct_wavefunction(mesh, c, h * x)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         for k in (0, 1, x.size - 1):
-            scalar = reconstruct_wavefunction(mesh, c, float(h * x[k]))
-            assert isinstance(scalar, float)
+            scalar = reconstruct_wavefunction(mesh, c, float(h * x[k]))[0]
             assert abs(scalar - want[k]) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("family,alpha", SCHEME_MESHES)

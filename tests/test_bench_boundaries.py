@@ -2,11 +2,13 @@
 refactor that renames or removes one would silently blind that layer,
 since the span recorder reports a missing boundary as absent.  The
 benchmark also keeps its own copy of each scheme's mesh, which must not
-drift from ``matelem.SCHEMES``."""
+drift from ``matelem.SCHEMES``, and calls the library with the names,
+signatures and return types that its first operations exercise here."""
 
 import importlib
 import importlib.util
 import pathlib
+import random
 
 import pytest
 
@@ -62,3 +64,12 @@ def test_bench_phase_meshes_match_the_scheme_table():
         scheme = HamiltonianVariant[name]
         assert scheme in cli._VARIANTS.values()
         assert matelem.SCHEMES[scheme][:2] == (Family[family], alpha)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_first_operations_of_each_workload_run(workload):
+    # seed 1, as the benchmark's child runs it; an operation raises
+    # WrongResult or the library's own error when it fails
+    sweep = next(WORKLOADS.WORKLOADS[workload](random.Random(1)))
+    for operation in sweep[:3]:
+        operation()

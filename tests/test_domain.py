@@ -52,6 +52,8 @@ def at_most(bound):
 
 
 NEGATIVE = at_most(-1e-300)
+# shapes of point arrays with more than one dimension
+MULTI_DIMENSIONAL = st.sampled_from([(2, 3), (1, 1), (3, 1, 2)])
 
 
 def angular(limit):
@@ -124,9 +126,10 @@ CASES = {
     "tan_delta.state.energy": (lambda v: tan_delta(
         dataclasses.replace(_state(), energy=v), 0, ECKART, 0.0, 4.0, MESH),
         NONFINITE | at_most(0.0), r"energy"),
+    # k = sqrt(2E) is derived: it is infinite where 2E overflows
     "tan_delta.state.k": (lambda v: tan_delta(
-        dataclasses.replace(_state(), k=v), 0, ECKART, 0.0, 4.0, MESH),
-        NONFINITE | at_most(0.0), r"\bk\b"),
+        dataclasses.replace(_state(), energy=v), 0, ECKART, 0.0, 4.0, MESH),
+        st.floats(9e307, allow_infinity=False), r"\bk\b"),
     "tan_delta.state.coefficients": (lambda v: tan_delta(
         dataclasses.replace(_state(), coefficients=_with_entry(_state().coefficients, v)),
         0, ECKART, 0.0, 4.0, MESH), NONFINITE, r"coefficients"),
@@ -144,10 +147,15 @@ CASES = {
                          | st.floats(-1e300, -50.0, exclude_max=True), r"\beta\b"),
     "coulomb_wave.x": (lambda v: coulomb_wave(0, 0.5, [1.0, v]),
                        NONFINITE | at_most(0.0), r"\bx\b"),
+    "coulomb_wave.x.shape": (lambda v: coulomb_wave(0, 0.5, np.ones(v)),
+                             MULTI_DIMENSIONAL, r"^x must be a scalar or a 1-D array"),
     "reconstruct_wavefunction.coeffs": (lambda v: reconstruct_wavefunction(
         MESH, _with_entry(np.ones(MESH.N), v), 1.0), NONFINITE, r"\bcoeffs\b"),
     "reconstruct_wavefunction.r": (lambda v: reconstruct_wavefunction(
         MESH, np.ones(MESH.N), [0.5, v]), NONFINITE | NEGATIVE, r"\br\b"),
+    "reconstruct_wavefunction.r.shape": (lambda v: reconstruct_wavefunction(
+        MESH, np.ones(MESH.N), np.ones(v)), MULTI_DIMENSIONAL,
+        r"^r must be a scalar or a 1-D array"),
     "relative_error.e_app": (lambda v: relative_error(v, 1.0), NONFINITE, r"\be_app\b"),
     "relative_error.e_exact": (lambda v: relative_error(1.0, v), NONFINITE, r"\be_exact\b"),
     "PotentialSpec.term_c": (lambda v: PotentialSpec("v", terms=((v, -1.0, 0.0, 0.0),)),

@@ -73,6 +73,8 @@ class TestEvaluate:
         arr = evaluate(V, rr)
         for k, r in enumerate(rr):
             assert evaluate(V, float(r)) == arr[k]
+        # elementwise at any shape
+        assert np.array_equal(evaluate(V, rr[:, None]), arr[:, None])
 
     def test_nonpositive_radius_rejected(self):
         V = builtin("harmonic")

@@ -327,44 +327,39 @@ class TestCoulombWave:
     def test_reference_values(self, key):
         l, eta, x = key
         ref = COULOMB_REFERENCE[key]
-        pair = coulomb_wave(l, eta, x)
-        got = (pair.F, pair.Fprime, pair.G, pair.Gprime)
+        got = np.concatenate(coulomb_wave(l, eta, x))
         assert_allclose(got, ref, rtol=1e-10)
 
     def test_neutral_reduction(self):
         # at eta = 0, l = 0 the pair reduces to (sin, cos)
         x = np.linspace(0.01, 30.0, 211)
-        pair = coulomb_wave(0, 0.0, x)
-        assert_allclose(pair.F, np.sin(x), atol=1e-12)
-        assert_allclose(pair.Fprime, np.cos(x), atol=1e-12)
-        assert_allclose(pair.G, np.cos(x), atol=1e-12)
-        assert_allclose(pair.Gprime, -np.sin(x), atol=1e-12)
+        F, Fp, G, Gp = coulomb_wave(0, 0.0, x)
+        assert_allclose(F, np.sin(x), atol=1e-12)
+        assert_allclose(Fp, np.cos(x), atol=1e-12)
+        assert_allclose(G, np.cos(x), atol=1e-12)
+        assert_allclose(Gp, -np.sin(x), atol=1e-12)
 
     @pytest.mark.parametrize("l", [1, 5])
     def test_neutral_riccati_bessel(self, l):
         x = np.geomspace(0.05, 30.0, 120)
-        pair = coulomb_wave(l, 0.0, x)
-        assert_allclose(pair.F, x * spherical_jn(l, x), rtol=1e-11, atol=1e-13)
-        assert_allclose(pair.G, -x * spherical_yn(l, x), rtol=1e-11)
+        F, _, G, _ = coulomb_wave(l, 0.0, x)
+        assert_allclose(F, x * spherical_jn(l, x), rtol=1e-11, atol=1e-13)
+        assert_allclose(G, -x * spherical_yn(l, x), rtol=1e-11)
 
     @pytest.mark.parametrize("eta", [-12.0, -1.7, 0.0, 0.3, 3.1, 8.73])
     @pytest.mark.parametrize("l", [0, 2, 7])
     def test_wronskian_grid(self, eta, l):
         x = np.geomspace(1.5e-3, 40.0, 80)
-        pair = coulomb_wave(l, eta, x)
-        wron = pair.Fprime * pair.G - pair.F * pair.Gprime
+        F, Fp, G, Gp = coulomb_wave(l, eta, x)
+        wron = Fp * G - F * Gp
         assert np.max(np.abs(wron - 1.0)) <= 1e-10
 
     def test_array_matches_scalar(self):
         x = np.array([0.02, 0.9, 4.0, 9.0, 25.0])
-        pair = coulomb_wave(2, 1.4, x)
+        pair = np.array(coulomb_wave(2, 1.4, x))
         for i, xi in enumerate(x):
-            single = coulomb_wave(2, 1.4, xi)
-            assert_allclose(
-                [pair.F[i], pair.Fprime[i], pair.G[i], pair.Gprime[i]],
-                [single.F, single.Fprime, single.G, single.Gprime],
-                rtol=1e-12,
-            )
+            single = np.concatenate(coulomb_wave(2, 1.4, xi))
+            assert_allclose(pair[:, i], single, rtol=1e-12)
 
     def test_norm_at_zero_eta(self):
         # F_l(0, x) = C_l(0) x^{l+1} sum_k (-x^2/2)^k / (k! (2l+3)...(2l+2k+1))
@@ -378,7 +373,7 @@ class TestCoulombWave:
                 term *= -0.5 * x * x / (k * (2.0 * (l + k) + 1.0))
                 total += term
             want = c * x ** (l + 1) * total
-            got = coulomb_wave(l, 0.0, x).F
+            got = coulomb_wave(l, 0.0, x)[0][0]
             assert got == pytest.approx(want, rel=1e-13), l
 
     def test_domain_validation(self):
@@ -406,17 +401,17 @@ class TestCoulombWave:
         mp = pytest.importorskip("mpmath")
         for x in (1e-300, 1e-200, 1e-160, 1e-100, 1e-20):
             try:
-                pair = coulomb_wave(l, eta, x)
+                (got_F,), (got_Fp,), (got_G,), (got_Gp,) = coulomb_wave(l, eta, x)
             except ConvergenceError:
                 assert not (l == 0 and abs(eta) <= 1.0)
                 continue
-            assert abs(pair.Fprime * pair.G - pair.F * pair.Gprime - 1.0) <= 1e-10
+            assert abs(got_Fp * got_G - got_F * got_Gp - 1.0) <= 1e-10
             if l == 0 and abs(eta) <= 1.0:
                 with mp.workdps(30):
                     F = float(mp.coulombf(l, eta, x))
                     G = float(mp.coulombg(l, eta, x))
-                assert pair.F == pytest.approx(F, rel=1e-12)
-                assert pair.G == pytest.approx(G, rel=1e-12)
+                assert got_F == pytest.approx(F, rel=1e-12)
+                assert got_G == pytest.approx(G, rel=1e-12)
 
     def test_subnormal_step_raises_convergence_error(self):
         # x/2 rounds to zero at the smallest subnormal, so the sweep from it
@@ -456,9 +451,9 @@ class TestCoulombWave:
     def test_subnormal_s_wave_at_zero_eta(self):
         # at l = 0, eta = 0 the pair is (sin, cos), with no recurrence step
         x = np.array([5e-324, 1e-300])
-        pair = coulomb_wave(0, 0.0, x)
-        assert np.array_equal(pair.F, x) and np.array_equal(pair.Fprime, [1.0, 1.0])
-        assert np.array_equal(pair.G, [1.0, 1.0]) and np.array_equal(pair.Gprime, -x)
+        F, Fp, G, Gp = coulomb_wave(0, 0.0, x)
+        assert np.array_equal(F, x) and np.array_equal(Fp, [1.0, 1.0])
+        assert np.array_equal(G, [1.0, 1.0]) and np.array_equal(Gp, -x)
 
     def test_zero_eta_takes_the_l_recurrence(self, monkeypatch):
         # no Hankel series, Steed or Taylor step, and F'/F only where the
@@ -519,10 +514,10 @@ class TestCoulombWave:
         # F's power series cancelled here when it was the eta = 0 route
         mp = pytest.importorskip("mpmath")
         x = 19.819789287689495
-        pair = coulomb_wave(20, 0.0, x)
+        (got,), _, _, _ = coulomb_wave(20, 0.0, x)
         with mp.workdps(30):
             F, G = float(mp.coulombf(20, 0, x)), float(mp.coulombg(20, 0, x))
-        assert abs(pair.F - F) <= 2e-15 * math.hypot(F, G)
+        assert abs(got - F) <= 2e-15 * math.hypot(F, G)
 
 
 @pytest.mark.slow
@@ -533,12 +528,12 @@ class TestCoulombAgainstMultiprecision:
     def check(l, eta, x):
         import mpmath as mp
 
-        pair = coulomb_wave(l, eta, x)
+        got_F, _, got_G, _ = coulomb_wave(l, eta, x)
         with mp.workdps(30):
             F = float(mp.coulombf(l, eta, x))
             G = float(mp.coulombg(l, eta, x))
-        assert_allclose(pair.F, F, rtol=1e-10, atol=1e-280)
-        assert_allclose(pair.G, G, rtol=1e-10)
+        assert_allclose(got_F, F, rtol=1e-10, atol=1e-280)
+        assert_allclose(got_G, G, rtol=1e-10)
 
     # attractive points where F is tiny at the series anchor, and repulsive
     # points near a distant turning point, where the power series cancels
@@ -570,7 +565,7 @@ class TestCoulombAgainstMultiprecision:
                 x = min(0.1, 1.0 / (1.0 + abs(eta)))
                 with mp.workdps(30):
                     want = float(mp.coulombf(l, float(eta), x))
-                got = coulomb_wave(l, float(eta), x).F
+                got = coulomb_wave(l, float(eta), x)[0][0]
                 assert got == pytest.approx(want, rel=1e-13), (l, eta)
 
     def test_taylor_sweep_below_gate(self):
@@ -587,7 +582,7 @@ class TestCoulombAgainstMultiprecision:
             x = float(np.exp(rng.uniform(math.log(0.05), math.log(gate))))
             with mp.workdps(30):
                 G = float(mp.coulombg(l, eta, x))
-            assert_allclose(coulomb_wave(l, eta, x).G, G, rtol=1e-12)
+            assert_allclose(coulomb_wave(l, eta, x)[2], G, rtol=1e-12)
 
     def test_neutral_grid(self):
         # H+ = G + iF = (-i)^l e^{ix} sum_k (l+k)!/(k! (l-k)!) (i/(2x))^k
@@ -615,16 +610,16 @@ class TestCoulombAgainstMultiprecision:
         # 2**22 and 1e8: the recurrence's sin and cos are exact at any x
         x = np.concatenate([np.geomspace(1e-3, 300.0, 80), [2.0**22, 1e8]])
         for l in (0, 1, 2, 5, 10, 20):
-            pair = coulomb_wave(l, 0.0, x)
-            wron = pair.Fprime * pair.G - pair.F * pair.Gprime
+            got_F, got_Fp, got_G, got_Gp = coulomb_wave(l, 0.0, x)
+            wron = got_Fp * got_G - got_F * got_Gp
             assert np.max(np.abs(wron - 1.0)) <= 2e-15, l
             for i, xi in enumerate(x):
                 F, Fp, G, Gp = exact(l, float(xi))
                 scale, dscale = math.hypot(F, G), math.hypot(Fp, Gp)
-                assert abs(pair.F[i] - F) <= 4e-15 * scale, (l, xi)
-                assert abs(pair.G[i] - G) <= 4e-15 * scale, (l, xi)
-                assert abs(pair.Fprime[i] - Fp) <= 4e-15 * dscale, (l, xi)
-                assert abs(pair.Gprime[i] - Gp) <= 4e-15 * dscale, (l, xi)
+                assert abs(got_F[i] - F) <= 4e-15 * scale, (l, xi)
+                assert abs(got_G[i] - G) <= 4e-15 * scale, (l, xi)
+                assert abs(got_Fp[i] - Fp) <= 4e-15 * dscale, (l, xi)
+                assert abs(got_Gp[i] - Gp) <= 4e-15 * dscale, (l, xi)
 
 
 def _hankel_region(l, eta, x):
@@ -643,10 +638,10 @@ class TestLargeX:
     def test_reference_values(self, key):
         l, eta, x = key
         F, G = (HANKEL_REFERENCE | FAR_REFERENCE)[key]
-        pair = coulomb_wave(l, eta, x)
+        (got_F,), _, (got_G,), _ = coulomb_wave(l, eta, x)
         scale = math.hypot(F, G)
-        assert abs(pair.F - F) <= 1e-12 * scale
-        assert abs(pair.G - G) <= 1e-12 * scale
+        assert abs(got_F - F) <= 1e-12 * scale
+        assert abs(got_G - G) <= 1e-12 * scale
 
     def test_hankel_matches_steed(self):
         used = 0
@@ -721,10 +716,9 @@ class TestLargeX:
     log_x=st.lists(st.floats(math.log(1e-3), math.log(1e12)), min_size=1, max_size=4),
 )
 def test_whole_domain_is_finite_with_unit_wronskian(l, eta, log_x):
-    pair = coulomb_wave(l, eta, np.exp(log_x))
-    values = np.array([pair.F, pair.Fprime, pair.G, pair.Gprime])
+    F, Fp, G, Gp = values = coulomb_wave(l, eta, np.exp(log_x))
     assert np.all(np.isfinite(values))
-    wron = pair.Fprime * pair.G - pair.F * pair.Gprime
+    wron = Fp * G - F * Gp
     assert np.max(np.abs(wron - 1.0)) <= 1e-12
 
 
@@ -734,10 +728,9 @@ class TestRegularizedG:
         # a one-point table with no compensating weight isolates that factor
         r = 0.8
         k, gamma, eta, l = 0.5, 2.0, 1.3, 2
-        pair = coulomb_wave(l, eta, k * r)
-        direct = pair.G * (1.0 - np.exp(-gamma * r)) ** (l + 1)
-        table = (np.array([r]), np.array([1.0]), np.array([0.0]),
-                 np.array([pair.F]), np.array([pair.G]), np.array([pair.Gprime]))
+        F, _, G, Gp = coulomb_wave(l, eta, k * r)
+        direct = G[0] * (1.0 - np.exp(-gamma * r)) ** (l + 1)
+        table = (np.array([r]), np.array([1.0]), np.array([0.0]), F, G, Gp)
         _, (den,) = _ratios(table, l, k, [gamma])
         assert den == pytest.approx(direct, rel=1e-12)
 
