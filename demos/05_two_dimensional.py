@@ -27,6 +27,6 @@ for name, N, h in (("harmonic", 20, 0.09), ("coulomb", 10, 0.9)):
               f"{relative_error(E0, exact):+.1e}")
 
 # the mesh scheme stays clean because the integrand powers balance:
-verdict = classify_singularity(Family.RegSqrt, 0.0, 1, 2, "2D")
+verdict = classify_singularity(Family.RegSqrt, 0.0, 1, 2, 2)
 print(f"\nclassifier for the combined 1/rho^2 element, m = 1: {verdict.name}")
 assert verdict is Classification.Safe

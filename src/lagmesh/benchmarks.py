@@ -15,7 +15,7 @@ Five tables are available by id:
 
 ``run_table`` recomputes a table from scratch and returns its rows;
 ``check_table`` compares the rows against the bundled reference values and
-returns one ``CheckResult`` per comparison.
+returns one dict ``{"description", "passed", "value"}`` per comparison.
 
 Every table is held to its quoted numbers by one rule, cell by cell.  A
 quoted number is kept as the string the paper prints, so its last printed
@@ -29,7 +29,6 @@ place of q, f = 1/2 in tables 1, 2, 3 and 5 and f = 1 in table 4.  Table 4
 also checks that each d-wave plateau gamma lies inside its grid.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -40,16 +39,14 @@ from .scattering import eckart_reference_delta0, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
 __all__ = [
-    "CheckResult",
     "TABLE_IDS",
-    "VARIANTS_3D",
     "check_table",
     "eps_notation",
     "run_table",
 ]
 
 # column label and evaluation scheme; meshes come from matelem.SCHEMES
-VARIANTS_3D = (
+_VARIANTS_3D = (
     ("var", HamiltonianVariant.Var),
     ("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh),
     ("reg r", HamiltonianVariant.RegRMesh),
@@ -58,7 +55,7 @@ VARIANTS_3D = (
 )
 
 _VARIANTS_2D = (("var", Variant2D.Var2D), ("reg sqrt(rho)", Variant2D.RegSqrtMesh2D))
-_MESHES_SCAT = VARIANTS_3D[1:3]  # the two regularized meshes
+_MESHES_SCAT = _VARIANTS_3D[1:3]  # the two regularized meshes
 
 TABLE3_GAMMA = 4.0
 _TABLE3_STATES = (1, 5, 10)  # the pseudostates of table 3, counted from 1
@@ -123,23 +120,10 @@ TABLE5_REFERENCE = {
 # the error tables: row field, quoted errors, double-precision floor per
 # row, columns
 _ERROR_TABLES = {
-    1: ("l", TABLE1_REFERENCE, dict.fromkeys(TABLE1_REFERENCE, 1e-10), VARIANTS_3D),
-    2: ("l", TABLE2_REFERENCE, dict.fromkeys(TABLE2_REFERENCE, 1e-13), VARIANTS_3D),
+    1: ("l", TABLE1_REFERENCE, dict.fromkeys(TABLE1_REFERENCE, 1e-10), _VARIANTS_3D),
+    2: ("l", TABLE2_REFERENCE, dict.fromkeys(TABLE2_REFERENCE, 1e-13), _VARIANTS_3D),
     5: ("potential", TABLE5_REFERENCE, {"harmonic": 1e-10, "coulomb": 1e-12}, _VARIANTS_2D),
 }
-
-
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one reference comparison."""
-
-    description: str
-    passed: bool
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "value", float(self.value))
 
 
 def eps_notation(x):
@@ -167,7 +151,7 @@ def _lowest_errors(schemes, V, N, h, n):
 
 def _bound_rows(name, N, h):
     V = builtin(name)
-    return [{"l": l, **_lowest_errors(VARIANTS_3D, V, N, h, l)} for l in (0, 1, 2)]
+    return [{"l": l, **_lowest_errors(_VARIANTS_3D, V, N, h, l)} for l in (0, 1, 2)]
 
 
 def _scattering_states(name, N, h, l):
@@ -262,25 +246,27 @@ def _check_quoted(table, rows):
     also checks that each d-wave plateau lies inside its gamma grid."""
     f, within = (1.0, "one unit") if table == 4 else (0.5, "half a unit")
     checks = []
+
+    def check(description, passed, value):
+        checks.append({"description": description, "passed": bool(passed),
+                       "value": float(value)})
+
     for row in rows:
         tag, floor, cells = _quoted_cells(table, row)
         for prefix, name, value, quoted in cells:
             q = float(quoted)
             if floor is not None and abs(q) <= floor:
-                checks.append(CheckResult(
-                    f"{prefix}: |{name}| <= {floor:g}", abs(value) <= floor, value))
+                check(f"{prefix}: |{name}| <= {floor:g}", abs(value) <= floor, value)
                 continue
             # one unit in the last printed place: "94.460" -> 1e-3, "1.0e-3" -> 1e-4
             mantissa, _, exponent = quoted.partition("e")
             unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
             shown = eps_notation(q) if name == "eps_rel" else quoted
-            checks.append(CheckResult(
-                f"{prefix}: {name} = {shown} to {within} in the last place",
-                abs(value - q) <= f * unit, value))
+            check(f"{prefix}: {name} = {shown} to {within} in the last place",
+                  abs(value - q) <= f * unit, value)
         if table == 4 and row["l"] == 2:
-            checks.append(CheckResult(
-                f"{tag}: plateau gamma inside [0.3, 1.3]",
-                0.3 < row["gamma"] < 1.3 and not row["no_plateau"], row["gamma"]))
+            check(f"{tag}: plateau gamma inside [0.3, 1.3]",
+                  0.3 < row["gamma"] < 1.3 and not row["no_plateau"], row["gamma"])
     return checks
 
 
@@ -311,10 +297,10 @@ def run_table(table):
     return _table(table)()
 
 
-def check_table(table, rows=None):
-    """Compare table ``table`` against its bundled reference values.
-
-    Returns a list of CheckResult; recomputes the rows when not supplied.
+def check_table(table, rows):
+    """Compare the rows of table ``table`` against its bundled reference
+    values; returns one dict ``{"description", "passed", "value"}`` per
+    comparison, with ``passed`` a bool and ``value`` a float.
     """
-    run = _table(table)
-    return _check_quoted(table, run() if rows is None else rows)
+    _table(table)  # raises on an unknown id
+    return _check_quoted(table, rows)

@@ -8,11 +8,14 @@ gamma-scan  plateau search: recommended gamma per pseudostate
 sweep       rerun a bound or scattering configuration over N, h, or gamma
 reproduce   rebuild one of the bundled benchmark tables 1-5
 
-Reports are written as CSV (floats to 6 significant digits; relative
-errors of the bound-state benchmark tables in the compact a[-b] notation)
-or JSON (``schema: 1``, floats to 15 significant digits, with a provenance
-block carrying the config hash and build id).  Reports are deterministic:
-rerunning the same configuration on the same build yields identical bytes.
+``run`` and ``sweep`` return a report as the dict that the JSON format
+writes: ``schema`` (1), ``mode``, ``config`` (the configuration echoed),
+``provenance`` (the config hash and build id), ``rows`` and, in reproduce
+mode, ``checks``.  It is written as CSV (floats to 6 significant digits;
+relative errors of the bound-state benchmark tables in the compact a[-b]
+notation) or JSON (floats to 15 significant digits).  Reports are
+deterministic: rerunning the same configuration on the same build yields
+identical bytes.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
 3 failed reference comparison under ``reproduce --check``.
@@ -38,7 +41,6 @@ from .solver import bound_energies, pseudostates, relative_error, solve_bound_st
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "Report",
     "main",
     "render_csv",
     "render_json",
@@ -100,17 +102,6 @@ class ExperimentConfig:
     table: int = None
     format: str = "csv"
     out: str = None
-
-
-@dataclasses.dataclass(frozen=True)
-class Report:
-    """Computed rows plus the echoed configuration and provenance."""
-
-    mode: str
-    rows: tuple
-    config: dict
-    provenance: dict
-    checks: tuple = ()
 
 
 def _validate(config):
@@ -243,14 +234,22 @@ def _config_echo(config):
     return doc
 
 
-def _provenance(echo):
+def _report(mode, rows, echo, checks=None):
+    """The schema-1 document, its floats not yet rounded; the provenance
+    block holds a hash of the echoed config and the build id."""
     canon = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    return {"config_hash": digest, "build": _BUILD}
+    doc = {"schema": 1, "mode": mode, "config": echo,
+           "provenance": {"config_hash": digest, "build": _BUILD}, "rows": rows}
+    if checks is not None:
+        doc["checks"] = checks
+    return doc
 
 
 def run(config):
-    """Execute one configuration and return its Report.
+    """Execute one configuration and return its report: the dict that
+    ``render_json`` writes, with keys ``schema``, ``mode``, ``config``,
+    ``provenance``, ``rows`` and, in reproduce mode, ``checks``.
 
     Raises ConfigError when the configuration is inconsistent; numerical
     failures propagate as ArithmeticError/LinAlgError.
@@ -258,24 +257,25 @@ def run(config):
     errors = _validate(config)
     if errors:
         raise ConfigError(errors)
-    checks = ()
+    checks = None
     if config.mode == "reproduce":
         rows = benchmarks.run_table(config.table)
-        checks = tuple(benchmarks.check_table(config.table, rows))
+        checks = benchmarks.check_table(config.table, rows)
     elif config.mode == "bound":
         rows = _run_bound(config)
     elif config.mode == "scatter":
         rows = _run_scatter(config)
     else:
         rows = _run_gamma_scan(config)
-    echo = _config_echo(config)
-    return Report(config.mode, tuple(rows), echo, _provenance(echo), checks)
+    return _report(config.mode, rows, _config_echo(config), checks)
 
 
 def sweep(config, parameter, values):
     """Rerun ``config`` once per value of ``parameter`` (N, h, or gamma).
 
-    Each report row summarizes the first state of the corresponding run.
+    Returns a report as ``run`` does, in mode ``sweep:bound`` or
+    ``sweep:scatter`` and without checks.  Each row summarizes the first
+    state of the corresponding run.
     """
     if parameter not in ("N", "h", "gamma"):
         raise ConfigError(["parameter: must be N, h, or gamma"])
@@ -291,8 +291,7 @@ def sweep(config, parameter, values):
     rows = []
     cast = int if parameter == "N" else float
     for v in values:
-        report = run(dataclasses.replace(config, **{parameter: cast(v)}))
-        first = report.rows[0]
+        first = run(dataclasses.replace(config, **{parameter: cast(v)}))["rows"][0]
         row = {"parameter": parameter, "value": v, "energy": first["energy"]}
         if config.mode == "bound":
             row["eps_rel"] = first.get("eps_rel")
@@ -303,8 +302,7 @@ def sweep(config, parameter, values):
     echo = _config_echo(config)
     echo["sweep"] = {"parameter": parameter,
                      "values": [float(v) for v in values]}
-    return Report(f"sweep:{config.mode}", tuple(rows), echo,
-                  _provenance(echo), ())
+    return _report(f"sweep:{config.mode}", rows, echo)
 
 
 def _json_cell(v):
@@ -325,34 +323,24 @@ _encode_rows = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def render_json(report):
-    """The report as JSON, byte-identical to ``json.dumps(doc, indent=2)``
-    plus a newline, where ``doc`` holds ``schema``, ``mode``, ``config``,
-    ``provenance``, ``rows`` and, when there are any, ``checks``.
+    """The report as JSON, byte-identical to ``json.dumps(report, indent=2)``
+    plus a newline once the row cells and check values are rounded to 15
+    significant digits.
 
-    Floats are rounded to 15 significant digits.  Rows must be flat dicts of
-    scalars (a list or dict cell raises TypeError); they are encoded in one
-    call of the C encoder and spliced into the indented header.
+    Rows must be flat dicts of scalars (a list or dict cell raises
+    TypeError); they are encoded in one call of the C encoder and spliced
+    into the indented header.
     """
-    doc = {
-        "schema": 1,
-        "mode": report.mode,
-        "config": report.config,
-        "provenance": report.provenance,
-        "rows": [],
-    }
-    if report.checks:
-        doc["checks"] = [
-            {"description": c.description, "passed": c.passed,
-             "value": _json_cell(c.value)}
-            for c in report.checks
-        ]
-    text = json.dumps(doc, indent=2) + "\n"
-    if not report.rows:
+    head = dict(report, rows=[])
+    if "checks" in report:
+        head["checks"] = [dict(c, value=_json_cell(c["value"])) for c in report["checks"]]
+    text = json.dumps(head, indent=2) + "\n"
+    if not report["rows"]:
         return text
     rows = _encode_rows([
         {k: float(f"{v:.15g}") if type(v) is float else _json_cell(v)
          for k, v in row.items()}
-        for row in report.rows
+        for row in report["rows"]
     ])
     # ensure_ascii escapes every newline inside a string, so each newline is
     # structural and, the rows being flat, "},\n      {" only joins two rows
@@ -373,16 +361,17 @@ def _csv_cell(v, as_eps):
 
 
 def render_csv(report):
-    if not report.rows:
+    rows = report["rows"]
+    if not rows:
         return ""
     # the bound-state benchmark tables are tables of relative errors
-    as_eps = (report.mode == "reproduce"
-              and report.config.get("table") in benchmarks._ERROR_TABLES)
-    cols = list(report.rows[0].keys())
+    as_eps = (report["mode"] == "reproduce"
+              and report["config"].get("table") in benchmarks._ERROR_TABLES)
+    cols = list(rows[0].keys())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
-    for row in report.rows:
+    for row in rows:
         writer.writerow([
             _csv_cell(row.get(c), as_eps and not isinstance(row.get(c), (int, str)))
             for c in cols
@@ -603,11 +592,12 @@ def main(argv=None):
         sys.stdout.write(text)
 
     if getattr(args, "check", False):
-        failed = [c for c in report.checks if not c.passed]
-        for c in report.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            print(f"{mark} {c.description} (got {c.value:+.6g})", file=sys.stderr)
-        print(f"{len(report.checks) - len(failed)}/{len(report.checks)} "
+        checks = report["checks"]
+        failed = [c for c in checks if not c["passed"]]
+        for c in checks:
+            mark = "PASS" if c["passed"] else "FAIL"
+            print(f"{mark} {c['description']} (got {c['value']:+.6g})", file=sys.stderr)
+        print(f"{len(checks) - len(failed)}/{len(checks)} "
               "reference comparisons passed", file=sys.stderr)
         if failed:
             return 3

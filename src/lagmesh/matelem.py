@@ -390,7 +390,7 @@ def hamiltonian_2d(mesh, m, V, variant):
     return _assemble(mesh, "kinetic2d", m * m, modes, V)
 
 
-def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):
+def classify_singularity(family, alpha, l_or_m, s, dimension=3):
     """Predict whether a Gauss-approximated operator costs accuracy.
 
     The Gauss error is governed by the origin exponent of
@@ -402,11 +402,11 @@ def classify_singularity(family, alpha, l_or_m, s, dimension="3D"):
     family = _coerce(Family, family)
     if s not in (0, 1, 2):
         raise ValueError("s must be 0, 1, or 2")
-    if dimension not in ("3D", "2D"):
-        raise ValueError("dimension must be '3D' or '2D'")
+    if dimension not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3 (got {dimension!r})")
     alpha = _alpha(alpha)
-    name = "l" if dimension == "3D" else "m"
+    name = "l" if dimension == 3 else "m"
     n = _integer(name, l_or_m, nonnegative=True)
-    origin = n + 1.0 if dimension == "3D" else n + 0.5
+    origin = n + 1.0 if dimension == 3 else n + 0.5
     e = _family_power(family, alpha) + origin - s - alpha
     return Classification.AccuracyLoss if e < 0.0 else Classification.Safe

@@ -176,7 +176,7 @@ def _result(state, V, gamma, num, den, window):
             f"indeterminate phase at gamma={gamma:g}: denominator {den:.3e} "
             f"is below 1e-14 of the numerator {num:.3e}"
         )
-    tan_d = num / den
+    tan_d = num / den + 0.0  # a zero ratio is +0, whatever the signs
     delta = math.degrees(math.atan(tan_d))
     branch = 0
     if window == "positive":

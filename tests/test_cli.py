@@ -1,6 +1,5 @@
 """Tests for the command-line runner: config handling, modes, reports."""
 
-import dataclasses
 import functools
 import json
 import math
@@ -16,8 +15,7 @@ from hypothesis import strategies as st
 
 import lagmesh
 from lagmesh import cli
-from lagmesh.benchmarks import CheckResult
-from lagmesh.cli import ConfigError, ExperimentConfig, Report, main, run, sweep
+from lagmesh.cli import ConfigError, ExperimentConfig, main, run, sweep
 from lagmesh.potentials import builtin, from_json
 from lagmesh.scattering import IndeterminatePhaseError
 
@@ -83,23 +81,23 @@ class TestValidation:
 class TestBoundMode:
     def test_oscillator_ground_state(self):
         report = run(_config())
-        first = report.rows[0]
+        first = report["rows"][0]
         assert abs(first["energy"] - 1.5) <= 1e-10
         assert abs(first["eps_rel"]) <= 1e-10
 
     def test_coulomb_exact_only_for_bound_levels(self):
         report = run(_config(potential=builtin("coulomb"), N=10, h=0.9))
-        assert abs(report.rows[0]["energy"] - (-0.5)) < 1e-8
-        assert "eps_rel" in report.rows[0]
+        assert abs(report["rows"][0]["energy"] - (-0.5)) < 1e-8
+        assert "eps_rel" in report["rows"][0]
         assert all("eps_rel" not in row
-                   for row in report.rows if row["energy"] > 0.0)
+                   for row in report["rows"] if row["energy"] > 0.0)
 
     @pytest.mark.parametrize("dimension, angular, lam", [(3, 0, 0.0), (3, 1, 1.0), (2, 1, 0.5)])
     def test_exact_levels_follow_the_coulomb_charge(self, dimension, angular, lam):
         # the 2D radial equation is the 3D one at l = m - 1/2
         report = run(_config(potential=builtin("coulomb", Z=-2.0), dimension=dimension,
                              angular=angular, N=20, h=0.3))
-        rows = [row for row in report.rows if "exact" in row]
+        rows = [row for row in report["rows"] if "exact" in row]
         assert [row["exact"] for row in rows] == [
             -2.0 / (n + lam + 1.0) ** 2 for n in range(len(rows))]
         assert abs(rows[0]["eps_rel"]) <= 1e-10
@@ -107,59 +105,59 @@ class TestBoundMode:
     def test_exact_levels_follow_the_oscillator_strength(self):
         V = from_json('{"label": "harmonic", "terms": [{"c": 2, "p": 2}]}')
         report = run(_config(potential=V, angular=1))
-        assert [row["exact"] for row in report.rows] == [
-            2.0 * (2 * n + 1 + 1.5) for n in range(len(report.rows))]
-        assert abs(report.rows[0]["eps_rel"]) <= 1e-10
+        assert [row["exact"] for row in report["rows"]] == [
+            2.0 * (2 * n + 1 + 1.5) for n in range(len(report["rows"]))]
+        assert abs(report["rows"][0]["eps_rel"]) <= 1e-10
 
     def test_repulsive_coulomb_has_no_exact_levels(self):
         report = run(_config(potential=builtin("coulomb", Z=1.0), N=20, h=0.3))
-        assert all("exact" not in row for row in report.rows)
+        assert all("exact" not in row for row in report["rows"])
 
     def test_exact_levels_whatever_the_label(self):
         V = from_json('{"label": "user", "terms": [{"c": 0.5, "p": 2}]}')
         report = run(_config(potential=V))
-        assert report.rows[0]["exact"] == 1.5
-        assert abs(report.rows[0]["eps_rel"]) <= 1e-10
+        assert report["rows"][0]["exact"] == 1.5
+        assert abs(report["rows"][0]["eps_rel"]) <= 1e-10
 
     def test_two_dimensional_oscillator(self):
         report = run(_config(dimension=2, angular=1))
-        assert abs(report.rows[0]["energy"] - 2.0) <= 1e-10
+        assert abs(report["rows"][0]["energy"] - 2.0) <= 1e-10
 
     def test_problem_units_conversion(self):
         report = run(_config(potential=builtin("buck_alpha_alpha"),
                              variant="reg-sqrt", N=15, h=0.23))
         # the deepest level of the alpha+alpha well sits near -75 MeV
-        assert -90.0 < report.rows[0]["energy"] < -50.0
+        assert -90.0 < report["rows"][0]["energy"] < -50.0
 
 
 class TestScatterMode:
     def test_phases_at_fixed_gamma(self):
         report = run(_config(mode="scatter", potential=builtin("eckart"),
                              variant="reg-sqrt", N=15, h=0.1, gamma=4.0))
-        assert abs(report.rows[0]["delta_deg"] - (-49.67024)) < 5e-5
-        assert report.rows[0]["branch"] == 0
+        assert abs(report["rows"][0]["delta_deg"] - (-49.67024)) < 5e-5
+        assert report["rows"][0]["branch"] == 0
 
     def test_coulomb_tail_is_read_from_the_terms(self):
         # a pure Coulomb potential has no phase shift against the Coulomb
         # functions of its own tail, whether or not the spec states it
         kw = dict(mode="scatter", variant="reg-sqrt", N=30, h=1.1, gamma=2.0)
         spec = run(_config(potential=from_json('{"terms": [{"c": -1, "p": -1}]}'), **kw))
-        assert spec.rows == run(_config(potential=builtin("coulomb"), **kw)).rows
-        assert all(abs(row["tan_delta"]) <= 1e-12 for row in spec.rows)
+        assert spec["rows"] == run(_config(potential=builtin("coulomb"), **kw))["rows"]
+        assert all(abs(row["tan_delta"]) <= 1e-12 for row in spec["rows"])
 
     def test_charged_system_reported_in_positive_window(self):
         report = run(_config(mode="scatter",
                              potential=builtin("buck_alpha_alpha"),
                              variant="reg-sqrt", angular=2, N=15, h=0.23,
                              gamma=1.1))
-        assert all(0.0 <= row["delta_deg"] < 180.0 for row in report.rows)
+        assert all(0.0 <= row["delta_deg"] < 180.0 for row in report["rows"])
 
 
 class TestGammaScanMode:
     def test_recommends_plateau(self):
         report = run(_config(mode="gamma-scan", potential=builtin("eckart"),
                              variant="reg-sqrt", N=15, h=0.1))
-        first = report.rows[0]
+        first = report["rows"][0]
         assert 2.0 <= first["gamma"] <= 6.0
         assert not first["no_plateau"]
 
@@ -168,22 +166,22 @@ class TestGammaScanMode:
                              potential=builtin("buck_alpha_alpha"),
                              variant="reg-sqrt", angular=2, N=15, h=0.23,
                              gammas=tuple(cli.np.geomspace(0.3, 1.3, 16))))
-        assert 0.3 < report.rows[0]["gamma"] < 1.3
-        assert abs(report.rows[0]["delta_deg"] - 12.471) <= 0.02
+        assert 0.3 < report["rows"][0]["gamma"] < 1.3
+        assert abs(report["rows"][0]["delta_deg"] - 12.471) <= 0.02
 
 
 class TestSweep:
     def test_mesh_size_sweep_converges(self):
         config = _config(potential=builtin("coulomb"), h=0.9)
         report = sweep(config, "N", (10, 15))
-        eps = [row["eps_rel"] for row in report.rows]
+        eps = [row["eps_rel"] for row in report["rows"]]
         assert abs(eps[1]) <= max(1e-3 * abs(eps[0]), 1e-13)
 
     def test_scaling_sweep_hits_exact_solution(self):
         config = _config(potential=builtin("coulomb"), variant="reg-sqrt",
                          N=10, h=0.9)
         report = sweep(config, "h", (0.5, 0.9, 1.5))
-        by_value = {row["value"]: row["eps_rel"] for row in report.rows}
+        by_value = {row["value"]: row["eps_rel"] for row in report["rows"]}
         assert abs(by_value[0.5]) <= 1e-13
         assert abs(by_value[0.9]) > 1e-10
 
@@ -191,7 +189,7 @@ class TestSweep:
         config = _config(mode="scatter", potential=builtin("eckart"),
                          variant="reg-sqrt", N=15, h=0.1, gamma=4.0)
         report = sweep(config, "gamma", (3.0, 4.0, 5.0))
-        deltas = [row["delta_deg"] for row in report.rows]
+        deltas = [row["delta_deg"] for row in report["rows"]]
         assert max(deltas) - min(deltas) <= 1e-3
 
     @pytest.mark.parametrize("values", ["10.7,12", "inf", "nan"])
@@ -228,16 +226,16 @@ class TestEigenvalueOnlySolve:
     def test_bound(self, dim, variant):
         report = run(_config(potential=builtin("coulomb"), dimension=dim, angular=1,
                              variant=variant, N=12, h=0.9))
-        assert report.rows[0]["energy"] < 0.0
+        assert report["rows"][0]["energy"] < 0.0
 
     def test_bound_sweep(self):
         report = sweep(_config(), "h", (0.09, 0.2))
-        assert abs(report.rows[0]["eps_rel"]) <= 1e-10
+        assert abs(report["rows"][0]["eps_rel"]) <= 1e-10
 
     @pytest.mark.parametrize("table", [1, 2, 5])
     def test_bound_state_tables(self, table):
         rows = cli.benchmarks.run_table(table)
-        assert all(c.passed for c in cli.benchmarks.check_table(table, rows))
+        assert all(c["passed"] for c in cli.benchmarks.check_table(table, rows))
 
     def test_scatter_still_reads_eigenvectors(self):
         with pytest.raises(AssertionError, match="eigenvectors computed"):
@@ -256,7 +254,7 @@ class TestReferenceRule:
     def _failed(self, table=2, rows=None):
         checks = cli.benchmarks.check_table(table, list(rows or _table_rows(table)))
         assert len(checks) == {2: 15, 4: 20}[table]
-        return [c.description for c in checks if not c.passed]
+        return [c["description"] for c in checks if not c["passed"]]
 
     def test_one_quoted_value_moves_one_check(self, monkeypatch):
         monkeypatch.setitem(cli.benchmarks.TABLE2_REFERENCE, 0,
@@ -332,22 +330,18 @@ class TestReports:
         assert all(c["passed"] for c in doc["checks"])
 
 
+def _rounded(report):
+    """The report with its row cells and check values rounded to 15 digits."""
+    doc = dict(report, rows=[{k: cli._json_cell(v) for k, v in row.items()}
+                             for row in report["rows"]])
+    if "checks" in report:
+        doc["checks"] = [dict(c, value=cli._json_cell(c["value"])) for c in report["checks"]]
+    return doc
+
+
 def _reference_json(report):
     """What render_json must write: the indented pure-Python json encoding."""
-    doc = {
-        "schema": 1,
-        "mode": report.mode,
-        "config": report.config,
-        "provenance": report.provenance,
-        "rows": [{k: cli._json_cell(v) for k, v in row.items()} for row in report.rows],
-    }
-    if report.checks:
-        doc["checks"] = [
-            {"description": c.description, "passed": c.passed,
-             "value": cli._json_cell(c.value)}
-            for c in report.checks
-        ]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_rounded(report), indent=2) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -375,10 +369,10 @@ _REPORTS = {
     "sweep-N": lambda: sweep(_config(potential=builtin("coulomb"), h=0.9), "N", (10, 15)),
     "sweep-h": lambda: sweep(_config(), "h", (0.05, 0.09, 0.2)),
     "sweep-gamma": lambda: sweep(_config(**_ECKART_SCATTER), "gamma", (3.0, 4.0, 5.0)),
-    "no-rows": lambda: dataclasses.replace(run(_config()), rows=()),
+    "no-rows": lambda: {**run(_config()), "rows": []},
     **{f"table-{t}": functools.partial(_table_report, t) for t in range(1, 6)},
-    **{f"table-{t}-no-checks": (lambda t=t: dataclasses.replace(_table_report(t),
-                                                               checks=()))
+    **{f"table-{t}-no-checks": (lambda t=t: {k: v for k, v in _table_report(t).items()
+                                             if k != "checks"})
        for t in range(1, 6)},
 }
 
@@ -411,15 +405,25 @@ class TestJsonWriter:
         report = _REPORTS[name]()
         assert cli.render_json(report) == _reference_json(report)
 
+    @pytest.mark.parametrize("name", list(_REPORTS))
+    def test_document_is_the_report(self, name):
+        # the written document is the returned dict, rounded, key order included
+        report = _REPORTS[name]()
+        doc = json.loads(cli.render_json(report))
+        assert doc == _rounded(report)
+        assert json.dumps(doc) == json.dumps(_rounded(report))
+
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.dictionaries(_TEXT, _CELLS, max_size=5), max_size=4))
     def test_edge_cells_match_reference(self, rows):
-        report = Report("bound", tuple(rows), {"mode": "bound"}, {"build": "x"})
+        report = {"schema": 1, "mode": "bound", "config": {"mode": "bound"},
+                  "provenance": {"build": "x"}, "rows": rows}
         assert cli.render_json(report) == _reference_json(report)
 
     @pytest.mark.parametrize("cell", [[1.0], {"a": 1.0}, (1,), np.zeros(2)])
     def test_container_cell_is_a_type_error(self, cell):
-        report = Report("bound", ({"state": 1, "energy": cell},), {}, {})
+        report = {"schema": 1, "mode": "bound", "config": {}, "provenance": {},
+                  "rows": [{"state": 1, "energy": cell}]}
         with pytest.raises(TypeError, match="report cells are scalars"):
             cli.render_json(report)
 
@@ -450,7 +454,7 @@ class TestJsonWriter:
         json.dumps({"rows": [{"energy": 1.0}]}, indent=2)
         assert any("energy" in d for d in dicts(seen.pop()))  # the guard sees rows
         report = run(_config(N=150, h=0.06))
-        assert len(report.rows) == 150
+        assert len(report["rows"]) == 150
         cli.render_json(report)
         assert not any("energy" in d for o in seen for d in dicts(o))
 
@@ -509,7 +513,8 @@ class TestMain:
     def test_reproduce_check_mismatch_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli.benchmarks, "check_table",
-            lambda table, rows=None: [CheckResult("forced mismatch", False, 1.0)])
+            lambda table, rows: [{"description": "forced mismatch", "passed": False,
+                                  "value": 1.0}])
         code = main(["reproduce", "--table", "1", "--check"])
         assert code == 3
         assert "FAIL forced mismatch" in capsys.readouterr().err

@@ -61,7 +61,7 @@ def _predicts_loss(variant, n, potential):
     ``AccuracyLoss``: the potential (inverse power 1 for Coulomb, 0 for the
     oscillator) and, for n > 0, the centrifugal term (inverse power 2)."""
     family, alpha, (_, c_mode, v_mode) = SCHEMES[variant]
-    dim = "2D" if isinstance(variant, Variant2D) else "3D"
+    dim = 2 if isinstance(variant, Variant2D) else 3
     powers = [1 if potential == "coulomb" else 0] if v_mode is Mode.Gauss else []
     if c_mode is Mode.Gauss and n > 0:
         powers.append(2)
@@ -176,3 +176,6 @@ def test_coulomb_scattering_grid(Z, l, N):
         except (ConvergenceError, IndeterminatePhaseError):
             continue
         assert rec.tan_delta == 0.0 and math.isfinite(rec.delta_deg), (state.energy, rec)
+        # a zero phase is +0 in either window, never -0
+        assert math.copysign(1.0, rec.tan_delta) == 1.0, (state.energy, rec)
+        assert math.copysign(1.0, rec.delta_deg) == 1.0, (state.energy, rec)

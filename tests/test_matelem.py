@@ -611,27 +611,32 @@ class TestCentrifugal:
             hamiltonian_2d(mesh_regsqrt(5, 0.0), value, builtin("harmonic"), variant)
 
 
+_KNOWN_CELLS = [
+    ("NonReg", 2.0, 1, 2, 3, Classification.AccuracyLoss),
+    ("NonReg", 2.0, 0, 1, 3, Classification.AccuracyLoss),
+    ("RegSqrt", 1.0, 1, 2, 3, Classification.Safe),
+    ("RegSqrt", 0.0, 1, 2, 2, Classification.Safe),
+    ("RegR", 0.0, 1, 2, 3, Classification.Safe),
+]
+
+
 class TestClassifier:
     @pytest.mark.parametrize(
-        "family,alpha,lm,s,dim,want",
-        [
-            ("NonReg", 2.0, 1, 2, "3D", Classification.AccuracyLoss),
-            ("NonReg", 2.0, 0, 1, "3D", Classification.AccuracyLoss),
-            ("RegSqrt", 1.0, 1, 2, "3D", Classification.Safe),
-            ("RegSqrt", 0.0, 1, 2, "2D", Classification.Safe),
-            ("RegR", 0.0, 1, 2, "3D", Classification.Safe),
-        ],
+        "family,alpha,lm,s,dim,want", _KNOWN_CELLS,
+        # the ids spell the dimension as 3D or 2D
+        ids=["-".join(map(str, (*c[:4], f"{c[4]}D", c[5]))) for c in _KNOWN_CELLS],
     )
     def test_known_cells(self, family, alpha, lm, s, dim, want):
         assert classify_singularity(family, alpha, lm, s, dim) is want
 
     def test_invalid_power_rejected(self):
         with pytest.raises(ValueError, match="0, 1, or 2"):
-            classify_singularity("RegSqrt", 1.0, 0, 3, "3D")
+            classify_singularity("RegSqrt", 1.0, 0, 3, 3)
 
     def test_invalid_dimension_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            classify_singularity("RegSqrt", 1.0, 0, 1, "4D")
+        for dim in (4, "3D"):
+            with pytest.raises(ValueError, match=r"^dimension must be 2 or 3 \(got "):
+                classify_singularity("RegSqrt", 1.0, 0, 1, dim)
 
     # these gave Safe or AccuracyLoss verdicts before
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -641,7 +646,7 @@ class TestClassifier:
             classify_singularity("NonReg", alpha, 1, 2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("dim, name", [("3D", "l"), ("2D", "m")])
+    @pytest.mark.parametrize("dim, name", [(3, "l"), (2, "m")], ids=["3D-l", "2D-m"])
     @pytest.mark.parametrize("value, message", [
         (math.nan, "must be an integer"), (math.inf, "must be an integer"),
         (1.5, "must be an integer"), (-3, "must be nonnegative"),
