@@ -18,7 +18,6 @@ from .matelem import (
     Classification,
     HamiltonianVariant,
     Mode,
-    Variant2D,
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
@@ -56,7 +55,6 @@ __all__ = [
     "PhaseShiftResult",
     "PotentialSpec",
     "Pseudostate",
-    "Variant2D",
     "bound_energies",
     "builtin",
     "classify_singularity",

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
+from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import builtin, exact_level
 from .scattering import eckart_reference_delta0, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
@@ -45,7 +45,7 @@ __all__ = [
     "run_table",
 ]
 
-# column label and evaluation scheme; meshes come from matelem.SCHEMES
+# column label and evaluation scheme; meshes and dimensions come from matelem.SCHEMES
 _VARIANTS_3D = (
     ("var", HamiltonianVariant.Var),
     ("reg sqrt(r)", HamiltonianVariant.RegSqrtMesh),
@@ -54,7 +54,8 @@ _VARIANTS_3D = (
     ("non reg V_G", HamiltonianVariant.NonRegVG),
 )
 
-_VARIANTS_2D = (("var", Variant2D.Var2D), ("reg sqrt(rho)", Variant2D.RegSqrtMesh2D))
+_VARIANTS_2D = (("var", HamiltonianVariant.Var2D),
+                ("reg sqrt(rho)", HamiltonianVariant.RegSqrtMesh2D))
 _MESHES_SCAT = _VARIANTS_3D[1:3]  # the two regularized meshes
 
 TABLE3_GAMMA = 4.0
@@ -142,7 +143,7 @@ def _lowest_errors(schemes, V, N, h, n):
     """Relative error of the lowest level in each labeled scheme, 3D or 2D."""
     row = {}
     for label, variant in schemes:
-        dim = 2 if isinstance(variant, Variant2D) else 3
+        dim = SCHEMES[variant][3]
         build = hamiltonian_2d if dim == 2 else hamiltonian_3d
         H, S = build(scheme_mesh(variant, N, h), n, V, variant)
         row[label] = relative_error(bound_energies(H, S)[0], exact_level(V, n, dimension=dim))

@@ -33,10 +33,11 @@ import sys
 import numpy as np
 
 from . import __version__, benchmarks
-from .matelem import HamiltonianVariant, Variant2D, hamiltonian_2d, hamiltonian_3d, scheme_mesh
+from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import BUILTIN_NAMES, builtin, exact_level, from_json, to_json
 from .scattering import gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
+from .specfun import _MAX_ETA
 
 __all__ = [
     "ConfigError",
@@ -52,15 +53,17 @@ _BUILD = f"lagmesh {__version__}"
 
 _MODES = ("bound", "scatter", "gamma-scan", "reproduce")
 
-# variant alias -> scheme, in 3D and in 2D; each scheme's mesh is in matelem.SCHEMES
-_VARIANTS = {
-    "var": HamiltonianVariant.Var,
-    "reg-sqrt": HamiltonianVariant.RegSqrtMesh,
-    "reg-r": HamiltonianVariant.RegRMesh,
-    "non-reg": HamiltonianVariant.NonReg,
-    "non-reg-vg": HamiltonianVariant.NonRegVG,
-}
-_VARIANTS_2D = {"var": Variant2D.Var2D, "reg-sqrt": Variant2D.RegSqrtMesh2D}
+# (dimension, variant alias) -> scheme; the dimension and mesh of each
+# scheme are in matelem.SCHEMES
+_VARIANTS = {(SCHEMES[scheme][3], alias): scheme for alias, scheme in (
+    ("var", HamiltonianVariant.Var),
+    ("reg-sqrt", HamiltonianVariant.RegSqrtMesh),
+    ("reg-r", HamiltonianVariant.RegRMesh),
+    ("non-reg", HamiltonianVariant.NonReg),
+    ("non-reg-vg", HamiltonianVariant.NonRegVG),
+    ("var", HamiltonianVariant.Var2D),
+    ("reg-sqrt", HamiltonianVariant.RegSqrtMesh2D),
+)}
 
 # JSON types of the config-file fields, matched exactly (true is no integer)
 _NUMBER = (int, float)
@@ -127,17 +130,15 @@ def _validate(config):
         errors.append("l/m: must be nonnegative")
     if config.dimension not in (2, 3):
         errors.append("dim: must be 2 or 3")
-    elif config.dimension == 2:
-        if config.mode in ("scatter", "gamma-scan"):
+    else:
+        if config.dimension == 2 and config.mode in ("scatter", "gamma-scan"):
             # the integral relations use the 3D Coulomb/Riccati functions
             errors.append(f"dim: {config.mode} is defined in three dimensions only")
-        if config.variant not in _VARIANTS_2D:
-            errors.append("variant: two-dimensional schemes are "
-                          + " or ".join(sorted(_VARIANTS_2D)))
-        if config.alpha not in (None, 0.0):
+        if (config.dimension, config.variant) not in _VARIANTS:
+            aliases = [a for d, a in _VARIANTS if d == config.dimension]
+            errors.append(f"variant: must be one of {', '.join(aliases)}")
+        if config.dimension == 2 and config.alpha not in (None, 0.0):
             errors.append("alpha: two-dimensional schemes fix alpha = 0")
-    elif config.variant not in _VARIANTS:
-        errors.append(f"variant: must be one of {', '.join(_VARIANTS)}")
     if config.alpha is not None and not (
             config.alpha >= 0.0 and math.isfinite(config.alpha)):
         errors.append("alpha: must be finite and nonnegative")
@@ -152,9 +153,8 @@ def _validate(config):
 
 def _resolve_problem(config):
     """Mesh and Hamiltonian pair (H, S) for a validated config."""
-    variants, build = ((_VARIANTS_2D, hamiltonian_2d) if config.dimension == 2
-                       else (_VARIANTS, hamiltonian_3d))
-    scheme = variants[config.variant]
+    scheme = _VARIANTS[config.dimension, config.variant]
+    build = hamiltonian_2d if config.dimension == 2 else hamiltonian_3d
     mesh = scheme_mesh(scheme, config.N, config.h, config.alpha)
     H, S = build(mesh, config.angular, config.potential, scheme)
     return mesh, H, S
@@ -182,15 +182,26 @@ def _window(V):
     return "positive" if V.tail_Z != 0.0 else "principal"
 
 
-def _run_scatter(config):
+def _scattering_states(config):
+    """The mesh and the pseudostates of a scattering run, each with its
+    number counted from 1.  A state with |eta| = |Z/k| above _MAX_ETA lies
+    outside the Coulomb functions' domain and is skipped; the others keep
+    their numbers."""
     mesh, H, S = _resolve_problem(config)
     V = config.potential
+    states = enumerate(pseudostates(solve_bound_states(H, S)), 1)
+    return mesh, [(n, state) for n, state in states if abs(V.tail_Z / state.k) <= _MAX_ETA]
+
+
+def _run_scatter(config):
+    mesh, states = _scattering_states(config)
+    V = config.potential
     rows = []
-    for n, state in enumerate(pseudostates(solve_bound_states(H, S))):
+    for n, state in states:
         res = tan_delta(state, config.angular, V, V.tail_Z, config.gamma,
                         mesh, window=_window(V))
         rows.append({
-            "state": n + 1, "energy": res.energy, "k": res.k,
+            "state": n, "energy": res.energy, "k": res.k,
             "gamma": res.gamma, "tan_delta": res.tan_delta,
             "delta_deg": res.delta_deg, "branch": res.branch,
         })
@@ -198,15 +209,15 @@ def _run_scatter(config):
 
 
 def _run_gamma_scan(config):
-    mesh, H, S = _resolve_problem(config)
+    mesh, states = _scattering_states(config)
     V = config.potential
     grid = None if config.gammas is None else np.asarray(config.gammas, dtype=float)
     rows = []
-    for n, state in enumerate(pseudostates(solve_bound_states(H, S))):
+    for n, state in states:
         rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, mesh,
                             gammas=grid, window=_window(V))
         rows.append({
-            "state": n + 1, "energy": rec.energy, "gamma": rec.gamma,
+            "state": n, "energy": rec.energy, "gamma": rec.gamma,
             "delta_deg": rec.delta_deg, "sensitivity": rec.sensitivity,
             "no_plateau": rec.no_plateau,
         })
@@ -275,7 +286,8 @@ def sweep(config, parameter, values):
 
     Returns a report as ``run`` does, in mode ``sweep:bound`` or
     ``sweep:scatter`` and without checks.  Each row summarizes the first
-    state of the corresponding run.
+    state of the corresponding run; its values are null when a scatter run
+    has no pseudostate.
     """
     if parameter not in ("N", "h", "gamma"):
         raise ConfigError(["parameter: must be N, h, or gamma"])
@@ -291,13 +303,14 @@ def sweep(config, parameter, values):
     rows = []
     cast = int if parameter == "N" else float
     for v in values:
-        first = run(dataclasses.replace(config, **{parameter: cast(v)}))["rows"][0]
-        row = {"parameter": parameter, "value": v, "energy": first["energy"]}
+        sub_rows = run(dataclasses.replace(config, **{parameter: cast(v)}))["rows"]
+        first = sub_rows[0] if sub_rows else {}
+        row = {"parameter": parameter, "value": v, "energy": first.get("energy")}
         if config.mode == "bound":
             row["eps_rel"] = first.get("eps_rel")
         else:
-            row["tan_delta"] = first["tan_delta"]
-            row["delta_deg"] = first["delta_deg"]
+            row["tan_delta"] = first.get("tan_delta")
+            row["delta_deg"] = first.get("delta_deg")
         rows.append(row)
     echo = _config_echo(config)
     echo["sweep"] = {"parameter": parameter,
@@ -451,7 +464,8 @@ def build_parser():
     common.add_argument("--l", type=int, default=None, help="orbital momentum (3D)")
     common.add_argument("--m", type=int, default=None, help="angular number (2D)")
     common.add_argument("--dim", type=int, default=None, help="2 or 3 (default 3)")
-    common.add_argument("--variant", default=None, help=", ".join(_VARIANTS))
+    common.add_argument("--variant", default=None,
+                        help=", ".join(dict.fromkeys(a for _, a in _VARIANTS)))
     common.add_argument("--N", type=int, default=None, help="mesh size")
     common.add_argument("--alpha", type=float, default=None,
                         help="Laguerre parameter (default per variant)")

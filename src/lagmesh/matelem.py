@@ -43,7 +43,6 @@ __all__ = [
     "HamiltonianVariant",
     "Mode",
     "SCHEMES",
-    "Variant2D",
     "classify_singularity",
     "hamiltonian_2d",
     "hamiltonian_3d",
@@ -58,12 +57,13 @@ class Mode(enum.Enum):
 
 
 class HamiltonianVariant(enum.Enum):
-    """Evaluation schemes for the 3D radial Hamiltonian.
+    """Evaluation schemes for the radial Hamiltonian: five in 3D, two in 2D.
 
     ``Var`` is the variational reference: every matrix element exact.
     ``RegSqrtMesh`` and ``RegRMesh`` are mesh calculations with all terms at
     the Gauss approximation.  ``NonReg`` uses Gauss for the potential and
     centrifugal terms only; ``NonRegVG`` restricts Gauss to the potential.
+    ``Var2D`` and ``RegSqrtMesh2D`` are the 2D variational and mesh schemes.
     """
 
     Var = "Var"
@@ -71,9 +71,6 @@ class HamiltonianVariant(enum.Enum):
     RegRMesh = "RegRMesh"
     NonReg = "NonReg"
     NonRegVG = "NonRegVG"
-
-
-class Variant2D(enum.Enum):
     Var2D = "Var2D"
     RegSqrtMesh2D = "RegSqrtMesh2D"
 
@@ -257,41 +254,43 @@ def potential_matrix(mesh, V, mode=Mode.Gauss):
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly
 
-# Per-scheme mesh family, default Laguerre parameter, and evaluation modes
-# of the (kinetic, centrifugal, potential) terms.  Both 2D schemes take the
-# RegSqrt mesh with alpha = 0.
+# Per-scheme mesh family, default Laguerre parameter, evaluation modes of
+# the (kinetic, centrifugal, potential) terms, and dimension.  Both 2D
+# schemes take the RegSqrt mesh with alpha = 0.
+_E, _G = Mode.Exact, Mode.Gauss
 SCHEMES = {
-    HamiltonianVariant.Var: (Family.RegSqrt, 1.0, (Mode.Exact, Mode.Exact, Mode.Exact)),
-    HamiltonianVariant.RegSqrtMesh: (Family.RegSqrt, 1.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
-    HamiltonianVariant.RegRMesh: (Family.RegR, 0.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
-    HamiltonianVariant.NonReg: (Family.NonReg, 2.0, (Mode.Exact, Mode.Gauss, Mode.Gauss)),
-    HamiltonianVariant.NonRegVG: (Family.NonReg, 2.0, (Mode.Exact, Mode.Exact, Mode.Gauss)),
-    Variant2D.Var2D: (Family.RegSqrt, 0.0, (Mode.Exact, Mode.Exact, Mode.Exact)),
-    Variant2D.RegSqrtMesh2D: (Family.RegSqrt, 0.0, (Mode.Gauss, Mode.Gauss, Mode.Gauss)),
+    HamiltonianVariant.Var: (Family.RegSqrt, 1.0, (_E, _E, _E), 3),
+    HamiltonianVariant.RegSqrtMesh: (Family.RegSqrt, 1.0, (_G, _G, _G), 3),
+    HamiltonianVariant.RegRMesh: (Family.RegR, 0.0, (_G, _G, _G), 3),
+    HamiltonianVariant.NonReg: (Family.NonReg, 2.0, (_E, _G, _G), 3),
+    HamiltonianVariant.NonRegVG: (Family.NonReg, 2.0, (_E, _E, _G), 3),
+    HamiltonianVariant.Var2D: (Family.RegSqrt, 0.0, (_E, _E, _E), 2),
+    HamiltonianVariant.RegSqrtMesh2D: (Family.RegSqrt, 0.0, (_G, _G, _G), 2),
 }
 
 
 def scheme_mesh(variant, N, h, alpha=None):
-    """The mesh ``variant`` runs on: its ``SCHEMES`` family and Laguerre
-    parameter, or ``alpha`` in place of the latter when given."""
-    if variant not in SCHEMES:
-        raise ValueError(f"unknown scheme: {variant!r}")
-    family, default, _ = SCHEMES[variant]
+    """The mesh ``variant`` (member or name) runs on: its ``SCHEMES`` family
+    and Laguerre parameter, or ``alpha`` in place of the latter when given."""
+    family, default, *_ = SCHEMES[_coerce(HamiltonianVariant, variant)]
     return MeshSpec(N, default if alpha is None else alpha, family, h)
 
 
-def _scheme_row(variant, name, n, mesh):
-    """The angular number ``n`` (called ``name``) as an int and the term
-    modes of ``variant``, after checking both and the mesh against its row."""
+def _scheme_row(variant, dimension, n, mesh):
+    """The angular number ``n`` (l in 3D, m in 2D) as an int and the term
+    modes of ``variant``, after checking the scheme's dimension, ``n`` and
+    the mesh against its row."""
+    variant = _coerce(HamiltonianVariant, variant)
+    family, alpha, modes, dim = SCHEMES[variant]
+    if dim != dimension:
+        raise ValueError(f"{variant.name} is a {dim}D scheme, not a {dimension}D one")
+    name = "l" if dimension == 3 else "m"
     n = _integer(name, n, nonnegative=True)
     if mesh.N <= n:
         raise ValueError(f"N must exceed {name} (got N={mesh.N}, {name}={n})")
-    family, alpha, modes = SCHEMES[variant]
-    if isinstance(variant, Variant2D):
-        if mesh.family is not family or mesh.alpha != alpha:
-            raise ValueError("2D schemes require a RegSqrt mesh with alpha=0")
-    elif mesh.family is not family:
-        raise ValueError(f"variant {variant.name} requires family {family.name}")
+    if mesh.family is not family or dim == 2 and mesh.alpha != alpha:
+        fixed = f" with alpha={alpha:g}" if dim == 2 else ""
+        raise ValueError(f"variant {variant.name} requires family {family.name}{fixed}")
     return n, modes
 
 
@@ -351,8 +350,7 @@ def hamiltonian_3d(mesh, l, V, variant):
         Naming h, when 1/(2 h^2) or an assembled entry is out of double
         range; at N = 150 that is h below about 1e-152 or above 1e151.
     """
-    variant = _coerce(HamiltonianVariant, variant)
-    l, modes = _scheme_row(variant, "l", l, mesh)
+    l, modes = _scheme_row(variant, 3, l, mesh)
     return _assemble(mesh, "kinetic", l * (l + 1.0), modes, V)
 
 
@@ -382,8 +380,7 @@ def hamiltonian_2d(mesh, m, V, variant):
     OverflowError
         Naming h, as for ``hamiltonian_3d``.
     """
-    variant = _coerce(Variant2D, variant)
-    m, modes = _scheme_row(variant, "m", m, mesh)
+    m, modes = _scheme_row(variant, 2, m, mesh)
     if modes[1] is Mode.Exact and m > 0:
         # the exact 1/rho^2 element diverges at alpha = 0
         mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, mesh.h)

@@ -33,6 +33,8 @@ __all__ = [
     "coulomb_wave",
 ]
 
+# The supported Sommerfeld parameters are |eta| <= _MAX_ETA.
+_MAX_ETA = 50.0
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
 _STEED_MIN_X = 5.0
 # At eta != 0 and x >= _HANKEL_MIN_X, the asymptotic series of H+ is tried
@@ -495,8 +497,8 @@ def coulomb_wave(l, eta, x):
     if not 0 <= l <= 20:
         raise ValueError("l must be an integer in [0, 20]")
     eta = float(eta)
-    if not (abs(eta) <= 50.0):
-        raise ValueError("eta must satisfy |eta| <= 50")
+    if not (abs(eta) <= _MAX_ETA):
+        raise ValueError(f"eta must satisfy |eta| <= {_MAX_ETA:g}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1:
         raise ValueError(f"x must be a scalar or a 1-D array (got shape {xs.shape})")

@@ -40,29 +40,31 @@ def test_boundary_resolves_to_a_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
 
 
-def test_bench_3d_schemes_match_the_scheme_table():
-    # alias -> (HamiltonianVariant name, family name, alpha)
-    assert WORKLOADS.SCHEMES_3D.keys() == cli._VARIANTS.keys()
-    for alias, (name, family, alpha) in WORKLOADS.SCHEMES_3D.items():
-        scheme = cli._VARIANTS[alias]
+def _check_bench_schemes(dimension, bench):
+    # bench: alias -> (HamiltonianVariant name, family name, alpha)
+    assert bench.keys() == {a for d, a in cli._VARIANTS if d == dimension}
+    for alias, (name, family, alpha) in bench.items():
+        scheme = cli._VARIANTS[dimension, alias]
         assert scheme.name == name
         assert matelem.SCHEMES[scheme][:2] == (Family[family], alpha)
+        assert matelem.SCHEMES[scheme][3] == dimension
+
+
+def test_bench_3d_schemes_match_the_scheme_table():
+    _check_bench_schemes(3, WORKLOADS.SCHEMES_3D)
 
 
 def test_bench_2d_schemes_match_the_scheme_table():
-    # alias -> Variant2D name; the benchmark builds both on RegSqrt, alpha 0
-    assert WORKLOADS.SCHEMES_2D.keys() == cli._VARIANTS_2D.keys()
-    for alias, name in WORKLOADS.SCHEMES_2D.items():
-        scheme = cli._VARIANTS_2D[alias]
-        assert scheme.name == name
-        assert matelem.SCHEMES[scheme][:2] == (Family.RegSqrt, 0.0)
+    # alias -> HamiltonianVariant name; the benchmark builds both on RegSqrt, alpha 0
+    _check_bench_schemes(2, {alias: (name, "RegSqrt", 0.0)
+                             for alias, name in WORKLOADS.SCHEMES_2D.items()})
 
 
 def test_bench_phase_meshes_match_the_scheme_table():
     # family name -> (HamiltonianVariant name, alpha)
     for family, (name, alpha) in WORKLOADS._REG_MESHES.items():
         scheme = HamiltonianVariant[name]
-        assert scheme in cli._VARIANTS.values()
+        assert scheme in cli._VARIANTS.values() and matelem.SCHEMES[scheme][3] == 3
         assert matelem.SCHEMES[scheme][:2] == (Family[family], alpha)
 
 

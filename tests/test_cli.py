@@ -18,6 +18,8 @@ from lagmesh import cli
 from lagmesh.cli import ConfigError, ExperimentConfig, main, run, sweep
 from lagmesh.potentials import builtin, from_json
 from lagmesh.scattering import IndeterminatePhaseError
+from lagmesh.solver import pseudostates, solve_bound_states
+from lagmesh.specfun import _MAX_ETA
 
 
 def _config(**kw):
@@ -63,6 +65,13 @@ class TestValidation:
             run(_config(dimension=2, angular=1, variant="non-reg"))
         with pytest.raises(ConfigError, match="alpha"):
             run(_config(dimension=2, angular=1, variant="var", alpha=2.0))
+
+    @pytest.mark.parametrize("dimension,aliases", [
+        (3, "var, reg-sqrt, reg-r, non-reg, non-reg-vg"), (2, "var, reg-sqrt")])
+    def test_wrong_variant_names_the_aliases_of_its_dimension(self, dimension, aliases):
+        with pytest.raises(ConfigError) as err:
+            run(_config(dimension=dimension, variant="cubic"))
+        assert err.value.errors == (f"variant: must be one of {aliases}",)
 
     @pytest.mark.parametrize("variant", ["reg-sqrt", "var"])
     def test_scattering_modes_are_three_dimensional(self, variant):
@@ -153,6 +162,21 @@ class TestScatterMode:
         assert all(0.0 <= row["delta_deg"] < 180.0 for row in report["rows"])
 
 
+@pytest.mark.parametrize("mode", ["scatter", "gamma-scan"])
+@pytest.mark.parametrize("N", [30, 100, 200])
+def test_states_beyond_the_eta_domain_are_skipped(mode, N):
+    # near threshold a Coulomb pseudostate can have |eta| = |Z/k| > 50,
+    # where the Coulomb functions are not defined: at h = 1.1 one of 174
+    # at N = 200, none at N = 30 or 100
+    config = _config(mode=mode, potential=builtin("coulomb"), variant="reg-sqrt",
+                     N=N, h=1.1, gamma=1.0 if mode == "scatter" else None)
+    _, H, S = cli._resolve_problem(config)
+    states = pseudostates(solve_bound_states(H, S))
+    inside = [n for n, s in enumerate(states, 1) if abs(1.0 / s.k) <= _MAX_ETA]
+    assert [row["state"] for row in run(config)["rows"]] == inside
+    assert len(inside) == len(states) - (N == 200)
+
+
 class TestGammaScanMode:
     def test_recommends_plateau(self):
         report = run(_config(mode="gamma-scan", potential=builtin("eckart"),
@@ -191,6 +215,22 @@ class TestSweep:
         report = sweep(config, "gamma", (3.0, 4.0, 5.0))
         deltas = [row["delta_deg"] for row in report["rows"]]
         assert max(deltas) - min(deltas) <= 1e-3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scatter_run_without_pseudostates_leaves_null_values(self, capsys, fmt):
+        # an N = 1 Coulomb mesh has only its bound state
+        code = main(["sweep", "--parameter", "gamma", "--values", "1,2", "--potential",
+                     "coulomb", "--variant", "reg-sqrt", "--N", "1", "--h", "1",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        if fmt == "csv":
+            assert captured.out == ("parameter,value,energy,tan_delta,delta_deg\n"
+                                    "gamma,1,,,\ngamma,2,,,\n")
+        else:
+            assert json.loads(captured.out)["rows"] == [
+                {"parameter": "gamma", "value": v, "energy": None, "tan_delta": None,
+                 "delta_deg": None} for v in (1.0, 2.0)]
 
     @pytest.mark.parametrize("values", ["10.7,12", "inf", "nan"])
     def test_mesh_sizes_must_be_whole(self, capsys, values):
@@ -471,8 +511,8 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["bound", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "--variant VARIANT " + ", ".join(cli._VARIANTS) in help_text
-        assert set(cli._VARIANTS_2D) <= set(cli._VARIANTS)
+        aliases = dict.fromkeys(alias for _, alias in cli._VARIANTS)
+        assert "--variant VARIANT " + ", ".join(aliases) in help_text
 
     def test_validation_failure_exits_1(self, capsys):
         code = main(["scatter", "--potential", "eckart", "--N", "15",

@@ -27,7 +27,6 @@ from lagmesh.matelem import (
     Classification,
     HamiltonianVariant,
     Mode,
-    Variant2D,
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
@@ -60,8 +59,7 @@ def _predicts_loss(variant, n, potential):
     """Whether the classifier marks a Gauss-approximated term of the scheme
     ``AccuracyLoss``: the potential (inverse power 1 for Coulomb, 0 for the
     oscillator) and, for n > 0, the centrifugal term (inverse power 2)."""
-    family, alpha, (_, c_mode, v_mode) = SCHEMES[variant]
-    dim = 2 if isinstance(variant, Variant2D) else 3
+    family, alpha, (_, c_mode, v_mode), dim = SCHEMES[variant]
     powers = [1 if potential == "coulomb" else 0] if v_mode is Mode.Gauss else []
     if c_mode is Mode.Gauss and n > 0:
         powers.append(2)
@@ -87,7 +85,7 @@ def test_plain_schemes_below_n1000(potential, n, variant):
 
 
 def _check_lowest_level(N, potential, n, variant):
-    dim = 2 if isinstance(variant, Variant2D) else 3
+    dim = SCHEMES[variant][3]
     build = hamiltonian_2d if dim == 2 else hamiltonian_3d
     V = builtin(potential)
     H, S = build(scheme_mesh(variant, N, GRID_H[potential]), n, V, variant)

@@ -1,13 +1,30 @@
-"""The narrative demos and the README library example run without error."""
+"""The narrative demos and the README library and CLI examples run without
+error."""
 
 import pathlib
 import re
 import runpy
+import shlex
 
 import pytest
 
+from lagmesh import cli
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
+
+
+def _cli_examples():
+    """The ``lagmesh ...`` commands of the README's CLI block, with their
+    continuation lines joined."""
+    section = README.split("## Command-line interface", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("lagmesh ")]
+
+
+CLI_EXAMPLES = _cli_examples()
 
 
 def test_demos_are_found():
@@ -23,9 +40,20 @@ def test_demo_runs(path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_readme_library_example_runs(capsys):
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Library example", 1)[1]
+    section = README.split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and all(line.startswith("E = ") for line in lines)
+
+
+def test_readme_cli_examples_are_found():
+    assert len(CLI_EXAMPLES) >= 7
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", CLI_EXAMPLES,
+                         ids=[f"{i}-{c.split()[1]}" for i, c in enumerate(CLI_EXAMPLES, 1)])
+def test_readme_cli_example_runs(command, capsys):
+    assert cli.main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out.strip()

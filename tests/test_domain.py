@@ -21,7 +21,6 @@ from lagmesh import (
     IndeterminatePhaseError,
     MeshSpec,
     PotentialSpec,
-    Variant2D,
     bound_energies,
     builtin,
     classify_singularity,
@@ -106,7 +105,7 @@ CASES = {
     "hamiltonian_3d.l": (lambda v: hamiltonian_3d(MESH, v, ECKART, "RegSqrtMesh"),
                          angular(MESH.N), r"\bl\b"),
     "hamiltonian_2d.m": (lambda v: hamiltonian_2d(
-        scheme_mesh(Variant2D.RegSqrtMesh2D, 6, 0.5), v, ECKART, "RegSqrtMesh2D"),
+        scheme_mesh(HamiltonianVariant.RegSqrtMesh2D, 6, 0.5), v, ECKART, "RegSqrtMesh2D"),
         angular(6), r"\bm\b"),
     "bound_energies.H": (lambda v: bound_energies(_symmetric_with_entry(v), np.eye(4)),
                          NONFINITE, r"Hamiltonian"),

@@ -13,7 +13,7 @@ from lagmesh.matelem import (
     Classification,
     HamiltonianVariant,
     Mode,
-    Variant2D,
+    SCHEMES,
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
@@ -400,10 +400,13 @@ class TestPotentialMatrix:
             got = potential_matrix(mesh, one, Mode.Exact)
             assert np.abs(got - _exact_overlap(mesh)).max() <= 1e-13
 
-    @pytest.mark.parametrize("variant", [HamiltonianVariant.Var, Variant2D.Var2D])
+    # the ids keep the names these cases had when the 2D schemes were an enum
+    # of their own
+    @pytest.mark.parametrize("variant", [HamiltonianVariant.Var, HamiltonianVariant.Var2D],
+                             ids=["HamiltonianVariant.Var", "Variant2D.Var2D"])
     @pytest.mark.parametrize("angular", [0, 1, 2])
     def test_constant_shifts_variational_levels(self, variant, angular):
-        build = hamiltonian_2d if isinstance(variant, Variant2D) else hamiltonian_3d
+        build = hamiltonian_2d if SCHEMES[variant][3] == 2 else hamiltonian_3d
         mesh = scheme_mesh(variant, 30, 0.1)
         shifted = PotentialSpec(label="shifted", terms=((0.5, 2.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
         E = np.linalg.eigvalsh(build(mesh, angular, builtin("harmonic"), variant)[0])[:5]
@@ -462,10 +465,28 @@ class TestHamiltonian3D:
             hamiltonian_3d(mesh_regsqrt(4), 0, builtin("harmonic"), "Exotic")
 
 
+class TestSchemeNames:
+    @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
+    def test_scheme_mesh_takes_names(self, variant):
+        assert scheme_mesh(variant.name, 10, 1.0) == scheme_mesh(variant, 10, 1.0)
+        with pytest.raises(ValueError, match="unknown HamiltonianVariant"):
+            scheme_mesh("Exotic", 10, 1.0)
+
+    @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
+    def test_builder_rejects_the_other_dimension(self, variant):
+        dim = SCHEMES[variant][3]
+        other, wrong = (hamiltonian_3d, 3) if dim == 2 else (hamiltonian_2d, 2)
+        mesh = scheme_mesh(variant, 10, 1.0)
+        message = f"^{variant.name} is a {dim}D scheme, not a {wrong}D one$"
+        for name_or_member in (variant, variant.name):
+            with pytest.raises(ValueError, match=message):
+                other(mesh, 1, builtin("harmonic"), name_or_member)
+
+
 class TestHamiltonian2D:
     def test_oscillator_mesh_scheme(self):
         mesh = mesh_regsqrt(20, 0.0, h=0.09)
-        H, S = hamiltonian_2d(mesh, 1, builtin("harmonic"), Variant2D.RegSqrtMesh2D)
+        H, S = hamiltonian_2d(mesh, 1, builtin("harmonic"), HamiltonianVariant.RegSqrtMesh2D)
         E = eigh(H, eigvals_only=True)
         assert abs(E[0] - 2.0) / 2.0 <= 1e-10
         assert np.array_equal(S, np.eye(20))
@@ -598,14 +619,14 @@ class TestCentrifugal:
     # on a float conversion; every scheme names l or m instead
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
-    @pytest.mark.parametrize("variant", list(HamiltonianVariant))
+    @pytest.mark.parametrize("variant", [v for v in SCHEMES if SCHEMES[v][3] == 3])
     def test_non_integer_l_named(self, variant, value):
         with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
             hamiltonian_3d(scheme_mesh(variant, 5, 1.0), value, builtin("harmonic"), variant)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
-    @pytest.mark.parametrize("variant", list(Variant2D))
+    @pytest.mark.parametrize("variant", [v for v in SCHEMES if SCHEMES[v][3] == 2])
     def test_non_integer_m_named(self, variant, value):
         with pytest.raises(ValueError, match=r"^m must be an integer \(got "):
             hamiltonian_2d(mesh_regsqrt(5, 0.0), value, builtin("harmonic"), variant)
@@ -775,14 +796,14 @@ class TestMatrixCache:
             ("RegR", 0.0, "RegRMesh"),
             ("NonReg", 2.0, "NonReg"),
             ("NonReg", 2.0, "NonRegVG"),
-            ("RegSqrt", 0.0, Variant2D.Var2D),
-            ("RegSqrt", 0.0, Variant2D.RegSqrtMesh2D),
+            ("RegSqrt", 0.0, "Var2D"),
+            ("RegSqrt", 0.0, "RegSqrtMesh2D"),
         ],
     )
     @pytest.mark.parametrize("angular", [0, 1])
     def test_hamiltonians_are_fresh_arrays(self, family, alpha, variant, angular):
         mesh = MeshSpec(10, alpha, family, 0.4)
-        build = hamiltonian_2d if isinstance(variant, Variant2D) else hamiltonian_3d
+        build = hamiltonian_2d if SCHEMES[HamiltonianVariant[variant]][3] == 2 else hamiltonian_3d
         H, S = build(mesh, angular, builtin("harmonic"), variant)
         before = H.copy()
         H[0, 0] += 1.0
