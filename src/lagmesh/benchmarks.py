@@ -187,28 +187,20 @@ def _run_table4():
     for l in (0, 2):
         V, meshes = _scattering_states("buck_alpha_alpha", 15, 0.23, l)
         for label, (mesh, ps) in meshes.items():
-            if l == 0:
-                # no clear plateau is expected for the lowest s-wave
-                # pseudostate; reuse the second pseudostate's plateau gamma
-                rec2, _ = gamma_scan(ps[1], l, V, V.tail_Z, mesh,
-                                     gammas=TABLE4_GAMMA_GRID, window="positive")
-                rec1, _ = gamma_scan(ps[0], l, V, V.tail_Z, mesh,
-                                     gammas=TABLE4_GAMMA_GRID,
-                                     fallback_gamma=rec2.gamma, window="positive")
-                recs = (rec1, rec2)
-            else:
-                recs = tuple(
-                    gamma_scan(ps[k], l, V, V.tail_Z, mesh,
-                               gammas=TABLE4_GAMMA_GRID, window="positive")[0]
-                    for k in (0, 1)
-                )
+            # no clear plateau is expected for the lowest s-wave
+            # pseudostate; it reuses the second pseudostate's plateau gamma
+            rec2, _ = gamma_scan(ps[1], l, V, V.tail_Z, mesh,
+                                 gammas=TABLE4_GAMMA_GRID, window="positive")
+            rec1, _ = gamma_scan(ps[0], l, V, V.tail_Z, mesh, gammas=TABLE4_GAMMA_GRID,
+                                 fallback_gamma=rec2.gamma if l == 0 else None,
+                                 window="positive")
             exact = TABLE4_REFERENCE[l, label]["exact"]
-            for k, rec in enumerate(recs):
+            for k, rec in enumerate((rec1, rec2)):
                 rows.append({
                     "l": l,
                     "mesh": label,
                     "state": k + 1,
-                    "energy_MeV": rec.energy,
+                    "energy_MeV": ps[k].energy * V.energy_unit,
                     "gamma": rec.gamma,
                     "delta": rec.delta_deg,
                     "sensitivity": rec.sensitivity,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, benchmarks
 from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
-from .potentials import BUILTIN_NAMES, builtin, exact_level, from_json, to_json
+from .potentials import BUILTIN_NAMES, PotentialSpec, builtin, exact_level, from_json, to_json
 from .scattering import gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 from .specfun import _MAX_ETA
@@ -122,6 +122,19 @@ def _validate(config):
         errors.append("table: only applies to reproduce mode")
     if config.potential is None:
         errors.append("potential: a builtin name or JSON spec is required")
+    elif not isinstance(config.potential, PotentialSpec):
+        errors.append(f"potential: must be a PotentialSpec (got {config.potential!r})")
+    # a config built in Python may hold any object in a number field; None
+    # marks an optional number as not given
+    mistyped = [
+        f"{name}: must be an int or a float (got {value!r})"
+        for name, value in (("N", config.N), ("h", config.h), ("alpha", config.alpha),
+                            ("gamma", config.gamma), ("angular", config.angular))
+        if not (value is None and name != "angular"
+                or isinstance(value, _NUMBER) and not isinstance(value, bool))
+    ]
+    if mistyped:
+        return errors + mistyped
     if config.N is None or config.N < 1:
         errors.append("N: a positive mesh size is required")
     if config.h is None or not config.h > 0.0:
@@ -201,7 +214,7 @@ def _run_scatter(config):
         res = tan_delta(state, config.angular, V, V.tail_Z, config.gamma,
                         mesh, window=_window(V))
         rows.append({
-            "state": n, "energy": res.energy, "k": res.k,
+            "state": n, "energy": state.energy * V.energy_unit, "k": state.k,
             "gamma": res.gamma, "tan_delta": res.tan_delta,
             "delta_deg": res.delta_deg, "branch": res.branch,
         })
@@ -217,7 +230,7 @@ def _run_gamma_scan(config):
         rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, mesh,
                             gammas=grid, window=_window(V))
         rows.append({
-            "state": n, "energy": rec.energy, "gamma": rec.gamma,
+            "state": n, "energy": state.energy * V.energy_unit, "gamma": rec.gamma,
             "delta_deg": rec.delta_deg, "sensitivity": rec.sensitivity,
             "no_plateau": rec.no_plateau,
         })

@@ -17,11 +17,11 @@ Coulomb functions among them) are formed once per state, and
 ``_ratios`` evaluates the ratio on a whole gamma grid in one pass: one
 call serves a single rate, a scan and its fallback alike.
 
-Everything internal is in the scaled units of the Hamiltonian
-(``hbar = M = 1``); the reported energy is converted back to problem
-units with the potential's ``energy_unit``.  The asymptotic
-normalization of the pseudostate never enters: the phase is a ratio of
-integrals that are both linear in the wave function.
+Everything here is in the scaled units of the Hamiltonian
+(``hbar = M = 1``).  A result holds phases only; a report converts the
+state's own energy to problem units.  The asymptotic normalization of
+the pseudostate never enters: the phase is a ratio of integrals that are
+both linear in the wave function.
 """
 
 import dataclasses
@@ -63,10 +63,6 @@ class PhaseShiftResult:
 
     Attributes
     ----------
-    energy : float
-        Pseudostate energy in problem units.
-    k : float
-        Wave number ``sqrt(2 E)`` in scaled units.
     tan_delta : float
         Tangent of the phase shift.
     delta_deg : float
@@ -89,8 +85,6 @@ class PhaseShiftResult:
         evaluated at a caller-supplied fallback gamma.
     """
 
-    energy: float
-    k: float
     tan_delta: float
     delta_deg: float
     branch: int
@@ -99,7 +93,7 @@ class PhaseShiftResult:
     no_plateau: bool = False
 
 
-def _check_inputs(state, l, V, Z, mesh):
+def _check_inputs(state, l, V, Z, mesh, window):
     _integer("l", l, nonnegative=True)
     if not (0.0 < state.energy < math.inf and 0.0 < state.k < math.inf):
         raise ValueError("pseudostate energy and k must be positive and finite")
@@ -113,6 +107,8 @@ def _check_inputs(state, l, V, Z, mesh):
         )
     if np.shape(state.coefficients) != (mesh.N,):
         raise ValueError("coefficient vector length does not match the mesh")
+    if window not in ("principal", "positive"):
+        raise ValueError(f"unknown window: {window!r}")
 
 
 def _interior_table(state, l, V, Z, mesh):
@@ -135,7 +131,7 @@ def _interior_table(state, l, V, Z, mesh):
 
 
 # At an extreme rate g r over- or underflows and the terms below may come out
-# infinite or NaN; _result raises on a numerator or denominator that is not
+# infinite or NaN; _phases raises on a numerator or denominator that is not
 # finite.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _ratios(table, l, k, grid):
@@ -165,34 +161,26 @@ def _ratios(table, l, k, grid):
     return num, dens
 
 
-def _result(state, V, gamma, num, den, window):
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise IndeterminatePhaseError(
-            f"indeterminate phase at gamma={gamma:g}: numerator {num:.3e} "
-            f"or denominator {den:.3e} is not finite"
-        )
-    if den == 0.0 or abs(den) < _INDETERMINATE_RTOL * abs(num):
-        raise IndeterminatePhaseError(
-            f"indeterminate phase at gamma={gamma:g}: denominator {den:.3e} "
-            f"is below 1e-14 of the numerator {num:.3e}"
-        )
-    tan_d = num / den + 0.0  # a zero ratio is +0, whatever the signs
-    delta = math.degrees(math.atan(tan_d))
-    branch = 0
-    if window == "positive":
-        if delta < 0.0:
-            delta += 180.0
-            branch = 1
-    elif window != "principal":
-        raise ValueError(f"unknown window: {window!r}")
-    return PhaseShiftResult(
-        energy=state.energy * V.energy_unit,
-        k=state.k,
-        tan_delta=tan_d,
-        delta_deg=delta,
-        branch=branch,
-        gamma=float(gamma),
-    )
+def _phases(grid, num, dens, window):
+    """tan(delta), delta in degrees and the branch at each rate of ``grid``, as
+    arrays; raises IndeterminatePhaseError at the first rate, in grid order,
+    whose ratio determines no phase."""
+    for gamma, den in zip(grid, dens):
+        if not (math.isfinite(num) and math.isfinite(den)):
+            raise IndeterminatePhaseError(
+                f"indeterminate phase at gamma={gamma:g}: numerator {num:.3e} "
+                f"or denominator {den:.3e} is not finite"
+            )
+        if den == 0.0 or abs(den) < _INDETERMINATE_RTOL * abs(num):
+            raise IndeterminatePhaseError(
+                f"indeterminate phase at gamma={gamma:g}: denominator {den:.3e} "
+                f"is below 1e-14 of the numerator {num:.3e}"
+            )
+    tan = num / np.asarray(dens) + 0.0  # a zero ratio is +0, whatever the signs
+    # math.atan per element: np.arctan can differ from it in the last bit
+    delta = np.array([math.degrees(math.atan(t)) for t in tan])
+    branch = (delta < 0.0) & (window == "positive")
+    return tan, np.where(branch, delta + 180.0, delta), branch.astype(int)
 
 
 def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
@@ -225,16 +213,18 @@ def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
     ------
     ValueError
         Naming the out-of-domain parameter: l, Z (also one that does not
-        match the tail), gamma, or the state's energy, k or coefficients.
+        match the tail), gamma, window, or the state's energy, k or
+        coefficients.  Every argument is checked before any Coulomb
+        function is evaluated.
     IndeterminatePhaseError
         If the denominator of the ratio vanishes.
     """
-    _check_inputs(state, l, V, Z, mesh)
+    _check_inputs(state, l, V, Z, mesh, window)
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     table = _interior_table(state, l, V, Z, mesh)
-    num, (den,) = _ratios(table, l, state.k, [gamma])
-    return _result(state, V, float(gamma), num, den, window)
+    (tan,), (delta,), (branch,) = _phases([gamma], *_ratios(table, l, state.k, [gamma]), window)
+    return PhaseShiftResult(float(tan), float(delta), int(branch), float(gamma))
 
 
 def _fold_180(d):
@@ -264,12 +254,12 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
 
     Returns
     -------
-    (PhaseShiftResult, tuple of PhaseShiftResult)
+    (PhaseShiftResult, ndarray)
         The recommendation (with ``sensitivity`` filled in from its
-        neighbors one grid step away) and the full per-gamma table in
-        grid order.
+        neighbors one grid step away) and ``delta_deg`` at every rate of
+        the grid, in grid order and in ``window``.
     """
-    _check_inputs(state, l, V, Z, mesh)
+    _check_inputs(state, l, V, Z, mesh, window)
     grid = _DEFAULT_GAMMAS if gammas is None else np.asarray(gammas, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
         raise ValueError("gamma grid too small: at least 8 points are required")
@@ -283,32 +273,30 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
             f"fallback gamma must be positive and finite, got {fallback_gamma!r}")
 
     table = _interior_table(state, l, V, Z, mesh)
-    num, dens = _ratios(table, l, state.k, grid)
-    results = [_result(state, V, g, num, den, window) for g, den in zip(grid, dens)]
+    phases = _phases(grid, *_ratios(table, l, state.k, grid), window)
+    scan = phases[1]
     # Slopes on a branch-unwrapped copy so a 180-degree hop between
     # neighboring grid points is not mistaken for a huge derivative.
-    deg = np.unwrap(np.array([res.delta_deg for res in results]), period=180.0)
+    deg = np.unwrap(scan, period=180.0)
     slopes = np.abs((deg[2:] - deg[:-2]) / (grid[2:] - grid[:-2]))
-    ibest = 1 + int(np.argmin(slopes))
+    i = 1 + int(np.argmin(slopes))
     median = float(np.median(slopes))
-    no_plateau = median > 0.0 and slopes[ibest - 1] * _PLATEAU_MEDIAN_FACTOR >= median
+    no_plateau = median > 0.0 and slopes[i - 1] * _PLATEAU_MEDIAN_FACTOR >= median
+    rates = grid
 
     if no_plateau and fallback_gamma is not None:
         step = (grid[-1] / grid[0]) ** (1.0 / (grid.size - 1))
-        near = (fallback_gamma / step, float(fallback_gamma), fallback_gamma * step)
-        num, dens = _ratios(table, l, state.k, near)
-        lo, rec, hi = (_result(state, V, g, num, den, window) for g, den in zip(near, dens))
-        sens = max(
-            abs(_fold_180(lo.delta_deg - rec.delta_deg)),
-            abs(_fold_180(hi.delta_deg - rec.delta_deg)),
-        )
-        rec = dataclasses.replace(rec, sensitivity=float(sens), no_plateau=True)
+        rates = (fallback_gamma / step, float(fallback_gamma), fallback_gamma * step)
+        phases = _phases(rates, *_ratios(table, l, state.k, rates), window)
+        lo, mid, hi = phases[1].tolist()
+        sens = max(abs(_fold_180(lo - mid)), abs(_fold_180(hi - mid)))
+        i = 1
     else:
-        sens = max(abs(deg[ibest - 1] - deg[ibest]), abs(deg[ibest + 1] - deg[ibest]))
-        rec = dataclasses.replace(
-            results[ibest], sensitivity=float(sens), no_plateau=bool(no_plateau)
-        )
-    return rec, tuple(results)
+        sens = max(abs(deg[i - 1] - deg[i]), abs(deg[i + 1] - deg[i]))
+    tan, delta, branch = (a[i] for a in phases)
+    rec = PhaseShiftResult(float(tan), float(delta), int(branch), float(rates[i]),
+                           float(sens), bool(no_plateau))
+    return rec, scan
 
 
 def eckart_reference_delta0(E, b, c):

@@ -10,9 +10,11 @@ import importlib.util
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
-from lagmesh import Family, HamiltonianVariant, cli, matelem
+from lagmesh import (Family, HamiltonianVariant, builtin, cli, gamma_scan, matelem,
+                     pseudostates, scheme_mesh, solve_bound_states)
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,7 +27,8 @@ def _load(name):
     return module
 
 
-BOUNDARIES = _load("spans").BOUNDARIES
+SPANS = _load("spans")
+BOUNDARIES = SPANS.BOUNDARIES
 WORKLOADS = _load("workloads")
 
 
@@ -75,3 +78,23 @@ def test_first_operations_of_each_workload_run(workload):
     sweep = next(WORKLOADS.WORKLOADS[workload](random.Random(1)))
     for operation in sweep[:3]:
         operation()
+
+
+# (potential, l, pseudostate, grid, whether the scan finds no plateau)
+_SCANS = [
+    ("eckart", 0, 0, np.geomspace(0.1, 10.0, 16), 0),
+    ("buck_alpha_alpha", 0, 0, np.geomspace(0.3, 1.3, 16), 1),
+]
+
+
+@pytest.mark.parametrize("name, l, n, grid, no_plateau", _SCANS, ids=["plateau", "none"])
+def test_trace_counters_read_a_gamma_scan(name, l, n, grid, no_plateau):
+    # the traced scattering layer counts the scanned rates and the scans
+    # without a plateau from what gamma_scan returns
+    V = builtin(name)
+    scheme = HamiltonianVariant.RegSqrtMesh
+    mesh = scheme_mesh(scheme, 15, 0.23 if V.tail_Z else 0.1)
+    state = pseudostates(solve_bound_states(*matelem.hamiltonian_3d(mesh, l, V, scheme)))[n]
+    result = gamma_scan(state, l, V, V.tail_Z, mesh, gammas=grid)
+    assert SPANS._gammas(result) == grid.size
+    assert SPANS._no_plateau(result) == no_plateau

@@ -37,6 +37,19 @@ class TestValidation:
         for field in ("potential:", "N:", "h:"):
             assert field in text
 
+    # a config built in Python is not parsed, so any field may hold any object
+    @pytest.mark.parametrize("field, value", [
+        ("potential", "harmonic"), ("N", "20"), ("N", True), ("h", "0.5"),
+        ("alpha", "1"), ("gamma", "4"), ("angular", "1"), ("angular", None),
+        ("N", np.int64(20)),  # the config echo is JSON: no NumPy integers
+    ])
+    def test_mistyped_field_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field}: must be a"):
+            run(_config(**{field: value}))
+
+    def test_numpy_float_is_a_float(self):
+        assert run(_config(h=np.float64(0.09))) == run(_config(h=0.09))
+
     def test_reproduce_requires_table(self):
         with pytest.raises(ConfigError, match="table"):
             run(ExperimentConfig(mode="reproduce"))

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
+from lagmesh import scattering
 from lagmesh.basis import Family, MeshSpec
+from lagmesh.cli import ExperimentConfig, run
 from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d, scheme_mesh
 from lagmesh.potentials import builtin
 from lagmesh.scattering import (
@@ -18,8 +20,8 @@ from lagmesh.scattering import (
     IndeterminatePhaseError,
     PhaseShiftResult,
     _interior_table,
+    _phases,
     _ratios,
-    _result,
     eckart_reference_delta0,
     gamma_scan,
     tan_delta,
@@ -134,10 +136,14 @@ class TestAlphaAlphaBenchmark:
         assert rec1.gamma == rec2.gamma
 
     def test_energy_reported_in_problem_units(self):
-        mesh, ps = buck_states("sqrt", 2)
-        res = tan_delta(ps[0], 2, BUCK, BUCK.tail_Z, 1.0, mesh)
-        assert res.energy == pytest.approx(ps[0].energy * 20.736, rel=1e-15)
-        assert res.k == pytest.approx(math.sqrt(2.0 * ps[0].energy), rel=1e-15)
+        # a result holds phases only; the report converts the state's energy
+        _, ps = buck_states("sqrt", 2)
+        report = run(ExperimentConfig(mode="scatter", potential=BUCK, angular=2,
+                                      variant="reg-sqrt", N=15, h=0.23, gamma=1.0))
+        assert [row["state"] for row in report["rows"]] == list(range(1, len(ps) + 1))
+        for row, state in zip(report["rows"], ps):
+            assert row["energy"] == pytest.approx(state.energy * 20.736, rel=1e-15)
+            assert row["k"] == pytest.approx(math.sqrt(2.0 * state.energy), rel=1e-15)
 
 
 class TestWindows:
@@ -168,6 +174,18 @@ class TestWindows:
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="window"):
             tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh, window="folded")
+
+    def test_window_checked_before_any_coulomb_function(self, monkeypatch):
+        mesh, ps = eckart_states("sqrt")
+
+        def no_coulomb(*args):
+            raise RuntimeError("coulomb_wave ran")
+
+        monkeypatch.setattr(scattering, "coulomb_wave", no_coulomb)
+        with pytest.raises(ValueError, match=r"^unknown window: 'bogus'$"):
+            tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh, window="bogus")
+        with pytest.raises(ValueError, match=r"^unknown window: 'bogus'$"):
+            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, window="bogus")
 
 
 class TestInvariances:
@@ -206,7 +224,11 @@ class TestInvariances:
         assert res.sensitivity == 0.0
         rec, table = gamma_scan(ps[0], 0, ECKART, 0.0, mesh)
         assert rec.sensitivity >= 0.0
-        assert all(entry.sensitivity == 0.0 for entry in table)
+        # the phases of this state do not wrap, so the sensitivity is read
+        # off the table at the recommendation's neighbors
+        i = list(_DEFAULT_GAMMAS).index(rec.gamma)
+        assert rec.sensitivity == max(abs(table[i - 1] - table[i]),
+                                      abs(table[i + 1] - table[i]))
 
 
 class TestGammaScan:
@@ -214,8 +236,12 @@ class TestGammaScan:
         mesh, ps = eckart_states("sqrt")
         grid = np.linspace(2.0, 6.0, 9)
         rec, table = gamma_scan(ps[0], 0, ECKART, 0.0, mesh, gammas=grid)
-        assert [entry.gamma for entry in table] == list(grid)
+        assert isinstance(table, np.ndarray)
+        assert table.dtype == np.float64 and table.shape == grid.shape
+        assert [tan_delta(ps[0], 0, ECKART, 0.0, g, mesh).delta_deg
+                for g in grid] == table.tolist()
         assert rec.gamma in grid
+        assert rec.delta_deg == table[list(grid).index(rec.gamma)]
         # the recommendation is an interior point of the grid
         assert grid[0] < rec.gamma < grid[-1]
 
@@ -265,14 +291,17 @@ class TestBatchedRatio:
                   if abs(V.tail_Z) <= 50.0 * s.k]
         for state in states[::5]:
             _, table = gamma_scan(state, l, V, V.tail_Z, mesh, window=window)
-            assert [res.gamma for res in table] == list(_DEFAULT_GAMMAS)
-            for res in table:
-                single = tan_delta(state, l, V, V.tail_Z, res.gamma, mesh, window)
-                assert res.tan_delta == single.tan_delta
-                assert res.delta_deg == single.delta_deg
-            # the Coulomb numerator is exactly 0, so compare denominators too
+            assert table.shape == _DEFAULT_GAMMAS.shape
+            singles = [tan_delta(state, l, V, V.tail_Z, g, mesh, window)
+                       for g in _DEFAULT_GAMMAS]
+            assert table.tolist() == [single.delta_deg for single in singles]
+            # the scan's tan(delta) is not returned: form it from the batched
+            # ratio, as the scan does
             factors = _interior_table(state, l, V, V.tail_Z, mesh)
-            _, dens = _ratios(factors, l, state.k, _DEFAULT_GAMMAS)
+            num, dens = _ratios(factors, l, state.k, _DEFAULT_GAMMAS)
+            tan, _, _ = _phases(_DEFAULT_GAMMAS, num, dens, window)
+            assert tan.tolist() == [single.tan_delta for single in singles]
+            # the Coulomb numerator is exactly 0, so compare denominators too
             assert dens == [_ratios(factors, l, state.k, [g])[1][0] for g in _DEFAULT_GAMMAS]
 
     def test_default_grid_is_read_only(self):
@@ -363,10 +392,18 @@ class TestValidation:
             tan_delta(bad, 0, ECKART, 0.0, 4.0, mesh)
 
     def test_indeterminate_phase_reported_not_guessed(self):
-        state = Pseudostate(1.0, np.ones(3))
         with pytest.raises(IndeterminatePhaseError):
-            _result(state, ECKART, 4.0, 1.0, 0.0, "principal")
+            _phases([4.0], 1.0, [0.0], "principal")
         with pytest.raises(IndeterminatePhaseError):
-            _result(state, ECKART, 4.0, 1.0, 5e-15, "principal")
-        res = _result(state, ECKART, 4.0, 1.0, 2e-14, "principal")
-        assert isinstance(res, PhaseShiftResult)
+            _phases([4.0], 1.0, [5e-15], "principal")
+        tan, delta, branch = _phases([4.0], 1.0, [2e-14], "principal")
+        assert tan.tolist() == [1.0 / 2e-14] and branch.tolist() == [0]
+        # the first rate in grid order that determines no phase is named
+        with pytest.raises(IndeterminatePhaseError, match=r"gamma=2: denominator 0\.000e\+00"):
+            _phases([1.0, 2.0, 3.0], 1.0, [1.0, 0.0, math.nan], "principal")
+        with pytest.raises(IndeterminatePhaseError, match="gamma=2: .* is not finite"):
+            _phases([1.0, 2.0, 3.0], 1.0, [1.0, math.inf, 0.0], "principal")
+
+    def test_result_holds_phases_only(self):
+        assert [f.name for f in dataclasses.fields(PhaseShiftResult)] == [
+            "tan_delta", "delta_deg", "branch", "gamma", "sensitivity", "no_plateau"]
