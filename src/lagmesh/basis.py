@@ -49,7 +49,7 @@ _NEAR_GAP_FRACTION = 0.1
 _TAYLOR_TERMS = 16
 # Entries per cache of rules and of operator matrices.  All seven schemes at
 # one N need about a dozen dense operator matrices; a matrix is 8 MB at
-# N = 1000.
+# N = 1000, so one enters its cache only on its second request (matelem).
 _CACHE_SIZE = 16
 
 

@@ -107,6 +107,12 @@ class ExperimentConfig:
     out: str = None
 
 
+def _is_number(value):
+    """Whether ``value`` is an int or a float, and no bool: what the JSON
+    config echo writes as a number."""
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
 def _validate(config):
     errors = []
     if config.mode not in _MODES:
@@ -130,9 +136,17 @@ def _validate(config):
         f"{name}: must be an int or a float (got {value!r})"
         for name, value in (("N", config.N), ("h", config.h), ("alpha", config.alpha),
                             ("gamma", config.gamma), ("angular", config.angular))
-        if not (value is None and name != "angular"
-                or isinstance(value, _NUMBER) and not isinstance(value, bool))
+        if not (value is None and name != "angular" or _is_number(value))
     ]
+    mistyped += [
+        f"{name}: must be a whole number (got {value!r})"
+        for name, value in (("N", config.N), ("angular", config.angular))
+        if isinstance(value, float) and not value.is_integer()
+    ]
+    if config.gammas is not None and not (
+            isinstance(config.gammas, (tuple, list, np.ndarray))
+            and all(map(_is_number, config.gammas))):
+        mistyped.append(f"gammas: must be a sequence of ints or floats (got {config.gammas!r})")
     if mistyped:
         return errors + mistyped
     if config.N is None or config.N < 1:
@@ -147,7 +161,8 @@ def _validate(config):
         if config.dimension == 2 and config.mode in ("scatter", "gamma-scan"):
             # the integral relations use the 3D Coulomb/Riccati functions
             errors.append(f"dim: {config.mode} is defined in three dimensions only")
-        if (config.dimension, config.variant) not in _VARIANTS:
+        if not (isinstance(config.variant, str)
+                and (config.dimension, config.variant) in _VARIANTS):
             aliases = [a for d, a in _VARIANTS if d == config.dimension]
             errors.append(f"variant: must be one of {', '.join(aliases)}")
         if config.dimension == 2 and config.alpha not in (None, 0.0):

@@ -15,11 +15,14 @@ Sign convention: ``"kinetic"`` is the matrix of ``-d^2/dr^2`` and
 assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
-depends on h, one cache, ``_cached_matrix``, holds every dense one per
+depends on h, one cache, ``_cached_matrix``, holds the dense ones per
 ``(N, alpha, family)``, operator and mode: the Gauss kinetic matrices and
-every Exact matrix.  It keeps at most ``_CACHE_SIZE`` of them, so a sweep
-over h builds each matrix once.  Diagonal Gauss matrices cost less to build
-than to look up and are not cached.  Cached arrays are read-only.
+every Exact matrix.  A matrix is cached on its second request: the first
+builds it and only records its key, so memory follows reuse, not N.  A
+sweep over h builds each matrix twice, and a sweep over N caches nothing.
+The cache and the record of keys each keep at most ``_CACHE_SIZE`` entries.
+Diagonal Gauss matrices cost less to build than to look up and are not
+cached.  Dense operator matrices are read-only, cached or not.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import dataclasses
 import enum
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -109,13 +113,36 @@ def operator_matrix(mesh, op, mode=Mode.Gauss):
         raise ValueError(f"unknown operator: {op!r} (expected one of {', '.join(_OPERATORS)})")
     if mode is Mode.Gauss and op in _POWERS:
         return np.diag(mesh.nodes ** _POWERS[op])
-    return _cached_matrix(dataclasses.replace(mesh, h=1.0), op, mode)
+    key = (dataclasses.replace(mesh, h=1.0), op, mode)
+    if _requested_before(key):
+        return _cached_matrix(*key)
+    return _cached_matrix.__wrapped__(*key)
+
+
+# The keys of the last _CACHE_SIZE distinct dense requests, least recent
+# first (a dict keeps insertion order); a key found here is cached on this
+# request.
+_requested = {}
+_requested_lock = threading.Lock()
+
+
+def _requested_before(key):
+    """Whether ``key`` is in the record of recent requests; records it as
+    the most recent either way."""
+    with _requested_lock:
+        seen = key in _requested
+        _requested.pop(key, None)
+        _requested[key] = None
+        if len(_requested) > _CACHE_SIZE:
+            del _requested[next(iter(_requested))]
+    return seen
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_matrix(mesh, op, mode):
     """The one cache of h-free matrices: the dense matrix of ``op`` in
-    ``mode`` on the mesh at h = 1, read-only."""
+    ``mode`` on the mesh at h = 1, read-only.  ``operator_matrix`` calls the
+    uncached builder, ``__wrapped__``, on a key's first request."""
     if op in _POWERS:
         values = np.diag(mesh.nodes ** _POWERS[op])
     else:
@@ -327,8 +354,8 @@ def _assemble(mesh, kinetic_op, strength, modes, V):
     with np.errstate(**_H_ERRSTATE):
         H = T / two_h2
         if strength > 0:
-            H = H + strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
-        H = H + potential_matrix(mesh, V, v_mode)
+            H += strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
+        H += potential_matrix(mesh, V, v_mode)
     return _in_range(H, mesh.h), np.eye(mesh.N)
 
 

@@ -59,9 +59,12 @@ def generate_rule(N, alpha):
     if not (alpha > -1.0) or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and exceed -1")
 
-    diag = 2.0 * np.arange(N) + alpha + 1.0
-    off = np.sqrt(np.arange(1, N) * (np.arange(1, N) + alpha))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # the Jacobi matrix as one array: eigvalsh reads only its lower triangle,
+    # so the diagonal and the subdiagonal are all it needs
+    jacobi = np.zeros((N, N))
+    jacobi.flat[::N + 1] = 2.0 * np.arange(N) + alpha + 1.0
+    jacobi.flat[N::N + 1] = np.sqrt(np.arange(1, N) * (np.arange(1, N) + alpha))
+    x = np.linalg.eigvalsh(jacobi)
 
     # two Newton sweeps on L_N, using the weighted recurrence
     for _ in range(2):

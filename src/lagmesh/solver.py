@@ -59,17 +59,32 @@ class Pseudostate:
         return math.sqrt(2.0 * self.energy)
 
 
+def _is_identity(S, n):
+    """``np.array_equal(S, np.eye(n))``, without building the identity: n
+    nonzero entries, NaN counting as one, all of them on the diagonal and
+    equal to 1."""
+    try:
+        S = np.asarray(S)
+    except (TypeError, ValueError):
+        return False
+    return S.shape == (n, n) and np.count_nonzero(S) == n and bool(np.all(S.diagonal() == 1.0))
+
+
 def _checked_hamiltonian(H, S):
     """H as a float array, after the checks shared by both solves."""
     A = np.asarray(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError(f"H must be a nonempty square matrix (got shape {A.shape})")
-    if not np.all(np.isfinite(A)):
+    # one scratch array holds |A|, then |A - A^T|; the largest |A| is NaN or
+    # infinite exactly when an entry is
+    scratch = np.abs(A)
+    largest = scratch.max()
+    if not math.isfinite(largest):
         raise ValueError("Hamiltonian matrix has non-finite entries")
-    if not np.array_equal(S, np.eye(A.shape[0])):
+    if not _is_identity(S, A.shape[0]):
         raise ValueError("S must be the identity: the basis is orthonormal")
-    scale = max(1.0, np.abs(A).max())
-    if np.abs(A - A.T).max() > 1e-10 * scale:
+    np.subtract(A, A.T, out=scratch)
+    if np.abs(scratch, out=scratch).max() > 1e-10 * max(1.0, largest):
         raise ValueError("Hamiltonian matrix is not symmetric")
     return A
 
@@ -115,7 +130,8 @@ def solve_bound_states(H, S):
     pick = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[pick, np.arange(n)])
     signs[signs == 0.0] = 1.0
-    return BoundSpectrum(energies, vectors * signs)
+    vectors *= signs
+    return BoundSpectrum(energies, vectors)
 
 
 def pseudostates(spectrum):

@@ -47,6 +47,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{field}: must be a"):
             run(_config(**{field: value}))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("variant", ["var"], "must be one of"),
+        ("gammas", ("a",) * 9, "must be a sequence of ints or floats"),
+        ("gammas", 4.0, "must be a sequence of ints or floats"),
+        ("N", 1.5, "must be a whole number"),
+        ("N", math.inf, "must be a whole number"),
+        ("angular", 1.5, "must be a whole number"),
+    ])
+    def test_malformed_field_raises_config_error(self, field, value, message):
+        scan = dict(mode="gamma-scan", potential=builtin("eckart"), variant="reg-sqrt",
+                    N=15, h=0.1)
+        config = _config(**{**scan, field: value})
+        with pytest.raises(ConfigError, match=rf"^{field}: {message}"):
+            run(config)
+
     def test_numpy_float_is_a_float(self):
         assert run(_config(h=np.float64(0.09))) == run(_config(h=0.09))
 

@@ -1,6 +1,8 @@
 """Tests for operator matrices and Hamiltonian assembly."""
 
+import collections
 import dataclasses
+import functools
 import math
 import re
 
@@ -703,6 +705,7 @@ class TestDivergenceRejections:
 
 def _clear_matrix_caches():
     matelem._cached_matrix.cache_clear()
+    matelem._requested.clear()
 
 
 # every family with a regular and a singular-at-the-origin alpha
@@ -764,7 +767,9 @@ class TestMatrixCache:
         def spectrum():
             return solve_bound_states(*hamiltonian_3d(mesh, 1, V, "NonRegVG"))
 
-        hamiltonian_3d(MeshSpec(30, 2.0, Family.NonReg, 0.2), 1, V, "NonRegVG")
+        _clear_matrix_caches()
+        for h in (0.2, 0.4):
+            hamiltonian_3d(MeshSpec(30, 2.0, Family.NonReg, h), 1, V, "NonRegVG")
         warm = spectrum()
         assert matelem._cached_matrix.cache_info().hits >= 2
         _clear_matrix_caches()
@@ -822,26 +827,44 @@ class TestMatrixCache:
             ("var", 3),
         ],
     )
-    def test_h_sweep_builds_each_matrix_once(self, variant, keys):
+    def test_h_sweep_builds_each_matrix_twice(self, variant, keys, monkeypatch):
+        # a matrix is built uncached on its first request and cached on its
+        # second; every later point hits the cache
+        builder = matelem._cached_matrix.__wrapped__
+        builds = collections.Counter()
+
+        def counting_builder(*key):
+            builds[key] += 1
+            return builder(*key)
+
+        monkeypatch.setattr(matelem, "_cached_matrix",
+                            functools.lru_cache(maxsize=basis._CACHE_SIZE)(counting_builder))
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant=variant, N=40, h=0.5)
         values = np.linspace(0.2, 1.2, 20)
         _clear_matrix_caches()
         cli.sweep(config, "h", values)
+        assert len(builds) == keys
+        assert set(builds.values()) == {2}
         info = matelem._cached_matrix.cache_info()
         assert info.misses == keys
-        assert info.hits == keys * (len(values) - 1)
+        assert info.hits == keys * (len(values) - 2)
         assert info.currsize == keys
 
     def test_caches_stay_bounded(self):
+        # every N is requested once, so no matrix is cached
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="non-reg-vg", N=10, h=0.5)
-        caches = (matelem._cached_matrix, basis._cached_rule)
         _clear_matrix_caches()
         for N in range(10, 30):
             cli.run(dataclasses.replace(config, N=N))
-            for cache in caches:
-                assert cache.cache_info().currsize <= basis._CACHE_SIZE
-        for cache in caches:
-            assert cache.cache_info().currsize == basis._CACHE_SIZE
-        assert matelem._cached_matrix.cache_info().misses == 2 * 20
+            assert matelem._cached_matrix.cache_info().currsize == 0
+            assert basis._cached_rule.cache_info().currsize <= basis._CACHE_SIZE
+            assert len(matelem._requested) <= basis._CACHE_SIZE
+
+    def test_n_sweep_caches_no_matrix(self):
+        config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
+                                      angular=1, variant="var", N=20, h=0.5)
+        _clear_matrix_caches()
+        cli.sweep(config, "N", range(20, 41))
+        assert matelem._cached_matrix.cache_info().currsize == 0

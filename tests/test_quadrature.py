@@ -1,6 +1,7 @@
 """Tests for the Gauss-Laguerre rules with modified weights."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,20 @@ from numpy.testing import assert_allclose
 from scipy.special import gammaln, roots_genlaguerre
 
 from lagmesh.quadrature import generate_rule
+from lagmesh.specfun import _weighted_laguerre_pair
+
+
+def _three_diag_rule(N, alpha):
+    """The rule from the Jacobi matrix summed out of three ``np.diag``, with
+    the same two Newton sweeps and Christoffel weights as ``generate_rule``."""
+    diag = 2.0 * np.arange(N) + alpha + 1.0
+    off = np.sqrt(np.arange(1, N) * (np.arange(1, N) + alpha))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        b_prev, b, _ = _weighted_laguerre_pair(N, alpha, x)
+        x = x - x * b / (N * b - (N + alpha) * b_prev)
+    _, _, csum = _weighted_laguerre_pair(N, alpha, x, christoffel=True)
+    return x, 1.0 / (x**alpha * csum)
 
 
 class TestGenerateRule:
@@ -103,6 +118,25 @@ class TestGenerateRule:
                 rel = 1e-11 if i < N // 4 else 1e-13
                 assert nodes[i] == pytest.approx(float(x), rel=rel)
                 assert weights[i] == pytest.approx(float(weight), rel=rel)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_equals_three_diag_jacobi_bit_for_bit(self, alpha):
+        for N in [*range(1, 61), 150, 400, 1000]:
+            nodes, weights = generate_rule(N, alpha)
+            ref_nodes, ref_weights = _three_diag_rule(N, alpha)
+            assert np.array_equal(nodes, ref_nodes), N
+            assert np.array_equal(weights, ref_weights), N
+
+    def test_holds_one_dense_array(self):
+        # the Jacobi matrix is the rule's only N x N array
+        N = 400
+        tracemalloc.start()
+        try:
+            generate_rule(N, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * N * N * 8
 
     def test_weights_out_of_double_range_raise_typed_error(self):
         # x**alpha overflows at the largest nodes

@@ -55,11 +55,17 @@ class TestSolveBoundStates:
     def test_non_identity_overlap_rejected(self):
         # the basis is orthonormal; any other S would silently rescale E
         H = np.diag([1.0, 2.0, 3.0])
+        nan_off_diagonal = np.eye(3)
+        nan_off_diagonal[2, 0] = np.nan
         for solve in SOLVES:
-            with pytest.raises(ValueError, match="S must be the identity"):
-                solve(H, 2.0 * np.eye(3))
-            with pytest.raises(ValueError, match="S must be the identity"):
-                solve(H, np.eye(4))
+            for S in (2.0 * np.eye(3), np.eye(4), np.eye(3, 4), np.eye(3)[:2],
+                      nan_off_diagonal, np.diag([1.0, np.nan, 1.0])):
+                with pytest.raises(ValueError, match="S must be the identity"):
+                    solve(H, S)
+            # an S equal to the identity passes, whatever its type
+            for S in (np.eye(3, dtype=int), np.eye(3).tolist(),
+                      np.where(np.eye(3) == 1.0, 1.0, -0.0)):
+                solve(H, S)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
