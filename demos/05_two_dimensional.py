@@ -6,11 +6,12 @@ In two dimensions the effective potential carries (4m^2 - 1)/(8 rho^2),
 which is attractive for m = 0 and leaves a half-integer power of rho at
 the origin for every m.  On the sqrt(rho)-regularized mesh the
 centrifugal-plus-kinetic combination still has closed-form matrix
-elements, and the m = 1 case loses no accuracy at all.
+elements, and the m = 1 case loses no accuracy at all: the singularity
+classifier names no lossy term for either scheme.
 """
 
-from lagmesh import (Classification, Family, HamiltonianVariant, builtin,
-                     classify_singularity, relative_error, scheme_mesh, solve_bound_states)
+from lagmesh import (HamiltonianVariant, builtin, classify_singularity, relative_error,
+                     scheme_mesh, solve_bound_states)
 from lagmesh.matelem import hamiltonian_2d
 from lagmesh.potentials import exact_level
 
@@ -21,12 +22,12 @@ for name, N, h in (("harmonic", 20, 0.09), ("coulomb", 10, 0.9)):
     print(f"\n{name}, m = 1, N = {N}, h = {h} (exact E = {exact:+.6f})")
     for variant, label in ((HamiltonianVariant.Var2D, "variational"),
                            (HamiltonianVariant.RegSqrtMesh2D, "sqrt(rho)-regularized mesh")):
-        H, S = hamiltonian_2d(scheme_mesh(variant, N, h), 1, V, variant)
+        mesh = scheme_mesh(variant, N, h)
+        H, S = hamiltonian_2d(mesh, 1, V, variant)
         E0 = solve_bound_states(H, S).energies[0]
         print(f"  {label:<28} E = {E0:.15f}   eps_rel = "
               f"{relative_error(E0, exact):+.1e}")
-
-# the mesh scheme stays clean because the integrand powers balance:
-verdict = classify_singularity(Family.RegSqrt, 0.0, 1, 2, 2)
-print(f"\nclassifier for the combined 1/rho^2 element, m = 1: {verdict.name}")
-assert verdict is Classification.Safe
+        # Var2D is exact, and in the mesh scheme the integrand powers balance
+        lossy = classify_singularity(mesh, 1, V, variant)
+        print(f"  {'':<28} lossy terms: {', '.join(lossy) or 'none'}")
+        assert lossy == ()

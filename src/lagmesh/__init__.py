@@ -15,7 +15,6 @@ from .basis import (
     reconstruct_wavefunction,
 )
 from .matelem import (
-    Classification,
     HamiltonianVariant,
     Mode,
     classify_singularity,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundSpectrum",
-    "Classification",
     "Family",
     "HamiltonianVariant",
     "IndeterminatePhaseError",

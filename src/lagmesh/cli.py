@@ -560,6 +560,9 @@ def _assemble(args):
 
     if args.mode != "sweep":
         mode = args.mode
+        if doc.get("mode") not in (None, mode):
+            raise ConfigError([f"mode: the config file asks for {doc['mode']!r}, "
+                               f"not {mode!r}"])
     else:
         default_mode = (
             "scatter" if getattr(args, "parameter", None) == "gamma" else "bound"

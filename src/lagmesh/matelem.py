@@ -35,7 +35,7 @@ import threading
 
 import numpy as np
 
-from .basis import Family, MeshSpec, _CACHE_SIZE, _alpha, _family_power
+from .basis import Family, MeshSpec, _CACHE_SIZE, _family_power
 from .potentials import evaluate as evaluate_potential
 # Nothing here builds a rule; the name stays bound because the benchmark's
 # span list (bench/spans.py) wraps generate_rule in this module.
@@ -43,7 +43,6 @@ from .quadrature import generate_rule  # noqa: F401
 from .specfun import _coerce, _integer
 
 __all__ = [
-    "Classification",
     "HamiltonianVariant",
     "Mode",
     "SCHEMES",
@@ -51,7 +50,6 @@ __all__ = [
     "hamiltonian_2d",
     "hamiltonian_3d",
     "operator_matrix",
-    "potential_matrix",
     "scheme_mesh",
 ]
 
@@ -77,11 +75,6 @@ class HamiltonianVariant(enum.Enum):
     NonRegVG = "NonRegVG"
     Var2D = "Var2D"
     RegSqrtMesh2D = "RegSqrtMesh2D"
-
-
-class Classification(enum.Enum):
-    AccuracyLoss = "AccuracyLoss"
-    Safe = "Safe"
 
 
 def _sign_grid(N):
@@ -256,7 +249,7 @@ def _gauss_kinetic(mesh, c_shift=0.0):
     return values
 
 
-def potential_matrix(mesh, V, mode=Mode.Gauss):
+def _potential_matrix(mesh, V, mode=Mode.Gauss):
     """Matrix of a potential on the scaled mesh (this one includes the h
     scaling, since potentials are functions of the physical radius).
 
@@ -355,7 +348,7 @@ def _assemble(mesh, kinetic_op, strength, modes, V):
         H = T / two_h2
         if strength > 0:
             H += strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
-        H += potential_matrix(mesh, V, v_mode)
+        H += _potential_matrix(mesh, V, v_mode)
     return _in_range(H, mesh.h), np.eye(mesh.N)
 
 
@@ -414,23 +407,23 @@ def hamiltonian_2d(mesh, m, V, variant):
     return _assemble(mesh, "kinetic2d", m * m, modes, V)
 
 
-def classify_singularity(family, alpha, l_or_m, s, dimension=3):
-    """Predict whether a Gauss-approximated operator costs accuracy.
+def classify_singularity(mesh, angular, V, variant):
+    """The Gauss-approximated terms of ``variant`` that the paper's rule
+    predicts to lose accuracy on ``mesh`` at angular number ``angular`` (l in
+    3D, m in 2D) with potential ``V``, in the order ``("centrifugal",
+    "potential")``; an empty tuple means the scheme is safe.
 
-    The Gauss error is governed by the origin exponent of
-    ``f_i (O phi)/w`` with ``phi`` the exact solution: the basis leading
-    power, plus the solution's origin power (l+1 in 3D, m+1/2 in 2D), minus
-    the operator's inverse power s, minus the weight exponent alpha.  A
-    negative exponent means a singular quotient and an accuracy loss.
+    A term of inverse power s loses accuracy when ``f_i (r^-s phi)/w``, with
+    ``phi`` the exact solution, is singular at the origin: when the basis
+    leading power plus the solution's (l+1 in 3D, m+1/2 in 2D) minus alpha
+    falls below s.  The centrifugal term has s = 2 at angular > 0.  The
+    potential's s is the largest ``-p`` of its terms ``c r^p e^(...)`` (the
+    damping is 1 at the origin), and 0 when none is singular.
     """
-    family = _coerce(Family, family)
-    if s not in (0, 1, 2):
-        raise ValueError("s must be 0, 1, or 2")
-    if dimension not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3 (got {dimension!r})")
-    alpha = _alpha(alpha)
-    name = "l" if dimension == 3 else "m"
-    n = _integer(name, l_or_m, nonnegative=True)
-    origin = n + 1.0 if dimension == 3 else n + 0.5
-    e = _family_power(family, alpha) + origin - s - alpha
-    return Classification.AccuracyLoss if e < 0.0 else Classification.Safe
+    dimension = SCHEMES[_coerce(HamiltonianVariant, variant)][3]
+    n, (_, c_mode, v_mode) = _scheme_row(variant, dimension, angular, mesh)
+    exponent = _family_power(mesh.family, mesh.alpha) + n + (dimension - 1) / 2 - mesh.alpha
+    s_potential = max([0.0] + [-p for _, p, _, _ in V.terms])
+    lossy = (("centrifugal", c_mode is Mode.Gauss and n > 0 and exponent < 2.0),
+             ("potential", v_mode is Mode.Gauss and exponent < s_potential))
+    return tuple(term for term, loss in lossy if loss)

@@ -6,7 +6,8 @@ in closed form.  The ``Z/r`` tail (``tail_Z``) and the analytic levels
 (``exact_level``) are read from the terms; JSON ``tailZ`` is optional and
 must match them.  All quantities are in the internal units ``hbar = M = 1``;
 ``energy_unit`` is the conversion factor back to the user's energy unit (MeV
-for the alpha-alpha potential) and is metadata only.
+for the alpha-alpha potential): it scales reported energies only, and JSON
+``energyUnit`` carries it when it is not 1.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class PotentialSpec:
         Eckart well ``-4 b^2 beta e^{-2br} / (1 + beta e^{-2br})^2`` with
         ``beta = (b - c)/(b + c)``, kept in closed form.
     energy_unit : float
-        Positive energy conversion factor for reporting; not serialized.
+        Positive energy conversion factor for reporting.
 
     Every number must be finite; a NaN or infinite one raises ValueError
     naming its field.
@@ -198,10 +199,12 @@ def builtin(name, **params):
 
 
 def to_json(spec):
-    """Serialize a spec to the JSON form (energy_unit is metadata, omitted)."""
+    """Serialize a spec to the JSON form; ``energyUnit`` only when it is not 1."""
     doc = {"label": spec.label, "terms": [
         {"c": c, "p": p, "a": a, "b": b} for c, p, a, b in spec.terms
     ], "tailZ": spec.tail_Z}
+    if spec.energy_unit != 1.0:
+        doc["energyUnit"] = spec.energy_unit
     if spec.coulomb_erf is not None:
         doc["coulombErf"] = {"q": spec.coulomb_erf[0], "mu": spec.coulomb_erf[1]}
     if spec.eckart is not None:
@@ -249,6 +252,7 @@ def from_json(text):
         coulomb_erf=_numbers(doc["coulombErf"], "coulombErf", ["q", "mu"])
         if "coulombErf" in doc else None,
         eckart=_numbers(doc["eckart"], "eckart", "bc") if "eckart" in doc else None,
+        energy_unit=_numbers(doc, "", ["energyUnit"], {"energyUnit": 1.0})[0],
     )
     if "tailZ" in doc:  # echoed by every report: checked, never used
         Z = _finite("tailZ", _numbers(doc, "", ["tailZ"])[0])

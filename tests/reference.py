@@ -22,10 +22,13 @@ from lagmesh.specfun import _weighted_laguerre_pair
 
 ORACLE_EXTRA_ORDER = 10
 OPERATORS = ("InvR2", "InvR", "R", "R2", "Kinetic", "Kinetic2D")
-# ``weighted_cardinal_all`` sums the Taylor series where |x - r_j| < this
-# times (1 + r_j).  Outside, its derivatives are divided differences that
-# lose about eps/|x - r_j|^2; in the package's narrower window they lose
-# enough to fail the N = 40, alpha = 0 closed-form checks.
+# ``weighted_cardinal_all`` sums the Taylor series of the derivatives where
+# |x - r_j| < this times (1 + r_j).  Outside, they are divided differences
+# that lose about eps/|x - r_j|^2; in the package's window they lose enough
+# to fail the N = 40, alpha = 0 closed-form checks.  The values take the
+# package's window: at N = 400 this one is wider than half the gap at 302 of
+# 400 nodes, where the 60-term series errs by up to 1.4e-10 of the largest
+# value, and near the origin it spans several gaps, where the series fails.
 NEAR_NODE_FRACTION = 1e-2
 
 
@@ -72,8 +75,9 @@ def weighted_cardinal_all(mesh, x, derivatives=False):
     Returns three ``(N, len(x))`` arrays: ``exp(-x/2)`` times the ratio
     ``L_N(x)/(x-r_j)`` and times its first two derivatives with respect to
     ``x``; the derivatives are ``None`` unless ``derivatives`` is true, and
-    need ``x > 0``.  Within ``NEAR_NODE_FRACTION (1 + r_j)`` of a node all
-    three come from ``taylor_series``.
+    need ``x > 0``.  Within ``near_window`` of a node the values, and within
+    ``NEAR_NODE_FRACTION (1 + r_j)`` the derivatives, come from
+    ``taylor_series``.
     """
     N, alpha, nodes = mesh.N, mesh.alpha, mesh.nodes
     b_prev, b_cur, _ = _weighted_laguerre_pair(N, alpha, x)
@@ -85,12 +89,17 @@ def weighted_cardinal_all(mesh, x, derivatives=False):
             lppw = ((x - alpha - 1.0) * lpw - N * b_cur) / x
             pw[1] = (lpw[None, :] - pw[0]) / s
             pw[2] = (lppw[None, :] - 2.0 * pw[1]) / s
-    j, i = np.nonzero(np.abs(s) < NEAR_NODE_FRACTION * (1.0 + nodes[:, None]))
-    if j.size:
+
+    def series(window):
+        j, i = np.nonzero(np.abs(s) < window[:, None])
         t = [t[j] for t in node_derivatives(N, alpha)]
-        near = taylor_series(N, alpha, nodes[j], t, s[j, i])
-        for d in range(3 if derivatives else 1):
-            pw[d][j, i] = near[d]
+        return j, i, taylor_series(N, alpha, nodes[j], t, s[j, i])
+
+    j, i, near = series(near_window(nodes))
+    pw[0][j, i] = near[0]
+    if derivatives:
+        j, i, near = series(NEAR_NODE_FRACTION * (1.0 + nodes))
+        pw[1][j, i], pw[2][j, i] = near[1], near[2]
     return tuple(pw)
 
 

@@ -16,7 +16,6 @@ import pytest
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.benchmarks import check_table, run_table
 from lagmesh.matelem import (
-    Classification,
     HamiltonianVariant,
     Mode,
     classify_singularity,
@@ -216,21 +215,24 @@ def test_criterion_9_singularity_classifier():
     def lossy(row, col):
         return abs(float(row[col])) > 100.0 * max(abs(float(row[0])), 1e-14)
 
-    for table, s_pot in ((TABLE1_REFERENCE, 0), (TABLE2_REFERENCE, 1)):
+    def verdict(variant, l, V, N, h):
+        return classify_singularity(scheme_mesh(variant, N, h), l, V, variant)
+
+    for table, V, N, h in ((TABLE1_REFERENCE, builtin("harmonic"), 20, 0.09),
+                           (TABLE2_REFERENCE, builtin("coulomb"), 10, 0.9)):
         for l in (0, 1, 2):
             observed_pot = lossy(table[l], 4)
-            predicted = classify_singularity(Family.NonReg, 2.0, l, s_pot)
+            predicted = "potential" in verdict(HamiltonianVariant.NonRegVG, l, V, N, h)
             cells += 1
-            if (predicted is Classification.AccuracyLoss) != observed_pot:
-                mismatches.append(f"potential op l={l} s={s_pot}")
+            if predicted != observed_pot:
+                mismatches.append(f"potential op l={l} {V.label}")
         for l in (1, 2):
             observed_cent = lossy(table[l], 3) and not lossy(table[l], 4)
-            predicted = classify_singularity(Family.NonReg, 2.0, l, 2)
+            predicted = "centrifugal" in verdict(HamiltonianVariant.NonReg, l, V, N, h)
             cells += 1
-            if (predicted is Classification.AccuracyLoss) != observed_cent:
-                mismatches.append(f"centrifugal op l={l}")
-    two_d = classify_singularity(Family.RegSqrt, 0.0, 1, 2, 2)
-    safe_2d = two_d is Classification.Safe
+            if predicted != observed_cent:
+                mismatches.append(f"centrifugal op l={l} {V.label}")
+    safe_2d = verdict(HamiltonianVariant.RegSqrtMesh2D, 1, builtin("harmonic"), 20, 0.09) == ()
     ok = not mismatches and safe_2d
     detail = f"{cells}/10 cells match" + (", 2D m=1 Safe" if safe_2d
                                           else ", 2D m=1 misclassified")

@@ -314,6 +314,21 @@ class TestBatchedKernels:
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
+    @pytest.mark.parametrize("family, alpha", PAIRINGS)
+    def test_values_only_reference_matches_the_package_at_n_400(self, family, alpha):
+        # between the package's window and the next node both take the pole
+        # form; a window wider than half the gap took the 60-term series there
+        mesh = MeshSpec(400, alpha, family, 1.0)
+        nodes = mesh.nodes
+        gap = near_window(nodes) / basis._NEAR_GAP_FRACTION
+        offsets = np.array([0.15, 0.4, 0.65, 0.9, -0.15, -0.4, -0.65, -0.9])
+        x = (nodes[:, None] + offsets * gap[:, None]).ravel()
+        picked = np.r_[0:mesh.N:8, mesh.N - 1]  # every eighth function, to keep it short
+        want = _eval_all(mesh, x)[picked]
+        got = np.stack([reconstruct_wavefunction(mesh, e, x) for e in np.eye(mesh.N)[picked]])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
+
+
 class TestDerivativeValuesAtNodes:
     def test_two_point_first_derivative(self):
         # N=2, alpha=1 mesh points are 3 -/+ sqrt(3)

@@ -648,6 +648,38 @@ class TestMain:
         assert base.splitlines()[1].split(",")[3] == "4"
         assert overridden.splitlines()[1].split(",")[3] == "8"
 
+    def test_json_config_echo_replays_the_report(self, tmp_path, capsys):
+        # the echo carries the potential's energy unit, so feeding it back
+        # prints the same bytes; the spec without it is another config
+        assert main(["gamma-scan", "--potential", "buck_alpha_alpha", "--variant", "reg-sqrt",
+                     "--l", "2", "--N", "15", "--h", "0.23", "--gamma", "0.3:1.3:16",
+                     "--format", "json"]) == 0
+        original = capsys.readouterr().out
+        doc = json.loads(original)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc["config"]))
+        assert main(["gamma-scan", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == original
+        del doc["config"]["potential"]["energyUnit"]
+        cfg.write_text(json.dumps(doc["config"]))
+        assert main(["gamma-scan", "--config", str(cfg)]) == 0
+        internal = json.loads(capsys.readouterr().out)
+        assert internal["provenance"]["config_hash"] != doc["provenance"]["config_hash"]
+        assert internal["rows"][0]["energy"] * 20.736 == pytest.approx(
+            doc["rows"][0]["energy"], rel=1e-14)
+
+    @pytest.mark.parametrize("command", ["bound", "scatter", "gamma-scan", "reproduce"])
+    def test_config_file_mode_must_match_the_subcommand(self, tmp_path, capsys, command):
+        other = "bound" if command == "gamma-scan" else "gamma-scan"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": other, "potential": "eckart", "variant": "reg-sqrt",
+                                   "N": 15, "h": 0.1, "gamma": 4, "table": 1}))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"lagmesh: mode: the config file asks for {other!r}, "
+                                f"not {command!r}\n")
+
     @pytest.mark.parametrize("name", ["l", "m"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_config_file_angular_number_under_either_name(self, tmp_path, capsys, dim, name):

@@ -2,9 +2,9 @@
 
 The lowest level of each of the seven schemes, at N in {300, 1000} (and
 the plain schemes at N = 990) and l or m in {0, 20}, for the harmonic and
-Coulomb potentials, is checked against its exact value.  A cell meets 1e-10 where the singularity
-classifier calls every Gauss-approximated term of the scheme ``Safe``, and
-the bound tabulated below where it predicts ``AccuracyLoss``.  The Exact
+Coulomb potentials, is checked against its exact value.  A cell meets
+1e-10 where the singularity classifier names no lossy term of the scheme,
+and the bound tabulated below where it names one.  The Exact
 matrices behind the variational terms are checked at the same sizes:
 -d^2/dr^2 is a positive operator, the trace of x on the plain family is
 known, and the r-regularized family's Exact matrices give the oscillator
@@ -24,7 +24,6 @@ from scipy.linalg import eigh
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.matelem import (
     SCHEMES,
-    Classification,
     HamiltonianVariant,
     Mode,
     classify_singularity,
@@ -47,24 +46,12 @@ from test_basis import (
 )
 
 GRID_H = {"harmonic": 0.04, "coulomb": 1.0}
-# The AccuracyLoss cells of the grid are non-reg and non-reg V_G for
+# The loss cells of the grid are non-reg and non-reg V_G for
 # Coulomb at l = 0, whose 1/r element is taken at the Gauss approximation.
 # Their errors are 1.7e-4 at N = 300 and 1.6e-5 at N = 990 and 1000
 # (h = 1); the bounds leave a factor of 2.
 LOSS_BOUND = {300: 3.5e-4, 990: 3.5e-5, 1000: 3.5e-5}
 SAFE_TOL = 1e-10
-
-
-def _predicts_loss(variant, n, potential):
-    """Whether the classifier marks a Gauss-approximated term of the scheme
-    ``AccuracyLoss``: the potential (inverse power 1 for Coulomb, 0 for the
-    oscillator) and, for n > 0, the centrifugal term (inverse power 2)."""
-    family, alpha, (_, c_mode, v_mode), dim = SCHEMES[variant]
-    powers = [1 if potential == "coulomb" else 0] if v_mode is Mode.Gauss else []
-    if c_mode is Mode.Gauss and n > 0:
-        powers.append(2)
-    return any(classify_singularity(family, alpha, n, s, dim) is Classification.AccuracyLoss
-               for s in powers)
 
 
 @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
@@ -88,9 +75,10 @@ def _check_lowest_level(N, potential, n, variant):
     dim = SCHEMES[variant][3]
     build = hamiltonian_2d if dim == 2 else hamiltonian_3d
     V = builtin(potential)
-    H, S = build(scheme_mesh(variant, N, GRID_H[potential]), n, V, variant)
+    mesh = scheme_mesh(variant, N, GRID_H[potential])
+    H, S = build(mesh, n, V, variant)
     eps = abs(relative_error(bound_energies(H, S)[0], exact_level(V, n, dimension=dim)))
-    if _predicts_loss(variant, n, potential):
+    if classify_singularity(mesh, n, V, variant):
         # the loss the classifier predicts is real, and stays within its bound
         assert SAFE_TOL < eps <= LOSS_BOUND[N]
     else:
@@ -99,7 +87,8 @@ def _check_lowest_level(N, potential, n, variant):
 
 def test_loss_cells_are_the_plain_coulomb_s_waves():
     loss = {(v.name, n, pot) for v in SCHEMES for n in (0, 20)
-            for pot in ("harmonic", "coulomb") if _predicts_loss(v, n, pot)}
+            for pot in ("harmonic", "coulomb")
+            if classify_singularity(scheme_mesh(v, 300, GRID_H[pot]), n, builtin(pot), v)}
     assert loss == {("NonReg", 0, "coulomb"), ("NonRegVG", 0, "coulomb")}
 
 

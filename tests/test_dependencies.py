@@ -41,10 +41,15 @@ def test_numpy_is_the_one_declared_dependency():
     assert names == ["numpy"]
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # [tool.setuptools] is "beta"
 def test_declared_version_is_the_package_version():
-    # a report's build id is read from lagmesh.__version__, installed or not
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    # a report's build id is read from lagmesh.__version__, installed or not,
+    # and the package metadata reads its version from there too
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     import lagmesh
 
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert project["version"] == lagmesh.__version__
+    assert "version" not in project and project["dynamic"] == ["version"]
+    config = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")
+    assert config["project"]["version"] == lagmesh.__version__

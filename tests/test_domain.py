@@ -183,19 +183,12 @@ CASES = {
     "exact_level.dimension": (lambda v: exact_level(HARMONIC, 0, 0, v),
                               NONFINITE | FRACTIONAL | st.integers(max_value=1)
                               | st.integers(min_value=4), r"\bdimension\b"),
-    "classify_singularity.alpha": (lambda v: classify_singularity(Family.NonReg, v, 1, 2),
-                                   NONFINITE | NEGATIVE, r"\balpha\b"),
-    "classify_singularity.l": (lambda v: classify_singularity(Family.NonReg, 2.0, v, 2),
-                               NONFINITE | FRACTIONAL | st.integers(max_value=-1), r"\bl\b"),
-    "classify_singularity.m": (lambda v: classify_singularity(Family.RegSqrt, 0.0, v, 2, 2),
-                               NONFINITE | FRACTIONAL | st.integers(max_value=-1), r"\bm\b"),
-    "classify_singularity.s": (lambda v: classify_singularity(Family.NonReg, 2.0, 1, v),
-                               NONFINITE | FRACTIONAL | st.integers(max_value=-1)
-                               | st.integers(min_value=3), r"\bs\b"),
-    "classify_singularity.dimension": (
-        lambda v: classify_singularity(Family.NonReg, 2.0, 1, 2, v),
-        NONFINITE | FRACTIONAL | st.integers(max_value=1) | st.integers(min_value=4),
-        r"\bdimension\b"),
+    "classify_singularity.l": (lambda v: classify_singularity(
+        scheme_mesh("NonReg", 10, 0.9), v, HARMONIC, "NonReg"),
+        NONFINITE | FRACTIONAL | st.integers(max_value=-1), r"\bl\b"),
+    "classify_singularity.m": (lambda v: classify_singularity(
+        scheme_mesh("RegSqrtMesh2D", 10, 0.9), v, HARMONIC, "RegSqrtMesh2D"),
+        NONFINITE | FRACTIONAL | st.integers(max_value=-1), r"\bm\b"),
     "eckart_reference_delta0.E": (lambda v: eckart_reference_delta0(v, 2.0, -1.0),
                                   NONFINITE | at_most(0.0), r"\bE\b"),
     "eckart_reference_delta0.b": (lambda v: eckart_reference_delta0(1.0, v, -1.0),

@@ -12,15 +12,14 @@ import pytest
 from lagmesh import basis, cli, matelem
 from lagmesh.basis import Family, MeshSpec, _family_power
 from lagmesh.matelem import (
-    Classification,
     HamiltonianVariant,
     Mode,
     SCHEMES,
+    _potential_matrix,
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
     operator_matrix,
-    potential_matrix,
     scheme_mesh,
 )
 from lagmesh.potentials import PotentialSpec, builtin
@@ -380,13 +379,13 @@ class TestPotentialMatrix:
     def test_gauss_is_diagonal_at_scaled_nodes(self):
         V = builtin("harmonic")
         mesh = MeshSpec(6, 2.0, Family.NonReg, 0.3)
-        M = potential_matrix(mesh, V, Mode.Gauss)
+        M = _potential_matrix(mesh, V, Mode.Gauss)
         assert np.allclose(M, np.diag(0.5 * (0.3 * mesh.nodes) ** 2), atol=0.0)
 
     def test_exact_power_potential_uses_closed_forms(self):
         V = builtin("harmonic")
         mesh = mesh_regsqrt(5, 1.0, h=0.2)
-        M = potential_matrix(mesh, V, Mode.Exact)
+        M = _potential_matrix(mesh, V, Mode.Exact)
         want = 0.5 * 0.2**2 * operator_matrix(mesh, "r^2", Mode.Exact)
         assert np.array_equal(M, want)
 
@@ -396,10 +395,10 @@ class TestPotentialMatrix:
         one = PotentialSpec(label="one", terms=((1.0, 0.0, 0.0, 0.0),))
         for family, alpha in (("RegSqrt", 0.0), ("RegSqrt", 1.0), ("NonReg", 2.0)):
             mesh = MeshSpec(8, alpha, family, 0.3)
-            assert np.array_equal(potential_matrix(mesh, one, Mode.Exact), np.eye(8))
+            assert np.array_equal(_potential_matrix(mesh, one, Mode.Exact), np.eye(8))
         for alpha in (0.0, 2.0):
             mesh = MeshSpec(8, alpha, Family.RegR, 0.3)
-            got = potential_matrix(mesh, one, Mode.Exact)
+            got = _potential_matrix(mesh, one, Mode.Exact)
             assert np.abs(got - _exact_overlap(mesh)).max() <= 1e-13
 
     # the ids keep the names these cases had when the 2D schemes were an enum
@@ -419,7 +418,7 @@ class TestPotentialMatrix:
         mesh = mesh_regsqrt(5)
         for name in ("eckart", "buck_alpha_alpha"):
             with pytest.raises(ValueError, match="no exact matrix elements"):
-                potential_matrix(mesh, builtin(name), Mode.Exact)
+                _potential_matrix(mesh, builtin(name), Mode.Exact)
 
 
 class TestHamiltonian3D:
@@ -509,7 +508,7 @@ class TestHamiltonian2D:
         basis_mesh = MeshSpec(9, 2.0, Family.RegSqrt, 0.9)
         want = (operator_matrix(basis_mesh, "kinetic2d", Mode.Exact) / (2 * 0.9**2)
                 + 0.5 * operator_matrix(basis_mesh, "1/r^2", Mode.Exact) / 0.9**2
-                + potential_matrix(basis_mesh, V, Mode.Exact))
+                + _potential_matrix(basis_mesh, V, Mode.Exact))
         assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
         assert np.array_equal(S, np.eye(9))
         E = eigh(H, eigvals_only=True)
@@ -528,7 +527,7 @@ class TestHamiltonian2D:
         H, S = hamiltonian_2d(mesh, 0, V, "Var2D")
         assert H.shape == S.shape == (N, N)
         want = (operator_matrix(mesh, "kinetic2d", Mode.Exact) / (2 * h * h)
-                + potential_matrix(mesh, V, Mode.Exact))
+                + _potential_matrix(mesh, V, Mode.Exact))
         assert np.array_equal(H, want)
         E = np.linalg.eigvalsh(H)
         assert abs(E[0] - exact) / abs(exact) <= 1e-10
@@ -594,11 +593,11 @@ class TestCentrifugal:
         mesh = mesh_regsqrt(5, h=0.7)
         H, _ = hamiltonian_3d(mesh, 0, V, "RegSqrtMesh")
         T = operator_matrix(mesh, "kinetic", Mode.Gauss)
-        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + potential_matrix(mesh, V))
+        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + _potential_matrix(mesh, V))
         mesh = mesh_regsqrt(5, 0.0, h=0.7)
         H, _ = hamiltonian_2d(mesh, 0, V, "RegSqrtMesh2D")
         T = operator_matrix(mesh, "kinetic2d")
-        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + potential_matrix(mesh, V))
+        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + _potential_matrix(mesh, V))
 
     def test_gauss_is_diagonal(self):
         V = builtin("harmonic")
@@ -634,39 +633,44 @@ class TestCentrifugal:
             hamiltonian_2d(mesh_regsqrt(5, 0.0), value, builtin("harmonic"), variant)
 
 
+# (scheme, angular number, potential, lossy terms): the loss cells of
+# tables 1 and 2 and safe cells of every family, in 3D and 2D
 _KNOWN_CELLS = [
-    ("NonReg", 2.0, 1, 2, 3, Classification.AccuracyLoss),
-    ("NonReg", 2.0, 0, 1, 3, Classification.AccuracyLoss),
-    ("RegSqrt", 1.0, 1, 2, 3, Classification.Safe),
-    ("RegSqrt", 0.0, 1, 2, 2, Classification.Safe),
-    ("RegR", 0.0, 1, 2, 3, Classification.Safe),
+    (HamiltonianVariant.NonReg, 1, "harmonic", ("centrifugal",)),
+    (HamiltonianVariant.NonReg, 0, "coulomb", ("potential",)),
+    (HamiltonianVariant.NonRegVG, 0, "coulomb", ("potential",)),
+    (HamiltonianVariant.NonRegVG, 1, "coulomb", ()),
+    (HamiltonianVariant.RegSqrtMesh, 1, "coulomb", ()),
+    (HamiltonianVariant.RegSqrtMesh2D, 1, "harmonic", ()),
+    (HamiltonianVariant.RegRMesh, 1, "coulomb", ()),
+    (HamiltonianVariant.Var, 0, "coulomb", ()),
 ]
 
 
 class TestClassifier:
-    @pytest.mark.parametrize(
-        "family,alpha,lm,s,dim,want", _KNOWN_CELLS,
-        # the ids spell the dimension as 3D or 2D
-        ids=["-".join(map(str, (*c[:4], f"{c[4]}D", c[5]))) for c in _KNOWN_CELLS],
-    )
-    def test_known_cells(self, family, alpha, lm, s, dim, want):
-        assert classify_singularity(family, alpha, lm, s, dim) is want
+    @pytest.mark.parametrize("variant,angular,potential,want", _KNOWN_CELLS,
+                             ids=["-".join(map(str, (c[0].name, *c[1:3], "+".join(c[3]) or "safe")))
+                                  for c in _KNOWN_CELLS])
+    def test_known_cells(self, variant, angular, potential, want):
+        mesh = scheme_mesh(variant, 10, 0.9)
+        assert classify_singularity(mesh, angular, builtin(potential), variant) == want
 
-    def test_invalid_power_rejected(self):
-        with pytest.raises(ValueError, match="0, 1, or 2"):
-            classify_singularity("RegSqrt", 1.0, 0, 3, 3)
+    def test_potential_power_is_its_most_singular_term(self):
+        # a damping is 1 at the origin, so a damped c/r counts as 1/r; the
+        # screened Coulomb term is regular; any p > -2 is a valid power
+        mesh = scheme_mesh(HamiltonianVariant.NonReg, 10, 0.9)
+        damped = PotentialSpec("damped", terms=((1.0, 0.0, 0.0, 0.0), (-1.0, -1.0, 0.0, 0.5)))
+        assert classify_singularity(mesh, 0, damped, "NonReg") == ("potential",)
+        assert classify_singularity(mesh, 0, builtin("buck_alpha_alpha"), "NonReg") == ()
+        steep = PotentialSpec("steep", terms=((-1.0, -1.5, 0.0, 0.0),))
+        assert classify_singularity(mesh, 0, steep, "NonReg") == ("potential",)
+        sqrt_mesh = scheme_mesh("RegSqrtMesh", 10, 0.9)
+        assert classify_singularity(sqrt_mesh, 0, steep, "RegSqrtMesh") == ("potential",)
+        assert classify_singularity(sqrt_mesh, 1, steep, "RegSqrtMesh") == ()
 
-    def test_invalid_dimension_rejected(self):
-        for dim in (4, "3D"):
-            with pytest.raises(ValueError, match=r"^dimension must be 2 or 3 \(got "):
-                classify_singularity("RegSqrt", 1.0, 0, 1, dim)
-
-    # these gave Safe or AccuracyLoss verdicts before
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -5.0])
-    def test_invalid_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError, match="^alpha must be finite and nonnegative$"):
-            classify_singularity("NonReg", alpha, 1, 2)
+    def test_mesh_of_another_family_rejected(self):
+        with pytest.raises(ValueError, match="requires family NonReg"):
+            classify_singularity(mesh_regsqrt(10), 0, builtin("coulomb"), "NonReg")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dim, name", [(3, "l"), (2, "m")], ids=["3D-l", "2D-m"])
@@ -675,8 +679,10 @@ class TestClassifier:
         (1.5, "must be an integer"), (-3, "must be nonnegative"),
     ])
     def test_invalid_angular_number_rejected(self, dim, name, value, message):
+        variant = "RegSqrtMesh" if dim == 3 else "RegSqrtMesh2D"
         with pytest.raises(ValueError, match=f"^{name} {message}"):
-            classify_singularity("RegSqrt", 0.0, value, 2, dim)
+            classify_singularity(scheme_mesh(variant, 10, 0.9), value, builtin("harmonic"),
+                                 variant)
 
 
 class TestDivergenceRejections:

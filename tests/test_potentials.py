@@ -251,11 +251,11 @@ class TestSerialization:
         assert W.label == V.label
         assert W.tail_Z == V.tail_Z
 
-    def test_energy_unit_not_serialized(self):
+    def test_energy_unit_serialized_when_not_one(self):
         V = builtin("buck_alpha_alpha")
-        text = to_json(V)
-        assert "energy_unit" not in text
-        assert from_json(text).energy_unit == 1.0
+        assert json.loads(to_json(V))["energyUnit"] == V.energy_unit
+        assert from_json(to_json(V)).energy_unit == V.energy_unit
+        assert "energyUnit" not in json.loads(to_json(builtin("coulomb")))
 
     @pytest.mark.parametrize("text, field", [
         ('{"terms": [1]}', "terms[0]"),
@@ -267,6 +267,7 @@ class TestSerialization:
         ('{"eckart": [2, -1]}', "eckart"),
         ('{"tailZ": "one"}', "tailZ"),
         ('{"label": 7}', "label"),
+        ('{"energyUnit": "MeV"}', "energyUnit"),
         ('[1]', "spec"),
     ])
     def test_malformed_spec_names_the_field(self, text, field):
