@@ -71,6 +71,7 @@ _FIELD_TYPES = {
     "mode": (str,), "variant": (str,), "format": (str,), "out": (str,), "gammas": (list,),
     "potential": (str, dict), "l": (int,), "m": (int,), "dim": (int,), "N": (int,),
     "table": (int,), "alpha": _NUMBER, "h": _NUMBER, "gamma": (*_NUMBER, str),
+    "sweep": (dict,),  # a sweep report's echo; read by the sweep command only
 }
 
 
@@ -518,16 +519,17 @@ def build_parser():
     return parser
 
 
-def _check_types(doc):
+def _check_types(doc, mode):
     """Reject a config file that is not an object or has unknown or
-    mistyped fields."""
+    mistyped fields; only a sweep knows the field ``sweep``."""
     if type(doc) is not dict:
         raise ConfigError(["config: the file must hold a JSON object"])
+    known = _FIELD_TYPES if mode == "sweep" else _FIELD_TYPES.keys() - {"sweep"}
     errors = [
-        f"{key}: unknown field" if key not in _FIELD_TYPES
+        f"{key}: unknown field" if key not in known
         else f"{key}: wrong JSON type (got {json.dumps(value)})"
         for key, value in doc.items()
-        if key not in _FIELD_TYPES or value is not None and (
+        if key not in known or value is not None and (
             type(value) not in _FIELD_TYPES[key]
             or key == "gammas" and any(type(g) not in _NUMBER for g in value))
     ]
@@ -543,7 +545,8 @@ def _one_angular(l, m):
 
 
 def _assemble(args):
-    """ExperimentConfig from parsed flags plus the optional config file."""
+    """ExperimentConfig from parsed flags plus the optional config file, and
+    the file's ``sweep`` echo or None."""
     doc = {}
     if args.config_file:
         try:
@@ -553,7 +556,7 @@ def _assemble(args):
             raise ConfigError([f"config: {e}"]) from None
         except json.JSONDecodeError as e:
             raise ConfigError([f"config: invalid JSON ({e})"]) from None
-        _check_types(doc)
+        _check_types(doc, args.mode)
 
     def pick(flag, key, default=None):
         return flag if flag is not None else doc.get(key, default)
@@ -595,13 +598,13 @@ def _assemble(args):
         table=pick(args.table, "table"),
         format=pick(args.format, "format", "csv"),
         out=pick(args.out, "out"),
-    )
+    ), doc.get("sweep")
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        config = _assemble(args)
+        config, swept = _assemble(args)
         if args.mode == "sweep":
             if args.parameter is None or args.values is None:
                 raise ConfigError(
@@ -611,6 +614,10 @@ def main(argv=None):
             except ValueError:
                 raise ConfigError(
                     ["values: must be comma-separated numbers"]) from None
+            # a sweep report's echo replays only the sweep it records
+            if swept not in (None, {"parameter": args.parameter, "values": list(values)}):
+                raise ConfigError([f"sweep: the config file's sweep {json.dumps(swept)} "
+                                   "differs from --parameter/--values"])
             report = sweep(config, args.parameter, values)
         else:
             report = run(config)

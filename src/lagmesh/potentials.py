@@ -212,10 +212,11 @@ def to_json(spec):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _numbers(obj, where, names, defaults=None):
+def _numbers(obj, where, names, defaults=None, positive=()):
     """The fields ``names`` of the JSON object ``obj`` (``where`` in the
-    spec, empty at the top level) as floats; a missing field, or one that is
-    not a JSON number, raises ValueError naming it."""
+    spec, empty at the top level) as floats; a missing field, one that is
+    not a JSON number, or one named in ``positive`` that is 0 or negative
+    raises ValueError naming it.  PotentialSpec names a NaN or infinite one."""
     if type(obj) is not dict:
         raise ValueError(f"{where}: must be a JSON object")
     defaults = defaults or {}
@@ -227,6 +228,8 @@ def _numbers(obj, where, names, defaults=None):
         value = obj.get(name, defaults.get(name))
         if type(value) not in (int, float):  # JSON true is no number
             raise ValueError(f"{field}: must be a number")
+        if name in positive and value <= 0.0:
+            raise ValueError(f"{field}: must be positive (got {float(value)!r})")
         values.append(float(value))
     return tuple(values)
 
@@ -249,10 +252,11 @@ def from_json(text):
         label=label,
         terms=tuple(_numbers(t, f"terms[{i}]", "cpab", {"a": 0.0, "b": 0.0})
                     for i, t in enumerate(terms)),
-        coulomb_erf=_numbers(doc["coulombErf"], "coulombErf", ["q", "mu"])
+        coulomb_erf=_numbers(doc["coulombErf"], "coulombErf", ["q", "mu"], positive=["mu"])
         if "coulombErf" in doc else None,
         eckart=_numbers(doc["eckart"], "eckart", "bc") if "eckart" in doc else None,
-        energy_unit=_numbers(doc, "", ["energyUnit"], {"energyUnit": 1.0})[0],
+        energy_unit=_numbers(doc, "", ["energyUnit"], {"energyUnit": 1.0},
+                             positive=["energyUnit"])[0],
     )
     if "tailZ" in doc:  # echoed by every report: checked, never used
         Z = _finite("tailZ", _numbers(doc, "", ["tailZ"])[0])

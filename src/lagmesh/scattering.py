@@ -12,10 +12,11 @@ All integrals are evaluated with the Gauss rule of the mesh the
 pseudostate was computed on; no auxiliary grid is involved.  At the mesh
 points each basis function takes the value ``(h lam_i)**-0.5 delta_ij``,
 so every integral collapses to a weighted dot product with the
-coefficient vector.  The node factors that do not depend on gamma (the
-Coulomb functions among them) are formed once per state, and
-``_ratios`` evaluates the ratio on a whole gamma grid in one pass: one
-call serves a single rate, a scan and its fallback alike.
+coefficient vector.  The node factors of a mesh and potential are cached
+for all its states; a state forms its Coulomb functions once, and the
+ratio, its checks and the plateau search on a whole gamma grid are a few
+array operations.  One call serves a single rate, a scan and its
+fallback alike, with the same bits.
 
 Everything here is in the scaled units of the Hamiltonian
 (``hbar = M = 1``).  A result holds phases only; a report converts the
@@ -25,10 +26,12 @@ both linear in the wave function.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
+from .basis import _CACHE_SIZE
 from .potentials import _finite, evaluate as evaluate_potential
 from .specfun import _integer, coulomb_wave
 
@@ -111,6 +114,17 @@ def _check_inputs(state, l, V, Z, mesh, window):
         raise ValueError(f"unknown window: {window!r}")
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _node_factors(mesh, V, Z):
+    """``r``, ``w``, ``sqrt(w)`` and ``w (V(r) - Z/r)`` at the nodes, read-only."""
+    r = mesh.h * mesh.nodes
+    w = mesh.h * mesh.weights
+    factors = r, w, np.sqrt(w), w * (evaluate_potential(V, r) - Z / r)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def _interior_table(state, l, V, Z, mesh):
     """Gamma-independent node factors: weights, wave function, F, G, G'.
 
@@ -120,14 +134,12 @@ def _interior_table(state, l, V, Z, mesh):
     compensating integral).  ``Gp`` is the derivative with respect to
     ``k r``.
     """
-    r = mesh.h * mesh.nodes
-    w = mesh.h * mesh.weights
+    r, w, sqrt_w, wW = _node_factors(mesh, V, Z)
     # u(h r_i) = c_i (h lam_i)^(-1/2): the Lagrange property makes the
     # reconstruction at the mesh points a rescaling of the coefficients.
-    u = np.asarray(state.coefficients, dtype=float) / np.sqrt(w)
+    u = np.asarray(state.coefficients, dtype=float) / sqrt_w
     F, _, G, Gp = coulomb_wave(l, Z / state.k, state.k * r)
-    W = evaluate_potential(V, r) - Z / r
-    return r, w * W * u, w * u, F, G, Gp
+    return r, wW * u, w * u, F, G, Gp
 
 
 # At an extreme rate g r over- or underflows and the terms below may come out
@@ -139,8 +151,8 @@ def _ratios(table, l, k, grid):
 
     The numerator does not depend on gamma.  The regularizing factors are
     formed once as (gamma, node) arrays, and each denominator is the same
-    pair of 1-D dot products at every grid size, so a value does not depend
-    on the grid it was computed in.
+    pair of per-row dot products at every grid size, so a value does not
+    depend on the grid it was computed in.
     """
     r, wWu, wu, F, G, Gp = table
     g = np.asarray(grid, dtype=float)[:, None]
@@ -154,31 +166,36 @@ def _ratios(table, l, k, grid):
     plain = G * reg ** (l + 1)
     # the term is 0 where e^-gr underflows, whatever g times G does there
     comp = np.where(damp == 0.0, 0.0, damp * reg ** (l - 1) * bracket)
-    dens = []
-    for i in range(g.shape[0]):
-        c = float(wu @ comp[i])
-        dens.append(float(wWu @ plain[i]) + (0.5 * (l + 1) * g[i, 0] * c if c else 0.0))
-    return num, dens
+    # a stacked (1, n) @ (n, 1) product is one ddot per row, the same sum as
+    # a 1-D ``v @ M[i]``; ``M @ v`` and einsum may sum in another order
+    c = np.matmul(comp[:, None, :], wu[:, None])[:, 0, 0]
+    dens = np.matmul(plain[:, None, :], wWu[:, None])[:, 0, 0]
+    dens += np.where(c != 0.0, 0.5 * (l + 1) * g[:, 0] * c, 0.0)
+    return num, dens.tolist()
 
 
 def _phases(grid, num, dens, window):
     """tan(delta), delta in degrees and the branch at each rate of ``grid``, as
     arrays; raises IndeterminatePhaseError at the first rate, in grid order,
     whose ratio determines no phase."""
-    for gamma, den in zip(grid, dens):
-        if not (math.isfinite(num) and math.isfinite(den)):
-            raise IndeterminatePhaseError(
-                f"indeterminate phase at gamma={gamma:g}: numerator {num:.3e} "
-                f"or denominator {den:.3e} is not finite"
-            )
-        if den == 0.0 or abs(den) < _INDETERMINATE_RTOL * abs(num):
-            raise IndeterminatePhaseError(
-                f"indeterminate phase at gamma={gamma:g}: denominator {den:.3e} "
-                f"is below 1e-14 of the numerator {num:.3e}"
-            )
-    tan = num / np.asarray(dens) + 0.0  # a zero ratio is +0, whatever the signs
+    dens = np.asarray(dens)
+    # one test of the whole grid; the loop runs only to name the failure
+    if not (math.isfinite(num) and (np.isfinite(dens) & (dens != 0.0)
+                                    & (abs(dens) >= _INDETERMINATE_RTOL * abs(num))).all()):
+        for gamma, den in zip(grid, dens):
+            if not (math.isfinite(num) and math.isfinite(den)):
+                raise IndeterminatePhaseError(
+                    f"indeterminate phase at gamma={gamma:g}: numerator {num:.3e} "
+                    f"or denominator {den:.3e} is not finite"
+                )
+            if den == 0.0 or abs(den) < _INDETERMINATE_RTOL * abs(num):
+                raise IndeterminatePhaseError(
+                    f"indeterminate phase at gamma={gamma:g}: denominator {den:.3e} "
+                    f"is below 1e-14 of the numerator {num:.3e}"
+                )
+    tan = num / dens + 0.0  # a zero ratio is +0, whatever the signs
     # math.atan per element: np.arctan can differ from it in the last bit
-    delta = np.array([math.degrees(math.atan(t)) for t in tan])
+    delta = np.array([math.degrees(math.atan(t)) for t in tan.tolist()])
     branch = (delta < 0.0) & (window == "positive")
     return tan, np.where(branch, delta + 180.0, delta), branch.astype(int)
 
@@ -232,6 +249,25 @@ def _fold_180(d):
     return (d + 90.0) % 180.0 - 90.0
 
 
+def _unwrap_180(p):
+    """``np.unwrap(p, period=180.0)`` of a list, in numpy's order of operations."""
+    up, shift = p[:1], 0.0
+    for a, b in zip(p, p[1:]):
+        dd = b - a
+        if not abs(dd) < 90.0:
+            fold = _fold_180(dd)
+            # a jump of exactly +90 keeps its sign
+            shift += (90.0 if fold == -90.0 and dd > 0.0 else fold) - dd
+        up.append(b + shift)
+    return up
+
+
+def _median(xs):
+    """``np.median`` of a list, in numpy's order of operations."""
+    s, h = sorted(xs), len(xs) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0
+
+
 def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="principal"):
     """Evaluate the phase over a gamma grid and locate the plateau.
 
@@ -260,13 +296,15 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
         the grid, in grid order and in ``window``.
     """
     _check_inputs(state, l, V, Z, mesh, window)
-    grid = _DEFAULT_GAMMAS if gammas is None else np.asarray(gammas, dtype=float)
-    if grid.ndim != 1 or grid.size < 8:
-        raise ValueError("gamma grid too small: at least 8 points are required")
-    if not np.all(np.isfinite(grid)) or grid[0] <= 0.0:
-        raise ValueError("gamma grid must be positive and finite")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("gamma grid must be strictly increasing")
+    grid = _DEFAULT_GAMMAS  # read-only, and valid
+    if gammas is not None:
+        grid = np.asarray(gammas, dtype=float)
+        if grid.ndim != 1 or grid.size < 8:
+            raise ValueError("gamma grid too small: at least 8 points are required")
+        if not np.all(np.isfinite(grid)) or grid[0] <= 0.0:
+            raise ValueError("gamma grid must be positive and finite")
+        if np.any(np.diff(grid) <= 0.0):
+            raise ValueError("gamma grid must be strictly increasing")
     if fallback_gamma is not None and not (
             fallback_gamma > 0.0 and math.isfinite(fallback_gamma)):
         raise ValueError(
@@ -276,11 +314,12 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
     phases = _phases(grid, *_ratios(table, l, state.k, grid), window)
     scan = phases[1]
     # Slopes on a branch-unwrapped copy so a 180-degree hop between
-    # neighboring grid points is not mistaken for a huge derivative.
-    deg = np.unwrap(scan, period=180.0)
-    slopes = np.abs((deg[2:] - deg[:-2]) / (grid[2:] - grid[:-2]))
-    i = 1 + int(np.argmin(slopes))
-    median = float(np.median(slopes))
+    # neighboring grid points is not mistaken for a huge derivative (lists:
+    # a grid this short costs less as Python floats than as arrays).
+    g, deg = grid.tolist(), _unwrap_180(scan.tolist())
+    slopes = [abs((deg[j + 2] - deg[j]) / (g[j + 2] - g[j])) for j in range(len(g) - 2)]
+    i = 1 + slopes.index(min(slopes))
+    median = _median(slopes)
     no_plateau = median > 0.0 and slopes[i - 1] * _PLATEAU_MEDIAN_FACTOR >= median
     rates = grid
 

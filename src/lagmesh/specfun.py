@@ -187,11 +187,12 @@ def _cf1(l, eta, x):
         f = small
     c, d = f, 0.0
     sign = 1.0
+    inv_x = 1.0 / x
     for _ in range(_MAX_CF_ITER):
         pk1 = pk + 1.0
         ek = eta / pk
         rk2 = 1.0 + ek * ek
-        tk = (pk + pk1) * (1.0 / x + eta / (pk * pk1))
+        tk = (pk + pk1) * (inv_x + eta / (pk * pk1))
         d = tk - rk2 * d
         c = tk - rk2 / c
         if d == 0.0:
@@ -352,18 +353,20 @@ def _taylor_step(ll1, eta, x, t, u, up):
     c2 = (x * p * p) ** 2
     bm2, bm1, b0, b1 = 0.0, 0.0, u, t * up
     s, sp = b0 + b1, b1
+    a1 = abs(b1)  # |b1|, carried over from the previous term
     terms = itertools.chain(_TAYLOR_TABLE, map(
         _taylor_coefficients, range(_TAYLOR_TABLE_TERMS, _MAX_TAYLOR_TERMS)))
     for nn1, nn2, den, n2 in terms:
         b2 = ((c0 - nn1 * p * p) * b0 - nn2 * p * b1 + c1 * bm1 - c2 * bm2) / den
         s += b2
         sp += n2 * b2
-        if n2 * (abs(b1) + abs(b2)) <= 1e-17 * (abs(s) + abs(sp)):
+        a2 = abs(b2)
+        if n2 * (a1 + a2) <= 1e-17 * (abs(s) + abs(sp)):
             # overflowed terms pass the test as inf <= inf
             if not math.isfinite(s + sp):
                 raise ConvergenceError(f"Taylor step diverged (x={x}, t={t})")
             return s, sp / t
-        bm2, bm1, b0, b1 = bm1, b0, b1, b2
+        bm2, bm1, b0, b1, a1 = bm1, b0, b1, b2, a2
     raise ConvergenceError(f"Taylor step did not converge (x={x}, t={t})")
 
 

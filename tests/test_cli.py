@@ -668,6 +668,27 @@ class TestMain:
         assert internal["rows"][0]["energy"] * 20.736 == pytest.approx(
             doc["rows"][0]["energy"], rel=1e-14)
 
+    def test_sweep_config_echo_replays_the_report(self, tmp_path, capsys):
+        sweep_flags = ["--parameter", "h", "--values", "0.3,0.5"]
+        assert main(["sweep", *sweep_flags, "--potential", "coulomb", "--l", "0",
+                     "--N", "10", "--h", "0.9", "--format", "json"]) == 0
+        original = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads(original)["config"]))
+        assert main(["sweep", *sweep_flags, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == original
+        # the echo records its sweep: other values are another sweep
+        assert main(["sweep", "--parameter", "h", "--values", "0.3,0.6",
+                     "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            'lagmesh: sweep: the config file\'s sweep {"parameter": "h", "values": [0.3, 0.5]} '
+            "differs from --parameter/--values\n")
+        # and no other command knows the field
+        assert main(["bound", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "lagmesh: sweep: unknown field\n"
+
     @pytest.mark.parametrize("command", ["bound", "scatter", "gamma-scan", "reproduce"])
     def test_config_file_mode_must_match_the_subcommand(self, tmp_path, capsys, command):
         other = "bound" if command == "gamma-scan" else "gamma-scan"
@@ -807,6 +828,17 @@ def _run_python(code):
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60).stdout
+
+
+def test_cold_phase_run_leaves_numpy_ma_out():
+    # np.median imports numpy.ma on its first call, some 11-14 ms of a cold
+    # run; the plateau search takes its median without it
+    code = ("import contextlib, io, sys; from lagmesh.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['gamma-scan', '--potential', 'eckart', '--variant', 'reg-sqrt',"
+            " '--N', '15', '--h', '0.1', '--l', '0'])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    assert _run_python(code).strip() == "0 False"
 
 
 def test_cli_import_leaves_scipy_out():

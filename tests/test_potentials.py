@@ -240,6 +240,24 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             from_json(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"terms": [{"c": 0.5, "p": 2}], "energyUnit": 0}',
+         "energyUnit: must be positive (got 0.0)"),
+        ('{"terms": [{"c": 0.5, "p": 2}], "energyUnit": -2}',
+         "energyUnit: must be positive (got -2.0)"),
+        ('{"coulombErf": {"q": 1, "mu": -1}}', "coulombErf.mu: must be positive (got -1.0)"),
+        ('{"coulombErf": {"q": 1, "mu": 0.0}}', "coulombErf.mu: must be positive (got 0.0)"),
+    ])
+    def test_json_value_errors_name_the_json_field(self, text, message):
+        # as the shape errors do; the Python constructor keeps its own names
+        with pytest.raises(ValueError) as err:
+            from_json(text)
+        assert str(err.value) == message
+        with pytest.raises(ValueError, match="^energy_unit must be positive"):
+            PotentialSpec("v", energy_unit=0.0)
+        with pytest.raises(ValueError, match="^coulomb_erf mu must be positive"):
+            PotentialSpec("v", coulomb_erf=(1.0, -1.0))
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name", ["harmonic", "coulomb", "eckart", "buck_alpha_alpha"])

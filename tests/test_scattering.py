@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
@@ -40,6 +40,38 @@ def eckart_states(famkey):
     mesh = scheme_mesh(variant, 15, 0.1)
     H, S = hamiltonian_3d(mesh, 0, ECKART, variant)
     return mesh, pseudostates(solve_bound_states(H, S))
+
+
+@functools.lru_cache(maxsize=None)
+def system_states(V, l, famkey, h):
+    """An N = 30 mesh and its pseudostates inside the Coulomb domain."""
+    variant = _FAMILIES[famkey]
+    mesh = scheme_mesh(variant, 30, h)
+    H, S = hamiltonian_3d(mesh, l, V, variant)
+    return mesh, [s for s in pseudostates(solve_bound_states(H, S))
+                  if abs(V.tail_Z) <= 50.0 * s.k]
+
+
+def _loop_ratios(table, l, k, grid):
+    """Reference: ``_ratios`` with its two dot products per rate formed as
+    1-D products in a loop over the grid."""
+    r, wWu, wu, F, G, Gp = table
+    g = np.asarray(grid, dtype=float)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        reg = -np.expm1(-g * r)
+        damp = np.exp(-g * r)
+        bracket = g * (1.0 - (l + 1) * damp) * G - 2.0 * reg * k * Gp
+        plain = G * reg ** (l + 1)
+        comp = np.where(damp == 0.0, 0.0, damp * reg ** (l - 1) * bracket)
+    dens = []
+    for i in range(g.shape[0]):
+        c = float(wu @ comp[i])
+        dens.append(float(wWu @ plain[i]) + (0.5 * (l + 1) * g[i, 0] * c if c else 0.0))
+    return -float(wWu @ F), dens
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,11 +316,7 @@ class TestBatchedRatio:
     @pytest.mark.parametrize("V, l, famkey, h, window", SYSTEMS,
                              ids=["alpha-alpha", "eckart", "coulomb"])
     def test_scan_entries_equal_single_evaluations(self, V, l, famkey, h, window):
-        variant = _FAMILIES[famkey]
-        mesh = scheme_mesh(variant, 30, h)
-        H, S = hamiltonian_3d(mesh, l, V, variant)
-        states = [s for s in pseudostates(solve_bound_states(H, S))
-                  if abs(V.tail_Z) <= 50.0 * s.k]
+        mesh, states = system_states(V, l, famkey, h)
         for state in states[::5]:
             _, table = gamma_scan(state, l, V, V.tail_Z, mesh, window=window)
             assert table.shape == _DEFAULT_GAMMAS.shape
@@ -304,10 +332,55 @@ class TestBatchedRatio:
             # the Coulomb numerator is exactly 0, so compare denominators too
             assert dens == [_ratios(factors, l, state.k, [g])[1][0] for g in _DEFAULT_GAMMAS]
 
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    @pytest.mark.parametrize("V, l, famkey, h, window", SYSTEMS,
+                             ids=["alpha-alpha", "eckart", "coulomb"])
+    def test_ratios_equal_a_loop_of_dot_products(self, V, l, famkey, h, window, size):
+        mesh, states = system_states(V, l, famkey, h)
+        grid = _DEFAULT_GAMMAS[::5][:size] if size < 16 else _DEFAULT_GAMMAS
+        for state in states:
+            table = _interior_table(state, l, V, V.tail_Z, mesh)
+            num, dens = _ratios(table, l, state.k, grid)
+            want_num, want_dens = _loop_ratios(table, l, state.k, grid)
+            assert _bits([num, *dens]) == _bits([want_num, *want_dens])
+
     def test_default_grid_is_read_only(self):
         assert np.array_equal(_DEFAULT_GAMMAS, np.geomspace(0.1, 10.0, 16))
         with pytest.raises(ValueError, match="read-only"):
             _DEFAULT_GAMMAS[0] = 1.0
+
+
+# phases in either window, with exact +-90 jumps and the window edges 0 and 180
+_PHASE = st.one_of(
+    st.floats(-90.0, 180.0),
+    st.sampled_from([-90.0, -45.0, -0.0, 0.0, 45.0, 90.0, 135.0, 180.0,
+                     math.nextafter(-90.0, 0.0), math.nextafter(90.0, 0.0),
+                     math.nextafter(180.0, 0.0)]),
+)
+
+
+class TestPlateauArithmetic:
+    """The scan's unwrap and median on lists reproduce numpy's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_PHASE, min_size=1, max_size=20))
+    @example([0.0, 90.0, 0.0, -90.0, 90.0])  # exact jumps of +90 and -90
+    @example([-45.0, 45.0, 135.0, -45.0])
+    @example([179.0, 0.0, 180.0, 0.0, 1.0])  # across the 0/180 window edge
+    @example([90.0, -90.0, 90.0])  # exact jumps of 180
+    def test_unwrap_equals_numpy(self, phases):
+        want = np.unwrap(phases, period=180.0)
+        assert _bits(scattering._unwrap_180(phases)) == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300).map(abs), min_size=1, max_size=17))
+    @example([3.0])
+    @example([2.0, 1.0])
+    @example([5.0, 1.0, 3.0])
+    @example([1.0, 1.0, 4.0, 2.0])
+    def test_median_equals_numpy(self, slopes):
+        # odd and even lengths, as the scan's grids give both
+        assert _bits([scattering._median(slopes)]) == _bits([np.median(slopes)])
 
 
 class TestAttractiveCoulomb:
