@@ -51,7 +51,8 @@ __all__ = [
 
 _BUILD = f"lagmesh {__version__}"
 
-_MODES = ("bound", "scatter", "gamma-scan", "reproduce")
+_RUNS = ("bound", "scatter", "gamma-scan")  # the modes that solve one mesh
+_MODES = (*_RUNS, "reproduce")
 
 # (dimension, variant alias) -> scheme; the dimension and mesh of each
 # scheme are in matelem.SCHEMES
@@ -65,13 +66,49 @@ _VARIANTS = {(SCHEMES[scheme][3], alias): scheme for alias, scheme in (
     ("reg-sqrt", HamiltonianVariant.RegSqrtMesh2D),
 )}
 
-# JSON types of the config-file fields, matched exactly (true is no integer)
-_NUMBER = (int, float)
-_FIELD_TYPES = {
-    "mode": (str,), "variant": (str,), "format": (str,), "out": (str,), "gammas": (list,),
-    "potential": (str, dict), "l": (int,), "m": (int,), "dim": (int,), "N": (int,),
-    "table": (int,), "alpha": _NUMBER, "h": _NUMBER, "gamma": (*_NUMBER, str),
-    "sweep": (dict,),  # a sweep report's echo; read by the sweep command only
+# Every config field, once, in the order of the echo: its key in a config
+# file and the echo (l/m is l in 3D and m in 2D; a flag or a file may use
+# either name), its ExperimentConfig attribute, its kind (see _KINDS; None
+# leaves every value to the field's domain check), its default (the variant's
+# depends on the mode: _assemble fills it in), the modes that read it, and
+# its flag as (type, help), or None for a field without one.
+_FIELDS = (
+    ("mode", "mode", None, dataclasses.MISSING, _MODES, None),
+    ("format", "format", None, "csv", _MODES, (None, "csv or json (default csv)")),
+    ("potential", "potential", None, None, _RUNS,
+     (None, "builtin name, name:key=value,... or JSON spec")),
+    ("l/m", "angular", "int", 0, _RUNS, (int, "angular number: l in 3D, m in 2D (default 0)")),
+    ("dim", "dimension", "int", 3, _RUNS, (int, "2 or 3 (default 3)")),
+    ("variant", "variant", None, None, _RUNS,
+     (None, ", ".join(dict.fromkeys(a for _, a in _VARIANTS)))),
+    ("N", "N", "int", None, _RUNS, (int, "mesh size")),
+    ("alpha", "alpha", "float", None, _RUNS,
+     (float, "Laguerre parameter (default per variant)")),
+    ("h", "h", "float", None, _RUNS, (float, "scaling factor")),
+    ("gamma", "gamma", "float", None, ("scatter",),
+     (None, "rate (scatter) or grid start:stop:count (gamma-scan)")),
+    ("gammas", "gammas", "floats", None, ("gamma-scan",), None),
+    ("table", "table", "int", None, ("reproduce",),
+     (int, "benchmark table id 1..5 (reproduce)")),
+    ("out", "out", "str", None, _MODES, (None, "output path (default stdout)")),
+)
+
+
+def _is_number(value):
+    """Whether ``value`` is an int or a float, and no bool: what the JSON
+    config echo writes as a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# kind -> (what a value must be, its test); a NumPy integer is no number,
+# since the echo is JSON
+_KINDS = {
+    "int": ("a whole number",
+            lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
+    "float": ("an int or a float", _is_number),
+    "floats": ("a sequence of ints or floats",
+               lambda v: isinstance(v, (tuple, list, np.ndarray)) and all(map(_is_number, v))),
+    "str": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -83,73 +120,63 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully-specified computation.
+ExperimentConfig = dataclasses.make_dataclass(
+    "ExperimentConfig",
+    [(attr, object, dataclasses.field(default=default))
+     for _, attr, _, default, _, _ in _FIELDS],
+    frozen=True, kw_only=True, namespace={"__module__": __name__, "__doc__": """\
+One fully-specified computation, its fields given by keyword.
 
     ``angular`` is l in three dimensions and m in two.  ``gamma`` is the
     single rate used by scatter mode; ``gammas`` the grid scanned by
     gamma-scan mode (None for the built-in default).  ``table`` selects the
-    benchmark table in reproduce mode.
-    """
-
-    mode: str
-    potential: object = None
-    angular: int = 0
-    dimension: int = 3
-    variant: str = None
-    N: int = None
-    alpha: float = None
-    h: float = None
-    gamma: float = None
-    gammas: tuple = None
-    table: int = None
-    format: str = "csv"
-    out: str = None
+    benchmark table in reproduce mode.  A field that the mode does not read
+    must keep its default.
+    """})
 
 
-def _is_number(value):
-    """Whether ``value`` is an int or a float, and no bool: what the JSON
-    config echo writes as a number."""
-    return isinstance(value, _NUMBER) and not isinstance(value, bool)
-
-
-def _validate(config):
-    errors = []
+def _checked(config):
+    """``config`` with its whole numbers as ints, once each field passes its
+    row of _FIELDS: first its kind (None is no value where the default is
+    None), then whether the mode reads it, then the domain checks.  Raises
+    ConfigError naming every failing field."""
     if config.mode not in _MODES:
-        errors.append(f"mode: must be one of {', '.join(_MODES)}")
-        return errors
+        raise ConfigError([f"mode: must be one of {', '.join(_MODES)}"])
+    mistyped, unread, whole = [], [], {}
+    for key, attr, kind, default, modes, _ in _FIELDS:
+        value = getattr(config, attr)
+        if value is None and default is None:
+            continue
+        if kind is not None:
+            what, test = _KINDS[kind]
+            if not test(value):
+                mistyped.append(f"{attr}: must be {what} (got {value!r})")
+                continue
+            if kind == "int":
+                value = whole[attr] = int(value)
+        if config.mode not in modes and (default is None or value != default):
+            unread.append(f"{key}: only applies to {', '.join(modes)}")
+    if mistyped:
+        raise ConfigError(mistyped)
+    config = dataclasses.replace(config, **whole)
+    errors = unread + _domain_errors(config)
+    if errors:
+        raise ConfigError(errors)
+    return config
+
+
+def _domain_errors(config):
+    errors = []
     if config.format not in ("csv", "json"):
         errors.append("format: must be csv or json")
     if config.mode == "reproduce":
         if config.table not in benchmarks.TABLE_IDS:
             errors.append("table: reproduce requires --table 1..5")
         return errors
-    if config.table is not None:
-        errors.append("table: only applies to reproduce mode")
     if config.potential is None:
         errors.append("potential: a builtin name or JSON spec is required")
     elif not isinstance(config.potential, PotentialSpec):
         errors.append(f"potential: must be a PotentialSpec (got {config.potential!r})")
-    # a config built in Python may hold any object in a number field; None
-    # marks an optional number as not given
-    mistyped = [
-        f"{name}: must be an int or a float (got {value!r})"
-        for name, value in (("N", config.N), ("h", config.h), ("alpha", config.alpha),
-                            ("gamma", config.gamma), ("angular", config.angular))
-        if not (value is None and name != "angular" or _is_number(value))
-    ]
-    mistyped += [
-        f"{name}: must be a whole number (got {value!r})"
-        for name, value in (("N", config.N), ("angular", config.angular))
-        if isinstance(value, float) and not value.is_integer()
-    ]
-    if config.gammas is not None and not (
-            isinstance(config.gammas, (tuple, list, np.ndarray))
-            and all(map(_is_number, config.gammas))):
-        mistyped.append(f"gammas: must be a sequence of ints or floats (got {config.gammas!r})")
-    if mistyped:
-        return errors + mistyped
     if config.N is None or config.N < 1:
         errors.append("N: a positive mesh size is required")
     if config.h is None or not config.h > 0.0:
@@ -162,9 +189,8 @@ def _validate(config):
         if config.dimension == 2 and config.mode in ("scatter", "gamma-scan"):
             # the integral relations use the 3D Coulomb/Riccati functions
             errors.append(f"dim: {config.mode} is defined in three dimensions only")
-        if not (isinstance(config.variant, str)
-                and (config.dimension, config.variant) in _VARIANTS):
-            aliases = [a for d, a in _VARIANTS if d == config.dimension]
+        aliases = [a for d, a in _VARIANTS if d == config.dimension]
+        if config.variant not in aliases:
             errors.append(f"variant: must be one of {', '.join(aliases)}")
         if config.dimension == 2 and config.alpha not in (None, 0.0):
             errors.append("alpha: two-dimensional schemes fix alpha = 0")
@@ -175,8 +201,6 @@ def _validate(config):
             config.gamma is None
             or not (config.gamma > 0.0 and math.isfinite(config.gamma))):
         errors.append("gamma: scatter requires a positive, finite --gamma")
-    if config.mode == "bound" and config.gamma is not None:
-        errors.append("gamma: only applies to scattering modes")
     return errors
 
 
@@ -240,11 +264,10 @@ def _run_scatter(config):
 def _run_gamma_scan(config):
     mesh, states = _scattering_states(config)
     V = config.potential
-    grid = None if config.gammas is None else np.asarray(config.gammas, dtype=float)
     rows = []
     for n, state in states:
         rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, mesh,
-                            gammas=grid, window=_window(V))
+                            gammas=config.gammas, window=_window(V))
         rows.append({
             "state": n, "energy": state.energy * V.energy_unit, "gamma": rec.gamma,
             "delta_deg": rec.delta_deg, "sensitivity": rec.sensitivity,
@@ -254,23 +277,20 @@ def _run_gamma_scan(config):
 
 
 def _config_echo(config):
-    doc = {"mode": config.mode, "format": config.format}
-    if config.mode == "reproduce":
-        doc["table"] = config.table
-        return doc
-    doc.update({
-        "potential": json.loads(to_json(config.potential)),
-        "l" if config.dimension == 3 else "m": config.angular,
-        "dim": config.dimension,
-        "variant": config.variant,
-        "N": config.N,
-        "alpha": config.alpha,
-        "h": config.h,
-    })
-    if config.gamma is not None:
-        doc["gamma"] = config.gamma
-    if config.gammas is not None:
-        doc["gammas"] = [float(g) for g in config.gammas]
+    """The fields of a checked config that its mode reads, under their keys:
+    a mesh field even when None, a field of one mode only when given, and
+    never ``out``, which is no part of the run."""
+    doc = {}
+    for key, attr, _, _, modes, _ in _FIELDS:
+        value = getattr(config, attr)
+        if config.mode not in modes or attr == "out" or value is None and modes != _RUNS:
+            continue
+        if attr == "potential":
+            value = json.loads(to_json(value))
+        elif attr == "gammas":
+            value = [float(g) for g in value]
+        names = key.split("/")
+        doc[names[-1] if config.dimension == 2 else names[0]] = value
     return doc
 
 
@@ -294,20 +314,21 @@ def run(config):
     Raises ConfigError when the configuration is inconsistent; numerical
     failures propagate as ArithmeticError/LinAlgError.
     """
-    errors = _validate(config)
-    if errors:
-        raise ConfigError(errors)
-    checks = None
-    if config.mode == "reproduce":
-        rows = benchmarks.run_table(config.table)
-        checks = benchmarks.check_table(config.table, rows)
-    elif config.mode == "bound":
-        rows = _run_bound(config)
-    elif config.mode == "scatter":
-        rows = _run_scatter(config)
-    else:
-        rows = _run_gamma_scan(config)
+    config = _checked(config)
+    rows = _rows(config)
+    checks = benchmarks.check_table(config.table, rows) if config.mode == "reproduce" else None
     return _report(config.mode, rows, _config_echo(config), checks)
+
+
+def _rows(config):
+    """The report rows of a checked config."""
+    if config.mode == "reproduce":
+        return benchmarks.run_table(config.table)
+    if config.mode == "bound":
+        return _run_bound(config)
+    if config.mode == "scatter":
+        return _run_scatter(config)
+    return _run_gamma_scan(config)
 
 
 def sweep(config, parameter, values):
@@ -332,7 +353,8 @@ def sweep(config, parameter, values):
     rows = []
     cast = int if parameter == "N" else float
     for v in values:
-        sub_rows = run(dataclasses.replace(config, **{parameter: cast(v)}))["rows"]
+        point = _checked(dataclasses.replace(config, **{parameter: cast(v)}))
+        sub_rows = _rows(point)
         first = sub_rows[0] if sub_rows else {}
         row = {"parameter": parameter, "value": v, "energy": first.get("energy")}
         if config.mode == "bound":
@@ -341,7 +363,8 @@ def sweep(config, parameter, values):
             row["tan_delta"] = first.get("tan_delta")
             row["delta_deg"] = first.get("delta_deg")
         rows.append(row)
-    echo = _config_echo(config)
+    # the echo holds the swept field as given
+    echo = _config_echo(dataclasses.replace(point, **{parameter: getattr(config, parameter)}))
     echo["sweep"] = {"parameter": parameter,
                      "values": [float(v) for v in values]}
     return _report(f"sweep:{config.mode}", rows, echo)
@@ -488,26 +511,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     common = _Parser(add_help=False)
-    common.add_argument("--potential", metavar="NAME|JSON",
-                        help="builtin name, name:key=value,... or JSON spec")
-    common.add_argument("--l", type=int, default=None, help="orbital momentum (3D)")
-    common.add_argument("--m", type=int, default=None, help="angular number (2D)")
-    common.add_argument("--dim", type=int, default=None, help="2 or 3 (default 3)")
-    common.add_argument("--variant", default=None,
-                        help=", ".join(dict.fromkeys(a for _, a in _VARIANTS)))
-    common.add_argument("--N", type=int, default=None, help="mesh size")
-    common.add_argument("--alpha", type=float, default=None,
-                        help="Laguerre parameter (default per variant)")
-    common.add_argument("--h", type=float, default=None, help="scaling factor")
-    common.add_argument("--gamma", default=None,
-                        help="rate (scatter) or grid start:stop:count (gamma-scan)")
-    common.add_argument("--table", type=int, default=None,
-                        help="benchmark table id 1..5 (reproduce)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
+    for key, _, _, _, _, flag in _FIELDS:
+        for name in key.split("/") if flag else ():
+            common.add_argument(f"--{name}", type=flag[0], help=flag[1])
     common.add_argument("--config", dest="config_file", default=None,
                         help="JSON file with defaults for any flag")
-    for mode in ("bound", "scatter", "gamma-scan", "reproduce", "sweep"):
+    for mode in (*_MODES, "sweep"):
         p = sub.add_parser(mode, parents=[common])
         if mode == "reproduce":
             p.add_argument("--check", action="store_true",
@@ -519,34 +528,19 @@ def build_parser():
     return parser
 
 
-def _check_types(doc, mode):
-    """Reject a config file that is not an object or has unknown or
-    mistyped fields; only a sweep knows the field ``sweep``."""
-    if type(doc) is not dict:
-        raise ConfigError(["config: the file must hold a JSON object"])
-    known = _FIELD_TYPES if mode == "sweep" else _FIELD_TYPES.keys() - {"sweep"}
-    errors = [
-        f"{key}: unknown field" if key not in known
-        else f"{key}: wrong JSON type (got {json.dumps(value)})"
-        for key, value in doc.items()
-        if key not in known or value is not None and (
-            type(value) not in _FIELD_TYPES[key]
-            or key == "gammas" and any(type(g) not in _NUMBER for g in value))
-    ]
-    if errors:
-        raise ConfigError(errors)
-
-
-def _one_angular(l, m):
-    """The angular number given as l or as m, or None if neither is."""
-    if l is not None and m is not None:
-        raise ConfigError(["l/m: give one angular number, not both"])
-    return m if m is not None else l
+def _one(key, values):
+    """The one value given under the names of ``key``, or None; l/m has
+    two names."""
+    given = [v for v in values if v is not None]
+    if len(given) > 1:
+        raise ConfigError([f"{key}: give one angular number, not both"])
+    return given[0] if given else None
 
 
 def _assemble(args):
-    """ExperimentConfig from parsed flags plus the optional config file, and
-    the file's ``sweep`` echo or None."""
+    """ExperimentConfig from parsed flags over the optional config file, and
+    the file's ``sweep`` echo or None.  Values pass as given: run checks
+    them."""
     doc = {}
     if args.config_file:
         try:
@@ -556,10 +550,14 @@ def _assemble(args):
             raise ConfigError([f"config: {e}"]) from None
         except json.JSONDecodeError as e:
             raise ConfigError([f"config: invalid JSON ({e})"]) from None
-        _check_types(doc, args.mode)
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else doc.get(key, default)
+        if type(doc) is not dict:
+            raise ConfigError(["config: the file must hold a JSON object"])
+        # only a sweep knows the field ``sweep``, its report's echo
+        known = {name for key, *_ in _FIELDS for name in key.split("/")}
+        unknown = [f"{key}: unknown field" for key in doc
+                   if key not in known and (key != "sweep" or args.mode != "sweep")]
+        if unknown:
+            raise ConfigError(unknown)
 
     if args.mode != "sweep":
         mode = args.mode
@@ -567,37 +565,22 @@ def _assemble(args):
             raise ConfigError([f"mode: the config file asks for {doc['mode']!r}, "
                                f"not {mode!r}"])
     else:
-        default_mode = (
-            "scatter" if getattr(args, "parameter", None) == "gamma" else "bound"
-        )
-        mode = pick(None, "mode", default_mode)
-    dimension = pick(args.dim, "dim", 3)
-    # l and m name the one angular number in either dimension, in the flags
-    # and in the file alike; a flag overrides the file
-    angular = _one_angular(args.l, args.m)
-    in_file = _one_angular(doc.get("l"), doc.get("m"))
-    if angular is None:
-        angular = 0 if in_file is None else in_file
-    default_variant = "var" if mode == "bound" else "reg-sqrt"
-    gamma_text = args.gamma if args.gamma is not None else doc.get("gamma")
-    gamma, gammas = _parse_gamma(
-        None if gamma_text is None else str(gamma_text), mode)
-    if gammas is None and "gammas" in doc:
-        gammas = tuple(float(g) for g in doc["gammas"])
+        mode = doc.get("mode", "scatter" if args.parameter == "gamma" else "bound")
+    values = {}
+    for key, attr, *_ in _FIELDS[1:]:  # the mode is settled above
+        names = key.split("/")
+        flag = _one(key, [getattr(args, name, None) for name in names])
+        in_file = _one(key, [doc.get(name) for name in names])
+        values[attr] = flag if flag is not None else in_file
+    values["potential"] = _parse_potential(values["potential"])
+    gamma = values["gamma"]
+    values["gamma"], gammas = _parse_gamma(None if gamma is None else str(gamma), mode)
+    if gammas is not None:
+        values["gammas"] = gammas
+    if values["variant"] is None and mode in _RUNS:
+        values["variant"] = "var" if mode == "bound" else "reg-sqrt"
     return ExperimentConfig(
-        mode=mode,
-        potential=_parse_potential(pick(args.potential, "potential")),
-        angular=int(angular),
-        dimension=int(dimension),
-        variant=pick(args.variant, "variant", default_variant),
-        N=pick(args.N, "N"),
-        alpha=pick(args.alpha, "alpha"),
-        h=pick(args.h, "h"),
-        gamma=gamma,
-        gammas=gammas,
-        table=pick(args.table, "table"),
-        format=pick(args.format, "format", "csv"),
-        out=pick(args.out, "out"),
+        mode=mode, **{attr: v for attr, v in values.items() if v is not None},
     ), doc.get("sweep")
 
 

@@ -32,11 +32,21 @@ _TINY = np.finfo(float).tiny
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
-def _finite(field, value):
-    """``value`` as a float, or ValueError naming ``field`` if not finite."""
+class _Invalid(ValueError):
+    """A value that PotentialSpec rejects.  The message names the Python
+    field (``field``); ``in_json`` is the same error under the name of the
+    JSON field, which from_json reports instead."""
+
+    def __init__(self, field, json_field, reason, json_reason=None):
+        super().__init__(f"{field} {reason}")
+        self.in_json = f"{json_field}: {json_reason or reason}"
+
+
+def _finite(field, value, json_field=None):
+    """``value`` as a float, or _Invalid naming the field if not finite."""
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{field} must be finite (got {value!r})")
+        raise _Invalid(field, json_field or field, f"must be finite (got {value!r})")
     return value
 
 
@@ -69,27 +79,32 @@ class PotentialSpec:
 
     def __post_init__(self):
         cleaned = []
-        for term in self.terms:
-            c, p, a, b = (_finite(f"term {n}", v) for n, v in zip("cpab", term))
+        for i, term in enumerate(self.terms):
+            where = f"terms[{i}]"
+            c, p, a, b = (_finite(f"term {n}", v, f"{where}.{n}") for n, v in zip("cpab", term))
             if p <= -2.0:
-                raise ValueError("term p must exceed -2 (less singular than 1/r^2)")
+                raise _Invalid("term p", f"{where}.p",
+                               "must exceed -2 (less singular than 1/r^2)")
             if a < 0.0 or (a == 0.0 and b < 0.0):
-                raise ValueError("term must not grow exponentially")
+                raise _Invalid("term", where, "must not grow exponentially")
             cleaned.append((c, p, a, b))
         object.__setattr__(self, "terms", tuple(cleaned))
         if self.coulomb_erf is not None:
-            q, mu = (_finite(f"coulomb_erf {n}", v) for n, v in zip(("q", "mu"), self.coulomb_erf))
+            q, mu = (_finite(f"coulomb_erf {n}", v, f"coulombErf.{n}")
+                     for n, v in zip(("q", "mu"), self.coulomb_erf))
             if mu <= 0.0:
-                raise ValueError("coulomb_erf mu must be positive")
+                raise _Invalid("coulomb_erf mu", "coulombErf.mu", "must be positive",
+                               f"must be positive (got {mu!r})")
             object.__setattr__(self, "coulomb_erf", (q, mu))
         if self.eckart is not None:
-            b, c = (_finite(f"eckart {n}", v) for n, v in zip("bc", self.eckart))
+            b, c = (_finite(f"eckart {n}", v, f"eckart.{n}") for n, v in zip("bc", self.eckart))
             if b <= abs(c):
-                raise ValueError("Eckart well requires b > |c|")
+                raise _Invalid("Eckart well", "eckart", "requires b > |c|")
             object.__setattr__(self, "eckart", (b, c))
-        object.__setattr__(self, "energy_unit", _finite("energy_unit", self.energy_unit))
-        if self.energy_unit <= 0.0:
-            raise ValueError(f"energy_unit must be positive (got {self.energy_unit!r})")
+        unit = _finite("energy_unit", self.energy_unit, "energyUnit")
+        if unit <= 0.0:
+            raise _Invalid("energy_unit", "energyUnit", f"must be positive (got {unit!r})")
+        object.__setattr__(self, "energy_unit", unit)
 
     @property
     def tail_Z(self):
@@ -212,11 +227,11 @@ def to_json(spec):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _numbers(obj, where, names, defaults=None, positive=()):
+def _numbers(obj, where, names, defaults=None):
     """The fields ``names`` of the JSON object ``obj`` (``where`` in the
-    spec, empty at the top level) as floats; a missing field, one that is
-    not a JSON number, or one named in ``positive`` that is 0 or negative
-    raises ValueError naming it.  PotentialSpec names a NaN or infinite one."""
+    spec, empty at the top level) as floats; a missing field or one that is
+    not a JSON number raises ValueError naming it.  PotentialSpec checks
+    their values."""
     if type(obj) is not dict:
         raise ValueError(f"{where}: must be a JSON object")
     defaults = defaults or {}
@@ -228,8 +243,6 @@ def _numbers(obj, where, names, defaults=None, positive=()):
         value = obj.get(name, defaults.get(name))
         if type(value) not in (int, float):  # JSON true is no number
             raise ValueError(f"{field}: must be a number")
-        if name in positive and value <= 0.0:
-            raise ValueError(f"{field}: must be positive (got {float(value)!r})")
         values.append(float(value))
     return tuple(values)
 
@@ -237,7 +250,7 @@ def _numbers(obj, where, names, defaults=None, positive=()):
 def from_json(text):
     """Parse the JSON form produced by ``to_json``.
 
-    A malformed spec raises ValueError naming the offending field.
+    A malformed spec raises ValueError naming the offending JSON field.
     """
     doc = json.loads(text)
     if type(doc) is not dict:
@@ -248,18 +261,21 @@ def from_json(text):
     label = doc.get("label", "user")
     if type(label) is not str:
         raise ValueError("label: must be a string")
-    spec = PotentialSpec(
-        label=label,
-        terms=tuple(_numbers(t, f"terms[{i}]", "cpab", {"a": 0.0, "b": 0.0})
-                    for i, t in enumerate(terms)),
-        coulomb_erf=_numbers(doc["coulombErf"], "coulombErf", ["q", "mu"], positive=["mu"])
-        if "coulombErf" in doc else None,
-        eckart=_numbers(doc["eckart"], "eckart", "bc") if "eckart" in doc else None,
-        energy_unit=_numbers(doc, "", ["energyUnit"], {"energyUnit": 1.0},
-                             positive=["energyUnit"])[0],
-    )
-    if "tailZ" in doc:  # echoed by every report: checked, never used
-        Z = _finite("tailZ", _numbers(doc, "", ["tailZ"])[0])
-        if abs(Z - spec.tail_Z) > 1e-12 * max(1.0, abs(spec.tail_Z)):
-            raise ValueError(f"tailZ: {Z!r} differs from the tail {spec.tail_Z!r} of the terms")
+    try:  # a rule of PotentialSpec, broken: named by the JSON field
+        spec = PotentialSpec(
+            label=label,
+            terms=tuple(_numbers(t, f"terms[{i}]", "cpab", {"a": 0.0, "b": 0.0})
+                        for i, t in enumerate(terms)),
+            coulomb_erf=_numbers(doc["coulombErf"], "coulombErf", ["q", "mu"])
+            if "coulombErf" in doc else None,
+            eckart=_numbers(doc["eckart"], "eckart", "bc") if "eckart" in doc else None,
+            energy_unit=_numbers(doc, "", ["energyUnit"], {"energyUnit": 1.0})[0],
+        )
+        if "tailZ" in doc:  # echoed by every report: checked, never used
+            Z = _finite("tailZ", _numbers(doc, "", ["tailZ"])[0])
+            if abs(Z - spec.tail_Z) > 1e-12 * max(1.0, abs(spec.tail_Z)):
+                raise ValueError(
+                    f"tailZ: {Z!r} differs from the tail {spec.tail_Z!r} of the terms")
+    except _Invalid as e:
+        raise ValueError(e.in_json) from None
     return spec

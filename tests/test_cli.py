@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from lagmesh.potentials import builtin, from_json
 from lagmesh.scattering import IndeterminatePhaseError
 from lagmesh.solver import pseudostates, solve_bound_states
 from lagmesh.specfun import _MAX_ETA
+from test_demos import CLI_EXAMPLES
 
 
 def _config(**kw):
@@ -70,6 +72,25 @@ class TestValidation:
             run(ExperimentConfig(mode="reproduce"))
         with pytest.raises(ConfigError, match="table"):
             run(ExperimentConfig(mode="reproduce", table=7))
+
+    def test_bool_table_is_no_table(self):
+        with pytest.raises(ConfigError, match="^table: must be a whole number"):
+            run(ExperimentConfig(mode="reproduce", table=True))
+
+    @pytest.mark.parametrize("config, message", [
+        (dict(mode="reproduce", table=2, N=5), "N: only applies to bound, scatter, gamma-scan"),
+        (dict(mode="reproduce", table=2, angular=1),
+         "l/m: only applies to bound, scatter, gamma-scan"),
+        (dict(mode="gamma-scan", potential=builtin("eckart"), variant="reg-sqrt", N=15,
+              h=0.1, gamma=4.0), "gamma: only applies to scatter"),
+        (dict(mode="scatter", potential=builtin("eckart"), variant="reg-sqrt", N=15,
+              h=0.1, gamma=4.0, gammas=(1.0, 2.0)), "gammas: only applies to gamma-scan"),
+    ])
+    def test_field_the_mode_does_not_read_is_rejected(self, config, message):
+        # such a field would be echoed, or dropped from the echo, unread
+        with pytest.raises(ConfigError) as err:
+            run(ExperimentConfig(**config))
+        assert err.value.errors == (message,)
 
     def test_table_outside_reproduce_rejected(self):
         with pytest.raises(ConfigError, match="table"):
@@ -557,12 +578,13 @@ class TestMain:
         ("coulomb:Z=nan", "term c"),
         ("eckart:b=inf", "eckart b"),
         ("eckart:c=-inf", "eckart c"),
-        ('{"terms": [{"c": NaN, "p": -1}]}', "term c"),
-        ('{"terms": [{"c": -1, "p": -1}], "tailZ": Infinity}', "tailZ"),
-        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulomb_erf mu"),
-        ('{"eckart": {"b": NaN, "c": -1}}', "eckart b"),
+        ('{"terms": [{"c": NaN, "p": -1}]}', "terms[0].c:"),
+        ('{"terms": [{"c": -1, "p": -1}], "tailZ": Infinity}', "tailZ:"),
+        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulombErf.mu:"),
+        ('{"eckart": {"b": NaN, "c": -1}}', "eckart.b:"),
     ])
     def test_non_finite_potential_exits_1(self, capsys, potential, field):
+        # a builtin's parameters are named as in Python, a JSON spec's as in JSON
         code = main(["bound", "--potential", potential, "--variant", "reg-sqrt",
                      "--N", "10", "--h", "0.9"])
         captured = capsys.readouterr()
@@ -821,6 +843,65 @@ class TestMain:
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1
         assert capsys.readouterr().err != ""
+
+
+_REPLAYED = {
+    **{f"readme-{i}": shlex.split(c)[1:] for i, c in enumerate(CLI_EXAMPLES, 1)},
+    **{f"table-{k}": ["reproduce", "--table", str(k)] for k in range(1, 6)},
+    "sweep-N": ["sweep", "--parameter", "N", "--values", "10,12", "--potential", "coulomb",
+                "--l", "1", "--h", "0.9"],
+    "sweep-h": ["sweep", "--parameter", "h", "--values", "0.3,0.5", "--potential",
+                "harmonic", "--N", "20", "--h", "0.09"],
+    "sweep-gamma": ["sweep", "--parameter", "gamma", "--values", "2,4", "--potential",
+                    "eckart", "--variant", "reg-sqrt", "--N", "15", "--h", "0.1"],
+}
+
+
+def _replay(echo, mode, tmp_path, capsys):
+    """Stdout of ``lagmesh MODE --config FILE`` with FILE holding ``echo``;
+    a sweep's echo is replayed with the sweep it records."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(echo))
+    argv = [mode, "--config", str(cfg)]
+    if "sweep" in echo:
+        argv += ["--parameter", echo["sweep"]["parameter"],
+                 "--values", ",".join(map(repr, echo["sweep"]["values"]))]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestReplay:
+    """The config echo of a JSON report, fed back through --config, prints
+    the same report."""
+
+    @pytest.mark.parametrize("argv", _REPLAYED.values(), ids=_REPLAYED.keys())
+    def test_cli_report_replays(self, argv, tmp_path, capsys):
+        assert main([*argv, "--format", "json"]) == 0
+        original = capsys.readouterr().out
+        echo = json.loads(original)["config"]
+        assert _replay(echo, argv[0], tmp_path, capsys) == original
+
+    @pytest.mark.parametrize("field, value", [("N", 20.0), ("dimension", 3.0),
+                                              ("angular", 1.0)])
+    def test_python_config_with_whole_floats_replays(self, field, value, tmp_path, capsys):
+        report = run(_config(format="json", **{field: value}))
+        echo = report["config"]
+        assert all(type(echo[key]) is int for key in ("N", "dim", "l"))
+        assert _replay(echo, "bound", tmp_path, capsys) == cli.render_json(report)
+
+    def test_field_the_mode_does_not_read_exits_1(self, tmp_path, capsys):
+        assert main(["reproduce", "--table", "2", "--N", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lagmesh: N: only applies to bound, scatter, gamma-scan\n"
+        # a config file's field is held to the same rule
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": "harmonic", "N": 10, "h": 0.1,
+                                   "gammas": [1.0, 2.0]}))
+        assert main(["bound", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lagmesh: gammas: only applies to gamma-scan\n"
 
 
 def _run_python(code):

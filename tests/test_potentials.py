@@ -226,18 +226,19 @@ class TestNonFiniteParameters:
             builtin(name, **params)
 
     @pytest.mark.parametrize("text, field", [
-        ('{"terms": [{"c": NaN, "p": -1}]}', "term c"),
-        ('{"terms": [{"c": 1, "p": Infinity}]}', "term p"),
-        ('{"terms": [{"c": 1, "p": 0, "a": NaN}]}', "term a"),
-        ('{"terms": [{"c": 1, "p": 0, "a": 1, "b": -Infinity}]}', "term b"),
-        ('{"coulombErf": {"q": NaN, "mu": 1}}', "coulomb_erf q"),
-        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulomb_erf mu"),
+        ('{"terms": [{"c": NaN, "p": -1}]}', "terms[0].c"),
+        ('{"terms": [{"c": 1, "p": Infinity}]}', "terms[0].p"),
+        ('{"terms": [{"c": 1, "p": 0, "a": NaN}]}', "terms[0].a"),
+        ('{"terms": [{"c": 1, "p": 0, "a": 1, "b": -Infinity}]}', "terms[0].b"),
+        ('{"coulombErf": {"q": NaN, "mu": 1}}', "coulombErf.q"),
+        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulombErf.mu"),
         ('{"tailZ": Infinity}', "tailZ"),
-        ('{"eckart": {"b": Infinity, "c": -1}}', "eckart b"),
-        ('{"eckart": {"b": 2, "c": NaN}}', "eckart c"),
+        ('{"eckart": {"b": Infinity, "c": -1}}', "eckart.b"),
+        ('{"eckart": {"b": 2, "c": NaN}}', "eckart.c"),
     ])
     def test_json_names_the_field(self, text, field):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        # under its JSON name, as the shape errors do
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: must be finite"):
             from_json(text)
 
     @pytest.mark.parametrize("text, message", [
@@ -247,6 +248,11 @@ class TestNonFiniteParameters:
          "energyUnit: must be positive (got -2.0)"),
         ('{"coulombErf": {"q": 1, "mu": -1}}', "coulombErf.mu: must be positive (got -1.0)"),
         ('{"coulombErf": {"q": 1, "mu": 0.0}}', "coulombErf.mu: must be positive (got 0.0)"),
+        ('{"terms": [{"c": 1, "p": -3}]}',
+         "terms[0].p: must exceed -2 (less singular than 1/r^2)"),
+        ('{"terms": [{"c": 1, "p": 0}, {"c": 1, "p": 0, "b": -1}]}',
+         "terms[1]: must not grow exponentially"),
+        ('{"eckart": {"b": 1, "c": 2}}', "eckart: requires b > |c|"),
     ])
     def test_json_value_errors_name_the_json_field(self, text, message):
         # as the shape errors do; the Python constructor keeps its own names
@@ -257,6 +263,12 @@ class TestNonFiniteParameters:
             PotentialSpec("v", energy_unit=0.0)
         with pytest.raises(ValueError, match="^coulomb_erf mu must be positive"):
             PotentialSpec("v", coulomb_erf=(1.0, -1.0))
+        with pytest.raises(ValueError, match=r"^term p must exceed -2 \(less"):
+            PotentialSpec("v", terms=((1.0, -3.0, 0.0, 0.0),))
+        with pytest.raises(ValueError, match="^term must not grow exponentially$"):
+            PotentialSpec("v", terms=((1.0, 0.0, 0.0, -1.0),))
+        with pytest.raises(ValueError, match=r"^Eckart well requires b > \|c\|$"):
+            PotentialSpec("v", eckart=(1.0, 2.0))
 
 
 class TestSerialization:
