@@ -179,8 +179,8 @@ def _domain_errors(config):
         errors.append(f"potential: must be a PotentialSpec (got {config.potential!r})")
     if config.N is None or config.N < 1:
         errors.append("N: a positive mesh size is required")
-    if config.h is None or not config.h > 0.0:
-        errors.append("h: a positive scaling factor is required")
+    if config.h is None or not (config.h > 0.0 and math.isfinite(config.h)):
+        errors.append("h: a positive, finite scaling factor is required")
     if config.angular < 0:
         errors.append("l/m: must be nonnegative")
     if config.dimension not in (2, 3):
@@ -382,9 +382,14 @@ def _json_cell(v):
     raise TypeError(f"report cells are scalars, not {type(v).__name__}")
 
 
-# Without indent json encodes in C; this item separator already puts each key
-# of a flat row on its own line, at the depth that indent=2 gives it.
-_encode_rows = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+def _row_template(keys):
+    """A flat row with these keys as indent=2 writes it in the rows list,
+    a %s in place of each value."""
+    if not keys:
+        return "{}"
+    # json.dumps coerces a key that is no string as the document would
+    items = (json.dumps({k: 0})[1:-4].replace("%", "%%") + ": %s" for k in keys)
+    return "{\n      " + ",\n      ".join(items) + "\n    }"
 
 
 def render_json(report):
@@ -393,26 +398,34 @@ def render_json(report):
     significant digits.
 
     Rows must be flat dicts of scalars (a list or dict cell raises
-    TypeError); they are encoded in one call of the C encoder and spliced
-    into the indented header.
+    TypeError).  Their float cells are formatted in one "%.15g" pass, and
+    every row fills the template of its keys.
     """
     head = dict(report, rows=[])
     if "checks" in report:
         head["checks"] = [dict(c, value=_json_cell(c["value"])) for c in report["checks"]]
     text = json.dumps(head, indent=2) + "\n"
-    if not report["rows"]:
+    rows = report["rows"]
+    if not rows:
         return text
-    rows = _encode_rows([
-        {k: float(f"{v:.15g}") if type(v) is float else _json_cell(v)
-         for k, v in row.items()}
-        for row in report["rows"]
-    ])
-    # ensure_ascii escapes every newline inside a string, so each newline is
-    # structural and, the rows being flat, "},\n      {" only joins two rows
-    rows = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    rows = "[\n    {\n      " + rows + "\n    }\n  ]"
-    rows = rows.replace("{\n      \n    }", "{}")  # an empty row, as indent=2 writes it
-    return text.replace('\n  "rows": []', '\n  "rows": ' + rows, 1)
+    cells = [v for row in rows for v in row.values()]
+    floats = [v for v in cells if type(v) is float]
+    # %.15g writes the text json writes for the rounded float, except for a
+    # whole number (no ".0"), nan and inf, exponent 15 (repr writes digits up
+    # to 1e16) and a three-digit exponent (a subnormal's repr may be shorter,
+    # and 1.79769313486232e+308 rounds to inf): those take json's own text
+    texts = iter([
+        s if ("e" not in s and "." in s) or ("e" in s and s[-4:] != "e+15" and s[-5:-4] != "e")
+        else json.dumps(float(s))
+        for s in ("%.15g," * len(floats) % tuple(floats)).split(",")[:-1]
+    ]).__next__
+    # an int's %s is its repr, the text json writes
+    cells = [texts() if type(v) is float else v if type(v) is int
+             else json.dumps(_json_cell(v)) for v in cells]
+    keys = [tuple(row) for row in rows]
+    templates = {k: _row_template(k) for k in set(keys)}
+    rows = ",\n    ".join([templates[k] for k in keys]) % tuple(cells)
+    return text.replace('\n  "rows": []', '\n  "rows": [\n    ' + rows + "\n  ]", 1)
 
 
 def _csv_cell(v, as_eps):

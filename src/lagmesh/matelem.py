@@ -340,15 +340,27 @@ def _in_range(H, h):
 def _assemble(mesh, kinetic_op, strength, modes, V):
     """H = (K + strength/x^2) / (2 h^2) + V(h x) and the identity S on
     ``mesh``, K the ``kinetic_op`` matrix, each term in its mode of ``modes``
-    (kinetic, centrifugal, potential)."""
+    (kinetic, centrifugal, potential).
+
+    A Gauss-mode term is diagonal, so it is added to H's diagonal alone.  That
+    is the whole-matrix sum bit for bit: the sum would add +0.0 to every entry
+    off the diagonal, which changes only a -0.0, and there is none (K has no
+    zero there, K/(2 h^2) does not underflow to zero for any h that passes
+    ``_h_squared``, and a sum with a nonzero term is never -0.0)."""
     t_mode, c_mode, v_mode = modes
     two_h2 = 2.0 * _h_squared(mesh.h)
     T = operator_matrix(mesh, kinetic_op, t_mode)
     with np.errstate(**_H_ERRSTATE):
         H = T / two_h2
-        if strength > 0:
+        diagonal = H.reshape(-1)[:: mesh.N + 1]  # a view
+        if strength > 0 and c_mode is Mode.Gauss:
+            diagonal += strength * mesh.nodes ** _POWERS["1/r^2"] / two_h2
+        elif strength > 0:
             H += strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
-        H += _potential_matrix(mesh, V, v_mode)
+        if v_mode is Mode.Gauss:
+            diagonal += evaluate_potential(V, mesh.h * mesh.nodes)
+        else:
+            H += _potential_matrix(mesh, V, v_mode)
     return _in_range(H, mesh.h), np.eye(mesh.N)
 
 

@@ -47,10 +47,10 @@ def generate_rule(N, alpha):
     Raises
     ------
     FloatingPointError
-        If Newton polishing leaves non-positive or unordered nodes, or a
-        weight is out of double range (large alpha: at N = 1000 from
-        alpha of about 100).  No rule up to N = 1000 with alpha in
-        {0, 1, 2} raises.
+        If Newton polishing leaves non-positive or unordered nodes, or,
+        naming alpha, if Gamma(alpha + 1) (alpha above about 170.6) or a
+        weight (at N = 1000 from alpha of about 90) is out of double range.
+        No rule up to N = 1000 with alpha in {0, 1, 2} raises.
     """
     N = _integer("N", N)
     if N < 1:
@@ -58,6 +58,11 @@ def generate_rule(N, alpha):
     alpha = float(alpha)
     if not (alpha > -1.0) or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and exceed -1")
+    try:
+        math.gamma(alpha + 1.0)  # the Laguerre recurrence's norms divide by it
+    except OverflowError:
+        raise FloatingPointError(
+            f"alpha={alpha!r}: Gamma(alpha + 1) is out of double range") from None
 
     # the Jacobi matrix as one array: eigvalsh reads only its lower triangle,
     # so the diagonal and the subdiagonal are all it needs
@@ -74,11 +79,14 @@ def generate_rule(N, alpha):
     if not (np.all(x > 0.0) and np.all(np.diff(x) > 0.0)):
         raise FloatingPointError("node polishing produced a non-monotone set")
 
-    # Christoffel weights: a sum of positive squares, free of cancellation;
-    # a weight out of double range (large alpha) raises FloatingPointError
+    # Christoffel weights: a sum of positive squares, free of cancellation
     _, _, csum = _weighted_laguerre_pair(N, alpha, x, christoffel=True)
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        weights = 1.0 / (x**alpha * csum)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            weights = 1.0 / (x**alpha * csum)
+    except FloatingPointError as e:
+        raise FloatingPointError(
+            f"alpha={alpha!r}: a weight is out of double range ({e})") from None
 
     x.setflags(write=False)
     weights.setflags(write=False)

@@ -75,16 +75,15 @@ def _checked_hamiltonian(H, S):
     A = np.asarray(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError(f"H must be a nonempty square matrix (got shape {A.shape})")
-    # one scratch array holds |A|, then |A - A^T|; the largest |A| is NaN or
-    # infinite exactly when an entry is
-    scratch = np.abs(A)
-    largest = scratch.max()
-    if not math.isfinite(largest):
+    # the extremes are NaN or infinite exactly when an entry is
+    top, bottom = A.max(), A.min()
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("Hamiltonian matrix has non-finite entries")
     if not _is_identity(S, A.shape[0]):
         raise ValueError("S must be the identity: the basis is orthonormal")
-    np.subtract(A, A.T, out=scratch)
-    if np.abs(scratch, out=scratch).max() > 1e-10 * max(1.0, largest):
+    # A - A^T is antisymmetric to the bit, so its largest entry is its
+    # largest magnitude
+    if (A - A.T).max() > 1e-10 * max(1.0, top, -bottom):
         raise ValueError("Hamiltonian matrix is not symmetric")
     return A
 

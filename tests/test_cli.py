@@ -64,6 +64,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{field}: {message}"):
             run(config)
 
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan, 0.0])
+    def test_h_must_be_positive_and_finite(self, h, tmp_path, capsys):
+        message = "h: a positive, finite scaling factor is required"
+        with pytest.raises(ConfigError) as err:
+            run(_config(h=h))
+        assert err.value.errors == (message,)
+        # flags, a config file and a sweep value are held to the same rule
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": "harmonic", "N": 5, "h": h}))
+        for argv in (["bound", "--potential", "harmonic", "--N", "5", f"--h={h!r}"],
+                     ["bound", "--config", str(cfg)],
+                     ["sweep", "--potential", "harmonic", "--N", "5", "--h", "1",
+                      "--parameter", "h", f"--values={h!r}"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"lagmesh: {message}\n"
+
     def test_numpy_float_is_a_float(self):
         assert run(_config(h=np.float64(0.09))) == run(_config(h=0.09))
 
@@ -419,12 +435,24 @@ class TestReports:
         assert all(c["passed"] for c in doc["checks"])
 
 
+def _round15(v):
+    """A cell as the report's JSON holds it: a float, NumPy's included,
+    rounded to 15 significant digits; a NumPy bool or integer as Python's."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(f"{float(v):.15g}")
+    return v
+
+
 def _rounded(report):
     """The report with its row cells and check values rounded to 15 digits."""
-    doc = dict(report, rows=[{k: cli._json_cell(v) for k, v in row.items()}
+    doc = dict(report, rows=[{k: _round15(v) for k, v in row.items()}
                              for row in report["rows"]])
     if "checks" in report:
-        doc["checks"] = [dict(c, value=cli._json_cell(c["value"])) for c in report["checks"]]
+        doc["checks"] = [dict(c, value=_round15(c["value"])) for c in report["checks"]]
     return doc
 
 
@@ -466,15 +494,19 @@ _REPORTS = {
 }
 
 # Cells of every type a row may hold; the strings reach all of Unicode (lone
-# surrogates included) and carry the fragments the rows splice is built on.
+# surrogates included) and carry the fragments the writer's row templates
+# and header splice are built on.
 _TEXT = st.lists(
     st.one_of(st.text(st.characters(exclude_categories=())),
-              st.sampled_from(["},\n      {", '"', "\\", "{", "}", "\n", '\n  "rows": []'])),
+              st.sampled_from(["},\n      {", '"', "\\", "{", "}", "\n", '\n  "rows": []',
+                               "%", "%s", "%%"])),
     max_size=4,
 ).map("".join)
 _FLOATS = st.one_of(
     st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e15, 1e16]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e15, 1e16,
+                     2.0, 1.5e15, 9.999999999999999e15, 123456789012345.6,
+                     2.2250738585072014e-308, 1e-310]),
 )
 _CELLS = st.one_of(
     st.integers(), st.booleans(), st.none(), _FLOATS, _TEXT,
@@ -839,6 +871,17 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"lagmesh: {message}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", ["200", "1e300"])
+    def test_alpha_beyond_gamma_range_exits_2_naming_alpha(self, capsys, alpha):
+        code = main(["bound", "--potential", "harmonic", "--N", "5", "--h", "1",
+                     "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"lagmesh: numerical failure: alpha={float(alpha)!r}: "
+                                "Gamma(alpha + 1) is out of double range\n")
 
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1

@@ -552,6 +552,32 @@ class TestHamiltonian2D:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
+@pytest.mark.parametrize("name,n,h", [("coulomb", 1, 0.7), ("coulomb", 1, 1e152),
+                                      ("harmonic", 0, 0.06), ("harmonic", 2, 0.06)])
+def test_assembly_is_the_sum_of_whole_term_matrices(variant, name, n, h):
+    # the Gauss terms go onto the diagonal alone, and H is still the sum of
+    # the dense term matrices to the bit, signed zeros included; at h = 1e152
+    # the smallest kinetic entries are subnormal
+    _, _, (t_mode, c_mode, v_mode), dim = SCHEMES[variant]
+    V = builtin(name)
+    mesh = scheme_mesh(variant, 40, h)
+    if dim == 3:
+        H, _ = hamiltonian_3d(mesh, n, V, variant)
+        op, strength = "kinetic", n * (n + 1.0)
+    else:
+        H, _ = hamiltonian_2d(mesh, n, V, variant)
+        op, strength = "kinetic2d", float(n * n)
+        if c_mode is Mode.Exact and n > 0:
+            mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
+    two_h2 = 2.0 * (h * h)
+    want = operator_matrix(mesh, op, t_mode) / two_h2
+    if strength > 0:
+        want += strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
+    want += _potential_matrix(mesh, V, v_mode)
+    assert np.array_equal(H.view(np.uint64), want.view(np.uint64))
+
+
 class TestExtremeH:
     """1/(2 h^2) out of double range raises OverflowError naming h, no warning."""
 

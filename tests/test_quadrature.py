@@ -140,8 +140,15 @@ class TestGenerateRule:
 
     def test_weights_out_of_double_range_raise_typed_error(self):
         # x**alpha overflows at the largest nodes
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match=r"^alpha=140.0: a weight"):
             generate_rule(10, 140.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [200.0, 1e300])
+    def test_gamma_out_of_double_range_names_alpha(self, alpha):
+        with pytest.raises(FloatingPointError) as err:
+            generate_rule(5, alpha)
+        assert str(err.value) == f"alpha={alpha!r}: Gamma(alpha + 1) is out of double range"
 
 
 class TestIntegrate:

@@ -52,6 +52,23 @@ class TestSolveBoundStates:
             with pytest.raises(ValueError, match="symmetric"):
                 solve(H, S)
 
+    @pytest.mark.parametrize("skew, accepted", [(1e-12, True), (5e-11, True), (1e-9, False)])
+    def test_symmetry_tolerance_is_relative_to_the_largest_entry(self, skew, accepted):
+        # the tolerance is 1e-10 of the largest |H| (at least 1); an H whose
+        # largest entry is -250 is skewed by skew times that, in one entry.
+        # At 5e-11 a tolerance taken from the largest value, 40, would reject.
+        values = np.full((3, 3), 7.0)
+        np.fill_diagonal(values, [-250.0, 3.0, 40.0])
+        values[0, 2] += skew * 250.0
+        assert values[0, 2] != values[2, 0]
+        H, S = _trivial_pair(values)
+        for solve in SOLVES:
+            if accepted:
+                solve(H, S)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    solve(H, S)
+
     def test_non_identity_overlap_rejected(self):
         # the basis is orthonormal; any other S would silently rescale E
         H = np.diag([1.0, 2.0, 3.0])
