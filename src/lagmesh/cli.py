@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -33,11 +34,12 @@ import sys
 import numpy as np
 
 from . import __version__, benchmarks
+from .basis import _CACHE_SIZE
 from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
-from .potentials import BUILTIN_NAMES, PotentialSpec, builtin, exact_level, from_json, to_json
+from .potentials import BUILTIN_NAMES, PotentialSpec, _json_doc, _level_rule, builtin, from_json
 from .scattering import gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
-from .specfun import _MAX_ETA
+from .specfun import _MAX_ETA, _MAX_L
 
 __all__ = [
     "ConfigError",
@@ -152,13 +154,14 @@ def _checked(config):
             if not test(value):
                 mistyped.append(f"{attr}: must be {what} (got {value!r})")
                 continue
-            if kind == "int":
+            if kind == "int" and type(value) is not int:
                 value = whole[attr] = int(value)
         if config.mode not in modes and (default is None or value != default):
             unread.append(f"{key}: only applies to {', '.join(modes)}")
     if mistyped:
         raise ConfigError(mistyped)
-    config = dataclasses.replace(config, **whole)
+    if whole:
+        config = dataclasses.replace(config, **whole)
     errors = unread + _domain_errors(config)
     if errors:
         raise ConfigError(errors)
@@ -192,6 +195,13 @@ def _domain_errors(config):
         aliases = [a for d, a in _VARIANTS if d == config.dimension]
         if config.variant not in aliases:
             errors.append(f"variant: must be one of {', '.join(aliases)}")
+        name = "l" if config.dimension == 3 else "m"
+        if config.N is not None and 1 <= config.N <= config.angular:
+            errors.append(f"l/m: N must exceed {name} "
+                          f"(got N={config.N}, {name}={config.angular})")
+        if config.mode in ("scatter", "gamma-scan") and config.angular > _MAX_L:
+            # the Coulomb functions' range
+            errors.append(f"l/m: {config.mode} requires l <= {_MAX_L} (got l={config.angular})")
         if config.dimension == 2 and config.alpha not in (None, 0.0):
             errors.append("alpha: two-dimensional schemes fix alpha = 0")
     if config.alpha is not None and not (
@@ -217,16 +227,18 @@ def _run_bound(config):
     # bound rows read energies only, so no eigenvectors are computed
     _, H, S = _resolve_problem(config)
     V, angular, dim = config.potential, config.angular, config.dimension
-    # analytic levels are in internal units, and a Coulomb one (the levels
-    # are negative) is only given for a bound state
-    ground = exact_level(V, angular, 0, dim) if V.energy_unit == 1.0 else None
-    rows = []
-    for n, E in enumerate(bound_energies(H, S)):
-        row = {"state": n + 1, "energy": float(E) * V.energy_unit}
-        if ground is not None and (ground > 0.0 or E < 0.0):
-            row["exact"] = exact_level(V, angular, n, dim)
-            row["eps_rel"] = relative_error(float(E), row["exact"])
-        rows.append(row)
+    energies = (bound_energies(H, S) * V.energy_unit).tolist()
+    rows = [{"state": n, "energy": E} for n, E in enumerate(energies, 1)]
+    # analytic levels are in internal units (so there the energies are
+    # unscaled), and a Coulomb one (the levels are negative) is only given
+    # for a bound state
+    level = _level_rule(V, angular, dim) if V.energy_unit == 1.0 else None
+    if level is not None:
+        ground = level(0)
+        for n, E in enumerate(energies):
+            if ground > 0.0 or E < 0.0:
+                exact = rows[n]["exact"] = level(n)
+                rows[n]["eps_rel"] = relative_error(E, exact)
     return rows
 
 
@@ -286,7 +298,7 @@ def _config_echo(config):
         if config.mode not in modes or attr == "out" or value is None and modes != _RUNS:
             continue
         if attr == "potential":
-            value = json.loads(to_json(value))
+            value = _json_doc(value)
         elif attr == "gammas":
             value = [float(g) for g in value]
         names = key.split("/")
@@ -382,9 +394,11 @@ def _json_cell(v):
     raise TypeError(f"report cells are scalars, not {type(v).__name__}")
 
 
-def _row_template(keys):
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _row_template(*keys):
     """A flat row with these keys as indent=2 writes it in the rows list,
-    a %s in place of each value."""
+    a %s in place of each value.  Cached by each key's type too: 1, 1.0
+    and True are equal keys that json writes apart."""
     if not keys:
         return "{}"
     # json.dumps coerces a key that is no string as the document would
@@ -423,8 +437,8 @@ def render_json(report):
     cells = [texts() if type(v) is float else v if type(v) is int
              else json.dumps(_json_cell(v)) for v in cells]
     keys = [tuple(row) for row in rows]
-    templates = {k: _row_template(k) for k in set(keys)}
-    rows = ",\n    ".join([templates[k] for k in keys]) % tuple(cells)
+    templates = {k: _row_template(*k) for k in set(keys)}
+    rows = ",\n    ".join(map(templates.__getitem__, keys)) % tuple(cells)
     return text.replace('\n  "rows": []', '\n  "rows": [\n    ' + rows + "\n  ]", 1)
 
 

@@ -15,9 +15,10 @@ Sign convention: ``"kinetic"`` is the matrix of ``-d^2/dr^2`` and
 assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
-depends on h, one cache, ``_cached_matrix``, holds the dense ones per
-``(N, alpha, family)``, operator and mode: the Gauss kinetic matrices and
-every Exact matrix.  A matrix is cached on its second request: the first
+depends on h, one cache, ``_cached_matrix``, holds the dense ones under the
+key ``(N, alpha, family, op, mode)``, read off the mesh without building
+another ``MeshSpec``: the Gauss kinetic matrices and every Exact matrix.  A
+matrix is cached on its second request: the first
 builds it and only records its key, so memory follows reuse, not N.  A
 sweep over h builds each matrix twice, and a sweep over N caches nothing.
 The cache and the record of keys each keep at most ``_CACHE_SIZE`` entries.
@@ -27,7 +28,6 @@ cached.  Dense operator matrices are read-only, cached or not.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
@@ -106,7 +106,7 @@ def operator_matrix(mesh, op, mode=Mode.Gauss):
         raise ValueError(f"unknown operator: {op!r} (expected one of {', '.join(_OPERATORS)})")
     if mode is Mode.Gauss and op in _POWERS:
         return np.diag(mesh.nodes ** _POWERS[op])
-    key = (dataclasses.replace(mesh, h=1.0), op, mode)
+    key = (mesh.N, mesh.alpha, mesh.family, op, mode)
     if _requested_before(key):
         return _cached_matrix(*key)
     return _cached_matrix.__wrapped__(*key)
@@ -132,10 +132,12 @@ def _requested_before(key):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_matrix(mesh, op, mode):
+def _cached_matrix(N, alpha, family, op, mode):
     """The one cache of h-free matrices: the dense matrix of ``op`` in
-    ``mode`` on the mesh at h = 1, read-only.  ``operator_matrix`` calls the
-    uncached builder, ``__wrapped__``, on a key's first request."""
+    ``mode`` on the mesh ``(N, alpha, family)`` at h = 1, read-only.
+    ``operator_matrix`` calls the uncached builder, ``__wrapped__``, on a
+    key's first request."""
+    mesh = MeshSpec(N, alpha, family, 1.0)
     if op in _POWERS:
         values = np.diag(mesh.nodes ** _POWERS[op])
     else:
@@ -262,13 +264,20 @@ def _potential_matrix(mesh, V, mode=Mode.Gauss):
         return np.diag(evaluate_potential(V, mesh.h * mesh.nodes))
     if V.coulomb_erf is not None or V.eckart is not None:
         raise ValueError(f"potential {V.label!r} has no exact matrix elements")
-    values = np.zeros((mesh.N, mesh.N))
+    values = None
     for c, p, a, b in V.terms:
         op = _POWER_OPS.get(p)
         if a != 0.0 or b != 0.0 or op is None:
             raise ValueError(f"potential {V.label!r} has no exact matrix elements")
-        values += c * mesh.h**p * operator_matrix(mesh, op, Mode.Exact)
-    return values
+        term = c * mesh.h**p * operator_matrix(mesh, op, Mode.Exact)
+        # the first term is the sum so far: a sum from zeros differs from it
+        # only where it holds a -0.0, which adds to H (no entry of which is
+        # -0.0; see _assemble) as +0.0 does
+        if values is None:
+            values = term
+        else:
+            values += term
+    return np.zeros((mesh.N, mesh.N)) if values is None else values
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +340,9 @@ _H_ERRSTATE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 def _in_range(H, h):
-    """H itself, or OverflowError naming h when an entry is not finite."""
-    if not np.all(np.isfinite(H)):
+    """H itself, or OverflowError naming h when an entry is not finite: then
+    its largest or its smallest entry is NaN or infinite."""
+    if not (math.isfinite(H.max()) and math.isfinite(H.min())):
         raise OverflowError(f"h={h!r}: Hamiltonian entries are out of double range")
     return H
 
@@ -356,7 +366,9 @@ def _assemble(mesh, kinetic_op, strength, modes, V):
         if strength > 0 and c_mode is Mode.Gauss:
             diagonal += strength * mesh.nodes ** _POWERS["1/r^2"] / two_h2
         elif strength > 0:
-            H += strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
+            term = strength * operator_matrix(mesh, "1/r^2", c_mode)
+            term /= two_h2
+            H += term
         if v_mode is Mode.Gauss:
             diagonal += evaluate_potential(V, mesh.h * mesh.nodes)
         else:

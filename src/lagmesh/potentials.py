@@ -122,7 +122,7 @@ def evaluate(spec, r):
     """Potential values at radii ``r > 0``, elementwise: an array of the
     shape of ``r``, of length 1 for a scalar."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rr <= 0.0) or not np.all(np.isfinite(rr)):
+    if (rr <= 0.0).any() or not np.isfinite(rr).all():
         raise ValueError("r must be positive and finite")
     total = np.zeros_like(rr)
     for c, p, a, b in spec.terms:
@@ -161,6 +161,14 @@ def exact_level(V, angular, n=0, dimension=3):
     n = _integer("n", n, nonnegative=True)
     if dimension not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3 (got {dimension!r})")
+    level = _level_rule(V, angular, dimension)
+    return None if level is None else level(n)
+
+
+def _level_rule(V, angular, dimension):
+    """``exact_level`` at a checked angular number and dimension, as a
+    function of the checked level number, or None where V has no analytic
+    levels: a spectrum's levels at the price of one lookup."""
     if len(V.terms) != 1 or V.coulomb_erf or V.eckart:
         return None
     c, p, a, b = V.terms[0]
@@ -168,9 +176,10 @@ def exact_level(V, angular, n=0, dimension=3):
         return None
     lam = angular if dimension == 3 else angular - 0.5
     if p == 2.0 and c > 0.0:
-        return math.sqrt(2.0 * c) * (2.0 * n + lam + 1.5)
+        omega = math.sqrt(2.0 * c)
+        return lambda n: omega * (2.0 * n + lam + 1.5)
     if p == -1.0 and c < 0.0:
-        return -0.5 * c * c / (n + lam + 1.0) ** 2
+        return lambda n: -0.5 * c * c / (n + lam + 1.0) ** 2
     return None
 
 
@@ -215,16 +224,23 @@ def builtin(name, **params):
 
 def to_json(spec):
     """Serialize a spec to the JSON form; ``energyUnit`` only when it is not 1."""
-    doc = {"label": spec.label, "terms": [
-        {"c": c, "p": p, "a": a, "b": b} for c, p, a, b in spec.terms
-    ], "tailZ": spec.tail_Z}
-    if spec.energy_unit != 1.0:
-        doc["energyUnit"] = spec.energy_unit
+    return json.dumps(_json_doc(spec), indent=2, sort_keys=True)
+
+
+def _json_doc(spec):
+    """The JSON form of a spec as a fresh dict, its keys (at every level)
+    already in sorted order, so it reads as ``json.loads(to_json(spec))``."""
+    doc = {}
     if spec.coulomb_erf is not None:
-        doc["coulombErf"] = {"q": spec.coulomb_erf[0], "mu": spec.coulomb_erf[1]}
+        doc["coulombErf"] = {"mu": spec.coulomb_erf[1], "q": spec.coulomb_erf[0]}
     if spec.eckart is not None:
         doc["eckart"] = {"b": spec.eckart[0], "c": spec.eckart[1]}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    if spec.energy_unit != 1.0:
+        doc["energyUnit"] = spec.energy_unit
+    doc["label"] = spec.label
+    doc["tailZ"] = spec.tail_Z
+    doc["terms"] = [{"a": a, "b": b, "c": c, "p": p} for c, p, a, b in spec.terms]
+    return doc
 
 
 def _numbers(obj, where, names, defaults=None):

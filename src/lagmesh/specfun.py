@@ -33,7 +33,8 @@ __all__ = [
     "coulomb_wave",
 ]
 
-# The supported Sommerfeld parameters are |eta| <= _MAX_ETA.
+# The supported domain is l <= _MAX_L and |eta| <= _MAX_ETA.
+_MAX_L = 20
 _MAX_ETA = 50.0
 # Steed's continued fractions are used for x >= max(turning point, _STEED_MIN_X).
 _STEED_MIN_X = 5.0
@@ -497,8 +498,8 @@ def coulomb_wave(l, eta, x):
         check ``F'G - FG' = 1`` is violated beyond 1e-10.
     """
     l = _integer("l", l)
-    if not 0 <= l <= 20:
-        raise ValueError("l must be an integer in [0, 20]")
+    if not 0 <= l <= _MAX_L:
+        raise ValueError(f"l must be an integer in [0, {_MAX_L}]")
     eta = float(eta)
     if not (abs(eta) <= _MAX_ETA):
         raise ValueError(f"eta must satisfy |eta| <= {_MAX_ETA:g}")

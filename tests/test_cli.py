@@ -20,7 +20,8 @@ from lagmesh.cli import ConfigError, ExperimentConfig, main, run, sweep
 from lagmesh.potentials import builtin, from_json
 from lagmesh.scattering import IndeterminatePhaseError
 from lagmesh.solver import pseudostates, solve_bound_states
-from lagmesh.specfun import _MAX_ETA
+from lagmesh.basis import _CACHE_SIZE
+from lagmesh.specfun import _MAX_ETA, _MAX_L, coulomb_wave
 from test_demos import CLI_EXAMPLES
 
 
@@ -150,6 +151,32 @@ class TestValidation:
                         angular=1, variant=variant, N=12, h=0.1))
         with pytest.raises(ConfigError, match="dim: scatter"):
             sweep(config, "gamma", [1.0, 2.0])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--potential", "harmonic", "--N", "3", "--h", "0.1", "--l", "5"],
+         "l/m: N must exceed l (got N=3, l=5)"),
+        (["bound", "--potential", "harmonic", "--dim", "2", "--l", "10", "--N", "10",
+          "--h", "0.1"], "l/m: N must exceed m (got N=10, m=10)"),
+        (["sweep", "--potential", "harmonic", "--l", "5", "--h", "0.1",
+          "--parameter", "N", "--values", "8,5"], "l/m: N must exceed l (got N=5, l=5)"),
+    ])
+    def test_basis_smaller_than_the_angular_number_is_a_config_error(
+            self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lagmesh: {message}\n"
+
+    @pytest.mark.parametrize("mode, flags", [("scatter", ["--gamma", "1"]), ("gamma-scan", [])])
+    def test_angular_number_past_the_coulomb_functions_is_a_config_error(
+            self, mode, flags, capsys):
+        argv = [mode, "--potential", "coulomb", "--N", "30", "--h", "1.1",
+                "--l", str(_MAX_L + 1), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"lagmesh: l/m: {mode} requires l <= {_MAX_L} (got l={_MAX_L + 1})\n")
+        # the limit is the Coulomb functions' own
+        coulomb_wave(_MAX_L, 0.5, 1.0)
+        with pytest.raises(ValueError, match=rf"\[0, {_MAX_L}\]"):
+            coulomb_wave(_MAX_L + 1, 0.5, 1.0)
 
 
 class TestBoundMode:
@@ -417,6 +444,29 @@ class TestReports:
         b = cli.render_json(run(_config()))
         assert a == b
 
+    def test_reports_share_no_mutable_state(self):
+        # a report that is changed after the run must not change the next one
+        config = _config(potential=builtin("coulomb"), N=12, h=0.9)
+        first = cli.render_json(run(config))
+        report = run(config)
+        report["config"]["potential"]["terms"][0]["c"] = 99.0
+        report["config"]["potential"]["label"] = "changed"
+        report["config"]["potential"]["terms"].append({"c": 1.0})
+        report["rows"][0]["energy"] = 0.0
+        assert cli.render_json(run(config)) == first
+
+    def test_echo_tells_signed_zeros_apart(self):
+        # -0.0 == 0.0, so two such specs are equal, but their echoes differ
+        for Z in (-0.0, 0.0, -0.0):
+            report = run(_config(potential=builtin("coulomb", Z=Z), N=5, h=0.5))
+            c = report["config"]["potential"]["terms"][0]["c"]
+            assert math.copysign(1.0, c) == math.copysign(1.0, Z)
+
+    def test_row_template_cache_stays_bounded(self):
+        for i in range(2 * _CACHE_SIZE):
+            cli.render_json({"schema": 1, "rows": [{f"key{i}": 1.0, "state": i}]})
+            assert cli._row_template.cache_info().currsize <= _CACHE_SIZE
+
     def test_csv_summary(self):
         text = cli.render_csv(run(_config()))
         lines = text.splitlines()
@@ -540,6 +590,13 @@ class TestJsonWriter:
         report = {"schema": 1, "mode": "bound", "config": {"mode": "bound"},
                   "provenance": {"build": "x"}, "rows": rows}
         assert cli.render_json(report) == _reference_json(report)
+
+    def test_equal_keys_of_other_types_are_written_apart(self):
+        # 1 == 1.0 == True, but json writes "1", "1.0" and "true"
+        for key in (1, 1.0, True, 1, "1"):
+            report = {"schema": 1, "mode": "bound", "config": {}, "provenance": {},
+                      "rows": [{key: 2.5, "state": 1}]}
+            assert cli.render_json(report) == _reference_json(report)
 
     @pytest.mark.parametrize("cell", [[1.0], {"a": 1.0}, (1,), np.zeros(2)])
     def test_container_cell_is_a_type_error(self, cell):

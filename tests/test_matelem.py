@@ -894,6 +894,16 @@ class TestMatrixCache:
             assert basis._cached_rule.cache_info().currsize <= basis._CACHE_SIZE
             assert len(matelem._requested) <= basis._CACHE_SIZE
 
+    def test_cache_stays_bounded_over_many_meshes(self):
+        # each mesh is requested twice, so each one's matrix is cached
+        _clear_matrix_caches()
+        for alpha in np.linspace(0.5, 3.0, 2 * basis._CACHE_SIZE):
+            for _ in range(2):
+                operator_matrix(MeshSpec(8, alpha, "RegSqrt", 0.5), "kinetic", Mode.Exact)
+            assert matelem._cached_matrix.cache_info().currsize <= basis._CACHE_SIZE
+            assert len(matelem._requested) <= basis._CACHE_SIZE
+        assert matelem._cached_matrix.cache_info().currsize == basis._CACHE_SIZE
+
     def test_n_sweep_caches_no_matrix(self):
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="var", N=20, h=0.5)

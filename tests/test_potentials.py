@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from lagmesh.potentials import (
     PotentialSpec,
+    _json_doc,
     builtin,
     evaluate,
     exact_level,
@@ -303,6 +304,18 @@ class TestSerialization:
     def test_malformed_spec_names_the_field(self, text, field):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
             from_json(text)
+
+    @pytest.mark.parametrize("V", [
+        *(builtin(name) for name in ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")),
+        builtin("coulomb", Z=-0.0),
+        PotentialSpec("mixed", terms=((-0.0, 1.0, 0.5, 0.0), (2.0, -1.0, 0.0, 0.0)),
+                      coulomb_erf=(-3.0, 0.7), energy_unit=0.25),
+    ])
+    def test_json_doc_is_the_parsed_text_in_key_order(self, V):
+        # the report echo reads this dict in place of json.loads(to_json(V))
+        doc = _json_doc(V)
+        assert json.dumps(doc, indent=2) == to_json(V)
+        assert repr(doc) == repr(json.loads(to_json(V)))
 
     def test_json_is_plain_object(self):
         doc = json.loads(to_json(builtin("eckart")))

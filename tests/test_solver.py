@@ -69,6 +69,23 @@ class TestSolveBoundStates:
                 with pytest.raises(ValueError, match="symmetric"):
                     solve(H, S)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("H, S, message", [
+        # a non-finite entry is named first, whatever S and the symmetry
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), 2.0 * np.eye(2), "non-finite"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(3), "non-finite"),
+        (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), np.eye(2), "non-finite"),
+        # then S, before the symmetry; H - H^T overflows here, silently
+        (np.array([[1.0, 1e308], [-1e308, 1.0]]), 2.0 * np.eye(2), "S must be"),
+        (np.array([[1.0, 1e308], [-1e308, 1.0]]), np.eye(2), "symmetric"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(3), "S must be"),
+        (np.array([[1.0, 1e-10], [0.0, 1.0]]), 2.0 * np.eye(2), "S must be"),
+    ])
+    def test_first_failing_check_names_the_fault(self, H, S, message):
+        for solve in SOLVES:
+            with pytest.raises(ValueError, match=message):
+                solve(H, S)
+
     def test_non_identity_overlap_rejected(self):
         # the basis is orthonormal; any other S would silently rescale E
         H = np.diag([1.0, 2.0, 3.0])
