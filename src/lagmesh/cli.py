@@ -152,7 +152,7 @@ def _checked(config):
         if kind is not None:
             what, test = _KINDS[kind]
             if not test(value):
-                mistyped.append(f"{attr}: must be {what} (got {value!r})")
+                mistyped.append(f"{key}: must be {what} (got {value!r})")
                 continue
             if kind == "int" and type(value) is not int:
                 value = whole[attr] = int(value)
@@ -394,15 +394,17 @@ def _json_cell(v):
     raise TypeError(f"report cells are scalars, not {type(v).__name__}")
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _row_template(*keys):
-    """A flat row with these keys as indent=2 writes it in the rows list,
-    a %s in place of each value.  Cached by each key's type too: 1, 1.0
-    and True are equal keys that json writes apart."""
+    """A flat row with these string keys as indent=2 writes it in the rows
+    list, a %s in place of each value.  A key that is no string raises
+    TypeError: 1, 1.0 and True are equal keys that json writes apart."""
     if not keys:
         return "{}"
-    # json.dumps coerces a key that is no string as the document would
-    items = (json.dumps({k: 0})[1:-4].replace("%", "%%") + ": %s" for k in keys)
+    for k in keys:
+        if not isinstance(k, str):
+            raise TypeError(f"report row keys are strings, not {type(k).__name__}")
+    items = (json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
     return "{\n      " + ",\n      ".join(items) + "\n    }"
 
 
@@ -411,9 +413,9 @@ def render_json(report):
     plus a newline once the row cells and check values are rounded to 15
     significant digits.
 
-    Rows must be flat dicts of scalars (a list or dict cell raises
-    TypeError).  Their float cells are formatted in one "%.15g" pass, and
-    every row fills the template of its keys.
+    Rows must be flat dicts of scalars under string keys (else TypeError).
+    Their float cells are formatted in one "%.15g" pass, and every row
+    fills the template of its keys.
     """
     head = dict(report, rows=[])
     if "checks" in report:

@@ -4,11 +4,12 @@ Matrices come in two modes.  ``Gauss`` evaluates the defining integral with
 the quadrature rule attached to the mesh, which collapses multiplicative
 operators to diagonal matrices and has a closed form for the kinetic
 operators on every family (D. Baye, Phys. Rep. 565 (2015) 1).  ``Exact``
-returns the true integral by one recipe on all three families: the Gauss
-matrix plus a closed-form correction of rank at most 3, the rule's error on
-the few monomials of the integrand it does not integrate exactly
-(``_gauss_error``).  One builder, ``operator_matrix``, returns every
-operator matrix as a plain ``ndarray``.
+returns the true integral where a scheme reads it (every operator on the
+sqrt(r) family, -d^2/dr^2 and 1/r^2 on the plain one): the Gauss matrix
+plus a closed-form correction of rank at most 3, the rule's error on the few
+monomials of the integrand it does not integrate exactly (``_gauss_error``).
+One builder, ``operator_matrix``, returns every operator matrix as a plain
+``ndarray``.
 
 Sign convention: ``"kinetic"`` is the matrix of ``-d^2/dr^2`` and
 ``"kinetic2d"`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
@@ -98,12 +99,15 @@ def operator_matrix(mesh, op, mode=Mode.Gauss):
     ``"kinetic2d"`` for -(d^2/drho^2 + 1/(4 rho^2)).  Gauss mode is
     ``diag(r_i**p)`` for a power and the closed form of ``_gauss_kinetic``
     for the kinetic operators (Baye 2015); Exact mode adds the rule's error,
-    ``_gauss_error``, on every family.  Raises ``ValueError`` for an unknown
-    operator or mode, or where the Exact integral diverges.
+    ``_gauss_error``, where a scheme reads it.  Raises ``ValueError`` for an
+    unknown operator or mode, an unread Exact cell or a divergent integral.
     """
     mode = _coerce(Mode, mode)
     if op not in _OPERATORS:
         raise ValueError(f"unknown operator: {op!r} (expected one of {', '.join(_OPERATORS)})")
+    if mode is Mode.Exact and (mesh.family, op) not in _EXACT_READ:
+        raise ValueError(f"no Exact {op} matrix on family {mesh.family.name}: "
+                         "no scheme reads it")
     if mode is Mode.Gauss and op in _POWERS:
         return np.diag(mesh.nodes ** _POWERS[op])
     key = (mesh.N, mesh.alpha, mesh.family, op, mode)
@@ -149,16 +153,16 @@ def _cached_matrix(N, alpha, family, op, mode):
 
 
 def _gauss_error(mesh, op):
-    """Exact minus Gauss matrix of ``op``, on any family.
+    """Exact minus Gauss matrix of ``op`` on a cell of ``_EXACT_READ``.
 
     With ``f_j = c_j x^p e^(-x/2) pi_j`` and ``pi_j = L_N/(x - r_j)``, every
     element divided by the rule's weight ``x^alpha e^(-x)`` is ``x^k q(x)``
     with q a polynomial of degree 2N - 2 (k is 2p - alpha plus the
-    operator's power: 0, 1 and 2 for the overlap of NonReg, RegSqrt and
-    RegR), and the Gauss matrix is the N-point rule applied to it.  The
-    rule is exact on ``x^0 ... x^(2N-1)``, so the two differ by the ``x^-2``
-    and ``x^-1`` terms, formed from ``pi_j(0)`` and ``pi_j'(0)``, or the
-    ``x^2N ... x^(2N+2)`` terms, from the leading coefficients of ``pi_j``,
+    operator's power: 0 and 1 for the overlap of NonReg and RegSqrt), and the
+    Gauss matrix is the N-point rule applied to it.  The rule is exact on
+    ``x^0 ... x^(2N-1)``, so the two differ by the ``x^-2`` and ``x^-1``
+    terms, formed from ``pi_j(0)`` and ``pi_j'(0)``, or the
+    ``x^2N ... x^(2N+1)`` terms, from the leading coefficients of ``pi_j``,
     each times the rule's error on that monomial.  The errors are Hermite
     remainders: with ``n2 = Gamma(N+alpha+1)/N!`` the norm of ``L_N``, the
     error on ``1/x`` is ``n2/(alpha L_N(0)^2) = Gamma(alpha)/L_N(0)``, on
@@ -167,24 +171,23 @@ def _gauss_error(mesh, op):
     and on ``x^(2N+m)`` it is the integral of ``x^m L_N^2`` (three-term
     recurrence) over the squared leading coefficient of ``L_N``.  The
     products collapse to ``(-1)^(i-j) c_ij``, with the ``c_ij`` below,
-    divided by ``sqrt(r_i r_j)`` on NonReg and RegR; the correction has
-    rank at most 3.  On RegSqrt, with ``b = 2N + alpha + 1``, ``c_ij`` is
+    divided by ``sqrt(r_i r_j)`` on NonReg; the correction has rank at most
+    3.  On RegSqrt, with ``b = 2N + alpha + 1``, ``c_ij`` is
     ``1/(alpha r_i r_j)`` for 1/r^2, 0 for 1/r and 1, 1 for r,
     ``b + r_i + r_j`` for r^2, ``(1 - alpha^2)/(4 alpha r_i r_j)`` for
     -d^2/dr^2 and ``-alpha/(4 r_i r_j)`` for the 2D operator: the first
     vanishes at alpha = 1, the second at alpha = 0, where the Gauss 2D
-    matrix is exact although its two pieces diverge apart.  An element
-    whose integrand diverges at the origin raises ``ValueError``.
+    matrix is exact although its two pieces diverge apart.  An element whose
+    integrand diverges at the origin raises ``ValueError``.
     """
     r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
     ri, rj = r[:, None], r[None, :]
     b = 2.0 * N + alpha + 1.0
-    # f_i (op f_j) goes like x^(2p - s) at the origin, times the operator's
-    # singular coefficient; the integral diverges where that power is <= -1
+    # f_i (op f_j) goes like x^(2p - 2) at the origin for 1/r^2, and so for
+    # -d^2/dr^2 unless p (p - 1) = 0; the integral diverges where 2p - 2 <= -1.
+    # The other cells converge at every alpha >= 0.
     p = _family_power(mesh.family, alpha)
-    coefficient, s = {"1/r": (1.0, 1.0), "1/r^2": (1.0, 2.0), "kinetic": (p * (p - 1.0), 2.0),
-                      "kinetic2d": ((p - 0.5) ** 2, 2.0)}.get(op, (0.0, 0.0))
-    if coefficient != 0.0 and 2.0 * p - s <= -1.0:
+    if p <= 0.5 and (op == "1/r^2" or op == "kinetic" and p != 0.0):
         raise ValueError(f"divergent integral: {op} on family {mesh.family.name} "
                          f"with alpha={alpha}")
     if mesh.family is Family.RegSqrt:
@@ -201,29 +204,11 @@ def _gauss_error(mesh, op):
         else:  # 1/r and 1
             c = 0.0
         return _sign_grid(N) * c
-    if mesh.family is Family.RegR:
-        if op == "1":
-            c = 1.0
-        elif op == "r":
-            c = b + ri + rj
-        elif op == "r^2":
-            c = ((N + 1.0) * (N + 1.0 + alpha) + b * b + N * (N + alpha)
-                 + b * (ri + rj) + ri * ri + ri * rj + rj * rj)
-        elif op in ("kinetic", "kinetic2d"):
-            c = -0.25
-        else:  # 1/r^2 and 1/r
-            c = 0.0
-    elif op == "1/r^2":
+    if op == "1/r^2":
         c = (b / ((alpha - 1.0) * (alpha + 1.0)) + (1.0 / ri + 1.0 / rj)) / alpha
-    elif op == "1/r":
-        c = 1.0 / alpha
-    elif op == "r^2":
-        c = ri * rj
-    elif op == "kinetic" and alpha > 0.0:
+    elif alpha > 0.0:  # -d^2/dr^2
         c = 0.25 * alpha * (b / (alpha * alpha - 1.0) - (1.0 / ri + 1.0 / rj))
-    elif op == "kinetic2d":
-        c = (b - (alpha * alpha + 1.0) * (1.0 / ri + 1.0 / rj)) / (4.0 * alpha)
-    else:  # 1, r, and the kinetic operator at alpha = 0
+    else:  # -d^2/dr^2 at alpha = 0, where the Gauss matrix is exact
         c = 0.0
     return _sign_grid(N) * c / np.sqrt(ri * rj)
 
@@ -296,6 +281,15 @@ SCHEMES = {
     HamiltonianVariant.Var2D: (Family.RegSqrt, 0.0, (_E, _E, _E), 2),
     HamiltonianVariant.RegSqrtMesh2D: (Family.RegSqrt, 0.0, (_G, _G, _G), 2),
 }
+
+# The (family, operator) cells some scheme reads in Exact mode, the only ones
+# operator_matrix builds: by the modes of its terms, the kinetic operator of
+# its dimension, 1/r^2 (centrifugal) and the powers of a potential (p > -2).
+_EXACT_READ = frozenset(
+    (family, op) for family, _, modes, dim in SCHEMES.values()
+    for mode, ops in zip(modes, (("kinetic" if dim == 3 else "kinetic2d",), ("1/r^2",),
+                                 ("1/r", "1", "r", "r^2")))
+    if mode is Mode.Exact for op in ops)
 
 
 def scheme_mesh(variant, N, h, alpha=None):

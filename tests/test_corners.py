@@ -4,11 +4,9 @@ The lowest level of each of the seven schemes, at N in {300, 1000} (and
 the plain schemes at N = 990) and l or m in {0, 20}, for the harmonic and
 Coulomb potentials, is checked against its exact value.  A cell meets
 1e-10 where the singularity classifier names no lossy term of the scheme,
-and the bound tabulated below where it names one.  The Exact
-matrices behind the variational terms are checked at the same sizes:
--d^2/dr^2 is a positive operator, the trace of x on the plain family is
-known, and the r-regularized family's Exact matrices give the oscillator
-levels.  The wave functions of every scheme's mesh at N = 1000 keep the
+and the bound tabulated below where it names one.  The Exact kinetic
+matrices that the schemes read are positive at the same sizes.  The wave
+functions of every scheme's mesh at N = 1000 keep the
 Lagrange property at every node and agree with 40 digits about the first,
 middle and last nodes.  Every pseudostate of the pure Coulomb potential,
 attractive and repulsive, at l in {0, 10, 20} and N in {30, 100}, gives a
@@ -19,7 +17,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.matelem import (
@@ -33,17 +30,16 @@ from lagmesh.matelem import (
     scheme_mesh,
 )
 from lagmesh.potentials import builtin, exact_level
-from lagmesh.quadrature import generate_rule
 from lagmesh.scattering import IndeterminatePhaseError, gamma_scan
 from lagmesh.solver import bound_energies, pseudostates, relative_error, solve_bound_states
 from lagmesh.specfun import ConvergenceError
 
 from test_basis import (
     SCHEME_MESHES,
-    _eval_all,
     check_lagrange_property,
     check_near_nodes_against_mpmath,
 )
+from test_matelem import unread_exact
 
 GRID_H = {"harmonic": 0.04, "coulomb": 1.0}
 # The loss cells of the grid are non-reg and non-reg V_G for
@@ -100,32 +96,12 @@ def test_loss_cells_are_the_plain_coulomb_s_waves():
     (Family.RegSqrt, 0.0, 1000, "kinetic2d"),  # Var2D at m = 0
 ], ids=lambda v: f"{v}_matrix" if isinstance(v, str) else None)
 def test_exact_kinetic_matrices_are_positive(family, alpha, N, op):
-    K = operator_matrix(MeshSpec(N, alpha, family, 1.0), op, Mode.Exact)
+    # no scheme reads an Exact matrix on the r-regularized family
+    mesh = MeshSpec(N, alpha, family, 1.0)
+    if unread_exact(mesh, op):
+        return
+    K = operator_matrix(mesh, op, Mode.Exact)
     assert np.linalg.eigvalsh(K)[0] >= 0.0
-
-
-@pytest.mark.parametrize("N", [300, 1000])
-def test_plain_family_trace_of_x(N):
-    # the Exact matrix of x on the plain family is diag(r_i), whose trace is
-    # the sum of the zeros of L_N^(alpha)
-    X = operator_matrix(MeshSpec(N, 2.0, Family.NonReg, 1.0), "r", Mode.Exact)
-    assert np.trace(X) == pytest.approx(N * (N + 2.0), rel=1e-14)
-
-
-def test_r_regularized_exact_oscillator_levels():
-    # the r-regularized functions are not orthonormal: their Gram matrix is
-    # integrated exactly by the rule of weight x^2 e^-x, since f_i f_j is
-    # x^2 e^-x times a polynomial of degree 2N - 2
-    N, h = 400, 0.06
-    mesh = MeshSpec(N, 0.0, Family.RegR, h)
-    x, w = generate_rule(N, 2.0)
-    F = _eval_all(mesh, x)
-    S = (F * w) @ F.T
-    H = (operator_matrix(mesh, "kinetic", Mode.Exact) / (2.0 * h * h)
-         + 0.5 * h * h * operator_matrix(mesh, "r^2", Mode.Exact))
-    E = eigh(H, S, eigvals_only=True)[:3]
-    exact = [exact_level(builtin("harmonic"), 0, n) for n in range(3)]
-    assert np.abs(E / exact - 1.0).max() <= 1e-10
 
 
 @pytest.mark.parametrize("family,alpha", SCHEME_MESHES)

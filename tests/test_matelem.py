@@ -22,7 +22,7 @@ from lagmesh.matelem import (
     operator_matrix,
     scheme_mesh,
 )
-from lagmesh.potentials import PotentialSpec, builtin
+from lagmesh.potentials import PotentialSpec, builtin, from_json
 from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
@@ -34,6 +34,25 @@ from test_basis import _eval_all
 
 def mesh_regsqrt(N, alpha=1.0, h=1.0):
     return MeshSpec(N, alpha, Family.RegSqrt, h)
+
+
+# The (family, operator) cells whose Exact matrix some scheme reads: every
+# operator on RegSqrt (Var and Var2D), -d^2/dr^2 and 1/r^2 on NonReg (NonReg
+# and NonRegVG), none on RegR, whose scheme is Gauss throughout.
+EXACT_READ = ({("RegSqrt", op) for op in matelem._OPERATORS}
+              | {("NonReg", "kinetic"), ("NonReg", "1/r^2")})
+
+
+def unread_exact(mesh, op):
+    """Whether no scheme reads the Exact ``op`` matrix on ``mesh``'s family,
+    after checking that ``operator_matrix`` raises for it exactly then."""
+    family = mesh.family.name
+    if (family, op) in EXACT_READ:
+        return False
+    with pytest.raises(ValueError, match=f"^no Exact {re.escape(op)} matrix on family {family}: "
+                                         "no scheme reads it$"):
+        operator_matrix(mesh, op, Mode.Exact)
+    return True
 
 
 class TestWorkedExamples:
@@ -121,11 +140,13 @@ class TestClosedFormsAgainstOracle:
                                               ("RegSqrt", 0.5), ("RegSqrt", 1.5)])
     @pytest.mark.parametrize("N", [2, 5, 12, 30, 40])
     def test_gauss_plus_correction_forms(self, N, family, alpha):
-        # the Gauss matrix plus its low-rank correction on every family, every
-        # operator the oracle can integrate; both raise on the same divergent
-        # elements
+        # the Gauss matrix plus its low-rank correction on every cell a scheme
+        # reads, every operator the oracle can integrate; both raise on the
+        # same divergent elements, and the cells no scheme reads raise
         mesh = MeshSpec(N, alpha, family, 1.0)
         for tag in OPERATOR_TAGS:
+            if unread_exact(mesh, _TAG_OPS[tag]):
+                continue
             try:
                 oracle = oracle_matrix(mesh, tag)
             except ValueError:
@@ -136,19 +157,18 @@ class TestClosedFormsAgainstOracle:
             assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max(), tag
 
 
+_TAG_OPS = {"InvR2": "1/r^2", "InvR": "1/r", "R": "r", "R2": "r^2", "Kinetic": "kinetic",
+            "Kinetic2D": "kinetic2d"}
+
+
 def _exact_matrix(mesh, tag):
     """The package's Exact matrix of the operator a reference tag names."""
-    if tag == "Kinetic":
-        return operator_matrix(mesh, "kinetic", Mode.Exact)
-    if tag == "Kinetic2D":
-        return operator_matrix(mesh, "kinetic2d", Mode.Exact)
-    return operator_matrix(mesh, {"InvR2": "1/r^2", "InvR": "1/r", "R": "r", "R2": "r^2"}[tag],
-                           Mode.Exact)
+    return operator_matrix(mesh, _TAG_OPS[tag], Mode.Exact)
 
 
 class TestGaussError:
     """Every Exact matrix is its Gauss matrix plus a correction of rank at
-    most 3, on every family."""
+    most 3, on every cell a scheme reads."""
 
     @pytest.mark.parametrize("family,alpha", [
         ("NonReg", 0.0), ("NonReg", 2.0), ("NonReg", 3.0),
@@ -158,6 +178,8 @@ class TestGaussError:
     def test_exact_minus_gauss_has_rank_at_most_3(self, family, alpha):
         mesh = MeshSpec(20, alpha, family, 1.0)
         for op in matelem._OPERATORS:
+            if unread_exact(mesh, op):
+                continue
             try:
                 exact = operator_matrix(mesh, op, Mode.Exact)
             except ValueError as e:
@@ -168,7 +190,7 @@ class TestGaussError:
 
 
 class TestExactAgainstMpmath:
-    """Every Exact matrix on every family within a few ulps of the largest
+    """Every Exact matrix a scheme reads within a few ulps of the largest
     entry of a 40-digit reference."""
 
     @pytest.mark.slow
@@ -182,6 +204,8 @@ class TestExactAgainstMpmath:
         pytest.importorskip("mpmath")
         mesh = MeshSpec(N, alpha, family, 1.0)
         for tag in OPERATOR_TAGS:
+            if unread_exact(mesh, _TAG_OPS[tag]):
+                continue
             try:
                 got = _exact_matrix(mesh, tag)
             except ValueError:
@@ -355,6 +379,8 @@ class TestKinetic:
     )
     def test_symmetric_for_other_families(self, family, alpha, variant_mode):
         mesh = MeshSpec(11, alpha, family, 1.0)
+        if variant_mode is Mode.Exact and unread_exact(mesh, "kinetic"):
+            return
         K = operator_matrix(mesh, "kinetic", variant_mode)
         assert np.abs(K - K.T).max() <= 1e-13 * max(1.0, np.abs(K).max())
 
@@ -390,16 +416,15 @@ class TestPotentialMatrix:
         assert np.array_equal(M, want)
 
     def test_exact_constant_term(self):
-        # a constant is the operator "1": the identity on the orthonormal
-        # families and the exact Gram matrix on the r-regularized one
+        # a constant is the operator "1": the identity on the sqrt(r) family,
+        # the one whose Exact potential a scheme reads
         one = PotentialSpec(label="one", terms=((1.0, 0.0, 0.0, 0.0),))
-        for family, alpha in (("RegSqrt", 0.0), ("RegSqrt", 1.0), ("NonReg", 2.0)):
-            mesh = MeshSpec(8, alpha, family, 0.3)
+        for alpha in (0.0, 1.0):
+            mesh = MeshSpec(8, alpha, Family.RegSqrt, 0.3)
             assert np.array_equal(_potential_matrix(mesh, one, Mode.Exact), np.eye(8))
-        for alpha in (0.0, 2.0):
-            mesh = MeshSpec(8, alpha, Family.RegR, 0.3)
-            got = _potential_matrix(mesh, one, Mode.Exact)
-            assert np.abs(got - _exact_overlap(mesh)).max() <= 1e-13
+        for family, alpha in (("NonReg", 2.0), ("RegR", 0.0), ("RegR", 2.0)):
+            with pytest.raises(ValueError, match=f"^no Exact 1 matrix on family {family}"):
+                _potential_matrix(MeshSpec(8, alpha, family, 0.3), one, Mode.Exact)
 
     # the ids keep the names these cases had when the 2D schemes were an enum
     # of their own
@@ -735,6 +760,40 @@ class TestDivergenceRejections:
             operator_matrix(mesh_regsqrt(5), "kinetic", "Approximate")
 
 
+class TestExactGate:
+    """operator_matrix builds an Exact matrix only on a cell some scheme
+    reads, and every scheme builds without meeting the gate."""
+
+    @pytest.mark.parametrize("family", [f.name for f in Family])
+    @pytest.mark.parametrize("op", matelem._OPERATORS)
+    def test_raises_exactly_outside_the_read_set(self, family, op):
+        # alpha = 3 converges for every operator on every family
+        mesh = MeshSpec(6, 3.0, family, 1.0)
+        if not unread_exact(mesh, op):
+            assert np.all(np.isfinite(operator_matrix(mesh, op, Mode.Exact)))
+
+    def test_gate_raises_before_the_key_is_recorded(self):
+        _clear_matrix_caches()
+        with pytest.raises(ValueError, match="no scheme reads it"):
+            operator_matrix(MeshSpec(6, 0.0, "RegR", 1.0), "kinetic", Mode.Exact)
+        assert not matelem._requested
+
+    @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
+    @pytest.mark.parametrize("angular", [0, 1, 2])
+    def test_no_scheme_meets_the_gate(self, variant, angular):
+        powers = from_json('{"terms": [{"c": -1, "p": -1}, {"c": 0.5, "p": 0}, '
+                           '{"c": 0.1, "p": 1}, {"c": 0.2, "p": 2}]}')
+        build = hamiltonian_2d if SCHEMES[variant][3] == 2 else hamiltonian_3d
+        for alpha in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+            mesh = scheme_mesh(variant, 8, 0.5, alpha)
+            for V in (builtin("harmonic"), builtin("coulomb"), powers):
+                try:
+                    build(mesh, angular, V, variant)
+                except ValueError as e:
+                    # a 2D scheme's fixed alpha, or an integral that diverges
+                    assert re.match(r"variant \w+ requires family|divergent integral", str(e))
+
+
 def _clear_matrix_caches():
     matelem._cached_matrix.cache_clear()
     matelem._requested.clear()
@@ -784,6 +843,8 @@ class TestMatrixCache:
             else:
                 gauss = matelem._gauss_kinetic(at_h, 3.0 if op == "kinetic2d" else 0.0)
             assert np.array_equal(operator_matrix(at_h, op, Mode.Gauss), gauss)
+            if unread_exact(at_h, op):
+                continue
             try:
                 correction = matelem._gauss_error(at_h, op)
             except ValueError:
@@ -815,7 +876,9 @@ class TestMatrixCache:
             lambda mesh: operator_matrix(mesh, "kinetic", Mode.Exact),
             lambda mesh: operator_matrix(mesh, "kinetic", Mode.Gauss),
             lambda mesh: operator_matrix(mesh, "1/r^2", Mode.Exact),
-            lambda mesh: operator_matrix(mesh, "kinetic2d", Mode.Exact),
+            # the 2D operator's Exact matrix is read on the sqrt(r) family only
+            lambda mesh: operator_matrix(dataclasses.replace(mesh, family=Family.RegSqrt),
+                                         "kinetic2d", Mode.Exact),
         ],
         ids=["kinetic-Exact", "kinetic-Gauss", "power-2-Exact", "kinetic2d-Exact"],
     )
