@@ -23,7 +23,6 @@ they are Riccati-Bessel functions, formed at every point by recurrence in
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -206,7 +205,7 @@ def _cf1(l, eta, x):
         delta = c * d
         f *= delta
         pk = pk1
-        if abs(delta - 1.0) < 1e-16:
+        if -1e-16 < delta - 1.0 < 1e-16:
             return f, sign
     raise ConvergenceError(
         f"continued fraction for F'/F did not converge (l={l}, eta={eta}, x={x})"
@@ -221,9 +220,11 @@ def _cf2(l, eta, x):
         f = complex(small, 0.0)
     c, d = f, complex(0.0, 0.0)
     k = 1
-    ak = (1j * eta - l) * (1j * eta + l + 1.0) * (1j / x)
+    ieta = 1j * eta
+    xe = x - eta
+    ak = (ieta - l) * (ieta + l + 1.0) * (1j / x)
     while k < _MAX_CF_ITER:
-        bk = 2.0 * complex(x - eta, k)
+        bk = 2.0 * complex(xe, k)
         d = bk + ak * d
         c = bk + ak / c
         if d == 0.0:
@@ -236,7 +237,7 @@ def _cf2(l, eta, x):
         if abs(delta - 1.0) < 1e-16:
             break
         k += 1
-        ak = (1j * eta - l + k - 1.0) * (1j * eta + l + k)
+        ak = (ieta - l + k - 1.0) * (ieta + l + k)
     else:
         raise ConvergenceError(
             f"continued fraction for (G+iF)'/(G+iF) did not converge "
@@ -295,9 +296,10 @@ def _hankel(l, eta, x, sigma):
     t = s = complex(1.0, 0.0)
     sk = complex(0.0, 0.0)
     for k in range(_HANKEL_MAX_TERMS):
-        t *= (a + k) * (b + k) * -0.5j / ((k + 1.0) * x)
+        k1 = k + 1.0
+        t *= (a + k) * (b + k) * -0.5j / (k1 * x)
         s += t
-        sk += (k + 1.0) * t
+        sk += k1 * t
         at = abs(t)
         if at > _HANKEL_MAX_TERM:
             return None
@@ -325,50 +327,65 @@ def _taylor_sweep(l, eta, x0, u0, up0, targets):
     recurrence.  A step is at most ``x/2``, so the terms fall like ``2**-n``
     at worst, and at most ``|q(x)|**-0.5`` with ``q = u''/u``, so they do
     not grow; it is formed from ``q x**2``, which neither under- nor
-    overflows at tiny ``x``.
+    overflows at tiny ``x``.  A step whose ``(u, u')`` leaves the double
+    range raises ConvergenceError before the next series is summed.
     """
     ll1 = l * (l + 1.0)
-    vals = np.empty(len(targets))
-    ders = np.empty(len(targets))
+    eta2 = 2.0 * eta
+    xts = targets.tolist()
+    vals, ders = [0.0] * len(xts), [0.0] * len(xts)
     x, u, up = float(x0), u0, up0
-    for i in np.argsort(np.abs(targets - x0)):
-        xt = float(targets[i])
+    for i in np.argsort(np.abs(targets - x0)).tolist():
+        xt = xts[i]
         while x != xt:
-            qx2 = abs(ll1 + (2.0 * eta - x) * x)
+            qx2 = abs(ll1 + (eta2 - x) * x)
             step = x * qx2 ** -0.5 if qx2 > 4.0 else 0.5 * x
             # within x/2 of x, xt - x is exact, so the last step lands on xt
-            t = max(-step, min(step, xt - x))
+            t = xt - x
+            if not -step <= t <= step:
+                t = step if t > 0.0 else -step
             if t == 0.0:
                 raise ConvergenceError(f"Taylor step underflows (x={x})")
             u, up = _taylor_step(ll1, eta, x, t, u, up)
             x += t
+            if not (math.isfinite(u) and math.isfinite(up)):
+                raise ConvergenceError(
+                    f"Taylor sweep leaves the double range (l={l}, eta={eta}, x={x})")
         vals[i], ders[i] = u, up
-    return vals, ders
+    return np.array(vals), np.array(ders)
 
 
 def _taylor_step(ll1, eta, x, t, u, up):
-    """``(u, u')`` at ``x + t`` from the Taylor series about ``x``."""
+    """``(u, u')`` at ``x + t`` from the Taylor series about ``x``; the
+    factors of term ``n`` come from ``_TAYLOR_TABLE`` and, past its end, from
+    ``_taylor_coefficients``."""
     p = t / x
     c0 = (ll1 + (2.0 * eta - x) * x) * p * p
     c1 = 2.0 * (eta - x) * x * p ** 3
     c2 = (x * p * p) ** 2
     bm2, bm1, b0, b1 = 0.0, 0.0, u, t * up
     s, sp = b0 + b1, b1
-    a1 = abs(b1)  # |b1|, carried over from the previous term
-    terms = itertools.chain(_TAYLOR_TABLE, map(
-        _taylor_coefficients, range(_TAYLOR_TABLE_TERMS, _MAX_TAYLOR_TERMS)))
-    for nn1, nn2, den, n2 in terms:
-        b2 = ((c0 - nn1 * p * p) * b0 - nn2 * p * b1 + c1 * bm1 - c2 * bm2) / den
-        s += b2
-        sp += n2 * b2
-        a2 = abs(b2)
-        if n2 * (a1 + a2) <= 1e-17 * (abs(s) + abs(sp)):
-            # overflowed terms pass the test as inf <= inf
-            if not math.isfinite(s + sp):
-                raise ConvergenceError(f"Taylor step diverged (x={x}, t={t})")
-            return s, sp / t
-        bm2, bm1, b0, b1, a1 = bm1, b0, b1, b2, a2
-    raise ConvergenceError(f"Taylor step did not converge (x={x}, t={t})")
+    a1 = b1 if b1 >= 0.0 else -b1  # |b1|, carried over from the previous term
+    terms = _TAYLOR_TABLE
+    while True:
+        for nn1, nn2, den, n2 in terms:
+            b2 = ((c0 - nn1 * p * p) * b0 - nn2 * p * b1 + c1 * bm1 - c2 * bm2) / den
+            s += b2
+            sp += n2 * b2
+            a2 = b2 if b2 >= 0.0 else -b2
+            if n2 * (a1 + a2) <= 1e-17 * ((s if s >= 0.0 else -s) + (sp if sp >= 0.0 else -sp)):
+                # overflowed terms pass the test as inf <= inf
+                if not math.isfinite(s + sp):
+                    raise ConvergenceError(f"Taylor step diverged (x={x}, t={t})")
+                return s, sp / t
+            bm2 = bm1
+            bm1 = b0
+            b0 = b1
+            b1 = b2
+            a1 = a2
+        if terms is not _TAYLOR_TABLE:
+            raise ConvergenceError(f"Taylor step did not converge (x={x}, t={t})")
+        terms = map(_taylor_coefficients, range(_TAYLOR_TABLE_TERMS, _MAX_TAYLOR_TERMS))
 
 
 def _wronskian_F(l, eta, xs, G, Gp):
@@ -424,27 +441,28 @@ def _coulomb_many(l, eta, xs):
     if eta == 0.0:
         return _riccati_bessel(l, xs)
     gate = max(_turning_point(l, eta), _STEED_MIN_X)
-    F = np.empty_like(xs)
-    Fp = np.empty_like(xs)
-    G = np.empty_like(xs)
-    Gp = np.empty_like(xs)
-
-    left = np.ones(xs.shape, dtype=bool)
-    tried = xs >= _HANKEL_MIN_X
-    if np.any(tried):
-        sigma = _coulomb_phase(l, eta)
-        for i in np.nonzero(tried)[0]:
-            pair = _hankel(l, eta, float(xs[i]), sigma)
+    # rows F, F', G, G'
+    out = np.empty((4, xs.size))
+    sigma = None
+    done, rows, below = [], [], []
+    for i, x in enumerate(xs.tolist()):
+        if x >= _HANKEL_MIN_X:
+            if sigma is None:
+                sigma = _coulomb_phase(l, eta)
+            pair = _hankel(l, eta, x, sigma)
             if pair is not None:
-                F[i], Fp[i], G[i], Gp[i] = pair
-                left[i] = False
+                done.append(i)
+                rows.append(pair)
+                continue
+        if x >= gate:
+            done.append(i)
+            rows.append(_steed(l, eta, x))
+        else:
+            below.append(i)
+    if done:
+        out[:, done] = np.transpose(rows)
 
-    above = left & (xs >= gate)
-    for i in np.nonzero(above)[0]:
-        F[i], Fp[i], G[i], Gp[i] = _steed(l, eta, float(xs[i]))
-
-    below = left & ~above
-    if np.any(below):
+    if below:
         pts = xs[below]
         _, _, g0, gp0 = _steed(l, eta, gate)
         g, gp = _taylor_sweep(l, eta, gate, g0, gp0, pts)
@@ -452,10 +470,10 @@ def _coulomb_many(l, eta, xs):
         lowest = slice(i, i + 1)
         (f0,), (fp0,) = _wronskian_F(l, eta, pts[lowest], g[lowest], gp[lowest])
         # Python floats: the Taylor steps run slower on NumPy scalars
-        F[below], Fp[below] = _taylor_sweep(l, eta, pts[i], float(f0), float(fp0), pts)
-        G[below], Gp[below] = g, gp
+        f, fp = _taylor_sweep(l, eta, pts[i], float(f0), float(fp0), pts)
+        out[:, below] = f, fp, g, gp
 
-    return F, Fp, G, Gp
+    return tuple(out)
 
 
 def coulomb_wave(l, eta, x):
@@ -494,8 +512,8 @@ def coulomb_wave(l, eta, x):
     ConvergenceError
         If a continued fraction or a Taylor step fails to converge, ``F'/F``
         and the Wronskian disagree on the sign of ``F``, the recurrence in
-        ``l`` leaves the double range (at tiny ``x``), or the Wronskian
-        check ``F'G - FG' = 1`` is violated beyond 1e-10.
+        ``l`` or the Taylor sweep leaves the double range (at tiny ``x``),
+        or the Wronskian check ``F'G - FG' = 1`` is violated beyond 1e-10.
     """
     l = _integer("l", l)
     if not 0 <= l <= _MAX_L:

@@ -1,5 +1,6 @@
 """Tests for the weighted Laguerre recurrence and Coulomb wave functions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, spherical_jn, spherical_yn
 
 from lagmesh import specfun
+from lagmesh.matelem import hamiltonian_3d, scheme_mesh
 from lagmesh.potentials import builtin, evaluate
 from lagmesh.scattering import _ratios
+from lagmesh.solver import pseudostates, solve_bound_states
 from lagmesh.specfun import (
     _HANKEL_MIN_X,
     _STEED_MIN_X,
@@ -240,6 +243,151 @@ def _loop_taylor_step(ll1, eta, x, t, u, up):
     raise ConvergenceError("Taylor step did not converge")
 
 
+# References for the Coulomb kernels: the straightforward loops (builtin
+# abs, max/min clamps, per-point NumPy stores) that the kernels must match
+# bit for bit.
+
+
+def _loop_cf1(l, eta, x):
+    small = 1e-300
+    pk = l + 1.0
+    f = eta / pk + pk / x
+    if math.isinf(f):
+        raise ConvergenceError("x underflows the continued fraction for F'/F")
+    if f == 0.0:
+        f = small
+    c, d = f, 0.0
+    sign = 1.0
+    inv_x = 1.0 / x
+    for _ in range(specfun._MAX_CF_ITER):
+        pk1 = pk + 1.0
+        ek = eta / pk
+        rk2 = 1.0 + ek * ek
+        tk = (pk + pk1) * (inv_x + eta / (pk * pk1))
+        d = tk - rk2 * d
+        c = tk - rk2 / c
+        if d == 0.0:
+            d = small
+        if c == 0.0:
+            c = small
+        d = 1.0 / d
+        if d < 0.0:
+            sign = -sign
+        delta = c * d
+        f *= delta
+        pk = pk1
+        if abs(delta - 1.0) < 1e-16:
+            return f, sign
+    raise ConvergenceError("continued fraction for F'/F did not converge")
+
+
+def _loop_cf2(l, eta, x):
+    small = 1e-300
+    f = complex(0.0, 1.0 - eta / x)
+    if f == 0.0:
+        f = complex(small, 0.0)
+    c, d = f, complex(0.0, 0.0)
+    k = 1
+    ak = (1j * eta - l) * (1j * eta + l + 1.0) * (1j / x)
+    while k < specfun._MAX_CF_ITER:
+        bk = 2.0 * complex(x - eta, k)
+        d = bk + ak * d
+        c = bk + ak / c
+        if d == 0.0:
+            d = complex(small, 0.0)
+        if c == 0.0:
+            c = complex(small, 0.0)
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return f
+        k += 1
+        ak = (1j * eta - l + k - 1.0) * (1j * eta + l + k)
+    raise ConvergenceError("continued fraction for (G+iF)'/(G+iF) did not converge")
+
+
+def _loop_hankel(l, eta, x, sigma):
+    a = complex(l + 1.0, eta)
+    b = complex(-l, eta)
+    t = s = complex(1.0, 0.0)
+    sk = complex(0.0, 0.0)
+    for k in range(specfun._HANKEL_MAX_TERMS):
+        t *= (a + k) * (b + k) * -0.5j / ((k + 1.0) * x)
+        s += t
+        sk += (k + 1.0) * t
+        at = abs(t)
+        if at > specfun._HANKEL_MAX_TERM:
+            return None
+        if at <= 1e-17 * abs(s):
+            break
+    else:
+        return None
+    phi = eta * math.log(2.0 * x) - sigma + (l % 4) * (0.5 * math.pi)
+    e = complex(math.cos(x), math.sin(x)) * complex(math.cos(phi), -math.sin(phi))
+    h = e * s
+    hp = e * (complex(0.0, 1.0 - eta / x) * s - sk / x)
+    return h.imag, hp.imag, h.real, hp.real
+
+
+def _loop_taylor_sweep(l, eta, x0, u0, up0, targets):
+    ll1 = l * (l + 1.0)
+    vals = np.empty(len(targets))
+    ders = np.empty(len(targets))
+    x, u, up = float(x0), u0, up0
+    for i in np.argsort(np.abs(targets - x0)):
+        xt = float(targets[i])
+        while x != xt:
+            qx2 = abs(ll1 + (2.0 * eta - x) * x)
+            step = x * qx2 ** -0.5 if qx2 > 4.0 else 0.5 * x
+            t = max(-step, min(step, xt - x))
+            if t == 0.0:
+                raise ConvergenceError("Taylor step underflows")
+            u, up = _loop_taylor_step(ll1, eta, x, t, u, up)
+            x += t
+        vals[i], ders[i] = u, up
+    return vals, ders
+
+
+def _loop_coulomb_many(l, eta, xs):
+    """Reference for ``_coulomb_many``: per-point routes and stores, with
+    the loop kernels above; ``_steed`` and ``_wronskian_F`` are looked up in
+    ``specfun``, so a caller patches its ``_cf1`` and ``_cf2``."""
+    if eta == 0.0:
+        return specfun._riccati_bessel(l, xs)
+    gate = max(_turning_point(l, eta), _STEED_MIN_X)
+    F, Fp, G, Gp = (np.empty_like(xs) for _ in range(4))
+    left = np.ones(xs.shape, dtype=bool)
+    tried = xs >= _HANKEL_MIN_X
+    if np.any(tried):
+        sigma = _coulomb_phase(l, eta)
+        for i in np.nonzero(tried)[0]:
+            pair = _loop_hankel(l, eta, float(xs[i]), sigma)
+            if pair is not None:
+                F[i], Fp[i], G[i], Gp[i] = pair
+                left[i] = False
+    above = left & (xs >= gate)
+    for i in np.nonzero(above)[0]:
+        F[i], Fp[i], G[i], Gp[i] = specfun._steed(l, eta, float(xs[i]))
+    below = left & ~above
+    if np.any(below):
+        pts = xs[below]
+        _, _, g0, gp0 = specfun._steed(l, eta, gate)
+        g, gp = _loop_taylor_sweep(l, eta, gate, g0, gp0, pts)
+        i = np.argmin(pts)
+        lowest = slice(i, i + 1)
+        (f0,), (fp0,) = specfun._wronskian_F(l, eta, pts[lowest], g[lowest], gp[lowest])
+        F[below], Fp[below] = _loop_taylor_sweep(l, eta, pts[i], float(f0), float(fp0), pts)
+        G[below], Gp[below] = g, gp
+    return F, Fp, G, Gp
+
+
+def _bits(values):
+    """The bit patterns of floats (complex ones as two), for exact equality
+    that also tells -0.0 from 0.0 and compares NaNs by payload."""
+    return np.array(values, ndmin=1).view(np.uint64).tolist()
+
+
 class TestLaguerre:
     """``_weighted_laguerre_pair`` returns B_k = L_k^{(a)}(x) exp(-x/2)."""
 
@@ -441,6 +589,21 @@ class TestCoulombWave:
         # 0.999**5000 is far above 1e-17: the term bound still holds
         with pytest.raises(ConvergenceError, match="Taylor step did not converge"):
             specfun._taylor_step(6.0, 0.0, 1.0, 0.999, 1.0, 1.0)
+
+    @pytest.mark.parametrize("l, eta, x", [(5, 1.0, 1e-60), (20, 34.378, 1.1e-12)])
+    def test_overflow_below_the_gate_is_named(self, monkeypatch, l, eta, x):
+        # G' leaves the double range on the sweep inward; no series is
+        # summed from a value that is not finite
+        step = specfun._taylor_step
+
+        def finite_step(ll1, eta, x, t, u, up):
+            assert math.isfinite(u) and math.isfinite(up)
+            return step(ll1, eta, x, t, u, up)
+
+        monkeypatch.setattr(specfun, "_taylor_step", finite_step)
+        with pytest.raises(ConvergenceError,
+                           match=rf"^Taylor sweep leaves the double range \(l={l}, eta={eta}, x="):
+            coulomb_wave(l, eta, x)
 
     def test_diverging_taylor_step_raises(self):
         # a step longer than x: the terms overflow, and an infinite sum would
@@ -704,6 +867,86 @@ class TestLargeX:
         # below the gate at eta = 0, which takes the recurrence in l
         monkeypatch.setattr(specfun, "_taylor_step", refuse("a Taylor step"))
         coulomb_wave(0, 0.0, [0.01, 0.7, 3.0])
+
+
+# (potential, parameters, l values, schemes, h) of the benchmark's phase scan
+# at its nominal h, N = 30
+PHASE_SCAN_SYSTEMS = (
+    ("buck_alpha_alpha", {}, (0, 2, 4), ("RegSqrtMesh", "RegRMesh"), 0.23),
+    ("eckart", {}, (0, 1, 2), ("RegSqrtMesh", "RegRMesh"), 0.1),
+    ("coulomb", {"Z": -1.0}, (0, 4, 8, 10), ("RegSqrtMesh",), 1.1),
+)
+
+
+def _phase_scan_points():
+    """``(l, eta, k h r_i)`` of every pseudostate of ``PHASE_SCAN_SYSTEMS``
+    inside the domain ``|eta| <= 50``."""
+    cases = []
+    for name, params, ls, schemes, h in PHASE_SCAN_SYSTEMS:
+        V = builtin(name, **params)
+        for l, scheme in itertools.product(ls, schemes):
+            mesh = scheme_mesh(scheme, 30, h)
+            states = pseudostates(solve_bound_states(*hamiltonian_3d(mesh, l, V, scheme)))
+            cases += [(l, V.tail_Z / st.k, st.k * h * mesh.nodes) for st in states
+                      if abs(V.tail_Z) <= specfun._MAX_ETA * st.k]
+    return cases
+
+
+class TestKernelsMatchLoops:
+    """The Coulomb kernels against the straightforward loops, bit for bit."""
+
+    @staticmethod
+    def _cases(seed, count):
+        """``(rng, l, eta, gate)`` with l in 0..20 and |eta| <= 50."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            l = int(rng.integers(0, 21))
+            eta = float(rng.uniform(-50.0, 50.0))
+            yield rng, l, eta, max(_turning_point(l, eta), _STEED_MIN_X)
+
+    def test_continued_fractions(self):
+        for rng, l, eta, gate in self._cases(23, 300):
+            # F'/F below the gate too, where _wronskian_F takes it
+            x = float(np.exp(rng.uniform(math.log(1e-3), math.log(gate))))
+            assert _bits(specfun._cf1(l, eta, x)) == _bits(_loop_cf1(l, eta, x))
+            x = gate * float(np.exp(rng.uniform(0.0, math.log(30.0))))
+            assert _bits(specfun._cf1(l, eta, x)) == _bits(_loop_cf1(l, eta, x))
+            assert _bits(specfun._cf2(l, eta, x)) == _bits(_loop_cf2(l, eta, x))
+
+    def test_hankel(self):
+        settled = 0
+        for rng, l, eta, _ in self._cases(29, 400):
+            x = float(np.exp(rng.uniform(math.log(_HANKEL_MIN_X), math.log(1e4))))
+            sigma = _coulomb_phase(l, eta)
+            got, want = _hankel(l, eta, x, sigma), _loop_hankel(l, eta, x, sigma)
+            assert (got is None) == (want is None)
+            if got is not None:
+                settled += 1
+                assert _bits(got) == _bits(want)
+        assert 100 <= settled < 400
+
+    def test_taylor_sweeps(self):
+        # inward from the gate and outward from the lowest target, which is
+        # also a target; two targets repeat
+        for rng, l, eta, gate in self._cases(31, 60):
+            u0, up0 = rng.normal(size=2).tolist()
+            low = gate * float(np.exp(rng.uniform(math.log(1e-3), math.log(0.5))))
+            pts = np.exp(rng.uniform(math.log(low), math.log(gate), size=6))
+            pts = rng.permutation(np.concatenate([pts, pts[:2], [low]]))
+            for x0 in (gate, low):
+                want = _loop_taylor_sweep(l, eta, x0, u0, up0, pts)
+                assert _bits(specfun._taylor_sweep(l, eta, x0, u0, up0, pts)) == _bits(want)
+
+    def test_coulomb_many(self, monkeypatch):
+        cases = [(l, eta, np.exp(rng.uniform(math.log(1e-2), math.log(3e3), size=12)))
+                 for rng, l, eta, _ in self._cases(37, 80)]
+        cases += _phase_scan_points()
+        assert len(cases) >= 400
+        got = [specfun._coulomb_many(l, eta, xs) for l, eta, xs in cases]
+        monkeypatch.setattr(specfun, "_cf1", _loop_cf1)
+        monkeypatch.setattr(specfun, "_cf2", _loop_cf2)
+        for (l, eta, xs), values in zip(cases, got):
+            assert _bits(values) == _bits(_loop_coulomb_many(l, eta, xs)), (l, eta)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
