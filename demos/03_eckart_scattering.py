@@ -18,8 +18,8 @@ V = builtin("eckart")  # V(r) = -6 exp(-2r) / (1 + exp(-2r))^2, one bound state
 for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
                        (HamiltonianVariant.RegRMesh, "r-regularized")):
     mesh = scheme_mesh(variant, 15, 0.1)
-    H, S = hamiltonian_3d(mesh, 0, V, variant)
-    states = pseudostates(solve_bound_states(H, S))
+    H, basis = hamiltonian_3d(mesh, 0, V, variant)
+    states = pseudostates(solve_bound_states(H, basis))
 
     print(f"\n{label} mesh, N = 15, h = 0.1, gamma = 4")
     print(f"{'E':>12} {'delta (deg)':>12} {'analytic':>12} {'error':>10}")
@@ -32,8 +32,8 @@ for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
 # the nonlinear parameter gamma controls the regularization of the
 # integral relation; any reasonable value gives the same answer
 mesh = scheme_mesh(HamiltonianVariant.RegSqrtMesh, 15, 0.1)
-H, S = hamiltonian_3d(mesh, 0, V, HamiltonianVariant.RegSqrtMesh)
-state = pseudostates(solve_bound_states(H, S))[0]
+H, basis = hamiltonian_3d(mesh, 0, V, HamiltonianVariant.RegSqrtMesh)
+state = pseudostates(solve_bound_states(H, basis))[0]
 print(f"\nlowest pseudostate (E = {state.energy:.6f}) vs gamma")
 for gamma in (2.0, 3.0, 4.0, 5.0, 6.0):
     res = tan_delta(state, 0, V, 0.0, gamma, mesh)

@@ -26,8 +26,8 @@ for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
     print(f"\n{label} mesh, N = 15, h = 0.23")
 
     # d wave: both pseudostates sit on a clean plateau
-    H, S = hamiltonian_3d(mesh, 2, V, variant)
-    states = pseudostates(solve_bound_states(H, S))
+    H, basis = hamiltonian_3d(mesh, 2, V, variant)
+    states = pseudostates(solve_bound_states(H, basis))
     print("  l = 2")
     for state in states[:2]:
         res, _ = gamma_scan(state, 2, V, Z, mesh, gammas=GRID, window="positive")
@@ -36,8 +36,8 @@ for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
 
     # s wave: scan the second pseudostate first, reuse its gamma as the
     # fallback for the first, where the scan reports no plateau
-    H, S = hamiltonian_3d(mesh, 0, V, variant)
-    states = pseudostates(solve_bound_states(H, S))
+    H, basis = hamiltonian_3d(mesh, 0, V, variant)
+    states = pseudostates(solve_bound_states(H, basis))
     res2, _ = gamma_scan(states[1], 0, V, Z, mesh, gammas=GRID, window="positive")
     res1, _ = gamma_scan(states[0], 0, V, Z, mesh, gammas=GRID,
                          fallback_gamma=res2.gamma, window="positive")

@@ -23,8 +23,8 @@ for name, N, h in (("harmonic", 20, 0.09), ("coulomb", 10, 0.9)):
     for variant, label in ((HamiltonianVariant.Var2D, "variational"),
                            (HamiltonianVariant.RegSqrtMesh2D, "sqrt(rho)-regularized mesh")):
         mesh = scheme_mesh(variant, N, h)
-        H, S = hamiltonian_2d(mesh, 1, V, variant)
-        E0 = solve_bound_states(H, S).energies[0]
+        H, basis = hamiltonian_2d(mesh, 1, V, variant)
+        E0 = solve_bound_states(H, basis).energies[0]
         print(f"  {label:<28} E = {E0:.15f}   eps_rel = "
               f"{relative_error(E0, exact):+.1e}")
         # Var2D is exact, and in the mesh scheme the integrand powers balance

@@ -145,8 +145,8 @@ def _lowest_errors(schemes, V, N, h, n):
     for label, variant in schemes:
         dim = SCHEMES[variant][3]
         build = hamiltonian_2d if dim == 2 else hamiltonian_3d
-        H, S = build(scheme_mesh(variant, N, h), n, V, variant)
-        row[label] = relative_error(bound_energies(H, S)[0], exact_level(V, n, dimension=dim))
+        energies = bound_energies(*build(scheme_mesh(variant, N, h), n, V, variant))
+        row[label] = relative_error(energies[0], exact_level(V, n, dimension=dim))
     return row
 
 
@@ -159,9 +159,8 @@ def _scattering_states(name, N, h, l):
     V = builtin(name)
     out = {}
     for label, variant in _MESHES_SCAT:
-        mesh = scheme_mesh(variant, N, h)
-        H, S = hamiltonian_3d(mesh, l, V, variant)
-        out[label] = (mesh, pseudostates(solve_bound_states(H, S)))
+        H, basis = hamiltonian_3d(scheme_mesh(variant, N, h), l, V, variant)
+        out[label] = (basis, pseudostates(solve_bound_states(H, basis)))
     return V, out
 
 

@@ -97,9 +97,11 @@ _FIELDS = (
 
 
 def _is_number(value):
-    """Whether ``value`` is an int or a float, and no bool: what the JSON
-    config echo writes as a number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a float, or an int (no bool) that a double holds:
+    what the JSON config echo writes as a number."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 # kind -> (what a value must be, its test); a NumPy integer is no number,
@@ -152,7 +154,9 @@ def _checked(config):
         if kind is not None:
             what, test = _KINDS[kind]
             if not test(value):
-                mistyped.append(f"{key}: must be {what} (got {value!r})")
+                beyond = type(value) is int and not _is_number(value)
+                got = "an int beyond double range" if beyond else repr(value)
+                mistyped.append(f"{key}: must be {what} (got {got})")
                 continue
             if kind == "int" and type(value) is not int:
                 value = whole[attr] = int(value)
@@ -215,19 +219,20 @@ def _domain_errors(config):
 
 
 def _resolve_problem(config):
-    """Mesh and Hamiltonian pair (H, S) for a validated config."""
+    """The basis and the Hamiltonian H of a validated config, the basis as
+    the builder returns it: the scheme's mesh, or Var2D's derived one."""
     scheme = _VARIANTS[config.dimension, config.variant]
     build = hamiltonian_2d if config.dimension == 2 else hamiltonian_3d
     mesh = scheme_mesh(scheme, config.N, config.h, config.alpha)
-    H, S = build(mesh, config.angular, config.potential, scheme)
-    return mesh, H, S
+    H, basis = build(mesh, config.angular, config.potential, scheme)
+    return basis, H
 
 
 def _run_bound(config):
     # bound rows read energies only, so no eigenvectors are computed
-    _, H, S = _resolve_problem(config)
+    basis, H = _resolve_problem(config)
     V, angular, dim = config.potential, config.angular, config.dimension
-    energies = (bound_energies(H, S) * V.energy_unit).tolist()
+    energies = (bound_energies(H, basis) * V.energy_unit).tolist()
     rows = [{"state": n, "energy": E} for n, E in enumerate(energies, 1)]
     # analytic levels are in internal units (so there the energies are
     # unscaled), and a Coulomb one (the levels are negative) is only given
@@ -248,23 +253,23 @@ def _window(V):
 
 
 def _scattering_states(config):
-    """The mesh and the pseudostates of a scattering run, each with its
+    """The basis and the pseudostates of a scattering run, each with its
     number counted from 1.  A state with |eta| = |Z/k| above _MAX_ETA lies
     outside the Coulomb functions' domain and is skipped; the others keep
     their numbers."""
-    mesh, H, S = _resolve_problem(config)
+    basis, H = _resolve_problem(config)
     V = config.potential
-    states = enumerate(pseudostates(solve_bound_states(H, S)), 1)
-    return mesh, [(n, state) for n, state in states if abs(V.tail_Z / state.k) <= _MAX_ETA]
+    states = enumerate(pseudostates(solve_bound_states(H, basis)), 1)
+    return basis, [(n, state) for n, state in states if abs(V.tail_Z / state.k) <= _MAX_ETA]
 
 
 def _run_scatter(config):
-    mesh, states = _scattering_states(config)
+    basis, states = _scattering_states(config)
     V = config.potential
     rows = []
     for n, state in states:
         res = tan_delta(state, config.angular, V, V.tail_Z, config.gamma,
-                        mesh, window=_window(V))
+                        basis, window=_window(V))
         rows.append({
             "state": n, "energy": state.energy * V.energy_unit, "k": state.k,
             "gamma": res.gamma, "tan_delta": res.tan_delta,
@@ -274,11 +279,11 @@ def _run_scatter(config):
 
 
 def _run_gamma_scan(config):
-    mesh, states = _scattering_states(config)
+    basis, states = _scattering_states(config)
     V = config.potential
     rows = []
     for n, state in states:
-        rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, mesh,
+        rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, basis,
                             gammas=config.gammas, window=_window(V))
         rows.append({
             "state": n, "energy": state.energy * V.energy_unit, "gamma": rec.gamma,

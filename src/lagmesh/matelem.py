@@ -9,7 +9,8 @@ sqrt(r) family, -d^2/dr^2 and 1/r^2 on the plain one): the Gauss matrix
 plus a closed-form correction of rank at most 3, the rule's error on the few
 monomials of the integrand it does not integrate exactly (``_gauss_error``).
 One builder, ``operator_matrix``, returns every operator matrix as a plain
-``ndarray``.
+``ndarray``.  The Hamiltonian builders return H and its basis, a
+``MeshSpec``; every scheme's overlap is the identity, so none is returned.
 
 Sign convention: ``"kinetic"`` is the matrix of ``-d^2/dr^2`` and
 ``"kinetic2d"`` the matrix of ``-(d^2/drho^2 + 1/(4 rho^2))``, so Hamiltonian
@@ -236,17 +237,14 @@ def _gauss_kinetic(mesh, c_shift=0.0):
     return values
 
 
-def _potential_matrix(mesh, V, mode=Mode.Gauss):
-    """Matrix of a potential on the scaled mesh (this one includes the h
-    scaling, since potentials are functions of the physical radius).
+def _potential_matrix(mesh, V):
+    """Exact matrix of a potential on the scaled mesh (this one includes the
+    h scaling, since potentials are functions of the physical radius).
 
-    Gauss mode is diagonal with entries V(h r_i).  Exact mode is available
-    when every term of the potential is a pure power r**p with p in
-    {-2, -1, 0, 1, 2}; other shapes have no exact quadrature and raise.
+    It exists when every term of the potential is a pure power r**p with p
+    in {-2, -1, 0, 1, 2}; other shapes have no exact quadrature and raise.
+    ``_assemble`` adds a Gauss-mode potential to H's diagonal itself.
     """
-    mode = _coerce(Mode, mode)
-    if mode is Mode.Gauss:
-        return np.diag(evaluate_potential(V, mesh.h * mesh.nodes))
     if V.coulomb_erf is not None or V.eckart is not None:
         raise ValueError(f"potential {V.label!r} has no exact matrix elements")
     values = None
@@ -342,9 +340,9 @@ def _in_range(H, h):
 
 
 def _assemble(mesh, kinetic_op, strength, modes, V):
-    """H = (K + strength/x^2) / (2 h^2) + V(h x) and the identity S on
-    ``mesh``, K the ``kinetic_op`` matrix, each term in its mode of ``modes``
-    (kinetic, centrifugal, potential).
+    """H = (K + strength/x^2) / (2 h^2) + V(h x) on ``mesh`` and ``mesh``
+    itself, the basis H is written in; K is the ``kinetic_op`` matrix, each
+    term in its mode of ``modes`` (kinetic, centrifugal, potential).
 
     A Gauss-mode term is diagonal, so it is added to H's diagonal alone.  That
     is the whole-matrix sum bit for bit: the sum would add +0.0 to every entry
@@ -366,21 +364,21 @@ def _assemble(mesh, kinetic_op, strength, modes, V):
         if v_mode is Mode.Gauss:
             diagonal += evaluate_potential(V, mesh.h * mesh.nodes)
         else:
-            H += _potential_matrix(mesh, V, v_mode)
-    return _in_range(H, mesh.h), np.eye(mesh.N)
+            H += _potential_matrix(mesh, V)
+    return _in_range(H, mesh.h), mesh
 
 
 def hamiltonian_3d(mesh, l, V, variant):
-    """Hamiltonian and overlap matrices for the 3D radial equation
-    (-1/2 d^2/dr^2 + l(l+1)/(2 r^2) + V) in the chosen evaluation scheme.
+    """Hamiltonian of the 3D radial equation (-1/2 d^2/dr^2 + l(l+1)/(2 r^2)
+    + V) in the chosen evaluation scheme, and the basis it is written in.
 
     Returns
     -------
-    (ndarray, ndarray)
-        Scaled N x N Hamiltonian H and overlap S.  S is always the
-        identity: the RegSqrt and NonReg functions are exactly orthonormal,
-        and the RegR scheme takes its overlap at the Gauss approximation,
-        which is the identity on every family.
+    (ndarray, MeshSpec)
+        Scaled N x N Hamiltonian H and its basis, ``mesh`` itself.  The
+        overlap is the identity, so it is not returned: the RegSqrt and
+        NonReg functions are exactly orthonormal, and the RegR scheme takes
+        the Gauss overlap, the identity on every family.
 
     Raises
     ------
@@ -393,8 +391,8 @@ def hamiltonian_3d(mesh, l, V, variant):
 
 
 def hamiltonian_2d(mesh, m, V, variant):
-    """Hamiltonian and overlap matrices for the 2D radial equation
-    (-1/2 [d^2/drho^2 + 1/(4 rho^2)] + m^2/(2 rho^2) + V).
+    """Hamiltonian of the 2D radial equation (-1/2 [d^2/drho^2 +
+    1/(4 rho^2)] + m^2/(2 rho^2) + V), and the basis it is written in.
 
     Both schemes take the RegSqrt alpha=0 mesh.  The mesh scheme
     (RegSqrtMesh2D) works on it with the combined closed form plus
@@ -407,11 +405,11 @@ def hamiltonian_2d(mesh, m, V, variant):
 
     Returns
     -------
-    (ndarray, ndarray)
-        Scaled Hamiltonian H and overlap S: N x N for RegSqrtMesh2D and for
-        Var2D at m = 0, and (N-1) x (N-1) on the basis
-        ``MeshSpec(N-1, 2.0, RegSqrt, h)`` for Var2D at m > 0.  S is always
-        the identity, since the RegSqrt functions are exactly orthonormal.
+    (ndarray, MeshSpec)
+        Scaled Hamiltonian H and its basis: ``mesh`` itself (H is N x N)
+        for RegSqrtMesh2D and for Var2D at m = 0, and the derived
+        ``MeshSpec(N-1, 2.0, RegSqrt, h)`` for Var2D at m > 0.  The RegSqrt
+        functions are exactly orthonormal, so no overlap is returned.
 
     Raises
     ------

@@ -245,9 +245,9 @@ def _json_doc(spec):
 
 def _numbers(obj, where, names, defaults=None):
     """The fields ``names`` of the JSON object ``obj`` (``where`` in the
-    spec, empty at the top level) as floats; a missing field or one that is
-    not a JSON number raises ValueError naming it.  PotentialSpec checks
-    their values."""
+    spec, empty at the top level) as floats; a missing field, or one that is
+    not a JSON number or beyond double range, raises ValueError naming it.
+    PotentialSpec checks their values."""
     if type(obj) is not dict:
         raise ValueError(f"{where}: must be a JSON object")
     defaults = defaults or {}
@@ -259,7 +259,10 @@ def _numbers(obj, where, names, defaults=None):
         value = obj.get(name, defaults.get(name))
         if type(value) not in (int, float):  # JSON true is no number
             raise ValueError(f"{field}: must be a number")
-        values.append(float(value))
+        try:
+            values.append(float(value))
+        except OverflowError:
+            raise ValueError(f"{field}: must be within double range") from None
     return tuple(values)
 
 

@@ -2,8 +2,9 @@
 
 The regularized Lagrange-Laguerre functions are orthonormal, so the
 overlap matrix of every scheme is the identity and each solve is a plain
-symmetric eigenproblem H c = E c.  There are two entry points, picked by
-what the caller reads:
+symmetric eigenproblem H c = E c.  Both entry points take H with the basis
+it is written in, the ``MeshSpec`` that the Hamiltonian builders return
+with it, and are picked by what the caller reads:
 
 - ``bound_energies`` returns the ascending eigenvalues alone (LAPACK's
   eigenvalues-only driver).  Bound-state energies and relative errors read
@@ -23,6 +24,8 @@ import dataclasses
 import math
 
 import numpy as np
+
+from .basis import MeshSpec
 
 __all__ = [
     "BoundSpectrum",
@@ -59,23 +62,7 @@ class Pseudostate:
         return math.sqrt(2.0 * self.energy)
 
 
-def _is_identity(S, n):
-    """``np.array_equal(S, np.eye(n))``, without building the identity: n
-    nonzero entries, NaN counting as one, all of them on the diagonal and
-    equal to 1."""
-    try:
-        S = np.asarray(S)
-    except (TypeError, ValueError):
-        return False
-    if S.shape != (n, n):
-        return False
-    # numbers are counted through a boolean mask, about four times faster
-    # than counting floats; an object's truth is not ``!= 0``
-    nonzero = S != 0 if S.dtype.kind in "biufc" else S
-    return np.count_nonzero(nonzero) == n and bool(np.all(S.diagonal() == 1.0))
-
-
-def _checked_hamiltonian(H, S):
+def _checked_hamiltonian(H, basis):
     """H as a float array, after the checks shared by both solves."""
     A = np.asarray(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
@@ -94,14 +81,17 @@ def _checked_hamiltonian(H, S):
         if not (math.isfinite(top) and math.isfinite(bottom)):
             raise ValueError("Hamiltonian matrix has non-finite entries")
         scale = max(1.0, top, -bottom)
-    if not _is_identity(S, A.shape[0]):
-        raise ValueError("S must be the identity: the basis is orthonormal")
+    n = A.shape[0]
+    if not (isinstance(basis, MeshSpec) and basis.N == n):
+        got = f"N={basis.N}" if isinstance(basis, MeshSpec) else type(basis).__name__
+        raise ValueError(f"basis must be the MeshSpec of H's {n} functions, as the "
+                         f"Hamiltonian builders return it (got {got})")
     if skew > 1e-10 * scale:
         raise ValueError("Hamiltonian matrix is not symmetric")
     return A
 
 
-def bound_energies(H, S):
+def bound_energies(H, basis):
     """Ascending eigenvalues of a symmetric Hamiltonian on an orthonormal basis.
 
     Takes and checks the same arguments as ``solve_bound_states`` and
@@ -112,18 +102,19 @@ def bound_energies(H, S):
     ndarray
         The n eigenvalues in ascending order.
     """
-    return np.linalg.eigvalsh(_checked_hamiltonian(H, S))
+    return np.linalg.eigvalsh(_checked_hamiltonian(H, basis))
 
 
-def solve_bound_states(H, S):
+def solve_bound_states(H, basis):
     """Solve H c = E c for a symmetric Hamiltonian on an orthonormal basis.
 
     Parameters
     ----------
-    H, S : array_like
-        Assembled n x n Hamiltonian and overlap on the same basis, as
-        returned by ``hamiltonian_3d`` or ``hamiltonian_2d``.  S must be
-        exactly the identity.
+    H : array_like
+        Assembled n x n Hamiltonian.
+    basis : MeshSpec
+        The mesh of the n functions H is written in; ``hamiltonian_3d`` and
+        ``hamiltonian_2d`` return it with H.
 
     Returns
     -------
@@ -132,10 +123,10 @@ def solve_bound_states(H, S):
     Raises
     ------
     ValueError
-        If H is not a finite, nonempty, symmetric square matrix, or S is
-        not the n x n identity.
+        If H is not a finite, nonempty, symmetric square matrix, or basis
+        is not a MeshSpec of n functions.
     """
-    A = _checked_hamiltonian(H, S)
+    A = _checked_hamiltonian(H, basis)
     n = A.shape[0]
     energies, vectors = np.linalg.eigh(A)
     # deterministic signs: largest-magnitude component positive

@@ -31,6 +31,7 @@ from lagmesh.solver import pseudostates, relative_error, solve_bound_states
 from lagmesh.specfun import coulomb_wave
 
 from reference import oracle_matrix
+from test_matelem import _exact_overlap
 
 
 def _report(number, title, ok, detail):
@@ -125,12 +126,12 @@ def test_criterion_7_two_dimensional_table():
 def test_criterion_8_property_suite():
     problems = []
 
-    # the mesh schemes' overlap is the identity on every mesh family
-    for variant in (HamiltonianVariant.RegSqrtMesh, HamiltonianVariant.RegRMesh,
-                    HamiltonianVariant.NonReg):
-        _, S = hamiltonian_3d(scheme_mesh(variant, 12, 0.7), 0, builtin("harmonic"), variant)
-        if not np.allclose(S, np.eye(12), atol=1e-15):
-            problems.append(f"overlap not identity for {variant.name}")
+    # the basis the builders return is orthonormal, by its exact Gram matrix,
+    # on the sqrt(r)-regularized and the plain family
+    for variant in (HamiltonianVariant.RegSqrtMesh, HamiltonianVariant.NonReg):
+        _, basis = hamiltonian_3d(scheme_mesh(variant, 12, 0.7), 0, builtin("harmonic"), variant)
+        if np.abs(_exact_overlap(basis) - np.eye(12)).max() > 1e-13:
+            problems.append(f"basis not orthonormal for {variant.name}")
 
     # Hamiltonians are symmetric in every evaluation scheme
     V = builtin("eckart")
@@ -153,8 +154,8 @@ def test_criterion_8_property_suite():
 
     # tan(delta) is invariant under rescaling of the eigenvector
     mesh = MeshSpec(15, 1.0, Family.RegSqrt, 0.1)
-    H, S = hamiltonian_3d(mesh, 0, V, HamiltonianVariant.RegSqrtMesh)
-    state = pseudostates(solve_bound_states(H, S))[0]
+    H, basis = hamiltonian_3d(mesh, 0, V, HamiltonianVariant.RegSqrtMesh)
+    state = pseudostates(solve_bound_states(H, basis))[0]
     base = tan_delta(state, 0, V, 0.0, 4.0, mesh).tan_delta
     for scale in (7.5, -2.0, 1e-6, -4e5):
         scaled = dataclasses.replace(
@@ -178,8 +179,8 @@ def test_criterion_8_property_suite():
                               ("coulomb", lambda l: -0.5 / (l + 1) ** 2, 10, 0.9)):
         for l in (0, 1, 2):
             mesh = MeshSpec(N, 1.0, Family.RegSqrt, h)
-            H, S = hamiltonian_3d(mesh, l, builtin(name), HamiltonianVariant.Var)
-            eps = relative_error(solve_bound_states(H, S).energies[0], exact(l))
+            H, basis = hamiltonian_3d(mesh, l, builtin(name), HamiltonianVariant.Var)
+            eps = relative_error(solve_bound_states(H, basis).energies[0], exact(l))
             if eps < -1e-12:
                 problems.append(f"variational bound violated: {name} l={l}")
 
@@ -187,8 +188,8 @@ def test_criterion_8_property_suite():
     prev = None
     for N in (12, 13):
         mesh = MeshSpec(N, 1.0, Family.RegSqrt, 0.9)
-        H, S = hamiltonian_3d(mesh, 0, builtin("coulomb"), HamiltonianVariant.Var)
-        energies = solve_bound_states(H, S).energies
+        H, basis = hamiltonian_3d(mesh, 0, builtin("coulomb"), HamiltonianVariant.Var)
+        energies = solve_bound_states(H, basis).energies
         if prev is not None:
             lower = np.all(energies[: len(prev)] <= prev + 1e-10)
             upper = np.all(prev <= energies[1:] + 1e-10)

@@ -71,12 +71,26 @@ def test_bench_phase_meshes_match_the_scheme_table():
         assert matelem.SCHEMES[scheme][:2] == (Family[family], alpha)
 
 
+# What an operation's case is, read off its partial's arguments: the
+# (dimension, scheme) of an h_scan or n_scan point, the system of a phase_scan
+# state.
+_CASE = {"h_scan": lambda op: op.args[1:3], "n_scan": lambda op: op.args[1:3],
+         "phase_scan": lambda op: op.args[0]}
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
 def test_first_operations_of_each_workload_run(workload):
-    # seed 1, as the benchmark's child runs it; an operation raises
-    # WrongResult or the library's own error when it fails
+    # the first operation of every case of a seed-1 sweep, as the benchmark's
+    # child runs it; an operation raises WrongResult or the library's own
+    # error when it fails
     sweep = next(WORKLOADS.WORKLOADS[workload](random.Random(1)))
-    for operation in sweep[:3]:
+    first = {}
+    for operation in sweep:
+        first.setdefault(_CASE[workload](operation), operation)
+    want = (len(WORKLOADS.PHASE_SYSTEMS) if workload == "phase_scan"
+            else len(WORKLOADS.SCHEMES))
+    assert len(first) == want
+    for operation in first.values():
         operation()
 
 

@@ -267,8 +267,8 @@ def test_states_beyond_the_eta_domain_are_skipped(mode, N):
     # at N = 200, none at N = 30 or 100
     config = _config(mode=mode, potential=builtin("coulomb"), variant="reg-sqrt",
                      N=N, h=1.1, gamma=1.0 if mode == "scatter" else None)
-    _, H, S = cli._resolve_problem(config)
-    states = pseudostates(solve_bound_states(H, S))
+    basis, H = cli._resolve_problem(config)
+    states = pseudostates(solve_bound_states(H, basis))
     inside = [n for n, s in enumerate(states, 1) if abs(1.0 / s.k) <= _MAX_ETA]
     assert [row["state"] for row in run(config)["rows"]] == inside
     assert len(inside) == len(states) - (N == 200)
@@ -689,6 +689,24 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("lagmesh: potential: ")
         assert f"{field} must be finite" in captured.err
+
+    def test_number_beyond_double_range_exits_1_naming_the_field(self, tmp_path, capsys):
+        # an int that no float holds is a config error, not a numerical failure
+        big = "9" * 400
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"h": {big}}}')
+        cases = [
+            (["--potential", "coulomb", "--h", "1", "--N", big],
+             "N: must be a whole number (got an int beyond double range)"),
+            (["--potential", "coulomb", "--N", "10", "--config", str(cfg)],
+             "h: must be an int or a float (got an int beyond double range)"),
+            (["--potential", f'{{"terms":[{{"c":-{big},"p":-1}}]}}', "--N", "10", "--h", "1"],
+             "potential: invalid spec (terms[0].c: must be within double range)"),
+        ]
+        for flags, message in cases:
+            assert main(["bound", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
 
     def test_reproduce_check_passes(self, capsys):
         for table, count in ((1, 15), (2, 15), (3, 18), (4, 20), (5, 4)):

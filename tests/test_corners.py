@@ -72,8 +72,8 @@ def _check_lowest_level(N, potential, n, variant):
     build = hamiltonian_2d if dim == 2 else hamiltonian_3d
     V = builtin(potential)
     mesh = scheme_mesh(variant, N, GRID_H[potential])
-    H, S = build(mesh, n, V, variant)
-    eps = abs(relative_error(bound_energies(H, S)[0], exact_level(V, n, dimension=dim)))
+    H, basis = build(mesh, n, V, variant)
+    eps = abs(relative_error(bound_energies(H, basis)[0], exact_level(V, n, dimension=dim)))
     if classify_singularity(mesh, n, V, variant):
         # the loss the classifier predicts is real, and stays within its bound
         assert SAFE_TOL < eps <= LOSS_BOUND[N]
@@ -126,8 +126,8 @@ def test_coulomb_scattering_grid(Z, l, N):
     V = builtin("coulomb", Z=Z)
     variant = HamiltonianVariant.RegSqrtMesh
     mesh = scheme_mesh(variant, N, 1.1)
-    H, S = hamiltonian_3d(mesh, l, V, variant)
-    states = pseudostates(solve_bound_states(H, S))
+    H, basis = hamiltonian_3d(mesh, l, V, variant)
+    states = pseudostates(solve_bound_states(H, basis))
     assert states
     for state in states:
         if abs(V.tail_Z / state.k) > 50.0:  # outside the advertised domain

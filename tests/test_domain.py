@@ -68,8 +68,8 @@ HARMONIC = builtin("harmonic")
 
 @functools.lru_cache(maxsize=None)
 def _state(l=0):
-    H, S = hamiltonian_3d(MESH, l, ECKART, HamiltonianVariant.RegSqrtMesh)
-    return pseudostates(solve_bound_states(H, S))[0]
+    return pseudostates(solve_bound_states(
+        *hamiltonian_3d(MESH, l, ECKART, HamiltonianVariant.RegSqrtMesh)))[0]
 
 
 def _with_entry(base, value, index=2):
@@ -82,6 +82,15 @@ def _symmetric_with_entry(value):
     H = np.diag([1.0, 2.0, 3.0, 4.0])
     H[1, 2] = H[2, 1] = value
     return H
+
+
+# the basis of a 4 x 4 H, and what is not: the old identity overlap (with a
+# bad entry or not), a mesh of another size, and no mesh at all
+BASIS4 = MeshSpec(4, 1.0, Family.RegSqrt, 0.5)
+NOT_BASIS4 = (st.sampled_from([np.eye(4), None, 4, "RegSqrt"])
+              | NONFINITE.map(lambda v: _with_entry(np.eye(4), v))
+              | st.integers(1, 50).filter(lambda n: n != 4).map(
+                  lambda n: MeshSpec(n, 1.0, Family.RegSqrt, 0.5)))
 
 
 def _grid_with_entry(value):
@@ -107,14 +116,13 @@ CASES = {
     "hamiltonian_2d.m": (lambda v: hamiltonian_2d(
         scheme_mesh(HamiltonianVariant.RegSqrtMesh2D, 6, 0.5), v, ECKART, "RegSqrtMesh2D"),
         angular(6), r"\bm\b"),
-    "bound_energies.H": (lambda v: bound_energies(_symmetric_with_entry(v), np.eye(4)),
+    "bound_energies.H": (lambda v: bound_energies(_symmetric_with_entry(v), BASIS4),
                          NONFINITE, r"Hamiltonian"),
-    "bound_energies.S": (lambda v: bound_energies(np.eye(4), _with_entry(np.eye(4), v)),
-                         NONFINITE, r"\bS\b"),
-    "solve_bound_states.H": (lambda v: solve_bound_states(_symmetric_with_entry(v), np.eye(4)),
+    "bound_energies.basis": (lambda v: bound_energies(np.eye(4), v), NOT_BASIS4, r"\bbasis\b"),
+    "solve_bound_states.H": (lambda v: solve_bound_states(_symmetric_with_entry(v), BASIS4),
                              NONFINITE, r"Hamiltonian"),
-    "solve_bound_states.S": (lambda v: solve_bound_states(
-        np.eye(4), _with_entry(np.eye(4), v)), NONFINITE, r"\bS\b"),
+    "solve_bound_states.basis": (lambda v: solve_bound_states(np.eye(4), v),
+                                 NOT_BASIS4, r"\bbasis\b"),
     "tan_delta.l": (lambda v: tan_delta(_state(), v, ECKART, 0.0, 4.0, MESH),
                     angular(21), r"\bl\b"),
     "tan_delta.Z": (lambda v: tan_delta(_state(), 0, ECKART, v, 4.0, MESH),

@@ -22,7 +22,7 @@ from lagmesh.matelem import (
     operator_matrix,
     scheme_mesh,
 )
-from lagmesh.potentials import PotentialSpec, builtin, from_json
+from lagmesh.potentials import PotentialSpec, builtin, evaluate, from_json
 from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
@@ -251,11 +251,13 @@ class TestOverlap:
 
     @pytest.mark.parametrize("family,alpha", [("NonReg", 2.0), ("RegSqrt", 1.0), ("RegR", 0.0)])
     def test_gauss_overlap_is_identity(self, family, alpha):
-        # the schemes solve with the Gauss overlap, which is the identity
+        # the rule applied to f_i f_j is the identity on every family (the
+        # Lagrange conditions), so a scheme that takes the Gauss overlap, as
+        # RegRMesh does, solves H c = E c like the others
         mesh = MeshSpec(9, alpha, family, 0.4)
-        variant = {"NonReg": "NonReg", "RegSqrt": "RegSqrtMesh", "RegR": "RegRMesh"}[family]
-        _, S = hamiltonian_3d(mesh, 0, builtin("harmonic"), variant)
-        assert np.array_equal(S, np.eye(9))
+        r = mesh.h * mesh.nodes
+        F = np.array([basis.reconstruct_wavefunction(mesh, c, r) for c in np.eye(9)])
+        assert np.abs((F * (mesh.h * mesh.weights)) @ F.T - np.eye(9)).max() <= 1e-13
 
     @pytest.mark.parametrize(
         "family,alpha",
@@ -283,18 +285,25 @@ class TestOverlap:
     }
 
     @pytest.mark.parametrize("variant", ALPHAS)
-    def test_every_3d_scheme_returns_identity(self, variant):
-        # callers unpack H, S and hand S to the solver, which requires I
+    def test_every_3d_scheme_returns_its_basis(self, variant):
+        # H is written in the given mesh, and the builder hands back that object
         for N in (5, 40, 150):
             for alpha in self.ALPHAS[variant]:
                 mesh = scheme_mesh(HamiltonianVariant[variant], N, 0.6, alpha)
-                _, S = hamiltonian_3d(mesh, 1, builtin("coulomb"), variant)
-                assert np.array_equal(S, np.eye(N))
+                H, basis = hamiltonian_3d(mesh, 1, builtin("coulomb"), variant)
+                assert basis is mesh and H.shape == (N, N)
 
-    @pytest.mark.parametrize("variant,n", [("RegSqrtMesh2D", 12), ("Var2D", 11)])
-    def test_both_2d_schemes_return_identity(self, variant, n):
-        _, S = hamiltonian_2d(mesh_regsqrt(12, 0.0, h=0.6), 1, builtin("coulomb"), variant)
-        assert np.array_equal(S, np.eye(n))
+    @pytest.mark.parametrize("variant,m", [("RegSqrtMesh2D", 0), ("RegSqrtMesh2D", 1),
+                                           ("Var2D", 0), ("Var2D", 1), ("Var2D", 2)])
+    def test_both_2d_schemes_return_their_basis(self, variant, m):
+        mesh = mesh_regsqrt(12, 0.0, h=0.6)
+        H, basis = hamiltonian_2d(mesh, m, builtin("coulomb"), variant)
+        if variant == "Var2D" and m > 0:
+            # the exact 1/rho^2 element diverges at alpha = 0
+            assert basis == MeshSpec(11, 2.0, Family.RegSqrt, 0.6)
+        else:
+            assert basis is mesh
+        assert H.shape == (basis.N, basis.N)
 
 
 class TestKinetic:
@@ -403,15 +412,18 @@ class TestKinetic2D:
 
 class TestPotentialMatrix:
     def test_gauss_is_diagonal_at_scaled_nodes(self):
+        # a Gauss potential goes onto H's diagonal alone, as V(h r_i)
         V = builtin("harmonic")
         mesh = MeshSpec(6, 2.0, Family.NonReg, 0.3)
-        M = _potential_matrix(mesh, V, Mode.Gauss)
-        assert np.allclose(M, np.diag(0.5 * (0.3 * mesh.nodes) ** 2), atol=0.0)
+        H, _ = hamiltonian_3d(mesh, 0, V, "NonReg")
+        M = H - operator_matrix(mesh, "kinetic", Mode.Exact) / (2.0 * 0.3**2)
+        assert np.allclose(M, np.diag(0.5 * (0.3 * mesh.nodes) ** 2),
+                           rtol=1e-12, atol=1e-13 * np.abs(H).max())
 
     def test_exact_power_potential_uses_closed_forms(self):
         V = builtin("harmonic")
         mesh = mesh_regsqrt(5, 1.0, h=0.2)
-        M = _potential_matrix(mesh, V, Mode.Exact)
+        M = _potential_matrix(mesh, V)
         want = 0.5 * 0.2**2 * operator_matrix(mesh, "r^2", Mode.Exact)
         assert np.array_equal(M, want)
 
@@ -421,10 +433,10 @@ class TestPotentialMatrix:
         one = PotentialSpec(label="one", terms=((1.0, 0.0, 0.0, 0.0),))
         for alpha in (0.0, 1.0):
             mesh = MeshSpec(8, alpha, Family.RegSqrt, 0.3)
-            assert np.array_equal(_potential_matrix(mesh, one, Mode.Exact), np.eye(8))
+            assert np.array_equal(_potential_matrix(mesh, one), np.eye(8))
         for family, alpha in (("NonReg", 2.0), ("RegR", 0.0), ("RegR", 2.0)):
             with pytest.raises(ValueError, match=f"^no Exact 1 matrix on family {family}"):
-                _potential_matrix(MeshSpec(8, alpha, family, 0.3), one, Mode.Exact)
+                _potential_matrix(MeshSpec(8, alpha, family, 0.3), one)
 
     # the ids keep the names these cases had when the 2D schemes were an enum
     # of their own
@@ -443,16 +455,16 @@ class TestPotentialMatrix:
         mesh = mesh_regsqrt(5)
         for name in ("eckart", "buck_alpha_alpha"):
             with pytest.raises(ValueError, match="no exact matrix elements"):
-                _potential_matrix(mesh, builtin(name), Mode.Exact)
+                _potential_matrix(mesh, builtin(name))
 
 
 class TestHamiltonian3D:
     def test_oscillator_variational_ground_state(self):
         mesh = mesh_regsqrt(20, 1.0, h=0.09)
-        H, S = hamiltonian_3d(mesh, 0, builtin("harmonic"), HamiltonianVariant.Var)
+        H, basis = hamiltonian_3d(mesh, 0, builtin("harmonic"), HamiltonianVariant.Var)
         E = eigh(H, eigvals_only=True)
         assert abs(E[0] - 1.5) / 1.5 <= 1e-10
-        assert np.array_equal(S, np.eye(20))
+        assert basis is mesh
 
     def test_coulomb_mesh_ground_state_machine_accurate(self):
         mesh = mesh_regsqrt(10, 1.0, h=0.5)
@@ -472,9 +484,8 @@ class TestHamiltonian3D:
     )
     def test_symmetric_for_all_variants(self, variant):
         mesh = scheme_mesh(HamiltonianVariant[variant], 8, 0.2)
-        H, S = hamiltonian_3d(mesh, 1, builtin("harmonic"), variant)
+        H, _ = hamiltonian_3d(mesh, 1, builtin("harmonic"), variant)
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
-        assert np.abs(S - S.T).max() == 0.0
 
     def test_family_mismatch_rejected(self):
         mesh = mesh_regsqrt(8)
@@ -512,10 +523,10 @@ class TestSchemeNames:
 class TestHamiltonian2D:
     def test_oscillator_mesh_scheme(self):
         mesh = mesh_regsqrt(20, 0.0, h=0.09)
-        H, S = hamiltonian_2d(mesh, 1, builtin("harmonic"), HamiltonianVariant.RegSqrtMesh2D)
+        H, basis = hamiltonian_2d(mesh, 1, builtin("harmonic"), HamiltonianVariant.RegSqrtMesh2D)
         E = eigh(H, eigvals_only=True)
         assert abs(E[0] - 2.0) / 2.0 <= 1e-10
-        assert np.array_equal(S, np.eye(20))
+        assert basis is mesh
 
     def test_coulomb_mesh_scheme(self):
         mesh = mesh_regsqrt(10, 0.0, h=0.9)
@@ -527,15 +538,13 @@ class TestHamiltonian2D:
     def test_variational_scheme_uses_reduced_basis(self):
         mesh = mesh_regsqrt(10, 0.0, h=0.9)
         V = builtin("coulomb")
-        H, S = hamiltonian_2d(mesh, 1, V, "Var2D")
-        assert H.shape == (9, 9)
+        H, basis = hamiltonian_2d(mesh, 1, V, "Var2D")
         # N-1 functions with alpha=2, every element exact
-        basis_mesh = MeshSpec(9, 2.0, Family.RegSqrt, 0.9)
-        want = (operator_matrix(basis_mesh, "kinetic2d", Mode.Exact) / (2 * 0.9**2)
-                + 0.5 * operator_matrix(basis_mesh, "1/r^2", Mode.Exact) / 0.9**2
-                + _potential_matrix(basis_mesh, V, Mode.Exact))
+        assert H.shape == (9, 9) and basis == MeshSpec(9, 2.0, Family.RegSqrt, 0.9)
+        want = (operator_matrix(basis, "kinetic2d", Mode.Exact) / (2 * 0.9**2)
+                + 0.5 * operator_matrix(basis, "1/r^2", Mode.Exact) / 0.9**2
+                + _potential_matrix(basis, V))
         assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.array_equal(S, np.eye(9))
         E = eigh(H, eigvals_only=True)
         exact = -2.0 / 9.0
         assert abs(E[0] - exact) / abs(exact) <= 1e-12
@@ -549,10 +558,10 @@ class TestHamiltonian2D:
         # (the N-1 functions with alpha = 2 were 16 % high at N = 20)
         mesh = mesh_regsqrt(N, 0.0, h=h)
         V = builtin(name)
-        H, S = hamiltonian_2d(mesh, 0, V, "Var2D")
-        assert H.shape == S.shape == (N, N)
+        H, basis = hamiltonian_2d(mesh, 0, V, "Var2D")
+        assert H.shape == (N, N) and basis is mesh
         want = (operator_matrix(mesh, "kinetic2d", Mode.Exact) / (2 * h * h)
-                + _potential_matrix(mesh, V, Mode.Exact))
+                + _potential_matrix(mesh, V))
         assert np.array_equal(H, want)
         E = np.linalg.eigvalsh(H)
         assert abs(E[0] - exact) / abs(exact) <= 1e-10
@@ -588,18 +597,19 @@ def test_assembly_is_the_sum_of_whole_term_matrices(variant, name, n, h):
     V = builtin(name)
     mesh = scheme_mesh(variant, 40, h)
     if dim == 3:
-        H, _ = hamiltonian_3d(mesh, n, V, variant)
+        H, basis = hamiltonian_3d(mesh, n, V, variant)
         op, strength = "kinetic", n * (n + 1.0)
     else:
-        H, _ = hamiltonian_2d(mesh, n, V, variant)
+        H, basis = hamiltonian_2d(mesh, n, V, variant)
         op, strength = "kinetic2d", float(n * n)
-        if c_mode is Mode.Exact and n > 0:
-            mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, h)
     two_h2 = 2.0 * (h * h)
-    want = operator_matrix(mesh, op, t_mode) / two_h2
+    want = operator_matrix(basis, op, t_mode) / two_h2
     if strength > 0:
-        want += strength * operator_matrix(mesh, "1/r^2", c_mode) / two_h2
-    want += _potential_matrix(mesh, V, v_mode)
+        want += strength * operator_matrix(basis, "1/r^2", c_mode) / two_h2
+    if v_mode is Mode.Exact:
+        want += _potential_matrix(basis, V)
+    else:
+        want += np.diag(evaluate(V, basis.h * basis.nodes))
     assert np.array_equal(H.view(np.uint64), want.view(np.uint64))
 
 
@@ -644,11 +654,11 @@ class TestCentrifugal:
         mesh = mesh_regsqrt(5, h=0.7)
         H, _ = hamiltonian_3d(mesh, 0, V, "RegSqrtMesh")
         T = operator_matrix(mesh, "kinetic", Mode.Gauss)
-        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + _potential_matrix(mesh, V))
+        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + np.diag(evaluate(V, 0.7 * mesh.nodes)))
         mesh = mesh_regsqrt(5, 0.0, h=0.7)
         H, _ = hamiltonian_2d(mesh, 0, V, "RegSqrtMesh2D")
         T = operator_matrix(mesh, "kinetic2d")
-        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + _potential_matrix(mesh, V))
+        assert np.array_equal(H, T / (2.0 * (0.7 * 0.7)) + np.diag(evaluate(V, 0.7 * mesh.nodes)))
 
     def test_gauss_is_diagonal(self):
         V = builtin("harmonic")
@@ -904,13 +914,11 @@ class TestMatrixCache:
     def test_hamiltonians_are_fresh_arrays(self, family, alpha, variant, angular):
         mesh = MeshSpec(10, alpha, family, 0.4)
         build = hamiltonian_2d if SCHEMES[HamiltonianVariant[variant]][3] == 2 else hamiltonian_3d
-        H, S = build(mesh, angular, builtin("harmonic"), variant)
+        H, _ = build(mesh, angular, builtin("harmonic"), variant)
         before = H.copy()
         H[0, 0] += 1.0
-        S[0, 0] += 1.0
-        again, S_again = build(mesh, angular, builtin("harmonic"), variant)
+        again, _ = build(mesh, angular, builtin("harmonic"), variant)
         assert np.array_equal(again, before)
-        assert S_again[0, 0] == 1.0
 
     @pytest.mark.parametrize(
         "variant,keys",

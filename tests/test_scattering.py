@@ -37,18 +37,16 @@ _FAMILIES = {"sqrt": HamiltonianVariant.RegSqrtMesh, "r": HamiltonianVariant.Reg
 @functools.lru_cache(maxsize=None)
 def eckart_states(famkey):
     variant = _FAMILIES[famkey]
-    mesh = scheme_mesh(variant, 15, 0.1)
-    H, S = hamiltonian_3d(mesh, 0, ECKART, variant)
-    return mesh, pseudostates(solve_bound_states(H, S))
+    H, basis = hamiltonian_3d(scheme_mesh(variant, 15, 0.1), 0, ECKART, variant)
+    return basis, pseudostates(solve_bound_states(H, basis))
 
 
 @functools.lru_cache(maxsize=None)
 def system_states(V, l, famkey, h):
     """An N = 30 mesh and its pseudostates inside the Coulomb domain."""
     variant = _FAMILIES[famkey]
-    mesh = scheme_mesh(variant, 30, h)
-    H, S = hamiltonian_3d(mesh, l, V, variant)
-    return mesh, [s for s in pseudostates(solve_bound_states(H, S))
+    H, basis = hamiltonian_3d(scheme_mesh(variant, 30, h), l, V, variant)
+    return basis, [s for s in pseudostates(solve_bound_states(H, basis))
                   if abs(V.tail_Z) <= 50.0 * s.k]
 
 
@@ -77,9 +75,8 @@ def _bits(values):
 @functools.lru_cache(maxsize=None)
 def buck_states(famkey, l):
     variant = _FAMILIES[famkey]
-    mesh = scheme_mesh(variant, 15, 0.23)
-    H, S = hamiltonian_3d(mesh, l, BUCK, variant)
-    return mesh, pseudostates(solve_bound_states(H, S))
+    H, basis = hamiltonian_3d(scheme_mesh(variant, 15, 0.23), l, BUCK, variant)
+    return basis, pseudostates(solve_bound_states(H, basis))
 
 
 class TestEckartReference:
@@ -389,8 +386,8 @@ class TestAttractiveCoulomb:
         # the nodes lie far below the turning point for |eta| up to 50
         V = builtin("coulomb", Z=-1.0)
         mesh = MeshSpec(30, 1.0, Family.RegSqrt, 1.1)
-        H, S = hamiltonian_3d(mesh, 10, V, HamiltonianVariant.RegSqrtMesh)
-        states = [s for s in pseudostates(solve_bound_states(H, S))
+        H, basis = hamiltonian_3d(mesh, 10, V, HamiltonianVariant.RegSqrtMesh)
+        states = [s for s in pseudostates(solve_bound_states(H, basis))
                   if abs(V.tail_Z) <= 50.0 * s.k]
         assert len(states) > 10
         for state in states:

@@ -21,36 +21,45 @@ _MALFORMED_H = [np.array(1.0), np.zeros((0, 0)), np.zeros(3), np.zeros((2, 3)),
 _MALFORMED_IDS = ["0-d", "0x0", "1-d", "2x3", "inf", "nan"]
 
 
+def _basis(n):
+    """A mesh of n functions: the basis a hand-made n x n H stands on."""
+    return MeshSpec(n, 1.0, Family.RegSqrt, 1.0)
+
+
 def _trivial_pair(values):
-    return values, np.eye(values.shape[0])
+    return values, _basis(values.shape[0])
 
 
 class TestSolveBoundStates:
     def test_diagonal_matrix(self):
-        H, S = _trivial_pair(np.diag([1.0, 2.0, 3.0]))
-        spec = solve_bound_states(H, S)
+        H, basis = _trivial_pair(np.diag([1.0, 2.0, 3.0]))
+        spec = solve_bound_states(H, basis)
         assert np.allclose(spec.energies, [1.0, 2.0, 3.0], atol=1e-15)
         assert np.allclose(spec.coefficients, np.eye(3), atol=1e-15)
 
     def test_oscillator_p_wave_variational(self):
         mesh = MeshSpec(20, 1.0, Family.RegSqrt, 0.09)
-        H, S = hamiltonian_3d(mesh, 1, builtin("harmonic"), HamiltonianVariant.Var)
-        spec = solve_bound_states(H, S)
+        H, basis = hamiltonian_3d(mesh, 1, builtin("harmonic"), HamiltonianVariant.Var)
+        spec = solve_bound_states(H, basis)
         assert abs(spec.energies[0] - 2.5) / 2.5 <= 1e-10
 
     def test_coulomb_d_wave_on_r_regularized_mesh(self):
         mesh = MeshSpec(10, 0.0, Family.RegR, 0.9)
-        H, S = hamiltonian_3d(mesh, 2, builtin("coulomb"), "RegRMesh")
-        spec = solve_bound_states(H, S)
+        H, basis = hamiltonian_3d(mesh, 2, builtin("coulomb"), "RegRMesh")
+        spec = solve_bound_states(H, basis)
         eps = relative_error(spec.energies[0], -1.0 / 18.0)
         assert 2.3e-6 / 2 <= abs(eps) <= 2.3e-6 * 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_asymmetric_hamiltonian_rejected(self):
-        values = np.array([[1.0, 2.0], [0.0, 1.0]])
-        H, S = _trivial_pair(values)
-        for solve in SOLVES:
-            with pytest.raises(ValueError, match="symmetric"):
-                solve(H, S)
+        # with its basis right, the symmetry is the check that fails; H - H^T
+        # overflows in the second H, silently
+        for values in (np.array([[1.0, 2.0], [0.0, 1.0]]),
+                       np.array([[1.0, 1e308], [-1e308, 1.0]])):
+            H, basis = _trivial_pair(values)
+            for solve in SOLVES:
+                with pytest.raises(ValueError, match="symmetric"):
+                    solve(H, basis)
 
     @pytest.mark.parametrize("skew, accepted", [(1e-12, True), (5e-11, True), (1e-9, False)])
     def test_symmetry_tolerance_is_relative_to_the_largest_entry(self, skew, accepted):
@@ -61,25 +70,27 @@ class TestSolveBoundStates:
         np.fill_diagonal(values, [-250.0, 3.0, 40.0])
         values[0, 2] += skew * 250.0
         assert values[0, 2] != values[2, 0]
-        H, S = _trivial_pair(values)
+        H, basis = _trivial_pair(values)
         for solve in SOLVES:
             if accepted:
-                solve(H, S)
+                solve(H, basis)
             else:
                 with pytest.raises(ValueError, match="symmetric"):
-                    solve(H, S)
+                    solve(H, basis)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("H, S, message", [
-        # a non-finite entry is named first, whatever S and the symmetry
+        # a caller still on the old contract passes an overlap matrix S where
+        # the basis goes: a non-finite entry is named first, whatever S and
+        # the symmetry
         (np.array([[1.0, np.inf], [0.0, 1.0]]), 2.0 * np.eye(2), "non-finite"),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(3), "non-finite"),
         (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), np.eye(2), "non-finite"),
-        # then S, before the symmetry; H - H^T overflows here, silently
-        (np.array([[1.0, 1e308], [-1e308, 1.0]]), 2.0 * np.eye(2), "S must be"),
-        (np.array([[1.0, 1e308], [-1e308, 1.0]]), np.eye(2), "symmetric"),
-        (np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(3), "S must be"),
-        (np.array([[1.0, 1e-10], [0.0, 1.0]]), 2.0 * np.eye(2), "S must be"),
+        # then the basis, before the symmetry; H - H^T overflows here, silently
+        (np.array([[1.0, 1e308], [-1e308, 1.0]]), 2.0 * np.eye(2), "basis must be"),
+        (np.array([[1.0, 1e308], [-1e308, 1.0]]), np.eye(2), "basis must be"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(3), "basis must be"),
+        (np.array([[1.0, 1e-10], [0.0, 1.0]]), 2.0 * np.eye(2), "basis must be"),
     ])
     def test_first_failing_check_names_the_fault(self, H, S, message):
         for solve in SOLVES:
@@ -87,19 +98,30 @@ class TestSolveBoundStates:
                 solve(H, S)
 
     def test_non_identity_overlap_rejected(self):
-        # the basis is orthonormal; any other S would silently rescale E
+        # no overlap matrix is taken in the basis's place, the identity of
+        # the old contract included, whatever its type
         H = np.diag([1.0, 2.0, 3.0])
         nan_off_diagonal = np.eye(3)
         nan_off_diagonal[2, 0] = np.nan
         for solve in SOLVES:
             for S in (2.0 * np.eye(3), np.eye(4), np.eye(3, 4), np.eye(3)[:2],
-                      nan_off_diagonal, np.diag([1.0, np.nan, 1.0])):
-                with pytest.raises(ValueError, match="S must be the identity"):
+                      nan_off_diagonal, np.diag([1.0, np.nan, 1.0]),
+                      np.eye(3), np.eye(3, dtype=int), np.eye(3).tolist()):
+                with pytest.raises(ValueError, match="^basis must be the MeshSpec"):
                     solve(H, S)
-            # an S equal to the identity passes, whatever its type
-            for S in (np.eye(3, dtype=int), np.eye(3).tolist(),
-                      np.where(np.eye(3) == 1.0, 1.0, -0.0)):
-                solve(H, S)
+
+    @pytest.mark.parametrize("basis, got", [
+        (np.eye(3), "ndarray"),  # the identity overlap S of the old contract
+        (MeshSpec(4, 1.0, Family.RegSqrt, 1.0), "N=4"),
+        (None, "NoneType"),
+    ], ids=["identity-overlap", "other-N", "None"])
+    def test_basis_other_than_the_mesh_of_h_rejected(self, basis, got):
+        # an H is solved only with the mesh of its functions, as built
+        H = np.diag([1.0, 2.0, 3.0])
+        for solve in SOLVES:
+            with pytest.raises(ValueError, match=rf"^basis must be the MeshSpec of H's 3 "
+                                                 rf"functions, .*\(got {got}\)$"):
+                solve(H, basis)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -109,24 +131,24 @@ class TestSolveBoundStates:
     )
     def test_malformed_hamiltonian_rejected(self, solve, H):
         with pytest.raises(ValueError, match="H must be a nonempty square|non-finite"):
-            solve(H, np.eye(max(H.shape, default=1)))
+            solve(H, _basis(2))  # H is checked before its basis
 
     def test_deterministic_repeat(self):
         mesh = MeshSpec(12, 1.0, Family.RegSqrt, 0.2)
-        H, S = hamiltonian_3d(mesh, 0, builtin("coulomb"), "RegSqrtMesh")
-        a = solve_bound_states(H, S)
-        b = solve_bound_states(H, S)
+        H, basis = hamiltonian_3d(mesh, 0, builtin("coulomb"), "RegSqrtMesh")
+        a = solve_bound_states(H, basis)
+        b = solve_bound_states(H, basis)
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_normalization_and_residual_invariants(self):
         mesh = MeshSpec(15, 1.0, Family.RegSqrt, 0.3)
-        H, S = hamiltonian_3d(mesh, 0, builtin("harmonic"), "Var")
-        spec = solve_bound_states(H, S)
+        H, basis = hamiltonian_3d(mesh, 0, builtin("harmonic"), "Var")
+        spec = solve_bound_states(H, basis)
         for j in range(15):
             c = spec.coefficients[:, j]
-            assert abs(c @ S @ c - 1.0) <= 1e-12
-            res = H @ c - spec.energies[j] * (S @ c)
+            assert abs(c @ c - 1.0) <= 1e-12
+            res = H @ c - spec.energies[j] * c
             assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(H)
 
     def test_variational_bound_on_analytic_spectra(self):
@@ -136,8 +158,8 @@ class TestSolveBoundStates:
             (builtin("harmonic"), [1.5, 3.5, 5.5]),
             (builtin("coulomb"), [-0.5, -0.125, -1.0 / 18.0]),
         ]:
-            H, S = hamiltonian_3d(mesh, 0, V, "Var")
-            spec = solve_bound_states(H, S)
+            H, basis = hamiltonian_3d(mesh, 0, V, "Var")
+            spec = solve_bound_states(H, basis)
             for j, e_exact in enumerate(exact):
                 assert relative_error(spec.energies[j], e_exact) >= -1e-12
 
@@ -146,8 +168,8 @@ class TestSolveBoundStates:
         prev = None
         for N in range(10, 16):
             mesh = MeshSpec(N, 1.0, Family.RegSqrt, 0.9)
-            H, S = hamiltonian_3d(mesh, 0, builtin("coulomb"), "Var")
-            spec = solve_bound_states(H, S)
+            H, basis = hamiltonian_3d(mesh, 0, builtin("coulomb"), "Var")
+            spec = solve_bound_states(H, basis)
             lowest = spec.energies[:3]
             if prev is not None:
                 assert np.all(lowest <= prev + 1e-13)
@@ -163,9 +185,9 @@ class TestBoundEnergies:
     def test_matches_full_solve(self, dim, variant, name, N, h):
         config = cli.ExperimentConfig(mode="bound", potential=builtin(name), angular=1,
                                       dimension=dim, variant=variant, N=N, h=h)
-        _, H, S = cli._resolve_problem(config)
-        energies = bound_energies(H, S)
-        want = solve_bound_states(H, S).energies
+        basis, H = cli._resolve_problem(config)
+        energies = bound_energies(H, basis)
+        want = solve_bound_states(H, basis).energies
         # the two LAPACK drivers agree to a few ulps of the spectral radius,
         # which is 1e-12 relative for every level the reports read
         assert abs(energies[0] - want[0]) <= 1e-12 * abs(want[0])
@@ -174,35 +196,35 @@ class TestBoundEnergies:
         assert np.all(np.diff(energies) >= 0.0)
 
     def test_diagonal_matrix(self):
-        H, S = _trivial_pair(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(bound_energies(H, S), [1.0, 2.0, 3.0])
+        H, basis = _trivial_pair(np.diag([3.0, 1.0, 2.0]))
+        assert np.array_equal(bound_energies(H, basis), [1.0, 2.0, 3.0])
 
 
 class TestPseudostates:
     def test_eckart_first_pseudostate_sqrt_mesh(self):
         mesh = MeshSpec(15, 1.0, Family.RegSqrt, 0.1)
-        H, S = hamiltonian_3d(mesh, 0, builtin("eckart"), "RegSqrtMesh")
-        states = pseudostates(solve_bound_states(H, S))
+        H, basis = hamiltonian_3d(mesh, 0, builtin("eckart"), "RegSqrtMesh")
+        states = pseudostates(solve_bound_states(H, basis))
         assert states[0].energy == pytest.approx(0.1982139, abs=1e-6)
         assert states[0].k == pytest.approx(math.sqrt(2 * states[0].energy))
 
     def test_eckart_first_pseudostate_r_mesh(self):
         mesh = MeshSpec(15, 0.0, Family.RegR, 0.1)
-        H, S = hamiltonian_3d(mesh, 0, builtin("eckart"), "RegRMesh")
-        states = pseudostates(solve_bound_states(H, S))
+        H, basis = hamiltonian_3d(mesh, 0, builtin("eckart"), "RegRMesh")
+        states = pseudostates(solve_bound_states(H, basis))
         assert states[0].energy == pytest.approx(0.2145073, abs=1e-6)
 
     def test_alpha_alpha_d_wave_first_pseudostate(self):
         V = builtin("buck_alpha_alpha")
         mesh = MeshSpec(15, 1.0, Family.RegSqrt, 0.23)
-        H, S = hamiltonian_3d(mesh, 2, V, "RegSqrtMesh")
-        states = pseudostates(solve_bound_states(H, S))
+        H, basis = hamiltonian_3d(mesh, 2, V, "RegSqrtMesh")
+        states = pseudostates(solve_bound_states(H, basis))
         assert states[0].energy * V.energy_unit == pytest.approx(2.10795, abs=1e-4)
 
     def test_ascending_and_indexed(self):
         mesh = MeshSpec(12, 1.0, Family.RegSqrt, 0.1)
-        H, S = hamiltonian_3d(mesh, 0, builtin("eckart"), "RegSqrtMesh")
-        spec = solve_bound_states(H, S)
+        H, basis = hamiltonian_3d(mesh, 0, builtin("eckart"), "RegSqrtMesh")
+        spec = solve_bound_states(H, basis)
         states = pseudostates(spec)
         # the positive tail of the spectrum, in order
         energies = [s.energy for s in states]
@@ -210,8 +232,8 @@ class TestPseudostates:
         assert energies == sorted(energies) and len(energies) > 1
 
     def test_may_be_empty(self):
-        H, S = _trivial_pair(np.diag([-3.0, -1.0]))
-        assert pseudostates(solve_bound_states(H, S)) == ()
+        H, basis = _trivial_pair(np.diag([-3.0, -1.0]))
+        assert pseudostates(solve_bound_states(H, basis)) == ()
 
 
 class TestRelativeError:
