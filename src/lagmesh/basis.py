@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .quadrature import generate_rule
-from .specfun import _coerce, _integer, _weighted_laguerre_pair
+from .specfun import _coerce, _integer, _real, _reals, _weighted_laguerre_pair
 
 __all__ = [
     "Family",
@@ -47,9 +47,10 @@ __all__ = [
 # series give the bits of 40 at every node up to N = 1000.
 _NEAR_GAP_FRACTION = 0.1
 _TAYLOR_TERMS = 16
-# Entries per cache of rules and of operator matrices.  All seven schemes at
-# one N need about a dozen dense operator matrices; a matrix is 8 MB at
-# N = 1000, so one enters its cache only on its second request (matelem).
+# Entries per LRU cache of rules and of operator-matrix slots (matelem).
+# All seven schemes at one N need about a dozen dense operator matrices; a
+# matrix is 8 MB at N = 1000, so a slot holds one only from its key's second
+# request on.
 _CACHE_SIZE = 16
 
 
@@ -63,7 +64,7 @@ class Family(enum.Enum):
 
 def _alpha(value):
     """``value`` as a float, if a finite, nonnegative Laguerre parameter."""
-    alpha = float(value)
+    alpha = _real("alpha", value)
     if not (alpha >= 0.0) or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and nonnegative")
     return alpha
@@ -96,7 +97,7 @@ class MeshSpec:
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "alpha", _alpha(self.alpha))
         object.__setattr__(self, "family", _coerce(Family, self.family))
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", _real("h", self.h))
         if not (self.h > 0.0) or not math.isfinite(self.h):
             raise ValueError("h must be positive and finite")
 
@@ -204,12 +205,12 @@ def reconstruct_wavefunction(mesh, coeffs, r):
         Finite radii, ``r >= 0``.  The result is a 1-D array, of length 1
         for a scalar ``r``, and finite at every radius.
     """
-    c = np.asarray(coeffs, dtype=float)
+    c = _reals("coeffs", coeffs)
     if c.shape != (mesh.N,):
         raise ValueError(f"coeffs must have length {mesh.N}")
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs must be finite")
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    rs = np.atleast_1d(_reals("r", r))
     if rs.ndim != 1:
         raise ValueError(f"r must be a scalar or a 1-D array (got shape {rs.shape})")
     if not np.all((rs >= 0.0) & np.isfinite(rs)):

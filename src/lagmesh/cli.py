@@ -582,7 +582,7 @@ def _assemble(args):
                 doc = json.load(f)
         except OSError as e:
             raise ConfigError([f"config: {e}"]) from None
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # also an int literal past Python's digit limit
             raise ConfigError([f"config: invalid JSON ({e})"]) from None
         if type(doc) is not dict:
             raise ConfigError(["config: the file must hold a JSON object"])

@@ -17,15 +17,16 @@ Sign convention: ``"kinetic"`` is the matrix of ``-d^2/dr^2`` and
 assembly adds every term with a positive coefficient.  All stored matrices
 are unscaled; the builders apply ``h**-2`` to derivative terms, ``h**p`` to
 power terms, and evaluate potentials at ``h * r_i``.  Since no stored matrix
-depends on h, one cache, ``_cached_matrix``, holds the dense ones under the
+depends on h, one LRU of slots, ``_slot``, holds the dense ones under the
 key ``(N, alpha, family, op, mode)``, read off the mesh without building
 another ``MeshSpec``: the Gauss kinetic matrices and every Exact matrix.  A
-matrix is cached on its second request: the first
-builds it and only records its key, so memory follows reuse, not N.  A
-sweep over h builds each matrix twice, and a sweep over N caches nothing.
-The cache and the record of keys each keep at most ``_CACHE_SIZE`` entries.
-Diagonal Gauss matrices cost less to build than to look up and are not
-cached.  Dense operator matrices are read-only, cached or not.
+matrix is cached on its second request: the first builds it and leaves only
+``None`` in its slot, so memory follows reuse, not N.  A sweep over h builds
+each matrix twice, and a sweep over N caches nothing.  The LRU keeps at most
+``_CACHE_SIZE`` slots; threads share them without a lock, so a race costs at
+most one extra build of an equal matrix.  Diagonal Gauss matrices cost less
+to build than to look up and are not cached.  Dense operator matrices are
+read-only, cached or not.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -111,37 +111,24 @@ def operator_matrix(mesh, op, mode=Mode.Gauss):
                          "no scheme reads it")
     if mode is Mode.Gauss and op in _POWERS:
         return np.diag(mesh.nodes ** _POWERS[op])
-    key = (mesh.N, mesh.alpha, mesh.family, op, mode)
-    if _requested_before(key):
-        return _cached_matrix(*key)
-    return _cached_matrix.__wrapped__(*key)
-
-
-# The keys of the last _CACHE_SIZE distinct dense requests, least recent
-# first (a dict keeps insertion order); a key found here is cached on this
-# request.
-_requested = {}
-_requested_lock = threading.Lock()
-
-
-def _requested_before(key):
-    """Whether ``key`` is in the record of recent requests; records it as
-    the most recent either way."""
-    with _requested_lock:
-        seen = key in _requested
-        _requested.pop(key, None)
-        _requested[key] = None
-        if len(_requested) > _CACHE_SIZE:
-            del _requested[next(iter(_requested))]
-    return seen
+    slot = _slot(mesh.N, mesh.alpha, mesh.family, op, mode)
+    if slot and slot[-1] is not None:
+        return slot[-1]
+    values = _dense_matrix(mesh.N, mesh.alpha, mesh.family, op, mode)
+    slot.append(values if slot else None)
+    return values
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_matrix(N, alpha, family, op, mode):
-    """The one cache of h-free matrices: the dense matrix of ``op`` in
-    ``mode`` on the mesh ``(N, alpha, family)`` at h = 1, read-only.
-    ``operator_matrix`` calls the uncached builder, ``__wrapped__``, on a
-    key's first request."""
+def _slot(N, alpha, family, op, mode):
+    """The one cache of h-free matrices: a list per key, ``[None]`` after
+    the key's first request and ``[None, matrix]`` after its second."""
+    return []
+
+
+def _dense_matrix(N, alpha, family, op, mode):
+    """The dense matrix of ``op`` in ``mode`` on the mesh ``(N, alpha,
+    family)`` at h = 1, read-only."""
     mesh = MeshSpec(N, alpha, family, 1.0)
     if op in _POWERS:
         values = np.diag(mesh.nodes ** _POWERS[op])

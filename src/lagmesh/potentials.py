@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .specfun import _integer
+from .specfun import _integer, _real
 
 __all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json", "to_json"]
 
@@ -44,7 +44,7 @@ class _Invalid(ValueError):
 
 def _finite(field, value, json_field=None):
     """``value`` as a float, or _Invalid naming the field if not finite."""
-    value = float(value)
+    value = _real(field, value)
     if not math.isfinite(value):
         raise _Invalid(field, json_field or field, f"must be finite (got {value!r})")
     return value
@@ -199,13 +199,13 @@ def builtin(name, **params):
             raise ValueError(f"unknown parameters: {sorted(params)}")
         return PotentialSpec(label="harmonic", terms=((0.5, 2.0, 0.0, 0.0),))
     if name == "coulomb":
-        Z = float(params.pop("Z", -1.0))
+        Z = _real("Z", params.pop("Z", -1.0))
         if params:
             raise ValueError(f"unknown parameters: {sorted(params)}")
         return PotentialSpec(label="coulomb", terms=((Z, -1.0, 0.0, 0.0),))
     if name == "eckart":
-        b = float(params.pop("b", 2.0))
-        c = float(params.pop("c", -1.0))
+        b = _real("b", params.pop("b", 2.0))
+        c = _real("c", params.pop("c", -1.0))
         if params:
             raise ValueError(f"unknown parameters: {sorted(params)}")
         return PotentialSpec(label=f"eckart(b={b:g},c={c:g})", eckart=(b, c))

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .specfun import _integer, _weighted_laguerre_pair
+from .specfun import _integer, _real, _weighted_laguerre_pair
 
 __all__ = ["generate_rule"]
 
@@ -55,7 +55,7 @@ def generate_rule(N, alpha):
     N = _integer("N", N)
     if N < 1:
         raise ValueError("N must be a positive integer")
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     if not (alpha > -1.0) or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and exceed -1")
     try:

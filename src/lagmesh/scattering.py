@@ -33,7 +33,7 @@ import numpy as np
 
 from .basis import _CACHE_SIZE
 from .potentials import _finite, evaluate as evaluate_potential
-from .specfun import _integer, coulomb_wave
+from .specfun import _integer, _real, _reals, coulomb_wave
 
 __all__ = [
     "IndeterminatePhaseError",
@@ -98,11 +98,12 @@ class PhaseShiftResult:
 
 def _check_inputs(state, l, V, Z, mesh, window):
     _integer("l", l, nonnegative=True)
-    if not (0.0 < state.energy < math.inf and 0.0 < state.k < math.inf):
+    energy = _real("pseudostate energy and k", state.energy)
+    if not (0.0 < energy < math.inf and 0.0 < state.k < math.inf):
         raise ValueError("pseudostate energy and k must be positive and finite")
     if not np.all(np.isfinite(state.coefficients)):
         raise ValueError("pseudostate coefficients must be finite")
-    if not math.isfinite(Z):  # NaN would pass the tail test below
+    if not math.isfinite(_real("Z", Z)):  # NaN would pass the tail test below
         raise ValueError(f"Z must be finite (got {Z!r})")
     if abs(Z - V.tail_Z) > 1e-12 * max(1.0, abs(Z)):
         raise ValueError(
@@ -237,7 +238,7 @@ def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
         If the denominator of the ratio vanishes.
     """
     _check_inputs(state, l, V, Z, mesh, window)
-    if not (gamma > 0.0 and math.isfinite(gamma)):
+    if not 0.0 < _real("gamma", gamma) < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     table = _interior_table(state, l, V, Z, mesh)
     (tan,), (delta,), (branch,) = _phases([gamma], *_ratios(table, l, state.k, [gamma]), window)
@@ -298,7 +299,7 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
     _check_inputs(state, l, V, Z, mesh, window)
     grid = _DEFAULT_GAMMAS  # read-only, and valid
     if gammas is not None:
-        grid = np.asarray(gammas, dtype=float)
+        grid = _reals("gamma grid", gammas)
         if grid.ndim != 1 or grid.size < 8:
             raise ValueError("gamma grid too small: at least 8 points are required")
         if not np.all(np.isfinite(grid)) or grid[0] <= 0.0:
@@ -306,7 +307,7 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("gamma grid must be strictly increasing")
     if fallback_gamma is not None and not (
-            fallback_gamma > 0.0 and math.isfinite(fallback_gamma)):
+            0.0 < _real("fallback gamma", fallback_gamma) < math.inf):
         raise ValueError(
             f"fallback gamma must be positive and finite, got {fallback_gamma!r}")
 
@@ -345,7 +346,7 @@ def eckart_reference_delta0(E, b, c):
     tends to 0 as ``E -> 0+``; when ``2E + bc = 0`` the phase passes
     through +-90 degrees.  E must be positive and finite, b and c finite.
     """
-    if not (E > 0.0 and math.isfinite(E)):
+    if not 0.0 < _real("E", E) < math.inf:
         raise ValueError(f"E must be positive and finite (got {E!r})")
     b, c = _finite("b", b), _finite("c", c)
     num = math.sqrt(2.0 * E) * (b - c)

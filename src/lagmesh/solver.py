@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .basis import MeshSpec
+from .specfun import _real
 
 __all__ = [
     "BoundSpectrum",
@@ -155,7 +156,7 @@ def relative_error(e_app, e_exact):
     finite, or when ``e_exact`` is zero.
     """
     for name, value in (("e_app", e_app), ("e_exact", e_exact)):
-        if not math.isfinite(value):
+        if not math.isfinite(_real(name, value)):
             raise ValueError(f"{name} must be finite (got {value!r})")
     if e_exact == 0.0:
         raise ValueError("relative error is undefined for a zero reference energy")

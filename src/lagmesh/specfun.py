@@ -86,11 +86,32 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to converge or lost all accuracy."""
 
 
+def _real(name, value):
+    """``value`` as a float, or a ValueError naming it when it is no number
+    or beyond double range (an int of more than 308 digits)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within double range") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number (got {value!r})") from None
+
+
+def _reals(name, values):
+    """``values`` as a float array, or a ValueError naming it when an entry
+    is beyond double range."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be within double range") from None
+
+
 def _integer(name, value, nonnegative=False):
     """``value`` as an int, or a ValueError naming it when it is not a whole
-    number (1.5, NaN and +-inf are not; checked before any ``int()`` can
-    truncate it) or, with ``nonnegative``, when it is negative."""
-    if not (math.isfinite(value) and int(value) == value):
+    number (1.5, NaN, +-inf and an int beyond double range are not; checked
+    before any ``int()`` can truncate it) or, with ``nonnegative``, when it
+    is negative."""
+    if not (math.isfinite(_real(name, value)) and int(value) == value):
         raise ValueError(f"{name} must be an integer (got {value!r})")
     if nonnegative and value < 0:
         raise ValueError(f"{name} must be nonnegative")
@@ -518,10 +539,10 @@ def coulomb_wave(l, eta, x):
     l = _integer("l", l)
     if not 0 <= l <= _MAX_L:
         raise ValueError(f"l must be an integer in [0, {_MAX_L}]")
-    eta = float(eta)
+    eta = _real("eta", eta)
     if not (abs(eta) <= _MAX_ETA):
         raise ValueError(f"eta must satisfy |eta| <= {_MAX_ETA:g}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_1d(_reals("x", x))
     if xs.ndim != 1:
         raise ValueError(f"x must be a scalar or a 1-D array (got shape {xs.shape})")
     if xs.size == 0:

@@ -708,6 +708,16 @@ class TestMain:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
 
+    def test_config_int_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for an int literal longer than
+        # Python's int-to-string limit of 4300 digits
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"h": {"9" * 5000}}}')
+        assert main(["bound", "--potential", "coulomb", "--N", "10", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lagmesh: config: invalid JSON (Exceeds the limit")
+
     def test_reproduce_check_passes(self, capsys):
         for table, count in ((1, 15), (2, 15), (3, 18), (4, 20), (5, 4)):
             code = main(["reproduce", "--table", str(table), "--check"])

@@ -205,6 +205,17 @@ CASES = {
                                   NONFINITE, r"\bc\b"),
 }
 
+# ints that no double holds, a bad value of every case that passes its value
+# as a scalar or a list entry; the others build a float array from it
+BEYOND_DOUBLE = [10**400, -10**400]
+ARRAY_CASES = {"bound_energies.H", "solve_bound_states.H", "tan_delta.state.coefficients",
+               "gamma_scan.gammas", "coulomb_wave.x.shape", "reconstruct_wavefunction.coeffs",
+               "reconstruct_wavefunction.r.shape"}
+SCALAR_CASES = [case for case in CASES if case not in ARRAY_CASES]
+for case in SCALAR_CASES:
+    call, values, name = CASES[case]
+    CASES[case] = (call, values | st.sampled_from(BEYOND_DOUBLE), name)
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", CASES)
@@ -213,6 +224,15 @@ CASES = {
 def test_entry_point_names_the_bad_parameter(case, data):
     call, values, name = CASES[case]
     value = data.draw(values, label="value")
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", BEYOND_DOUBLE, ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_int_beyond_double_range_names_the_parameter(case, value):
+    call, _, name = CASES[case]
     with pytest.raises(ValueError, match=name):
         call(value)
 

@@ -1,10 +1,13 @@
 """Tests for operator matrices and Hamiltonian assembly."""
 
 import collections
+import concurrent.futures
 import dataclasses
-import functools
+import gc
 import math
 import re
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -786,7 +789,7 @@ class TestExactGate:
         _clear_matrix_caches()
         with pytest.raises(ValueError, match="no scheme reads it"):
             operator_matrix(MeshSpec(6, 0.0, "RegR", 1.0), "kinetic", Mode.Exact)
-        assert not matelem._requested
+        assert matelem._slot.cache_info().currsize == 0
 
     @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
     @pytest.mark.parametrize("angular", [0, 1, 2])
@@ -805,8 +808,20 @@ class TestExactGate:
 
 
 def _clear_matrix_caches():
-    matelem._cached_matrix.cache_clear()
-    matelem._requested.clear()
+    matelem._slot.cache_clear()
+
+
+def _count_builds(monkeypatch):
+    """A Counter of ``_dense_matrix`` calls per key, from now on."""
+    builder = matelem._dense_matrix
+    builds = collections.Counter()
+
+    def counting_builder(*key):
+        builds[key] += 1
+        return builder(*key)
+
+    monkeypatch.setattr(matelem, "_dense_matrix", counting_builder)
+    return builds
 
 
 # every family with a regular and a singular-at-the-origin alpha
@@ -861,7 +876,7 @@ class TestMatrixCache:
                 continue
             assert np.array_equal(operator_matrix(at_h, op, Mode.Exact), gauss + correction)
 
-    def test_warm_cache_spectrum_equals_cold(self):
+    def test_warm_cache_spectrum_equals_cold(self, monkeypatch):
         from lagmesh.solver import solve_bound_states
 
         V = builtin("coulomb")
@@ -873,8 +888,9 @@ class TestMatrixCache:
         _clear_matrix_caches()
         for h in (0.2, 0.4):
             hamiltonian_3d(MeshSpec(30, 2.0, Family.NonReg, h), 1, V, "NonRegVG")
+        builds = _count_builds(monkeypatch)
         warm = spectrum()
-        assert matelem._cached_matrix.cache_info().hits >= 2
+        assert not builds  # both matrices were cached
         _clear_matrix_caches()
         cold = spectrum()
         assert np.array_equal(warm.energies, cold.energies)
@@ -933,51 +949,103 @@ class TestMatrixCache:
     def test_h_sweep_builds_each_matrix_twice(self, variant, keys, monkeypatch):
         # a matrix is built uncached on its first request and cached on its
         # second; every later point hits the cache
-        builder = matelem._cached_matrix.__wrapped__
-        builds = collections.Counter()
-
-        def counting_builder(*key):
-            builds[key] += 1
-            return builder(*key)
-
-        monkeypatch.setattr(matelem, "_cached_matrix",
-                            functools.lru_cache(maxsize=basis._CACHE_SIZE)(counting_builder))
+        builds = _count_builds(monkeypatch)
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant=variant, N=40, h=0.5)
-        values = np.linspace(0.2, 1.2, 20)
         _clear_matrix_caches()
-        cli.sweep(config, "h", values)
+        cli.sweep(config, "h", np.linspace(0.2, 1.2, 20))
         assert len(builds) == keys
         assert set(builds.values()) == {2}
-        info = matelem._cached_matrix.cache_info()
-        assert info.misses == keys
-        assert info.hits == keys * (len(values) - 2)
-        assert info.currsize == keys
 
-    def test_caches_stay_bounded(self):
-        # every N is requested once, so no matrix is cached
+    def test_interleaved_schemes_build_each_matrix_twice(self, monkeypatch):
+        # the benchmark's h scan: every scheme at one h, then the next h;
+        # the 11 keys of the seven schemes fit the cache together
+        builds = _count_builds(monkeypatch)
+        V = builtin("coulomb")
+        _clear_matrix_caches()
+        for h in (0.3, 0.5, 0.7):
+            for variant, (*_, dim) in SCHEMES.items():
+                build = hamiltonian_3d if dim == 3 else hamiltonian_2d
+                build(scheme_mesh(variant, 40, h), 1, V, variant)
+        assert len(builds) == 11
+        assert set(builds.values()) == {2}
+
+    def test_caches_stay_bounded(self, monkeypatch):
+        # every N is requested once, so every request builds its matrix
+        builds = _count_builds(monkeypatch)
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="non-reg-vg", N=10, h=0.5)
         _clear_matrix_caches()
         for N in range(10, 30):
             cli.run(dataclasses.replace(config, N=N))
-            assert matelem._cached_matrix.cache_info().currsize == 0
+            assert matelem._slot.cache_info().currsize <= basis._CACHE_SIZE
             assert basis._cached_rule.cache_info().currsize <= basis._CACHE_SIZE
-            assert len(matelem._requested) <= basis._CACHE_SIZE
+        assert len(builds) == 2 * 20 and set(builds.values()) == {1}
 
     def test_cache_stays_bounded_over_many_meshes(self):
-        # each mesh is requested twice, so each one's matrix is cached
+        # each mesh is requested three times: built on the first two, a hit
+        # on the third; the oldest mesh leaves the cache and is built again
+        meshes = [MeshSpec(8, alpha, "RegSqrt", 0.5)
+                  for alpha in np.linspace(0.5, 3.0, 2 * basis._CACHE_SIZE)]
         _clear_matrix_caches()
-        for alpha in np.linspace(0.5, 3.0, 2 * basis._CACHE_SIZE):
-            for _ in range(2):
-                operator_matrix(MeshSpec(8, alpha, "RegSqrt", 0.5), "kinetic", Mode.Exact)
-            assert matelem._cached_matrix.cache_info().currsize <= basis._CACHE_SIZE
-            assert len(matelem._requested) <= basis._CACHE_SIZE
-        assert matelem._cached_matrix.cache_info().currsize == basis._CACHE_SIZE
+        cached = []
+        for mesh in meshes:
+            first, second, third = (operator_matrix(mesh, "kinetic", Mode.Exact)
+                                    for _ in range(3))
+            assert second is not first and third is second
+            assert matelem._slot.cache_info().currsize <= basis._CACHE_SIZE
+            cached.append(third)
+        assert operator_matrix(meshes[-1], "kinetic", Mode.Exact) is cached[-1]
+        assert operator_matrix(meshes[0], "kinetic", Mode.Exact) is not cached[0]
 
-    def test_n_sweep_caches_no_matrix(self):
+    def test_n_sweep_caches_no_matrix(self, monkeypatch):
+        # no matrix outlives its Hamiltonian: none is held by the cache
+        builder = matelem._dense_matrix
+        built = []
+
+        def recording_builder(*key):
+            values = builder(*key)
+            built.append(weakref.ref(values))
+            return values
+
+        monkeypatch.setattr(matelem, "_dense_matrix", recording_builder)
         config = cli.ExperimentConfig(mode="bound", potential=builtin("coulomb"),
                                       angular=1, variant="var", N=20, h=0.5)
         _clear_matrix_caches()
         cli.sweep(config, "N", range(20, 41))
-        assert matelem._cached_matrix.cache_info().currsize == 0
+        gc.collect()
+        assert len(built) == 3 * 21
+        assert all(ref() is None for ref in built)
+        assert matelem._slot.cache_info().currsize <= basis._CACHE_SIZE
+
+    def test_threads_get_the_matrices_of_a_cold_build(self):
+        # four threads request the same keys over an h sweep at once, with
+        # frequent thread switches; a race may build a matrix once more,
+        # never give a wrong one nor leave a key uncached
+        keys = [(1.0, Family.RegSqrt, "kinetic", Mode.Exact),
+                (1.0, Family.RegSqrt, "1/r^2", Mode.Exact),
+                (1.0, Family.RegSqrt, "kinetic", Mode.Gauss),
+                (2.0, Family.NonReg, "kinetic", Mode.Exact),
+                (0.0, Family.RegSqrt, "kinetic2d", Mode.Exact)]
+
+        def sweep(_):
+            return [(key, operator_matrix(MeshSpec(30, alpha, family, h), op, mode))
+                    for h in np.linspace(0.2, 1.2, 12)
+                    for key in keys for alpha, family, op, mode in [key]]
+
+        _clear_matrix_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                results = [pair for pairs in pool.map(sweep, range(4), timeout=120)
+                           for pair in pairs]
+        finally:
+            sys.setswitchinterval(interval)
+        cold = {key: matelem._dense_matrix(30, *key) for key in keys}
+        assert len(results) == 4 * 12 * len(keys)
+        for key, values in results:
+            assert np.array_equal(values, cold[key])
+        for alpha, family, op, mode in keys:
+            mesh = MeshSpec(30, alpha, family, 0.5)
+            assert operator_matrix(mesh, op, mode) is operator_matrix(mesh, op, mode)

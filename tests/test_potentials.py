@@ -226,6 +226,16 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             builtin(name, **params)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("coulomb", {"Z": 10**400}, "Z must be within double range"),
+        ("coulomb", {"Z": "x"}, "Z must be a number (got 'x')"),
+        ("eckart", {"b": -10**400}, "b must be within double range"),
+        ("eckart", {"c": None}, "c must be a number (got None)"),
+    ])
+    def test_builtin_names_a_parameter_no_double_holds(self, name, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            builtin(name, **params)
+
     @pytest.mark.parametrize("text, field", [
         ('{"terms": [{"c": NaN, "p": -1}]}', "terms[0].c"),
         ('{"terms": [{"c": 1, "p": Infinity}]}', "terms[0].p"),
