@@ -2,8 +2,8 @@
 
 A rule is the plain pair of read-only arrays ``(nodes, weights)``.  Nodes
 are the zeros of the generalized Laguerre polynomial, obtained as
-eigenvalues of the (dense) symmetric Jacobi matrix and sharpened by two
-Newton steps.  The weights are the modified ones,
+eigenvalues of the (dense) symmetric Jacobi matrix and sharpened by one
+Newton step.  The weights are the modified ones,
 
     lambda_k = w_k * exp(x_k) * x_k**(-alpha),
 
@@ -12,9 +12,10 @@ over (0, inf) for integrands that already contain their own decay.  They
 are Christoffel weights, ``lambda_k = 1 / (x_k**alpha sum_n h_n B_n(x_k)**2)``
 with ``B_n = L_n exp(-x/2)`` and ``h_n = n!/Gamma(n+alpha+1)`` (Golub and
 Welsch, Math. Comp. 23 (1969) 221): a sum of positive squares, so plain
-double arithmetic suffices.  Newton steps and weights share one scaled
-recurrence for ``B_n``, which holds no overflowing factor and stays finite
-where ``exp(-x/2)`` underflows, so rules are accurate up to N = 1000.
+double arithmetic suffices.  The Newton step and the weights come from one
+pass of a scaled recurrence for ``B_n``, which holds no overflowing factor
+and stays finite where ``exp(-x/2)`` underflows, so rules are accurate up
+to N = 1000.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def generate_rule(N, alpha):
         Read-only ``(nodes, weights)``: the zeros of ``L_N^{(alpha)}``,
         ascending and positive, and the modified weights ``lambda_k``.
 
+    Notes
+    -----
+    One recurrence pass at the Jacobi eigenvalues ``x`` gives the Newton
+    step on ``L_N`` and the Christoffel weight at ``x``, which is moved to
+    the stepped node by the factor ``x_new / x``, correct to second order:
+    at a zero of ``L_N``, Christoffel-Darboux gives ``K'/K = L_N''/L_N'``
+    for ``K = sum_n h_n L_n**2``, the Laguerre equation makes that
+    ``(x - alpha - 1)/x``, and so ``lambda = exp(x) / (x**alpha K)`` has
+    ``lambda'/lambda = 1/x``.  One step already reaches the recurrence's
+    noise floor at the smallest nodes (a few 1e-12 at N = 1000).
+
     Raises
     ------
     FloatingPointError
@@ -71,23 +83,18 @@ def generate_rule(N, alpha):
     jacobi.flat[N::N + 1] = np.sqrt(np.arange(1, N) * (np.arange(1, N) + alpha))
     x = np.linalg.eigvalsh(jacobi)
 
-    # two Newton sweeps on L_N, using the weighted recurrence
-    for _ in range(2):
-        b_prev, b, _ = _weighted_laguerre_pair(N, alpha, x)
-        x = x - x * b / (N * b - (N + alpha) * b_prev)
-
-    if not (np.all(x > 0.0) and np.all(np.diff(x) > 0.0)):
+    b_prev, b, csum = _weighted_laguerre_pair(N, alpha, x, christoffel=True)
+    nodes = x - x * b / (N * b - (N + alpha) * b_prev)  # one Newton step
+    if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
         raise FloatingPointError("node polishing produced a non-monotone set")
-
-    # Christoffel weights: a sum of positive squares, free of cancellation
-    _, _, csum = _weighted_laguerre_pair(N, alpha, x, christoffel=True)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            weights = 1.0 / (x**alpha * csum)
+            # the Christoffel weight at x, carried to the node (see Notes)
+            weights = 1.0 / (x**alpha * csum) * (nodes / x)
     except FloatingPointError as e:
         raise FloatingPointError(
             f"alpha={alpha!r}: a weight is out of double range ({e})") from None
 
-    x.setflags(write=False)
+    nodes.setflags(write=False)
     weights.setflags(write=False)
-    return x, weights
+    return nodes, weights

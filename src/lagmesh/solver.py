@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .basis import MeshSpec
-from .specfun import _real
+from .specfun import _real, _reals
 
 __all__ = [
     "BoundSpectrum",
@@ -65,7 +65,7 @@ class Pseudostate:
 
 def _checked_hamiltonian(H, basis):
     """H as a float array, after the checks shared by both solves."""
-    A = np.asarray(H, dtype=float)
+    A = _reals("H", H)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError(f"H must be a nonempty square matrix (got shape {A.shape})")
     # A - A^T is antisymmetric to the bit, so its largest entry is its

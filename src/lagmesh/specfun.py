@@ -108,10 +108,11 @@ def _reals(name, values):
 
 def _integer(name, value, nonnegative=False):
     """``value`` as an int, or a ValueError naming it when it is not a whole
-    number (1.5, NaN, +-inf and an int beyond double range are not; checked
-    before any ``int()`` can truncate it) or, with ``nonnegative``, when it
-    is negative."""
-    if not (math.isfinite(_real(name, value)) and int(value) == value):
+    number (1.5, NaN, +-inf, a string and an int beyond double range are
+    not; checked before any ``int()`` can truncate or parse it) or, with
+    ``nonnegative``, when it is negative."""
+    if isinstance(value, (str, bytes)) or not (
+            math.isfinite(_real(name, value)) and int(value) == value):
         raise ValueError(f"{name} must be an integer (got {value!r})")
     if nonnegative and value < 0:
         raise ValueError(f"{name} must be nonnegative")

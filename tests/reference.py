@@ -7,10 +7,15 @@
   functions at 40 digits.
 * ``oracle_matrix`` integrates an operator's matrix by a rule that is exact
   by design: a second, larger Gauss rule with a shifted weight exponent.
-  It loses digits as N grows, so tests use it at N <= 40.
-* ``exact_mpmath`` forms an Exact matrix at 40 digits from the monomial
-  coefficients of the cardinal polynomials and the Gamma integrals of their
-  moments; it is exact for small N (tests use N <= 12).
+  It loses digits as N grows, so tests use it at N <= 40, except on the
+  kinetic operators at N >= 30: their second derivatives are divided
+  differences, where a node's rounding enters as a pole (at N = 40 it
+  moves the oracle by up to 2e-11 of the largest entry).
+* ``exact_mpmath`` forms an Exact matrix at ``dps`` digits from the
+  monomial coefficients of the cardinal polynomials and the Gamma integrals
+  of their moments.  At the default 40 digits it is exact for small N
+  (tests use N <= 12); at 120 digits it is the reference of the kinetic
+  cells at N = 30 and 40.
 """
 
 import numpy as np

@@ -118,8 +118,11 @@ class TestMeshSpec:
             MeshSpec(5, 1.0, "Reg", 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("N", [10.5, math.nan, math.inf])
+    @pytest.mark.parametrize("N", [10.5, math.nan, math.inf, pytest.param("5", id="str-5"),
+                                   pytest.param("5.0", id="str-5.0"),
+                                   pytest.param(b"5.0", id="bytes-5.0")])
     def test_non_integer_N_named(self, N):
+        # a string is rejected by name before int() could parse it
         with pytest.raises(ValueError, match=r"^N must be an integer \(got "):
             MeshSpec(N, 1.0, "RegSqrt", 1.0)
         with pytest.raises(ValueError, match=r"^N must be an integer \(got "):

@@ -151,13 +151,18 @@ class TestClosedFormsAgainstOracle:
             if unread_exact(mesh, _TAG_OPS[tag]):
                 continue
             try:
-                oracle = oracle_matrix(mesh, tag)
+                want = oracle_matrix(mesh, tag)
             except ValueError:
                 with pytest.raises(ValueError, match="divergent"):
                     _exact_matrix(mesh, tag)
                 continue
+            if N >= 30 and tag in ("Kinetic", "Kinetic2D"):
+                # the oracle's second derivatives are divided differences,
+                # where a node's rounding enters as a pole: at N = 40 the
+                # nodes' last bits move it by up to 2e-11
+                want = exact_mpmath(mesh, tag, dps=120)
             closed = _exact_matrix(mesh, tag)
-            assert np.abs(closed - oracle).max() <= 1e-11 * np.abs(oracle).max(), tag
+            assert np.abs(closed - want).max() <= 1e-11 * np.abs(want).max(), tag
 
 
 _TAG_OPS = {"InvR2": "1/r^2", "InvR": "1/r", "R": "r", "R2": "r^2", "Kinetic": "kinetic",

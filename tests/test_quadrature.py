@@ -16,15 +16,14 @@ from lagmesh.specfun import _weighted_laguerre_pair
 
 def _three_diag_rule(N, alpha):
     """The rule from the Jacobi matrix summed out of three ``np.diag``, with
-    the same two Newton sweeps and Christoffel weights as ``generate_rule``."""
+    the same one-pass Newton step and moved Christoffel weights as
+    ``generate_rule``."""
     diag = 2.0 * np.arange(N) + alpha + 1.0
     off = np.sqrt(np.arange(1, N) * (np.arange(1, N) + alpha))
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(2):
-        b_prev, b, _ = _weighted_laguerre_pair(N, alpha, x)
-        x = x - x * b / (N * b - (N + alpha) * b_prev)
-    _, _, csum = _weighted_laguerre_pair(N, alpha, x, christoffel=True)
-    return x, 1.0 / (x**alpha * csum)
+    b_prev, b, csum = _weighted_laguerre_pair(N, alpha, x, christoffel=True)
+    nodes = x - x * b / (N * b - (N + alpha) * b_prev)
+    return nodes, 1.0 / (x**alpha * csum) * (nodes / x)
 
 
 class TestGenerateRule:
@@ -103,8 +102,8 @@ class TestGenerateRule:
         # each node, and the classical weight Gamma(N+a+1)/(N! x L_N'(x)^2)
         # times exp(x) x^-a, with L_N' = -L_{N-1}^{(a+1)}.  The forward
         # recurrence costs the smallest nodes most: at N = 1000 nodes 0 and 1
-        # are off by up to 4.3e-12 (weights 6.6e-12), while from N/4 up every
-        # node is within 1.6e-16 and every weight within 1.1e-14
+        # are off by up to 2.9e-12 (weights 5.7e-12), while from N/4 up every
+        # node is within 1.6e-16 and every weight within 8.3e-15
         mp = pytest.importorskip("mpmath")
         nodes, weights = generate_rule(N, alpha)
         with mp.workdps(40):

@@ -133,6 +133,12 @@ class TestSolveBoundStates:
         with pytest.raises(ValueError, match="H must be a nonempty square|non-finite"):
             solve(H, _basis(2))  # H is checked before its basis
 
+    @pytest.mark.parametrize("solve", SOLVES)
+    def test_entry_beyond_double_range_names_h(self, solve):
+        # an int that no double holds, where the float conversion overflows
+        with pytest.raises(ValueError, match="^H must be within double range$"):
+            solve([[10**400]], MeshSpec(1, 1.0, "RegSqrt", 0.5))
+
     def test_deterministic_repeat(self):
         mesh = MeshSpec(12, 1.0, Family.RegSqrt, 0.2)
         H, basis = hamiltonian_3d(mesh, 0, builtin("coulomb"), "RegSqrtMesh")
