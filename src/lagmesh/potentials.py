@@ -20,7 +20,7 @@ import numpy as np
 
 from .specfun import _integer, _real
 
-__all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json", "to_json"]
+__all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json"]
 
 # hbar^2/M in MeV fm^2 for the alpha-alpha system
 _ALPHA_ALPHA_UNIT = 20.736
@@ -222,14 +222,9 @@ def builtin(name, **params):
     raise ValueError(f"unknown potential: {name!r}")
 
 
-def to_json(spec):
-    """Serialize a spec to the JSON form; ``energyUnit`` only when it is not 1."""
-    return json.dumps(_json_doc(spec), indent=2, sort_keys=True)
-
-
 def _json_doc(spec):
     """The JSON form of a spec as a fresh dict, its keys (at every level)
-    already in sorted order, so it reads as ``json.loads(to_json(spec))``."""
+    already in sorted order; ``energyUnit`` only when it is not 1."""
     doc = {}
     if spec.coulomb_erf is not None:
         doc["coulombErf"] = {"mu": spec.coulomb_erf[1], "q": spec.coulomb_erf[0]}
@@ -267,7 +262,8 @@ def _numbers(obj, where, names, defaults=None):
 
 
 def from_json(text):
-    """Parse the JSON form produced by ``to_json``.
+    """Parse the JSON form of a spec, as a report echoes it under
+    ``config.potential``.
 
     A malformed spec raises ValueError naming the offending JSON field.
     """

@@ -12,12 +12,15 @@ they are Riccati-Bessel functions, formed at every point by recurrence in
 * at the points left above the gate ``max(turning point, 5)``, Steed's
   method: the two continued fractions for ``F'/F`` and for the logarithmic
   derivative of ``G + iF``;
-* at the points left below the gate, one Taylor-series stepper for the
-  radial equation (N. Michel, CPC 176 (2007) 232) carries each function in
-  the direction in which it grows, so contamination by the other solution
-  decays: ``G`` inward from Steed at the gate, and ``F`` outward from the
-  lowest point.  There ``F`` comes from ``F'/F`` and the Wronskian, as it
-  does in Steed's method and below ``x = l + 1`` at ``eta = 0``.
+* at the points left below the gate, a Taylor-series stepper for the
+  radial equation (N. Michel, CPC 176 (2007) 232) carries ``G`` inward
+  from Steed at the gate, the direction in which it grows, so
+  contamination by ``F`` decays.
+
+F where it is small comes from F'/F and the Wronskian: below the gate, and
+below ``x = l + 1`` at ``eta = 0``, the continued fraction for
+``f = F'/F`` and ``F (f G - G') = 1`` give ``F`` from ``G``, as in Steed's
+method.
 """
 
 from __future__ import annotations
@@ -457,9 +460,9 @@ def _riccati_bessel(l, xs):
 def _coulomb_many(l, eta, xs):
     """Evaluate F, F', G, G' at an array of points: at ``eta = 0`` by
     recurrence in ``l``; otherwise the Hankel series where it settles, Steed
-    at the other points above the gate, and one Taylor sweep per function at
-    the other points below it: ``G`` inward from Steed at the gate, and ``F``
-    outward from ``_wronskian_F`` at the lowest point."""
+    at the other points above the gate, and at the other points below it
+    ``G`` from one Taylor sweep inward from Steed at the gate and ``F`` from
+    ``_wronskian_F``."""
     if eta == 0.0:
         return _riccati_bessel(l, xs)
     gate = max(_turning_point(l, eta), _STEED_MIN_X)
@@ -488,11 +491,7 @@ def _coulomb_many(l, eta, xs):
         pts = xs[below]
         _, _, g0, gp0 = _steed(l, eta, gate)
         g, gp = _taylor_sweep(l, eta, gate, g0, gp0, pts)
-        i = np.argmin(pts)
-        lowest = slice(i, i + 1)
-        (f0,), (fp0,) = _wronskian_F(l, eta, pts[lowest], g[lowest], gp[lowest])
-        # Python floats: the Taylor steps run slower on NumPy scalars
-        f, fp = _taylor_sweep(l, eta, pts[i], float(f0), float(fp0), pts)
+        f, fp = _wronskian_F(l, eta, pts, g, gp)
         out[:, below] = f, fp, g, gp
 
     return tuple(out)
@@ -506,11 +505,11 @@ def coulomb_wave(l, eta, x):
     step; below ``x = l + 1``, ``F`` comes from ``F'/F`` and the Wronskian
     instead.  Otherwise each point takes the Hankel expansion where it
     settles, tried at ``x >= 25``.  The points left above the gate
-    ``max(turning point, 5)`` take Steed's continued fractions, and those
-    left below it are reached by Taylor sweeps: ``G`` inward from the gate,
-    ``F`` outward from ``F'/F`` and the Wronskian at the lowest point.  The
-    phase ``sigma_l`` of the expansion is formed once per call.  Every
-    result is held to the Wronskian ``F'G - FG' = 1``.
+    ``max(turning point, 5)`` take Steed's continued fractions.  At those
+    left below it, ``G`` is reached by a Taylor sweep inward from the gate
+    and ``F`` comes from ``F'/F`` and the Wronskian.  The phase ``sigma_l``
+    of the expansion is formed once per call.  Every result is held to the
+    Wronskian ``F'G - FG' = 1``.
 
     Parameters
     ----------

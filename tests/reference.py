@@ -18,6 +18,8 @@
   cells at N = 30 and 40.
 """
 
+import functools
+
 import numpy as np
 
 from lagmesh import basis
@@ -227,6 +229,35 @@ def oracle_matrix(mesh, kind):
     return 0.5 * (values + values.T)
 
 
+@functools.lru_cache(maxsize=None)
+def _cardinal_polys(N, alpha, family, dps):
+    """``p`` and the monomial coefficients of ``c_j pi_j`` for ``exact_mpmath``,
+    with an empty dict that it fills with the Gamma moments
+    ``{m: [sum_k Q_k Gamma(2p - 1 + k + m) over the polynomials]}`` as it
+    needs them; shared by every operator on one mesh at ``dps`` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        p = {"NonReg": a / 2, "RegSqrt": (a + 1) / 2, "RegR": a / 2 + 1}[family]
+        rho = {"NonReg": mp.mpf(1) / 2, "RegSqrt": 0, "RegR": -mp.mpf(1) / 2}[family]
+        norm = mp.gamma(N + a + 1) / mp.factorial(N)
+        # L_N^(alpha), ascending powers
+        lag = [(-1) ** k * mp.binomial(N + a, N - k) / mp.factorial(k) for k in range(N + 1)]
+        polys = []
+        for j, x in enumerate(basis._cached_rule(N, alpha)[0]):
+            x = mp.mpf(x)
+            for _ in range(4):
+                x += mp.laguerre(N, a, x) / mp.laguerre(N - 1, a + 1, x)
+            q = [mp.mpf(0)] * N
+            q[-1] = lag[N]
+            for k in range(N - 1, 0, -1):
+                q[k - 1] = lag[k] + x * q[k]
+            c = (-1) ** j * x**rho / mp.sqrt(norm)
+            polys.append([c * v for v in q])
+    return p, polys, {}
+
+
 def exact_mpmath(mesh, kind, dps=40):
     """Exact (unscaled) matrix of an operator at ``dps`` digits.
 
@@ -240,24 +271,8 @@ def exact_mpmath(mesh, kind, dps=40):
     import mpmath as mp
 
     N = mesh.N
+    p, polys, moments = _cardinal_polys(N, mesh.alpha, mesh.family.name, dps)
     with mp.workdps(dps):
-        a = mp.mpf(mesh.alpha)
-        p = {"NonReg": a / 2, "RegSqrt": (a + 1) / 2, "RegR": a / 2 + 1}[mesh.family.name]
-        rho = {"NonReg": mp.mpf(1) / 2, "RegSqrt": 0, "RegR": -mp.mpf(1) / 2}[mesh.family.name]
-        norm = mp.gamma(N + a + 1) / mp.factorial(N)
-        # L_N^(alpha), ascending powers
-        lag = [(-1) ** k * mp.binomial(N + a, N - k) / mp.factorial(k) for k in range(N + 1)]
-        polys = []
-        for j, x in enumerate(mesh.nodes):
-            x = mp.mpf(x)
-            for _ in range(4):
-                x += mp.laguerre(N, a, x) / mp.laguerre(N - 1, a + 1, x)
-            q = [mp.mpf(0)] * N
-            q[-1] = lag[N]
-            for k in range(N - 1, 0, -1):
-                q[k - 1] = lag[k] + x * q[k]
-            c = (-1) ** j * x**rho / mp.sqrt(norm)
-            polys.append([c * v for v in q])
 
         def combine(*terms):
             # sum of coefficient * x^shift * polynomial, shift >= 0
@@ -281,11 +296,14 @@ def exact_mpmath(mesh, kind, dps=40):
         else:
             e = {"InvR2": -2, "InvR": -1, "R": 1, "R2": 2}[kind]
             rights = [combine((1, 2 + e, q)) for q in polys]
-        # Gamma moments of polys[i], for the powers some right factor holds
+        # Gamma moments of the polynomials, for the powers some right factor
+        # holds; each Gamma value once
         used = [m for m in range(N + 4) if any(r[m] != 0 for r in rights)]
-        moments = [{m: mp.fsum(u * mp.gamma(2 * p - 1 + k + m) for k, u in enumerate(q))
-                    for m in used} for q in polys]
-        full = [[mp.fsum(moments[i][m] * rights[j][m] for m in used) for j in range(N)]
+        new = [m for m in used if m not in moments]
+        gamma = {n: mp.gamma(2 * p - 1 + n) for n in {k + m for k in range(N) for m in new}}
+        for m in new:
+            moments[m] = [mp.fsum(u * gamma[k + m] for k, u in enumerate(q)) for q in polys]
+        full = [[mp.fsum(moments[m][i] * rights[j][m] for m in used) for j in range(N)]
                 for i in range(N)]
         # the kinetic forms are symmetrized, as the package's are
         values = np.array([[float((full[i][j] + full[j][i]) / 2) for j in range(N)]
