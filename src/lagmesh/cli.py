@@ -37,7 +37,7 @@ from . import __version__, benchmarks
 from .basis import _CACHE_SIZE
 from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import BUILTIN_NAMES, PotentialSpec, _json_doc, _level_rule, builtin, from_json
-from .scattering import gamma_scan, tan_delta
+from .scattering import _gamma_grid, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 from .specfun import _MAX_ETA, _MAX_L
 
@@ -215,6 +215,11 @@ def _domain_errors(config):
             config.gamma is None
             or not (config.gamma > 0.0 and math.isfinite(config.gamma))):
         errors.append("gamma: scatter requires a positive, finite --gamma")
+    if config.mode == "gamma-scan" and config.gammas is not None:
+        try:  # the scan's own rule, before any solve
+            _gamma_grid(config.gammas)
+        except ValueError as e:
+            errors.append(f"gamma: {e}")
     return errors
 
 

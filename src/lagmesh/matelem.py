@@ -229,25 +229,16 @@ def _potential_matrix(mesh, V):
     h scaling, since potentials are functions of the physical radius).
 
     It exists when every term of the potential is a pure power r**p with p
-    in {-2, -1, 0, 1, 2}; other shapes have no exact quadrature and raise.
-    ``_assemble`` adds a Gauss-mode potential to H's diagonal itself.
+    in {-2, -1, 0, 1, 2}; other shapes have no exact quadrature and raise
+    before any matrix is requested.  ``_assemble`` adds a Gauss-mode
+    potential to H's diagonal itself.
     """
-    if V.coulomb_erf is not None or V.eckart is not None:
+    ops = [_POWER_OPS.get(p) if a == b == 0.0 else None for _, p, a, b in V.terms]
+    if V.coulomb_erf is not None or V.eckart is not None or None in ops:
         raise ValueError(f"potential {V.label!r} has no exact matrix elements")
-    values = None
-    for c, p, a, b in V.terms:
-        op = _POWER_OPS.get(p)
-        if a != 0.0 or b != 0.0 or op is None:
-            raise ValueError(f"potential {V.label!r} has no exact matrix elements")
-        term = c * mesh.h**p * operator_matrix(mesh, op, Mode.Exact)
-        # the first term is the sum so far: a sum from zeros differs from it
-        # only where it holds a -0.0, which adds to H (no entry of which is
-        # -0.0; see _assemble) as +0.0 does
-        if values is None:
-            values = term
-        else:
-            values += term
-    return np.zeros((mesh.N, mesh.N)) if values is None else values
+    terms = [c * mesh.h**p * operator_matrix(mesh, op, Mode.Exact)
+             for (c, p, _, _), op in zip(V.terms, ops)]
+    return sum(terms[1:], terms[0]) if terms else np.zeros((mesh.N, mesh.N))
 
 
 # ---------------------------------------------------------------------------

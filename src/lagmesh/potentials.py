@@ -24,8 +24,6 @@ __all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json"]
 
 # hbar^2/M in MeV fm^2 for the alpha-alpha system
 _ALPHA_ALPHA_UNIT = 20.736
-# the names ``builtin`` takes
-BUILTIN_NAMES = ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")
 
 _erf = np.vectorize(math.erf, otypes=[float])
 _TINY = np.finfo(float).tiny
@@ -183,6 +181,23 @@ def _level_rule(V, angular, dimension):
     return None
 
 
+# name -> (its parameters with their defaults, in the order they are
+# checked; the spec they give)
+_BUILTINS = {
+    "harmonic": ({}, lambda: PotentialSpec(label="harmonic", terms=((0.5, 2.0, 0.0, 0.0),))),
+    "coulomb": ({"Z": -1.0},
+                lambda Z: PotentialSpec(label="coulomb", terms=((Z, -1.0, 0.0, 0.0),))),
+    "eckart": ({"b": 2.0, "c": -1.0},
+               lambda b, c: PotentialSpec(label=f"eckart(b={b:g},c={c:g})", eckart=(b, c))),
+    "buck_alpha_alpha": ({}, lambda: PotentialSpec(
+        label="buck_alpha_alpha",
+        terms=((-122.6225 / _ALPHA_ALPHA_UNIT, 0.0, 0.22, 0.0),),
+        coulomb_erf=(4.0 * 1.44 / _ALPHA_ALPHA_UNIT, 0.75),
+        energy_unit=_ALPHA_ALPHA_UNIT)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name, **params):
     """Construct one of the catalogued potentials.
 
@@ -194,32 +209,13 @@ def builtin(name, **params):
         ``Z`` for coulomb (default -1); ``b``, ``c`` for eckart
         (default 2, -1).
     """
-    if name == "harmonic":
-        if params:
-            raise ValueError(f"unknown parameters: {sorted(params)}")
-        return PotentialSpec(label="harmonic", terms=((0.5, 2.0, 0.0, 0.0),))
-    if name == "coulomb":
-        Z = _real("Z", params.pop("Z", -1.0))
-        if params:
-            raise ValueError(f"unknown parameters: {sorted(params)}")
-        return PotentialSpec(label="coulomb", terms=((Z, -1.0, 0.0, 0.0),))
-    if name == "eckart":
-        b = _real("b", params.pop("b", 2.0))
-        c = _real("c", params.pop("c", -1.0))
-        if params:
-            raise ValueError(f"unknown parameters: {sorted(params)}")
-        return PotentialSpec(label=f"eckart(b={b:g},c={c:g})", eckart=(b, c))
-    if name == "buck_alpha_alpha":
-        if params:
-            raise ValueError(f"unknown parameters: {sorted(params)}")
-        u = _ALPHA_ALPHA_UNIT
-        return PotentialSpec(
-            label="buck_alpha_alpha",
-            terms=((-122.6225 / u, 0.0, 0.22, 0.0),),
-            coulomb_erf=(4.0 * 1.44 / u, 0.75),
-            energy_unit=u,
-        )
-    raise ValueError(f"unknown potential: {name!r}")
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ValueError(f"unknown potential: {name!r}")
+    defaults, make = _BUILTINS[name]
+    values = {key: _real(key, params.pop(key, value)) for key, value in defaults.items()}
+    if params:
+        raise ValueError(f"unknown parameters: {sorted(params)}")
+    return make(**values)
 
 
 def _json_doc(spec):

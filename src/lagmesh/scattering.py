@@ -269,6 +269,19 @@ def _median(xs):
     return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0
 
 
+def _gamma_grid(gammas):
+    """``gammas`` as a float array, or a ValueError naming the rule of a scan
+    grid it breaks: at least 8 rates, positive and finite, strictly increasing."""
+    grid = _reals("gamma grid", gammas)
+    if grid.ndim != 1 or grid.size < 8:
+        raise ValueError("gamma grid too small: at least 8 points are required")
+    if not np.all(np.isfinite(grid)) or grid[0] <= 0.0:
+        raise ValueError("gamma grid must be positive and finite")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("gamma grid must be strictly increasing")
+    return grid
+
+
 def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="principal"):
     """Evaluate the phase over a gamma grid and locate the plateau.
 
@@ -297,15 +310,8 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
         the grid, in grid order and in ``window``.
     """
     _check_inputs(state, l, V, Z, mesh, window)
-    grid = _DEFAULT_GAMMAS  # read-only, and valid
-    if gammas is not None:
-        grid = _reals("gamma grid", gammas)
-        if grid.ndim != 1 or grid.size < 8:
-            raise ValueError("gamma grid too small: at least 8 points are required")
-        if not np.all(np.isfinite(grid)) or grid[0] <= 0.0:
-            raise ValueError("gamma grid must be positive and finite")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("gamma grid must be strictly increasing")
+    # the default grid is read-only, and valid
+    grid = _DEFAULT_GAMMAS if gammas is None else _gamma_grid(gammas)
     if fallback_gamma is not None and not (
             0.0 < _real("fallback gamma", fallback_gamma) < math.inf):
         raise ValueError(

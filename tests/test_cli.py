@@ -89,6 +89,11 @@ class TestValidation:
     def test_numpy_float_is_a_float(self):
         assert run(_config(h=np.float64(0.09))) == run(_config(h=0.09))
 
+    def test_unknown_mode_is_named(self):
+        with pytest.raises(ConfigError) as err:
+            run(ExperimentConfig(mode="fit"))
+        assert err.value.errors == ("mode: must be one of bound, scatter, gamma-scan, reproduce",)
+
     def test_reproduce_requires_table(self):
         with pytest.raises(ConfigError, match="table"):
             run(ExperimentConfig(mode="reproduce"))
@@ -291,6 +296,49 @@ class TestGammaScanMode:
         assert abs(report["rows"][0]["delta_deg"] - 12.471) <= 0.02
 
 
+class TestGammaGrid:
+    """A scan grid is checked with the config, under ``gamma:``, before any
+    solve, by the rule ``gamma_scan`` applies."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def resolve(config):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "_resolve_problem", resolve)
+
+    @pytest.mark.parametrize("grid, message", [
+        ("3,2", "gamma grid too small: at least 8 points are required"),
+        ("1,2,3", "gamma grid too small: at least 8 points are required"),
+        ("1:2:0", "gamma grid too small: at least 8 points are required"),
+        ("8,7,6,5,4,3,2,1", "gamma grid must be strictly increasing"),
+        ("0,1,2,3,4,5,6,7", "gamma grid must be positive and finite"),
+        ("1,2,3,4,5,6,7,inf", "gamma grid must be positive and finite"),
+    ])
+    @pytest.mark.parametrize("potential, N", [("coulomb", 1), ("eckart", 15)],
+                             ids=["no-pseudostate", "pseudostates"])
+    def test_bad_grid_flag_exits_1_before_any_solve(self, capsys, no_solve, grid, message,
+                                                    potential, N):
+        code = main(["gamma-scan", "--potential", potential, "--variant", "reg-sqrt",
+                     "--N", str(N), "--h", "0.1", "--gamma", grid])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"lagmesh: gamma: {message}\n"
+
+    def test_bad_grid_in_a_config_file_or_in_python(self, tmp_path, capsys, no_solve):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": "eckart", "variant": "reg-sqrt", "N": 15,
+                                   "h": 0.1, "gammas": [1, 2, 3]}))
+        assert main(["gamma-scan", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "lagmesh: gamma: gamma grid too small: at least 8 points are required\n")
+        with pytest.raises(ConfigError) as err:
+            run(_config(mode="gamma-scan", potential=builtin("eckart"), variant="reg-sqrt",
+                        N=15, h=0.1, gammas=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.nan)))
+        assert err.value.errors == ("gamma: gamma grid must be positive and finite",)
+
+
 class TestSweep:
     def test_mesh_size_sweep_converges(self):
         config = _config(potential=builtin("coulomb"), h=0.9)
@@ -346,6 +394,11 @@ class TestSweep:
             sweep(config, "alpha", (1.0,))
         with pytest.raises(ConfigError, match="gamma"):
             sweep(config, "gamma", (1.0,))
+        scan = _config(mode="gamma-scan", potential=builtin("eckart"), variant="reg-sqrt",
+                       N=15, h=0.1)
+        with pytest.raises(ConfigError) as err:
+            sweep(scan, "N", (15,))
+        assert err.value.errors == ("mode: sweeps apply to bound or scatter runs",)
 
 
 class TestEigenvalueOnlySolve:
@@ -477,6 +530,16 @@ class TestReports:
         lines = text.splitlines()
         assert lines[0] == "state,energy,exact,eps_rel"
         assert lines[1].startswith("1,1.5,1.5,")
+
+    @pytest.mark.parametrize("x, text", [(0.0, "0"), (9.96e-3, "1.0[-2]"),
+                                         (-9.96e-3, "-1.0[-2]"), (6.9e-2, "6.9[-2]")])
+    def test_error_notation(self, x, text):
+        # a mantissa that rounds up to 10 moves to the next power
+        assert cli.benchmarks.eps_notation(x) == text
+
+    def test_unknown_table_is_named(self):
+        with pytest.raises(ValueError, match=r"^table must be one of \(1, 2, 3, 4, 5\), got 6$"):
+            cli.benchmarks.run_table(6)
 
     def test_reproduce_csv_uses_error_notation(self):
         report = run(ExperimentConfig(mode="reproduce", table=2))
@@ -975,6 +1038,54 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (f"lagmesh: numerical failure: alpha={float(alpha)!r}: "
                                 "Gamma(alpha + 1) is out of double range\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--potential", "harmonic", "--N", "5", "--h", "1", "--format", "xml"],
+         "format: must be csv or json"),
+        (["scatter", "--potential", "eckart", "--N", "5", "--h", "1", "--gamma", "x"],
+         "gamma: must be a number"),
+        (["bound", "--potential", "coulomb:Z=x", "--N", "5", "--h", "1"],
+         "potential: bad parameter 'Z=x'"),
+        (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--values", "1,2"],
+         "sweep: both --parameter and --values are required"),
+        (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--parameter", "h"],
+         "sweep: both --parameter and --values are required"),
+        (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--parameter", "h",
+          "--values", "a,b"], "values: must be comma-separated numbers"),
+    ], ids=["format", "gamma", "builtin-parameter", "no-parameter", "no-values", "values"])
+    def test_malformed_flag_exits_1_naming_it(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
+
+    @pytest.mark.parametrize("potential, label", [
+        ("eckart", "eckart(b=2,c=-1)"), ('{"terms": [{"c": 1, "p": 1.5}]}', "user")])
+    def test_var_without_exact_matrix_elements_exits_1(self, capsys, potential, label):
+        assert main(["bound", "--potential", potential, "--N", "5", "--h", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lagmesh: potential {label!r} has no exact matrix elements\n"
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["bound", "--config", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lagmesh: config: ") and str(missing) in captured.err
+
+    def test_out_into_a_missing_directory_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.csv"
+        assert main(["bound", "--potential", "harmonic", "--N", "5", "--h", "1",
+                     "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("lagmesh: out: ")
+        assert not target.parent.exists()
+
+    def test_run_without_pseudostates_writes_an_empty_csv(self, capsys):
+        # an N = 1 Coulomb mesh has only its bound state
+        assert main(["scatter", "--potential", "coulomb", "--variant", "reg-sqrt",
+                     "--N", "1", "--h", "1", "--gamma", "1"]) == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1

@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from lagmesh import cli
+from lagmesh import cli, potentials
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -45,6 +45,15 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and all(line.startswith("E = ") for line in lines)
+
+
+def test_readme_lists_the_builtins_with_their_defaults():
+    listed = ", ".join(
+        f"`{name}`" + (" (" + ", ".join(f"`{key}={value:g}`" for key, value in defaults.items())
+                       + ")" if defaults else "")
+        for name, (defaults, _) in potentials._BUILTINS.items())
+    assert f"the builtins, with their parameters' defaults, are {listed})" in " ".join(
+        README.split())
 
 
 def test_readme_cli_examples_are_found():

@@ -465,6 +465,36 @@ class TestPotentialMatrix:
             with pytest.raises(ValueError, match="no exact matrix elements"):
                 _potential_matrix(mesh, builtin(name))
 
+    @pytest.mark.parametrize("term", [(1.0, 0.0, 0.1, 0.0), (1.0, -1.0, 0.0, 0.5),
+                                      (1.0, 1.5, 0.0, 0.0), (1.0, -0.5, 0.0, 0.0)],
+                             ids=["gaussian", "yukawa", "p=1.5", "p=-0.5"])
+    @pytest.mark.parametrize("variant", ["Var", "Var2D"])
+    def test_var_rejects_damped_and_unlisted_powers_before_any_matrix(self, variant, term):
+        # a valid power ahead of the bad term requests no matrix either: the
+        # whole spec is checked first, so the second-request cache is untouched
+        V = PotentialSpec(label="mixed", terms=((0.5, 2.0, 0.0, 0.0), term))
+        build = hamiltonian_2d if SCHEMES[HamiltonianVariant[variant]][3] == 2 else hamiltonian_3d
+        mesh = scheme_mesh(variant, 12, 0.4)
+        _clear_matrix_caches()
+        with pytest.raises(ValueError, match="^potential 'mixed' has no exact matrix elements$"):
+            _potential_matrix(mesh, V)
+        assert matelem._slot.cache_info().currsize == 0
+        with pytest.raises(ValueError, match="^potential 'mixed' has no exact matrix elements$"):
+            build(mesh, 0, V, variant)
+
+    def test_exact_potential_is_the_sum_of_its_terms_in_order(self):
+        # a spec of several pure powers sums their scaled Exact matrices in
+        # term order; an empty spec is the zero matrix
+        mesh = mesh_regsqrt(9, h=0.7)
+        V = PotentialSpec(label="sum", terms=((0.5, 2.0, 0.0, 0.0), (-1.5, -1.0, 0.0, 0.0),
+                                              (3.0, 0.0, 0.0, 0.0), (0.25, 1.0, 0.0, 0.0)))
+        want = 0.5 * 0.7**2 * operator_matrix(mesh, "r^2", Mode.Exact)
+        for c, p, op in ((-1.5, -1.0, "1/r"), (3.0, 0.0, "1"), (0.25, 1.0, "r")):
+            want = want + c * 0.7**p * operator_matrix(mesh, op, Mode.Exact)
+        assert np.array_equal(_potential_matrix(mesh, V), want)
+        assert np.array_equal(_potential_matrix(mesh, PotentialSpec(label="free")),
+                              np.zeros((9, 9)))
+
 
 class TestHamiltonian3D:
     def test_oscillator_variational_ground_state(self):

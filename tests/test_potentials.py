@@ -10,6 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from lagmesh.potentials import (
+    BUILTIN_NAMES,
     PotentialSpec,
     _json_doc,
     builtin,
@@ -66,9 +67,45 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unknown potential"):
             builtin("yukawa")
 
+    @pytest.mark.parametrize("name", [3, None, ["harmonic"], b"harmonic"])
+    def test_name_that_is_no_string_is_unknown(self, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'unknown potential: {name!r}')}$"):
+            builtin(name)
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="parameter"):
             builtin("harmonic", omega=2.0)
+
+    def test_names_are_the_catalogue(self):
+        assert BUILTIN_NAMES == ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")
+
+    @pytest.mark.parametrize("name, params, spec", [
+        ("harmonic", {}, ("harmonic", ((0.5, 2.0, 0.0, 0.0),), None, None, 1.0)),
+        ("coulomb", {}, ("coulomb", ((-1.0, -1.0, 0.0, 0.0),), None, None, 1.0)),
+        ("coulomb", {"Z": 3}, ("coulomb", ((3.0, -1.0, 0.0, 0.0),), None, None, 1.0)),
+        ("eckart", {}, ("eckart(b=2,c=-1)", (), None, (2.0, -1.0), 1.0)),
+        ("eckart", {"c": 0.25}, ("eckart(b=2,c=0.25)", (), None, (2.0, 0.25), 1.0)),
+        ("eckart", {"b": 3, "c": 1.5}, ("eckart(b=3,c=1.5)", (), None, (3.0, 1.5), 1.0)),
+        ("buck_alpha_alpha", {}, ("buck_alpha_alpha", ((-122.6225 / 20.736, 0.0, 0.22, 0.0),),
+                                  (4.0 * 1.44 / 20.736, 0.75), None, 20.736)),
+    ])
+    def test_spec_at_defaults_and_given_parameters(self, name, params, spec):
+        V = builtin(name, **params)
+        assert (V.label, V.terms, V.coulomb_erf, V.eckart, V.energy_unit) == spec
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("harmonic", {"Z": 1.0}, "unknown parameters: ['Z']"),
+        ("coulomb", {"Q": 1.0, "Z": 2.0}, "unknown parameters: ['Q']"),
+        ("eckart", {"d": 1.0, "a": 2.0}, "unknown parameters: ['a', 'd']"),
+        ("buck_alpha_alpha", {"Z": 1.0}, "unknown parameters: ['Z']"),
+        # a bad value is named before an unknown key, in the catalogue's order
+        ("coulomb", {"Z": "x", "Q": 1.0}, "Z must be a number (got 'x')"),
+        ("eckart", {"c": "y", "b": "x", "d": 1.0}, "b must be a number (got 'x')"),
+        ("eckart", {"c": "y", "d": 1.0}, "c must be a number (got 'y')"),
+    ])
+    def test_first_failing_check_is_reported(self, name, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            builtin(name, **params)
 
 
 class TestEvaluate:

@@ -528,6 +528,8 @@ class TestCoulombWave:
             coulomb_wave(0, 51.0, 1.0)
         with pytest.raises(ValueError, match="integer"):
             coulomb_wave(0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^x must contain at least one point$"):
+            coulomb_wave(0, 1.0, [])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
