@@ -9,7 +9,8 @@ Five tables are available by id:
    energies on both regularized meshes (N=15, h=0.1, gamma=4);
 4. alpha+alpha s- and d-wave phase shifts at the two lowest pseudostate
    energies on both regularized meshes (N=15, h=0.23, plateau search in
-   [0.3, 1.3] fm^-1 with the fallback-gamma rule for the s wave);
+   [0.3, 1.3] fm^-1; the lowest s-wave state borrows the second state's
+   plateau gamma when its own scan finds none);
 5. two-dimensional m=1 lowest-state errors, mesh vs variational, for the
    harmonic (N=20, h=0.09) and Coulomb (N=10, h=0.9) potentials.
 
@@ -29,13 +30,14 @@ place of q, f = 1/2 in tables 1, 2, 3 and 5 and f = 1 in table 4.  Table 4
 also checks that each d-wave plateau gamma lies inside its grid.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import builtin, exact_level
-from .scattering import eckart_reference_delta0, gamma_scan, tan_delta
+from .scattering import _fold_180, eckart_reference_delta0, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
 __all__ = [
@@ -61,6 +63,7 @@ _MESHES_SCAT = _VARIANTS_3D[1:3]  # the two regularized meshes
 TABLE3_GAMMA = 4.0
 _TABLE3_STATES = (1, 5, 10)  # the pseudostates of table 3, counted from 1
 TABLE4_GAMMA_GRID = np.geomspace(0.3, 1.3, 16)
+_TABLE4_STEP = (TABLE4_GAMMA_GRID[-1] / TABLE4_GAMMA_GRID[0]) ** (1.0 / 15)  # grid ratio
 
 # Reference values (quadruple-precision runs), each the string the paper
 # prints: its last digit sets the check's unit.  Tables 1, 2 and 5 hold
@@ -186,13 +189,16 @@ def _run_table4():
     for l in (0, 2):
         V, meshes = _scattering_states("buck_alpha_alpha", 15, 0.23, l)
         for label, (mesh, ps) in meshes.items():
-            # no clear plateau is expected for the lowest s-wave
-            # pseudostate; it reuses the second pseudostate's plateau gamma
-            rec2, _ = gamma_scan(ps[1], l, V, V.tail_Z, mesh,
-                                 gammas=TABLE4_GAMMA_GRID, window="positive")
-            rec1, _ = gamma_scan(ps[0], l, V, V.tail_Z, mesh, gammas=TABLE4_GAMMA_GRID,
-                                 fallback_gamma=rec2.gamma if l == 0 else None,
-                                 window="positive")
+            rec1, rec2 = (gamma_scan(state, l, V, V.tail_Z, mesh, gammas=TABLE4_GAMMA_GRID,
+                                     window="positive")[0] for state in ps[:2])
+            if l == 0 and rec1.no_plateau:
+                # as expected for the lowest s-wave pseudostate: its phase at
+                # the second one's gamma, the sensitivity one step to each side
+                lo, mid, hi = (tan_delta(ps[0], l, V, V.tail_Z, g, mesh, window="positive")
+                               for g in (rec2.gamma / _TABLE4_STEP, rec2.gamma,
+                                         rec2.gamma * _TABLE4_STEP))
+                sens = max(abs(_fold_180(r.delta_deg - mid.delta_deg)) for r in (lo, hi))
+                rec1 = dataclasses.replace(mid, sensitivity=sens, no_plateau=True)
             exact = TABLE4_REFERENCE[l, label]["exact"]
             for k, rec in enumerate((rec1, rec2)):
                 rows.append({

@@ -35,9 +35,10 @@ import numpy as np
 
 from . import __version__, benchmarks
 from .basis import _CACHE_SIZE
-from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
+from .matelem import (SCHEMES, HamiltonianVariant, Mode, _exact_ops, hamiltonian_2d,
+                      hamiltonian_3d, scheme_mesh)
 from .potentials import BUILTIN_NAMES, PotentialSpec, _json_doc, _level_rule, builtin, from_json
-from .scattering import _gamma_grid, gamma_scan, tan_delta
+from .scattering import _gamma_grid, _short_range, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 from .specfun import _MAX_ETA, _MAX_L
 
@@ -184,6 +185,9 @@ def _domain_errors(config):
         errors.append("potential: a builtin name or JSON spec is required")
     elif not isinstance(config.potential, PotentialSpec):
         errors.append(f"potential: must be a PotentialSpec (got {config.potential!r})")
+    elif config.mode in ("scatter", "gamma-scan"):
+        # the library's rule, before any solve
+        errors += _raised("potential", _short_range, config.potential)
     if config.N is None or config.N < 1:
         errors.append("N: a positive mesh size is required")
     if config.h is None or not (config.h > 0.0 and math.isfinite(config.h)):
@@ -211,15 +215,43 @@ def _domain_errors(config):
     if config.alpha is not None and not (
             config.alpha >= 0.0 and math.isfinite(config.alpha)):
         errors.append("alpha: must be finite and nonnegative")
+    elif (config.dimension in (2, 3) and isinstance(config.potential, PotentialSpec)
+          and config.variant in (a for d, a in _VARIANTS if d == config.dimension)):
+        errors += _exact_errors(config)
     if config.mode == "scatter" and (
             config.gamma is None
             or not (config.gamma > 0.0 and math.isfinite(config.gamma))):
         errors.append("gamma: scatter requires a positive, finite --gamma")
     if config.mode == "gamma-scan" and config.gammas is not None:
-        try:  # the scan's own rule, before any solve
-            _gamma_grid(config.gammas)
-        except ValueError as e:
-            errors.append(f"gamma: {e}")
+        # the scan's own rule, before any solve
+        errors += _raised("gamma", _gamma_grid, config.gammas)
+    return errors
+
+
+def _raised(key, rule, *args):
+    """``[key: message]`` of the ValueError that ``rule(*args)`` raises, or []."""
+    try:
+        rule(*args)
+    except ValueError as e:
+        return [f"{key}: {e}"]
+    return []
+
+
+def _exact_errors(config):
+    """The variant: error of a scheme that takes the potential's Exact matrix
+    where it has none, and the alpha: error of an Exact kinetic or
+    centrifugal integral that diverges, by the builders' own rule
+    (``matelem._exact_ops``) before any matrix is built.  A 2D build picks a
+    basis where both converge (``hamiltonian_2d``)."""
+    family, alpha, modes, dim = SCHEMES[_VARIANTS[config.dimension, config.variant]]
+    alpha = alpha if config.alpha is None else config.alpha
+    errors = []
+    if modes[2] is Mode.Exact:
+        errors += _raised("variant", _exact_ops, family, alpha, (), config.potential)
+    reads = (("kinetic", True), ("1/r^2", config.angular > 0))
+    ops = tuple(op for (op, read), mode in zip(reads, modes) if read and mode is Mode.Exact)
+    if dim == 3:
+        errors += _raised("alpha", _exact_ops, family, alpha, ops)
     return errors
 
 

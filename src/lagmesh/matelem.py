@@ -166,18 +166,12 @@ def _gauss_error(mesh, op):
     -d^2/dr^2 and ``-alpha/(4 r_i r_j)`` for the 2D operator: the first
     vanishes at alpha = 1, the second at alpha = 0, where the Gauss 2D
     matrix is exact although its two pieces diverge apart.  An element whose
-    integrand diverges at the origin raises ``ValueError``.
+    integrand diverges at the origin raises ``ValueError`` (``_exact_ops``).
     """
     r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
     ri, rj = r[:, None], r[None, :]
     b = 2.0 * N + alpha + 1.0
-    # f_i (op f_j) goes like x^(2p - 2) at the origin for 1/r^2, and so for
-    # -d^2/dr^2 unless p (p - 1) = 0; the integral diverges where 2p - 2 <= -1.
-    # The other cells converge at every alpha >= 0.
-    p = _family_power(mesh.family, alpha)
-    if p <= 0.5 and (op == "1/r^2" or op == "kinetic" and p != 0.0):
-        raise ValueError(f"divergent integral: {op} on family {mesh.family.name} "
-                         f"with alpha={alpha}")
+    _exact_ops(mesh.family, alpha, (op,))
     if mesh.family is Family.RegSqrt:
         if op == "1/r^2":
             c = 1.0 / (alpha * (ri * rj))
@@ -224,18 +218,35 @@ def _gauss_kinetic(mesh, c_shift=0.0):
     return values
 
 
+def _exact_ops(family, alpha, ops=(), V=None):
+    """``ops`` and the operator of each term of ``V``, once each has an Exact
+    matrix on ``family`` at ``alpha`` (the builders' rule, by which the CLI
+    checks a config), else ValueError.  A potential's terms must be pure
+    powers r**p, p in {-2, ..., 2}.  1/r^2, and -d^2/dr^2 unless
+    p (p - 1) = 0, diverge at the origin where ``f_i (op f_j)`` goes like
+    x^(2p - 2) with 2p - 2 <= -1, p the family's leading power; the other
+    cells converge at every alpha >= 0.
+    """
+    if V is not None:
+        powers = [_POWER_OPS.get(p) if a == b == 0.0 else None for _, p, a, b in V.terms]
+        if V.coulomb_erf is not None or V.eckart is not None or None in powers:
+            raise ValueError(f"potential {V.label!r} has no exact matrix elements")
+        ops = (*ops, *powers)
+    p = _family_power(family, alpha)
+    for op in ops:
+        if p <= 0.5 and (op == "1/r^2" or op == "kinetic" and p != 0.0):
+            raise ValueError(f"divergent integral: {op} on family {family.name} "
+                             f"with alpha={alpha}")
+    return ops
+
+
 def _potential_matrix(mesh, V):
     """Exact matrix of a potential on the scaled mesh (this one includes the
-    h scaling, since potentials are functions of the physical radius).
-
-    It exists when every term of the potential is a pure power r**p with p
-    in {-2, -1, 0, 1, 2}; other shapes have no exact quadrature and raise
-    before any matrix is requested.  ``_assemble`` adds a Gauss-mode
-    potential to H's diagonal itself.
+    h scaling, since potentials are functions of the physical radius).  A
+    spec without one (``_exact_ops``) raises before any matrix is requested.
+    ``_assemble`` adds a Gauss-mode potential to H's diagonal itself.
     """
-    ops = [_POWER_OPS.get(p) if a == b == 0.0 else None for _, p, a, b in V.terms]
-    if V.coulomb_erf is not None or V.eckart is not None or None in ops:
-        raise ValueError(f"potential {V.label!r} has no exact matrix elements")
+    ops = _exact_ops(mesh.family, mesh.alpha, V=V)
     terms = [c * mesh.h**p * operator_matrix(mesh, op, Mode.Exact)
              for (c, p, _, _), op in zip(V.terms, ops)]
     return sum(terms[1:], terms[0]) if terms else np.zeros((mesh.N, mesh.N))

@@ -15,8 +15,8 @@ so every integral collapses to a weighted dot product with the
 coefficient vector.  The node factors of a mesh and potential are cached
 for all its states; a state forms its Coulomb functions once, and the
 ratio, its checks and the plateau search on a whole gamma grid are a few
-array operations.  One call serves a single rate, a scan and its
-fallback alike, with the same bits.
+array operations.  One call serves a single rate and a scan alike, with
+the same bits.
 
 Everything here is in the scaled units of the Hamiltonian
 (``hbar = M = 1``).  A result holds phases only; a report converts the
@@ -84,8 +84,8 @@ class PhaseShiftResult:
         ``max |delta(gamma +- one step) - delta(gamma)|`` in degrees
         when produced by a scan; 0 for a single evaluation.
     no_plateau : bool
-        True when a scan found no clear plateau and this result was
-        evaluated at a caller-supplied fallback gamma.
+        True when a scan found no clear plateau: its least slope is within a
+        factor 3 of the median slope.
     """
 
     tan_delta: float
@@ -94,6 +94,16 @@ class PhaseShiftResult:
     gamma: float
     sensitivity: float = 0.0
     no_plateau: bool = False
+
+
+def _short_range(V):
+    """ValueError naming ``V`` unless ``V - Z/r`` vanishes faster than 1/r,
+    as a continuum at k = sqrt(2E) needs: an undamped term ``c r**p`` with
+    c != 0 and p > -1 does not."""
+    for c, p, a, b in V.terms:
+        if a == b == 0.0 and c != 0.0 and p > -1.0:
+            raise ValueError(f"potential {V.label!r} is not short-range: its term "
+                             f"{c:g} r**{p:g} does not vanish faster than 1/r")
 
 
 def _check_inputs(state, l, V, Z, mesh, window):
@@ -109,6 +119,7 @@ def _check_inputs(state, l, V, Z, mesh, window):
         raise ValueError(
             f"potential {V.label!r} has Coulomb tail {V.tail_Z!r}, not Z={Z!r}"
         )
+    _short_range(V)
     if np.shape(state.coefficients) != (mesh.N,):
         raise ValueError("coefficient vector length does not match the mesh")
     if window not in ("principal", "positive"):
@@ -231,9 +242,9 @@ def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
     ------
     ValueError
         Naming the out-of-domain parameter: l, Z (also one that does not
-        match the tail), gamma, window, or the state's energy, k or
-        coefficients.  Every argument is checked before any Coulomb
-        function is evaluated.
+        match the tail), V (when ``V - Z/r`` is not short-range), gamma,
+        window, or the state's energy, k or coefficients.  Every argument
+        is checked before any Coulomb function is evaluated.
     IndeterminatePhaseError
         If the denominator of the ratio vanishes.
     """
@@ -282,15 +293,15 @@ def _gamma_grid(gammas):
     return grid
 
 
-def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="principal"):
+def gamma_scan(state, l, V, Z, mesh, gammas=None, window="principal"):
     """Evaluate the phase over a gamma grid and locate the plateau.
 
-    The recommended point minimizes the centered finite difference
-    ``|d delta / d gamma|`` over the interior of the grid.  When that
-    minimum is within a factor 3 of the median slope there is no clear
-    plateau: the recommendation is flagged ``no_plateau`` and, if a
-    ``fallback_gamma`` is supplied (e.g. the plateau of a neighboring
-    pseudostate), it is evaluated there instead.
+    The recommended point is the grid point that minimizes the centered
+    finite difference ``|d delta / d gamma|`` over the interior of the grid.
+    When that minimum is within a factor 3 of the median slope there is no
+    clear plateau, and the recommendation is flagged ``no_plateau``; a caller
+    with a better rate at hand (table 4 borrows a neighboring pseudostate's
+    plateau) evaluates it with :func:`tan_delta`.
 
     Parameters
     ----------
@@ -299,8 +310,6 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
     gammas : array_like, optional
         Strictly increasing grid of at least 8 positive rates.  Default:
         16 log-spaced points on [0.1, 10].
-    fallback_gamma : float, optional
-        Positive, finite rate to fall back to when no plateau is found.
 
     Returns
     -------
@@ -312,14 +321,9 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
     _check_inputs(state, l, V, Z, mesh, window)
     # the default grid is read-only, and valid
     grid = _DEFAULT_GAMMAS if gammas is None else _gamma_grid(gammas)
-    if fallback_gamma is not None and not (
-            0.0 < _real("fallback gamma", fallback_gamma) < math.inf):
-        raise ValueError(
-            f"fallback gamma must be positive and finite, got {fallback_gamma!r}")
 
     table = _interior_table(state, l, V, Z, mesh)
-    phases = _phases(grid, *_ratios(table, l, state.k, grid), window)
-    scan = phases[1]
+    tan, scan, branch = _phases(grid, *_ratios(table, l, state.k, grid), window)
     # Slopes on a branch-unwrapped copy so a 180-degree hop between
     # neighboring grid points is not mistaken for a huge derivative (lists:
     # a grid this short costs less as Python floats than as arrays).
@@ -328,19 +332,8 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, fallback_gamma=None, window="p
     i = 1 + slopes.index(min(slopes))
     median = _median(slopes)
     no_plateau = median > 0.0 and slopes[i - 1] * _PLATEAU_MEDIAN_FACTOR >= median
-    rates = grid
-
-    if no_plateau and fallback_gamma is not None:
-        step = (grid[-1] / grid[0]) ** (1.0 / (grid.size - 1))
-        rates = (fallback_gamma / step, float(fallback_gamma), fallback_gamma * step)
-        phases = _phases(rates, *_ratios(table, l, state.k, rates), window)
-        lo, mid, hi = phases[1].tolist()
-        sens = max(abs(_fold_180(lo - mid)), abs(_fold_180(hi - mid)))
-        i = 1
-    else:
-        sens = max(abs(deg[i - 1] - deg[i]), abs(deg[i + 1] - deg[i]))
-    tan, delta, branch = (a[i] for a in phases)
-    rec = PhaseShiftResult(float(tan), float(delta), int(branch), float(rates[i]),
+    sens = max(abs(deg[i - 1] - deg[i]), abs(deg[i + 1] - deg[i]))
+    rec = PhaseShiftResult(float(tan[i]), float(scan[i]), int(branch[i]), g[i],
                            float(sens), bool(no_plateau))
     return rec, scan
 

@@ -1,6 +1,7 @@
 """Tests for the command-line runner: config handling, modes, reports."""
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -337,6 +338,106 @@ class TestGammaGrid:
             run(_config(mode="gamma-scan", potential=builtin("eckart"), variant="reg-sqrt",
                         N=15, h=0.1, gammas=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.nan)))
         assert err.value.errors == ("gamma: gamma grid must be positive and finite",)
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    def build(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cli, "hamiltonian_3d", build)
+    monkeypatch.setattr(cli, "hamiltonian_2d", build)
+
+
+class TestExactMatrixConfig:
+    """A scheme that would read an Exact matrix that does not exist is named
+    with the config, before any matrix is built, by the builders' rule."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--potential", "eckart"], "variant: potential 'eckart(b=2,c=-1)' has no exact "
+                                    "matrix elements"),
+        (["--potential", "buck_alpha_alpha"], "variant: potential 'buck_alpha_alpha' has no "
+                                              "exact matrix elements"),
+        (["--potential", "eckart", "--dim", "2"], "variant: potential 'eckart(b=2,c=-1)' has "
+                                                  "no exact matrix elements"),
+        (["--potential", "coulomb", "--variant", "var", "--alpha", "0"],
+         "alpha: divergent integral: kinetic on family RegSqrt with alpha=0.0"),
+        (["--potential", "coulomb", "--variant", "non-reg", "--alpha", "1"],
+         "alpha: divergent integral: kinetic on family NonReg with alpha=1.0"),
+        (["--potential", "coulomb", "--variant", "non-reg-vg", "--alpha", "0", "--l", "1"],
+         "alpha: divergent integral: 1/r^2 on family NonReg with alpha=0.0"),
+    ], ids=["eckart", "alpha-alpha", "eckart-2d", "var-alpha-0", "non-reg-alpha-1",
+            "non-reg-vg-centrifugal"])
+    def test_exits_1_with_the_field_before_any_build(self, capsys, no_build, argv, message):
+        assert main(["bound", *argv, "--N", "10", "--h", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
+
+    def test_config_error_in_python(self, no_build):
+        with pytest.raises(ConfigError) as err:
+            run(_config(potential=builtin("eckart"), variant="var", alpha=0.0))
+        assert err.value.errors == (
+            "variant: potential 'eckart(b=2,c=-1)' has no exact matrix elements",
+            "alpha: divergent integral: kinetic on family RegSqrt with alpha=0.0")
+
+    def test_config_check_agrees_with_the_builders(self):
+        # every scheme, alpha and angular number: the config is refused
+        # exactly when a build raises, naming the build's message
+        potentials = (builtin("harmonic"), builtin("eckart"),
+                      from_json('{"terms": [{"c": -1, "p": -1}, {"c": 2, "p": 1}]}'))
+        for (dim, alias), alpha, l, V in itertools.product(
+                cli._VARIANTS, (None, 0.0, 0.5, 1.0, 1.5, 2.0), (0, 1), potentials):
+            if dim == 2 and alpha:
+                continue
+            config = _config(potential=V, dimension=dim, variant=alias, angular=l, N=6,
+                             h=0.5, alpha=alpha)
+            errors = cli._domain_errors(config)
+            try:
+                cli._resolve_problem(config)
+            except ValueError as e:
+                assert any(err.endswith(f": {e}") for err in errors), (config, errors, e)
+            else:
+                assert errors == [], config
+
+    @pytest.mark.parametrize("argv", [
+        ["--potential", "eckart", "--variant", "reg-sqrt"],
+        ["--potential", "coulomb", "--variant", "non-reg-vg", "--alpha", "0"],
+        ["--potential", "harmonic", "--dim", "2", "--m", "1"],
+    ], ids=["eckart-mesh", "non-reg-vg-alpha-0-s-wave", "var-2d-m-1"])
+    def test_buildable_configs_run(self, capsys, argv):
+        assert main(["bound", *argv, "--N", "10", "--h", "0.5"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestShortRangeConfig:
+    """Phases need ``V - Z/r`` to vanish faster than 1/r; another potential
+    is refused under ``potential:`` before any build or eigensolve."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scatter", "--potential", "harmonic", "--gamma", "1"],
+         "potential: potential 'harmonic' is not short-range: its term 0.5 r**2 does not "
+         "vanish faster than 1/r"),
+        (["gamma-scan", "--potential", '{"terms":[{"c":1,"p":0}]}'],
+         "potential: potential 'user' is not short-range: its term 1 r**0 does not vanish "
+         "faster than 1/r"),
+        (["gamma-scan", "--potential", '{"terms":[{"c":-1,"p":-1},{"c":2,"p":-0.5}]}'],
+         "potential: potential 'user' is not short-range: its term 2 r**-0.5 does not vanish "
+         "faster than 1/r"),
+    ], ids=["scatter-harmonic", "gamma-scan-constant", "gamma-scan-r^-1/2"])
+    def test_exits_1_before_any_build(self, capsys, no_build, argv, message):
+        assert main([*argv, "--variant", "reg-sqrt", "--N", "10", "--h", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
+
+    def test_config_error_in_python(self, no_build):
+        with pytest.raises(ConfigError) as err:
+            sweep(_config(mode="scatter", potential=builtin("harmonic"), variant="reg-sqrt",
+                          gamma=1.0), "gamma", (1.0, 2.0))
+        assert err.value.errors == ("potential: potential 'harmonic' is not short-range: "
+                                    "its term 0.5 r**2 does not vanish faster than 1/r",)
+
+    def test_bound_runs_keep_every_potential(self, capsys):
+        assert main(["bound", "--potential", "harmonic", "--N", "10", "--h", "0.5"]) == 0
 
 
 class TestSweep:
@@ -1064,7 +1165,8 @@ class TestMain:
         assert main(["bound", "--potential", potential, "--N", "5", "--h", "0.1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"lagmesh: potential {label!r} has no exact matrix elements\n"
+        assert captured.err == (
+            f"lagmesh: variant: potential {label!r} has no exact matrix elements\n")
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

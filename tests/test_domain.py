@@ -145,9 +145,6 @@ CASES = {
     "gamma_scan.gammas": (lambda v: gamma_scan(
         _state(), 0, ECKART, 0.0, MESH, gammas=_grid_with_entry(v)),
         NONFINITE | at_most(0.0), r"gamma grid"),
-    "gamma_scan.fallback_gamma": (lambda v: gamma_scan(
-        _state(), 0, ECKART, 0.0, MESH, fallback_gamma=v),
-        NONFINITE | at_most(0.0), r"fallback gamma"),
     "coulomb_wave.l": (lambda v: coulomb_wave(v, 0.5, 1.0), angular(21), r"\bl\b"),
     "coulomb_wave.eta": (lambda v: coulomb_wave(0, v, 1.0),
                          NONFINITE | st.floats(50.0, 1e300, exclude_min=True)

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
 from lagmesh import scattering
+from lagmesh.benchmarks import run_table
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.cli import ExperimentConfig, run
 from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d, scheme_mesh
-from lagmesh.potentials import builtin
+from lagmesh.potentials import PotentialSpec, builtin
 from lagmesh.scattering import (
     _DEFAULT_GAMMAS,
     IndeterminatePhaseError,
@@ -153,16 +155,30 @@ _BUCK_GRID = np.geomspace(0.3, 1.3, 16)
 
 class TestAlphaAlphaBenchmark:
     def test_first_s_state_has_no_plateau_and_inherits_gamma(self):
+        # table 4 applies the paper's rule itself: where the lowest s-wave
+        # state's scan finds no plateau, its phase is taken at the second
+        # state's gamma and flagged no_plateau
+        rows = {(row["l"], row["mesh"], row["state"]): row for row in run_table(4)}
+        first, second = rows[0, "reg sqrt(r)", 1], rows[0, "reg sqrt(r)", 2]
         mesh, ps = buck_states("sqrt", 0)
-        rec2, _ = gamma_scan(
-            ps[1], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID, window="positive"
-        )
-        rec1, _ = gamma_scan(
-            ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID,
-            fallback_gamma=rec2.gamma, window="positive",
-        )
+        rec1, _ = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID,
+                             window="positive")
         assert rec1.no_plateau
-        assert rec1.gamma == rec2.gamma
+        assert first["no_plateau"] and first["gamma"] == second["gamma"] != rec1.gamma
+        res = tan_delta(ps[0], 0, BUCK, BUCK.tail_Z, second["gamma"], mesh, "positive")
+        assert first["delta"] == res.delta_deg
+        assert 0.0 < first["sensitivity"] < 1e-2
+        # on the r-regularized mesh the lowest state's own scan finds a
+        # plateau, so its row is the scan's
+        mesh, ps = buck_states("r", 0)
+        rec1, _ = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID,
+                             window="positive")
+        own = rows[0, "reg r", 1]
+        assert not rec1.no_plateau and not own["no_plateau"]
+        assert (own["gamma"], own["delta"], own["sensitivity"]) == (
+            rec1.gamma, rec1.delta_deg, rec1.sensitivity)
+        # no d-wave row borrows a gamma
+        assert not any(row["no_plateau"] for (l, _, _), row in rows.items() if l == 2)
 
     def test_energy_reported_in_problem_units(self):
         # a result holds phases only; the report converts the state's energy
@@ -290,14 +306,19 @@ class TestGammaScan:
             gamma_scan(
                 ps[0], 0, ECKART, 0.0, mesh, gammas=[1, 2, 3, 4, 4, 5, 6, 7]
             )
-        with pytest.raises(ValueError, match="fallback"):
-            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, fallback_gamma=-2.0)
 
-    def test_fallback_ignored_when_plateau_exists(self):
-        mesh, ps = eckart_states("sqrt")
-        rec, _ = gamma_scan(ps[0], 0, ECKART, 0.0, mesh, fallback_gamma=0.77)
-        assert not rec.no_plateau
-        assert rec.gamma != 0.77
+    def test_no_plateau_recommendation_is_a_grid_point(self):
+        # the lowest alpha+alpha s-wave state has no plateau: the scan still
+        # recommends its grid point of least slope, with that point's phase
+        mesh, ps = buck_states("sqrt", 0)
+        rec, table = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID,
+                                window="positive")
+        assert rec.no_plateau
+        assert rec.gamma in _BUCK_GRID.tolist()
+        i = _BUCK_GRID.tolist().index(rec.gamma)
+        assert rec.delta_deg == table[i]
+        single = tan_delta(ps[0], 0, BUCK, BUCK.tail_Z, rec.gamma, mesh, "positive")
+        assert (rec.tan_delta, rec.branch) == (single.tan_delta, single.branch)
 
 
 class TestBatchedRatio:
@@ -315,8 +336,10 @@ class TestBatchedRatio:
     def test_scan_entries_equal_single_evaluations(self, V, l, famkey, h, window):
         mesh, states = system_states(V, l, famkey, h)
         for state in states[::5]:
-            _, table = gamma_scan(state, l, V, V.tail_Z, mesh, window=window)
+            rec, table = gamma_scan(state, l, V, V.tail_Z, mesh, window=window)
             assert table.shape == _DEFAULT_GAMMAS.shape
+            # the recommendation is a grid point, plateau or not
+            assert rec.gamma in _DEFAULT_GAMMAS.tolist()
             singles = [tan_delta(state, l, V, V.tail_Z, g, mesh, window)
                        for g in _DEFAULT_GAMMAS]
             assert table.tolist() == [single.delta_deg for single in singles]
@@ -396,6 +419,35 @@ class TestAttractiveCoulomb:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("V, term", [
+        (builtin("harmonic"), "0.5 r**2"),
+        (PotentialSpec(label="shifted", terms=((-1.0, -1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))),
+         "1 r**0"),
+        (PotentialSpec(label="slow", terms=((3.0, -0.5, 0.0, 0.0),)), "3 r**-0.5"),
+    ], ids=["harmonic", "constant", "r^-1/2"])
+    def test_rejects_a_potential_that_is_not_short_range(self, monkeypatch, V, term):
+        # V - Z/r must vanish faster than 1/r; the potential is named before
+        # any Coulomb function is evaluated
+        def no_coulomb(*args):
+            raise AssertionError("Coulomb functions evaluated")
+
+        monkeypatch.setattr(scattering, "coulomb_wave", no_coulomb)
+        mesh, ps = eckart_states("sqrt")
+        message = re.escape(f"potential {V.label!r} is not short-range: its term {term} "
+                            "does not vanish faster than 1/r")
+        with pytest.raises(ValueError, match=message):
+            tan_delta(ps[0], 0, V, V.tail_Z, 4.0, mesh)
+        with pytest.raises(ValueError, match=message):
+            gamma_scan(ps[0], 0, V, V.tail_Z, mesh)
+
+    @pytest.mark.parametrize("term", [(1.0, 2.0, 0.1, 0.0), (1.0, 0.0, 0.0, 0.5),
+                                      (0.0, 1.0, 0.0, 0.0), (1.0, -1.5, 0.0, 0.0)],
+                             ids=["gaussian", "exponential", "zero", "r^-3/2"])
+    def test_accepts_short_range_terms(self, term):
+        mesh, ps = eckart_states("sqrt")
+        V = PotentialSpec(label="short", terms=(term,))
+        assert math.isfinite(tan_delta(ps[0], 0, V, 0.0, 4.0, mesh).delta_deg)
+
     def test_rejects_nonpositive_energy(self):
         mesh, ps = eckart_states("sqrt")
         bad = Pseudostate(-0.5, ps[0].coefficients)
@@ -413,8 +465,6 @@ class TestValidation:
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             tan_delta(ps[0], 0, ECKART, 0.0, gamma, mesh)
-        with pytest.raises(ValueError, match="fallback gamma must be positive and finite"):
-            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, fallback_gamma=gamma)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
