@@ -24,7 +24,7 @@ for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
     print(f"\n{label} mesh, N = 15, h = 0.1, gamma = 4")
     print(f"{'E':>12} {'delta (deg)':>12} {'analytic':>12} {'error':>10}")
     for state in states[:6]:
-        res = tan_delta(state, 0, V, 0.0, 4.0, mesh)
+        res = tan_delta(state, 0, V, 4.0, mesh)
         ref = eckart_reference_delta0(state.energy, 2.0, -1.0)
         print(f"{state.energy:>12.6f} {res.delta_deg:>12.5f} "
               f"{ref:>12.5f} {res.delta_deg - ref:>10.1e}")
@@ -36,5 +36,5 @@ H, basis = hamiltonian_3d(mesh, 0, V, HamiltonianVariant.RegSqrtMesh)
 state = pseudostates(solve_bound_states(H, basis))[0]
 print(f"\nlowest pseudostate (E = {state.energy:.6f}) vs gamma")
 for gamma in (2.0, 3.0, 4.0, 5.0, 6.0):
-    res = tan_delta(state, 0, V, 0.0, gamma, mesh)
+    res = tan_delta(state, 0, V, gamma, mesh)
     print(f"  gamma = {gamma:.0f}: delta = {res.delta_deg:.7f} deg")

@@ -32,7 +32,7 @@ for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
     states = pseudostates(solve_bound_states(H, basis))
     print("  l = 2")
     for state in states[:2]:
-        res, _ = gamma_scan(state, 2, V, Z, mesh, gammas=GRID, window="positive")
+        res, _ = gamma_scan(state, 2, V, Z, mesh, gammas=GRID)
         print(f"    E = {state.energy * V.energy_unit:>8.5f} MeV   "
               f"delta = {res.delta_deg:>8.3f} deg   gamma* = {res.gamma:.3f}")
 
@@ -40,11 +40,10 @@ for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
     # evaluate it at the second pseudostate's gamma
     H, basis = hamiltonian_3d(mesh, 0, V, variant)
     states = pseudostates(solve_bound_states(H, basis))
-    res1, res2 = (gamma_scan(state, 0, V, Z, mesh, gammas=GRID, window="positive")[0]
-                  for state in states[:2])
+    res1, res2 = (gamma_scan(state, 0, V, Z, mesh, gammas=GRID)[0] for state in states[:2])
     if res1.no_plateau:
-        res1 = dataclasses.replace(tan_delta(states[0], 0, V, Z, res2.gamma, mesh,
-                                             window="positive"), no_plateau=True)
+        res1 = dataclasses.replace(tan_delta(states[0], 0, V, res2.gamma, mesh),
+                                   no_plateau=True)
     print("  l = 0")
     for state, res in ((states[0], res1), (states[1], res2)):
         note = "  (no plateau)" if res.no_plateau else ""

@@ -148,7 +148,7 @@ def _lowest_errors(schemes, V, N, h, n):
     for label, variant in schemes:
         dim = SCHEMES[variant][3]
         build = hamiltonian_2d if dim == 2 else hamiltonian_3d
-        energies = bound_energies(*build(scheme_mesh(variant, N, h), n, V, variant))
+        energies = bound_energies(build(scheme_mesh(variant, N, h), n, V, variant)[0])
         row[label] = relative_error(energies[0], exact_level(V, n, dimension=dim))
     return row
 
@@ -173,7 +173,7 @@ def _run_table3():
     for label, (mesh, ps) in meshes.items():
         for n in _TABLE3_STATES:
             state = ps[n - 1]
-            res = tan_delta(state, 0, V, 0.0, TABLE3_GAMMA, mesh)
+            res = tan_delta(state, 0, V, TABLE3_GAMMA, mesh)
             rows.append({
                 "mesh": label,
                 "state": n,
@@ -189,14 +189,13 @@ def _run_table4():
     for l in (0, 2):
         V, meshes = _scattering_states("buck_alpha_alpha", 15, 0.23, l)
         for label, (mesh, ps) in meshes.items():
-            rec1, rec2 = (gamma_scan(state, l, V, V.tail_Z, mesh, gammas=TABLE4_GAMMA_GRID,
-                                     window="positive")[0] for state in ps[:2])
+            rec1, rec2 = (gamma_scan(state, l, V, V.tail_Z, mesh, gammas=TABLE4_GAMMA_GRID)[0]
+                          for state in ps[:2])
             if l == 0 and rec1.no_plateau:
                 # as expected for the lowest s-wave pseudostate: its phase at
                 # the second one's gamma, the sensitivity one step to each side
-                lo, mid, hi = (tan_delta(ps[0], l, V, V.tail_Z, g, mesh, window="positive")
-                               for g in (rec2.gamma / _TABLE4_STEP, rec2.gamma,
-                                         rec2.gamma * _TABLE4_STEP))
+                lo, mid, hi = (tan_delta(ps[0], l, V, g, mesh) for g in (
+                    rec2.gamma / _TABLE4_STEP, rec2.gamma, rec2.gamma * _TABLE4_STEP))
                 sens = max(abs(_fold_180(r.delta_deg - mid.delta_deg)) for r in (lo, hi))
                 rec1 = dataclasses.replace(mid, sensitivity=sens, no_plateau=True)
             exact = TABLE4_REFERENCE[l, label]["exact"]

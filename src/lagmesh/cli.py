@@ -267,9 +267,9 @@ def _resolve_problem(config):
 
 def _run_bound(config):
     # bound rows read energies only, so no eigenvectors are computed
-    basis, H = _resolve_problem(config)
+    _, H = _resolve_problem(config)
     V, angular, dim = config.potential, config.angular, config.dimension
-    energies = (bound_energies(H, basis) * V.energy_unit).tolist()
+    energies = (bound_energies(H) * V.energy_unit).tolist()
     rows = [{"state": n, "energy": E} for n, E in enumerate(energies, 1)]
     # analytic levels are in internal units (so there the energies are
     # unscaled), and a Coulomb one (the levels are negative) is only given
@@ -282,11 +282,6 @@ def _run_bound(config):
                 exact = rows[n]["exact"] = level(n)
                 rows[n]["eps_rel"] = relative_error(E, exact)
     return rows
-
-
-def _window(V):
-    # charged-system phases are conventionally reported in [0, 180)
-    return "positive" if V.tail_Z != 0.0 else "principal"
 
 
 def _scattering_states(config):
@@ -305,8 +300,7 @@ def _run_scatter(config):
     V = config.potential
     rows = []
     for n, state in states:
-        res = tan_delta(state, config.angular, V, V.tail_Z, config.gamma,
-                        basis, window=_window(V))
+        res = tan_delta(state, config.angular, V, config.gamma, basis)
         rows.append({
             "state": n, "energy": state.energy * V.energy_unit, "k": state.k,
             "gamma": res.gamma, "tan_delta": res.tan_delta,
@@ -320,8 +314,7 @@ def _run_gamma_scan(config):
     V = config.potential
     rows = []
     for n, state in states:
-        rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, basis,
-                            gammas=config.gammas, window=_window(V))
+        rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, basis, gammas=config.gammas)
         rows.append({
             "state": n, "energy": state.energy * V.energy_unit, "gamma": rec.gamma,
             "delta_deg": rec.delta_deg, "sensitivity": rec.sensitivity,

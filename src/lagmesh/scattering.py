@@ -73,7 +73,7 @@ class PhaseShiftResult:
         in (-90, 90] plus ``180 * branch``.  A square-integrable state
         determines its phase only modulo 180 degrees (flipping the sign
         of the eigenvector flips both integrals), so the branch is a
-        reporting convention chosen by ``window``.
+        reporting convention: the window of the phase.
     branch : int
         Multiple of 180 degrees separating ``delta_deg`` from the
         principal value; 1 exactly when the ``positive`` window lifted
@@ -98,46 +98,45 @@ class PhaseShiftResult:
 
 def _short_range(V):
     """ValueError naming ``V`` unless ``V - Z/r`` vanishes faster than 1/r,
-    as a continuum at k = sqrt(2E) needs: an undamped term ``c r**p`` with
-    c != 0 and p > -1 does not."""
-    for c, p, a, b in V.terms:
-        if a == b == 0.0 and c != 0.0 and p > -1.0:
+    as a continuum at k = sqrt(2E) needs: the undamped terms ``c r**p`` of
+    one power p > -1, their c summed, must cancel."""
+    undamped = [(p, c) for c, p, a, b in V.terms if a == b == 0.0 and p > -1.0]
+    for p, _ in undamped:
+        c = sum(c for q, c in undamped if q == p)
+        if c != 0.0:
             raise ValueError(f"potential {V.label!r} is not short-range: its term "
                              f"{c:g} r**{p:g} does not vanish faster than 1/r")
 
 
-def _check_inputs(state, l, V, Z, mesh, window):
+def _window(V):
+    """The window of V's phases: "positive", [0, 180), for a Coulomb tail, else "principal"."""
+    return "positive" if V.tail_Z != 0.0 else "principal"
+
+
+def _check_inputs(state, l, V, mesh):
     _integer("l", l, nonnegative=True)
     energy = _real("pseudostate energy and k", state.energy)
     if not (0.0 < energy < math.inf and 0.0 < state.k < math.inf):
         raise ValueError("pseudostate energy and k must be positive and finite")
     if not np.all(np.isfinite(state.coefficients)):
         raise ValueError("pseudostate coefficients must be finite")
-    if not math.isfinite(_real("Z", Z)):  # NaN would pass the tail test below
-        raise ValueError(f"Z must be finite (got {Z!r})")
-    if abs(Z - V.tail_Z) > 1e-12 * max(1.0, abs(Z)):
-        raise ValueError(
-            f"potential {V.label!r} has Coulomb tail {V.tail_Z!r}, not Z={Z!r}"
-        )
     _short_range(V)
     if np.shape(state.coefficients) != (mesh.N,):
         raise ValueError("coefficient vector length does not match the mesh")
-    if window not in ("principal", "positive"):
-        raise ValueError(f"unknown window: {window!r}")
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _node_factors(mesh, V, Z):
-    """``r``, ``w``, ``sqrt(w)`` and ``w (V(r) - Z/r)`` at the nodes, read-only."""
+def _node_factors(mesh, V):
+    """``r``, ``w``, ``sqrt(w)`` and ``w (V(r) - V.tail_Z/r)`` at the nodes, read-only."""
     r = mesh.h * mesh.nodes
     w = mesh.h * mesh.weights
-    factors = r, w, np.sqrt(w), w * (evaluate_potential(V, r) - Z / r)
+    factors = r, w, np.sqrt(w), w * (evaluate_potential(V, r) - V.tail_Z / r)
     for a in factors:
         a.flags.writeable = False
     return factors
 
 
-def _interior_table(state, l, V, Z, mesh):
+def _interior_table(state, l, V, mesh):
     """Gamma-independent node factors: weights, wave function, F, G, G'.
 
     Returns ``(r, wWu, wu, F, G, Gp)`` where ``r`` are the scaled nodes,
@@ -146,11 +145,11 @@ def _interior_table(state, l, V, Z, mesh):
     compensating integral).  ``Gp`` is the derivative with respect to
     ``k r``.
     """
-    r, w, sqrt_w, wW = _node_factors(mesh, V, Z)
+    r, w, sqrt_w, wW = _node_factors(mesh, V)
     # u(h r_i) = c_i (h lam_i)^(-1/2): the Lagrange property makes the
     # reconstruction at the mesh points a rescaling of the coefficients.
     u = np.asarray(state.coefficients, dtype=float) / sqrt_w
-    F, _, G, Gp = coulomb_wave(l, Z / state.k, state.k * r)
+    F, _, G, Gp = coulomb_wave(l, V.tail_Z / state.k, state.k * r)
     return r, wW * u, w * u, F, G, Gp
 
 
@@ -212,7 +211,7 @@ def _phases(grid, num, dens, window):
     return tan, np.where(branch, delta + 180.0, delta), branch.astype(int)
 
 
-def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
+def tan_delta(state, l, V, gamma, mesh):
     """Phase shift of one pseudostate from the integral relations.
 
     Parameters
@@ -222,17 +221,14 @@ def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
     l : int
         Orbital angular momentum.
     V : PotentialSpec
-        Full potential; its tail must match ``Z/r``.
-    Z : float
-        Coulomb-tail strength in scaled units (0 for neutral systems).
+        Full potential.  Its Coulomb tail ``Z/r`` (``V.tail_Z``) picks the
+        Coulomb functions and the window of the phase: [0, 180) for a
+        charged system, as charged-particle phase curves are drawn, else
+        the principal interval (-90, 90].
     gamma : float
         Regularization rate, ``gamma > 0``.
     mesh : MeshSpec
         Mesh the state was computed on; supplies the Gauss rule.
-    window : {'principal', 'positive'}
-        Representative of the (mod 180) phase to report: the principal
-        interval (-90, 90], or [0, 180) as is customary for
-        charged-particle phase curves.
 
     Returns
     -------
@@ -241,18 +237,18 @@ def tan_delta(state, l, V, Z, gamma, mesh, window="principal"):
     Raises
     ------
     ValueError
-        Naming the out-of-domain parameter: l, Z (also one that does not
-        match the tail), V (when ``V - Z/r`` is not short-range), gamma,
-        window, or the state's energy, k or coefficients.  Every argument
-        is checked before any Coulomb function is evaluated.
+        Naming the out-of-domain parameter: l, V (when ``V - Z/r`` is not
+        short-range), gamma, or the state's energy, k or coefficients.
+        Every argument is checked before any Coulomb function is evaluated.
     IndeterminatePhaseError
         If the denominator of the ratio vanishes.
     """
-    _check_inputs(state, l, V, Z, mesh, window)
+    _check_inputs(state, l, V, mesh)
     if not 0.0 < _real("gamma", gamma) < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    table = _interior_table(state, l, V, Z, mesh)
-    (tan,), (delta,), (branch,) = _phases([gamma], *_ratios(table, l, state.k, [gamma]), window)
+    table = _interior_table(state, l, V, mesh)
+    (tan,), (delta,), (branch,) = _phases([gamma], *_ratios(table, l, state.k, [gamma]),
+                                          _window(V))
     return PhaseShiftResult(float(tan), float(delta), int(branch), float(gamma))
 
 
@@ -293,7 +289,7 @@ def _gamma_grid(gammas):
     return grid
 
 
-def gamma_scan(state, l, V, Z, mesh, gammas=None, window="principal"):
+def gamma_scan(state, l, V, Z, mesh, gammas=None, window=None):
     """Evaluate the phase over a gamma grid and locate the plateau.
 
     The recommended point is the grid point that minimizes the centered
@@ -305,11 +301,15 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, window="principal"):
 
     Parameters
     ----------
-    state, l, V, Z, mesh, window
+    state, l, V, mesh
         As in :func:`tan_delta`.
+    Z : float
+        ``V.tail_Z``, to 1e-12.
     gammas : array_like, optional
         Strictly increasing grid of at least 8 positive rates.  Default:
         16 log-spaced points on [0.1, 10].
+    window : {'principal', 'positive'}, optional
+        (-90, 90] or [0, 180).  Default: the window of :func:`tan_delta`.
 
     Returns
     -------
@@ -318,11 +318,18 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, window="principal"):
         neighbors one grid step away) and ``delta_deg`` at every rate of
         the grid, in grid order and in ``window``.
     """
-    _check_inputs(state, l, V, Z, mesh, window)
+    _check_inputs(state, l, V, mesh)
+    if not math.isfinite(_real("Z", Z)):  # NaN would pass the tail test below
+        raise ValueError(f"Z must be finite (got {Z!r})")
+    if abs(Z - V.tail_Z) > 1e-12 * max(1.0, abs(Z)):
+        raise ValueError(f"potential {V.label!r} has Coulomb tail {V.tail_Z!r}, not Z={Z!r}")
+    window = _window(V) if window is None else window
+    if window not in ("principal", "positive"):
+        raise ValueError(f"unknown window: {window!r}")
     # the default grid is read-only, and valid
     grid = _DEFAULT_GAMMAS if gammas is None else _gamma_grid(gammas)
 
-    table = _interior_table(state, l, V, Z, mesh)
+    table = _interior_table(state, l, V, mesh)
     tan, scan, branch = _phases(grid, *_ratios(table, l, state.k, grid), window)
     # Slopes on a branch-unwrapped copy so a 180-degree hop between
     # neighboring grid points is not mistaken for a huge derivative (lists:

@@ -2,22 +2,21 @@
 
 The regularized Lagrange-Laguerre functions are orthonormal, so the
 overlap matrix of every scheme is the identity and each solve is a plain
-symmetric eigenproblem H c = E c.  Both entry points take H with the basis
-it is written in, the ``MeshSpec`` that the Hamiltonian builders return
-with it, and are picked by what the caller reads:
+symmetric eigenproblem H c = E c.  The entry points are picked by what the
+caller reads:
 
-- ``bound_energies`` returns the ascending eigenvalues alone (LAPACK's
-  eigenvalues-only driver).  Bound-state energies and relative errors read
-  nothing else: the CLI ``bound`` mode and bound ``sweep``, and benchmark
-  tables 1, 2 and 5.
-- ``solve_bound_states`` also returns the coefficient vectors, for
-  pseudostates, phase shifts and wave functions: the CLI ``scatter`` and
-  ``gamma-scan`` modes and tables 3 and 4.  Its eigenvalues ascend, and
+- ``bound_energies(H)`` returns the ascending eigenvalues alone (LAPACK's
+  eigenvalues-only driver), which do not depend on the basis.  Bound-state
+  energies and relative errors read nothing else: the CLI ``bound`` mode
+  and bound ``sweep``, and benchmark tables 1, 2 and 5.
+- ``solve_bound_states(H, basis)`` also returns the coefficient vectors in
+  ``basis``, the ``MeshSpec`` that the Hamiltonian builders return with H,
+  for pseudostates, phase shifts and wave functions: the CLI ``scatter``
+  and ``gamma-scan`` modes and tables 3 and 4.  Its eigenvalues ascend, and
   each coefficient vector's sign is fixed by its largest component.
 
-Both validate their input the same way.  The two LAPACK drivers round
-differently, so their eigenvalues agree to a few ulps of the largest |E|,
-not bit for bit.
+Both check H the same way.  The two LAPACK drivers round differently, so
+their eigenvalues agree to a few ulps of the largest |E|, not bit for bit.
 """
 
 import dataclasses
@@ -63,8 +62,12 @@ class Pseudostate:
         return math.sqrt(2.0 * self.energy)
 
 
-def _checked_hamiltonian(H, basis):
-    """H as a float array, after the checks shared by both solves."""
+_ASYMMETRIC = "Hamiltonian matrix is not symmetric"
+
+
+def _checked_hamiltonian(H):
+    """H as a float array, after the checks of its shape and entries, and
+    whether it fails the symmetry check, which a solve raises last."""
     A = _reals("H", H)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError(f"H must be a nonempty square matrix (got shape {A.shape})")
@@ -82,28 +85,17 @@ def _checked_hamiltonian(H, basis):
         if not (math.isfinite(top) and math.isfinite(bottom)):
             raise ValueError("Hamiltonian matrix has non-finite entries")
         scale = max(1.0, top, -bottom)
-    n = A.shape[0]
-    if not (isinstance(basis, MeshSpec) and basis.N == n):
-        got = f"N={basis.N}" if isinstance(basis, MeshSpec) else type(basis).__name__
-        raise ValueError(f"basis must be the MeshSpec of H's {n} functions, as the "
-                         f"Hamiltonian builders return it (got {got})")
-    if skew > 1e-10 * scale:
-        raise ValueError("Hamiltonian matrix is not symmetric")
-    return A
+    return A, skew > 1e-10 * scale
 
 
-def bound_energies(H, basis):
-    """Ascending eigenvalues of a symmetric Hamiltonian on an orthonormal basis.
-
-    Takes and checks the same arguments as ``solve_bound_states`` and
-    raises the same ``ValueError``s, but computes no eigenvectors.
-
-    Returns
-    -------
-    ndarray
-        The n eigenvalues in ascending order.
-    """
-    return np.linalg.eigvalsh(_checked_hamiltonian(H, basis))
+def bound_energies(H):
+    """The n ascending eigenvalues of a symmetric n x n Hamiltonian, as an
+    ndarray: the eigenvalues of ``solve_bound_states``, after the same
+    checks of H, without eigenvectors."""
+    A, asymmetric = _checked_hamiltonian(H)
+    if asymmetric:
+        raise ValueError(_ASYMMETRIC)
+    return np.linalg.eigvalsh(A)
 
 
 def solve_bound_states(H, basis):
@@ -127,8 +119,14 @@ def solve_bound_states(H, basis):
         If H is not a finite, nonempty, symmetric square matrix, or basis
         is not a MeshSpec of n functions.
     """
-    A = _checked_hamiltonian(H, basis)
+    A, asymmetric = _checked_hamiltonian(H)
     n = A.shape[0]
+    if not (isinstance(basis, MeshSpec) and basis.N == n):
+        got = f"N={basis.N}" if isinstance(basis, MeshSpec) else type(basis).__name__
+        raise ValueError(f"basis must be the MeshSpec of H's {n} functions, as the "
+                         f"Hamiltonian builders return it (got {got})")
+    if asymmetric:
+        raise ValueError(_ASYMMETRIC)
     energies, vectors = np.linalg.eigh(A)
     # deterministic signs: largest-magnitude component positive
     pick = np.argmax(np.abs(vectors), axis=0)

@@ -16,6 +16,9 @@
   of their moments.  At the default 40 digits it is exact for small N
   (tests use N <= 12); at 120 digits it is the reference of the kinetic
   cells at N = 30 and 40.
+* ``phase_oracle`` is the phase shift of a potential with a Coulomb tail
+  from the radial equation itself: scipy's DOP853 integrates it outward,
+  and mpmath's Coulomb functions match it where ``V - Z/r`` has died out.
 """
 
 import functools
@@ -309,3 +312,36 @@ def exact_mpmath(mesh, kind, dps=40):
         values = np.array([[float((full[i][j] + full[j][i]) / 2) for j in range(N)]
                            for i in range(N)])
         return values
+
+
+def phase_oracle(V, l, E, Z, r0=1e-6, R=20.0):
+    """Phase shift in degrees, in [0, 180), at energy E of the radial
+    equation ``u'' = (l(l+1)/r^2 + 2 (V(r) - E)) u`` in scaled units.
+
+    ``V`` is a callable of r whose tail is ``Z/r``.  The equation is
+    integrated with DOP853 (rtol 1e-13) from ``r0``, where ``u ~ r^(l+1)``,
+    to ``R``, where ``V - Z/r`` must be negligible, and matched there to F
+    and G of mpmath at ``eta = Z/k``, ``k = sqrt(2E)``:
+    ``tan(delta) = (k u F' - u' F) / (u' G - k u G')``.
+    """
+    import mpmath as mp
+    from scipy.integrate import solve_ivp
+
+    k = float(np.sqrt(2.0 * E))
+
+    def rhs(r, y):
+        return [y[1], (l * (l + 1) / r**2 + 2.0 * (V(r) - E)) * y[0]]
+
+    sol = solve_ivp(rhs, (r0, R), [r0 ** (l + 1), (l + 1) * r0**l], method="DOP853",
+                    rtol=1e-13, atol=0.0)
+    assert sol.success, sol.message
+    u, up = (float(v) for v in sol.y[:, -1])
+    with mp.workdps(30):
+        eta, rho = mp.mpf(Z) / k, mp.mpf(k) * R
+        F, G = mp.coulombf(l, eta, rho), mp.coulombg(l, eta, rho)
+        # the derivatives from the functions at l + 1, by the recurrence in l
+        a, b = (l + 1) / rho + eta / (l + 1), mp.sqrt(1 + (eta / (l + 1)) ** 2)
+        Fp = a * F - b * mp.coulombf(l + 1, eta, rho)
+        Gp = a * G - b * mp.coulombg(l + 1, eta, rho)
+        tan = (k * u * Fp - up * F) / (up * G - k * u * Gp)
+    return float(mp.degrees(mp.atan(tan))) % 180.0

@@ -162,11 +162,11 @@ def test_criterion_8_property_suite():
     mesh = MeshSpec(15, 1.0, Family.RegSqrt, 0.1)
     H, basis = hamiltonian_3d(mesh, 0, V, HamiltonianVariant.RegSqrtMesh)
     state = pseudostates(solve_bound_states(H, basis))[0]
-    base = tan_delta(state, 0, V, 0.0, 4.0, mesh).tan_delta
+    base = tan_delta(state, 0, V, 4.0, mesh).tan_delta
     for scale in (7.5, -2.0, 1e-6, -4e5):
         scaled = dataclasses.replace(
             state, coefficients=state.coefficients * scale)
-        moved = tan_delta(scaled, 0, V, 0.0, 4.0, mesh).tan_delta
+        moved = tan_delta(scaled, 0, V, 4.0, mesh).tan_delta
         if abs(moved - base) > 1e-13 * abs(base):
             problems.append(f"tan(delta) moved under rescale by {scale:g}")
 

@@ -440,6 +440,16 @@ class TestShortRangeConfig:
         assert main(["bound", "--potential", "harmonic", "--N", "10", "--h", "0.5"]) == 0
 
 
+def test_cancelling_undamped_terms_are_short_range(capsys):
+    # 1 - 1 - 1/r is the pure Coulomb potential: every phase is 0
+    spec = '{"terms":[{"c":1,"p":0},{"c":-1,"p":0},{"c":-1,"p":-1}]}'
+    assert main(["gamma-scan", "--potential", spec, "--N", "10", "--h", "0.5",
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]
+    assert captured.err == "" and rows and all(row["delta_deg"] == 0.0 for row in rows)
+
+
 class TestSweep:
     def test_mesh_size_sweep_converges(self):
         config = _config(potential=builtin("coulomb"), h=0.9)

@@ -72,8 +72,8 @@ def _check_lowest_level(N, potential, n, variant):
     build = hamiltonian_2d if dim == 2 else hamiltonian_3d
     V = builtin(potential)
     mesh = scheme_mesh(variant, N, GRID_H[potential])
-    H, basis = build(mesh, n, V, variant)
-    eps = abs(relative_error(bound_energies(H, basis)[0], exact_level(V, n, dimension=dim)))
+    H, _ = build(mesh, n, V, variant)
+    eps = abs(relative_error(bound_energies(H)[0], exact_level(V, n, dimension=dim)))
     if classify_singularity(mesh, n, V, variant):
         # the loss the classifier predicts is real, and stays within its bound
         assert SAFE_TOL < eps <= LOSS_BOUND[N]

@@ -116,32 +116,29 @@ CASES = {
     "hamiltonian_2d.m": (lambda v: hamiltonian_2d(
         scheme_mesh(HamiltonianVariant.RegSqrtMesh2D, 6, 0.5), v, ECKART, "RegSqrtMesh2D"),
         angular(6), r"\bm\b"),
-    "bound_energies.H": (lambda v: bound_energies(_symmetric_with_entry(v), BASIS4),
+    "bound_energies.H": (lambda v: bound_energies(_symmetric_with_entry(v)),
                          NONFINITE, r"Hamiltonian"),
-    "bound_energies.basis": (lambda v: bound_energies(np.eye(4), v), NOT_BASIS4, r"\bbasis\b"),
     "solve_bound_states.H": (lambda v: solve_bound_states(_symmetric_with_entry(v), BASIS4),
                              NONFINITE, r"Hamiltonian"),
     "solve_bound_states.basis": (lambda v: solve_bound_states(np.eye(4), v),
                                  NOT_BASIS4, r"\bbasis\b"),
-    "tan_delta.l": (lambda v: tan_delta(_state(), v, ECKART, 0.0, 4.0, MESH),
+    "tan_delta.l": (lambda v: tan_delta(_state(), v, ECKART, 4.0, MESH),
                     angular(21), r"\bl\b"),
-    "tan_delta.Z": (lambda v: tan_delta(_state(), 0, ECKART, v, 4.0, MESH),
-                    NONFINITE | st.floats(1e-11, 1e300) | st.floats(-1e300, -1e-11),
-                    r"\bZ\b"),
-    "tan_delta.gamma": (lambda v: tan_delta(_state(), 0, ECKART, 0.0, v, MESH),
+    "tan_delta.gamma": (lambda v: tan_delta(_state(), 0, ECKART, v, MESH),
                         NONFINITE | at_most(0.0), r"\bgamma\b"),
     "tan_delta.state.energy": (lambda v: tan_delta(
-        dataclasses.replace(_state(), energy=v), 0, ECKART, 0.0, 4.0, MESH),
+        dataclasses.replace(_state(), energy=v), 0, ECKART, 4.0, MESH),
         NONFINITE | at_most(0.0), r"energy"),
     # k = sqrt(2E) is derived: it is infinite where 2E overflows
     "tan_delta.state.k": (lambda v: tan_delta(
-        dataclasses.replace(_state(), energy=v), 0, ECKART, 0.0, 4.0, MESH),
+        dataclasses.replace(_state(), energy=v), 0, ECKART, 4.0, MESH),
         st.floats(9e307, allow_infinity=False), r"\bk\b"),
     "tan_delta.state.coefficients": (lambda v: tan_delta(
         dataclasses.replace(_state(), coefficients=_with_entry(_state().coefficients, v)),
-        0, ECKART, 0.0, 4.0, MESH), NONFINITE, r"coefficients"),
+        0, ECKART, 4.0, MESH), NONFINITE, r"coefficients"),
     "gamma_scan.Z": (lambda v: gamma_scan(_state(), 0, ECKART, v, MESH),
-                     NONFINITE, r"\bZ\b"),
+                     NONFINITE | st.floats(1e-11, 1e300) | st.floats(-1e300, -1e-11),
+                     r"\bZ\b"),
     "gamma_scan.gammas": (lambda v: gamma_scan(
         _state(), 0, ECKART, 0.0, MESH, gammas=_grid_with_entry(v)),
         NONFINITE | at_most(0.0), r"gamma grid"),
@@ -239,13 +236,13 @@ def test_int_beyond_double_range_names_the_parameter(case, value):
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_phase_at_extreme_rates_is_finite_or_indeterminate(l, gamma):
     try:
-        res = tan_delta(_state(l), l, ECKART, 0.0, gamma, MESH)
+        res = tan_delta(_state(l), l, ECKART, gamma, MESH)
     except IndeterminatePhaseError:
         assert gamma < 1.0  # e^(-gamma r) underflows at the large rates: a limit
         return
     assert math.isfinite(res.tan_delta) and math.isfinite(res.delta_deg)
     if gamma > 1.0:
-        limit = tan_delta(_state(l), l, ECKART, 0.0, 1e300, MESH)
+        limit = tan_delta(_state(l), l, ECKART, 1e300, MESH)
         assert (res.tan_delta, res.delta_deg) == (limit.tan_delta, limit.delta_deg)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
 from lagmesh import scattering
-from lagmesh.benchmarks import run_table
+from lagmesh.benchmarks import TABLE4_REFERENCE, run_table
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.cli import ExperimentConfig, run
 from lagmesh.matelem import HamiltonianVariant, hamiltonian_3d, scheme_mesh
@@ -29,6 +29,8 @@ from lagmesh.scattering import (
     tan_delta,
 )
 from lagmesh.solver import Pseudostate, pseudostates, solve_bound_states
+
+from reference import phase_oracle
 
 ECKART = builtin("eckart")
 BUCK = builtin("buck_alpha_alpha")
@@ -135,9 +137,9 @@ class TestEckartBenchmark:
     @pytest.mark.parametrize("famkey", ["sqrt", "r"])
     def test_plateau_robust_for_gamma_in_3_to_5(self, famkey):
         mesh, ps = eckart_states(famkey)
-        base = tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh).delta_deg
+        base = tan_delta(ps[0], 0, ECKART, 4.0, mesh).delta_deg
         for gamma in np.linspace(3.0, 5.0, 9):
-            moved = tan_delta(ps[0], 0, ECKART, 0.0, gamma, mesh).delta_deg
+            moved = tan_delta(ps[0], 0, ECKART, gamma, mesh).delta_deg
             assert abs(moved - base) <= 1e-3
 
     def test_default_grid_scan_finds_plateau_near_4(self):
@@ -161,24 +163,38 @@ class TestAlphaAlphaBenchmark:
         rows = {(row["l"], row["mesh"], row["state"]): row for row in run_table(4)}
         first, second = rows[0, "reg sqrt(r)", 1], rows[0, "reg sqrt(r)", 2]
         mesh, ps = buck_states("sqrt", 0)
-        rec1, _ = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID,
-                             window="positive")
+        rec1, _ = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID)
         assert rec1.no_plateau
         assert first["no_plateau"] and first["gamma"] == second["gamma"] != rec1.gamma
-        res = tan_delta(ps[0], 0, BUCK, BUCK.tail_Z, second["gamma"], mesh, "positive")
+        res = tan_delta(ps[0], 0, BUCK, second["gamma"], mesh)
         assert first["delta"] == res.delta_deg
         assert 0.0 < first["sensitivity"] < 1e-2
         # on the r-regularized mesh the lowest state's own scan finds a
         # plateau, so its row is the scan's
         mesh, ps = buck_states("r", 0)
-        rec1, _ = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID,
-                             window="positive")
+        rec1, _ = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID)
         own = rows[0, "reg r", 1]
         assert not rec1.no_plateau and not own["no_plateau"]
         assert (own["gamma"], own["delta"], own["sensitivity"]) == (
             rec1.gamma, rec1.delta_deg, rec1.sensitivity)
         # no d-wave row borrows a gamma
         assert not any(row["no_plateau"] for (l, _, _), row in rows.items() if l == 2)
+
+    @pytest.mark.slow
+    def test_exact_column_from_a_local_oracle(self):
+        # the paper's exact phases at its quoted energies, each within half a
+        # unit of its last printed digit; V is written out from the paper:
+        # a Gaussian of -122.6225 MeV and 4e^2 erf(0.75 r)/r, hbar^2/M = 20.736
+        unit = 20.736
+
+        def V(r):
+            return (-122.6225 * math.exp(-0.22 * r * r) + 5.76 * math.erf(0.75 * r) / r) / unit
+
+        for (l, _), ref in TABLE4_REFERENCE.items():
+            for energy, exact in zip(ref["energy_MeV"], ref["exact"]):
+                delta = phase_oracle(V, l, float(energy) / unit, 5.76 / unit)
+                half_unit = 0.5 * 10.0 ** -len(exact.partition(".")[2])
+                assert abs(delta - float(exact)) <= half_unit, (l, energy, delta, exact)
 
     def test_energy_reported_in_problem_units(self):
         # a result holds phases only; the report converts the state's energy
@@ -192,33 +208,37 @@ class TestAlphaAlphaBenchmark:
 
 
 class TestWindows:
+    """A scan's explicit window against the derived one: the neutral Eckart
+    well reports in (-90, 90] unless [0, 180) is asked for."""
+
     def test_positive_window_shifts_negative_principal(self):
         mesh, ps = eckart_states("sqrt")
-        principal = tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh)
-        positive = tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh, window="positive")
+        principal, p_table = gamma_scan(ps[0], 0, ECKART, 0.0, mesh)
+        positive, q_table = gamma_scan(ps[0], 0, ECKART, 0.0, mesh, window="positive")
         assert principal.branch == 0
         assert positive.branch == 1
         assert positive.delta_deg == pytest.approx(principal.delta_deg + 180.0)
         assert positive.tan_delta == principal.tan_delta
         assert 0.0 <= positive.delta_deg < 180.0
+        assert q_table.tolist() == [d + 180.0 if d < 0.0 else d for d in p_table.tolist()]
 
     def test_positive_window_keeps_positive_principal(self):
         mesh, ps = eckart_states("sqrt")
-        res = tan_delta(ps[4], 0, ECKART, 0.0, 4.0, mesh, window="positive")
+        res, _ = gamma_scan(ps[4], 0, ECKART, 0.0, mesh, window="positive")
         assert res.branch == 0
         assert res.delta_deg == pytest.approx(50.0666, abs=5e-4)
 
     def test_branch_offset_identity(self):
         mesh, ps = eckart_states("sqrt")
         for window in ("principal", "positive"):
-            res = tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh, window=window)
+            res, _ = gamma_scan(ps[0], 0, ECKART, 0.0, mesh, window=window)
             principal = math.degrees(math.atan(res.tan_delta))
             assert res.delta_deg == pytest.approx(principal + 180.0 * res.branch)
 
     def test_unknown_window_rejected(self):
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="window"):
-            tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh, window="folded")
+            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, window="folded")
 
     def test_window_checked_before_any_coulomb_function(self, monkeypatch):
         mesh, ps = eckart_states("sqrt")
@@ -228,8 +248,6 @@ class TestWindows:
 
         monkeypatch.setattr(scattering, "coulomb_wave", no_coulomb)
         with pytest.raises(ValueError, match=r"^unknown window: 'bogus'$"):
-            tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh, window="bogus")
-        with pytest.raises(ValueError, match=r"^unknown window: 'bogus'$"):
             gamma_scan(ps[0], 0, ECKART, 0.0, mesh, window="bogus")
 
 
@@ -238,11 +256,11 @@ class TestInvariances:
     @settings(max_examples=40, deadline=None)
     def test_tan_delta_invariant_under_coefficient_rescaling(self, scale):
         mesh, ps = eckart_states("sqrt")
-        base = tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh)
+        base = tan_delta(ps[0], 0, ECKART, 4.0, mesh)
         scaled_state = dataclasses.replace(
             ps[0], coefficients=ps[0].coefficients * scale
         )
-        scaled = tan_delta(scaled_state, 0, ECKART, 0.0, 4.0, mesh)
+        scaled = tan_delta(scaled_state, 0, ECKART, 4.0, mesh)
         assert scaled.tan_delta == pytest.approx(base.tan_delta, rel=1e-13)
         assert scaled.delta_deg == pytest.approx(base.delta_deg, rel=1e-12)
 
@@ -253,19 +271,19 @@ class TestInvariances:
         mesh, ps = eckart_states(famkey)
         for pos in (0, 4):
             state = ps[pos]
-            r, wWu, wu, _, _, _ = _interior_table(state, 0, ECKART, 0.0, mesh)
+            r, wWu, wu, _, _, _ = _interior_table(state, 0, ECKART, mesh)
             x = state.k * r
             j, y = spherical_jn(0, x), spherical_yn(0, x)
             yp = spherical_yn(0, x, derivative=True)
             trig = (r, wWu, wu, x * j, -x * y, -(y + x * yp))
             for gamma in (1.0, 4.0, 8.0):
-                via_coulomb = tan_delta(state, 0, ECKART, 0.0, gamma, mesh)
+                via_coulomb = tan_delta(state, 0, ECKART, gamma, mesh)
                 num, (den,) = _ratios(trig, 0, state.k, [gamma])
                 assert num / den == pytest.approx(via_coulomb.tan_delta, rel=1e-12)
 
     def test_sensitivity_nonnegative_and_zero_for_single_evaluation(self):
         mesh, ps = eckart_states("sqrt")
-        res = tan_delta(ps[0], 0, ECKART, 0.0, 4.0, mesh)
+        res = tan_delta(ps[0], 0, ECKART, 4.0, mesh)
         assert res.sensitivity == 0.0
         rec, table = gamma_scan(ps[0], 0, ECKART, 0.0, mesh)
         assert rec.sensitivity >= 0.0
@@ -283,7 +301,7 @@ class TestGammaScan:
         rec, table = gamma_scan(ps[0], 0, ECKART, 0.0, mesh, gammas=grid)
         assert isinstance(table, np.ndarray)
         assert table.dtype == np.float64 and table.shape == grid.shape
-        assert [tan_delta(ps[0], 0, ECKART, 0.0, g, mesh).delta_deg
+        assert [tan_delta(ps[0], 0, ECKART, g, mesh).delta_deg
                 for g in grid] == table.tolist()
         assert rec.gamma in grid
         assert rec.delta_deg == table[list(grid).index(rec.gamma)]
@@ -311,55 +329,64 @@ class TestGammaScan:
         # the lowest alpha+alpha s-wave state has no plateau: the scan still
         # recommends its grid point of least slope, with that point's phase
         mesh, ps = buck_states("sqrt", 0)
-        rec, table = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID,
-                                window="positive")
+        rec, table = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID)
         assert rec.no_plateau
         assert rec.gamma in _BUCK_GRID.tolist()
         i = _BUCK_GRID.tolist().index(rec.gamma)
         assert rec.delta_deg == table[i]
-        single = tan_delta(ps[0], 0, BUCK, BUCK.tail_Z, rec.gamma, mesh, "positive")
+        single = tan_delta(ps[0], 0, BUCK, rec.gamma, mesh)
         assert (rec.tan_delta, rec.branch) == (single.tan_delta, single.branch)
 
 
 class TestBatchedRatio:
     # the three systems of the phase-scan benchmark: (potential, l, family
-    # key, h, window); every gamma of a scan must reproduce a single
-    # evaluation bit for bit
+    # key, h); every gamma of a scan must reproduce a single evaluation bit
+    # for bit, each in the window it derives from the potential
     SYSTEMS = [
-        (BUCK, 2, "sqrt", 0.23, "positive"),
-        (ECKART, 0, "sqrt", 0.1, "principal"),
-        (builtin("coulomb", Z=-1.0), 4, "sqrt", 1.1, "principal"),
+        (BUCK, 2, "sqrt", 0.23),
+        (ECKART, 0, "sqrt", 0.1),
+        (builtin("coulomb", Z=-1.0), 4, "sqrt", 1.1),
     ]
 
-    @pytest.mark.parametrize("V, l, famkey, h, window", SYSTEMS,
+    @pytest.mark.parametrize("V, l, famkey, h", SYSTEMS,
                              ids=["alpha-alpha", "eckart", "coulomb"])
-    def test_scan_entries_equal_single_evaluations(self, V, l, famkey, h, window):
+    def test_scan_entries_equal_single_evaluations(self, V, l, famkey, h):
         mesh, states = system_states(V, l, famkey, h)
         for state in states[::5]:
-            rec, table = gamma_scan(state, l, V, V.tail_Z, mesh, window=window)
+            rec, table = gamma_scan(state, l, V, V.tail_Z, mesh)
             assert table.shape == _DEFAULT_GAMMAS.shape
             # the recommendation is a grid point, plateau or not
             assert rec.gamma in _DEFAULT_GAMMAS.tolist()
-            singles = [tan_delta(state, l, V, V.tail_Z, g, mesh, window)
-                       for g in _DEFAULT_GAMMAS]
+            singles = [tan_delta(state, l, V, g, mesh) for g in _DEFAULT_GAMMAS]
             assert table.tolist() == [single.delta_deg for single in singles]
             # the scan's tan(delta) is not returned: form it from the batched
             # ratio, as the scan does
-            factors = _interior_table(state, l, V, V.tail_Z, mesh)
+            factors = _interior_table(state, l, V, mesh)
             num, dens = _ratios(factors, l, state.k, _DEFAULT_GAMMAS)
-            tan, _, _ = _phases(_DEFAULT_GAMMAS, num, dens, window)
+            tan, _, _ = _phases(_DEFAULT_GAMMAS, num, dens, scattering._window(V))
             assert tan.tolist() == [single.tan_delta for single in singles]
             # the Coulomb numerator is exactly 0, so compare denominators too
             assert dens == [_ratios(factors, l, state.k, [g])[1][0] for g in _DEFAULT_GAMMAS]
 
+    @pytest.mark.parametrize("V, l, famkey, h", [SYSTEMS[0], SYSTEMS[1]],
+                             ids=["alpha-alpha", "eckart"])
+    def test_explicit_window_equals_the_derived_one(self, V, l, famkey, h):
+        # a charged and a neutral state: the default window is _window(V)
+        mesh, states = system_states(V, l, famkey, h)
+        derived, table = gamma_scan(states[0], l, V, V.tail_Z, mesh)
+        explicit, explicit_table = gamma_scan(states[0], l, V, V.tail_Z, mesh,
+                                              window=scattering._window(V))
+        assert derived == explicit
+        assert _bits(table) == _bits(explicit_table)
+
     @pytest.mark.parametrize("size", [1, 3, 16])
-    @pytest.mark.parametrize("V, l, famkey, h, window", SYSTEMS,
+    @pytest.mark.parametrize("V, l, famkey, h", SYSTEMS,
                              ids=["alpha-alpha", "eckart", "coulomb"])
-    def test_ratios_equal_a_loop_of_dot_products(self, V, l, famkey, h, window, size):
+    def test_ratios_equal_a_loop_of_dot_products(self, V, l, famkey, h, size):
         mesh, states = system_states(V, l, famkey, h)
         grid = _DEFAULT_GAMMAS[::5][:size] if size < 16 else _DEFAULT_GAMMAS
         for state in states:
-            table = _interior_table(state, l, V, V.tail_Z, mesh)
+            table = _interior_table(state, l, V, mesh)
             num, dens = _ratios(table, l, state.k, grid)
             want_num, want_dens = _loop_ratios(table, l, state.k, grid)
             assert _bits([num, *dens]) == _bits([want_num, *want_dens])
@@ -436,7 +463,7 @@ class TestValidation:
         message = re.escape(f"potential {V.label!r} is not short-range: its term {term} "
                             "does not vanish faster than 1/r")
         with pytest.raises(ValueError, match=message):
-            tan_delta(ps[0], 0, V, V.tail_Z, 4.0, mesh)
+            tan_delta(ps[0], 0, V, 4.0, mesh)
         with pytest.raises(ValueError, match=message):
             gamma_scan(ps[0], 0, V, V.tail_Z, mesh)
 
@@ -446,32 +473,45 @@ class TestValidation:
     def test_accepts_short_range_terms(self, term):
         mesh, ps = eckart_states("sqrt")
         V = PotentialSpec(label="short", terms=(term,))
-        assert math.isfinite(tan_delta(ps[0], 0, V, 0.0, 4.0, mesh).delta_deg)
+        assert math.isfinite(tan_delta(ps[0], 0, V, 4.0, mesh).delta_deg)
+
+    def test_undamped_terms_of_one_power_are_summed(self):
+        # c r**0 - c r**0 cancels, so V is the pure Coulomb -1/r and its
+        # phase vanishes; a sum that does not cancel is named by its c
+        mesh, ps = eckart_states("sqrt")
+        V = PotentialSpec(label="cancel", terms=((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
+                                                 (-1.0, -1.0, 0.0, 0.0)))
+        assert tan_delta(ps[0], 0, V, 4.0, mesh).tan_delta == 0.0
+        assert gamma_scan(ps[0], 0, V, V.tail_Z, mesh)[0].tan_delta == 0.0
+        V = PotentialSpec(label="sum", terms=((2.0, 0.0, 0.0, 0.0), (-1.0, -1.0, 0.0, 0.0),
+                                              (-0.5, 0.0, 0.0, 0.0)))
+        with pytest.raises(ValueError, match=re.escape("its term 1.5 r**0 does not")):
+            tan_delta(ps[0], 0, V, 4.0, mesh)
 
     def test_rejects_nonpositive_energy(self):
         mesh, ps = eckart_states("sqrt")
         bad = Pseudostate(-0.5, ps[0].coefficients)
         with pytest.raises(ValueError, match="positive"):
-            tan_delta(bad, 0, ECKART, 0.0, 4.0, mesh)
+            tan_delta(bad, 0, ECKART, 4.0, mesh)
 
     def test_rejects_nonpositive_gamma(self):
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="gamma"):
-            tan_delta(ps[0], 0, ECKART, 0.0, 0.0, mesh)
+            tan_delta(ps[0], 0, ECKART, 0.0, mesh)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_rejects_non_finite_gamma(self, gamma):
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            tan_delta(ps[0], 0, ECKART, 0.0, gamma, mesh)
+            tan_delta(ps[0], 0, ECKART, gamma, mesh)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
     def test_rejects_non_integer_l(self, l):
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
-            tan_delta(ps[0], l, ECKART, 0.0, 4.0, mesh)
+            tan_delta(ps[0], l, ECKART, 4.0, mesh)
         with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
             gamma_scan(ps[0], l, ECKART, 0.0, mesh)
 
@@ -481,11 +521,8 @@ class TestValidation:
     @pytest.mark.parametrize("name", ["eckart", "buck_alpha_alpha"])
     def test_rejects_non_finite_Z(self, name, Z):
         mesh, ps = eckart_states("sqrt") if name == "eckart" else buck_states("sqrt", 0)
-        V = builtin(name)
         with pytest.raises(ValueError, match=r"^Z must be finite \(got "):
-            tan_delta(ps[0], 0, V, Z, 1.0, mesh)
-        with pytest.raises(ValueError, match=r"^Z must be finite \(got "):
-            gamma_scan(ps[0], 0, V, Z, mesh)
+            gamma_scan(ps[0], 0, builtin(name), Z, mesh)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_non_finite_state(self):
@@ -493,23 +530,23 @@ class TestValidation:
         # k = sqrt(2E) is infinite where 2E overflows, past E = 8.99e307
         for energy in (math.inf, 1e308):
             with pytest.raises(ValueError, match="energy and k must be positive and finite"):
-                tan_delta(dataclasses.replace(ps[0], energy=energy), 0, ECKART, 0.0, 4.0, mesh)
+                tan_delta(dataclasses.replace(ps[0], energy=energy), 0, ECKART, 4.0, mesh)
         coefficients = ps[0].coefficients.copy()
         coefficients[3] = math.nan
         with pytest.raises(ValueError, match="coefficients must be finite"):
             tan_delta(dataclasses.replace(ps[0], coefficients=coefficients),
-                      0, ECKART, 0.0, 4.0, mesh)
+                      0, ECKART, 4.0, mesh)
 
     def test_rejects_tail_mismatch(self):
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="tail"):
-            tan_delta(ps[0], 0, ECKART, 0.5, 4.0, mesh)
+            gamma_scan(ps[0], 0, ECKART, 0.5, mesh)
 
     def test_rejects_coefficient_length_mismatch(self):
         mesh, ps = eckart_states("sqrt")
         bad = Pseudostate(1.0, np.ones(7))
         with pytest.raises(ValueError, match="mesh"):
-            tan_delta(bad, 0, ECKART, 0.0, 4.0, mesh)
+            tan_delta(bad, 0, ECKART, 4.0, mesh)
 
     def test_indeterminate_phase_reported_not_guessed(self):
         with pytest.raises(IndeterminatePhaseError):
