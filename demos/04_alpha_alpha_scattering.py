@@ -6,16 +6,14 @@ A nuclear Gaussian plus screened-Coulomb potential for the alpha-alpha
 system.  The phase-shift relation now needs regularized Coulomb
 functions, and the nonlinear parameter gamma is picked automatically by
 scanning for the plateau where the phase is stationary.  For the lowest
-s-wave pseudostate no plateau exists; its phase is then evaluated at the
-gamma selected at the next energy, as in the paper's table 4.
+s-wave pseudostate no plateau exists; its phase is then read off its own
+scan at the gamma selected at the next energy, as in the paper's table 4.
 """
-
-import dataclasses
 
 import numpy as np
 
 from lagmesh import (HamiltonianVariant, builtin, gamma_scan, pseudostates,
-                     scheme_mesh, solve_bound_states, tan_delta)
+                     scheme_mesh, solve_bound_states)
 from lagmesh.matelem import hamiltonian_3d
 
 V = builtin("buck_alpha_alpha")
@@ -37,15 +35,16 @@ for variant, label in ((HamiltonianVariant.RegSqrtMesh, "sqrt(r)-regularized"),
               f"delta = {res.delta_deg:>8.3f} deg   gamma* = {res.gamma:.3f}")
 
     # s wave: where the scan of the first pseudostate reports no plateau,
-    # evaluate it at the second pseudostate's gamma
+    # read its phase at the second pseudostate's gamma, a point of the grid
     H, basis = hamiltonian_3d(mesh, 0, V, variant)
     states = pseudostates(solve_bound_states(H, basis))
-    res1, res2 = (gamma_scan(state, 0, V, Z, mesh, gammas=GRID)[0] for state in states[:2])
+    (res1, scan1), (res2, _) = (gamma_scan(state, 0, V, Z, mesh, gammas=GRID)
+                                for state in states[:2])
+    rows = [(res.delta_deg, res.gamma, res.no_plateau) for res in (res1, res2)]
     if res1.no_plateau:
-        res1 = dataclasses.replace(tan_delta(states[0], 0, V, res2.gamma, mesh),
-                                   no_plateau=True)
+        rows[0] = scan1[GRID.tolist().index(res2.gamma)], res2.gamma, True
     print("  l = 0")
-    for state, res in ((states[0], res1), (states[1], res2)):
-        note = "  (no plateau)" if res.no_plateau else ""
+    for state, (delta, gamma, no_plateau) in zip(states, rows):
+        note = "  (no plateau)" if no_plateau else ""
         print(f"    E = {state.energy * V.energy_unit:>8.5f} MeV   "
-              f"delta = {res.delta_deg:>8.3f} deg   gamma* = {res.gamma:.3f}{note}")
+              f"delta = {delta:>8.3f} deg   gamma* = {gamma:.3f}{note}")

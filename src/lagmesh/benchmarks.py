@@ -30,14 +30,13 @@ place of q, f = 1/2 in tables 1, 2, 3 and 5 and f = 1 in table 4.  Table 4
 also checks that each d-wave plateau gamma lies inside its grid.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .matelem import SCHEMES, HamiltonianVariant, hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from .potentials import builtin, exact_level
-from .scattering import _fold_180, eckart_reference_delta0, gamma_scan, tan_delta
+from .scattering import _plateau, eckart_reference_delta0, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
 
 __all__ = [
@@ -63,7 +62,6 @@ _MESHES_SCAT = _VARIANTS_3D[1:3]  # the two regularized meshes
 TABLE3_GAMMA = 4.0
 _TABLE3_STATES = (1, 5, 10)  # the pseudostates of table 3, counted from 1
 TABLE4_GAMMA_GRID = np.geomspace(0.3, 1.3, 16)
-_TABLE4_STEP = (TABLE4_GAMMA_GRID[-1] / TABLE4_GAMMA_GRID[0]) ** (1.0 / 15)  # grid ratio
 
 # Reference values (quadruple-precision runs), each the string the paper
 # prints: its last digit sets the check's unit.  Tables 1, 2 and 5 hold
@@ -189,28 +187,21 @@ def _run_table4():
     for l in (0, 2):
         V, meshes = _scattering_states("buck_alpha_alpha", 15, 0.23, l)
         for label, (mesh, ps) in meshes.items():
-            rec1, rec2 = (gamma_scan(state, l, V, V.tail_Z, mesh, gammas=TABLE4_GAMMA_GRID)[0]
-                          for state in ps[:2])
-            if l == 0 and rec1.no_plateau:
-                # as expected for the lowest s-wave pseudostate: its phase at
-                # the second one's gamma, the sensitivity one step to each side
-                lo, mid, hi = (tan_delta(ps[0], l, V, g, mesh) for g in (
-                    rec2.gamma / _TABLE4_STEP, rec2.gamma, rec2.gamma * _TABLE4_STEP))
-                sens = max(abs(_fold_180(r.delta_deg - mid.delta_deg)) for r in (lo, hi))
-                rec1 = dataclasses.replace(mid, sensitivity=sens, no_plateau=True)
+            (rec1, scan1), (rec2, _) = (
+                gamma_scan(state, l, V, V.tail_Z, mesh, gammas=TABLE4_GAMMA_GRID)
+                for state in ps[:2])
             exact = TABLE4_REFERENCE[l, label]["exact"]
-            for k, rec in enumerate((rec1, rec2)):
-                rows.append({
-                    "l": l,
-                    "mesh": label,
-                    "state": k + 1,
-                    "energy_MeV": ps[k].energy * V.energy_unit,
-                    "gamma": rec.gamma,
-                    "delta": rec.delta_deg,
-                    "sensitivity": rec.sensitivity,
-                    "no_plateau": rec.no_plateau,
-                    "reference": float(exact[k]),
-                })
+            rows += [{"l": l, "mesh": label, "state": k + 1,
+                      "energy_MeV": ps[k].energy * V.energy_unit, "gamma": rec.gamma,
+                      "delta": rec.delta_deg, "sensitivity": rec.sensitivity,
+                      "no_plateau": rec.no_plateau, "reference": float(exact[k])}
+                     for k, rec in enumerate((rec1, rec2))]
+            if l == 0 and rec1.no_plateau:
+                # as expected for the lowest s-wave pseudostate: its own scan
+                # read at the second one's gamma, a point of the same grid
+                j = TABLE4_GAMMA_GRID.tolist().index(rec2.gamma)
+                rows[-2].update(gamma=rec2.gamma, delta=float(scan1[j]),
+                                sensitivity=_plateau(TABLE4_GAMMA_GRID, scan1, at=j)[1])
     return rows
 
 

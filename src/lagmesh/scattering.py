@@ -45,6 +45,7 @@ __all__ = [
 
 _INDETERMINATE_RTOL = 1e-14
 _PLATEAU_MEDIAN_FACTOR = 3.0
+_PLATEAU_TIE = 1e-10  # degrees of phase change across a point's two neighbors
 # the default scan grid: 16 log-spaced rates on [0.1, 10], read-only
 _DEFAULT_GAMMAS = np.geomspace(0.1, 10.0, 16)
 _DEFAULT_GAMMAS.flags.writeable = False
@@ -252,18 +253,13 @@ def tan_delta(state, l, V, gamma, mesh):
     return PhaseShiftResult(float(tan), float(delta), int(branch), float(gamma))
 
 
-def _fold_180(d):
-    """Representative of ``d`` modulo 180 in [-90, 90)."""
-    return (d + 90.0) % 180.0 - 90.0
-
-
 def _unwrap_180(p):
     """``np.unwrap(p, period=180.0)`` of a list, in numpy's order of operations."""
     up, shift = p[:1], 0.0
     for a, b in zip(p, p[1:]):
         dd = b - a
         if not abs(dd) < 90.0:
-            fold = _fold_180(dd)
+            fold = (dd + 90.0) % 180.0 - 90.0  # dd modulo 180 in [-90, 90)
             # a jump of exactly +90 keeps its sign
             shift += (90.0 if fold == -90.0 and dd > 0.0 else fold) - dd
         up.append(b + shift)
@@ -274,6 +270,27 @@ def _median(xs):
     """``np.median`` of a list, in numpy's order of operations."""
     s, h = sorted(xs), len(xs) // 2
     return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0
+
+
+def _plateau(grid, scan, at=None):
+    """The plateau rule of a scan: ``(i, sens, no_plateau)``.
+
+    ``i`` is the first interior grid point whose centered slope exceeds the
+    least one by at most ``_PLATEAU_TIE / (g[i+1] - g[i-1])``, so that slopes
+    tied at rounding noise pick the same point whatever their last bits.
+    ``sens`` is the larger phase change to a neighbor from the interior point
+    ``at`` (default ``i``).  ``no_plateau`` is true when the least slope is
+    within a factor 3 of the median.  All are read on a 180-unwrapped copy
+    of the scan, as Python floats (cheaper than arrays on a grid this short).
+    """
+    g, deg = grid.tolist(), _unwrap_180(scan.tolist())
+    slopes = [abs((deg[j + 2] - deg[j]) / (g[j + 2] - g[j])) for j in range(len(g) - 2)]
+    least = min(slopes)
+    i = next(j for j, s in enumerate(slopes, 1)
+             if s - least <= _PLATEAU_TIE / (g[j + 1] - g[j - 1]))
+    j = i if at is None else at
+    sens = max(abs(deg[j - 1] - deg[j]), abs(deg[j + 1] - deg[j]))
+    return i, sens, 0.0 < _median(slopes) <= least * _PLATEAU_MEDIAN_FACTOR
 
 
 def _gamma_grid(gammas):
@@ -292,12 +309,13 @@ def _gamma_grid(gammas):
 def gamma_scan(state, l, V, Z, mesh, gammas=None, window=None):
     """Evaluate the phase over a gamma grid and locate the plateau.
 
-    The recommended point is the grid point that minimizes the centered
-    finite difference ``|d delta / d gamma|`` over the interior of the grid.
-    When that minimum is within a factor 3 of the median slope there is no
-    clear plateau, and the recommendation is flagged ``no_plateau``; a caller
-    with a better rate at hand (table 4 borrows a neighboring pseudostate's
-    plateau) evaluates it with :func:`tan_delta`.
+    The recommended point is the interior grid point of least centered slope
+    ``|d delta / d gamma|`` (the first within 1e-10 degrees of phase change of
+    it, where slopes tie at rounding noise).  When that slope is within a
+    factor 3 of the median slope there is no clear plateau, and the
+    recommendation is flagged ``no_plateau``; a caller with a better rate of
+    the grid at hand (table 4 borrows a neighboring pseudostate's plateau)
+    reads the phase there from the scan.
 
     Parameters
     ----------
@@ -331,18 +349,9 @@ def gamma_scan(state, l, V, Z, mesh, gammas=None, window=None):
 
     table = _interior_table(state, l, V, mesh)
     tan, scan, branch = _phases(grid, *_ratios(table, l, state.k, grid), window)
-    # Slopes on a branch-unwrapped copy so a 180-degree hop between
-    # neighboring grid points is not mistaken for a huge derivative (lists:
-    # a grid this short costs less as Python floats than as arrays).
-    g, deg = grid.tolist(), _unwrap_180(scan.tolist())
-    slopes = [abs((deg[j + 2] - deg[j]) / (g[j + 2] - g[j])) for j in range(len(g) - 2)]
-    i = 1 + slopes.index(min(slopes))
-    median = _median(slopes)
-    no_plateau = median > 0.0 and slopes[i - 1] * _PLATEAU_MEDIAN_FACTOR >= median
-    sens = max(abs(deg[i - 1] - deg[i]), abs(deg[i + 1] - deg[i]))
-    rec = PhaseShiftResult(float(tan[i]), float(scan[i]), int(branch[i]), g[i],
-                           float(sens), bool(no_plateau))
-    return rec, scan
+    i, sens, no_plateau = _plateau(grid, scan)
+    return PhaseShiftResult(float(tan[i]), float(scan[i]), int(branch[i]), float(grid[i]),
+                            sens, no_plateau), scan
 
 
 def eckart_reference_delta0(E, b, c):

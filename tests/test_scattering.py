@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn, spherical_yn
 
-from lagmesh import scattering
+from lagmesh import benchmarks, scattering
 from lagmesh.benchmarks import TABLE4_REFERENCE, run_table
 from lagmesh.basis import Family, MeshSpec
 from lagmesh.cli import ExperimentConfig, run
@@ -153,6 +153,13 @@ class TestEckartBenchmark:
 
 
 _BUCK_GRID = np.geomspace(0.3, 1.3, 16)
+_AA_UNIT = 20.736  # hbar^2/M of the alpha+alpha system, MeV fm^2
+
+
+def _alpha_alpha(r):
+    """The alpha+alpha potential written out from the paper, in scaled units:
+    a Gaussian of -122.6225 MeV and 4e^2 erf(0.75 r)/r."""
+    return (-122.6225 * math.exp(-0.22 * r * r) + 5.76 * math.erf(0.75 * r) / r) / _AA_UNIT
 
 
 class TestAlphaAlphaBenchmark:
@@ -163,11 +170,17 @@ class TestAlphaAlphaBenchmark:
         rows = {(row["l"], row["mesh"], row["state"]): row for row in run_table(4)}
         first, second = rows[0, "reg sqrt(r)", 1], rows[0, "reg sqrt(r)", 2]
         mesh, ps = buck_states("sqrt", 0)
-        rec1, _ = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID)
+        rec1, scan1 = gamma_scan(ps[0], 0, BUCK, BUCK.tail_Z, mesh, gammas=_BUCK_GRID)
         assert rec1.no_plateau
         assert first["no_plateau"] and first["gamma"] == second["gamma"] != rec1.gamma
+        # the borrowed gamma is itself no plateau on this mesh
+        assert second["no_plateau"]
+        # the borrowed row is state 1's own scan at state 2's grid point,
+        # with the sensitivity of the scan's plateau rule there
+        j = _BUCK_GRID.tolist().index(second["gamma"])
         res = tan_delta(ps[0], 0, BUCK, second["gamma"], mesh)
-        assert first["delta"] == res.delta_deg
+        assert first["delta"] == scan1[j] == res.delta_deg
+        assert first["sensitivity"] == scattering._plateau(_BUCK_GRID, scan1, at=j)[1]
         assert 0.0 < first["sensitivity"] < 1e-2
         # on the r-regularized mesh the lowest state's own scan finds a
         # plateau, so its row is the scan's
@@ -180,19 +193,20 @@ class TestAlphaAlphaBenchmark:
         # no d-wave row borrows a gamma
         assert not any(row["no_plateau"] for (l, _, _), row in rows.items() if l == 2)
 
+    def test_table_reads_no_phase_outside_its_scans(self, monkeypatch):
+        def single(*args):
+            raise AssertionError("tan_delta ran")
+
+        monkeypatch.setattr(benchmarks, "tan_delta", single)
+        assert len(run_table(4)) == 8
+
     @pytest.mark.slow
     def test_exact_column_from_a_local_oracle(self):
         # the paper's exact phases at its quoted energies, each within half a
-        # unit of its last printed digit; V is written out from the paper:
-        # a Gaussian of -122.6225 MeV and 4e^2 erf(0.75 r)/r, hbar^2/M = 20.736
-        unit = 20.736
-
-        def V(r):
-            return (-122.6225 * math.exp(-0.22 * r * r) + 5.76 * math.erf(0.75 * r) / r) / unit
-
+        # unit of its last printed digit
         for (l, _), ref in TABLE4_REFERENCE.items():
             for energy, exact in zip(ref["energy_MeV"], ref["exact"]):
-                delta = phase_oracle(V, l, float(energy) / unit, 5.76 / unit)
+                delta = phase_oracle(_alpha_alpha, l, float(energy) / _AA_UNIT, 5.76 / _AA_UNIT)
                 half_unit = 0.5 * 10.0 ** -len(exact.partition(".")[2])
                 assert abs(delta - float(exact)) <= half_unit, (l, energy, delta, exact)
 
@@ -205,6 +219,89 @@ class TestAlphaAlphaBenchmark:
         for row, state in zip(report["rows"], ps):
             assert row["energy"] == pytest.approx(state.energy * 20.736, rel=1e-15)
             assert row["k"] == pytest.approx(math.sqrt(2.0 * state.energy), rel=1e-15)
+
+
+# two short-range terms on a Coulomb tail of either sign, written out for the oracle
+_Z_SPECS = {
+    "Z=+1": (PotentialSpec(label="Z=+1", terms=((1.0, -1.0, 0.0, 0.0), (-3.0, 0.0, 0.5, 0.0))),
+             lambda r: 1.0 / r - 3.0 * math.exp(-0.5 * r * r), 1.0),
+    "Z=-1": (PotentialSpec(label="Z=-1", terms=((-1.0, -1.0, 0.0, 0.0), (2.0, 0.0, 0.5, 0.0))),
+             lambda r: -1.0 / r + 2.0 * math.exp(-0.5 * r * r), -1.0),
+}
+# system -> (spec, callable for the oracle, Coulomb tail Z, N h)
+_ORACLE_SYSTEMS = {"alpha": (BUCK, _alpha_alpha, 5.76 / _AA_UNIT, 6.9),
+                   **{key: (*spec, 12.0) for key, spec in _Z_SPECS.items()}}
+# phase_oracle in degrees at the energies of the first two pseudostates of
+# the RegSqrt mesh, (system, l, N) -> (state 1, state 2); Z = +1 at l = 8 is
+# left out, as both sides read exactly 0 there
+_ORACLE_PHASES = {
+    ("alpha", 0, 30): (179.50217409632967, 167.73559036531444),
+    ("alpha", 0, 100): (179.56394471049708, 166.92006387198836),
+    ("alpha", 2, 30): (0.1315997415844143, 2.473164122484106),
+    ("alpha", 2, 100): (0.1520169158718524, 2.7659034274416463),
+    ("alpha", 8, 30): (3.118398367229058e-08, 2.615694674673899e-06),
+    ("alpha", 8, 100): (4.0406801931227716e-08, 2.8887477019484504e-06),
+    ("Z=+1", 0, 30): (1.6513712388987725e-05, 0.0017328214933163889),
+    ("Z=+1", 0, 100): (2.142721024705799e-05, 0.00205099784487178),
+    ("Z=+1", 2, 30): (2.6742926401527203e-08, 2.0558538090656016e-06),
+    ("Z=+1", 2, 100): (3.443891283568125e-08, 2.3715054554448935e-06),
+    ("Z=-1", 0, 30): (50.182278115959086, 50.66414172716629),
+    ("Z=-1", 0, 100): (50.19770590008942, 50.662291189149435),
+    ("Z=-1", 2, 30): (175.474268459629, 174.662845247418),
+    ("Z=-1", 2, 100): (175.44672814304133, 174.66305004733815),
+    ("Z=-1", 8, 30): (179.9999999999999, 179.99999999999568),
+    ("Z=-1", 8, 100): (179.99999999999986, 179.9999999999951),
+}
+# (system, l) -> bound in degrees at N = 30 and at N = 100: the larger
+# measured error of the two states, doubled and rounded up to 1, 2 or 5 in
+# its decade, and at least 1e-11, the oracle's own spread (its phases move
+# by up to 4e-11 degrees when r0 and R change).  The charged s-wave rows
+# converge algebraically; alpha+alpha state 1 sits on the 92-keV resonance
+# (measured 0.48 and 8.7e-2, state 2 1.6e-2 and 2.5e-4).
+_ORACLE_BOUNDS = {
+    ("alpha", 0): (1.0, 0.2),
+    ("alpha", 2): (2e-7, 2e-11),  # measured 6.4e-8, 8.4e-12
+    ("alpha", 8): (2e-11, 1e-11),  # 5.4e-12, 3.4e-12
+    ("Z=+1", 0): (5e-5, 1e-6),  # 1.5e-5, 2.6e-7
+    ("Z=+1", 2): (2e-9, 1e-11),  # 7.5e-10, 5.0e-13
+    ("Z=-1", 0): (5e-3, 5e-5),  # 1.9e-3, 2.2e-5
+    ("Z=-1", 2): (5e-6, 1e-11),  # 2.1e-6, 1.5e-12
+    ("Z=-1", 8): (1e-11, 1e-11),  # 1.8e-12, 5.7e-14
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_cell(system, l, N):
+    """Energies and recommended phases of the first two pseudostates of the
+    RegSqrt mesh with h = (N h) / N, on the default gamma grid."""
+    V, _, _, span = _ORACLE_SYSTEMS[system]
+    variant = HamiltonianVariant.RegSqrtMesh
+    H, mesh = hamiltonian_3d(scheme_mesh(variant, N, span / N), l, V, variant)
+    states = pseudostates(solve_bound_states(H, mesh))[:2]
+    return [(s.energy, gamma_scan(s, l, V, V.tail_Z, mesh)[0].delta_deg) for s in states]
+
+
+def _off_by(a, b):
+    """|a - b| modulo 180 degrees."""
+    return abs((a - b + 90.0) % 180.0 - 90.0)
+
+
+class TestPhasesAgainstTheOracle:
+    """Recommended phases of three charged systems held to the local oracle
+    at l = 0, 2 and 8 and N = 30 and 100."""
+
+    @pytest.mark.parametrize("system, l, N", list(_ORACLE_PHASES))
+    def test_phase_within_its_measured_bound(self, system, l, N):
+        bound = _ORACLE_BOUNDS[system, l][N == 100]
+        for (_, delta), exact in zip(_oracle_cell(system, l, N), _ORACLE_PHASES[system, l, N]):
+            assert _off_by(delta, exact) <= bound, (delta, exact, bound)
+
+    @pytest.mark.slow
+    def test_pinned_phases_are_the_oracles(self):
+        for (system, l, N), pinned in _ORACLE_PHASES.items():
+            _, V, Z, _ = _ORACLE_SYSTEMS[system]
+            for (energy, _), exact in zip(_oracle_cell(system, l, N), pinned):
+                assert _off_by(phase_oracle(V, l, energy, Z), exact) <= 1e-11, (system, l, N)
 
 
 class TestWindows:
@@ -428,6 +525,41 @@ class TestPlateauArithmetic:
     def test_median_equals_numpy(self, slopes):
         # odd and even lengths, as the scan's grids give both
         assert _bits([scattering._median(slopes)]) == _bits([np.median(slopes)])
+
+
+def _nudged(state, ulps):
+    """``state`` with its energy moved by ``ulps`` units in the last place."""
+    energy = state.energy
+    for _ in range(abs(ulps)):
+        energy = math.nextafter(energy, math.copysign(math.inf, ulps))
+    return dataclasses.replace(state, energy=energy)
+
+
+class TestPlateauRule:
+    def test_slopes_tied_at_rounding_noise_pick_the_first_point(self):
+        scan = 30.0 + 1e-12 * np.random.default_rng(1).standard_normal(16)
+        scan[10] = scan[8]  # the least slope, 0, at point 9
+        i, sens, _ = scattering._plateau(_DEFAULT_GAMMAS, scan)
+        assert i == 1
+        steps = np.abs(np.diff(scan))
+        assert sens == max(steps[0], steps[1])
+        assert scattering._plateau(_DEFAULT_GAMMAS, scan, at=9)[:2] == (1, max(steps[8], steps[9]))
+        # a phase change 1e-9 degrees above the least is no tie
+        scan[:8] += 1e-9 * np.arange(8.0)
+        assert scattering._plateau(_DEFAULT_GAMMAS, scan)[0] == 9
+
+    def test_noise_floor_picks_hold_under_last_bit_energy_changes(self):
+        # the spectrum of `lagmesh gamma-scan --potential buck_alpha_alpha
+        # --l 2 --N 300 --h 0.05`, where every slope of these states' scans is
+        # rounding noise: without the tie floor a change of 4 ulps in the
+        # energy (up or down) moved their picks
+        variant = HamiltonianVariant.RegSqrtMesh
+        H, mesh = hamiltonian_3d(scheme_mesh(variant, 300, 0.05), 2, BUCK, variant)
+        ps = pseudostates(solve_bound_states(H, mesh))
+        for n in (71, 133, 151, 184, 206):
+            picks = {gamma_scan(_nudged(ps[n - 1], ulps), 2, BUCK, BUCK.tail_Z, mesh)[0].gamma
+                     for ulps in (-4, 0, 4)}
+            assert len(picks) == 1, (n, picks)
 
 
 class TestAttractiveCoulomb:
