@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__, benchmarks
 from .basis import _CACHE_SIZE
-from .matelem import (SCHEMES, HamiltonianVariant, Mode, _exact_ops, hamiltonian_2d,
-                      hamiltonian_3d, scheme_mesh)
+from .matelem import (SCHEMES, HamiltonianVariant, Mode, _exact_ops, _exact_reads,
+                      hamiltonian_2d, hamiltonian_3d, scheme_mesh)
 from .potentials import BUILTIN_NAMES, PotentialSpec, _json_doc, _level_rule, builtin, from_json
 from .scattering import _gamma_grid, _short_range, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
@@ -217,7 +217,13 @@ def _domain_errors(config):
         errors.append("alpha: must be finite and nonnegative")
     elif (config.dimension in (2, 3) and isinstance(config.potential, PotentialSpec)
           and config.variant in (a for d, a in _VARIANTS if d == config.dimension)):
-        errors += _exact_errors(config)
+        # the builders' rules, before any build, on the basis a build takes
+        # (its family and alpha do not depend on N or h: 2 points stand in)
+        scheme = _VARIANTS[config.dimension, config.variant]
+        basis, ops = _exact_reads(scheme, config.angular, scheme_mesh(scheme, 2, 1, config.alpha))
+        if SCHEMES[scheme][2][2] is Mode.Exact:  # the potential's Exact matrix
+            errors += _raised("variant", _exact_ops, basis, (), config.potential)
+        errors += _raised("alpha", _exact_ops, basis, ops)
     if config.mode == "scatter" and (
             config.gamma is None
             or not (config.gamma > 0.0 and math.isfinite(config.gamma))):
@@ -237,27 +243,8 @@ def _raised(key, rule, *args):
     return []
 
 
-def _exact_errors(config):
-    """The variant: error of a scheme that takes the potential's Exact matrix
-    where it has none, and the alpha: error of an Exact kinetic or
-    centrifugal integral that diverges, by the builders' own rule
-    (``matelem._exact_ops``) before any matrix is built.  A 2D build picks a
-    basis where both converge (``hamiltonian_2d``)."""
-    family, alpha, modes, dim = SCHEMES[_VARIANTS[config.dimension, config.variant]]
-    alpha = alpha if config.alpha is None else config.alpha
-    errors = []
-    if modes[2] is Mode.Exact:
-        errors += _raised("variant", _exact_ops, family, alpha, (), config.potential)
-    reads = (("kinetic", True), ("1/r^2", config.angular > 0))
-    ops = tuple(op for (op, read), mode in zip(reads, modes) if read and mode is Mode.Exact)
-    if dim == 3:
-        errors += _raised("alpha", _exact_ops, family, alpha, ops)
-    return errors
-
-
 def _resolve_problem(config):
-    """The basis and the Hamiltonian H of a validated config, the basis as
-    the builder returns it: the scheme's mesh, or Var2D's derived one."""
+    """The basis the builder returns and the Hamiltonian H of a valid config."""
     scheme = _VARIANTS[config.dimension, config.variant]
     build = hamiltonian_2d if config.dimension == 2 else hamiltonian_3d
     mesh = scheme_mesh(scheme, config.N, config.h, config.alpha)
@@ -556,8 +543,11 @@ def _parse_potential(value):
     if params:
         for piece in params.split(","):
             key, _, num = piece.partition("=")
+            key = key.strip()
+            if key in kwargs:
+                raise ConfigError([f"potential: repeated parameter {key!r}"])
             try:
-                kwargs[key.strip()] = float(num)
+                kwargs[key] = float(num)
             except ValueError:
                 raise ConfigError(
                     [f"potential: bad parameter {piece!r}"]
@@ -638,6 +628,9 @@ def _assemble(args):
         values[attr] = flag if flag is not None else in_file
     values["potential"] = _parse_potential(values["potential"])
     gamma = values["gamma"]
+    if mode == "gamma-scan" and isinstance(gamma, list):  # only a file gives a list
+        raise ConfigError(["gamma: a config file gives a gamma-scan grid as a list "
+                           "under gammas"])
     values["gamma"], gammas = _parse_gamma(None if gamma is None else str(gamma), mode)
     if gammas is not None:
         values["gammas"] = gammas

@@ -162,7 +162,7 @@ def _gauss_error(mesh, op):
     divided by ``sqrt(r_i r_j)`` on NonReg; the correction has rank at most
     3.  On RegSqrt, with ``b = 2N + alpha + 1``, ``c_ij`` is
     ``1/(alpha r_i r_j)`` for 1/r^2, 0 for 1/r and 1, 1 for r,
-    ``b + r_i + r_j`` for r^2, ``(1 - alpha^2)/(4 alpha r_i r_j)`` for
+    ``b + (r_i + r_j)`` for r^2, ``(1 - alpha^2)/(4 alpha r_i r_j)`` for
     -d^2/dr^2 and ``-alpha/(4 r_i r_j)`` for the 2D operator: the first
     vanishes at alpha = 1, the second at alpha = 0, where the Gauss 2D
     matrix is exact although its two pieces diverge apart.  An element whose
@@ -171,14 +171,14 @@ def _gauss_error(mesh, op):
     r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
     ri, rj = r[:, None], r[None, :]
     b = 2.0 * N + alpha + 1.0
-    _exact_ops(mesh.family, alpha, (op,))
+    _exact_ops(mesh, (op,))
     if mesh.family is Family.RegSqrt:
         if op == "1/r^2":
             c = 1.0 / (alpha * (ri * rj))
         elif op == "r":
             c = 1.0
-        elif op == "r^2":
-            c = b + ri + rj
+        elif op == "r^2":  # r_i + r_j first, so c_ij and c_ji round alike
+            c = b + (ri + rj)
         elif op == "kinetic":
             c = (1.0 - alpha**2) / (4.0 * alpha * (ri * rj))
         elif op == "kinetic2d":
@@ -209,8 +209,8 @@ def _gauss_kinetic(mesh, c_shift=0.0):
         n, c = 2.0, -1.0
     elif mesh.family is Family.RegR:
         n, c = (ri + rj) / np.sqrt(ri * rj), -4.0
-    else:
-        n, c = -(ri + rj) * (ri * ri - 4.0 * ri * rj + rj * rj) / (2.0 * (ri * rj) ** 1.5), 8.0
+    else:  # grouped so that n_ij and n_ji round alike: K is exactly symmetric
+        n, c = -(ri + rj) * ((ri * ri + rj * rj) - 4.0 * ri * rj) / (2.0 * (ri * rj) ** 1.5), 8.0
     with np.errstate(divide="ignore"):
         values = _sign_grid(N) * (n / (ri - rj) ** 2)
     c = mesh.alpha**2 + c + c_shift
@@ -218,9 +218,9 @@ def _gauss_kinetic(mesh, c_shift=0.0):
     return values
 
 
-def _exact_ops(family, alpha, ops=(), V=None):
+def _exact_ops(mesh, ops=(), V=None):
     """``ops`` and the operator of each term of ``V``, once each has an Exact
-    matrix on ``family`` at ``alpha`` (the builders' rule, by which the CLI
+    matrix on the basis ``mesh`` (the builders' rule, by which the CLI
     checks a config), else ValueError.  A potential's terms must be pure
     powers r**p, p in {-2, ..., 2}.  1/r^2, and -d^2/dr^2 unless
     p (p - 1) = 0, diverge at the origin where ``f_i (op f_j)`` goes like
@@ -232,11 +232,11 @@ def _exact_ops(family, alpha, ops=(), V=None):
         if V.coulomb_erf is not None or V.eckart is not None or None in powers:
             raise ValueError(f"potential {V.label!r} has no exact matrix elements")
         ops = (*ops, *powers)
-    p = _family_power(family, alpha)
+    p = _family_power(mesh.family, mesh.alpha)
     for op in ops:
         if p <= 0.5 and (op == "1/r^2" or op == "kinetic" and p != 0.0):
-            raise ValueError(f"divergent integral: {op} on family {family.name} "
-                             f"with alpha={alpha}")
+            raise ValueError(f"divergent integral: {op} on family {mesh.family.name} "
+                             f"with alpha={mesh.alpha}")
     return ops
 
 
@@ -246,7 +246,7 @@ def _potential_matrix(mesh, V):
     spec without one (``_exact_ops``) raises before any matrix is requested.
     ``_assemble`` adds a Gauss-mode potential to H's diagonal itself.
     """
-    ops = _exact_ops(mesh.family, mesh.alpha, V=V)
+    ops = _exact_ops(mesh, V=V)
     terms = [c * mesh.h**p * operator_matrix(mesh, op, Mode.Exact)
              for (c, p, _, _), op in zip(V.terms, ops)]
     return sum(terms[1:], terms[0]) if terms else np.zeros((mesh.N, mesh.N))
@@ -268,15 +268,7 @@ SCHEMES = {
     HamiltonianVariant.Var2D: (Family.RegSqrt, 0.0, (_E, _E, _E), 2),
     HamiltonianVariant.RegSqrtMesh2D: (Family.RegSqrt, 0.0, (_G, _G, _G), 2),
 }
-
-# The (family, operator) cells some scheme reads in Exact mode, the only ones
-# operator_matrix builds: by the modes of its terms, the kinetic operator of
-# its dimension, 1/r^2 (centrifugal) and the powers of a potential (p > -2).
-_EXACT_READ = frozenset(
-    (family, op) for family, _, modes, dim in SCHEMES.values()
-    for mode, ops in zip(modes, (("kinetic" if dim == 3 else "kinetic2d",), ("1/r^2",),
-                                 ("1/r", "1", "r", "r^2")))
-    if mode is Mode.Exact for op in ops)
+_KINETIC = {3: "kinetic", 2: "kinetic2d"}  # the kinetic operator of each dimension
 
 
 def scheme_mesh(variant, N, h, alpha=None):
@@ -286,12 +278,35 @@ def scheme_mesh(variant, N, h, alpha=None):
     return MeshSpec(N, default if alpha is None else alpha, family, h)
 
 
+def _exact_reads(variant, n, mesh):
+    """The basis a build of ``variant`` (a member) at angular number ``n``
+    takes on ``mesh``, and the kinetic and centrifugal (n > 0) operators its
+    row reads in Exact mode there.  The basis is ``mesh``, except for Var2D
+    at m > 0: the exact 1/rho^2 element diverges at alpha = 0, so it takes
+    N-1 functions with alpha = 2.  The CLI checks a config by this rule."""
+    _, _, modes, dim = SCHEMES[variant]
+    terms = (_KINETIC[dim], "1/r^2" if n > 0 else None)
+    ops = tuple(op for op, mode in zip(terms, modes) if op and mode is Mode.Exact)
+    if variant is HamiltonianVariant.Var2D and n > 0:
+        mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, mesh.h)
+    return mesh, ops
+
+
+# The (family, operator) cells some scheme reads in Exact mode, the only ones
+# operator_matrix builds: on each basis of ``_exact_reads``, its operators and
+# the powers of a potential (p > -2) where the scheme's potential is Exact.
+_EXACT_READ = frozenset(
+    (basis.family, op) for variant, (*_, modes, _) in SCHEMES.items() for n in (0, 1)
+    for basis, ops in [_exact_reads(variant, n, scheme_mesh(variant, 2, 1.0))]
+    for op in (*ops, *(("1/r", "1", "r", "r^2") if modes[2] is Mode.Exact else ())))
+
+
 def _scheme_row(variant, dimension, n, mesh):
-    """The angular number ``n`` (l in 3D, m in 2D) as an int and the term
-    modes of ``variant``, after checking the scheme's dimension, ``n`` and
-    the mesh against its row."""
+    """``variant`` as a member and the angular number ``n`` (l in 3D, m in
+    2D) as an int, after checking the scheme's dimension, ``n`` and the mesh
+    against its row."""
     variant = _coerce(HamiltonianVariant, variant)
-    family, alpha, modes, dim = SCHEMES[variant]
+    family, alpha, _, dim = SCHEMES[variant]
     if dim != dimension:
         raise ValueError(f"{variant.name} is a {dim}D scheme, not a {dimension}D one")
     name = "l" if dimension == 3 else "m"
@@ -301,7 +316,7 @@ def _scheme_row(variant, dimension, n, mesh):
     if mesh.family is not family or dim == 2 and mesh.alpha != alpha:
         fixed = f" with alpha={alpha:g}" if dim == 2 else ""
         raise ValueError(f"variant {variant.name} requires family {family.name}{fixed}")
-    return n, modes
+    return variant, n
 
 
 def _h_squared(h):
@@ -328,33 +343,34 @@ def _in_range(H, h):
     return H
 
 
-def _assemble(mesh, kinetic_op, strength, modes, V):
-    """H = (K + strength/x^2) / (2 h^2) + V(h x) on ``mesh`` and ``mesh``
-    itself, the basis H is written in; K is the ``kinetic_op`` matrix, each
-    term in its mode of ``modes`` (kinetic, centrifugal, potential).
+def _assemble(variant, n, mesh, strength, V):
+    """H = (K + strength/x^2) / (2 h^2) + V(h x) of ``variant`` at angular
+    number ``n`` and the basis H is written in, which with the Exact kinetic
+    (K) and centrifugal terms is ``_exact_reads``'s; V takes its row's mode.
 
     A Gauss-mode term is diagonal, so it is added to H's diagonal alone.  That
     is the whole-matrix sum bit for bit: the sum would add +0.0 to every entry
     off the diagonal, which changes only a -0.0, and there is none (K has no
     zero there, K/(2 h^2) does not underflow to zero for any h that passes
     ``_h_squared``, and a sum with a nonzero term is never -0.0)."""
-    t_mode, c_mode, v_mode = modes
-    two_h2 = 2.0 * _h_squared(mesh.h)
-    T = operator_matrix(mesh, kinetic_op, t_mode)
+    basis, exact = _exact_reads(variant, n, mesh)
+    kinetic = _KINETIC[SCHEMES[variant][3]]
+    two_h2 = 2.0 * _h_squared(basis.h)
+    T = operator_matrix(basis, kinetic, Mode.Exact if kinetic in exact else Mode.Gauss)
     with np.errstate(**_H_ERRSTATE):
         H = T / two_h2
-        diagonal = H.reshape(-1)[:: mesh.N + 1]  # a view
-        if strength > 0 and c_mode is Mode.Gauss:
-            diagonal += strength * mesh.nodes ** _POWERS["1/r^2"] / two_h2
-        elif strength > 0:
-            term = strength * operator_matrix(mesh, "1/r^2", c_mode)
+        diagonal = H.reshape(-1)[:: basis.N + 1]  # a view
+        if "1/r^2" in exact:
+            term = strength * operator_matrix(basis, "1/r^2", Mode.Exact)
             term /= two_h2
             H += term
-        if v_mode is Mode.Gauss:
-            diagonal += evaluate_potential(V, mesh.h * mesh.nodes)
+        elif strength > 0:
+            diagonal += strength * basis.nodes ** _POWERS["1/r^2"] / two_h2
+        if SCHEMES[variant][2][2] is Mode.Gauss:
+            diagonal += evaluate_potential(V, basis.h * basis.nodes)
         else:
-            H += _potential_matrix(mesh, V)
-    return _in_range(H, mesh.h), mesh
+            H += _potential_matrix(basis, V)
+    return _in_range(H, basis.h), basis
 
 
 def hamiltonian_3d(mesh, l, V, variant):
@@ -375,8 +391,8 @@ def hamiltonian_3d(mesh, l, V, variant):
         Naming h, when 1/(2 h^2) or an assembled entry is out of double
         range; at N = 150 that is h below about 1e-152 or above 1e151.
     """
-    l, modes = _scheme_row(variant, 3, l, mesh)
-    return _assemble(mesh, "kinetic", l * (l + 1.0), modes, V)
+    variant, l = _scheme_row(variant, 3, l, mesh)
+    return _assemble(variant, l, mesh, l * (l + 1.0), V)
 
 
 def hamiltonian_2d(mesh, m, V, variant):
@@ -405,11 +421,8 @@ def hamiltonian_2d(mesh, m, V, variant):
     OverflowError
         Naming h, as for ``hamiltonian_3d``.
     """
-    m, modes = _scheme_row(variant, 2, m, mesh)
-    if modes[1] is Mode.Exact and m > 0:
-        # the exact 1/rho^2 element diverges at alpha = 0
-        mesh = MeshSpec(mesh.N - 1, 2.0, Family.RegSqrt, mesh.h)
-    return _assemble(mesh, "kinetic2d", m * m, modes, V)
+    variant, m = _scheme_row(variant, 2, m, mesh)
+    return _assemble(variant, m, mesh, m * m, V)
 
 
 def classify_singularity(mesh, angular, V, variant):
@@ -425,8 +438,8 @@ def classify_singularity(mesh, angular, V, variant):
     potential's s is the largest ``-p`` of its terms ``c r^p e^(...)`` (the
     damping is 1 at the origin), and 0 when none is singular.
     """
-    dimension = SCHEMES[_coerce(HamiltonianVariant, variant)][3]
-    n, (_, c_mode, v_mode) = _scheme_row(variant, dimension, angular, mesh)
+    _, _, (_, c_mode, v_mode), dimension = SCHEMES[_coerce(HamiltonianVariant, variant)]
+    _, n = _scheme_row(variant, dimension, angular, mesh)
     exponent = _family_power(mesh.family, mesh.alpha) + n + (dimension - 1) / 2 - mesh.alpha
     s_potential = max([0.0] + [-p for _, p, _, _ in V.terms])
     lossy = (("centrifugal", c_mode is Mode.Gauss and n > 0 and exponent < 2.0),

@@ -237,10 +237,13 @@ def _json_doc(spec):
 def _numbers(obj, where, names, defaults=None):
     """The fields ``names`` of the JSON object ``obj`` (``where`` in the
     spec, empty at the top level) as floats; a missing field, or one that is
-    not a JSON number or beyond double range, raises ValueError naming it.
+    not a JSON number or beyond double range, raises ValueError naming it,
+    and so does a field of a nested object that is not one of ``names``.
     PotentialSpec checks their values."""
     if type(obj) is not dict:
         raise ValueError(f"{where}: must be a JSON object")
+    if where:  # the top level holds more fields: from_json checks its keys
+        _known(obj, f"{where}.", names)
     defaults = defaults or {}
     values = []
     for name in names:
@@ -257,15 +260,25 @@ def _numbers(obj, where, names, defaults=None):
     return tuple(values)
 
 
+def _known(obj, prefix, names):
+    """ValueError naming ``prefix`` and the first key of ``obj`` that is not
+    one of ``names``."""
+    for key in obj:
+        if key not in set(names):  # names may be a string of one-letter names
+            raise ValueError(f"{prefix}{key}: unknown field")
+
+
 def from_json(text):
     """Parse the JSON form of a spec, as a report echoes it under
     ``config.potential``.
 
-    A malformed spec raises ValueError naming the offending JSON field.
+    A malformed spec, or one with a field it does not know at any level,
+    raises ValueError naming the offending JSON field.
     """
     doc = json.loads(text)
     if type(doc) is not dict:
         raise ValueError("spec: must be a JSON object")
+    _known(doc, "", ("label", "terms", "coulombErf", "eckart", "energyUnit", "tailZ"))
     terms = doc.get("terms", [])
     if type(terms) is not list:
         raise ValueError("terms: must be a list")

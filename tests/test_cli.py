@@ -326,6 +326,16 @@ class TestGammaGrid:
         assert code == 1 and captured.out == ""
         assert captured.err == f"lagmesh: gamma: {message}\n"
 
+    def test_grid_given_as_a_list_under_gamma_names_gammas(self, tmp_path, capsys, no_solve):
+        # a file gives its list under gammas; gamma is a flag's text form
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": "eckart", "variant": "reg-sqrt", "N": 15,
+                                   "h": 0.1, "gamma": [0.5, 1, 2, 3, 4, 5, 6, 7]}))
+        assert main(["gamma-scan", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "lagmesh: gamma: a config file gives a gamma-scan grid as a list under gammas\n")
+
     def test_bad_grid_in_a_config_file_or_in_python(self, tmp_path, capsys, no_solve):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"potential": "eckart", "variant": "reg-sqrt", "N": 15,
@@ -386,7 +396,7 @@ class TestExactMatrixConfig:
         potentials = (builtin("harmonic"), builtin("eckart"),
                       from_json('{"terms": [{"c": -1, "p": -1}, {"c": 2, "p": 1}]}'))
         for (dim, alias), alpha, l, V in itertools.product(
-                cli._VARIANTS, (None, 0.0, 0.5, 1.0, 1.5, 2.0), (0, 1), potentials):
+                cli._VARIANTS, (None, 0.0, 0.5, 1.0, 1.5, 2.0), (0, 1, 3), potentials):
             if dim == 2 and alpha:
                 continue
             config = _config(potential=V, dimension=dim, variant=alias, angular=l, N=6,
@@ -398,6 +408,16 @@ class TestExactMatrixConfig:
                 assert any(err.endswith(f": {e}") for err in errors), (config, errors, e)
             else:
                 assert errors == [], config
+
+    def test_whole_alpha_in_a_config_file_is_named_as_the_builder_names_it(
+            self, tmp_path, capsys, no_build):
+        # the check reads the basis a build takes, a MeshSpec, whose alpha is a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": "coulomb", "variant": "non-reg", "alpha": 1,
+                                   "N": 10, "h": 0.5}))
+        assert main(["bound", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "lagmesh: alpha: divergent integral: kinetic on family NonReg with alpha=1.0\n")
 
     @pytest.mark.parametrize("argv", [
         ["--potential", "eckart", "--variant", "reg-sqrt"],
@@ -1157,13 +1177,16 @@ class TestMain:
          "gamma: must be a number"),
         (["bound", "--potential", "coulomb:Z=x", "--N", "5", "--h", "1"],
          "potential: bad parameter 'Z=x'"),
+        (["bound", "--potential", "coulomb:Z=1, Z=-2", "--N", "5", "--h", "1"],
+         "potential: repeated parameter 'Z'"),
         (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--values", "1,2"],
          "sweep: both --parameter and --values are required"),
         (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--parameter", "h"],
          "sweep: both --parameter and --values are required"),
         (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--parameter", "h",
           "--values", "a,b"], "values: must be comma-separated numbers"),
-    ], ids=["format", "gamma", "builtin-parameter", "no-parameter", "no-values", "values"])
+    ], ids=["format", "gamma", "builtin-parameter", "repeated-parameter", "no-parameter",
+            "no-values", "values"])
     def test_malformed_flag_exits_1_naming_it(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import collections
 import concurrent.futures
 import dataclasses
 import gc
+import itertools
 import math
 import re
 import sys
@@ -312,6 +313,44 @@ class TestOverlap:
         else:
             assert basis is mesh
         assert H.shape == (basis.N, basis.N)
+
+
+    @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
+    @pytest.mark.parametrize("angular", [0, 1, 3])
+    def test_the_builder_takes_the_rules_basis(self, variant, angular):
+        # the one rule of the basis, which the CLI's config check reads too
+        build = hamiltonian_2d if SCHEMES[variant][3] == 2 else hamiltonian_3d
+        for N, h in ((6, 0.5), (40, 0.06)):
+            mesh = scheme_mesh(variant, N, h)
+            H, basis = build(mesh, angular, builtin("coulomb"), variant)
+            rule, _ = matelem._exact_reads(variant, angular, mesh)
+            assert basis == rule and H.shape == (rule.N, rule.N)
+
+
+class TestExactSymmetry:
+    """Every operator matrix and every Hamiltonian equals its transpose bit
+    for bit, so an eigensolver reads the same H from either triangle."""
+
+    @pytest.mark.parametrize("family, op", sorted((f.name, op) for f, op in matelem._EXACT_READ))
+    def test_every_exact_cell(self, family, op):
+        for N, alpha in ((8, 3.0), (40, 2.0), (150, 2.5)):
+            M = operator_matrix(MeshSpec(N, alpha, family, 1.0), op, Mode.Exact)
+            assert np.array_equal(M, M.T)
+
+    @pytest.mark.parametrize("family", [f.name for f in Family])
+    def test_every_gauss_kinetic_family(self, family):
+        for N, alpha in ((8, 0.0), (40, 2.0), (150, 1.0), (300, 2.5)):
+            for op in ("kinetic", "kinetic2d"):
+                M = operator_matrix(MeshSpec(N, alpha, family, 1.0), op)
+                assert np.array_equal(M, M.T)
+
+    @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
+    def test_every_scheme_hamiltonian(self, variant):
+        build = hamiltonian_2d if SCHEMES[variant][3] == 2 else hamiltonian_3d
+        for N, h, angular, V in itertools.product(
+                (30, 150), (1e-3, 0.06, 1.0), (0, 1, 3), (builtin("harmonic"), builtin("coulomb"))):
+            H, _ = build(scheme_mesh(variant, N, h), angular, V, variant)
+            assert np.array_equal(H, H.T), (N, h, angular, V.label)
 
 
 class TestKinetic:

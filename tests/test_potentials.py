@@ -356,6 +356,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
             from_json(text)
 
+    @pytest.mark.parametrize("text, field", [
+        # "alpha" for "a" would otherwise run an undamped constant
+        ('{"terms": [{"c": -1, "p": -1}, {"c": 0.2, "p": 0, "alpha": 0.5}]}', "terms[1].alpha"),
+        ('{"terms": [{"c": -1, "p": -1, "ab": 1}]}', "terms[0].ab"),
+        ('{"coulombErf": {"q": 1, "mu": 1, "x": 2}}', "coulombErf.x"),
+        ('{"eckart": {"b": 2, "c": -1, "d": 0}}', "eckart.d"),
+        ('{"terms": [], "tail": -1}', "tail"),
+        ('{"energyUnit": 2, "Label": "x"}', "Label"),
+    ])
+    def test_unknown_field_is_named_at_every_level(self, text, field):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: unknown field$"):
+            from_json(text)
+
     @pytest.mark.parametrize("V", [
         *(builtin(name) for name in ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")),
         builtin("coulomb", Z=-0.0),
