@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .quadrature import generate_rule
-from .specfun import _coerce, _integer, _real, _reals, _weighted_laguerre_pair
+from .quadrature import _size, generate_rule
+from .specfun import _coerce, _real, _reals, _weighted_laguerre_pair
 
 __all__ = [
     "Family",
@@ -66,8 +66,15 @@ def _alpha(value):
     """``value`` as a float, if a finite, nonnegative Laguerre parameter."""
     alpha = _real("alpha", value)
     if not (alpha >= 0.0) or not math.isfinite(alpha):
-        raise ValueError("alpha must be finite and nonnegative")
+        raise ValueError(f"alpha must be finite and nonnegative (got {alpha!r})")
     return alpha
+
+
+def _scale(value):
+    """``value`` as a float, if a positive, finite scaling factor h."""
+    if not (h := _real("h", value)) > 0.0 or not math.isfinite(h):
+        raise ValueError(f"h must be positive and finite (got {h!r})")
+    return h
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,14 +99,10 @@ class MeshSpec:
     h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _integer("N", self.N))
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
+        object.__setattr__(self, "N", _size(self.N))
         object.__setattr__(self, "alpha", _alpha(self.alpha))
         object.__setattr__(self, "family", _coerce(Family, self.family))
-        object.__setattr__(self, "h", _real("h", self.h))
-        if not (self.h > 0.0) or not math.isfinite(self.h):
-            raise ValueError("h must be positive and finite")
+        object.__setattr__(self, "h", _scale(self.h))
 
     @property
     def nodes(self):

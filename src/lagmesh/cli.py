@@ -34,13 +34,15 @@ import sys
 import numpy as np
 
 from . import __version__, benchmarks
-from .basis import _CACHE_SIZE
+from .basis import _CACHE_SIZE, _alpha, _scale
 from .matelem import (SCHEMES, HamiltonianVariant, Mode, _exact_ops, _exact_reads,
-                      hamiltonian_2d, hamiltonian_3d, scheme_mesh)
-from .potentials import BUILTIN_NAMES, PotentialSpec, _json_doc, _level_rule, builtin, from_json
-from .scattering import _gamma_grid, _short_range, gamma_scan, tan_delta
+                      _scheme_row, hamiltonian_2d, hamiltonian_3d, scheme_mesh)
+from .potentials import (BUILTIN_NAMES, PotentialSpec, _json_doc, _json_object, _level_rule,
+                         _spec, builtin)
+from .quadrature import _size
+from .scattering import _gamma_grid, _rate, _short_range, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
-from .specfun import _MAX_ETA, _MAX_L
+from .specfun import _coulomb_domain
 
 __all__ = [
     "ConfigError",
@@ -174,6 +176,9 @@ def _checked(config):
 
 
 def _domain_errors(config):
+    """The CLI's own rules (format, table, a missing field, dim, the variant
+    aliases, the 2D phase modes), then the library's rule of each number as
+    ``key: <the library's message>``, once the fields it reads pass theirs."""
     errors = []
     if config.format not in ("csv", "json"):
         errors.append("format: must be csv or json")
@@ -181,56 +186,48 @@ def _domain_errors(config):
         if config.table not in benchmarks.TABLE_IDS:
             errors.append("table: reproduce requires --table 1..5")
         return errors
+    phase = config.mode in ("scatter", "gamma-scan")
     if config.potential is None:
         errors.append("potential: a builtin name or JSON spec is required")
     elif not isinstance(config.potential, PotentialSpec):
         errors.append(f"potential: must be a PotentialSpec (got {config.potential!r})")
-    elif config.mode in ("scatter", "gamma-scan"):
-        # the library's rule, before any solve
+    elif phase:
         errors += _raised("potential", _short_range, config.potential)
-    if config.N is None or config.N < 1:
-        errors.append("N: a positive mesh size is required")
-    if config.h is None or not (config.h > 0.0 and math.isfinite(config.h)):
-        errors.append("h: a positive, finite scaling factor is required")
-    if config.angular < 0:
-        errors.append("l/m: must be nonnegative")
-    if config.dimension not in (2, 3):
-        errors.append("dim: must be 2 or 3")
-    else:
-        if config.dimension == 2 and config.mode in ("scatter", "gamma-scan"):
-            # the integral relations use the 3D Coulomb/Riccati functions
-            errors.append(f"dim: {config.mode} is defined in three dimensions only")
-        aliases = [a for d, a in _VARIANTS if d == config.dimension]
-        if config.variant not in aliases:
-            errors.append(f"variant: must be one of {', '.join(aliases)}")
-        name = "l" if config.dimension == 3 else "m"
-        if config.N is not None and 1 <= config.N <= config.angular:
-            errors.append(f"l/m: N must exceed {name} "
-                          f"(got N={config.N}, {name}={config.angular})")
-        if config.mode in ("scatter", "gamma-scan") and config.angular > _MAX_L:
-            # the Coulomb functions' range
-            errors.append(f"l/m: {config.mode} requires l <= {_MAX_L} (got l={config.angular})")
-        if config.dimension == 2 and config.alpha not in (None, 0.0):
-            errors.append("alpha: two-dimensional schemes fix alpha = 0")
-    if config.alpha is not None and not (
-            config.alpha >= 0.0 and math.isfinite(config.alpha)):
-        errors.append("alpha: must be finite and nonnegative")
-    elif (config.dimension in (2, 3) and isinstance(config.potential, PotentialSpec)
-          and config.variant in (a for d, a in _VARIANTS if d == config.dimension)):
-        # the builders' rules, before any build, on the basis a build takes
-        # (its family and alpha do not depend on N or h: 2 points stand in)
-        scheme = _VARIANTS[config.dimension, config.variant]
-        basis, ops = _exact_reads(scheme, config.angular, scheme_mesh(scheme, 2, 1, config.alpha))
-        if SCHEMES[scheme][2][2] is Mode.Exact:  # the potential's Exact matrix
-            errors += _raised("variant", _exact_ops, basis, (), config.potential)
-        errors += _raised("alpha", _exact_ops, basis, ops)
-    if config.mode == "scatter" and (
-            config.gamma is None
-            or not (config.gamma > 0.0 and math.isfinite(config.gamma))):
-        errors.append("gamma: scatter requires a positive, finite --gamma")
+    size = (["N: a positive mesh size is required"] if config.N is None
+            else _raised("N", _size, config.N))
+    alpha = [] if config.alpha is None else _raised("alpha", _alpha, config.alpha)
+    errors += size + (["h: a positive, finite scaling factor is required"] if config.h is None
+                      else _raised("h", _scale, config.h)) + alpha
+    if config.mode == "scatter":
+        errors += (["gamma: scatter requires a positive, finite --gamma"] if config.gamma is None
+                   else _raised("gamma", _rate, config.gamma))
     if config.mode == "gamma-scan" and config.gammas is not None:
-        # the scan's own rule, before any solve
         errors += _raised("gamma", _gamma_grid, config.gammas)
+    if config.dimension not in (2, 3):
+        return errors + ["dim: must be 2 or 3"]
+    if config.dimension == 2 and phase:
+        # the integral relations use the 3D Coulomb/Riccati functions
+        errors.append(f"dim: {config.mode} is defined in three dimensions only")
+    aliases = [a for d, a in _VARIANTS if d == config.dimension]
+    if config.variant not in aliases:
+        return errors + [f"variant: must be one of {', '.join(aliases)}"]
+    # the builders' rules, before any build: the angular number on N
+    # functions, then alpha and the Exact terms on the basis a build takes
+    # (its family and alpha depend on neither N nor h: 2 points stand in)
+    scheme = _VARIANTS[config.dimension, config.variant]
+    angular = [] if size else _raised("l/m", _scheme_row, scheme, config.dimension,
+                                      config.angular, scheme_mesh(scheme, config.N, 1.0))
+    if phase and not angular:  # the Coulomb functions' range
+        angular = _raised("l/m", _coulomb_domain, config.angular, 0.0)
+    errors += angular
+    if not alpha:
+        mesh = scheme_mesh(scheme, 2, 1.0, config.alpha)
+        errors += _raised("alpha", _scheme_row, scheme, config.dimension, 0, mesh)
+        if isinstance(config.potential, PotentialSpec):
+            basis, ops = _exact_reads(scheme, config.angular, mesh)
+            if SCHEMES[scheme][2][2] is Mode.Exact:  # the potential's Exact matrix
+                errors += _raised("variant", _exact_ops, basis, (), config.potential)
+            errors += _raised("alpha", _exact_ops, basis, ops)
     return errors
 
 
@@ -273,13 +270,12 @@ def _run_bound(config):
 
 def _scattering_states(config):
     """The basis and the pseudostates of a scattering run, each with its
-    number counted from 1.  A state with |eta| = |Z/k| above _MAX_ETA lies
-    outside the Coulomb functions' domain and is skipped; the others keep
-    their numbers."""
+    number counted from 1.  A state whose eta = Z/k lies outside the Coulomb
+    functions' domain is skipped; the others keep their numbers."""
     basis, H = _resolve_problem(config)
-    V = config.potential
+    l, Z = config.angular, config.potential.tail_Z
     states = enumerate(pseudostates(solve_bound_states(H, basis)), 1)
-    return basis, [(n, state) for n, state in states if abs(V.tail_Z / state.k) <= _MAX_ETA]
+    return basis, [(n, s) for n, s in states if not _raised("eta", _coulomb_domain, l, Z / s.k)]
 
 
 def _run_scatter(config):
@@ -382,12 +378,9 @@ def sweep(config, parameter, values):
         raise ConfigError(["mode: sweeps apply to bound or scatter runs"])
     if parameter == "gamma" and config.mode != "scatter":
         raise ConfigError(["parameter: gamma sweeps require scatter mode"])
-    if parameter == "N" and not all(float(v).is_integer() for v in values):
-        raise ConfigError(["values: N values must be whole numbers"])
     rows = []
-    cast = int if parameter == "N" else float
-    for v in values:
-        point = _checked(dataclasses.replace(config, **{parameter: cast(v)}))
+    for v in values:  # N's whole-number rule is its field's
+        point = _checked(dataclasses.replace(config, **{parameter: float(v)}))
         sub_rows = _rows(point)
         first = sub_rows[0] if sub_rows else {}
         row = {"parameter": parameter, "value": v, "energy": first.get("energy")}
@@ -526,13 +519,13 @@ def _parse_gamma(text, mode):
 def _parse_potential(value):
     if value is None:
         return None
-    if isinstance(value, dict):
-        value = json.dumps(value)
-    if isinstance(value, str) and value.lstrip().startswith("{"):
-        try:
-            return from_json(value)
-        except ValueError as e:
-            raise ConfigError([f"potential: invalid spec ({e})"]) from None
+    try:  # an inline spec, or a config file's object, already read
+        if isinstance(value, str) and value.lstrip().startswith("{"):
+            value = _json_object(value, "spec")
+        if isinstance(value, dict):
+            return _spec(value)
+    except ValueError as e:
+        raise ConfigError([f"potential: invalid spec ({e})"]) from None
     name, _, params = str(value).partition(":")
     if name not in BUILTIN_NAMES:
         raise ConfigError([
@@ -546,12 +539,7 @@ def _parse_potential(value):
             key = key.strip()
             if key in kwargs:
                 raise ConfigError([f"potential: repeated parameter {key!r}"])
-            try:
-                kwargs[key] = float(num)
-            except ValueError:
-                raise ConfigError(
-                    [f"potential: bad parameter {piece!r}"]
-                ) from None
+            kwargs[key] = num  # builtin reads it as a number, or names it
     try:
         return builtin(name, **kwargs)
     except ValueError as e:
@@ -599,13 +587,11 @@ def _assemble(args):
     if args.config_file:
         try:
             with open(args.config_file) as f:
-                doc = json.load(f)
-        except OSError as e:
+                doc = _json_object(f.read(), "config")
+        except (OSError, UnicodeError) as e:  # unreadable, or no text
             raise ConfigError([f"config: {e}"]) from None
-        except ValueError as e:  # also an int literal past Python's digit limit
-            raise ConfigError([f"config: invalid JSON ({e})"]) from None
-        if type(doc) is not dict:
-            raise ConfigError(["config: the file must hold a JSON object"])
+        except ValueError as e:  # the reader names the config
+            raise ConfigError([str(e)]) from None
         # only a sweep knows the field ``sweep``, its report's echo
         known = {name for key, *_ in _FIELDS for name in key.split("/")}
         unknown = [f"{key}: unknown field" for key in doc

@@ -134,8 +134,8 @@ def _dense_matrix(N, alpha, family, op, mode):
         values = np.diag(mesh.nodes ** _POWERS[op])
     else:
         values = _gauss_kinetic(mesh, 3.0 if op == "kinetic2d" else 0.0)
-    if mode is Mode.Exact:
-        values += _gauss_error(mesh, op)
+    if mode is Mode.Exact and (error := _gauss_error(mesh, op)) is not None:
+        values += error
     values.setflags(write=False)
     return values
 
@@ -165,7 +165,9 @@ def _gauss_error(mesh, op):
     ``b + (r_i + r_j)`` for r^2, ``(1 - alpha^2)/(4 alpha r_i r_j)`` for
     -d^2/dr^2 and ``-alpha/(4 r_i r_j)`` for the 2D operator: the first
     vanishes at alpha = 1, the second at alpha = 0, where the Gauss 2D
-    matrix is exact although its two pieces diverge apart.  An element whose
+    matrix is exact although its two pieces diverge apart.  Where ``c_ij``
+    is 0 (and for -d^2/dr^2 on NonReg at alpha = 0) the rule is exact and
+    None is returned: no zero matrix is built or added.  An element whose
     integrand diverges at the origin raises ``ValueError`` (``_exact_ops``).
     """
     r, N, alpha = mesh.nodes, mesh.N, mesh.alpha
@@ -179,19 +181,19 @@ def _gauss_error(mesh, op):
             c = 1.0
         elif op == "r^2":  # r_i + r_j first, so c_ij and c_ji round alike
             c = b + (ri + rj)
-        elif op == "kinetic":
+        elif op == "kinetic" and alpha != 1.0:
             c = (1.0 - alpha**2) / (4.0 * alpha * (ri * rj))
-        elif op == "kinetic2d":
+        elif op == "kinetic2d" and alpha != 0.0:
             c = -alpha / (4.0 * (ri * rj))
-        else:  # 1/r and 1
-            c = 0.0
+        else:  # 1/r, 1, and the kinetic operators where c_ij is 0
+            return None
         return _sign_grid(N) * c
     if op == "1/r^2":
         c = (b / ((alpha - 1.0) * (alpha + 1.0)) + (1.0 / ri + 1.0 / rj)) / alpha
     elif alpha > 0.0:  # -d^2/dr^2
         c = 0.25 * alpha * (b / (alpha * alpha - 1.0) - (1.0 / ri + 1.0 / rj))
     else:  # -d^2/dr^2 at alpha = 0, where the Gauss matrix is exact
-        c = 0.0
+        return None
     return _sign_grid(N) * c / np.sqrt(ri * rj)
 
 
@@ -303,8 +305,8 @@ _EXACT_READ = frozenset(
 
 def _scheme_row(variant, dimension, n, mesh):
     """``variant`` as a member and the angular number ``n`` (l in 3D, m in
-    2D) as an int, after checking the scheme's dimension, ``n`` and the mesh
-    against its row."""
+    2D) as an int, after checking the scheme's dimension, ``n`` (whole,
+    nonnegative, below N) and the mesh (family; alpha in 2D) against its row."""
     variant = _coerce(HamiltonianVariant, variant)
     family, alpha, _, dim = SCHEMES[variant]
     if dim != dimension:
@@ -313,9 +315,10 @@ def _scheme_row(variant, dimension, n, mesh):
     n = _integer(name, n, nonnegative=True)
     if mesh.N <= n:
         raise ValueError(f"N must exceed {name} (got N={mesh.N}, {name}={n})")
-    if mesh.family is not family or dim == 2 and mesh.alpha != alpha:
-        fixed = f" with alpha={alpha:g}" if dim == 2 else ""
-        raise ValueError(f"variant {variant.name} requires family {family.name}{fixed}")
+    if mesh.family is not family:
+        raise ValueError(f"variant {variant.name} requires family {family.name}")
+    if dim == 2 and mesh.alpha != alpha:
+        raise ValueError(f"two-dimensional schemes fix alpha = {alpha:g} (got {mesh.alpha!r})")
     return variant, n
 
 

@@ -212,7 +212,7 @@ def builtin(name, **params):
     if not isinstance(name, str) or name not in _BUILTINS:
         raise ValueError(f"unknown potential: {name!r}")
     defaults, make = _BUILTINS[name]
-    values = {key: _real(key, params.pop(key, value)) for key, value in defaults.items()}
+    values = {key: _finite(key, params.pop(key, value)) for key, value in defaults.items()}
     if params:
         raise ValueError(f"unknown parameters: {sorted(params)}")
     return make(**values)
@@ -268,16 +268,41 @@ def _known(obj, prefix, names):
             raise ValueError(f"{prefix}{key}: unknown field")
 
 
+def _json_object(text, name):
+    """The JSON object that ``text`` holds: the one reader of every JSON
+    document the program takes.  Malformed text and a key repeated in any
+    object raise ValueError as ``name: invalid JSON (...)``, naming the key,
+    and a document that is no object as ``name: must be a JSON object``."""
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as e:  # also an int literal past Python's digit limit
+        raise ValueError(f"{name}: invalid JSON ({e})") from None
+    if type(doc) is not dict:
+        raise ValueError(f"{name}: must be a JSON object")
+    return doc
+
+
+def _unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def from_json(text):
     """Parse the JSON form of a spec, as a report echoes it under
     ``config.potential``.
 
-    A malformed spec, or one with a field it does not know at any level,
-    raises ValueError naming the offending JSON field.
+    A malformed spec, a repeated key or a field it does not know, at any
+    level, raises ValueError naming the offending JSON field.
     """
-    doc = json.loads(text)
-    if type(doc) is not dict:
-        raise ValueError("spec: must be a JSON object")
+    return _spec(_json_object(text, "spec"))
+
+
+def _spec(doc):
+    """The spec of the JSON object ``doc`` (``from_json``)."""
     _known(doc, "", ("label", "terms", "coulombErf", "eckart", "energyUnit", "tailZ"))
     terms = doc.get("terms", [])
     if type(terms) is not list:

@@ -29,6 +29,13 @@ from .specfun import _integer, _real, _weighted_laguerre_pair
 __all__ = ["generate_rule"]
 
 
+def _size(value):
+    """``value`` as an int, if a positive whole number N of nodes or functions."""
+    if (N := _integer("N", value)) < 1:
+        raise ValueError(f"N must be a positive integer (got {N})")
+    return N
+
+
 def generate_rule(N, alpha):
     """Build the ``N``-point rule for the Laguerre parameter ``alpha``.
 
@@ -64,9 +71,7 @@ def generate_rule(N, alpha):
         weight (at N = 1000 from alpha of about 90) is out of double range.
         No rule up to N = 1000 with alpha in {0, 1, 2} raises.
     """
-    N = _integer("N", N)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    N = _size(N)
     alpha = _real("alpha", alpha)
     if not (alpha > -1.0) or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and exceed -1")

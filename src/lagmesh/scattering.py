@@ -245,12 +245,18 @@ def tan_delta(state, l, V, gamma, mesh):
         If the denominator of the ratio vanishes.
     """
     _check_inputs(state, l, V, mesh)
-    if not 0.0 < _real("gamma", gamma) < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = _rate(gamma)
     table = _interior_table(state, l, V, mesh)
     (tan,), (delta,), (branch,) = _phases([gamma], *_ratios(table, l, state.k, [gamma]),
                                           _window(V))
-    return PhaseShiftResult(float(tan), float(delta), int(branch), float(gamma))
+    return PhaseShiftResult(float(tan), float(delta), int(branch), gamma)
+
+
+def _rate(value):
+    """``value`` as a float, if a positive, finite rate gamma (``tan_delta``)."""
+    if not 0.0 < (gamma := _real("gamma", value)) < math.inf:
+        raise ValueError(f"gamma must be positive and finite (got {gamma!r})")
+    return gamma
 
 
 def _unwrap_180(p):

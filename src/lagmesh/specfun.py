@@ -497,6 +497,16 @@ def _coulomb_many(l, eta, xs):
     return tuple(out)
 
 
+def _coulomb_domain(l, eta):
+    """``l`` as an int and ``eta`` as a float, if inside the Coulomb
+    functions' domain: 0 <= l <= _MAX_L and |eta| <= _MAX_ETA."""
+    if not 0 <= (l := _integer("l", l)) <= _MAX_L:
+        raise ValueError(f"l must be an integer in [0, {_MAX_L}] (got {l})")
+    if not abs(eta := _real("eta", eta)) <= _MAX_ETA:
+        raise ValueError(f"eta must satisfy |eta| <= {_MAX_ETA:g} (got {eta!r})")
+    return l, eta
+
+
 def coulomb_wave(l, eta, x):
     """Regular and irregular Coulomb wave functions with derivatives.
 
@@ -536,12 +546,7 @@ def coulomb_wave(l, eta, x):
         ``l`` or the Taylor sweep leaves the double range (at tiny ``x``),
         or the Wronskian check ``F'G - FG' = 1`` is violated beyond 1e-10.
     """
-    l = _integer("l", l)
-    if not 0 <= l <= _MAX_L:
-        raise ValueError(f"l must be an integer in [0, {_MAX_L}]")
-    eta = _real("eta", eta)
-    if not (abs(eta) <= _MAX_ETA):
-        raise ValueError(f"eta must satisfy |eta| <= {_MAX_ETA:g}")
+    l, eta = _coulomb_domain(l, eta)
     xs = np.atleast_1d(_reals("x", x))
     if xs.ndim != 1:
         raise ValueError(f"x must be a scalar or a 1-D array (got shape {xs.shape})")

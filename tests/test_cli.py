@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import lagmesh
 from lagmesh import cli
 from lagmesh.cli import ConfigError, ExperimentConfig, main, run, sweep
+from lagmesh.matelem import hamiltonian_2d, hamiltonian_3d, scheme_mesh
 from lagmesh.potentials import builtin, from_json
-from lagmesh.scattering import IndeterminatePhaseError
+from lagmesh.scattering import IndeterminatePhaseError, tan_delta
 from lagmesh.solver import pseudostates, solve_bound_states
 from lagmesh.basis import _CACHE_SIZE
 from lagmesh.specfun import _MAX_ETA, _MAX_L, coulomb_wave
@@ -73,7 +74,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan, 0.0])
     def test_h_must_be_positive_and_finite(self, h, tmp_path, capsys):
-        message = "h: a positive, finite scaling factor is required"
+        # the library's rule, named by the key
+        message = f"h: h must be positive and finite (got {h!r})"
         with pytest.raises(ConfigError) as err:
             run(_config(h=h))
         assert err.value.errors == (message,)
@@ -183,11 +185,62 @@ class TestValidation:
                 "--l", str(_MAX_L + 1), *flags]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            f"lagmesh: l/m: {mode} requires l <= {_MAX_L} (got l={_MAX_L + 1})\n")
+            f"lagmesh: l/m: l must be an integer in [0, {_MAX_L}] (got {_MAX_L + 1})\n")
         # the limit is the Coulomb functions' own
         coulomb_wave(_MAX_L, 0.5, 1.0)
         with pytest.raises(ValueError, match=rf"\[0, {_MAX_L}\]"):
             coulomb_wave(_MAX_L + 1, 0.5, 1.0)
+
+    def test_check_is_the_librarys_rules_on_every_edge(self):
+        # a config is admitted exactly when the library raises no ValueError
+        # from the build or, in a phase mode, from the Coulomb functions' l
+        # and the rate, and the CLI's own rules pass; the library's first
+        # message is the refusal's, under a key
+        V, eckart = builtin("coulomb"), builtin("eckart")
+        mesh = scheme_mesh("RegSqrtMesh", 15, 0.1)
+        state = pseudostates(solve_bound_states(
+            *hamiltonian_3d(mesh, 0, eckart, "RegSqrtMesh")))[0]
+
+        def message(call, *args):
+            try:
+                call(*args)
+            except ValueError as e:
+                return str(e)
+            return None
+
+        @functools.lru_cache(maxsize=None)
+        def build(N, h, alpha, n, dim, alias):
+            scheme = cli._VARIANTS[dim, alias]
+            builder = hamiltonian_2d if dim == 2 else hamiltonian_3d
+            return message(lambda: builder(scheme_mesh(scheme, N, h, alpha), n, V, scheme))
+
+        coulomb_l = functools.lru_cache(lambda n: message(coulomb_wave, n, 0.5, 1.0))
+        rate = functools.lru_cache(lambda g: message(tan_delta, state, 0, eckart, g, mesh))
+        for N, h, alpha, n, (dim, alias), mode, gamma in itertools.product(
+                (0, 1, 5), (0, 1e-3, 1, math.inf, math.nan),
+                (None, -1, 0, 1, 2, math.inf, math.nan), (-1, 0, 1, 5, 21), cli._VARIANTS,
+                ("bound", "scatter", "gamma-scan"), (None, 0, 1, math.inf)):
+            phase = mode != "bound"
+            library = [build(N, h, alpha, n, dim, alias)]
+            if phase:
+                library.append(coulomb_l(n))
+            if mode == "scatter" and gamma is not None:
+                library.append(rate(gamma))
+            library = [m for m in library if m is not None]
+            # the CLI's own rules: scatter needs a gamma that no other mode
+            # reads, and phases are three-dimensional
+            own = (gamma is None) == (mode == "scatter") or phase and dim == 2
+            config = ExperimentConfig(mode=mode, potential=V, N=N, h=h, alpha=alpha,
+                                      angular=n, dimension=dim, variant=alias, gamma=gamma)
+            try:
+                cli._checked(config)
+            except ConfigError as e:
+                assert library or own, (config, e.errors)
+                if library:
+                    assert library[0] in [err.split(": ", 1)[1] for err in e.errors], (
+                        config, library[0], e.errors)
+            else:
+                assert not (library or own), (config, library)
 
 
 class TestBoundMode:
@@ -515,7 +568,9 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "lagmesh: values: N values must be whole numbers\n"
+        # the N field's own rule, as at the first value
+        first = float(values.split(",")[0])
+        assert captured.err == f"lagmesh: N: must be a whole number (got {first!r})\n"
 
     def test_rejects_bad_requests(self):
         config = _config()
@@ -866,16 +921,16 @@ class TestMain:
         assert "potential" in capsys.readouterr().err
 
     @pytest.mark.parametrize("potential, field", [
-        ("coulomb:Z=nan", "term c"),
-        ("eckart:b=inf", "eckart b"),
-        ("eckart:c=-inf", "eckart c"),
+        ("coulomb:Z=nan", "Z"),
+        ("eckart:b=inf", "b"),
+        ("eckart:c=-inf", "c"),
         ('{"terms": [{"c": NaN, "p": -1}]}', "terms[0].c:"),
         ('{"terms": [{"c": -1, "p": -1}], "tailZ": Infinity}', "tailZ:"),
         ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulombErf.mu:"),
         ('{"eckart": {"b": NaN, "c": -1}}', "eckart.b:"),
     ])
     def test_non_finite_potential_exits_1(self, capsys, potential, field):
-        # a builtin's parameters are named as in Python, a JSON spec's as in JSON
+        # a builtin's parameters are named as given, a JSON spec's as in JSON
         code = main(["bound", "--potential", potential, "--variant", "reg-sqrt",
                      "--N", "10", "--h", "0.9"])
         captured = capsys.readouterr()
@@ -1098,6 +1153,33 @@ class TestMain:
         assert captured.err.splitlines() == [
             "lagmesh: aplha: unknown field", "lagmesh: verbose: unknown field"]
 
+    @pytest.mark.parametrize("where, doc, message", [
+        ("inline", '{"terms":[{"c":-1,"c":2,"p":-1}]}',
+         "potential: invalid spec (spec: invalid JSON (repeated key 'c'))"),
+        ("config", '{"potential":"harmonic","N":10,"N":30,"h":0.1}',
+         "config: invalid JSON (repeated key 'N')"),
+        ("config", '{"potential":{"terms":[{"c":-1,"c":2,"p":-1}]},"N":10,"h":0.5}',
+         "config: invalid JSON (repeated key 'c')"),
+    ], ids=["inline-spec", "config-top-level", "config-spec"])
+    def test_repeated_key_exits_1_naming_it(self, tmp_path, capsys, where, doc, message):
+        # json keeps a repeated key's last value: c = 2 would run a repulsive tail
+        argv = ["bound", "--variant", "reg-sqrt"]
+        if where == "inline":
+            argv += ["--potential", doc, "--N", "10", "--h", "0.5"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(doc)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
+
+    def test_config_that_is_no_object_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        assert main(["bound", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "lagmesh: config: must be a JSON object\n"
+
     def test_tail_at_odds_with_the_terms_exits_1(self, capsys):
         code = main(["bound", "--potential", '{"terms": [{"c": -1, "p": -1}], "tailZ": 0}',
                      "--N", "5", "--h", "1"])
@@ -1139,16 +1221,16 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("args, message", [
-        (["scatter", "--gamma", "inf"], "gamma: scatter requires a positive, finite --gamma"),
-        (["scatter", "--gamma", "nan"], "gamma: scatter requires a positive, finite --gamma"),
+        (["scatter", "--gamma", "inf"], "gamma: gamma must be positive and finite (got inf)"),
+        (["scatter", "--gamma", "nan"], "gamma: gamma must be positive and finite (got nan)"),
         (["sweep", "--parameter", "gamma", "--values", "inf"],
-         "gamma: scatter requires a positive, finite --gamma"),
+         "gamma: gamma must be positive and finite (got inf)"),
         (["gamma-scan", "--gamma", "1:inf:16"],
          "gamma: grid endpoints must be positive and finite"),
         (["gamma-scan", "--gamma", "nan:10:16"],
          "gamma: grid endpoints must be positive and finite"),
-        (["bound", "--alpha", "nan"], "alpha: must be finite and nonnegative"),
-        (["bound", "--alpha", "inf"], "alpha: must be finite and nonnegative"),
+        (["bound", "--alpha", "nan"], "alpha: alpha must be finite and nonnegative (got nan)"),
+        (["bound", "--alpha", "inf"], "alpha: alpha must be finite and nonnegative (got inf)"),
     ], ids=["scatter-inf", "scatter-nan", "sweep-inf", "grid-inf", "grid-nan",
             "alpha-nan", "alpha-inf"])
     def test_non_finite_input_exits_1(self, capsys, args, message):
@@ -1176,7 +1258,7 @@ class TestMain:
         (["scatter", "--potential", "eckart", "--N", "5", "--h", "1", "--gamma", "x"],
          "gamma: must be a number"),
         (["bound", "--potential", "coulomb:Z=x", "--N", "5", "--h", "1"],
-         "potential: bad parameter 'Z=x'"),
+         "potential: Z must be a number (got 'x')"),
         (["bound", "--potential", "coulomb:Z=1, Z=-2", "--N", "5", "--h", "1"],
          "potential: repeated parameter 'Z'"),
         (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--values", "1,2"],

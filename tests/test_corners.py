@@ -10,7 +10,8 @@ functions of every scheme's mesh at N = 1000 keep the
 Lagrange property at every node and agree with 40 digits about the first,
 middle and last nodes.  Every pseudostate of the pure Coulomb potential,
 attractive and repulsive, at l in {0, 10, 20} and N in {30, 100}, gives a
-finite phase with tan(delta) = 0 or raises a typed error.
+finite phase with tan(delta) = 0 or raises a typed error.  The three lowest
+Coulomb levels of Var and Var2D are Rayleigh-Ritz bounds over N = 5..200.
 """
 
 import math
@@ -79,6 +80,36 @@ def _check_lowest_level(N, potential, n, variant):
         assert SAFE_TOL < eps <= LOSS_BOUND[N]
     else:
         assert eps <= SAFE_TOL
+
+
+# Var and Var2D take every element exactly, and at fixed h and alpha the
+# basis of N functions (x^p e^(-x/2) times the polynomials of degree below N)
+# lies inside the basis of N + 5, so each level is a Rayleigh-Ritz bound: it
+# is never below its exact value and never rises with N.  Rounding moves the
+# Coulomb levels at h = 0.9 by at most 2.1e-13 (Var) and 2.4e-12 (Var2D at
+# m = 0) of |E| below it, and by at most 3.2e-13 and 2.2e-12 up from one N to
+# the next, with one BLAS thread and with two.
+RITZ_FLOOR = 1e-11
+
+
+@pytest.mark.parametrize("variant", [HamiltonianVariant.Var, HamiltonianVariant.Var2D],
+                         ids=["Var", "Var2D"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_exact_schemes_are_rayleigh_ritz(variant, n):
+    dim = SCHEMES[variant][3]
+    build = hamiltonian_2d if dim == 2 else hamiltonian_3d
+    V = builtin("coulomb")
+    exact = np.array([exact_level(V, n, k, dim) for k in range(3)])
+    previous = None
+    for N in range(5, 201, 5):
+        if N < n + 4:
+            continue
+        H, _ = build(scheme_mesh(variant, N, 0.9), n, V, variant)
+        E = bound_energies(H)[:3]
+        assert np.all(exact - E <= RITZ_FLOOR * np.abs(exact)), (N, E, exact)
+        if previous is not None:
+            assert np.all(E - previous <= RITZ_FLOOR * np.abs(exact)), (N, E, previous)
+        previous = E
 
 
 def test_loss_cells_are_the_plain_coulomb_s_waves():

@@ -197,6 +197,22 @@ class TestGaussError:
             s = np.linalg.svd(exact - operator_matrix(mesh, op, Mode.Gauss), compute_uv=False)
             assert np.all(s[3:] <= 1e-12 * s[0]), (op, s[3] / s[0])
 
+    # the cells whose correction is 0: RegSqrt 1/r and 1 at any alpha, the
+    # kinetic operator at alpha = 1 (Var's default) and the 2D one at alpha = 0,
+    # and NonReg's kinetic operator at alpha = 0
+    @pytest.mark.parametrize("family, op, alpha", [
+        ("RegSqrt", "1/r", 0.0), ("RegSqrt", "1/r", 1.0), ("RegSqrt", "1/r", 2.0),
+        ("RegSqrt", "1", 0.0), ("RegSqrt", "1", 1.0), ("RegSqrt", "1", 2.5),
+        ("RegSqrt", "kinetic", 1.0), ("RegSqrt", "kinetic2d", 0.0), ("NonReg", "kinetic", 0.0),
+    ])
+    def test_exact_cell_the_rule_integrates_is_the_gauss_cell(self, family, op, alpha):
+        for N in (5, 30, 150, 400):
+            mesh = MeshSpec(N, alpha, family, 1.0)
+            assert matelem._gauss_error(mesh, op) is None
+            # bit for bit, signed zeros included
+            exact, gauss = (operator_matrix(mesh, op, mode).tobytes() for mode in Mode)
+            assert exact == gauss, (N, op)
+
 
 class TestExactAgainstMpmath:
     """Every Exact matrix a scheme reads within a few ulps of the largest
@@ -652,9 +668,9 @@ class TestHamiltonian2D:
         assert abs(E[0] - 2.0) / 2.0 <= 2e-12
 
     def test_requires_sqrt_regularized_alpha_zero_mesh(self):
-        with pytest.raises(ValueError, match="alpha=0"):
+        with pytest.raises(ValueError, match=r"^two-dimensional schemes fix alpha = 0 \(got 1"):
             hamiltonian_2d(mesh_regsqrt(8, 1.0), 1, builtin("harmonic"), "Var2D")
-        with pytest.raises(ValueError, match="alpha=0"):
+        with pytest.raises(ValueError, match="^variant Var2D requires family RegSqrt$"):
             hamiltonian_2d(MeshSpec(8, 0.0, "RegR", 1.0), 1, builtin("harmonic"), "Var2D")
 
     def test_m_at_least_n_rejected(self):
@@ -878,7 +894,8 @@ class TestExactGate:
                     build(mesh, angular, V, variant)
                 except ValueError as e:
                     # a 2D scheme's fixed alpha, or an integral that diverges
-                    assert re.match(r"variant \w+ requires family|divergent integral", str(e))
+                    assert re.match(r"two-dimensional schemes fix alpha|divergent integral",
+                                    str(e))
 
 
 def _clear_matrix_caches():
@@ -948,7 +965,9 @@ class TestMatrixCache:
                 correction = matelem._gauss_error(at_h, op)
             except ValueError:
                 continue
-            assert np.array_equal(operator_matrix(at_h, op, Mode.Exact), gauss + correction)
+            if correction is not None:  # None where the rule is exact
+                gauss = gauss + correction
+            assert np.array_equal(operator_matrix(at_h, op, Mode.Exact), gauss)
 
     def test_warm_cache_spectrum_equals_cold(self, monkeypatch):
         from lagmesh.solver import solve_bound_states

@@ -258,10 +258,10 @@ class TestNonFiniteParameters:
             make(bad)
 
     @pytest.mark.parametrize("name, params, field", [
-        ("coulomb", {"Z": math.nan}, "term c"),
-        ("coulomb", {"Z": math.inf}, "term c"),
-        ("eckart", {"b": math.inf}, "eckart b"),
-        ("eckart", {"c": math.nan}, "eckart c"),
+        ("coulomb", {"Z": math.nan}, "Z"),
+        ("coulomb", {"Z": math.inf}, "Z"),
+        ("eckart", {"b": math.inf}, "b"),
+        ("eckart", {"c": math.nan}, "c"),
     ])
     def test_builtin_names_the_field(self, name, params, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -354,6 +354,16 @@ class TestSerialization:
     ])
     def test_malformed_spec_names_the_field(self, text, field):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
+            from_json(text)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"label": "a", "label": "b"}', "label"),
+        ('{"terms": [{"c": -1, "c": 2, "p": -1}]}', "c"),
+        ('{"eckart": {"b": 2, "c": -1, "b": 3}}', "b"),
+    ])
+    def test_repeated_key_is_named_at_every_level(self, text, key):
+        # json.loads alone keeps the last value
+        with pytest.raises(ValueError, match=rf"^spec: invalid JSON \(repeated key '{key}'\)$"):
             from_json(text)
 
     @pytest.mark.parametrize("text, field", [
