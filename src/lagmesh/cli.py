@@ -28,7 +28,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -506,9 +505,9 @@ def _parse_gamma(text, mode):
             raise ConfigError(
                 ["gamma: use start:stop:count or a comma-separated list"]
             ) from None
-        # checked here, before geomspace warns about them
-        if not all(v > 0.0 and math.isfinite(v) for v in (a, b)):
-            raise ConfigError(["gamma: grid endpoints must be positive and finite"])
+        # the rate's rule, before geomspace warns about inf or NaN or raises at 0
+        if errors := _raised("gamma", _rate, a) or _raised("gamma", _rate, b):
+            raise ConfigError(errors)
         return None, tuple(np.geomspace(a, b, max(n, 0)))
     try:
         return float(text), None
@@ -519,13 +518,16 @@ def _parse_gamma(text, mode):
 def _parse_potential(value):
     if value is None:
         return None
-    try:  # an inline spec, or a config file's object, already read
-        if isinstance(value, str) and value.lstrip().startswith("{"):
-            value = _json_object(value, "spec")
-        if isinstance(value, dict):
+    if isinstance(value, str) and value.lstrip().startswith("{"):  # an inline spec
+        try:
+            value = _json_object(value, "potential")
+        except ValueError as e:  # the reader names the potential
+            raise ConfigError([str(e)]) from None
+    if isinstance(value, dict):  # read inline, or a config file's object
+        try:
             return _spec(value)
-    except ValueError as e:
-        raise ConfigError([f"potential: invalid spec ({e})"]) from None
+        except ValueError as e:
+            raise ConfigError([f"potential: invalid spec ({e})"]) from None
     name, _, params = str(value).partition(":")
     if name not in BUILTIN_NAMES:
         raise ConfigError([

@@ -20,7 +20,7 @@ import numpy as np
 
 from .specfun import _integer, _real
 
-__all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level", "from_json"]
+__all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level"]
 
 # hbar^2/M in MeV fm^2 for the alpha-alpha system
 _ALPHA_ALPHA_UNIT = 20.736
@@ -33,7 +33,7 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 class _Invalid(ValueError):
     """A value that PotentialSpec rejects.  The message names the Python
     field (``field``); ``in_json`` is the same error under the name of the
-    JSON field, which from_json reports instead."""
+    JSON field, which ``_spec`` reports instead."""
 
     def __init__(self, field, json_field, reason, json_reason=None):
         super().__init__(f"{field} {reason}")
@@ -242,7 +242,7 @@ def _numbers(obj, where, names, defaults=None):
     PotentialSpec checks their values."""
     if type(obj) is not dict:
         raise ValueError(f"{where}: must be a JSON object")
-    if where:  # the top level holds more fields: from_json checks its keys
+    if where:  # the top level holds more fields: _spec checks its keys
         _known(obj, f"{where}.", names)
     defaults = defaults or {}
     values = []
@@ -291,18 +291,10 @@ def _unique_keys(pairs):
     return doc
 
 
-def from_json(text):
-    """Parse the JSON form of a spec, as a report echoes it under
-    ``config.potential``.
-
-    A malformed spec, a repeated key or a field it does not know, at any
-    level, raises ValueError naming the offending JSON field.
-    """
-    return _spec(_json_object(text, "spec"))
-
-
 def _spec(doc):
-    """The spec of the JSON object ``doc`` (``from_json``)."""
+    """The spec of the JSON object ``doc``, the form a report echoes under
+    ``config.potential``; a field it does not know, or a malformed one, at
+    any level, raises ValueError naming the JSON field."""
     _known(doc, "", ("label", "terms", "coulombErf", "eckart", "energyUnit", "tailZ"))
     terms = doc.get("terms", [])
     if type(terms) is not list:

@@ -253,7 +253,7 @@ def tan_delta(state, l, V, gamma, mesh):
 
 
 def _rate(value):
-    """``value`` as a float, if a positive, finite rate gamma (``tan_delta``)."""
+    """``value`` as a float, if a positive, finite rate gamma (``tan_delta``, each grid point)."""
     if not 0.0 < (gamma := _real("gamma", value)) < math.inf:
         raise ValueError(f"gamma must be positive and finite (got {gamma!r})")
     return gamma
@@ -301,12 +301,12 @@ def _plateau(grid, scan, at=None):
 
 def _gamma_grid(gammas):
     """``gammas`` as a float array, or a ValueError naming the rule of a scan
-    grid it breaks: at least 8 rates, positive and finite, strictly increasing."""
+    grid it breaks: at least 8 rates, each one ``_rate``, strictly increasing."""
     grid = _reals("gamma grid", gammas)
     if grid.ndim != 1 or grid.size < 8:
         raise ValueError("gamma grid too small: at least 8 points are required")
-    if not np.all(np.isfinite(grid)) or grid[0] <= 0.0:
-        raise ValueError("gamma grid must be positive and finite")
+    for gamma in grid.tolist():
+        _rate(gamma)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("gamma grid must be strictly increasing")
     return grid

@@ -19,12 +19,13 @@ import lagmesh
 from lagmesh import cli
 from lagmesh.cli import ConfigError, ExperimentConfig, main, run, sweep
 from lagmesh.matelem import hamiltonian_2d, hamiltonian_3d, scheme_mesh
-from lagmesh.potentials import builtin, from_json
+from lagmesh.potentials import builtin
 from lagmesh.scattering import IndeterminatePhaseError, tan_delta
 from lagmesh.solver import pseudostates, solve_bound_states
 from lagmesh.basis import _CACHE_SIZE
 from lagmesh.specfun import _MAX_ETA, _MAX_L, coulomb_wave
 from test_demos import CLI_EXAMPLES
+from test_potentials import from_text
 
 
 def _config(**kw):
@@ -268,7 +269,7 @@ class TestBoundMode:
         assert abs(rows[0]["eps_rel"]) <= 1e-10
 
     def test_exact_levels_follow_the_oscillator_strength(self):
-        V = from_json('{"label": "harmonic", "terms": [{"c": 2, "p": 2}]}')
+        V = from_text('{"label": "harmonic", "terms": [{"c": 2, "p": 2}]}')
         report = run(_config(potential=V, angular=1))
         assert [row["exact"] for row in report["rows"]] == [
             2.0 * (2 * n + 1 + 1.5) for n in range(len(report["rows"]))]
@@ -279,7 +280,7 @@ class TestBoundMode:
         assert all("exact" not in row for row in report["rows"])
 
     def test_exact_levels_whatever_the_label(self):
-        V = from_json('{"label": "user", "terms": [{"c": 0.5, "p": 2}]}')
+        V = from_text('{"label": "user", "terms": [{"c": 0.5, "p": 2}]}')
         report = run(_config(potential=V))
         assert report["rows"][0]["exact"] == 1.5
         assert abs(report["rows"][0]["eps_rel"]) <= 1e-10
@@ -306,7 +307,7 @@ class TestScatterMode:
         # a pure Coulomb potential has no phase shift against the Coulomb
         # functions of its own tail, whether or not the spec states it
         kw = dict(mode="scatter", variant="reg-sqrt", N=30, h=1.1, gamma=2.0)
-        spec = run(_config(potential=from_json('{"terms": [{"c": -1, "p": -1}]}'), **kw))
+        spec = run(_config(potential=from_text('{"terms": [{"c": -1, "p": -1}]}'), **kw))
         assert spec["rows"] == run(_config(potential=builtin("coulomb"), **kw))["rows"]
         assert all(abs(row["tan_delta"]) <= 1e-12 for row in spec["rows"])
 
@@ -366,8 +367,8 @@ class TestGammaGrid:
         ("1,2,3", "gamma grid too small: at least 8 points are required"),
         ("1:2:0", "gamma grid too small: at least 8 points are required"),
         ("8,7,6,5,4,3,2,1", "gamma grid must be strictly increasing"),
-        ("0,1,2,3,4,5,6,7", "gamma grid must be positive and finite"),
-        ("1,2,3,4,5,6,7,inf", "gamma grid must be positive and finite"),
+        ("0,1,2,3,4,5,6,7", "gamma must be positive and finite (got 0.0)"),
+        ("1,2,3,4,5,6,7,inf", "gamma must be positive and finite (got inf)"),
     ])
     @pytest.mark.parametrize("potential, N", [("coulomb", 1), ("eckart", 15)],
                              ids=["no-pseudostate", "pseudostates"])
@@ -400,7 +401,18 @@ class TestGammaGrid:
         with pytest.raises(ConfigError) as err:
             run(_config(mode="gamma-scan", potential=builtin("eckart"), variant="reg-sqrt",
                         N=15, h=0.1, gammas=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.nan)))
-        assert err.value.errors == ("gamma: gamma grid must be positive and finite",)
+        assert err.value.errors == ("gamma: gamma must be positive and finite (got nan)",)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [0.0, math.inf])
+    def test_config_grid_names_the_bad_rate(self, tmp_path, capsys, no_solve, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": "eckart", "variant": "reg-sqrt", "N": 15,
+                                   "h": 0.1, "gammas": [*range(1, 10), value]}))
+        assert main(["gamma-scan", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"lagmesh: gamma: gamma must be positive and finite (got {value!r})\n")
 
 
 @pytest.fixture
@@ -447,7 +459,7 @@ class TestExactMatrixConfig:
         # every scheme, alpha and angular number: the config is refused
         # exactly when a build raises, naming the build's message
         potentials = (builtin("harmonic"), builtin("eckart"),
-                      from_json('{"terms": [{"c": -1, "p": -1}, {"c": 2, "p": 1}]}'))
+                      from_text('{"terms": [{"c": -1, "p": -1}, {"c": 2, "p": 1}]}'))
         for (dim, alias), alpha, l, V in itertools.product(
                 cli._VARIANTS, (None, 0.0, 0.5, 1.0, 1.5, 2.0), (0, 1, 3), potentials):
             if dim == 2 and alpha:
@@ -1155,7 +1167,7 @@ class TestMain:
 
     @pytest.mark.parametrize("where, doc, message", [
         ("inline", '{"terms":[{"c":-1,"c":2,"p":-1}]}',
-         "potential: invalid spec (spec: invalid JSON (repeated key 'c'))"),
+         "potential: invalid JSON (repeated key 'c')"),
         ("config", '{"potential":"harmonic","N":10,"N":30,"h":0.1}',
          "config: invalid JSON (repeated key 'N')"),
         ("config", '{"potential":{"terms":[{"c":-1,"c":2,"p":-1}]},"N":10,"h":0.5}',
@@ -1173,6 +1185,18 @@ class TestMain:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"terms": [{"c": -1, "p": -1}]', "potential: invalid JSON (Expecting ',' delimiter"),
+        ('{"terms": [{"c": -1, "p": -1}],}', "potential: invalid JSON (Expecting property name"),
+        ('{"terms": [{"c": -1, "p": -1}]} {}', "potential: invalid JSON (Extra data"),
+    ], ids=["unclosed", "trailing-comma", "extra-data"])
+    def test_malformed_inline_spec_names_the_potential_once(self, capsys, spec, message):
+        # the reader's error under one prefix; a field error keeps "invalid spec"
+        assert main(["bound", "--potential", spec, "--N", "10", "--h", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"lagmesh: {message}")
+        assert len(captured.err.splitlines()) == 1 and captured.err.count("potential") == 1
 
     def test_config_that_is_no_object_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1226,9 +1250,9 @@ class TestMain:
         (["sweep", "--parameter", "gamma", "--values", "inf"],
          "gamma: gamma must be positive and finite (got inf)"),
         (["gamma-scan", "--gamma", "1:inf:16"],
-         "gamma: grid endpoints must be positive and finite"),
+         "gamma: gamma must be positive and finite (got inf)"),
         (["gamma-scan", "--gamma", "nan:10:16"],
-         "gamma: grid endpoints must be positive and finite"),
+         "gamma: gamma must be positive and finite (got nan)"),
         (["bound", "--alpha", "nan"], "alpha: alpha must be finite and nonnegative (got nan)"),
         (["bound", "--alpha", "inf"], "alpha: alpha must be finite and nonnegative (got inf)"),
     ], ids=["scatter-inf", "scatter-nan", "sweep-inf", "grid-inf", "grid-nan",
@@ -1240,6 +1264,19 @@ class TestMain:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"lagmesh: {message}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("at", ["start", "stop"])
+    def test_grid_endpoint_is_checked_by_the_rate_rule(self, capsys, value, at):
+        # before geomspace, which warns on inf or NaN and raises at 0
+        grid = f"{value}:8:12" if at == "start" else f"0.5:{value}:12"
+        code = main(["gamma-scan", "--potential", "eckart", "--variant", "reg-sqrt",
+                     "--N", "15", "--h", "0.1", f"--gamma={grid}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"lagmesh: gamma: gamma must be positive and finite (got {float(value)!r})\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", ["200", "1e300"])

@@ -11,7 +11,8 @@ Lagrange property at every node and agree with 40 digits about the first,
 middle and last nodes.  Every pseudostate of the pure Coulomb potential,
 attractive and repulsive, at l in {0, 10, 20} and N in {30, 100}, gives a
 finite phase with tan(delta) = 0 or raises a typed error.  The three lowest
-Coulomb levels of Var and Var2D are Rayleigh-Ritz bounds over N = 5..200.
+Coulomb levels of Var and Var2D are Rayleigh-Ritz bounds over N = 5..200,
+and so are Var's on a potential with no closed-form level over N = 5..120.
 """
 
 import math
@@ -30,7 +31,7 @@ from lagmesh.matelem import (
     operator_matrix,
     scheme_mesh,
 )
-from lagmesh.potentials import builtin, exact_level
+from lagmesh.potentials import PotentialSpec, builtin, exact_level
 from lagmesh.scattering import IndeterminatePhaseError, gamma_scan
 from lagmesh.solver import bound_energies, pseudostates, relative_error, solve_bound_states
 from lagmesh.specfun import ConvergenceError
@@ -88,27 +89,41 @@ def _check_lowest_level(N, potential, n, variant):
 # is never below its exact value and never rises with N.  Rounding moves the
 # Coulomb levels at h = 0.9 by at most 2.1e-13 (Var) and 2.4e-12 (Var2D at
 # m = 0) of |E| below it, and by at most 3.2e-13 and 2.2e-12 up from one N to
-# the next, with one BLAS thread and with two.
+# the next, with one BLAS thread and with two.  The spec -1/r + 0.2 r +
+# 0.05 r^2 has no closed-form level: Var at N = 300, h = 0.15 stands in for
+# it (within 4.0e-12 of |E| of N = 250, h = 0.2 at l = 0, 2.1e-13 at l = 1, 2).
+# Over N = 5..120 at h = 0.5 its levels fall below that reference by at most
+# 2.4e-12 (l = 0), 3.0e-13 and 1.2e-13, and rise by at most 8.7e-13; past
+# N = 150 the l = 0 level's rounding nears the floor (6.2e-12 at N = 200).
 RITZ_FLOOR = 1e-11
+RITZ_SPEC = PotentialSpec("spec", terms=((-1.0, -1.0, 0.0, 0.0), (0.2, 1.0, 0.0, 0.0),
+                                         (0.05, 2.0, 0.0, 0.0)))
 
 
-@pytest.mark.parametrize("variant", [HamiltonianVariant.Var, HamiltonianVariant.Var2D],
-                         ids=["Var", "Var2D"])
+@pytest.mark.parametrize("variant, potential", [
+    (HamiltonianVariant.Var, "coulomb"),
+    (HamiltonianVariant.Var2D, "coulomb"),
+    (HamiltonianVariant.Var, "spec"),
+], ids=["Var", "Var2D", "Var-spec"])
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_exact_schemes_are_rayleigh_ritz(variant, n):
+def test_exact_schemes_are_rayleigh_ritz(variant, potential, n):
     dim = SCHEMES[variant][3]
     build = hamiltonian_2d if dim == 2 else hamiltonian_3d
-    V = builtin("coulomb")
-    exact = np.array([exact_level(V, n, k, dim) for k in range(3)])
+    if potential == "coulomb":
+        V, h, sizes = builtin("coulomb"), 0.9, range(5, 201, 5)
+        lowest = np.array([exact_level(V, n, k, dim) for k in range(3)])
+    else:
+        V, h, sizes = RITZ_SPEC, 0.5, range(5, 121, 5)
+        lowest = bound_energies(build(scheme_mesh(variant, 300, 0.15), n, V, variant)[0])[:3]
     previous = None
-    for N in range(5, 201, 5):
+    for N in sizes:
         if N < n + 4:
             continue
-        H, _ = build(scheme_mesh(variant, N, 0.9), n, V, variant)
+        H, _ = build(scheme_mesh(variant, N, h), n, V, variant)
         E = bound_energies(H)[:3]
-        assert np.all(exact - E <= RITZ_FLOOR * np.abs(exact)), (N, E, exact)
+        assert np.all(lowest - E <= RITZ_FLOOR * np.abs(lowest)), (N, E, lowest)
         if previous is not None:
-            assert np.all(E - previous <= RITZ_FLOOR * np.abs(exact)), (N, E, previous)
+            assert np.all(E - previous <= RITZ_FLOOR * np.abs(lowest)), (N, E, previous)
         previous = E
 
 

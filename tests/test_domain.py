@@ -141,7 +141,7 @@ CASES = {
                      r"\bZ\b"),
     "gamma_scan.gammas": (lambda v: gamma_scan(
         _state(), 0, ECKART, 0.0, MESH, gammas=_grid_with_entry(v)),
-        NONFINITE | at_most(0.0), r"gamma grid"),
+        NONFINITE | at_most(0.0), r"\bgamma\b"),  # each rate by the rate's rule
     "coulomb_wave.l": (lambda v: coulomb_wave(v, 0.5, 1.0), angular(21), r"\bl\b"),
     "coulomb_wave.eta": (lambda v: coulomb_wave(0, v, 1.0),
                          NONFINITE | st.floats(50.0, 1e300, exclude_min=True)

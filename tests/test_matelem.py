@@ -26,7 +26,7 @@ from lagmesh.matelem import (
     operator_matrix,
     scheme_mesh,
 )
-from lagmesh.potentials import PotentialSpec, builtin, evaluate, from_json
+from lagmesh.potentials import PotentialSpec, builtin, evaluate
 from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
@@ -34,6 +34,7 @@ from scipy.linalg import eigh
 from reference import OPERATORS as OPERATOR_TAGS
 from reference import exact_mpmath, oracle_matrix
 from test_basis import _eval_all
+from test_potentials import from_text
 
 
 def mesh_regsqrt(N, alpha=1.0, h=1.0):
@@ -884,7 +885,7 @@ class TestExactGate:
     @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
     @pytest.mark.parametrize("angular", [0, 1, 2])
     def test_no_scheme_meets_the_gate(self, variant, angular):
-        powers = from_json('{"terms": [{"c": -1, "p": -1}, {"c": 0.5, "p": 0}, '
+        powers = from_text('{"terms": [{"c": -1, "p": -1}, {"c": 0.5, "p": 0}, '
                            '{"c": 0.1, "p": 1}, {"c": 0.2, "p": 2}]}')
         build = hamiltonian_2d if SCHEMES[variant][3] == 2 else hamiltonian_3d
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):

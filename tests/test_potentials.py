@@ -13,16 +13,23 @@ from lagmesh.potentials import (
     BUILTIN_NAMES,
     PotentialSpec,
     _json_doc,
+    _json_object,
+    _spec,
     builtin,
     evaluate,
     exact_level,
-    from_json,
 )
 
 
 def to_text(V):
     """A spec's JSON text, as a report echoes it under ``config.potential``."""
     return json.dumps(_json_doc(V))
+
+
+def from_text(text):
+    """The spec of a JSON text, read as the CLI reads a spec, with the
+    document named ``spec``."""
+    return _spec(_json_object(text, "spec"))
 
 
 class TestBuiltins:
@@ -177,10 +184,10 @@ class TestCoulombTail:
             builtin("coulomb").tail_Z = 0.0
 
     def test_json_tail_is_optional_and_checked(self):
-        assert from_json('{"terms": [{"c": -1, "p": -1}]}').tail_Z == -1.0
-        assert from_json('{"terms": [{"c": -1, "p": -1}], "tailZ": -1}').tail_Z == -1.0
+        assert from_text('{"terms": [{"c": -1, "p": -1}]}').tail_Z == -1.0
+        assert from_text('{"terms": [{"c": -1, "p": -1}], "tailZ": -1}').tail_Z == -1.0
         with pytest.raises(ValueError, match=r"^tailZ: 0\.0 differs"):
-            from_json('{"terms": [{"c": -1, "p": -1}], "tailZ": 0}')
+            from_text('{"terms": [{"c": -1, "p": -1}], "tailZ": 0}')
 
     @pytest.mark.parametrize("name", ["coulomb", "eckart", "buck_alpha_alpha"])
     def test_potential_approaches_tail(self, name):
@@ -291,7 +298,7 @@ class TestNonFiniteParameters:
     def test_json_names_the_field(self, text, field):
         # under its JSON name, as the shape errors do
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}: must be finite"):
-            from_json(text)
+            from_text(text)
 
     @pytest.mark.parametrize("text, message", [
         ('{"terms": [{"c": 0.5, "p": 2}], "energyUnit": 0}',
@@ -309,7 +316,7 @@ class TestNonFiniteParameters:
     def test_json_value_errors_name_the_json_field(self, text, message):
         # as the shape errors do; the Python constructor keeps its own names
         with pytest.raises(ValueError) as err:
-            from_json(text)
+            from_text(text)
         assert str(err.value) == message
         with pytest.raises(ValueError, match="^energy_unit must be positive"):
             PotentialSpec("v", energy_unit=0.0)
@@ -327,7 +334,7 @@ class TestSerialization:
     @pytest.mark.parametrize("name", ["harmonic", "coulomb", "eckart", "buck_alpha_alpha"])
     def test_round_trip_preserves_values(self, name):
         V = builtin(name)
-        W = from_json(to_text(V))
+        W = from_text(to_text(V))
         rr = np.array([0.4, 1.1, 3.0, 9.5])
         assert np.array_equal(evaluate(V, rr), evaluate(W, rr))
         assert W.label == V.label
@@ -336,7 +343,7 @@ class TestSerialization:
     def test_energy_unit_serialized_when_not_one(self):
         V = builtin("buck_alpha_alpha")
         assert _json_doc(V)["energyUnit"] == V.energy_unit
-        assert from_json(to_text(V)).energy_unit == V.energy_unit
+        assert from_text(to_text(V)).energy_unit == V.energy_unit
         assert "energyUnit" not in _json_doc(builtin("coulomb"))
 
     @pytest.mark.parametrize("text, field", [
@@ -354,7 +361,7 @@ class TestSerialization:
     ])
     def test_malformed_spec_names_the_field(self, text, field):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
-            from_json(text)
+            from_text(text)
 
     @pytest.mark.parametrize("text, key", [
         ('{"label": "a", "label": "b"}', "label"),
@@ -364,7 +371,7 @@ class TestSerialization:
     def test_repeated_key_is_named_at_every_level(self, text, key):
         # json.loads alone keeps the last value
         with pytest.raises(ValueError, match=rf"^spec: invalid JSON \(repeated key '{key}'\)$"):
-            from_json(text)
+            from_text(text)
 
     @pytest.mark.parametrize("text, field", [
         # "alpha" for "a" would otherwise run an undamped constant
@@ -377,7 +384,7 @@ class TestSerialization:
     ])
     def test_unknown_field_is_named_at_every_level(self, text, field):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}: unknown field$"):
-            from_json(text)
+            from_text(text)
 
     @pytest.mark.parametrize("V", [
         *(builtin(name) for name in ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")),
