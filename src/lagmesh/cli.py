@@ -6,7 +6,7 @@ bound       spectrum of one mesh/scheme configuration
 scatter     phase shifts of every pseudostate at a fixed gamma
 gamma-scan  plateau search: recommended gamma per pseudostate
 sweep       rerun a bound or scattering configuration over N, h, or gamma
-reproduce   rebuild one of the bundled benchmark tables 1-5
+reproduce   rebuild one of the bundled benchmark tables
 
 ``run`` and ``sweep`` return a report as the dict that the JSON format
 writes: ``schema`` (1), ``mode``, ``config`` (the configuration echoed),
@@ -36,8 +36,7 @@ from . import __version__, benchmarks
 from .basis import _CACHE_SIZE, _alpha, _scale
 from .matelem import (SCHEMES, HamiltonianVariant, Mode, _exact_ops, _exact_reads,
                       _scheme_row, hamiltonian_2d, hamiltonian_3d, scheme_mesh)
-from .potentials import (BUILTIN_NAMES, PotentialSpec, _json_doc, _json_object, _level_rule,
-                         _spec, builtin)
+from .potentials import PotentialSpec, _json_doc, _json_object, _level_rule, _spec, builtin
 from .quadrature import _size
 from .scattering import _gamma_grid, _rate, _short_range, gamma_scan, tan_delta
 from .solver import bound_energies, pseudostates, relative_error, solve_bound_states
@@ -57,6 +56,8 @@ _BUILD = f"lagmesh {__version__}"
 
 _RUNS = ("bound", "scatter", "gamma-scan")  # the modes that solve one mesh
 _MODES = (*_RUNS, "reproduce")
+# the consecutive ids of benchmarks.TABLE_IDS, as --table's help names them
+_TABLE_RANGE = f"{benchmarks.TABLE_IDS[0]}..{benchmarks.TABLE_IDS[-1]}"
 
 # (dimension, variant alias) -> scheme; the dimension and mesh of each
 # scheme are in matelem.SCHEMES
@@ -93,7 +94,7 @@ _FIELDS = (
      (None, "rate (scatter) or grid start:stop:count (gamma-scan)")),
     ("gammas", "gammas", "floats", None, ("gamma-scan",), None),
     ("table", "table", "int", None, ("reproduce",),
-     (int, "benchmark table id 1..5 (reproduce)")),
+     (int, f"benchmark table id {_TABLE_RANGE} (reproduce)")),
     ("out", "out", "str", None, _MODES, (None, "output path (default stdout)")),
 )
 
@@ -175,16 +176,16 @@ def _checked(config):
 
 
 def _domain_errors(config):
-    """The CLI's own rules (format, table, a missing field, dim, the variant
-    aliases, the 2D phase modes), then the library's rule of each number as
+    """The CLI's own rules (format, a missing field, dim, the variant
+    aliases, the 2D phase modes), then the library's rule of each value as
     ``key: <the library's message>``, once the fields it reads pass theirs."""
     errors = []
     if config.format not in ("csv", "json"):
         errors.append("format: must be csv or json")
     if config.mode == "reproduce":
-        if config.table not in benchmarks.TABLE_IDS:
-            errors.append("table: reproduce requires --table 1..5")
-        return errors
+        return errors + ([f"table: reproduce requires --table {_TABLE_RANGE}"]
+                         if config.table is None
+                         else _raised("table", benchmarks._table, config.table))
     phase = config.mode in ("scatter", "gamma-scan")
     if config.potential is None:
         errors.append("potential: a builtin name or JSON spec is required")
@@ -529,11 +530,6 @@ def _parse_potential(value):
         except ValueError as e:
             raise ConfigError([f"potential: invalid spec ({e})"]) from None
     name, _, params = str(value).partition(":")
-    if name not in BUILTIN_NAMES:
-        raise ConfigError([
-            f"potential: unknown name {name!r}; builtins are "
-            + ", ".join(BUILTIN_NAMES)
-        ])
     kwargs = {}
     if params:
         for piece in params.split(","):
@@ -542,7 +538,7 @@ def _parse_potential(value):
             if key in kwargs:
                 raise ConfigError([f"potential: repeated parameter {key!r}"])
             kwargs[key] = num  # builtin reads it as a number, or names it
-    try:
+    try:  # builtin names an unknown name, then a bad parameter
         return builtin(name, **kwargs)
     except ValueError as e:
         raise ConfigError([f"potential: {e}"]) from None

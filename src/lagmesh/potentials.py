@@ -195,7 +195,6 @@ _BUILTINS = {
         coulomb_erf=(4.0 * 1.44 / _ALPHA_ALPHA_UNIT, 0.75),
         energy_unit=_ALPHA_ALPHA_UNIT)),
 }
-BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name, **params):
@@ -204,13 +203,14 @@ def builtin(name, **params):
     Parameters
     ----------
     name : str
-        One of ``harmonic``, ``coulomb``, ``eckart``, ``buck_alpha_alpha``.
+        ``harmonic``, ``coulomb``, ``eckart`` or ``buck_alpha_alpha``; any
+        other name raises ValueError naming them.
     **params
         ``Z`` for coulomb (default -1); ``b``, ``c`` for eckart
         (default 2, -1).
     """
     if not isinstance(name, str) or name not in _BUILTINS:
-        raise ValueError(f"unknown potential: {name!r}")
+        raise ValueError(f"unknown name {name!r}; builtins are {', '.join(_BUILTINS)}")
     defaults, make = _BUILTINS[name]
     values = {key: _finite(key, params.pop(key, value)) for key, value in defaults.items()}
     if params:

@@ -99,9 +99,10 @@ class TestValidation:
         assert err.value.errors == ("mode: must be one of bound, scatter, gamma-scan, reproduce",)
 
     def test_reproduce_requires_table(self):
-        with pytest.raises(ConfigError, match="table"):
+        with pytest.raises(ConfigError) as err:
             run(ExperimentConfig(mode="reproduce"))
-        with pytest.raises(ConfigError, match="table"):
+        assert err.value.errors == ("table: reproduce requires --table 1..5",)
+        with pytest.raises(ConfigError, match="^table: table must be one of "):
             run(ExperimentConfig(mode="reproduce", table=7))
 
     def test_bool_table_is_no_table(self):
@@ -928,9 +929,21 @@ class TestMain:
         assert "gamma" in capsys.readouterr().err
 
     def test_unknown_potential_exits_1(self, capsys):
-        code = main(["bound", "--potential", "nosuch", "--N", "5", "--h", "1"])
-        assert code == 1
-        assert "potential" in capsys.readouterr().err
+        # refused in builtin's words, which name every builtin
+        with pytest.raises(ValueError) as err:
+            builtin("colomb")
+        assert main(["bound", "--potential", "colomb", "--N", "10", "--h", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lagmesh: potential: {err.value}\n"
+
+    def test_unknown_table_exits_1_in_the_librarys_words(self, capsys):
+        with pytest.raises(ValueError) as err:
+            cli.benchmarks.run_table(9)
+        assert main(["reproduce", "--table", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lagmesh: table: {err.value}\n"
 
     @pytest.mark.parametrize("potential, field", [
         ("coulomb:Z=nan", "Z"),

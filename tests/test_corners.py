@@ -12,7 +12,8 @@ middle and last nodes.  Every pseudostate of the pure Coulomb potential,
 attractive and repulsive, at l in {0, 10, 20} and N in {30, 100}, gives a
 finite phase with tan(delta) = 0 or raises a typed error.  The three lowest
 Coulomb levels of Var and Var2D are Rayleigh-Ritz bounds over N = 5..200,
-and so are Var's on a potential with no closed-form level over N = 5..120.
+and so are theirs on a potential with no closed-form level over N = 5..120,
+where both regularized meshes agree with Var's level.
 """
 
 import math
@@ -95,6 +96,10 @@ def _check_lowest_level(N, potential, n, variant):
 # Over N = 5..120 at h = 0.5 its levels fall below that reference by at most
 # 2.4e-12 (l = 0), 3.0e-13 and 1.2e-13, and rise by at most 8.7e-13; past
 # N = 150 the l = 0 level's rounding nears the floor (6.2e-12 at N = 200).
+# Var2D at N = 300, h = 0.15 is within 6.0e-12 (m = 0), 1.2e-12 and
+# 2.8e-13 of N = 250, h = 0.2; over N = 5..120 at h = 0.5 its levels fall
+# below it by at most 1.0e-13, 9.3e-14 and 3.3e-13 and rise by at most
+# 9.9e-13 (m = 0), 6.3e-13 and 3.8e-13.
 RITZ_FLOOR = 1e-11
 RITZ_SPEC = PotentialSpec("spec", terms=((-1.0, -1.0, 0.0, 0.0), (0.2, 1.0, 0.0, 0.0),
                                          (0.05, 2.0, 0.0, 0.0)))
@@ -104,7 +109,8 @@ RITZ_SPEC = PotentialSpec("spec", terms=((-1.0, -1.0, 0.0, 0.0), (0.2, 1.0, 0.0,
     (HamiltonianVariant.Var, "coulomb"),
     (HamiltonianVariant.Var2D, "coulomb"),
     (HamiltonianVariant.Var, "spec"),
-], ids=["Var", "Var2D", "Var-spec"])
+    (HamiltonianVariant.Var2D, "spec"),
+], ids=["Var", "Var2D", "Var-spec", "Var2D-spec"])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_exact_schemes_are_rayleigh_ritz(variant, potential, n):
     dim = SCHEMES[variant][3]
@@ -125,6 +131,29 @@ def test_exact_schemes_are_rayleigh_ritz(variant, potential, n):
         if previous is not None:
             assert np.all(E - previous <= RITZ_FLOOR * np.abs(lowest)), (N, E, previous)
         previous = E
+
+
+# Where the classifier names no lossy term, the regularized meshes converge
+# on the same spec to Var's N = 300, h = 0.15 level: at h = 0.5 and N = 40
+# and 80 their lowest level is within 5.5e-12 (l = 0), 8.3e-13 (l = 1) and
+# 1.3e-13 (l = 2) of it, with one BLAS thread and with two; at l = 0 that is
+# the reference's own rounding (4.0e-12 from N = 250, h = 0.2).
+AGREEMENT_BOUND = {0: 1e-11, 1: 2e-12, 2: 5e-13}
+
+
+@pytest.mark.parametrize("variant", [HamiltonianVariant.RegSqrtMesh,
+                                     HamiltonianVariant.RegRMesh],
+                         ids=["RegSqrtMesh", "RegRMesh"])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_regularized_meshes_agree_with_var(variant, l):
+    var = HamiltonianVariant.Var
+    reference = bound_energies(hamiltonian_3d(scheme_mesh(var, 300, 0.15), l, RITZ_SPEC,
+                                              var)[0])[0]
+    for N in (40, 80):
+        mesh = scheme_mesh(variant, N, 0.5)
+        assert not classify_singularity(mesh, l, RITZ_SPEC, variant)
+        E = bound_energies(hamiltonian_3d(mesh, l, RITZ_SPEC, variant)[0])[0]
+        assert abs(E - reference) <= AGREEMENT_BOUND[l] * abs(reference), (N, E, reference)
 
 
 def test_loss_cells_are_the_plain_coulomb_s_waves():
