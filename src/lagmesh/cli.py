@@ -256,14 +256,15 @@ def _run_bound(config):
     energies = (bound_energies(H) * V.energy_unit).tolist()
     rows = [{"state": n, "energy": E} for n, E in enumerate(energies, 1)]
     # analytic levels are in internal units (so there the energies are
-    # unscaled), and a Coulomb one (the levels are negative) is only given
-    # for a bound state
+    # unscaled), and a Coulomb or Eckart one (the levels are negative) is
+    # only given for a bound state the rule knows
     level = _level_rule(V, angular, dim) if V.energy_unit == 1.0 else None
     if level is not None:
         ground = level(0)
         for n, E in enumerate(energies):
-            if ground > 0.0 or E < 0.0:
-                exact = rows[n]["exact"] = level(n)
+            exact = level(n) if ground > 0.0 or E < 0.0 else None
+            if exact is not None:
+                rows[n]["exact"] = exact
                 rows[n]["eps_rel"] = relative_error(E, exact)
     return rows
 

@@ -153,7 +153,8 @@ def exact_level(V, angular, n=0, dimension=3):
     ``sqrt(2c) (2n + lam + 3/2)`` for a single pure ``c r^2`` term with
     c > 0 and ``-Z^2 / (2 (n + lam + 1)^2)`` for a single pure attractive
     ``Z/r`` term, whatever the label.  ``lam`` is l in 3D and m - 1/2 in 2D,
-    where the radial equation is the 3D one at l = m - 1/2.
+    where the radial equation is the 3D one at l = m - 1/2.  An Eckart well
+    alone with c < 0 has one level, ``-c^2 / 2`` at n = 0, l = 0 in 3D.
     """
     angular = _integer("angular", angular, nonnegative=True)
     n = _integer("n", n, nonnegative=True)
@@ -167,7 +168,14 @@ def _level_rule(V, angular, dimension):
     """``exact_level`` at a checked angular number and dimension, as a
     function of the checked level number, or None where V has no analytic
     levels: a spectrum's levels at the price of one lookup."""
-    if len(V.terms) != 1 or V.coulomb_erf or V.eckart:
+    if V.eckart is not None:
+        # a Bargmann well: the pole of its s-wave S-matrix at k = -ic is its
+        # one bound state when c < 0
+        c = V.eckart[1]
+        if V.terms or V.coulomb_erf or c >= 0.0 or angular or dimension != 3:
+            return None
+        return lambda n: -0.5 * c * c if n == 0 else None
+    if len(V.terms) != 1 or V.coulomb_erf:
         return None
     c, p, a, b = V.terms[0]
     if a or b:

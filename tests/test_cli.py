@@ -23,7 +23,8 @@ from lagmesh.potentials import builtin
 from lagmesh.scattering import IndeterminatePhaseError, tan_delta
 from lagmesh.solver import pseudostates, solve_bound_states
 from lagmesh.basis import _CACHE_SIZE
-from lagmesh.specfun import _MAX_ETA, _MAX_L, coulomb_wave
+from lagmesh.specfun import _MAX_ETA, coulomb_wave
+import cli_refusals
 from test_demos import CLI_EXAMPLES
 from test_potentials import from_text
 
@@ -74,21 +75,12 @@ class TestValidation:
             run(config)
 
     @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan, 0.0])
-    def test_h_must_be_positive_and_finite(self, h, tmp_path, capsys):
-        # the library's rule, named by the key
-        message = f"h: h must be positive and finite (got {h!r})"
+    def test_h_must_be_positive_and_finite(self, h):
+        # the library's rule, named by the key, as flags, a config file and a
+        # sweep value are (cli_refusals)
         with pytest.raises(ConfigError) as err:
             run(_config(h=h))
-        assert err.value.errors == (message,)
-        # flags, a config file and a sweep value are held to the same rule
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"potential": "harmonic", "N": 5, "h": h}))
-        for argv in (["bound", "--potential", "harmonic", "--N", "5", f"--h={h!r}"],
-                     ["bound", "--config", str(cfg)],
-                     ["sweep", "--potential", "harmonic", "--N", "5", "--h", "1",
-                      "--parameter", "h", f"--values={h!r}"]):
-            assert main(argv) == 1
-            assert capsys.readouterr().err == f"lagmesh: {message}\n"
+        assert err.value.errors == (f"h: h must be positive and finite (got {h!r})",)
 
     def test_numpy_float_is_a_float(self):
         assert run(_config(h=np.float64(0.09))) == run(_config(h=0.09))
@@ -166,32 +158,6 @@ class TestValidation:
                         angular=1, variant=variant, N=12, h=0.1))
         with pytest.raises(ConfigError, match="dim: scatter"):
             sweep(config, "gamma", [1.0, 2.0])
-
-    @pytest.mark.parametrize("argv, message", [
-        (["bound", "--potential", "harmonic", "--N", "3", "--h", "0.1", "--l", "5"],
-         "l/m: N must exceed l (got N=3, l=5)"),
-        (["bound", "--potential", "harmonic", "--dim", "2", "--l", "10", "--N", "10",
-          "--h", "0.1"], "l/m: N must exceed m (got N=10, m=10)"),
-        (["sweep", "--potential", "harmonic", "--l", "5", "--h", "0.1",
-          "--parameter", "N", "--values", "8,5"], "l/m: N must exceed l (got N=5, l=5)"),
-    ])
-    def test_basis_smaller_than_the_angular_number_is_a_config_error(
-            self, argv, message, capsys):
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"lagmesh: {message}\n"
-
-    @pytest.mark.parametrize("mode, flags", [("scatter", ["--gamma", "1"]), ("gamma-scan", [])])
-    def test_angular_number_past_the_coulomb_functions_is_a_config_error(
-            self, mode, flags, capsys):
-        argv = [mode, "--potential", "coulomb", "--N", "30", "--h", "1.1",
-                "--l", str(_MAX_L + 1), *flags]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"lagmesh: l/m: l must be an integer in [0, {_MAX_L}] (got {_MAX_L + 1})\n")
-        # the limit is the Coulomb functions' own
-        coulomb_wave(_MAX_L, 0.5, 1.0)
-        with pytest.raises(ValueError, match=rf"\[0, {_MAX_L}\]"):
-            coulomb_wave(_MAX_L + 1, 0.5, 1.0)
 
     def test_check_is_the_librarys_rules_on_every_edge(self):
         # a config is admitted exactly when the library raises no ValueError
@@ -363,57 +329,12 @@ class TestGammaGrid:
 
         monkeypatch.setattr(cli, "_resolve_problem", resolve)
 
-    @pytest.mark.parametrize("grid, message", [
-        ("3,2", "gamma grid too small: at least 8 points are required"),
-        ("1,2,3", "gamma grid too small: at least 8 points are required"),
-        ("1:2:0", "gamma grid too small: at least 8 points are required"),
-        ("8,7,6,5,4,3,2,1", "gamma grid must be strictly increasing"),
-        ("0,1,2,3,4,5,6,7", "gamma must be positive and finite (got 0.0)"),
-        ("1,2,3,4,5,6,7,inf", "gamma must be positive and finite (got inf)"),
-    ])
-    @pytest.mark.parametrize("potential, N", [("coulomb", 1), ("eckart", 15)],
-                             ids=["no-pseudostate", "pseudostates"])
-    def test_bad_grid_flag_exits_1_before_any_solve(self, capsys, no_solve, grid, message,
-                                                    potential, N):
-        code = main(["gamma-scan", "--potential", potential, "--variant", "reg-sqrt",
-                     "--N", str(N), "--h", "0.1", "--gamma", grid])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == f"lagmesh: gamma: {message}\n"
-
-    def test_grid_given_as_a_list_under_gamma_names_gammas(self, tmp_path, capsys, no_solve):
-        # a file gives its list under gammas; gamma is a flag's text form
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"potential": "eckart", "variant": "reg-sqrt", "N": 15,
-                                   "h": 0.1, "gamma": [0.5, 1, 2, 3, 4, 5, 6, 7]}))
-        assert main(["gamma-scan", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == (
-            "lagmesh: gamma: a config file gives a gamma-scan grid as a list under gammas\n")
-
-    def test_bad_grid_in_a_config_file_or_in_python(self, tmp_path, capsys, no_solve):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"potential": "eckart", "variant": "reg-sqrt", "N": 15,
-                                   "h": 0.1, "gammas": [1, 2, 3]}))
-        assert main(["gamma-scan", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == (
-            "lagmesh: gamma: gamma grid too small: at least 8 points are required\n")
+    def test_bad_grid_in_a_config_file_or_in_python(self, no_solve):
+        # a config file's grid is a row of cli_refusals
         with pytest.raises(ConfigError) as err:
             run(_config(mode="gamma-scan", potential=builtin("eckart"), variant="reg-sqrt",
                         N=15, h=0.1, gammas=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.nan)))
         assert err.value.errors == ("gamma: gamma must be positive and finite (got nan)",)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("value", [0.0, math.inf])
-    def test_config_grid_names_the_bad_rate(self, tmp_path, capsys, no_solve, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"potential": "eckart", "variant": "reg-sqrt", "N": 15,
-                                   "h": 0.1, "gammas": [*range(1, 10), value]}))
-        assert main(["gamma-scan", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == (
-            f"lagmesh: gamma: gamma must be positive and finite (got {value!r})\n")
 
 
 @pytest.fixture
@@ -428,26 +349,6 @@ def no_build(monkeypatch):
 class TestExactMatrixConfig:
     """A scheme that would read an Exact matrix that does not exist is named
     with the config, before any matrix is built, by the builders' rule."""
-
-    @pytest.mark.parametrize("argv, message", [
-        (["--potential", "eckart"], "variant: potential 'eckart(b=2,c=-1)' has no exact "
-                                    "matrix elements"),
-        (["--potential", "buck_alpha_alpha"], "variant: potential 'buck_alpha_alpha' has no "
-                                              "exact matrix elements"),
-        (["--potential", "eckart", "--dim", "2"], "variant: potential 'eckart(b=2,c=-1)' has "
-                                                  "no exact matrix elements"),
-        (["--potential", "coulomb", "--variant", "var", "--alpha", "0"],
-         "alpha: divergent integral: kinetic on family RegSqrt with alpha=0.0"),
-        (["--potential", "coulomb", "--variant", "non-reg", "--alpha", "1"],
-         "alpha: divergent integral: kinetic on family NonReg with alpha=1.0"),
-        (["--potential", "coulomb", "--variant", "non-reg-vg", "--alpha", "0", "--l", "1"],
-         "alpha: divergent integral: 1/r^2 on family NonReg with alpha=0.0"),
-    ], ids=["eckart", "alpha-alpha", "eckart-2d", "var-alpha-0", "non-reg-alpha-1",
-            "non-reg-vg-centrifugal"])
-    def test_exits_1_with_the_field_before_any_build(self, capsys, no_build, argv, message):
-        assert main(["bound", *argv, "--N", "10", "--h", "0.5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
 
     def test_config_error_in_python(self, no_build):
         with pytest.raises(ConfigError) as err:
@@ -475,16 +376,6 @@ class TestExactMatrixConfig:
             else:
                 assert errors == [], config
 
-    def test_whole_alpha_in_a_config_file_is_named_as_the_builder_names_it(
-            self, tmp_path, capsys, no_build):
-        # the check reads the basis a build takes, a MeshSpec, whose alpha is a float
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"potential": "coulomb", "variant": "non-reg", "alpha": 1,
-                                   "N": 10, "h": 0.5}))
-        assert main(["bound", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == (
-            "lagmesh: alpha: divergent integral: kinetic on family NonReg with alpha=1.0\n")
-
     @pytest.mark.parametrize("argv", [
         ["--potential", "eckart", "--variant", "reg-sqrt"],
         ["--potential", "coulomb", "--variant", "non-reg-vg", "--alpha", "0"],
@@ -498,22 +389,6 @@ class TestExactMatrixConfig:
 class TestShortRangeConfig:
     """Phases need ``V - Z/r`` to vanish faster than 1/r; another potential
     is refused under ``potential:`` before any build or eigensolve."""
-
-    @pytest.mark.parametrize("argv, message", [
-        (["scatter", "--potential", "harmonic", "--gamma", "1"],
-         "potential: potential 'harmonic' is not short-range: its term 0.5 r**2 does not "
-         "vanish faster than 1/r"),
-        (["gamma-scan", "--potential", '{"terms":[{"c":1,"p":0}]}'],
-         "potential: potential 'user' is not short-range: its term 1 r**0 does not vanish "
-         "faster than 1/r"),
-        (["gamma-scan", "--potential", '{"terms":[{"c":-1,"p":-1},{"c":2,"p":-0.5}]}'],
-         "potential: potential 'user' is not short-range: its term 2 r**-0.5 does not vanish "
-         "faster than 1/r"),
-    ], ids=["scatter-harmonic", "gamma-scan-constant", "gamma-scan-r^-1/2"])
-    def test_exits_1_before_any_build(self, capsys, no_build, argv, message):
-        assert main([*argv, "--variant", "reg-sqrt", "--N", "10", "--h", "0.5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
 
     def test_config_error_in_python(self, no_build):
         with pytest.raises(ConfigError) as err:
@@ -573,17 +448,6 @@ class TestSweep:
             assert json.loads(captured.out)["rows"] == [
                 {"parameter": "gamma", "value": v, "energy": None, "tan_delta": None,
                  "delta_deg": None} for v in (1.0, 2.0)]
-
-    @pytest.mark.parametrize("values", ["10.7,12", "inf", "nan"])
-    def test_mesh_sizes_must_be_whole(self, capsys, values):
-        code = main(["sweep", "--parameter", "N", "--values", values,
-                     "--potential", "coulomb", "--h", "0.9"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        # the N field's own rule, as at the first value
-        first = float(values.split(",")[0])
-        assert captured.err == f"lagmesh: N: must be a whole number (got {first!r})\n"
 
     def test_rejects_bad_requests(self):
         config = _config()
@@ -922,76 +786,6 @@ class TestMain:
         aliases = dict.fromkeys(alias for _, alias in cli._VARIANTS)
         assert "--variant VARIANT " + ", ".join(aliases) in help_text
 
-    def test_validation_failure_exits_1(self, capsys):
-        code = main(["scatter", "--potential", "eckart", "--N", "15",
-                     "--h", "0.1"])
-        assert code == 1
-        assert "gamma" in capsys.readouterr().err
-
-    def test_unknown_potential_exits_1(self, capsys):
-        # refused in builtin's words, which name every builtin
-        with pytest.raises(ValueError) as err:
-            builtin("colomb")
-        assert main(["bound", "--potential", "colomb", "--N", "10", "--h", "0.5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"lagmesh: potential: {err.value}\n"
-
-    def test_unknown_table_exits_1_in_the_librarys_words(self, capsys):
-        with pytest.raises(ValueError) as err:
-            cli.benchmarks.run_table(9)
-        assert main(["reproduce", "--table", "9"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"lagmesh: table: {err.value}\n"
-
-    @pytest.mark.parametrize("potential, field", [
-        ("coulomb:Z=nan", "Z"),
-        ("eckart:b=inf", "b"),
-        ("eckart:c=-inf", "c"),
-        ('{"terms": [{"c": NaN, "p": -1}]}', "terms[0].c:"),
-        ('{"terms": [{"c": -1, "p": -1}], "tailZ": Infinity}', "tailZ:"),
-        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulombErf.mu:"),
-        ('{"eckart": {"b": NaN, "c": -1}}', "eckart.b:"),
-    ])
-    def test_non_finite_potential_exits_1(self, capsys, potential, field):
-        # a builtin's parameters are named as given, a JSON spec's as in JSON
-        code = main(["bound", "--potential", potential, "--variant", "reg-sqrt",
-                     "--N", "10", "--h", "0.9"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("lagmesh: potential: ")
-        assert f"{field} must be finite" in captured.err
-
-    def test_number_beyond_double_range_exits_1_naming_the_field(self, tmp_path, capsys):
-        # an int that no float holds is a config error, not a numerical failure
-        big = "9" * 400
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"h": {big}}}')
-        cases = [
-            (["--potential", "coulomb", "--h", "1", "--N", big],
-             "N: must be a whole number (got an int beyond double range)"),
-            (["--potential", "coulomb", "--N", "10", "--config", str(cfg)],
-             "h: must be an int or a float (got an int beyond double range)"),
-            (["--potential", f'{{"terms":[{{"c":-{big},"p":-1}}]}}', "--N", "10", "--h", "1"],
-             "potential: invalid spec (terms[0].c: must be within double range)"),
-        ]
-        for flags, message in cases:
-            assert main(["bound", *flags]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
-
-    def test_config_int_past_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
-        # json.load raises a plain ValueError for an int literal longer than
-        # Python's int-to-string limit of 4300 digits
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"h": {"9" * 5000}}}')
-        assert main(["bound", "--potential", "coulomb", "--N", "10", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("lagmesh: config: invalid JSON (Exceeds the limit")
-
     def test_reproduce_check_passes(self, capsys):
         for table, count in ((1, 15), (2, 15), (3, 18), (4, 20), (5, 4)):
             code = main(["reproduce", "--table", str(table), "--check"])
@@ -1016,26 +810,6 @@ class TestMain:
         code = main(["reproduce", "--table", "1"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("variant", ["reg-sqrt", "var"])
-    def test_two_dimensional_scatter_exits_1(self, capsys, variant):
-        code = main(["scatter", "--dim", "2", "--variant", variant, "--potential",
-                     "eckart", "--m", "1", "--N", "12", "--h", "0.1", "--gamma", "2"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "three dimensions" in captured.err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("h", ["1e-170", "1e-160", "1e200"])
-    @pytest.mark.parametrize("dim", ["2", "3"])
-    def test_extreme_h_exits_2_naming_h(self, capsys, h, dim):
-        code = main(["bound", "--potential", "coulomb", "--dim", dim, "--l", "1",
-                     "--variant", "reg-sqrt", "--N", "20", "--h", h])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith(f"lagmesh: numerical failure: h={float(h)!r}:")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mesh_at_n_400_solves(self, capsys):
@@ -1110,18 +884,6 @@ class TestMain:
         assert main(["bound", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "lagmesh: sweep: unknown field\n"
 
-    @pytest.mark.parametrize("command", ["bound", "scatter", "gamma-scan", "reproduce"])
-    def test_config_file_mode_must_match_the_subcommand(self, tmp_path, capsys, command):
-        other = "bound" if command == "gamma-scan" else "gamma-scan"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": other, "potential": "eckart", "variant": "reg-sqrt",
-                                   "N": 15, "h": 0.1, "gamma": 4, "table": 1}))
-        assert main([command, "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"lagmesh: mode: the config file asks for {other!r}, "
-                                f"not {command!r}\n")
-
     @pytest.mark.parametrize("name", ["l", "m"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_config_file_angular_number_under_either_name(self, tmp_path, capsys, dim, name):
@@ -1142,95 +904,6 @@ class TestMain:
                      "--variant", "reg-sqrt", "--N", "40", "--h", "0.1", f"--{name}", "3"]) == 0
         assert capsys.readouterr().out == from_file
 
-    @pytest.mark.parametrize("flags", [[], ["--l", "1"], ["--m", "1"]])
-    def test_config_file_with_both_l_and_m_exits_1(self, tmp_path, capsys, flags):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dim": 2, "l": 3, "m": 1, "potential": "harmonic"}))
-        assert main(["bound", "--config", str(cfg), *flags]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "lagmesh: l/m: give one angular number, not both\n"
-
-    @pytest.mark.parametrize("doc, field", [
-        ({"potential": "harmonic", "N": 10, "h": "0.1"}, "h"),
-        ({"potential": "harmonic", "N": "10", "h": 0.1}, "N"),
-        ({"potential": "harmonic", "N": True, "h": 0.1}, "N"),
-        ({"potential": "harmonic", "N": 10, "h": 0.1, "gammas": [1, "2"]}, "gammas"),
-        ({"potential": {"label": "well", "terms": [1]}, "N": 10, "h": 0.1}, "potential"),
-        ([1, 2], "config"),
-    ])
-    def test_malformed_config_file_exits_1(self, tmp_path, capsys, doc, field):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["bound", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"lagmesh: {field}:")
-
-    def test_unknown_config_keys_exit_1(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"potential": "harmonic", "N": 10, "h": 0.1,
-                                   "aplha": 3, "verbose": None}))
-        assert main(["bound", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "lagmesh: aplha: unknown field", "lagmesh: verbose: unknown field"]
-
-    @pytest.mark.parametrize("where, doc, message", [
-        ("inline", '{"terms":[{"c":-1,"c":2,"p":-1}]}',
-         "potential: invalid JSON (repeated key 'c')"),
-        ("config", '{"potential":"harmonic","N":10,"N":30,"h":0.1}',
-         "config: invalid JSON (repeated key 'N')"),
-        ("config", '{"potential":{"terms":[{"c":-1,"c":2,"p":-1}]},"N":10,"h":0.5}',
-         "config: invalid JSON (repeated key 'c')"),
-    ], ids=["inline-spec", "config-top-level", "config-spec"])
-    def test_repeated_key_exits_1_naming_it(self, tmp_path, capsys, where, doc, message):
-        # json keeps a repeated key's last value: c = 2 would run a repulsive tail
-        argv = ["bound", "--variant", "reg-sqrt"]
-        if where == "inline":
-            argv += ["--potential", doc, "--N", "10", "--h", "0.5"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(doc)
-            argv += ["--config", str(cfg)]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
-
-    @pytest.mark.parametrize("spec, message", [
-        ('{"terms": [{"c": -1, "p": -1}]', "potential: invalid JSON (Expecting ',' delimiter"),
-        ('{"terms": [{"c": -1, "p": -1}],}', "potential: invalid JSON (Expecting property name"),
-        ('{"terms": [{"c": -1, "p": -1}]} {}', "potential: invalid JSON (Extra data"),
-    ], ids=["unclosed", "trailing-comma", "extra-data"])
-    def test_malformed_inline_spec_names_the_potential_once(self, capsys, spec, message):
-        # the reader's error under one prefix; a field error keeps "invalid spec"
-        assert main(["bound", "--potential", spec, "--N", "10", "--h", "0.5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"lagmesh: {message}")
-        assert len(captured.err.splitlines()) == 1 and captured.err.count("potential") == 1
-
-    def test_config_that_is_no_object_exits_1(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1]")
-        assert main(["bound", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == "lagmesh: config: must be a JSON object\n"
-
-    def test_tail_at_odds_with_the_terms_exits_1(self, capsys):
-        code = main(["bound", "--potential", '{"terms": [{"c": -1, "p": -1}], "tailZ": 0}',
-                     "--N", "5", "--h", "1"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err.startswith("lagmesh: potential: invalid spec (tailZ: ")
-
-    def test_malformed_inline_spec_names_the_field(self, capsys):
-        code = main(["bound", "--potential", '{"coulombErf": {"q": 1}}',
-                     "--N", "5", "--h", "1"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "lagmesh: potential: invalid spec (coulombErf.mu: missing)\n")
-
     def test_inline_potential_spec(self, capsys):
         spec = json.dumps({"label": "well",
                            "terms": [{"c": -5.0, "p": 0.0, "a": 1.0, "b": 0.0}],
@@ -1249,97 +922,6 @@ class TestMain:
         first = capsys.readouterr().out.splitlines()[1]
         assert first.split(",")[-1] == "False"
 
-    def test_bad_grid_argument(self, capsys):
-        code = main(["gamma-scan", "--potential", "eckart", "--variant",
-                     "reg-sqrt", "--N", "15", "--h", "0.1",
-                     "--gamma", "fast"])
-        assert code == 1
-        assert "gamma" in capsys.readouterr().err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("args, message", [
-        (["scatter", "--gamma", "inf"], "gamma: gamma must be positive and finite (got inf)"),
-        (["scatter", "--gamma", "nan"], "gamma: gamma must be positive and finite (got nan)"),
-        (["sweep", "--parameter", "gamma", "--values", "inf"],
-         "gamma: gamma must be positive and finite (got inf)"),
-        (["gamma-scan", "--gamma", "1:inf:16"],
-         "gamma: gamma must be positive and finite (got inf)"),
-        (["gamma-scan", "--gamma", "nan:10:16"],
-         "gamma: gamma must be positive and finite (got nan)"),
-        (["bound", "--alpha", "nan"], "alpha: alpha must be finite and nonnegative (got nan)"),
-        (["bound", "--alpha", "inf"], "alpha: alpha must be finite and nonnegative (got inf)"),
-    ], ids=["scatter-inf", "scatter-nan", "sweep-inf", "grid-inf", "grid-nan",
-            "alpha-nan", "alpha-inf"])
-    def test_non_finite_input_exits_1(self, capsys, args, message):
-        code = main([*args, "--potential", "eckart", "--variant", "reg-sqrt",
-                     "--N", "15", "--h", "0.1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"lagmesh: {message}\n"
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
-    @pytest.mark.parametrize("at", ["start", "stop"])
-    def test_grid_endpoint_is_checked_by_the_rate_rule(self, capsys, value, at):
-        # before geomspace, which warns on inf or NaN and raises at 0
-        grid = f"{value}:8:12" if at == "start" else f"0.5:{value}:12"
-        code = main(["gamma-scan", "--potential", "eckart", "--variant", "reg-sqrt",
-                     "--N", "15", "--h", "0.1", f"--gamma={grid}"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == (
-            f"lagmesh: gamma: gamma must be positive and finite (got {float(value)!r})\n")
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("alpha", ["200", "1e300"])
-    def test_alpha_beyond_gamma_range_exits_2_naming_alpha(self, capsys, alpha):
-        code = main(["bound", "--potential", "harmonic", "--N", "5", "--h", "1",
-                     "--alpha", alpha])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == (f"lagmesh: numerical failure: alpha={float(alpha)!r}: "
-                                "Gamma(alpha + 1) is out of double range\n")
-
-    @pytest.mark.parametrize("argv, message", [
-        (["bound", "--potential", "harmonic", "--N", "5", "--h", "1", "--format", "xml"],
-         "format: must be csv or json"),
-        (["scatter", "--potential", "eckart", "--N", "5", "--h", "1", "--gamma", "x"],
-         "gamma: must be a number"),
-        (["bound", "--potential", "coulomb:Z=x", "--N", "5", "--h", "1"],
-         "potential: Z must be a number (got 'x')"),
-        (["bound", "--potential", "coulomb:Z=1, Z=-2", "--N", "5", "--h", "1"],
-         "potential: repeated parameter 'Z'"),
-        (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--values", "1,2"],
-         "sweep: both --parameter and --values are required"),
-        (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--parameter", "h"],
-         "sweep: both --parameter and --values are required"),
-        (["sweep", "--potential", "harmonic", "--N", "5", "--h", "1", "--parameter", "h",
-          "--values", "a,b"], "values: must be comma-separated numbers"),
-    ], ids=["format", "gamma", "builtin-parameter", "repeated-parameter", "no-parameter",
-            "no-values", "values"])
-    def test_malformed_flag_exits_1_naming_it(self, capsys, argv, message):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"lagmesh: {message}\n"
-
-    @pytest.mark.parametrize("potential, label", [
-        ("eckart", "eckart(b=2,c=-1)"), ('{"terms": [{"c": 1, "p": 1.5}]}', "user")])
-    def test_var_without_exact_matrix_elements_exits_1(self, capsys, potential, label):
-        assert main(["bound", "--potential", potential, "--N", "5", "--h", "0.1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"lagmesh: variant: potential {label!r} has no exact matrix elements\n")
-
-    def test_missing_config_file_exits_1(self, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
-        assert main(["bound", "--config", str(missing)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("lagmesh: config: ") and str(missing) in captured.err
-
     def test_out_into_a_missing_directory_exits_1(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.csv"
         assert main(["bound", "--potential", "harmonic", "--N", "5", "--h", "1",
@@ -1353,10 +935,6 @@ class TestMain:
         assert main(["scatter", "--potential", "coulomb", "--variant", "reg-sqrt",
                      "--N", "1", "--h", "1", "--gamma", "1"]) == 0
         assert capsys.readouterr() == ("", "")
-
-    def test_missing_subcommand_exits_1(self, capsys):
-        assert main([]) == 1
-        assert capsys.readouterr().err != ""
 
 
 _REPLAYED = {
@@ -1403,20 +981,6 @@ class TestReplay:
         assert all(type(echo[key]) is int for key in ("N", "dim", "l"))
         assert _replay(echo, "bound", tmp_path, capsys) == cli.render_json(report)
 
-    def test_field_the_mode_does_not_read_exits_1(self, tmp_path, capsys):
-        assert main(["reproduce", "--table", "2", "--N", "5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "lagmesh: N: only applies to bound, scatter, gamma-scan\n"
-        # a config file's field is held to the same rule
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"potential": "harmonic", "N": 10, "h": 0.1,
-                                   "gammas": [1.0, 2.0]}))
-        assert main(["bound", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "lagmesh: gammas: only applies to gamma-scan\n"
-
 
 def _run_python(code):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -1460,3 +1024,52 @@ print([main(["reproduce", "--table", str(k), "--check", "--out", os.devnull])
        for k in range(1, 6)])
 """
     assert _run_python(code).strip() == "[0, 0, 0, 0, 0]"
+
+
+def _built(config):
+    raise AssertionError("built or solved")
+
+
+def _refused(row, monkeypatch, capsys):
+    """Run a row of cli_refusals through main.  A configuration is refused
+    before anything is built or solved, except in a sweep, whose earlier
+    points run before a later one is refused."""
+    if row.code == 1 and not row.argv.startswith("sweep"):
+        monkeypatch.setattr(cli, "_rows", _built)
+
+    def in_process(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    assert cli_refusals.failures([row], in_process) == []
+
+
+def _refusal_test(rows):
+    """The test that runs these rows, one case each, or the one row whose id
+    names no case."""
+    if "[" not in rows[0].id:
+        def test(self, monkeypatch, capsys):
+            _refused(rows[0], monkeypatch, capsys)
+
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.id.split("[", 1)[1][:-1] for row in rows])
+    def test(self, row, monkeypatch, capsys):
+        _refused(row, monkeypatch, capsys)
+
+    return test
+
+
+def _attach(rows):
+    """Each row runs as the test its id names, ``Class::test[case]``, so a
+    row keeps the tier-1 id of the check it replaced."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(row.id.split("[", 1)[0], []).append(row)
+    for name, group in groups.items():
+        cls, test = name.split("::")
+        assert not hasattr(globals()[cls], test), name  # a written test keeps its name
+        setattr(globals()[cls], test, _refusal_test(group))
+
+
+_attach(cli_refusals.ROWS)

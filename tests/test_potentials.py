@@ -212,15 +212,28 @@ class TestExactLevel:
         assert exact_level(builtin("harmonic"), 1, 2, dimension=2) == 6.0
         assert exact_level(builtin("coulomb"), 1, 0, dimension=2) == -2.0 / 9.0
 
+    def test_eckart_well_has_one_level(self):
+        # the pole of its s-wave S-matrix at k = -ic, for c < 0, in 3D only
+        V = builtin("eckart")
+        assert exact_level(V, 0) == -0.5
+        assert exact_level(builtin("eckart", b=1.5, c=-1.2), 0) == -0.72
+        assert exact_level(V, 0, 1) is None
+        assert exact_level(V, 1) is None
+        assert exact_level(V, 0, dimension=2) is None
+
     @pytest.mark.parametrize("V", [
         builtin("coulomb", Z=1.0),
-        builtin("eckart"),
+        builtin("eckart", c=1.0),
+        builtin("eckart", c=0.0),
+        PotentialSpec("v", terms=((-1.0, -1.0, 0.0, 0.0),), eckart=(2.0, -1.0)),
+        PotentialSpec("v", coulomb_erf=(1.0, 1.0), eckart=(2.0, -1.0)),
         builtin("buck_alpha_alpha"),
         PotentialSpec("v", terms=((-0.5, 2.0, 0.0, 0.0),)),
         PotentialSpec("v", terms=((0.5, 2.0, 0.1, 0.0),)),
         PotentialSpec("v", terms=((0.5, 2.0, 0.0, 0.0), (-1.0, -1.0, 0.0, 0.0))),
         PotentialSpec("v", terms=((-1.0, 1.0, 0.0, 0.0),)),
-    ], ids=["repulsive", "eckart", "buck", "inverted", "damped", "two-terms", "linear"])
+    ], ids=["repulsive", "eckart", "eckart-c-0", "eckart-and-coulomb", "eckart-and-erf", "buck",
+            "inverted", "damped", "two-terms", "linear"])
     def test_other_potentials_have_none(self, V):
         assert exact_level(V, 0) is None
 
