@@ -282,29 +282,25 @@ def _scattering_states(config):
 def _run_scatter(config):
     basis, states = _scattering_states(config)
     V = config.potential
-    rows = []
     for n, state in states:
         res = tan_delta(state, config.angular, V, config.gamma, basis)
-        rows.append({
+        yield {
             "state": n, "energy": state.energy * V.energy_unit, "k": state.k,
             "gamma": res.gamma, "tan_delta": res.tan_delta,
             "delta_deg": res.delta_deg, "branch": res.branch,
-        })
-    return rows
+        }
 
 
 def _run_gamma_scan(config):
     basis, states = _scattering_states(config)
     V = config.potential
-    rows = []
     for n, state in states:
         rec, _ = gamma_scan(state, config.angular, V, V.tail_Z, basis, gammas=config.gammas)
-        rows.append({
+        yield {
             "state": n, "energy": state.energy * V.energy_unit, "gamma": rec.gamma,
             "delta_deg": rec.delta_deg, "sensitivity": rec.sensitivity,
             "no_plateau": rec.no_plateau,
-        })
-    return rows
+        }
 
 
 def _config_echo(config):
@@ -346,13 +342,14 @@ def run(config):
     failures propagate as ArithmeticError/LinAlgError.
     """
     config = _checked(config)
-    rows = _rows(config)
+    rows = list(_rows(config))
     checks = benchmarks.check_table(config.table, rows) if config.mode == "reproduce" else None
     return _report(config.mode, rows, _config_echo(config), checks)
 
 
 def _rows(config):
-    """The report rows of a checked config."""
+    """The report rows of a checked config; a scatter or gamma-scan run
+    computes each row only when it is read."""
     if config.mode == "reproduce":
         return benchmarks.run_table(config.table)
     if config.mode == "bound":
@@ -366,9 +363,11 @@ def sweep(config, parameter, values):
     """Rerun ``config`` once per value of ``parameter`` (N, h, or gamma).
 
     Returns a report as ``run`` does, in mode ``sweep:bound`` or
-    ``sweep:scatter`` and without checks.  Each row summarizes the first
-    state of the corresponding run; its values are null when a scatter run
-    has no pseudostate.
+    ``sweep:scatter`` and without checks.  Every point is checked, as
+    ``run`` checks it, before the first one runs.  Each row summarizes the
+    first state of the corresponding run, which is all that a scatter point
+    computes: a failure in a later pseudostate does not fail the sweep.
+    The row's values are null when a scatter run has no pseudostate.
     """
     if parameter not in ("N", "h", "gamma"):
         raise ConfigError(["parameter: must be N, h, or gamma"])
@@ -379,11 +378,10 @@ def sweep(config, parameter, values):
         raise ConfigError(["mode: sweeps apply to bound or scatter runs"])
     if parameter == "gamma" and config.mode != "scatter":
         raise ConfigError(["parameter: gamma sweeps require scatter mode"])
+    points = [_checked(dataclasses.replace(config, **{parameter: v})) for v in values]
     rows = []
-    for v in values:  # N's whole-number rule is its field's
-        point = _checked(dataclasses.replace(config, **{parameter: float(v)}))
-        sub_rows = _rows(point)
-        first = sub_rows[0] if sub_rows else {}
+    for v, point in zip(values, points):
+        first = next(iter(_rows(point)), {})
         row = {"parameter": parameter, "value": v, "energy": first.get("energy")}
         if config.mode == "bound":
             row["eps_rel"] = first.get("eps_rel")

@@ -463,6 +463,42 @@ class TestSweep:
             sweep(scan, "N", (15,))
         assert err.value.errors == ("mode: sweeps apply to bound or scatter runs",)
 
+    @pytest.mark.parametrize("parameter, value, message", [
+        ("h", "0.5", "h: must be an int or a float (got '0.5')"),
+        ("N", True, "N: must be a whole number (got True)"),
+        ("N", "12", "N: must be a whole number (got '12')"),
+    ])
+    def test_values_reach_their_field_as_given(self, no_build, parameter, value, message):
+        # run's rule for the field, not a float() of the value
+        with pytest.raises(ConfigError) as swept:
+            sweep(_config(), parameter, [value])
+        with pytest.raises(ConfigError) as ran:
+            run(_config(**{parameter: value}))
+        assert swept.value.errors == ran.value.errors == (message,)
+
+    def test_a_scatter_point_computes_its_first_phase_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "tan_delta", lambda *args: calls.append(args) or tan_delta(*args))
+        sweep(_config(**_ECKART_SCATTER), "gamma", (3.0, 4.0, 5.0))
+        assert len(calls) == 3
+
+    def test_a_later_pseudostate_does_not_fail_the_sweep(self, monkeypatch):
+        config = _config(**_ECKART_SCATTER)
+        expected = sweep(config, "gamma", (3.0, 4.0, 5.0))
+        energies = []
+
+        def first_state_only(state, *args):
+            energies.append(state.energy)
+            if state.energy != energies[0]:
+                raise IndeterminatePhaseError("denominator vanished")
+            return tan_delta(state, *args)
+
+        monkeypatch.setattr(cli, "tan_delta", first_state_only)
+        assert sweep(config, "gamma", (3.0, 4.0, 5.0)) == expected
+        # a scatter run reads every state
+        with pytest.raises(IndeterminatePhaseError):
+            run(config)
+
 
 class TestEigenvalueOnlySolve:
     """Runs that read energies alone never compute eigenvectors."""
@@ -1032,9 +1068,8 @@ def _built(config):
 
 def _refused(row, monkeypatch, capsys):
     """Run a row of cli_refusals through main.  A configuration is refused
-    before anything is built or solved, except in a sweep, whose earlier
-    points run before a later one is refused."""
-    if row.code == 1 and not row.argv.startswith("sweep"):
+    before anything is built or solved."""
+    if row.code == 1:
         monkeypatch.setattr(cli, "_rows", _built)
 
     def in_process(argv):
