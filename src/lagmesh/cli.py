@@ -28,6 +28,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -628,6 +629,14 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         config, swept = _assemble(args)
+        if config.out and isinstance(config.out, str):  # before any work, left as it was
+            try:
+                created = not os.path.exists(config.out)  # a link's target, if it is one
+                open(config.out, "a").close()
+            except (OSError, ValueError) as e:
+                raise ConfigError([f"out: {e}"]) from None
+            if created:
+                os.remove(os.path.realpath(config.out))
         if args.mode == "sweep":
             if args.parameter is None or args.values is None:
                 raise ConfigError(

@@ -1,13 +1,15 @@
 """The refusals of the ``lagmesh`` command line that need no monkeypatch and
 no earlier run, each stated once: argv in; an exit code (1 for a
 configuration, 2 for a numerical failure), empty stdout and the whole of
-stderr out.
+stderr out.  This module also holds the runner that ``tests/cli_runs.py``,
+the table of accepted runs, shares.
 
 A row's ``err`` is a regular expression that stderr must match in full
 (``re.fullmatch``); ``said`` writes one for literal messages.  A row's
 argv may name files by the keys of its ``files``: each is written to a
 temporary directory first (its text), or left missing (None), and argv
-names its path there.  A row's id is the tier-1 test id that runs it.
+names its path there.  A refused run leaves each file as it was.  A row's
+id is the tier-1 test id that runs it.
 
 ``tests/test_cli.py`` runs every row through ``cli.main`` in-process.  Run
 as a script, this module runs every row through the installed ``lagmesh``
@@ -35,6 +37,7 @@ class Row(NamedTuple):
     code: int
     err: str
     files: tuple = ()  # (name, text or None) pairs
+    report: str = ""  # what an accepted run writes: see failures
 
     def args(self, directory):
         """The argv, each file name replaced by its path in ``directory``,
@@ -318,6 +321,22 @@ ROWS = (
           said(f"variant: potential {label!r} has no exact matrix elements"))
       for potential, label in (("eckart", "eckart(b=2,c=-1)"),
                                ('{"terms": [{"c": 1, "p": 1.5}]}', "user"))),
+    # --out is opened before any work, and a refused run leaves it as it was
+    Row("TestMain::test_out_into_a_missing_directory_exits_1",
+        "bound --potential harmonic --N 1000 --h 0.02 --out missing/x.csv", 1,
+        r"lagmesh: out: \[Errno 2\] No such file or directory: '.*missing/x\.csv'\n",
+        (("missing/x.csv", None),)),
+    # ahead of a bad field that the run checks
+    Row("TestMain::test_out_into_a_directory_exits_1",
+        "bound --potential harmonic --N 5 --h 0 --out .", 1,
+        said("out: [Errno 21] Is a directory: '.'")),
+    *(Row(f"TestMain::test_refused_run_leaves_out_as_it_was[{case}]",
+          "bound --potential harmonic --N 5 --h 0 --out report.csv", 1,
+          said("h: h must be positive and finite (got 0.0)"), (("report.csv", text),))
+      for case, text in (("existing", "state,energy\n1,1.5\n"), ("missing", None))),
+    Row("TestMain::test_out_holding_a_null_byte_exits_1", "bound --config cfg.json", 1,
+        said("out: embedded null byte"),
+        _file({"potential": "harmonic", "N": 5, "h": 1, "out": "a\0b"})),
     Row("TestMain::test_missing_config_file_exits_1", "bound --config missing.json", 1,
         r"lagmesh: config: \[Errno 2\] No such file or directory: '.*missing\.json'\n",
         (("missing.json", None),)),
@@ -326,23 +345,75 @@ ROWS = (
 
 def failures(rows, run):
     """``(id, why)`` of each row that ``run(argv) -> (code, out, err)``
-    does not refuse as the row states; argv names files in a temporary
-    directory."""
+    does not run as the row states; argv names files in a temporary
+    directory.
+
+    A row whose ``report`` is empty prints nothing and leaves each of its
+    files as it was.  Any other row writes its report to the file that
+    ``--out`` names, printing nothing, or else to stdout: any text
+    (``"text"``), a JSON report of schema 1 (``"json"``), or one whose
+    config echo, fed back through ``--config`` with the sweep it records,
+    prints the same bytes (``"replay"``)."""
     failed = []
     for row in rows:
         with tempfile.TemporaryDirectory() as directory:
-            code, out, err = run(row.args(directory))
-        if code != row.code or out or not re.fullmatch(row.err, err):
-            failed.append((row.id, f"exit {code}, stdout {out[:80]!r}, stderr {err!r}"))
+            why = _failure(row, run, directory)
+        if why:
+            failed.append((row.id, why))
     return failed
 
 
-def _console_failures():
-    """``failures`` of every row through the installed ``lagmesh``, with a
-    RuntimeWarning as an error."""
+def _failure(row, run, directory):
+    """Why ``row`` fails under ``run``, or None."""
+    argv = row.args(directory)
+    code, out, err = run(argv)
+    seen = f"exit {code}, stdout {out[:80]!r}, stderr {err[-300:]!r}"
+    if code != row.code or not re.fullmatch(row.err, err):
+        return seen
+    if not row.report:
+        if out:
+            return seen
+        for name, text in row.files:
+            path = pathlib.Path(directory, name)
+            if (path.read_text() if path.exists() else None) != text:
+                return f"{seen}, {name} changed"
+        return None
+    text = out
+    if "--out" in argv:  # the report goes to the file alone
+        if out:
+            return seen
+        path = pathlib.Path(argv[argv.index("--out") + 1])
+        text = path.read_text() if path.is_file() else ""
+    if not text:
+        return f"{seen}, no report"
+    if row.report == "text":
+        return None
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return f"{seen}, a report that is no JSON"
+    if doc.get("schema") != 1:
+        return f"{seen}, schema {doc.get('schema')!r}"
+    if row.report == "replay":
+        echo = pathlib.Path(directory, "echo.json")
+        echo.write_text(json.dumps(doc["config"]))
+        again = [argv[0], "--config", str(echo)]
+        if "sweep" in doc["config"]:
+            swept = doc["config"]["sweep"]
+            again += ["--parameter", swept["parameter"],
+                      "--values", ",".join(map(repr, swept["values"]))]
+        if run(again) != (0, text, ""):
+            return f"{seen}, its echo replays otherwise"
+    return None
+
+
+def script(rows, stated):
+    """Run ``rows`` through the installed ``lagmesh``, with a RuntimeWarning
+    as an error; print each failure and a count of the rows ``stated``, and
+    return the exit status."""
     lagmesh = shutil.which("lagmesh")
     if lagmesh is None:
-        sys.exit("cli_refusals: no lagmesh executable on PATH")
+        return "no lagmesh executable on PATH"
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
 
     def console(argv):
@@ -350,12 +421,12 @@ def _console_failures():
                               timeout=120)
         return done.returncode, done.stdout, done.stderr
 
-    return failures(ROWS, console)
+    failed = failures(rows, console)
+    for row_id, why in failed:
+        print(f"FAIL {row_id}: {why}")
+    print(f"{len(rows) - len(failed)}/{len(rows)} {stated}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    failed = _console_failures()
-    for row_id, why in failed:
-        print(f"FAIL {row_id}: {why}")
-    print(f"{len(ROWS) - len(failed)}/{len(ROWS)} refusals as stated")
-    sys.exit(1 if failed else 0)
+    sys.exit(script(ROWS, "refusals as stated"))

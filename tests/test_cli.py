@@ -6,7 +6,6 @@ import json
 import math
 import os
 import pathlib
-import shlex
 import subprocess
 import sys
 
@@ -25,7 +24,7 @@ from lagmesh.solver import pseudostates, solve_bound_states
 from lagmesh.basis import _CACHE_SIZE
 from lagmesh.specfun import _MAX_ETA, coulomb_wave
 import cli_refusals
-from test_demos import CLI_EXAMPLES
+import cli_runs
 from test_potentials import from_text
 
 
@@ -858,14 +857,6 @@ class TestMain:
         energy = json.loads(captured.out)["rows"][0]["energy"]
         assert energy == pytest.approx(1.5, rel=1e-8)
 
-    def test_out_writes_file(self, tmp_path):
-        target = tmp_path / "report.json"
-        code = main(["reproduce", "--table", "5", "--format", "json",
-                     "--out", str(target)])
-        assert code == 0
-        doc = json.loads(target.read_text())
-        assert doc["schema"] == 1
-
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -958,56 +949,26 @@ class TestMain:
         first = capsys.readouterr().out.splitlines()[1]
         assert first.split(",")[-1] == "False"
 
-    def test_out_into_a_missing_directory_exits_1(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "report.csv"
-        assert main(["bound", "--potential", "harmonic", "--N", "5", "--h", "1",
-                     "--out", str(target)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("lagmesh: out: ")
-        assert not target.parent.exists()
-
     def test_run_without_pseudostates_writes_an_empty_csv(self, capsys):
         # an N = 1 Coulomb mesh has only its bound state
         assert main(["scatter", "--potential", "coulomb", "--variant", "reg-sqrt",
                      "--N", "1", "--h", "1", "--gamma", "1"]) == 0
         assert capsys.readouterr() == ("", "")
 
-
-_REPLAYED = {
-    **{f"readme-{i}": shlex.split(c)[1:] for i, c in enumerate(CLI_EXAMPLES, 1)},
-    **{f"table-{k}": ["reproduce", "--table", str(k)] for k in range(1, 6)},
-    "sweep-N": ["sweep", "--parameter", "N", "--values", "10,12", "--potential", "coulomb",
-                "--l", "1", "--h", "0.9"],
-    "sweep-h": ["sweep", "--parameter", "h", "--values", "0.3,0.5", "--potential",
-                "harmonic", "--N", "20", "--h", "0.09"],
-    "sweep-gamma": ["sweep", "--parameter", "gamma", "--values", "2,4", "--potential",
-                    "eckart", "--variant", "reg-sqrt", "--N", "15", "--h", "0.1"],
-}
-
-
-def _replay(echo, mode, tmp_path, capsys):
-    """Stdout of ``lagmesh MODE --config FILE`` with FILE holding ``echo``;
-    a sweep's echo is replayed with the sweep it records."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(echo))
-    argv = [mode, "--config", str(cfg)]
-    if "sweep" in echo:
-        argv += ["--parameter", echo["sweep"]["parameter"],
-                 "--values", ",".join(map(repr, echo["sweep"]["values"]))]
-    assert main(argv) == 0
-    return capsys.readouterr().out
+    def test_refused_run_leaves_a_dangling_link_as_it_was(self, tmp_path, capsys):
+        # the check opens the link's target, which a refused run must not leave
+        link = tmp_path / "report.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        assert main(["bound", "--potential", "harmonic", "--N", "5", "--h", "0",
+                     "--out", str(link)]) == 1
+        assert capsys.readouterr().err == "lagmesh: h: h must be positive and finite (got 0.0)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+        assert link.is_symlink()
 
 
 class TestReplay:
     """The config echo of a JSON report, fed back through --config, prints
-    the same report."""
-
-    @pytest.mark.parametrize("argv", _REPLAYED.values(), ids=_REPLAYED.keys())
-    def test_cli_report_replays(self, argv, tmp_path, capsys):
-        assert main([*argv, "--format", "json"]) == 0
-        original = capsys.readouterr().out
-        echo = json.loads(original)["config"]
-        assert _replay(echo, argv[0], tmp_path, capsys) == original
+    the same report; the command line's replays are rows of cli_runs."""
 
     @pytest.mark.parametrize("field, value", [("N", 20.0), ("dimension", 3.0),
                                               ("angular", 1.0)])
@@ -1015,7 +976,10 @@ class TestReplay:
         report = run(_config(format="json", **{field: value}))
         echo = report["config"]
         assert all(type(echo[key]) is int for key in ("N", "dim", "l"))
-        assert _replay(echo, "bound", tmp_path, capsys) == cli.render_json(report)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(echo))
+        assert main(["bound", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == cli.render_json(report)
 
 
 def _run_python(code):
@@ -1062,13 +1026,32 @@ print([main(["reproduce", "--table", str(k), "--check", "--out", os.devnull])
     assert _run_python(code).strip() == "[0, 0, 0, 0, 0]"
 
 
+class TestRuns:
+    """Each accepted run of cli_runs, through main in-process."""
+
+    def test_table_covers_every_mode_variant_and_table(self, tmp_path):
+        # so that deleting a group of rows fails here
+        modes, variants, tables = set(), set(), set()
+        for row in cli_runs.ROWS:
+            args = cli.build_parser().parse_args(row.args(tmp_path))
+            config, _ = cli._assemble(args)
+            modes.add(f"sweep-{args.parameter}" if args.mode == "sweep" else args.mode)
+            if config.mode == "reproduce":
+                tables.add(config.table)
+            else:
+                variants.add((config.dimension, config.variant))
+        assert modes == {*cli._MODES, "sweep-N", "sweep-h", "sweep-gamma"}
+        assert variants == set(cli._VARIANTS)
+        assert tables == set(lagmesh.benchmarks.TABLE_IDS)
+
+
 def _built(config):
     raise AssertionError("built or solved")
 
 
-def _refused(row, monkeypatch, capsys):
-    """Run a row of cli_refusals through main.  A configuration is refused
-    before anything is built or solved."""
+def _as_stated(row, monkeypatch, capsys):
+    """Run a row of cli_refusals or cli_runs through main.  A configuration
+    is refused before anything is built or solved."""
     if row.code == 1:
         monkeypatch.setattr(cli, "_rows", _built)
 
@@ -1079,18 +1062,18 @@ def _refused(row, monkeypatch, capsys):
     assert cli_refusals.failures([row], in_process) == []
 
 
-def _refusal_test(rows):
+def _row_test(rows):
     """The test that runs these rows, one case each, or the one row whose id
     names no case."""
     if "[" not in rows[0].id:
         def test(self, monkeypatch, capsys):
-            _refused(rows[0], monkeypatch, capsys)
+            _as_stated(rows[0], monkeypatch, capsys)
 
         return test
 
     @pytest.mark.parametrize("row", rows, ids=[row.id.split("[", 1)[1][:-1] for row in rows])
     def test(self, row, monkeypatch, capsys):
-        _refused(row, monkeypatch, capsys)
+        _as_stated(row, monkeypatch, capsys)
 
     return test
 
@@ -1104,7 +1087,7 @@ def _attach(rows):
     for name, group in groups.items():
         cls, test = name.split("::")
         assert not hasattr(globals()[cls], test), name  # a written test keeps its name
-        setattr(globals()[cls], test, _refusal_test(group))
+        setattr(globals()[cls], test, _row_test(group))
 
 
-_attach(cli_refusals.ROWS)
+_attach(cli_refusals.ROWS + cli_runs.ROWS)

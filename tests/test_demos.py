@@ -9,22 +9,11 @@ import shlex
 import pytest
 
 from lagmesh import cli, potentials
+from cli_runs import CLI_EXAMPLES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
-
-
-def _cli_examples():
-    """The ``lagmesh ...`` commands of the README's CLI block, with their
-    continuation lines joined."""
-    section = README.split("## Command-line interface", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    return [line for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("lagmesh ")]
-
-
-CLI_EXAMPLES = _cli_examples()
 
 
 def test_demos_are_found():
