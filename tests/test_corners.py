@@ -38,6 +38,7 @@ from lagmesh.matelem import (
 from lagmesh.potentials import PotentialSpec, builtin, exact_level
 from lagmesh.scattering import gamma_scan
 from lagmesh.solver import bound_energies, pseudostates, relative_error, solve_bound_states
+from lagmesh.specfun import _MAX_ETA
 
 from test_basis import (
     SCHEME_MESHES,
@@ -264,7 +265,7 @@ def test_coulomb_scattering_grid(Z, l, N):
     states = pseudostates(solve_bound_states(H, basis))
     assert states
     for state in states:
-        if abs(V.tail_Z / state.k) > 50.0:  # outside the advertised domain
+        if abs(V.tail_Z / state.k) > _MAX_ETA:  # outside the advertised domain
             with pytest.raises(ValueError, match="eta"):
                 gamma_scan(state, l, V, V.tail_Z, mesh)
             continue

