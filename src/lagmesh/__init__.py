@@ -16,7 +16,6 @@ from .basis import (
 )
 from .matelem import (
     HamiltonianVariant,
-    Mode,
     classify_singularity,
     hamiltonian_2d,
     hamiltonian_3d,
@@ -49,7 +48,6 @@ __all__ = [
     "HamiltonianVariant",
     "IndeterminatePhaseError",
     "MeshSpec",
-    "Mode",
     "PhaseShiftResult",
     "PotentialSpec",
     "Pseudostate",

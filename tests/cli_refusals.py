@@ -9,16 +9,20 @@ A row's ``err`` is a regular expression that stderr must match in full
 argv may name files by the keys of its ``files``: each is written to a
 temporary directory first (its text), or left missing (None), and argv
 names its path there.  A refused run leaves each file as it was.  A row's
-id is the tier-1 test id that runs it.
+id is the tier-1 test id that runs it (``attach``): a test of
+``tests/test_cli.py``, or, after ``test_domain::``, one of
+``tests/test_domain.py``, whose numeric flags' rows are grouped by flag.
 
-``tests/test_cli.py`` runs every row through ``cli.main`` in-process.  Run
-as a script, this module runs every row through the installed ``lagmesh``
-executable, with a RuntimeWarning as an error, and exits 1 naming each
-row that fails::
+Tier 1 runs every row through ``cli.main`` in-process (``in_process``).
+Run as a script, this module runs every row through the installed
+``lagmesh`` executable, with a RuntimeWarning as an error, and exits 1
+naming each row that fails::
 
     python tests/cli_refusals.py
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -29,6 +33,10 @@ import subprocess
 import sys
 import tempfile
 from typing import NamedTuple
+
+import pytest
+
+from lagmesh import cli
 
 
 class Row(NamedTuple):
@@ -63,6 +71,21 @@ def _file(doc):
 _ECKART_SCAN = "--potential eckart --variant reg-sqrt --N 15 --h 0.1"
 _BIG = "9" * 400  # an int that no double holds
 _GRID_TOO_SMALL = "gamma grid too small: at least 8 points are required"
+_HARMONIC = "--potential harmonic --N 20 --h 0.09"
+
+
+def _not_int(flag, *values):
+    """``--flag`` at NaN, +-inf and each of ``values``, which argparse refuses."""
+    return [(v, f"argument --{flag}: invalid int value: {v!r}")
+            for v in ("nan", "inf", "-inf", *values)]
+
+
+def _positive(field, *values):
+    """Each of ``values``, a flag's text or a pair of it and the number that
+    it is refused at, refused by ``field``'s rule: positive and finite."""
+    return [(v, f"{field}: {field} must be positive and finite (got {float(got)!r})")
+            for v, got in (v if isinstance(v, tuple) else (v, v) for v in values)]
+
 
 ROWS = (
     *(Row(f"TestValidation::test_h_flag_config_and_sweep_value_exit_1[{h!r}-{where}]", argv,
@@ -340,6 +363,51 @@ ROWS = (
     Row("TestMain::test_missing_config_file_exits_1", "bound --config missing.json", 1,
         r"lagmesh: config: \[Errno 2\] No such file or directory: '.*missing\.json'\n",
         (("missing.json", None),)),
+    # each bad value of a numeric flag, in argparse's words or the field's
+    *(Row(f"test_domain::test_cli_flag_exits_1_naming_the_flag[{case}]", argv.format(value),
+          1, said(message))
+      for case, argv, refusals in (
+          ("N", "bound --potential harmonic --h 0.09 --N={}",
+           [*_not_int("N", "1.5"),
+            *((v, f"N: N must be a positive integer (got {v})") for v in ("0", "-3"))]),
+          ("h", "bound --potential harmonic --N 20 --h={}",
+           _positive("h", "nan", "inf", "-inf", "0", "-1")),
+          ("alpha", f"bound {_HARMONIC} --alpha={{}}",
+           [(v, f"alpha: alpha must be finite and nonnegative (got {float(v)!r})")
+            for v in ("nan", "inf", "-inf", "-0.5")]),
+          ("l", f"bound {_HARMONIC} --l={{}}",
+           [*_not_int("l", "1.5"), ("-1", "l/m: l must be nonnegative"),
+            *((v, f"l/m: N must exceed l (got N=20, l={v})") for v in ("20", "25"))]),
+          ("m", f"bound {_HARMONIC} --dim 2 --variant reg-sqrt --m={{}}",
+           [*_not_int("m", "1.5"), ("-1", "l/m: m must be nonnegative"),
+            ("20", "l/m: N must exceed m (got N=20, m=20)")]),
+          ("dim", f"bound {_HARMONIC} --dim={{}}",
+           [*_not_int("dim", "2.5"), *((v, "dim: must be 2 or 3") for v in ("0", "1", "4"))]),
+          ("gamma (scatter)", f"scatter {_ECKART_SCAN} --gamma={{}}",
+           _positive("gamma", "nan", "inf", "-inf", "0", "-2")),
+          ("gamma (gamma-scan)", f"gamma-scan {_ECKART_SCAN} --gamma={{}}",
+           _positive("gamma", ("nan:1:16", "nan"), ("0.1:inf:16", "inf"), ("-1:1:16", "-1"),
+                     ("0:1:16", "0"), ("0.1,0.2,nan,0.4,0.5,0.6,0.7,0.8", "nan"),
+                     ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,-inf", "-inf"))),
+          ("table", "reproduce --table={}",
+           [*_not_int("table", "2.5"),
+            *((v, f"table: table must be one of (1, 2, 3, 4, 5), got {v}")
+              for v in ("0", "6", "-1"))]),
+          ("values (h)", f"sweep {_HARMONIC} --parameter h --values={{}}",
+           _positive("h", "nan", "inf", "-inf", "0", "-1", ("0.1,nan", "nan"))),
+          ("values (N)", f"sweep {_HARMONIC} --parameter N --values={{}}",
+           [*((v, f"N: must be a whole number (got {float(v.split(',')[-1])!r})")
+              for v in ("nan", "inf", "-inf", "1.5", "20,nan")),
+            *((v, f"N: N must be a positive integer (got {v})") for v in ("0", "-2"))]),
+          ("values (gamma)", f"sweep {_ECKART_SCAN} --parameter gamma --values={{}}",
+           _positive("gamma", "nan", "inf", "-inf", "0", "-1", ("4,inf", "inf"))),
+          ("potential", "bound --N 20 --h 0.09 --potential={}",
+           [("coulomb:Z=nan", "potential: Z must be finite (got nan)"),
+            ("coulomb:Z=inf", "potential: Z must be finite (got inf)"),
+            ("eckart:b=nan", "potential: b must be finite (got nan)"),
+            ("eckart:c=-inf", "potential: c must be finite (got -inf)"),
+            ("eckart:b=1,c=2", "potential: Eckart well requires b > |c|")]))
+      for value, message in refusals),
 )
 
 
@@ -405,6 +473,62 @@ def _failure(row, run, directory):
         if run(again) != (0, text, ""):
             return f"{seen}, its echo replays otherwise"
     return None
+
+
+def in_process(rows):
+    """Assert that ``cli.main``, in this process, runs each of ``rows`` as
+    the row states; for a refused configuration nothing is built or solved."""
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    for row in rows:
+        with pytest.MonkeyPatch.context() as patch:
+            if row.code == 1:
+                patch.setattr(cli, "_rows", _built)
+            assert failures([row], run) == []
+
+
+def _built(config):
+    raise AssertionError("built or solved")
+
+
+def attach(namespace, rows, check):
+    """Make each group of ``rows`` whose id names a test of the module of
+    ``namespace`` that test, which runs ``check`` on the group, so that a
+    row keeps the tier-1 id of the check it replaced.  An id is
+    ``module::Class::test[case]``, without ``Class::`` for a test at module
+    level and without ``[case]`` for one that is not parametrized; without
+    ``module::`` it names a test of ``test_cli``, as most rows of the
+    command line's tables do.  A class the id names is one the module
+    writes; a test the module writes keeps its name."""
+    here = namespace["__name__"]
+    tests = {}
+    for row in rows:
+        module, _, name = row.id.partition("::")
+        if not module.startswith("test_"):
+            module, name = "test_cli", row.id
+        if module == here:
+            name, _, case = name.partition("[")
+            tests.setdefault(name, {}).setdefault(case[:-1] or None, []).append(row)
+    for name, cases in tests.items():
+        owner, _, test = name.rpartition("::")
+        if owner:
+            owner = namespace[owner]
+        assert test not in (vars(owner) if owner else namespace), name
+        if list(cases) == [None]:
+            def run(rows=cases[None]):
+                check(rows)
+        else:
+            @pytest.mark.parametrize("case", list(cases))
+            def run(case, cases=cases):
+                check(cases[case])
+        if owner:
+            setattr(owner, test, staticmethod(run))
+        else:
+            namespace[test] = run
 
 
 def script(rows, stated):

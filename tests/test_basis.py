@@ -15,6 +15,8 @@ from lagmesh.basis import (
 )
 from lagmesh.quadrature import generate_rule
 
+from cli_refusals import attach
+from test_domain import CASES, refused
 from reference import (
     near_window,
     node_derivatives,
@@ -106,31 +108,6 @@ class TestMeshSpec:
         for array in (mesh.nodes, mesh.weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            MeshSpec(0, 1.0, "RegSqrt", 1.0)
-        with pytest.raises(ValueError):
-            MeshSpec(5, -0.5, "RegSqrt", 1.0)
-        with pytest.raises(ValueError):
-            MeshSpec(5, 1.0, "RegSqrt", 0.0)
-        with pytest.raises(ValueError, match="unknown Family: 'Reg'"):
-            MeshSpec(5, 1.0, "Reg", 1.0)
-
-    @pytest.mark.parametrize("N", [10.5, math.nan, math.inf, pytest.param("5", id="str-5"),
-                                   pytest.param("5.0", id="str-5.0"),
-                                   pytest.param(b"5.0", id="bytes-5.0")])
-    def test_non_integer_N_named(self, N):
-        # a string is rejected by name before int() could parse it
-        with pytest.raises(ValueError, match=r"^N must be an integer \(got "):
-            MeshSpec(N, 1.0, "RegSqrt", 1.0)
-        with pytest.raises(ValueError, match=r"^N must be an integer \(got "):
-            generate_rule(N, 1.0)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-    def test_non_finite_alpha_named(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
-            MeshSpec(5, alpha, "RegSqrt", 1.0)
 
     def test_normalization_value(self):
         # Gamma(N+alpha+1)/N! at N=2, alpha=1 is 3!/2! = 3
@@ -247,12 +224,6 @@ class TestEvaluateBasis:
         assert v0 != 0.0
         assert math.isfinite(v0)
         assert v1 == pytest.approx(v0, rel=1e-6)
-
-    def test_bad_arguments(self):
-        mesh = MeshSpec(5, 1.0, "RegSqrt", 1.0)
-        for r in (-0.1, np.nan, np.inf, [1.0, np.nan]):
-            with pytest.raises(ValueError, match="nonnegative and finite"):
-                basis_function(mesh, 2, r)
 
 
 class TestBatchedKernels:
@@ -484,13 +455,7 @@ class TestReconstruct:
         got = reconstruct_wavefunction(mesh, np.ones(10), r)
         assert np.array_equal(got, np.zeros(4))
 
-    def test_length_mismatch(self):
-        mesh = MeshSpec(5, 1.0, "RegSqrt", 1.0)
-        with pytest.raises(ValueError, match="length 5"):
-            reconstruct_wavefunction(mesh, np.ones(4), 1.0)
 
-    def test_bad_radius(self):
-        mesh = MeshSpec(10, 1.0, "RegSqrt", 1.0)
-        for r in (-0.1, np.nan, np.inf, [1.0, np.inf]):
-            with pytest.raises(ValueError, match="nonnegative and finite"):
-                reconstruct_wavefunction(mesh, np.ones(10), r)
+# each refusal that this module checked is a row of test_domain.CASES, run
+# here under the id of the check it took over
+attach(globals(), CASES, refused)

@@ -25,7 +25,8 @@ from lagmesh.basis import _CACHE_SIZE
 from lagmesh.specfun import _MAX_ETA, coulomb_wave
 import cli_refusals
 import cli_runs
-from test_potentials import from_text
+from cli_refusals import attach
+from test_domain import CASES, from_text, refused
 
 
 def _config(**kw):
@@ -635,10 +636,6 @@ class TestReports:
         # a mantissa that rounds up to 10 moves to the next power
         assert cli.benchmarks.eps_notation(x) == text
 
-    def test_unknown_table_is_named(self):
-        with pytest.raises(ValueError, match=r"^table must be one of \(1, 2, 3, 4, 5\), got 6$"):
-            cli.benchmarks.run_table(6)
-
     def test_reproduce_csv_uses_error_notation(self):
         report = run(ExperimentConfig(mode="reproduce", table=2))
         text = cli.render_csv(report)
@@ -807,13 +804,6 @@ class TestJsonWriter:
 
 
 class TestMain:
-    def test_bound_example(self, capsys):
-        code = main(["bound", "--potential", "harmonic", "--l", "0",
-                     "--variant", "var", "--N", "20", "--h", "0.09"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.splitlines()[1].startswith("1,1.5,")
-
     def test_variant_help_lists_every_alias(self, capsys):
         with pytest.raises(SystemExit):
             main(["bound", "--help"])
@@ -1037,49 +1027,5 @@ class TestRuns:
         assert tables == set(lagmesh.benchmarks.TABLE_IDS)
 
 
-def _built(config):
-    raise AssertionError("built or solved")
-
-
-def _as_stated(row, monkeypatch, capsys):
-    """Run a row of cli_refusals or cli_runs through main.  A configuration
-    is refused before anything is built or solved."""
-    if row.code == 1:
-        monkeypatch.setattr(cli, "_rows", _built)
-
-    def in_process(argv):
-        code = main(argv)
-        return (code, *capsys.readouterr())
-
-    assert cli_refusals.failures([row], in_process) == []
-
-
-def _row_test(rows):
-    """The test that runs these rows, one case each, or the one row whose id
-    names no case."""
-    if "[" not in rows[0].id:
-        def test(self, monkeypatch, capsys):
-            _as_stated(rows[0], monkeypatch, capsys)
-
-        return test
-
-    @pytest.mark.parametrize("row", rows, ids=[row.id.split("[", 1)[1][:-1] for row in rows])
-    def test(self, row, monkeypatch, capsys):
-        _as_stated(row, monkeypatch, capsys)
-
-    return test
-
-
-def _attach(rows):
-    """Each row runs as the test its id names, ``Class::test[case]``, so a
-    row keeps the tier-1 id of the check it replaced."""
-    groups = {}
-    for row in rows:
-        groups.setdefault(row.id.split("[", 1)[0], []).append(row)
-    for name, group in groups.items():
-        cls, test = name.split("::")
-        assert not hasattr(globals()[cls], test), name  # a written test keeps its name
-        setattr(globals()[cls], test, _row_test(group))
-
-
-_attach(cli_refusals.ROWS + cli_runs.ROWS)
+attach(globals(), cli_refusals.ROWS + cli_runs.ROWS, cli_refusals.in_process)
+attach(globals(), CASES, refused)

@@ -31,10 +31,11 @@ from lagmesh.quadrature import generate_rule
 
 from scipy.linalg import eigh
 
+from cli_refusals import attach
 from reference import OPERATORS as OPERATOR_TAGS
 from reference import exact_mpmath, oracle_matrix
 from test_basis import _eval_all
-from test_potentials import from_text
+from test_domain import CASES, from_text, refused
 
 
 def mesh_regsqrt(N, alpha=1.0, h=1.0):
@@ -438,14 +439,6 @@ class TestKinetic:
         got = operator_matrix(mesh, "kinetic", Mode.Gauss)
         assert np.abs(got - want).max() <= 5e-15 * np.abs(want).max()
 
-    def test_exact_alpha_zero_diverges(self):
-        with pytest.raises(ValueError, match="diverge"):
-            operator_matrix(mesh_regsqrt(5, 0.0), "kinetic", Mode.Exact)
-
-    def test_exact_plain_family_alpha_one_diverges(self):
-        with pytest.raises(ValueError, match="divergent"):
-            operator_matrix(MeshSpec(5, 1.0, Family.NonReg, 1.0), "kinetic", Mode.Exact)
-
     @pytest.mark.parametrize(
         "family,alpha,variant_mode",
         [("NonReg", 2.0, Mode.Exact), ("RegR", 0.0, Mode.Gauss), ("RegR", 0.0, Mode.Exact)],
@@ -515,12 +508,6 @@ class TestPotentialMatrix:
         E_shifted = np.linalg.eigvalsh(build(mesh, angular, shifted, variant)[0])[:5]
         assert np.abs(E_shifted - (E + 1.0)).max() <= 1e-12
 
-    def test_exact_rejects_non_power_shapes(self):
-        mesh = mesh_regsqrt(5)
-        for name in ("eckart", "buck_alpha_alpha"):
-            with pytest.raises(ValueError, match="no exact matrix elements"):
-                _potential_matrix(mesh, builtin(name))
-
     @pytest.mark.parametrize("term", [(1.0, 0.0, 0.1, 0.0), (1.0, -1.0, 0.0, 0.5),
                                       (1.0, 1.5, 0.0, 0.0), (1.0, -0.5, 0.0, 0.0)],
                              ids=["gaussian", "yukawa", "p=1.5", "p=-0.5"])
@@ -581,20 +568,6 @@ class TestHamiltonian3D:
         H, _ = hamiltonian_3d(mesh, 1, builtin("harmonic"), variant)
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
 
-    def test_family_mismatch_rejected(self):
-        mesh = mesh_regsqrt(8)
-        with pytest.raises(ValueError, match="requires family"):
-            hamiltonian_3d(mesh, 0, builtin("harmonic"), "NonReg")
-
-    def test_l_at_least_n_rejected(self):
-        mesh = mesh_regsqrt(4)
-        with pytest.raises(ValueError, match="exceed"):
-            hamiltonian_3d(mesh, 4, builtin("harmonic"), "Var")
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="HamiltonianVariant"):
-            hamiltonian_3d(mesh_regsqrt(4), 0, builtin("harmonic"), "Exotic")
-
 
 class TestSchemeNames:
     @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
@@ -602,16 +575,6 @@ class TestSchemeNames:
         assert scheme_mesh(variant.name, 10, 1.0) == scheme_mesh(variant, 10, 1.0)
         with pytest.raises(ValueError, match="unknown HamiltonianVariant"):
             scheme_mesh("Exotic", 10, 1.0)
-
-    @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
-    def test_builder_rejects_the_other_dimension(self, variant):
-        dim = SCHEMES[variant][3]
-        other, wrong = (hamiltonian_3d, 3) if dim == 2 else (hamiltonian_2d, 2)
-        mesh = scheme_mesh(variant, 10, 1.0)
-        message = f"^{variant.name} is a {dim}D scheme, not a {wrong}D one$"
-        for name_or_member in (variant, variant.name):
-            with pytest.raises(ValueError, match=message):
-                other(mesh, 1, builtin("harmonic"), name_or_member)
 
 
 class TestHamiltonian2D:
@@ -667,16 +630,6 @@ class TestHamiltonian2D:
         H, _ = hamiltonian_2d(mesh, 1, builtin("harmonic"), "Var2D")
         E = np.linalg.eigvalsh(H)
         assert abs(E[0] - 2.0) / 2.0 <= 2e-12
-
-    def test_requires_sqrt_regularized_alpha_zero_mesh(self):
-        with pytest.raises(ValueError, match=r"^two-dimensional schemes fix alpha = 0 \(got 1"):
-            hamiltonian_2d(mesh_regsqrt(8, 1.0), 1, builtin("harmonic"), "Var2D")
-        with pytest.raises(ValueError, match="^variant Var2D requires family RegSqrt$"):
-            hamiltonian_2d(MeshSpec(8, 0.0, "RegR", 1.0), 1, builtin("harmonic"), "Var2D")
-
-    def test_m_at_least_n_rejected(self):
-        with pytest.raises(ValueError, match="exceed"):
-            hamiltonian_2d(mesh_regsqrt(4, 0.0), 4, builtin("harmonic"), "Var2D")
 
 
 @pytest.mark.parametrize("variant", list(SCHEMES), ids=[v.name for v in SCHEMES])
@@ -764,26 +717,6 @@ class TestCentrifugal:
                  - hamiltonian_2d(mesh, 0, V, "RegSqrtMesh2D")[0])
         assert np.allclose(added, np.diag(2.0 / mesh.nodes**2), atol=0.0)
 
-    def test_negative_l_rejected(self):
-        with pytest.raises(ValueError, match="l must be nonnegative"):
-            hamiltonian_3d(mesh_regsqrt(5), -1, builtin("harmonic"), "RegSqrtMesh")
-        with pytest.raises(ValueError, match="m must be nonnegative"):
-            hamiltonian_2d(mesh_regsqrt(5, 0.0), -1, builtin("harmonic"), "RegSqrtMesh2D")
-
-    # int() would truncate 1.5 to the l = 1 Hamiltonian and blame NaN or inf
-    # on a float conversion; every scheme names l or m instead
-    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
-    @pytest.mark.parametrize("variant", [v for v in SCHEMES if SCHEMES[v][3] == 3])
-    def test_non_integer_l_named(self, variant, value):
-        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
-            hamiltonian_3d(scheme_mesh(variant, 5, 1.0), value, builtin("harmonic"), variant)
-
-    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf])
-    @pytest.mark.parametrize("variant", [v for v in SCHEMES if SCHEMES[v][3] == 2])
-    def test_non_integer_m_named(self, variant, value):
-        with pytest.raises(ValueError, match=r"^m must be an integer \(got "):
-            hamiltonian_2d(mesh_regsqrt(5, 0.0), value, builtin("harmonic"), variant)
-
 
 # (scheme, angular number, potential, lossy terms): the loss cells of
 # tables 1 and 2 and safe cells of every family, in 3D and 2D
@@ -820,44 +753,11 @@ class TestClassifier:
         assert classify_singularity(sqrt_mesh, 0, steep, "RegSqrtMesh") == ("potential",)
         assert classify_singularity(sqrt_mesh, 1, steep, "RegSqrtMesh") == ()
 
-    def test_mesh_of_another_family_rejected(self):
-        with pytest.raises(ValueError, match="requires family NonReg"):
-            classify_singularity(mesh_regsqrt(10), 0, builtin("coulomb"), "NonReg")
-
-    @pytest.mark.parametrize("dim, name", [(3, "l"), (2, "m")], ids=["3D-l", "2D-m"])
-    @pytest.mark.parametrize("value, message", [
-        (math.nan, "must be an integer"), (math.inf, "must be an integer"),
-        (1.5, "must be an integer"), (-3, "must be nonnegative"),
-    ])
-    def test_invalid_angular_number_rejected(self, dim, name, value, message):
-        variant = "RegSqrtMesh" if dim == 3 else "RegSqrtMesh2D"
-        with pytest.raises(ValueError, match=f"^{name} {message}"):
-            classify_singularity(scheme_mesh(variant, 10, 0.9), value, builtin("harmonic"),
-                                 variant)
-
 
 class TestDivergenceRejections:
-    def test_inverse_square_sqrt_family_alpha_zero(self):
-        with pytest.raises(ValueError, match="diverge"):
-            operator_matrix(mesh_regsqrt(5, 0.0), "1/r^2", Mode.Exact)
-
     def test_gauss_mode_still_fine_where_exact_diverges(self):
         M = operator_matrix(mesh_regsqrt(5, 0.0), "1/r^2", Mode.Gauss)
         assert np.allclose(M, np.diag(mesh_regsqrt(5, 0.0).nodes ** -2.0))
-
-    def test_invalid_power_rejected(self):
-        # _gauss_error alone would give an unknown operator a silent zero
-        # correction
-        for family, alpha in (("RegSqrt", 1.0), ("NonReg", 2.0), ("RegR", 0.0)):
-            for op in ("r^3", "kinetic3d", "R"):
-                for mode in Mode:
-                    with pytest.raises(ValueError, match=f"unknown operator: {re.escape(repr(op))} "
-                                                         r"\(expected one of"):
-                        operator_matrix(MeshSpec(5, alpha, family, 1.0), op, mode)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="Mode"):
-            operator_matrix(mesh_regsqrt(5), "kinetic", "Approximate")
 
 
 class TestExactGate:
@@ -1139,3 +1039,8 @@ class TestMatrixCache:
         for alpha, family, op, mode in keys:
             mesh = MeshSpec(30, alpha, family, 0.5)
             assert operator_matrix(mesh, op, mode) is operator_matrix(mesh, op, mode)
+
+
+# each refusal that this module checked is a row of test_domain.CASES, run
+# here under the id of the check it took over
+attach(globals(), CASES, refused)

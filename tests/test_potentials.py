@@ -12,23 +12,18 @@ import hypothesis.strategies as st
 from lagmesh.potentials import (
     PotentialSpec,
     _json_doc,
-    _json_object,
-    _spec,
     builtin,
     evaluate,
     exact_level,
 )
 
+from cli_refusals import attach
+from test_domain import CASES, from_text, refused
+
 
 def to_text(V):
     """A spec's JSON text, as a report echoes it under ``config.potential``."""
     return json.dumps(_json_doc(V))
-
-
-def from_text(text):
-    """The spec of a JSON text, read as the CLI reads a spec, with the
-    document named ``spec``."""
-    return _spec(_json_object(text, "spec"))
 
 
 class TestBuiltins:
@@ -68,19 +63,6 @@ class TestBuiltins:
         V = builtin("buck_alpha_alpha")
         r = 12.0
         assert evaluate(V, r) == pytest.approx(V.tail_Z / r, rel=1e-14)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="^unknown name 'yukawa'; builtins are "):
-            builtin("yukawa")
-
-    @pytest.mark.parametrize("name", [3, None, ["harmonic"], b"harmonic"])
-    def test_name_that_is_no_string_is_unknown(self, name):
-        with pytest.raises(ValueError, match=f"^{re.escape(f'unknown name {name!r}; ')}"):
-            builtin(name)
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError, match="parameter"):
-            builtin("harmonic", omega=2.0)
 
     def test_names_are_the_catalogue(self):
         # a misspelt name is refused naming every builtin, each of which builds
@@ -127,13 +109,6 @@ class TestEvaluate:
             assert evaluate(V, float(r)) == arr[k]
         # elementwise at any shape
         assert np.array_equal(evaluate(V, rr[:, None]), arr[:, None])
-
-    def test_nonpositive_radius_rejected(self):
-        V = builtin("harmonic")
-        with pytest.raises(ValueError):
-            evaluate(V, 0.0)
-        with pytest.raises(ValueError):
-            evaluate(V, np.array([1.0, -2.0]))
 
     def test_general_term_shape(self):
         # c * r^p * exp(-a r^2 - b r)
@@ -238,111 +213,12 @@ class TestExactLevel:
 
 
 class TestValidation:
-    def test_too_singular_term_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            PotentialSpec("bad", terms=((1.0, -2.0, 0.0, 0.0),))
-
-    def test_growing_exponential_rejected(self):
-        with pytest.raises(ValueError, match="grow"):
-            PotentialSpec("bad", terms=((1.0, 0.0, 0.0, -1.0),))
-        with pytest.raises(ValueError):
-            PotentialSpec("bad", terms=((1.0, 0.0, -0.1, 0.0),))
-
-    def test_erf_range_parameter_positive(self):
-        with pytest.raises(ValueError, match="mu"):
-            PotentialSpec("bad", coulomb_erf=(1.0, 0.0))
-
-    def test_eckart_parameters_ordered(self):
-        with pytest.raises(ValueError, match="b"):
-            PotentialSpec("bad", eckart=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            builtin("eckart", b=1.0, c=-1.5)
+    """A spec's rules: its tests are rows of ``test_domain.CASES``."""
 
 
 class TestNonFiniteParameters:
-    """NaN or infinite numbers raise ValueError naming the field, on every
-    construction path."""
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field, make", [
-        ("term c", lambda x: PotentialSpec("v", terms=((x, -1.0, 0.0, 0.0),))),
-        ("term p", lambda x: PotentialSpec("v", terms=((1.0, x, 0.0, 0.0),))),
-        ("term a", lambda x: PotentialSpec("v", terms=((1.0, 0.0, x, 0.0),))),
-        ("term b", lambda x: PotentialSpec("v", terms=((1.0, 0.0, 1.0, x),))),
-        ("coulomb_erf q", lambda x: PotentialSpec("v", coulomb_erf=(x, 0.75))),
-        ("coulomb_erf mu", lambda x: PotentialSpec("v", coulomb_erf=(1.0, x))),
-        ("eckart b", lambda x: PotentialSpec("v", eckart=(x, -1.0))),
-        ("eckart c", lambda x: PotentialSpec("v", eckart=(2.0, x))),
-        ("energy_unit", lambda x: PotentialSpec("v", energy_unit=x)),
-    ])
-    def test_spec_names_the_field(self, field, make, bad):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            make(bad)
-
-    @pytest.mark.parametrize("name, params, field", [
-        ("coulomb", {"Z": math.nan}, "Z"),
-        ("coulomb", {"Z": math.inf}, "Z"),
-        ("eckart", {"b": math.inf}, "b"),
-        ("eckart", {"c": math.nan}, "c"),
-    ])
-    def test_builtin_names_the_field(self, name, params, field):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            builtin(name, **params)
-
-    @pytest.mark.parametrize("name, params, message", [
-        ("coulomb", {"Z": 10**400}, "Z must be within double range"),
-        ("coulomb", {"Z": "x"}, "Z must be a number (got 'x')"),
-        ("eckart", {"b": -10**400}, "b must be within double range"),
-        ("eckart", {"c": None}, "c must be a number (got None)"),
-    ])
-    def test_builtin_names_a_parameter_no_double_holds(self, name, params, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            builtin(name, **params)
-
-    @pytest.mark.parametrize("text, field", [
-        ('{"terms": [{"c": NaN, "p": -1}]}', "terms[0].c"),
-        ('{"terms": [{"c": 1, "p": Infinity}]}', "terms[0].p"),
-        ('{"terms": [{"c": 1, "p": 0, "a": NaN}]}', "terms[0].a"),
-        ('{"terms": [{"c": 1, "p": 0, "a": 1, "b": -Infinity}]}', "terms[0].b"),
-        ('{"coulombErf": {"q": NaN, "mu": 1}}', "coulombErf.q"),
-        ('{"coulombErf": {"q": 1, "mu": Infinity}}', "coulombErf.mu"),
-        ('{"tailZ": Infinity}', "tailZ"),
-        ('{"eckart": {"b": Infinity, "c": -1}}', "eckart.b"),
-        ('{"eckart": {"b": 2, "c": NaN}}', "eckart.c"),
-    ])
-    def test_json_names_the_field(self, text, field):
-        # under its JSON name, as the shape errors do
-        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: must be finite"):
-            from_text(text)
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"terms": [{"c": 0.5, "p": 2}], "energyUnit": 0}',
-         "energyUnit: must be positive (got 0.0)"),
-        ('{"terms": [{"c": 0.5, "p": 2}], "energyUnit": -2}',
-         "energyUnit: must be positive (got -2.0)"),
-        ('{"coulombErf": {"q": 1, "mu": -1}}', "coulombErf.mu: must be positive (got -1.0)"),
-        ('{"coulombErf": {"q": 1, "mu": 0.0}}', "coulombErf.mu: must be positive (got 0.0)"),
-        ('{"terms": [{"c": 1, "p": -3}]}',
-         "terms[0].p: must exceed -2 (less singular than 1/r^2)"),
-        ('{"terms": [{"c": 1, "p": 0}, {"c": 1, "p": 0, "b": -1}]}',
-         "terms[1]: must not grow exponentially"),
-        ('{"eckart": {"b": 1, "c": 2}}', "eckart: requires b > |c|"),
-    ])
-    def test_json_value_errors_name_the_json_field(self, text, message):
-        # as the shape errors do; the Python constructor keeps its own names
-        with pytest.raises(ValueError) as err:
-            from_text(text)
-        assert str(err.value) == message
-        with pytest.raises(ValueError, match="^energy_unit must be positive"):
-            PotentialSpec("v", energy_unit=0.0)
-        with pytest.raises(ValueError, match="^coulomb_erf mu must be positive"):
-            PotentialSpec("v", coulomb_erf=(1.0, -1.0))
-        with pytest.raises(ValueError, match=r"^term p must exceed -2 \(less"):
-            PotentialSpec("v", terms=((1.0, -3.0, 0.0, 0.0),))
-        with pytest.raises(ValueError, match="^term must not grow exponentially$"):
-            PotentialSpec("v", terms=((1.0, 0.0, 0.0, -1.0),))
-        with pytest.raises(ValueError, match=r"^Eckart well requires b > \|c\|$"):
-            PotentialSpec("v", eckart=(1.0, 2.0))
+    """NaN or infinite numbers are refused by name on every construction
+    path: its tests are rows of ``test_domain.CASES``."""
 
 
 class TestSerialization:
@@ -361,46 +237,6 @@ class TestSerialization:
         assert from_text(to_text(V)).energy_unit == V.energy_unit
         assert "energyUnit" not in _json_doc(builtin("coulomb"))
 
-    @pytest.mark.parametrize("text, field", [
-        ('{"terms": [1]}', "terms[0]"),
-        ('{"terms": [{"c": 1.0}]}', "terms[0].p"),
-        ('{"terms": [{"c": "deep", "p": 0}]}', "terms[0].c"),
-        ('{"terms": [{"c": -1.0, "p": true}]}', "terms[0].p"),
-        ('{"terms": {"c": 1.0, "p": 0}}', "terms"),
-        ('{"coulombErf": {"q": 1}}', "coulombErf.mu"),
-        ('{"eckart": [2, -1]}', "eckart"),
-        ('{"tailZ": "one"}', "tailZ"),
-        ('{"label": 7}', "label"),
-        ('{"energyUnit": "MeV"}', "energyUnit"),
-        ('[1]', "spec"),
-    ])
-    def test_malformed_spec_names_the_field(self, text, field):
-        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: "):
-            from_text(text)
-
-    @pytest.mark.parametrize("text, key", [
-        ('{"label": "a", "label": "b"}', "label"),
-        ('{"terms": [{"c": -1, "c": 2, "p": -1}]}', "c"),
-        ('{"eckart": {"b": 2, "c": -1, "b": 3}}', "b"),
-    ])
-    def test_repeated_key_is_named_at_every_level(self, text, key):
-        # json.loads alone keeps the last value
-        with pytest.raises(ValueError, match=rf"^spec: invalid JSON \(repeated key '{key}'\)$"):
-            from_text(text)
-
-    @pytest.mark.parametrize("text, field", [
-        # "alpha" for "a" would otherwise run an undamped constant
-        ('{"terms": [{"c": -1, "p": -1}, {"c": 0.2, "p": 0, "alpha": 0.5}]}', "terms[1].alpha"),
-        ('{"terms": [{"c": -1, "p": -1, "ab": 1}]}', "terms[0].ab"),
-        ('{"coulombErf": {"q": 1, "mu": 1, "x": 2}}', "coulombErf.x"),
-        ('{"eckart": {"b": 2, "c": -1, "d": 0}}', "eckart.d"),
-        ('{"terms": [], "tail": -1}', "tail"),
-        ('{"energyUnit": 2, "Label": "x"}', "Label"),
-    ])
-    def test_unknown_field_is_named_at_every_level(self, text, field):
-        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: unknown field$"):
-            from_text(text)
-
     @pytest.mark.parametrize("V", [
         *(builtin(name) for name in ("harmonic", "coulomb", "eckart", "buck_alpha_alpha")),
         builtin("coulomb", Z=-0.0),
@@ -418,3 +254,8 @@ class TestSerialization:
         doc = json.loads(to_text(builtin("eckart")))
         assert doc["label"].startswith("eckart")
         assert "eckart" in doc
+
+
+# each refusal that this module checked is a row of test_domain.CASES, run
+# here under the id of the check it took over
+attach(globals(), CASES, refused)

@@ -13,6 +13,9 @@ from scipy.special import gammaln, roots_genlaguerre
 from lagmesh.quadrature import generate_rule
 from lagmesh.specfun import _weighted_laguerre_pair
 
+from cli_refusals import attach
+from test_domain import CASES, refused
+
 
 def _three_diag_rule(N, alpha):
     """The rule from the Jacobi matrix summed out of three ``np.diag``, with
@@ -87,12 +90,6 @@ class TestGenerateRule:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            generate_rule(0, 0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            generate_rule(4, -1.0)
-
     @pytest.mark.parametrize("N,alpha", [(100, 1.0), (375, 1.0), (385, 2.0), (390, 1.0),
                                          (400, 0.0), (1000, 0.0), (1000, 2.0)])
     def test_matches_mpmath_up_to_n_1000(self, N, alpha):
@@ -158,3 +155,8 @@ class TestIntegrate:
     def test_polynomial_times_exponential(self):
         r, weights = generate_rule(10, 0.0)
         assert weights @ (r**2 * np.exp(-r)) == pytest.approx(2.0, rel=1e-13)
+
+
+# each refusal that this module checked is a row of test_domain.CASES, run
+# here under the id of the check it took over
+attach(globals(), CASES, refused)

@@ -28,9 +28,11 @@ from lagmesh.scattering import (
     gamma_scan,
     tan_delta,
 )
-from lagmesh.solver import Pseudostate, pseudostates, solve_bound_states
+from lagmesh.solver import pseudostates, solve_bound_states
 
+from cli_refusals import attach
 from reference import phase_oracle
+from test_domain import CASES, refused
 
 ECKART = builtin("eckart")
 BUCK = builtin("buck_alpha_alpha")
@@ -101,20 +103,6 @@ class TestEckartReference:
         lo = eckart_reference_delta0(1.0 - 1e-9, 2.0, -1.0)
         hi = eckart_reference_delta0(1.0 + 1e-9, 2.0, -1.0)
         assert lo < -89.99 and hi > 89.99
-
-    def test_rejects_nonpositive_energy(self):
-        with pytest.raises(ValueError, match="positive"):
-            eckart_reference_delta0(0.0, 2.0, -1.0)
-
-    # inf / inf gave a silent NaN phase before
-    @pytest.mark.parametrize("name, args", [
-        ("E", (math.inf, 2.0, -1.0)), ("E", (math.nan, 2.0, -1.0)),
-        ("b", (1.0, math.nan, -1.0)), ("b", (1.0, math.inf, -1.0)),
-        ("c", (1.0, 2.0, math.nan)), ("c", (1.0, 2.0, -math.inf)),
-    ])
-    def test_rejects_non_finite_parameter(self, name, args):
-        with pytest.raises(ValueError, match=f"^{name} must be "):
-            eckart_reference_delta0(*args)
 
     @given(
         E=st.floats(1e-3, 50.0),
@@ -331,11 +319,6 @@ class TestWindows:
             principal = math.degrees(math.atan(res.tan_delta))
             assert res.delta_deg == pytest.approx(principal + 180.0 * res.branch)
 
-    def test_unknown_window_rejected(self):
-        mesh, ps = eckart_states("sqrt")
-        with pytest.raises(ValueError, match="window"):
-            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, window="folded")
-
     def test_window_checked_before_any_coulomb_function(self, monkeypatch):
         mesh, ps = eckart_states("sqrt")
 
@@ -409,17 +392,6 @@ class TestGammaScan:
         a, _ = gamma_scan(ps[0], 0, ECKART, 0.0, mesh)
         b, _ = gamma_scan(ps[0], 0, ECKART, 0.0, mesh)
         assert a == b
-
-    def test_grid_validation(self):
-        mesh, ps = eckart_states("sqrt")
-        with pytest.raises(ValueError, match="at least 8"):
-            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, gammas=[1, 2, 3, 4, 5, 6, 7])
-        with pytest.raises(ValueError, match="positive"):
-            gamma_scan(ps[0], 0, ECKART, 0.0, mesh, gammas=[-1, 1, 2, 3, 4, 5, 6, 7])
-        with pytest.raises(ValueError, match="increasing"):
-            gamma_scan(
-                ps[0], 0, ECKART, 0.0, mesh, gammas=[1, 2, 3, 4, 4, 5, 6, 7]
-            )
 
     def test_no_plateau_recommendation_is_a_grid_point(self):
         # the lowest alpha+alpha s-wave state has no plateau: the scan still
@@ -619,62 +591,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape("its term 1.5 r**0 does not")):
             tan_delta(ps[0], 0, V, 4.0, mesh)
 
-    def test_rejects_nonpositive_energy(self):
-        mesh, ps = eckart_states("sqrt")
-        bad = Pseudostate(-0.5, ps[0].coefficients)
-        with pytest.raises(ValueError, match="positive"):
-            tan_delta(bad, 0, ECKART, 4.0, mesh)
-
-    def test_rejects_nonpositive_gamma(self):
-        mesh, ps = eckart_states("sqrt")
-        with pytest.raises(ValueError, match="gamma"):
-            tan_delta(ps[0], 0, ECKART, 0.0, mesh)
-
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
-    def test_rejects_non_finite_gamma(self, gamma):
-        mesh, ps = eckart_states("sqrt")
-        with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            tan_delta(ps[0], 0, ECKART, gamma, mesh)
-
-    @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
-    def test_rejects_non_integer_l(self, l):
-        mesh, ps = eckart_states("sqrt")
-        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
-            tan_delta(ps[0], l, ECKART, 4.0, mesh)
-        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
-            gamma_scan(ps[0], l, ECKART, 0.0, mesh)
-
-    # NaN or inf passed the tail test and was blamed on eta by coulomb_wave
-    @pytest.mark.parametrize("Z", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["eckart", "buck_alpha_alpha"])
-    def test_rejects_non_finite_Z(self, name, Z):
-        mesh, ps = eckart_states("sqrt") if name == "eckart" else buck_states("sqrt", 0)
-        with pytest.raises(ValueError, match=r"^Z must be finite \(got "):
-            gamma_scan(ps[0], 0, builtin(name), Z, mesh)
-
-    def test_rejects_non_finite_state(self):
-        mesh, ps = eckart_states("sqrt")
-        # k = sqrt(2E) is infinite where 2E overflows, past E = 8.99e307
-        for energy in (math.inf, 1e308):
-            with pytest.raises(ValueError, match="energy and k must be positive and finite"):
-                tan_delta(dataclasses.replace(ps[0], energy=energy), 0, ECKART, 4.0, mesh)
-        coefficients = ps[0].coefficients.copy()
-        coefficients[3] = math.nan
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            tan_delta(dataclasses.replace(ps[0], coefficients=coefficients),
-                      0, ECKART, 4.0, mesh)
-
-    def test_rejects_tail_mismatch(self):
-        mesh, ps = eckart_states("sqrt")
-        with pytest.raises(ValueError, match="tail"):
-            gamma_scan(ps[0], 0, ECKART, 0.5, mesh)
-
-    def test_rejects_coefficient_length_mismatch(self):
-        mesh, ps = eckart_states("sqrt")
-        bad = Pseudostate(1.0, np.ones(7))
-        with pytest.raises(ValueError, match="mesh"):
-            tan_delta(bad, 0, ECKART, 4.0, mesh)
-
     def test_indeterminate_phase_reported_not_guessed(self):
         with pytest.raises(IndeterminatePhaseError):
             _phases([4.0], 1.0, [0.0], "principal")
@@ -691,3 +607,8 @@ class TestValidation:
     def test_result_holds_phases_only(self):
         assert [f.name for f in dataclasses.fields(PhaseShiftResult)] == [
             "tan_delta", "delta_deg", "branch", "gamma", "sensitivity", "no_plateau"]
+
+
+# each refusal that this module checked is a row of test_domain.CASES, run
+# here under the id of the check it took over
+attach(globals(), CASES, refused)

@@ -27,6 +27,9 @@ from lagmesh.specfun import (
     coulomb_wave,
 )
 
+from cli_refusals import attach
+from test_domain import CASES, refused
+
 # Frozen reference values (l, eta, x) -> (F, F', G, G'), computed with an
 # independent multiprecision implementation at 40 digits.
 COULOMB_REFERENCE = {
@@ -521,22 +524,6 @@ class TestCoulombWave:
             got = coulomb_wave(l, 0.0, x)[0][0]
             assert got == pytest.approx(want, rel=1e-13), l
 
-    def test_domain_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            coulomb_wave(0, 1.0, -2.0)
-        with pytest.raises(ValueError, match="eta"):
-            coulomb_wave(0, 51.0, 1.0)
-        with pytest.raises(ValueError, match="integer"):
-            coulomb_wave(0.5, 1.0, 1.0)
-        with pytest.raises(ValueError, match="^x must contain at least one point$"):
-            coulomb_wave(0, 1.0, [])
-
-    @pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
-    def test_non_integer_l_named(self, l):
-        with pytest.raises(ValueError, match=r"^l must be an integer \(got "):
-            coulomb_wave(l, 1.0, 1.0)
-
-
     @pytest.mark.parametrize("eta", [-50.0, -1.0, 0.0, 1.0, 50.0])
     @pytest.mark.parametrize("l", [0, 1, 5, 20])
     def test_tiny_x_returns_or_raises_convergence_error(self, l, eta):
@@ -1015,3 +1002,8 @@ def test_erf_is_vectorized():
     r = np.array([0.1, 0.5, 2.0, 7.0])
     want = [c * math.exp(-a * t * t) + q * math.erf(mu * t) / t for t in r]
     assert_allclose(evaluate(V, r), want, rtol=1e-15)
+
+
+# each refusal that this module checked is a row of test_domain.CASES, run
+# here under the id of the check it took over
+attach(globals(), CASES, refused)
