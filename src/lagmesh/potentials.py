@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .specfun import _integer, _real
+from .specfun import _integer, _real, _reals
 
 __all__ = ["PotentialSpec", "builtin", "evaluate", "exact_level"]
 
@@ -119,7 +119,7 @@ class PotentialSpec:
 def evaluate(spec, r):
     """Potential values at radii ``r > 0``, elementwise: an array of the
     shape of ``r``, of length 1 for a scalar."""
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    rr = np.atleast_1d(_reals("r", r))
     if (rr <= 0.0).any() or not np.isfinite(rr).all():
         raise ValueError("r must be positive and finite")
     total = np.zeros_like(rr)

@@ -80,16 +80,17 @@ def refused(cases):
     values drawn, a ValueError whose whole message matches its pattern."""
     for case in cases:
         if isinstance(case.values, st.SearchStrategy):
-            # every case's ``drawn`` is one function to hypothesis's example
-            # database, which would replay one case's failure through the rest
-            @settings(max_examples=20, deadline=None, database=None)
-            @given(value=case.values)
-            def drawn(value):
-                _refuses(case, value)
-
-            drawn()
+            _drawn(case)
         else:
             _refuses(case, case.values)
+
+
+# one body for every case, so no example database: it would replay one
+# case's failing value through the others
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def _drawn(case, data):
+    _refuses(case, data.draw(case.values))
 
 
 def _refuses(case, value):
@@ -579,8 +580,10 @@ CASES = (
     *parameter("evaluate.r", lambda v: evaluate_potential(HARMONIC, v),
                NONFINITE | at_most(0.0) | _pairs(NONFINITE | at_most(0.0)),
                ("r must be positive and finite",),
-               [("test_potentials::TestEvaluate::test_nonpositive_radius_rejected", r,
-                 "r must be positive and finite") for r in (0.0, [1.0, -2.0])]),
+               [*(("test_potentials::TestEvaluate::test_nonpositive_radius_rejected", r,
+                   "r must be positive and finite") for r in (0.0, [1.0, -2.0])),
+                (None, [1.0, 10**400], "r must be within double range")],
+               double="r must be within double range"),
     *(Case(f"test_potentials::TestBuiltins::{test}", builtin, name,
            either(f"unknown name {name!r}; builtins are harmonic, coulomb, eckart, "
                   "buck_alpha_alpha"))
