@@ -77,26 +77,24 @@ _VARIANTS = {(SCHEMES[scheme][3], alias): scheme for alias, scheme in (
 # either name), its ExperimentConfig attribute, its kind (see _KINDS; None
 # leaves every value to the field's domain check), its default (the variant's
 # depends on the mode: _assemble fills it in), the modes that read it, and
-# its flag as (type, help), or None for a field without one.
+# its flag's help, or None for a field without a flag.  A number field reads
+# a flag's text as the number it spells (_number), as a config file gives it.
 _FIELDS = (
     ("mode", "mode", None, dataclasses.MISSING, _MODES, None),
-    ("format", "format", None, "csv", _MODES, (None, "csv or json (default csv)")),
-    ("potential", "potential", None, None, _RUNS,
-     (None, "builtin name, name:key=value,... or JSON spec")),
-    ("l/m", "angular", "int", 0, _RUNS, (int, "angular number: l in 3D, m in 2D (default 0)")),
-    ("dim", "dimension", "int", 3, _RUNS, (int, "2 or 3 (default 3)")),
-    ("variant", "variant", None, None, _RUNS,
-     (None, ", ".join(dict.fromkeys(a for _, a in _VARIANTS)))),
-    ("N", "N", "int", None, _RUNS, (int, "mesh size")),
-    ("alpha", "alpha", "float", None, _RUNS,
-     (float, "Laguerre parameter (default per variant)")),
-    ("h", "h", "float", None, _RUNS, (float, "scaling factor")),
+    ("format", "format", None, "csv", _MODES, "csv or json (default csv)"),
+    ("potential", "potential", None, None, _RUNS, "builtin name, name:key=value,... or JSON spec"),
+    ("l/m", "angular", "int", 0, _RUNS, "angular number: l in 3D, m in 2D (default 0)"),
+    ("dim", "dimension", "int", 3, _RUNS, "2 or 3 (default 3)"),
+    ("variant", "variant", None, None, _RUNS, ", ".join(dict.fromkeys(a for _, a in _VARIANTS))),
+    ("N", "N", "int", None, _RUNS, "mesh size"),
+    ("alpha", "alpha", "float", None, _RUNS, "Laguerre parameter (default per variant)"),
+    ("h", "h", "float", None, _RUNS, "scaling factor"),
     ("gamma", "gamma", "float", None, ("scatter",),
-     (None, "rate (scatter) or grid start:stop:count (gamma-scan)")),
+     "rate (scatter) or grid start:stop:count (gamma-scan)"),
     ("gammas", "gammas", "floats", None, ("gamma-scan",), None),
     ("table", "table", "int", None, ("reproduce",),
-     (int, f"benchmark table id {_TABLE_RANGE} (reproduce)")),
-    ("out", "out", "str", None, _MODES, (None, "output path (default stdout)")),
+     f"benchmark table id {_TABLE_RANGE} (reproduce)"),
+    ("out", "out", "str", None, _MODES, "output path (default stdout)"),
 )
 
 
@@ -233,11 +231,13 @@ def _domain_errors(config):
 
 
 def _raised(key, rule, *args):
-    """``[key: message]`` of the ValueError that ``rule(*args)`` raises, or []."""
+    """``[key: message]`` of the ValueError that ``rule(*args)`` raises, less
+    a name of the key that the message opens with, or []."""
     try:
         rule(*args)
     except ValueError as e:
-        return [f"{key}: {e}"]
+        name, _, rest = str(e).partition(" ")
+        return [f"{key}: {rest if name in key.split('/') else e}"]
     return []
 
 
@@ -493,27 +493,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
-def _parse_gamma(text, mode):
-    if text is None:
-        return None, None
-    if mode == "gamma-scan":
+def _number(text, whole=False):
+    """The number that a flag's ``text`` spells, as an int first if ``whole``;
+    else the text, which the field's check names as it names a file's."""
+    for read in (int, float) if whole else (float,):
         try:
-            if ":" not in text:
-                return None, tuple(float(x) for x in text.split(","))
-            a, b, n = text.split(":")
-            a, b, n = float(a), float(b), int(n)
+            return read(text)
         except ValueError:
-            raise ConfigError(
-                ["gamma: use start:stop:count or a comma-separated list"]
-            ) from None
-        # the rate's rule, before geomspace warns about inf or NaN or raises at 0
-        if errors := _raised("gamma", _rate, a) or _raised("gamma", _rate, b):
-            raise ConfigError(errors)
-        return None, tuple(np.geomspace(a, b, max(n, 0)))
+            pass
+    return text
+
+
+def _parse_grid(text):
+    """The gamma-scan grid that ``--gamma`` spells."""
     try:
-        return float(text), None
+        if ":" not in text:
+            return tuple(float(x) for x in text.split(","))
+        a, b, n = text.split(":")
+        a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise ConfigError(["gamma: must be a number"]) from None
+        raise ConfigError(["gamma: use start:stop:count or a comma-separated list"]) from None
+    # the rate's rule, before geomspace warns about inf or NaN or raises at 0
+    if errors := _raised("gamma", _rate, a) or _raised("gamma", _rate, b):
+        raise ConfigError(errors)
+    return tuple(np.geomspace(a, b, max(n, 0)))
 
 
 def _parse_potential(value):
@@ -551,9 +554,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     common = _Parser(add_help=False)
-    for key, _, _, _, _, flag in _FIELDS:
+    for key, *_, flag in _FIELDS:
         for name in key.split("/") if flag else ():
-            common.add_argument(f"--{name}", type=flag[0], help=flag[1])
+            common.add_argument(f"--{name}", help=flag)
     common.add_argument("--config", dest="config_file", default=None,
                         help="JSON file with defaults for any flag")
     for mode in (*_MODES, "sweep"):
@@ -562,7 +565,7 @@ def build_parser():
             p.add_argument("--check", action="store_true",
                            help="compare against the bundled reference values")
         if mode == "sweep":
-            p.add_argument("--parameter", choices=("N", "h", "gamma"))
+            p.add_argument("--parameter", help="N, h or gamma")
             p.add_argument("--values", default=None,
                            help="comma-separated parameter values")
     return parser
@@ -605,19 +608,22 @@ def _assemble(args):
     else:
         mode = doc.get("mode", "scatter" if args.parameter == "gamma" else "bound")
     values = {}
-    for key, attr, *_ in _FIELDS[1:]:  # the mode is settled above
+    for key, attr, kind, *_ in _FIELDS[1:]:  # the mode is settled above
         names = key.split("/")
         flag = _one(key, [getattr(args, name, None) for name in names])
+        if flag is not None and kind in ("int", "float"):
+            flag = _number(flag, kind == "int")
         in_file = _one(key, [doc.get(name) for name in names])
         values[attr] = flag if flag is not None else in_file
     values["potential"] = _parse_potential(values["potential"])
     gamma = values["gamma"]
-    if mode == "gamma-scan" and isinstance(gamma, list):  # only a file gives a list
-        raise ConfigError(["gamma: a config file gives a gamma-scan grid as a list "
-                           "under gammas"])
-    values["gamma"], gammas = _parse_gamma(None if gamma is None else str(gamma), mode)
-    if gammas is not None:
-        values["gammas"] = gammas
+    if mode == "gamma-scan" and gamma is not None:
+        if isinstance(gamma, list):  # only a file gives a list
+            raise ConfigError(["gamma: a config file gives a gamma-scan grid as a list "
+                               "under gammas"])
+        values["gamma"], values["gammas"] = None, _parse_grid(str(gamma))
+    elif isinstance(gamma, (int, str)) and not isinstance(gamma, bool):
+        values["gamma"] = _number(str(gamma))  # a file's 4 echoes as 4.0
     if values["variant"] is None and mode in _RUNS:
         values["variant"] = "var" if mode == "bound" else "reg-sqrt"
     return ExperimentConfig(
@@ -639,13 +645,8 @@ def main(argv=None):
                 os.remove(os.path.realpath(config.out))
         if args.mode == "sweep":
             if args.parameter is None or args.values is None:
-                raise ConfigError(
-                    ["sweep: both --parameter and --values are required"])
-            try:
-                values = tuple(float(v) for v in args.values.split(","))
-            except ValueError:
-                raise ConfigError(
-                    ["values: must be comma-separated numbers"]) from None
+                raise ConfigError(["sweep: both --parameter and --values are required"])
+            values = tuple(map(_number, args.values.split(",")))
             # a sweep report's echo replays only the sweep it records
             if swept not in (None, {"parameter": args.parameter, "values": list(values)}):
                 raise ConfigError([f"sweep: the config file's sweep {json.dumps(swept)} "

@@ -191,20 +191,14 @@ def _phases(grid, num, dens, window):
     arrays; raises IndeterminatePhaseError at the first rate, in grid order,
     whose ratio determines no phase."""
     dens = np.asarray(dens)
-    # one test of the whole grid; the loop runs only to name the failure
-    if not (math.isfinite(num) and (np.isfinite(dens) & (dens != 0.0)
-                                    & (abs(dens) >= _INDETERMINATE_RTOL * abs(num))).all()):
-        for gamma, den in zip(grid, dens):
-            if not (math.isfinite(num) and math.isfinite(den)):
-                raise IndeterminatePhaseError(
-                    f"indeterminate phase at gamma={gamma:g}: numerator {num:.3e} "
-                    f"or denominator {den:.3e} is not finite"
-                )
-            if den == 0.0 or abs(den) < _INDETERMINATE_RTOL * abs(num):
-                raise IndeterminatePhaseError(
-                    f"indeterminate phase at gamma={gamma:g}: denominator {den:.3e} "
-                    f"is below 1e-14 of the numerator {num:.3e}"
-                )
+    # one test of the whole grid; a NaN or infinite numerator fails every rate
+    ok = np.isfinite(dens) & (dens != 0.0) & (abs(dens) >= _INDETERMINATE_RTOL * abs(num))
+    if not ok.all():
+        i = int(np.argmin(ok))  # the first rate that fails it
+        why = (f"numerator {num:.3e} or denominator {dens[i]:.3e} is not finite"
+               if not (math.isfinite(num) and math.isfinite(dens[i]))
+               else f"denominator {dens[i]:.3e} is below 1e-14 of the numerator {num:.3e}")
+        raise IndeterminatePhaseError(f"indeterminate phase at gamma={grid[i]:g}: {why}")
     tan = num / dens + 0.0  # a zero ratio is +0, whatever the signs
     # math.atan per element: np.arctan can differ from it in the last bit
     delta = np.array([math.degrees(math.atan(t)) for t in tan.tolist()])

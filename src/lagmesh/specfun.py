@@ -102,11 +102,13 @@ def _real(name, value):
 
 def _reals(name, values):
     """``values`` as a float array, or a ValueError naming it when an entry
-    is beyond double range."""
+    is beyond double range, is no number, or the entries form no array."""
     try:
         return np.asarray(values, dtype=float)
     except OverflowError:
         raise ValueError(f"{name} must be within double range") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number or an array of numbers") from None
 
 
 def _integer(name, value, nonnegative=False):

@@ -24,6 +24,7 @@ naming each row that fails::
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -70,26 +71,27 @@ def _file(doc):
 
 _ECKART_SCAN = "--potential eckart --variant reg-sqrt --N 15 --h 0.1"
 _BIG = "9" * 400  # an int that no double holds
-_GRID_TOO_SMALL = "gamma grid too small: at least 8 points are required"
+_GRID_TOO_SMALL = "grid too small: at least 8 points are required"
 _HARMONIC = "--potential harmonic --N 20 --h 0.09"
 
 
-def _not_int(flag, *values):
-    """``--flag`` at NaN, +-inf and each of ``values``, which argparse refuses."""
-    return [(v, f"argument --{flag}: invalid int value: {v!r}")
-            for v in ("nan", "inf", "-inf", *values)]
+def _not_whole(key, *values):
+    """Each of ``values``, a flag's text, refused by the kind of ``key``'s
+    field at the last number that it spells: a whole number."""
+    return [(v, f"{key}: must be a whole number (got {float(v.split(',')[-1])!r})")
+            for v in values]
 
 
 def _positive(field, *values):
     """Each of ``values``, a flag's text or a pair of it and the number that
     it is refused at, refused by ``field``'s rule: positive and finite."""
-    return [(v, f"{field}: {field} must be positive and finite (got {float(got)!r})")
+    return [(v, f"{field}: must be positive and finite (got {float(got)!r})")
             for v, got in (v if isinstance(v, tuple) else (v, v) for v in values)]
 
 
 ROWS = (
     *(Row(f"TestValidation::test_h_flag_config_and_sweep_value_exit_1[{h!r}-{where}]", argv,
-          1, said(f"h: h must be positive and finite (got {h!r})"), files)
+          1, said(f"h: must be positive and finite (got {h!r})"), files)
       for h in (float("inf"), float("-inf"), float("nan"), 0.0)
       for where, argv, files in (
           ("flag", f"bound --potential harmonic --N 5 --h={h!r}", ()),
@@ -107,17 +109,19 @@ ROWS = (
     # the Coulomb functions' range
     *(Row(f"TestValidation::test_angular_number_past_the_coulomb_functions_is_a_config_error"
           f"[{mode}-flags{i}]", f"{mode} --potential coulomb --N 30 --h 1.1 --l 21 {flags}", 1,
-          said("l/m: l must be an integer in [0, 20] (got 21)"))
+          said("l/m: must be an integer in [0, 20] (got 21)"))
       for i, (mode, flags) in enumerate((("scatter", "--gamma 1"), ("gamma-scan", "")))),
-    *(Row(f"TestGammaGrid::test_bad_grid_flag_exits_1_before_any_solve[{label}-{grid}-{message}]",
+    # the id spells the library's message, which names gamma first
+    *(Row(f"TestGammaGrid::test_bad_grid_flag_exits_1_before_any_solve"
+          f"[{label}-{grid}-gamma {message}]",
           f"gamma-scan --potential {potential} --variant reg-sqrt --N {N} --h 0.1 --gamma {grid}",
           1, said(f"gamma: {message}"))
       for label, potential, N in (("no-pseudostate", "coulomb", 1), ("pseudostates", "eckart", 15))
       for grid, message in (
           ("3,2", _GRID_TOO_SMALL), ("1,2,3", _GRID_TOO_SMALL), ("1:2:0", _GRID_TOO_SMALL),
-          ("8,7,6,5,4,3,2,1", "gamma grid must be strictly increasing"),
-          ("0,1,2,3,4,5,6,7", "gamma must be positive and finite (got 0.0)"),
-          ("1,2,3,4,5,6,7,inf", "gamma must be positive and finite (got inf)"))),
+          ("8,7,6,5,4,3,2,1", "grid must be strictly increasing"),
+          ("0,1,2,3,4,5,6,7", "must be positive and finite (got 0.0)"),
+          ("1,2,3,4,5,6,7,inf", "must be positive and finite (got inf)"))),
     Row("TestGammaGrid::test_grid_given_as_a_list_under_gamma_names_gammas",
         "gamma-scan --config cfg.json", 1,
         said("gamma: a config file gives a gamma-scan grid as a list under gammas"),
@@ -129,7 +133,7 @@ ROWS = (
                "gammas": [1, 2, 3]})),
     *(Row(f"TestGammaGrid::test_config_grid_names_the_bad_rate[{value!r}]",
           "gamma-scan --config cfg.json", 1,
-          said(f"gamma: gamma must be positive and finite (got {value!r})"),
+          said(f"gamma: must be positive and finite (got {value!r})"),
           _file({"potential": "eckart", "variant": "reg-sqrt", "N": 15, "h": 0.1,
                  "gammas": [*range(1, 10), value]}))
       for value in (0.0, float("inf"))),
@@ -155,7 +159,7 @@ ROWS = (
         _file({"potential": "coulomb", "variant": "non-reg", "alpha": 1, "N": 10, "h": 0.5})),
     *(Row(f"TestShortRangeConfig::test_exits_1_before_any_build[{case}]",
           f"{argv} --variant reg-sqrt --N 10 --h 0.5", 1,
-          said(f"potential: potential {label!r} is not short-range: its term {term} does not "
+          said(f"potential: {label!r} is not short-range: its term {term} does not "
                "vanish faster than 1/r"))
       for case, argv, label, term in (
           ("scatter-harmonic", "scatter --potential harmonic --gamma 1", "harmonic", "0.5 r**2"),
@@ -184,7 +188,7 @@ ROWS = (
         said("potential: unknown name 'colomb'; builtins are harmonic, coulomb, eckart, "
              "buck_alpha_alpha")),
     Row("TestMain::test_unknown_table_exits_1_in_the_librarys_words", "reproduce --table 9", 1,
-        said("table: table must be one of (1, 2, 3, 4, 5), got 9")),
+        said("table: must be one of (1, 2, 3, 4, 5), got 9")),
     # a builtin's parameters are named as given, a JSON spec's as in JSON
     *(Row(f"TestMain::test_non_finite_potential_exits_1[{potential}-{field}]",
           f"bound --potential {shlex.quote(potential)} --variant reg-sqrt --N 10 --h 0.9", 1,
@@ -299,23 +303,23 @@ ROWS = (
           said(message))
       for case, flags, message in (
           ("scatter-inf", "scatter --gamma inf",
-           "gamma: gamma must be positive and finite (got inf)"),
+           "gamma: must be positive and finite (got inf)"),
           ("scatter-nan", "scatter --gamma nan",
-           "gamma: gamma must be positive and finite (got nan)"),
+           "gamma: must be positive and finite (got nan)"),
           ("sweep-inf", "sweep --parameter gamma --values inf",
-           "gamma: gamma must be positive and finite (got inf)"),
+           "gamma: must be positive and finite (got inf)"),
           ("grid-inf", "gamma-scan --gamma 1:inf:16",
-           "gamma: gamma must be positive and finite (got inf)"),
+           "gamma: must be positive and finite (got inf)"),
           ("grid-nan", "gamma-scan --gamma nan:10:16",
-           "gamma: gamma must be positive and finite (got nan)"),
+           "gamma: must be positive and finite (got nan)"),
           ("alpha-nan", "bound --alpha nan",
-           "alpha: alpha must be finite and nonnegative (got nan)"),
+           "alpha: must be finite and nonnegative (got nan)"),
           ("alpha-inf", "bound --alpha inf",
-           "alpha: alpha must be finite and nonnegative (got inf)"))),
+           "alpha: must be finite and nonnegative (got inf)"))),
     # before geomspace, which warns on inf or NaN and raises at 0
     *(Row(f"TestMain::test_grid_endpoint_is_checked_by_the_rate_rule[{at}-{value}]",
           f"gamma-scan {_ECKART_SCAN} --gamma={grid}", 1,
-          said(f"gamma: gamma must be positive and finite (got {float(value)!r})"))
+          said(f"gamma: must be positive and finite (got {float(value)!r})"))
       for at in ("start", "stop")
       for value in ("0", "-1", "inf", "nan")
       for grid in [f"{value}:8:12" if at == "start" else f"0.5:{value}:12"]),
@@ -328,7 +332,8 @@ ROWS = (
       for case, argv, message in (
           ("format", "bound --potential harmonic --N 5 --h 1 --format xml",
            "format: must be csv or json"),
-          ("gamma", "scatter --potential eckart --N 5 --h 1 --gamma x", "gamma: must be a number"),
+          ("gamma", "scatter --potential eckart --N 5 --h 1 --gamma x",
+           "gamma: must be an int or a float (got 'x')"),
           ("builtin-parameter", "bound --potential coulomb:Z=x --N 5 --h 1",
            "potential: Z must be a number (got 'x')"),
           ("repeated-parameter", "bound --potential 'coulomb:Z=1, Z=-2' --N 5 --h 1",
@@ -338,7 +343,7 @@ ROWS = (
           ("no-values", "sweep --potential harmonic --N 5 --h 1 --parameter h",
            "sweep: both --parameter and --values are required"),
           ("values", "sweep --potential harmonic --N 5 --h 1 --parameter h --values a,b",
-           "values: must be comma-separated numbers"))),
+           "h: must be an int or a float (got 'a')"))),
     *(Row(f"TestMain::test_var_without_exact_matrix_elements_exits_1[{potential}-{label}]",
           f"bound --potential {shlex.quote(potential)} --N 5 --h 0.1", 1,
           said(f"variant: potential {label!r} has no exact matrix elements"))
@@ -355,7 +360,7 @@ ROWS = (
         said("out: [Errno 21] Is a directory: '.'")),
     *(Row(f"TestMain::test_refused_run_leaves_out_as_it_was[{case}]",
           "bound --potential harmonic --N 5 --h 0 --out report.csv", 1,
-          said("h: h must be positive and finite (got 0.0)"), (("report.csv", text),))
+          said("h: must be positive and finite (got 0.0)"), (("report.csv", text),))
       for case, text in (("existing", "state,energy\n1,1.5\n"), ("missing", None))),
     Row("TestMain::test_out_holding_a_null_byte_exits_1", "bound --config cfg.json", 1,
         said("out: embedded null byte"),
@@ -363,26 +368,27 @@ ROWS = (
     Row("TestMain::test_missing_config_file_exits_1", "bound --config missing.json", 1,
         r"lagmesh: config: \[Errno 2\] No such file or directory: '.*missing\.json'\n",
         (("missing.json", None),)),
-    # each bad value of a numeric flag, in argparse's words or the field's
+    # each bad value of a numeric flag, in its field's words
     *(Row(f"test_domain::test_cli_flag_exits_1_naming_the_flag[{case}]", argv.format(value),
           1, said(message))
       for case, argv, refusals in (
           ("N", "bound --potential harmonic --h 0.09 --N={}",
-           [*_not_int("N", "1.5"),
-            *((v, f"N: N must be a positive integer (got {v})") for v in ("0", "-3"))]),
+           [*_not_whole("N", "nan", "inf", "-inf", "1.5"),
+            *((v, f"N: must be a positive integer (got {v})") for v in ("0", "-3"))]),
           ("h", "bound --potential harmonic --N 20 --h={}",
            _positive("h", "nan", "inf", "-inf", "0", "-1")),
           ("alpha", f"bound {_HARMONIC} --alpha={{}}",
-           [(v, f"alpha: alpha must be finite and nonnegative (got {float(v)!r})")
+           [(v, f"alpha: must be finite and nonnegative (got {float(v)!r})")
             for v in ("nan", "inf", "-inf", "-0.5")]),
           ("l", f"bound {_HARMONIC} --l={{}}",
-           [*_not_int("l", "1.5"), ("-1", "l/m: l must be nonnegative"),
+           [*_not_whole("l/m", "nan", "inf", "-inf", "1.5"), ("-1", "l/m: must be nonnegative"),
             *((v, f"l/m: N must exceed l (got N=20, l={v})") for v in ("20", "25"))]),
           ("m", f"bound {_HARMONIC} --dim 2 --variant reg-sqrt --m={{}}",
-           [*_not_int("m", "1.5"), ("-1", "l/m: m must be nonnegative"),
+           [*_not_whole("l/m", "nan", "inf", "-inf", "1.5"), ("-1", "l/m: must be nonnegative"),
             ("20", "l/m: N must exceed m (got N=20, m=20)")]),
           ("dim", f"bound {_HARMONIC} --dim={{}}",
-           [*_not_int("dim", "2.5"), *((v, "dim: must be 2 or 3") for v in ("0", "1", "4"))]),
+           [*_not_whole("dim", "nan", "inf", "-inf", "2.5"),
+            *((v, "dim: must be 2 or 3") for v in ("0", "1", "4"))]),
           ("gamma (scatter)", f"scatter {_ECKART_SCAN} --gamma={{}}",
            _positive("gamma", "nan", "inf", "-inf", "0", "-2")),
           ("gamma (gamma-scan)", f"gamma-scan {_ECKART_SCAN} --gamma={{}}",
@@ -390,15 +396,14 @@ ROWS = (
                      ("0:1:16", "0"), ("0.1,0.2,nan,0.4,0.5,0.6,0.7,0.8", "nan"),
                      ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,-inf", "-inf"))),
           ("table", "reproduce --table={}",
-           [*_not_int("table", "2.5"),
-            *((v, f"table: table must be one of (1, 2, 3, 4, 5), got {v}")
+           [*_not_whole("table", "nan", "inf", "-inf", "2.5"),
+            *((v, f"table: must be one of (1, 2, 3, 4, 5), got {v}")
               for v in ("0", "6", "-1"))]),
           ("values (h)", f"sweep {_HARMONIC} --parameter h --values={{}}",
            _positive("h", "nan", "inf", "-inf", "0", "-1", ("0.1,nan", "nan"))),
           ("values (N)", f"sweep {_HARMONIC} --parameter N --values={{}}",
-           [*((v, f"N: must be a whole number (got {float(v.split(',')[-1])!r})")
-              for v in ("nan", "inf", "-inf", "1.5", "20,nan")),
-            *((v, f"N: N must be a positive integer (got {v})") for v in ("0", "-2"))]),
+           [*_not_whole("N", "nan", "inf", "-inf", "1.5", "20,nan"),
+            *((v, f"N: must be a positive integer (got {v})") for v in ("0", "-2"))]),
           ("values (gamma)", f"sweep {_ECKART_SCAN} --parameter gamma --values={{}}",
            _positive("gamma", "nan", "inf", "-inf", "0", "-1", ("4,inf", "inf"))),
           ("potential", "bound --N 20 --h 0.09 --potential={}",
@@ -408,6 +413,49 @@ ROWS = (
             ("eckart:c=-inf", "potential: c must be finite (got -inf)"),
             ("eckart:b=1,c=2", "potential: Eckart well requires b > |c|")]))
       for value, message in refusals),
+    # a flag spells a value as text, a config file as JSON: one value, one line
+    *(Row(f"test_domain::test_flag_and_config_file_refuse_alike[{case}]", argv, 1, said(message),
+          files)
+      for case, base, name, refusals in (
+          ("N", "bound --potential harmonic --h 0.09", "N",
+           [(math.nan, "N: must be a whole number (got nan)"),
+            (0, "N: must be a positive integer (got 0)"),
+            ("abc", "N: must be a whole number (got 'abc')")]),
+          ("l", f"bound {_HARMONIC}", "l",
+           [(1.5, "l/m: must be a whole number (got 1.5)"), (-1, "l/m: must be nonnegative"),
+            ("abc", "l/m: must be a whole number (got 'abc')")]),
+          ("m", f"bound {_HARMONIC} --dim 2 --variant reg-sqrt", "m",
+           [(math.nan, "l/m: must be a whole number (got nan)"), (-1, "l/m: must be nonnegative"),
+            ("abc", "l/m: must be a whole number (got 'abc')")]),
+          ("dim", f"bound {_HARMONIC}", "dim",
+           [(2.5, "dim: must be a whole number (got 2.5)"), (4, "dim: must be 2 or 3"),
+            ("abc", "dim: must be a whole number (got 'abc')")]),
+          ("alpha", f"bound {_HARMONIC}", "alpha",
+           [(math.nan, "alpha: must be finite and nonnegative (got nan)"),
+            (-0.5, "alpha: must be finite and nonnegative (got -0.5)"),
+            ("abc", "alpha: must be an int or a float (got 'abc')")]),
+          ("h", "bound --potential harmonic --N 20", "h",
+           [(math.inf, "h: must be positive and finite (got inf)"),
+            (0, "h: must be positive and finite (got 0.0)"),
+            ("abc", "h: must be an int or a float (got 'abc')")]),
+          ("table", "reproduce", "table",
+           [(math.nan, "table: must be a whole number (got nan)"),
+            (9, "table: must be one of (1, 2, 3, 4, 5), got 9"),
+            ("abc", "table: must be a whole number (got 'abc')")]),
+          ("gamma (scatter)", f"scatter {_ECKART_SCAN}", "gamma",
+           [(math.nan, "gamma: must be positive and finite (got nan)"),
+            (0, "gamma: must be positive and finite (got 0.0)"),
+            ("abc", "gamma: must be an int or a float (got 'abc')")]))
+      for value, message in refusals
+      for argv, files in ((f"{base} --{name}={shlex.quote(str(value))}", ()),
+                          (f"{base} --config cfg.json", _file({name: value})))),
+    # every bad field is named, not the first alone
+    *(Row("test_domain::test_flag_and_config_file_refuse_alike[N and h]", argv, 1,
+          said("N: must be a whole number (got nan)", "h: must be an int or a float (got 'abc')"),
+          files)
+      for argv, files in (("bound --potential harmonic --N nan --h abc", ()),
+                          ("bound --potential harmonic --config cfg.json",
+                           _file({"N": math.nan, "h": "abc"})))),
 )
 
 

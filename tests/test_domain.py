@@ -227,6 +227,12 @@ _ENERGY = ("pseudostate energy and k must be positive and finite",)
 _OPERATORS = "1/r^2, 1/r, 1, r, r^2, kinetic, kinetic2d"
 
 
+def _no_numbers(name, *values):
+    """Held values of array parameter ``name`` that hold no number or form
+    no array."""
+    return [(None, v, f"{name} must be a number or an array of numbers") for v in values]
+
+
 def _spec_field(field):
     """The checks of PotentialSpec's ``field`` at NaN and +-inf."""
     return [(f"test_potentials::TestNonFiniteParameters::test_spec_names_the_field"
@@ -283,7 +289,7 @@ CASES = (
                lambda v: reconstruct_wavefunction(MESH, v, 1.0),
                NONFINITE.map(lambda v: _with_entry(np.ones(MESH.N), v)), ("coeffs must be finite",),
                [("test_basis::TestReconstruct::test_length_mismatch", np.ones(4),
-                 "coeffs must have length 15")]),
+                 "coeffs must have length 15"), *_no_numbers("coeffs", ["a", 1, 2])]),
     *parameter("reconstruct_wavefunction.r",
                lambda v: reconstruct_wavefunction(MESH, np.ones(MESH.N), v),
                _pairs(NONFINITE | NEGATIVE), ("r must be nonnegative and finite",),
@@ -294,7 +300,7 @@ CASES = (
                 ("test_basis::TestEvaluateBasis::test_bad_arguments", [1.0, math.nan],
                  "r must be nonnegative and finite"),
                 ("test_basis::TestReconstruct::test_bad_radius", [1.0, math.inf],
-                 "r must be nonnegative and finite")],
+                 "r must be nonnegative and finite"), *_no_numbers("r", [[1.0, 2.0], [3.0]])],
                double="r must be within double range"),
     *parameter("reconstruct_wavefunction.r.shape",
                lambda v: reconstruct_wavefunction(MESH, np.ones(MESH.N), v),
@@ -376,13 +382,15 @@ CASES = (
                [*((f"test_solver::TestSolveBoundStates::test_malformed_hamiltonian_rejected"
                    f"[energies-{i}]", H, message) for i, (H, message) in _MALFORMED_H.items()),
                 ("test_solver::TestSolveBoundStates::test_entry_beyond_double_range_names_h"
-                 "[bound_energies]", [[10**400]], "H must be within double range")]),
+                 "[bound_energies]", [[10**400]], "H must be within double range"),
+                *_no_numbers("H", [[1, "z"], ["z", 1]])]),
     *parameter("solve_bound_states.H", lambda H: solve_bound_states(H, BASIS3),
                NONFINITE.map(_symmetric_with_entry), _H,
                [*((f"test_solver::TestSolveBoundStates::test_malformed_hamiltonian_rejected[{i}]",
                    H, message) for i, (H, message) in _MALFORMED_H.items()),
                 ("test_solver::TestSolveBoundStates::test_entry_beyond_double_range_names_h"
-                 "[solve_bound_states]", [[10**400]], "H must be within double range")]),
+                 "[solve_bound_states]", [[10**400]], "H must be within double range"),
+                *_no_numbers("H", [[1, "z"], ["z", 1]])]),
     # H - H^T overflows in the second H, silently
     *(Case("test_solver::TestSolveBoundStates::test_asymmetric_hamiltonian_rejected", solve,
            np.array(H), either("Hamiltonian matrix is not symmetric"))
@@ -471,11 +479,13 @@ CASES = (
                ("gamma must be positive and finite (got {})",
                 "gamma grid too small: at least 8 points are required",
                 "gamma grid must be strictly increasing"),
-               [("test_scattering::TestGammaScan::test_grid_validation", grid, message)
-                for grid, message in (
-                    ([1, 2, 3, 4, 5, 6, 7], "gamma grid too small: at least 8 points are required"),
-                    ([-1, 1, 2, 3, 4, 5, 6, 7], "gamma must be positive and finite (got -1.0)"),
-                    ([1, 2, 3, 4, 4, 5, 6, 7], "gamma grid must be strictly increasing"))]),
+               [*(("test_scattering::TestGammaScan::test_grid_validation", grid, message)
+                  for grid, message in (
+                      ([1, 2, 3, 4, 5, 6, 7],
+                       "gamma grid too small: at least 8 points are required"),
+                      ([-1, 1, 2, 3, 4, 5, 6, 7], "gamma must be positive and finite (got -1.0)"),
+                      ([1, 2, 3, 4, 4, 5, 6, 7], "gamma grid must be strictly increasing"))),
+                *_no_numbers("gamma grid", ["fast"] * 8)]),
     *parameter("gamma_scan.window",
                lambda v: gamma_scan(_state(), 0, ECKART, 0.0, MESH, window=v),
                st.text().filter(lambda w: w not in ("principal", "positive")),
@@ -519,7 +529,7 @@ CASES = (
     *parameter("coulomb_wave.x", lambda v: coulomb_wave(0, 0.5, v),
                _pairs(NONFINITE | at_most(0.0)), ("x must be positive and finite",),
                [("test_specfun::TestCoulombWave::test_domain_validation", -2.0,
-                 "x must be positive and finite")],
+                 "x must be positive and finite"), *_no_numbers("x", ["1", "y"])],
                double="x must be within double range"),
     *parameter("coulomb_wave.x.shape", lambda v: coulomb_wave(0, 0.5, v),
                MULTI_DIMENSIONAL.map(np.ones), ("x must be a scalar or a 1-D array (got shape {})",),
@@ -582,7 +592,8 @@ CASES = (
                ("r must be positive and finite",),
                [*(("test_potentials::TestEvaluate::test_nonpositive_radius_rejected", r,
                    "r must be positive and finite") for r in (0.0, [1.0, -2.0])),
-                (None, [1.0, 10**400], "r must be within double range")],
+                (None, [1.0, 10**400], "r must be within double range"),
+                *_no_numbers("r", "x", [[1.0, 2.0], [3.0]])],
                double="r must be within double range"),
     *(Case(f"test_potentials::TestBuiltins::{test}", builtin, name,
            either(f"unknown name {name!r}; builtins are harmonic, coulomb, eckart, "

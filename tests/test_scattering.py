@@ -599,10 +599,16 @@ class TestValidation:
         tan, delta, branch = _phases([4.0], 1.0, [2e-14], "principal")
         assert tan.tolist() == [1.0 / 2e-14] and branch.tolist() == [0]
         # the first rate in grid order that determines no phase is named
-        with pytest.raises(IndeterminatePhaseError, match=r"gamma=2: denominator 0\.000e\+00"):
-            _phases([1.0, 2.0, 3.0], 1.0, [1.0, 0.0, math.nan], "principal")
-        with pytest.raises(IndeterminatePhaseError, match="gamma=2: .* is not finite"):
-            _phases([1.0, 2.0, 3.0], 1.0, [1.0, math.inf, 0.0], "principal")
+        for num, dens, message in (
+                (1.0, [1.0, 0.0, math.nan],
+                 "gamma=2: denominator 0.000e+00 is below 1e-14 of the numerator 1.000e+00"),
+                (1.0, [1.0, math.inf, 0.0],
+                 "gamma=2: numerator 1.000e+00 or denominator inf is not finite"),
+                (math.nan, [1.0, 2.0, 3.0],
+                 "gamma=1: numerator nan or denominator 1.000e+00 is not finite")):
+            with pytest.raises(IndeterminatePhaseError) as err:
+                _phases([1.0, 2.0, 3.0], num, dens, "principal")
+            assert str(err.value) == f"indeterminate phase at {message}"
 
     def test_result_holds_phases_only(self):
         assert [f.name for f in dataclasses.fields(PhaseShiftResult)] == [
